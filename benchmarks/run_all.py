@@ -5,9 +5,7 @@ The scaling benches each write their machine-readable curve to the
 repository root (``BENCH_shard_scaling.json``, ``BENCH_submission_scaling
 .json``, ``BENCH_retire_scaling.json``, ``BENCH_dispatch_latency.json``,
 ``BENCH_resolve_latency.json``, ``BENCH_check_scaling.json``,
-``BENCH_sim_kernel.json``, ``BENCH_fast_path.json``,
-``BENCH_efficiency.json``); after a change
-that legitimately moves
+``BENCH_efficiency.json``); after a change that legitimately moves
 the numbers, this driver re-runs the whole suite and refreshes them in
 one command::
 

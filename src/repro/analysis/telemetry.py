@@ -303,8 +303,6 @@ def telemetry_schema() -> Dict[str, Any]:
         # facts about the simulation run itself (never the modelled
         # machine — the schedule is identical whatever these read).
         "aggregates.sim": {
-            "kernel": "str (heap|wheel)",
-            "fast_path": "bool",
             "wall_seconds": "number",
             "events_processed": "int",
             "events_per_sec": "int",
@@ -451,9 +449,7 @@ def render_metrics(doc: Dict[str, Any]) -> str:
     sim = doc.get("aggregates", {}).get("sim")
     if sim:
         lines.append(
-            f"host: {sim['kernel']} kernel"
-            f"{' + fast path' if sim.get('fast_path') else ''}, "
-            f"{sim['events_per_sec']:,} events/s, "
+            f"host: {sim['events_per_sec']:,} events/s, "
             f"{sim.get('tasks_per_sec', 0):,} tasks/s "
             f"({sim['wall_seconds']:.3f}s wall)"
         )

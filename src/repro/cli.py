@@ -263,10 +263,6 @@ def _config_from(
         from .sim import NS
 
         overrides["check_coalesce_window"] = args.check_coalesce_window * NS
-    if getattr(args, "kernel", None) is not None:
-        overrides["sim_kernel"] = args.kernel
-    if getattr(args, "sim_fast_path", None) is not None:
-        overrides["fast_path"] = args.sim_fast_path
     if getattr(args, "telemetry_window", None) is not None:
         from .sim import NS
 
@@ -313,28 +309,10 @@ def _add_machine_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--depth", type=int, help="Task Controller buffering depth")
     p.add_argument("--restricted", action="store_true", help="original-Nexus limits")
     p.add_argument(
-        "--kernel", choices=("heap", "wheel"), default=None,
-        help="event-scheduler implementation (wheel = default fast kernel, "
-        "heap = original baseline; results are identical)",
-    )
-    p.add_argument(
         "--telemetry-window", type=int, default=None,
         help="windowed telemetry sampling period in ns (0/omitted = off); "
         "observe-only — the sampled schedule is cycle-identical to an "
         "unsampled run",
-    )
-    fp = p.add_mutually_exclusive_group()
-    fp.add_argument(
-        "--sim-fast-path", dest="sim_fast_path", action="store_true",
-        default=None,
-        help="host-side same-cycle fast path: inline zero-latency "
-        "wake-ups + callback-form hot blocks (default; results are "
-        "cycle-identical either way)",
-    )
-    fp.add_argument(
-        "--no-sim-fast-path", dest="sim_fast_path", action="store_false",
-        help="disable the host-side fast path (generator blocks, every "
-        "wake-up through the ready ring) — debugging/benchmark baseline",
     )
 
 
@@ -467,9 +445,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if getattr(args, "profile", False) or hotspots_n:
         prof = result.stats["sim"]
         print(
-            f"kernel profile [{prof['kernel']}"
-            f"{', fast path' if prof.get('fast_path') else ''}]: "
-            f"{prof['wall_seconds']:.3f}s wall, "
+            f"kernel profile: {prof['wall_seconds']:.3f}s wall, "
             f"{prof['events_processed']:,} events "
             f"({prof['events_per_sec']:,}/s), "
             f"{prof['tasks_per_sec']:,} tasks/s, "
@@ -703,7 +679,7 @@ def _print_profile_summary(runs) -> None:
     events = sum(p["events_processed"] for p in profs)
     rate = f" ({int(events / wall):,}/s)" if wall > 0 else ""
     print(
-        f"kernel profile [{profs[0]['kernel']}]: {len(profs)} runs, "
+        f"kernel profile: {len(profs)} runs, "
         f"{wall:.3f}s wall, {events:,} events{rate}"
     )
 

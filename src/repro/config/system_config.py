@@ -239,27 +239,6 @@ class SystemConfig:
     #: simulation speed (batch duration stays far below task durations).
     memory_batch_chunks: int = 64
 
-    # ---- simulation kernel -------------------------------------------------------
-    #: Event-scheduler implementation: ``"wheel"`` (default) is the
-    #: timing-wheel/calendar-queue kernel built for 100k+-task traces;
-    #: ``"heap"`` is the original global-heap kernel, kept runnable for
-    #: cycle-identity differential tests.  Both are bit-for-bit
-    #: deterministic and produce identical schedules — the knob only
-    #: trades wall-clock speed.  A host-side switch: it never changes
-    #: modelled results.
-    sim_kernel: str = "wheel"
-
-    #: Same-cycle fast-path execution (host-side, default on): zero-latency
-    #: wake-ups (a ``put`` meeting a waiting getter, a set signal, a free
-    #: resource unit) run inline from the wheel kernel's ready ring instead
-    #: of paying a schedule/drain round trip, and the hottest hardware
-    #: blocks (Task Controller loops, *Send TDs*) are built as
-    #: allocation-free callback state machines instead of generator
-    #: coroutines.  Cycle-identical to ``fast_path=False`` and to the heap
-    #: kernel (differential-tested): like ``sim_kernel``, the knob only
-    #: trades wall-clock speed, never modelled results.
-    fast_path: bool = True
-
     # ---- telemetry ----------------------------------------------------------------
     #: Telemetry sampling window in picoseconds; 0 (default) disables the
     #: windowed :class:`~repro.analysis.telemetry.TelemetrySampler` and
@@ -411,11 +390,6 @@ class SystemConfig:
         if self.telemetry_window < 0:
             raise ValueError(
                 f"telemetry_window must be >= 0, got {self.telemetry_window}"
-            )
-        if self.sim_kernel not in ("heap", "wheel"):
-            raise ValueError(
-                f"unknown sim_kernel {self.sim_kernel!r}; "
-                "expected 'heap' or 'wheel'"
             )
         if self.locality_stealing and not self.use_sharded_maestro:
             raise ValueError(

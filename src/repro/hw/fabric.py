@@ -133,11 +133,6 @@ class MergeUnit:
         self.merged = 0
 
     def start(self) -> None:
-        if self.fabric.config.fast_path:
-            from .fast_blocks import MergeRun
-
-            MergeRun(self)
-            return
         self.fabric.sim.process(self._run(), name="merge-unit")
 
     def _run(self):
@@ -188,11 +183,6 @@ class CheckResequencer:
         self._held: Dict[int, Tuple[int, object]] = {}
 
     def start(self) -> None:
-        if self.fabric.config.fast_path:
-            from .fast_blocks import CheckReseqRun
-
-            CheckReseqRun(self)
-            return
         self.fabric.sim.process(
             self._run(), name=f"s{self.shard}-check-reseq"
         )

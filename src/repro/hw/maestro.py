@@ -225,31 +225,10 @@ class TaskMaestro:
 
     def start(self) -> None:
         sim = self.fabric.sim
-        fast = self.fabric.config.fast_path
-        if fast:
-            # The shared block bodies get their callback twins; the
-            # engine-specific loops (Check Deps, Schedule, Handle
-            # Finished) stay generators — the single-Maestro machine is
-            # the paper-exact reference, not the performance target.
-            from .fast_blocks import WriteTp
-
-            WriteTp(
-                self.fabric, self.scoreboard, self.busy["write_tp"], None,
-                "maestro.write-tp",
-            )
-        else:
-            sim.process(self._write_tp(), name="maestro.write-tp")
+        sim.process(self._write_tp(), name="maestro.write-tp")
         sim.process(self._check_deps(), name="maestro.check-deps")
         sim.process(self._schedule(), name="maestro.schedule")
-        if fast:
-            from .fast_blocks import SendTds
-
-            SendTds(
-                self.fabric, self.fabric.td_request, self.busy["send_tds"],
-                "maestro.send-tds",
-            )
-        else:
-            sim.process(self._send_tds(), name="maestro.send-tds")
+        sim.process(self._send_tds(), name="maestro.send-tds")
         sim.process(self._handle_finished(), name="maestro.handle-finished")
         if self.fabric.resolve.speculative:
             # Speculative kick-off: the kick unit process exists only when

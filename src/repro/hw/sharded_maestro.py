@@ -200,9 +200,6 @@ class ShardedMaestro:
         return {name: t.utilization(span) for name, t in self.busy.items()}
 
     def start(self) -> None:
-        if self.fabric.config.fast_path:
-            self._start_fast()
-            return
         sim = self.fabric.sim
         sim.process(self._write_tp(), name="smaestro.write-tp")
         if self.fabric.config.decentralized_check_scatter:
@@ -254,54 +251,6 @@ class ShardedMaestro:
                     ),
                     name=f"smaestro.s{s}.kick",
                 )
-
-    def _start_fast(self) -> None:
-        """Fast-path start: the callback twins of every block above, built
-        in the identical order (so the t=0 event sequence — and therefore
-        the whole schedule — matches the generator machine exactly)."""
-        from . import fast_blocks as fb
-
-        fab = self.fabric
-        dispatch = fab.dispatch
-        fb.WriteTp(
-            fab, self.scoreboard, self.busy["write_tp"], self.n_shards,
-            "smaestro.write-tp",
-        )
-        if fab.config.decentralized_check_scatter:
-            fb.ScatterRoute(self)
-            for m in range(fab.n_masters):
-                fb.ScatterSlice(self, m)
-            for reseq in fab.check_reseq:
-                reseq.start()  # gates on fast_path itself
-        else:
-            fb.CheckScatter(self)
-        pipelined = fab.config.retire_pipeline_depth > 1
-        coalesced_check = fab.check_pipe.coalesce_limit > 1
-        for s in range(self.n_shards):
-            if coalesced_check:
-                fb.CheckEngineCoalesced(self, s)
-            else:
-                fb.CheckEngineSerial(self, s)
-            fb.Gather(self, s)
-            fb.Schedule(self, s)
-            fb.SendTds(
-                fab,
-                fab.td_request_shard[s],
-                self.busy[f"s{s}.send_tds"],
-                f"smaestro.s{s}.send-tds",
-                cache=dispatch.cache if dispatch is not None else None,
-                shard=s,
-            )
-            fb.FinishEngine(self, s)
-            fb.RetireFrontend(self, s)
-            if pipelined:
-                fb.RetireComplete(self, s)
-            if dispatch is not None and dispatch.cache is not None:
-                fb.PrefetchEngine(
-                    dispatch, s, self.busy[f"s{s}.prefetch"], self.scoreboard
-                )
-            if fab.resolve.speculative:
-                fb.KickUnit(self, s)
 
     # ---- receive helper --------------------------------------------------------
 

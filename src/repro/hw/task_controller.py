@@ -14,25 +14,12 @@ The buffering depth (how many tasks a TC may hold in flight) is what
 enables double buffering: with depth >= 2 the next task's input fetch
 overlaps the current task's execution.  Depth 1 reproduces the original
 Nexus behaviour of fetch-execute-writeback with no overlap.
-
-Each block exists in two forms behind one ``start()`` API, chosen at
-build time from ``SystemConfig.fast_path`` (host-side only):
-
-* the original generator coroutines — the readable reference bodies;
-* callback state machines (:class:`~repro.sim.CallbackBlock`) — the
-  fast path.  Every worker core steps its TC a dozen times per task, so
-  these are among the top profile offenders; the callback form drops the
-  ``generator.send`` frame and the waitable dispatch in
-  ``Process._resume`` from each step.  The state transitions mirror the
-  generator yields one for one (including ``memory.transfer``'s
-  synchronous fall-through for zero-length phases), so both forms
-  produce the identical event schedule — differential-tested.
 """
 
 from __future__ import annotations
 
 from ..scoreboard import Scoreboard
-from ..sim import BusyTracker, CallbackBlock, Fifo
+from ..sim import BusyTracker, Fifo
 from .fabric import Fabric
 
 __all__ = ["TaskController"]
@@ -59,14 +46,6 @@ class TaskController:
     def start(self) -> None:
         sim = self.fabric.sim
         c = self.core_id
-        if self.fabric.config.fast_path:
-            # Same four blocks, same creation order, same names: the
-            # callback form replays the generator schedule exactly.
-            _GetTd(self)
-            _GetInputs(self)
-            _RunTask(self)
-            _PutOutputs(self)
-            return
         sim.process(self._get_td(), name=f"tc{c}.get-td")
         sim.process(self._get_inputs(), name=f"tc{c}.get-inputs")
         sim.process(self._run_task(), name=f"tc{c}.run-task")
@@ -121,182 +100,3 @@ class TaskController:
             self.scoreboard.records[task.tid].writeback_end = fab.sim.now
             yield fab.notify_fifo(c).put(c)
 
-
-# ---- fast-path callback forms -----------------------------------------------------
-#
-# One class per block; states are pre-bound methods handed to the kernel
-# as resume callbacks, so a step is a single call.  Every ``_wait`` is in
-# tail position (fast-path rule: the wake-up may run inline from it).
-
-
-class _TransferBlock(CallbackBlock):
-    """Shared ``memory.transfer`` state machine for the two memory stages.
-
-    Mirrors :meth:`MemorySystem.transfer` exactly: a zero-length phase
-    falls through synchronously (no event), contention-free phases are a
-    single timeout, contended phases loop acquire/slice/release in
-    ``quantum`` batches and sample the queueing delay at the end.
-    """
-
-    __slots__ = ("tc", "head", "_remaining", "_slice", "_t0", "_duration",
-                 "_s_granted", "_s_slice_done")
-
-    def __init__(self, tc: TaskController, name: str, entry) -> None:
-        self.tc = tc
-        self.head = None
-        self._s_granted = self._granted
-        self._s_slice_done = self._slice_done
-        super().__init__(tc.fabric.sim, name, entry)
-
-    def _transfer(self, duration: int, done) -> None:
-        """Run one memory phase, then continue in state ``done``.
-
-        Tail-position only, like ``_wait`` (``done`` may run inline —
-        immediately for a zero-length phase).
-        """
-        memory = self.tc.fabric.memory
-        memory.phases += 1
-        if duration <= 0:
-            done(None)
-            return
-        memory.busy_chunk_time += duration
-        if memory.banks is None:
-            self._sleep(duration, done)
-            return
-        self._t0 = self.sim.now
-        self._duration = duration
-        self._remaining = duration
-        self._done_state = done
-        self._acquire(memory.banks, self._s_granted)
-
-    def _granted(self, _value) -> None:
-        memory = self.tc.fabric.memory
-        remaining = self._remaining
-        quantum = memory._quantum
-        self._slice = quantum if remaining > quantum else remaining
-        self._sleep(self._slice, self._s_slice_done)
-
-    def _slice_done(self, _value) -> None:
-        memory = self.tc.fabric.memory
-        memory.banks.release()
-        self._remaining -= self._slice
-        if self._remaining > 0:
-            self._acquire(memory.banks, self._s_granted)
-            return
-        memory.wait_times.add((self.sim.now - self._t0) - self._duration)
-        self._done_state(None)
-
-
-class _GetTd(CallbackBlock):
-    __slots__ = ("tc", "head", "_s_request", "_s_link", "_s_check", "_s_idle")
-
-    def __init__(self, tc: TaskController) -> None:
-        self.tc = tc
-        self.head = None
-        self._s_request = self._request
-        self._s_link = self._link
-        self._s_check = self._check
-        self._s_idle = self._idle
-        super().__init__(tc.fabric.sim, f"tc{tc.core_id}.get-td", self._idle)
-
-    def _idle(self, _value) -> None:
-        tc = self.tc
-        self._get(tc.fabric.rdy_fifo[tc.core_id], self._s_request)
-
-    def _request(self, head) -> None:
-        self.head = head
-        tc = self.tc
-        self._put(tc.fabric.td_request_fifo(tc.core_id), (tc.core_id, head),
-                  self._s_link)
-
-    def _link(self, _value) -> None:
-        tc = self.tc
-        self._get(tc.fabric.td_channel[tc.core_id], self._s_check)
-
-    def _check(self, got) -> None:
-        if got != self.head:
-            raise RuntimeError(
-                f"core {self.tc.core_id}: TD link out of order "
-                f"({got} != {self.head})"
-            )
-        self._put(self.tc._fetch_q, got, self._s_idle)
-
-
-class _GetInputs(_TransferBlock):
-    __slots__ = ("_done_state", "_s_fetched", "_s_loaded", "_s_idle")
-
-    def __init__(self, tc: TaskController) -> None:
-        self._s_fetched = self._fetched
-        self._s_loaded = self._loaded
-        self._s_idle = self._idle
-        super().__init__(tc, f"tc{tc.core_id}.get-inputs", self._idle)
-
-    def _idle(self, _value) -> None:
-        self._get(self.tc._fetch_q, self._s_fetched)
-
-    def _fetched(self, head) -> None:
-        self.head = head
-        tc = self.tc
-        task = tc.fabric.task_of(head)
-        tc.scoreboard.records[task.tid].fetch_start = self.sim.now
-        self._transfer(task.read_time, self._s_loaded)
-
-    def _loaded(self, _value) -> None:
-        self._put(self.tc._run_q, self.head, self._s_idle)
-
-
-class _RunTask(CallbackBlock):
-    __slots__ = ("tc", "head", "_record", "_s_run", "_s_done", "_s_idle")
-
-    def __init__(self, tc: TaskController) -> None:
-        self.tc = tc
-        self.head = None
-        self._record = None
-        self._s_run = self._run
-        self._s_done = self._done
-        self._s_idle = self._idle
-        super().__init__(tc.fabric.sim, f"tc{tc.core_id}.run-task", self._idle)
-
-    def _idle(self, _value) -> None:
-        self._get(self.tc._run_q, self._s_run)
-
-    def _run(self, head) -> None:
-        self.head = head
-        tc = self.tc
-        task = tc.fabric.task_of(head)
-        record = tc.scoreboard.records[task.tid]
-        record.exec_start = self.sim.now
-        self._record = record
-        tc.busy.begin()
-        self._sleep(task.exec_time, self._s_done)
-
-    def _done(self, _value) -> None:
-        tc = self.tc
-        tc.busy.end()
-        self._record.exec_end = self.sim.now
-        tc.tasks_run += 1
-        self._put(tc._out_q, self.head, self._s_idle)
-
-
-class _PutOutputs(_TransferBlock):
-    __slots__ = ("_done_state", "_s_got", "_s_written", "_s_idle")
-
-    def __init__(self, tc: TaskController) -> None:
-        self._s_got = self._got
-        self._s_written = self._written
-        self._s_idle = self._idle
-        super().__init__(tc, f"tc{tc.core_id}.put-outputs", self._idle)
-
-    def _idle(self, _value) -> None:
-        self._get(self.tc._out_q, self._s_got)
-
-    def _got(self, head) -> None:
-        self.head = head
-        task = self.tc.fabric.task_of(head)
-        self._transfer(task.write_time, self._s_written)
-
-    def _written(self, _value) -> None:
-        tc = self.tc
-        task = tc.fabric.task_of(self.head)
-        tc.scoreboard.records[task.tid].writeback_end = self.sim.now
-        self._put(tc.fabric.notify_fifo(tc.core_id), tc.core_id, self._s_idle)

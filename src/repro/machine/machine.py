@@ -51,7 +51,7 @@ class NexusMachine:
         rules make the default machine deadlock-free).
         """
         cfg = self.config
-        sim = Simulator(kernel=cfg.sim_kernel, fast_path=cfg.fast_path)
+        sim = Simulator()
         fabric = Fabric(sim, cfg, trace)
         scoreboard = Scoreboard(len(trace))
 
@@ -203,11 +203,8 @@ class NexusMachine:
             # re-sequencer shape.
             "check": check_stats,
             # Host-side kernel profile (never affects modelled results):
-            # feeds ``python -m repro run --profile`` and the sim-kernel
-            # bench.
+            # feeds ``python -m repro run --profile`` and the perf ledger.
             "sim": {
-                "kernel": sim.kernel,
-                "fast_path": sim.fast_path,
                 "wall_seconds": round(wall_seconds, 6),
                 "events_processed": sim.events_processed,
                 "events_per_sec": (
@@ -301,8 +298,6 @@ class NexusMachine:
                 "decentralized_check_scatter": cfg.decentralized_check_scatter,
                 "check_coalesce_limit": cfg.check_coalesce_limit,
                 "check_coalesce_window": cfg.check_coalesce_window,
-                "sim_kernel": cfg.sim_kernel,
-                "fast_path": cfg.fast_path,
             },
         )
 

@@ -8,8 +8,7 @@ Public API::
 See :mod:`repro.sim.core` for the execution model.
 """
 
-from .core import (CallbackBlock, HeapSimulator, Process, Simulator, Timeout,
-                   Waitable, WheelSimulator)
+from .core import Process, Simulator, Timeout, Waitable
 from .channels import Fifo
 from .errors import DeadlockError, ProcessError, SimError
 from .stats import BusyTracker, LatencyBreakdown, LevelStat, OccupancyStat, Sampler
@@ -18,10 +17,7 @@ from .time_units import MS, NS, PS, S, US, cycles, fmt_time, ns, us
 
 __all__ = [
     "Simulator",
-    "HeapSimulator",
-    "WheelSimulator",
     "Process",
-    "CallbackBlock",
     "Timeout",
     "Waitable",
     "Fifo",

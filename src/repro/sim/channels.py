@@ -192,10 +192,11 @@ class Fifo:
 
     def _arm_put(self, sim: Simulator, proc: Process, item: Any) -> None:
         if self._getters:
-            # Hand the item straight to the first waiting consumer; the
-            # paired dispatch wakes getter-then-producer this cycle.
+            # Hand the item straight to the first waiting consumer; both
+            # wake this cycle, getter before producer.
             getter = self._getters.popleft()
-            sim._dispatch2(getter._resume_cb, item, proc._resume_cb, None)
+            sim._dispatch(getter._resume_cb, item)
+            sim._dispatch(proc._resume_cb, None)
             return
         if self.capacity is None or len(self._items) < self.capacity:
             self._items.append(item)
@@ -214,7 +215,8 @@ class Fifo:
                 putter, pending = self._putters.popleft()
                 self._items.append(pending)
                 self._note()
-                sim._dispatch2(putter._resume_cb, None, proc._resume_cb, item)
+                sim._dispatch(putter._resume_cb, None)
+                sim._dispatch(proc._resume_cb, item)
                 return
             self._note()
             sim._dispatch(proc._resume_cb, item)
@@ -223,7 +225,8 @@ class Fifo:
             # Empty FIFO but a blocked producer exists (capacity reached by
             # racing getters at the same timestamp): take its item directly.
             putter, pending = self._putters.popleft()
-            sim._dispatch2(putter._resume_cb, None, proc._resume_cb, pending)
+            sim._dispatch(putter._resume_cb, None)
+            sim._dispatch(proc._resume_cb, pending)
             return
         self._getters.append(proc)
 

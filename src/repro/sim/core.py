@@ -11,31 +11,17 @@ Design notes
 * The ordering contract: events fire in ``(time, scheduling order)`` —
   same-timestamp events fire in the order they were scheduled.  This makes
   every run bit-for-bit deterministic, which the differential tests rely on.
-* Two schedulers implement that contract behind one API
-  (``Simulator(kernel=...)``):
-
-  - ``"heap"`` — the original single global ``heapq`` keyed by
-    ``(time, seq)``.  Kept runnable so differential tests can assert
-    cycle-identity between kernels.
-  - ``"wheel"`` (default) — a calendar-queue / timing-wheel scheduler built
-    for million-event traces: same-timestamp events (the dominant class:
-    FIFO handoffs, merge/re-sequencer forwards, kick-queue pops) go to a
-    flat *ready ring* drained FIFO with no heap traffic at all;
-    near-future events land in per-timestamp calendar buckets (one heap
-    operation per *distinct* timestamp, not per event); far-future events
-    beyond the sliding ``WHEEL_SPAN`` horizon fall back to a sorted
-    overflow heap and are transferred into buckets window by window as
-    time advances.
-
+* The scheduler is a calendar-queue / timing wheel built for
+  million-event traces: same-timestamp events (the dominant class: FIFO
+  handoffs, merge/re-sequencer forwards, kick-queue pops) go to a flat
+  *ready ring* drained FIFO with no heap traffic at all; near-future
+  events land in per-timestamp calendar buckets (one heap operation per
+  *distinct* timestamp, not per event); far-future events beyond the
+  sliding ``WHEEL_SPAN`` horizon fall back to a sorted overflow heap and
+  are transferred into buckets window by window as time advances.
 * Immediate completions (e.g. a ``put`` into a non-full FIFO) complete at
-  the *current* time.  By default (``fast_path=True``, wheel kernel) the
-  kernel may run such a completion **inline** — the same-cycle fast path —
-  but only when the ready ring is fully drained, i.e. when the woken event
-  would have been the very next one to fire anyway, so the observable
-  ``(time, scheduling order)`` sequence is exactly the scheduled one.  A
-  reentrancy depth guard falls back to the ring, bounding recursion; with
-  ``fast_path=False`` (or on the heap kernel) every completion is scheduled,
-  mirroring SystemC's evaluate/update phases.
+  the *current* time but are still scheduled — one ready-ring append —
+  never run inline, mirroring SystemC's evaluate/update phases.
 * The hot loop is allocation-light on purpose: resume callbacks are cached
   bound methods, ``Simulator.timeout`` interns one :class:`Timeout` per
   distinct delay, ``call_at`` is closure-free, the ready ring stores flat
@@ -51,8 +37,7 @@ from typing import Any, Callable, Generator, Iterable, Optional
 
 from .errors import DeadlockError, ProcessError
 
-__all__ = ["Simulator", "HeapSimulator", "WheelSimulator", "Process",
-           "CallbackBlock", "Waitable", "Timeout"]
+__all__ = ["Simulator", "Process", "Waitable", "Timeout"]
 
 #: Type of the generator body driving a :class:`Process`.
 ProcessBody = Generator["Waitable", Any, Any]
@@ -60,17 +45,6 @@ ProcessBody = Generator["Waitable", Any, Any]
 #: Interned :class:`Timeout` cache bound per simulator; stop growing it
 #: past this many distinct delays (pathological workloads only).
 _TIMEOUT_CACHE_LIMIT = 4096
-
-#: Fast-path reentrancy bound: an inline wake-up chain deeper than this
-#: falls back to the ready ring.  Each inline hop keeps its caller's frame
-#: alive, and measured on CPython a long recursive chain costs more than
-#: the flat ring drain it replaces — a depth of 1 captures the
-#: latency-of-the-common-case hand-off (producer wakes consumer, consumer
-#: runs now) without growing pathological stacks; paired A/B runs of the
-#: full machine measured depth 1 faster than both depth 4 and depth 64.
-#: The cap is a pure wall-clock knob: the fallback reproduces the
-#: scheduled order exactly, so no cap value can change the event schedule.
-_MAX_INLINE_DEPTH = 1
 
 
 def _invoke0(callback: Callable[[], None]) -> None:
@@ -227,7 +201,7 @@ class Process(Waitable):
         self.result = result
         self.sim._live_processes -= 1
         # Joiner wakeups are batched through the scheduler's same-timestamp
-        # path: on the wheel kernel a burst of same-cycle completions costs
+        # path: a burst of same-cycle completions costs
         # one ready-ring append per joiner, never a heap operation.
         sim = self.sim
         for joiner in self._joiners:
@@ -251,118 +225,27 @@ class Process(Waitable):
         return f"<Process {self.name} {state}>"
 
 
-class CallbackBlock:
-    """Allocation-free callback state machine behind the process API.
-
-    The fast-path alternative to a generator :class:`Process` for the hot
-    hardware blocks: states are plain bound methods, each one handed to the
-    kernel as the resume callback for the *next* wake-up, so stepping the
-    block costs one method call — no ``generator.send`` frame, no waitable
-    dispatch in :meth:`Process._resume`.
-
-    A block registers exactly like a process (live count plus deadlock
-    registry) and speaks the same waitable duck type (``name`` / ``alive``
-    / ``_resume_cb`` / ``_waiting_on``), so every channel and sync
-    primitive wakes it unchanged.  Rules for state methods:
-
-    * a state waits by calling ``self._wait(waitable, next_state)`` **in
-      tail position** — with the fast path on, the wake-up may run inline
-      from inside ``_wait``, so code after it would execute out of order;
-    * the entry state is scheduled as a zero-delay event from
-      ``__init__``, matching the start-up cycle of a generator process;
-    * the machine's blocks are endless loops (the machine stops them by
-      draining events) and there is no join half — a block is not a
-      :class:`Waitable`; a finite block ends by calling :meth:`_exit`.
-    """
-
-    __slots__ = ("sim", "name", "alive", "result", "_resume_cb",
-                 "_waiting_on")
-
-    def __init__(self, sim: "Simulator", name: str,
-                 entry: Callable[[Any], None]):
-        self.sim = sim
-        self.name = name
-        self.alive = True
-        self.result: Any = None
-        self._waiting_on: Optional[Waitable] = None
-        self._resume_cb = entry
-        sim._live_processes += 1
-        sim._blocked_registry.append(self)
-        sim._schedule(sim.now, entry, None)
-
-    def _wait(self, waitable: Waitable, state: Callable[[Any], None]) -> None:
-        """Park until ``waitable`` completes, then resume in ``state``.
-
-        Must be the caller's final action (see the class docstring).
-        """
-        self._resume_cb = state
-        self._waiting_on = waitable
-        waitable._arm(self.sim, self)
-
-    # -- fused channel operations ----------------------------------------------
-    #
-    # The generic ``_wait(fifo.put(x), state)`` spends three calls building
-    # and dispatching a waitable that the channel immediately unwraps.
-    # These helpers jump straight to the channel's arm hook (the waitable
-    # layer exists for generator processes, which have nowhere else to
-    # carry the continuation).  Same tail-position rule as ``_wait``.
-
-    def _get(self, fifo, state: Callable[[Any], None]) -> None:
-        """Park on ``fifo.get()``; ``state`` receives the item."""
-        self._resume_cb = state
-        self._waiting_on = fifo._get
-        fifo._arm_get(self.sim, self)
-
-    def _put(self, fifo, item: Any, state: Callable[[Any], None]) -> None:
-        """Park on ``fifo.put(item)``; ``state`` receives ``None``."""
-        self._resume_cb = state
-        self._waiting_on = fifo._put
-        fifo._arm_put(self.sim, self, item)
-
-    def _acquire(self, resource, state: Callable[[Any], None]) -> None:
-        """Park on ``resource.acquire()``; ``state`` receives ``None``."""
-        self._resume_cb = state
-        self._waiting_on = resource._acquire
-        resource._acquire._arm(self.sim, self)
-
-    def _sleep(self, delay: int, state: Callable[[Any], None]) -> None:
-        """Resume in ``state`` after ``delay`` picoseconds.
-
-        A sleeping block holds a pending event, so it can never appear in
-        a deadlock report — no waitable bookkeeping is needed at all; the
-        continuation rides directly on the scheduled event.
-        """
-        sim = self.sim
-        if delay:
-            sim._schedule(sim.now + delay, state, None)
-        else:
-            sim._dispatch(state, None)
-
-    def _exit(self, result: Any = None) -> None:
-        """Terminate the block — the mirror of a generator's ``return``.
-
-        The machine's blocks are endless loops and never call this; finite
-        callback drivers (benchmarks, tests) use it to balance the live
-        count the way a finishing generator process does.
-        """
-        self.alive = False
-        self.result = result
-        self._waiting_on = None
-        self.sim._live_processes -= 1
-        self.sim._forget(self)
-
-    def __repr__(self) -> str:
-        return f"<CallbackBlock {self.name}>"
-
-
 class Simulator:
-    """Deterministic discrete-event simulator.
+    """Deterministic discrete-event simulator on a timing wheel.
 
-    ``Simulator(kernel="wheel")`` (the default) builds the timing-wheel
-    scheduler; ``kernel="heap"`` builds the original global-heap scheduler.
-    Both obey the same ordering contract and are cycle-for-cycle
-    interchangeable (differential-tested), so the knob only trades
-    wall-clock speed.
+    Three tiers, cheapest first:
+
+    * **ready ring** — flat list of ``callback, value`` pairs for events at
+      the current timestamp, drained FIFO.  Zero-delay scheduling is two
+      list appends; no tuple, no heap, no comparison.
+    * **calendar buckets** — ``{time: [callback, value, ...]}`` for events
+      before the sliding horizon (``now`` + :data:`WHEEL_SPAN`), plus a
+      small heap of *distinct* bucket times.  Within a bucket, list order
+      is scheduling order, so the ``(time, seq)`` contract holds with no
+      sequence numbers at all.
+    * **overflow heap** — ``(time, seq, callback, value)`` tuples for
+      far-future events beyond the horizon; transferred into fresh buckets
+      window by window as time advances (sorted by ``(time, seq)``, so
+      transfer preserves scheduling order exactly).
+
+    The horizon only ever grows, and buckets are only created for times
+    below it, so a transferred bucket can never collide with — or reorder
+    against — an existing one.
 
     Typical use::
 
@@ -386,31 +269,23 @@ class Simulator:
         "_timeouts",
         "events_processed",
         "peak_pending",
-        "fast_path",
+        "_ready",
+        "_buckets",
+        "_times",
+        "_overflow",
+        "_horizon",
+        "_pending",
     )
 
-    #: Scheduler name, overridden per concrete kernel.
-    kernel = "wheel"
+    #: Calendar window in picoseconds (~0.26 us).  Block latencies in this
+    #: model are a few ns to a few tens of ns, so virtually every event is
+    #: a ready-ring append or a bucket insert; only long task executions
+    #: ever touch the overflow heap.
+    WHEEL_SPAN = 1 << 18
 
-    def __new__(cls, kernel: str = "wheel", fast_path: bool = True) -> "Simulator":
-        if cls is Simulator:
-            if kernel == "wheel":
-                cls = WheelSimulator
-            elif kernel == "heap":
-                cls = HeapSimulator
-            else:
-                raise ValueError(
-                    f"unknown sim kernel {kernel!r}; expected 'heap' or 'wheel'"
-                )
-        return object.__new__(cls)
-
-    def __init__(self, kernel: str = "wheel", fast_path: bool = True) -> None:
+    def __init__(self) -> None:
         #: Current simulation time in picoseconds.
         self.now: int = 0
-        #: Same-cycle inline dispatch enabled (wheel kernel only; the heap
-        #: kernel ignores the flag and always schedules).  Host-side knob:
-        #: never changes the ``(time, scheduling order)`` event sequence.
-        self.fast_path: bool = fast_path
         self._seq: int = 0
         self._live_processes: int = 0
         # Registry of live processes, for deadlock reports.  Dead processes
@@ -423,40 +298,49 @@ class Simulator:
         self.events_processed: int = 0
         #: High-water mark of scheduled-but-unfired events.
         self.peak_pending: int = 0
+        self._ready: list[Any] = []
+        self._buckets: dict[int, list[Any]] = {}
+        self._times: list[int] = []
+        self._overflow: list[tuple[int, int, Callable[..., None], Any]] = []
+        self._horizon: int = self.WHEEL_SPAN
+        self._pending: int = 0
 
     # -- scheduling -------------------------------------------------------------
 
     def _schedule(self, when: int, callback: Callable[[Any], None], value: Any) -> None:
-        raise NotImplementedError  # pragma: no cover
+        if when <= self.now:
+            # Same-timestamp event: the dominant class.  Flat append onto
+            # the ready ring; fires this timestep, in scheduling order.
+            ready = self._ready
+            ready.append(callback)
+            ready.append(value)
+        elif when < self._horizon:
+            bucket = self._buckets.get(when)
+            if bucket is None:
+                self._buckets[when] = [callback, value]
+                heapq.heappush(self._times, when)
+            else:
+                bucket.append(callback)
+                bucket.append(value)
+        else:
+            self._seq += 1
+            heapq.heappush(self._overflow, (when, self._seq, callback, value))
+        pending = self._pending = self._pending + 1
+        if pending > self.peak_pending:
+            self.peak_pending = pending
 
     def _dispatch(self, callback: Callable[[Any], None], value: Any) -> None:
         """Complete a wake-up at the current timestamp.
 
-        Semantically identical to ``_schedule(self.now, ...)``; a kernel
-        with a fast path may instead run the callback inline when doing so
-        provably preserves the ``(time, scheduling order)`` sequence.
-        Callers must be in *tail position* within the current event — the
-        dispatch must be the last thing the event does.
+        Exactly ``_schedule(self.now, ...)``, minus the tier test: one
+        ready-ring append.
         """
-        self._schedule(self.now, callback, value)
-
-    def _dispatch2(
-        self,
-        callback1: Callable[[Any], None],
-        value1: Any,
-        callback2: Callable[[Any], None],
-        value2: Any,
-    ) -> None:
-        """Complete a paired wake-up (two events, in order) at time now.
-
-        The pair form exists for rendezvous hand-offs (FIFO put meeting a
-        waiting getter, and the converse) where *both* sides resume this
-        cycle and their relative order is part of the contract.  Same
-        tail-position requirement as :meth:`_dispatch`.
-        """
-        now = self.now
-        self._schedule(now, callback1, value1)
-        self._schedule(now, callback2, value2)
+        ready = self._ready
+        ready.append(callback)
+        ready.append(value)
+        pending = self._pending = self._pending + 1
+        if pending > self.peak_pending:
+            self.peak_pending = pending
 
     def timeout(self, delay: int) -> Timeout:
         """Waitable that completes ``delay`` picoseconds from now.
@@ -500,216 +384,11 @@ class Simulator:
     # -- running ----------------------------------------------------------------
 
     def run(self, until: Optional[int] = None) -> int:
-        """Run until the pending events drain or ``until`` (inclusive).
+        """Run until every tier drains or ``until`` (inclusive) is reached.
 
         Returns the final simulation time.  Raises :class:`DeadlockError`
-        if events drain while processes are still blocked.  Implemented by
-        each concrete kernel.
+        if events drain while processes are still blocked.
         """
-        raise NotImplementedError  # pragma: no cover
-
-    def run_all(self, processes: Iterable[ProcessBody]) -> int:
-        """Convenience: register each generator as a process, then run."""
-        for i, gen in enumerate(processes):
-            self.process(gen, name=f"proc{i}")
-        return self.run()
-
-    def _blocked_report(self) -> list[tuple[str, str]]:
-        return [
-            (p.name, p._waiting_on.describe() if p._waiting_on is not None
-             else "<unknown>")
-            for p in self._blocked_registry
-            if p.alive
-        ]
-
-    @property
-    def pending_events(self) -> int:
-        """Number of events currently scheduled (for tests/diagnostics)."""
-        raise NotImplementedError  # pragma: no cover
-
-
-class HeapSimulator(Simulator):
-    """The original kernel: one global ``heapq`` keyed by ``(time, seq)``.
-
-    Kept as the differential baseline (``kernel="heap"``): the wheel kernel
-    must replay every schedule cycle-for-cycle against this one.
-    """
-
-    __slots__ = ("_heap",)
-
-    kernel = "heap"
-
-    def __init__(self, kernel: str = "heap", fast_path: bool = True) -> None:
-        super().__init__(kernel, fast_path)
-        self._heap: list[tuple[int, int, Callable[..., None], Any]] = []
-
-    def _schedule(self, when: int, callback: Callable[[Any], None], value: Any) -> None:
-        self._seq += 1
-        heap = self._heap
-        heapq.heappush(heap, (when, self._seq, callback, value))
-        pending = len(heap)
-        if pending > self.peak_pending:
-            self.peak_pending = pending
-
-    def run(self, until: Optional[int] = None) -> int:
-        """Run until the event heap drains or ``until`` (inclusive) is reached.
-
-        Returns the final simulation time.  Raises :class:`DeadlockError` if
-        the heap drains while processes are still blocked.
-        """
-        heap = self._heap
-        pop = heapq.heappop
-        fired = 0
-        try:
-            while heap:
-                event = pop(heap)
-                when = event[0]
-                if until is not None and when > until:
-                    # Put it back; the caller may continue the run later.
-                    heapq.heappush(heap, event)
-                    self.now = until
-                    return self.now
-                self.now = when
-                fired += 1
-                event[2](event[3])
-        finally:
-            self.events_processed += fired
-        if self._live_processes > 0:
-            raise DeadlockError(self._blocked_report())
-        return self.now
-
-    @property
-    def pending_events(self) -> int:
-        return len(self._heap)
-
-
-class WheelSimulator(Simulator):
-    """Calendar-queue / timing-wheel kernel (``kernel="wheel"``).
-
-    Three tiers, cheapest first:
-
-    * **ready ring** — flat list of ``callback, value`` pairs for events at
-      the current timestamp, drained FIFO.  Zero-delay scheduling is two
-      list appends; no tuple, no heap, no comparison.
-    * **calendar buckets** — ``{time: [callback, value, ...]}`` for events
-      before the sliding horizon (``now`` + :data:`WHEEL_SPAN`), plus a
-      small heap of *distinct* bucket times.  Within a bucket, list order
-      is scheduling order, so the ``(time, seq)`` contract holds with no
-      sequence numbers at all.
-    * **overflow heap** — ``(time, seq, callback, value)`` tuples for
-      far-future events beyond the horizon; transferred into fresh buckets
-      window by window as time advances (sorted by ``(time, seq)``, so
-      transfer preserves scheduling order exactly).
-
-    The horizon only ever grows, and buckets are only created for times
-    below it, so a transferred bucket can never collide with — or reorder
-    against — an existing one.
-    """
-
-    __slots__ = ("_ready", "_buckets", "_times", "_overflow", "_horizon",
-                 "_pending", "_ready_pos", "_inline_depth")
-
-    kernel = "wheel"
-
-    #: Calendar window in picoseconds (~0.26 us).  Block latencies in this
-    #: model are a few ns to a few tens of ns, so virtually every event is
-    #: a ready-ring append or a bucket insert; only long task executions
-    #: ever touch the overflow heap.
-    WHEEL_SPAN = 1 << 18
-
-    def __init__(self, kernel: str = "wheel", fast_path: bool = True) -> None:
-        super().__init__(kernel, fast_path)
-        self._ready: list[Any] = []
-        self._buckets: dict[int, list[Any]] = {}
-        self._times: list[int] = []
-        self._overflow: list[tuple[int, int, Callable[..., None], Any]] = []
-        self._horizon: int = self.WHEEL_SPAN
-        self._pending: int = 0
-        #: Drain cursor into ``_ready`` while the run loop is firing it.
-        #: ``_ready_pos == len(_ready)`` means the ring is fully drained —
-        #: the currently-firing event is the last one at this timestamp —
-        #: which is the fast path's inline-eligibility test.
-        self._ready_pos: int = 0
-        self._inline_depth: int = 0
-
-    def _schedule(self, when: int, callback: Callable[[Any], None], value: Any) -> None:
-        if when <= self.now:
-            # Same-timestamp event: the dominant class.  Flat append onto
-            # the ready ring; fires this timestep, in scheduling order.
-            ready = self._ready
-            ready.append(callback)
-            ready.append(value)
-        elif when < self._horizon:
-            bucket = self._buckets.get(when)
-            if bucket is None:
-                self._buckets[when] = [callback, value]
-                heapq.heappush(self._times, when)
-            else:
-                bucket.append(callback)
-                bucket.append(value)
-        else:
-            self._seq += 1
-            heapq.heappush(self._overflow, (when, self._seq, callback, value))
-        pending = self._pending = self._pending + 1
-        if pending > self.peak_pending:
-            self.peak_pending = pending
-
-    def _dispatch(self, callback: Callable[[Any], None], value: Any) -> None:
-        # Inline only when the woken event would be the very next to fire:
-        # the ring is fully drained, so no queued same-timestamp event can
-        # be overtaken.  The depth guard bounds recursion; the fallback
-        # append reproduces the scheduled order exactly.
-        ready = self._ready
-        if (self.fast_path and self._ready_pos == len(ready)
-                and self._inline_depth < _MAX_INLINE_DEPTH):
-            # No try/finally: if the callback lets an exception escape, the
-            # run is over and a stale depth counter merely disables further
-            # inlining — the ring fallback is always correct.
-            self._inline_depth += 1
-            self.events_processed += 1
-            callback(value)
-            self._inline_depth -= 1
-            return
-        ready.append(callback)
-        ready.append(value)
-        pending = self._pending = self._pending + 1
-        if pending > self.peak_pending:
-            self.peak_pending = pending
-
-    def _dispatch2(
-        self,
-        callback1: Callable[[Any], None],
-        value1: Any,
-        callback2: Callable[[Any], None],
-        value2: Any,
-    ) -> None:
-        ready = self._ready
-        if (self.fast_path and self._ready_pos == len(ready)
-                and self._inline_depth < _MAX_INLINE_DEPTH):
-            # The second event joins the ring *before* the first runs
-            # inline: any same-cycle dispatch the first one makes sees a
-            # non-drained ring and appends behind it — exactly the order
-            # two _schedule calls would have produced.
-            ready.append(callback2)
-            ready.append(value2)
-            pending = self._pending = self._pending + 1
-            if pending > self.peak_pending:
-                self.peak_pending = pending
-            self._inline_depth += 1
-            self.events_processed += 1
-            callback1(value1)
-            self._inline_depth -= 1
-            return
-        ready.append(callback1)
-        ready.append(value1)
-        ready.append(callback2)
-        ready.append(value2)
-        pending = self._pending = self._pending + 2
-        if pending > self.peak_pending:
-            self.peak_pending = pending
-
-    def run(self, until: Optional[int] = None) -> int:
-        """Run until every tier drains or ``until`` (inclusive) is reached."""
         ready = self._ready
         buckets = self._buckets
         times = self._times
@@ -718,8 +397,7 @@ class WheelSimulator(Simulator):
         if until is not None and until < self.now and (
             ready or times or overflow
         ):
-            # Degenerate backwards pause, mirrored from the heap kernel:
-            # nothing at a future time may fire.
+            # Degenerate backwards pause: nothing at a future time may fire.
             self.now = until
             return until
         try:
@@ -735,17 +413,12 @@ class WheelSimulator(Simulator):
                             callback = ready[i]
                             value = ready[i + 1]
                             i += 2
-                            # Publish the drain cursor so _dispatch can
-                            # tell "nothing is queued behind the event
-                            # now firing" — the inline-eligibility test.
-                            self._ready_pos = i
                             callback(value)
                     finally:
                         n = i >> 1
                         del ready[:i]
                         self._pending -= n
                         fired += n
-                        self._ready_pos = 0
                 # Advance time: bucket times always precede the overflow
                 # horizon, so the next timestamp is the bucket-heap head,
                 # or the overflow head once the calendar is empty.
@@ -782,6 +455,21 @@ class WheelSimulator(Simulator):
             raise DeadlockError(self._blocked_report())
         return self.now
 
+    def run_all(self, processes: Iterable[ProcessBody]) -> int:
+        """Convenience: register each generator as a process, then run."""
+        for i, gen in enumerate(processes):
+            self.process(gen, name=f"proc{i}")
+        return self.run()
+
+    def _blocked_report(self) -> list[tuple[str, str]]:
+        return [
+            (p.name, p._waiting_on.describe() if p._waiting_on is not None
+             else "<unknown>")
+            for p in self._blocked_registry
+            if p.alive
+        ]
+
     @property
     def pending_events(self) -> int:
+        """Number of events currently scheduled (for tests/diagnostics)."""
         return self._pending

@@ -233,6 +233,34 @@ class TestMetricsDocument:
         assert "+0.00%" in diff
         assert "workers.busy" in diff
 
+    def test_report_reads_documents_with_and_without_kernel_keys(
+        self, run, tmp_path, capsys
+    ):
+        """Schema-1 documents written before the kernel knobs were removed
+        still carry ``kernel``/``fast_path`` in ``aggregates.sim`` and
+        ``sim_kernel``/``fast_path`` in ``config_notes``; ``repro report``
+        must render either shape and diff one against the other."""
+        from repro.cli import main
+
+        new = build_metrics_document(run)
+        old = json.loads(json.dumps(new))
+        old["aggregates"]["sim"].update(kernel="wheel", fast_path=True)
+        old["config_notes"].update(sim_kernel="wheel", fast_path=True)
+        assert "kernel" not in new["aggregates"]["sim"]
+        assert "sim_kernel" not in new["config_notes"]
+        old_path, new_path = tmp_path / "old.json", tmp_path / "new.json"
+        old_path.write_text(json.dumps(old))
+        new_path.write_text(json.dumps(new))
+        for path in (old_path, new_path):
+            assert main(["report", str(path)]) == 0
+            out = capsys.readouterr().out
+            assert "host: " in out and "events/s" in out
+            assert "kernel" not in out
+        assert main(["report", str(old_path), str(new_path)]) == 0
+        out = capsys.readouterr().out
+        assert "+0.00%" in out
+        assert "workers.busy" in out
+
     def test_diff_flags_telemetry_only_in_one(self, run):
         doc = build_metrics_document(run)
         bare = run_trace(

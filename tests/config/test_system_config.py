@@ -139,6 +139,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             SystemConfig(task_prep_time=-1)
 
+    @pytest.mark.parametrize(
+        "field,value", [("fast_path", False), ("sim_kernel", "heap")]
+    )
+    def test_removed_host_knobs_rejected(self, field, value):
+        """The simulator has one kernel and one block form: a config that
+        still names a retired host-side knob fails loudly rather than
+        being silently ignored."""
+        with pytest.raises(TypeError):
+            SystemConfig(**{field: value})
+        with pytest.raises(TypeError):
+            SystemConfig().with_(**{field: value})
+
 
 class TestPresets:
     def test_paper_default(self):

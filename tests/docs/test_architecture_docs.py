@@ -38,9 +38,7 @@ SCALING_KNOBS = [
     "decentralized_check_scatter",
     "check_coalesce_limit",
     "check_coalesce_window",
-    "sim_kernel",
     "telemetry_window",
-    "fast_path",
 ]
 
 

@@ -1,30 +1,36 @@
-"""Differential tests for the timing-wheel simulation kernel (PR 7).
+"""Differential tests for the timing-wheel simulation kernel.
 
-The kernel rebuild replaced the global-heap event scheduler with the
-calendar-queue/timing-wheel scheduler and made the waitable hot paths
-allocation-light.  None of that may change a single modelled cycle: the
-wheel kernel must replay the heap kernel's schedule **cycle-for-cycle**
-on the full PR 6 feature stack — every engine (single-Maestro, forced
-sharded at 1 shard, 2 and 4 shards), with the complete knob pile on
-(multi-master batched submission, retire pipelining, fast dispatch,
-staged resolve with coalescing + speculative kick-off, decentralized
-check scatter with check coalescing).
+The timing wheel must replay the heap ordering oracle's schedule
+**cycle-for-cycle** on the full feature stack — every engine
+(single-Maestro, forced sharded at 1 shard, 2 and 4 shards), with the
+complete knob pile on (multi-master batched submission, retire
+pipelining, fast dispatch, staged resolve with coalescing + speculative
+kick-off, decentralized check scatter with check coalescing), with and
+without the windowed telemetry sampler pausing the run at every window.
 
-Unlike the PR 1-6 differentials there are no pinned golden constants
-here: both kernels are live in-tree, so each case runs the same machine
-twice and compares complete schedules directly.  (The pinned goldens in
-the sibling differential tests all run on the default wheel kernel, so
-the heap-era constants recorded before this PR independently pin the
+There are no pinned golden constants here: the heap kernel lives in
+``tests/sim/heap_kernel.py``, and each case runs the same machine twice —
+once with the machine's ``Simulator`` swapped for the oracle — and
+compares complete schedules directly.  (The pinned goldens in the sibling
+differential tests, recorded on the heap kernel, independently pin the
 wheel kernel's absolute schedules.)
 """
 
 import hashlib
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro.machine.machine
 from repro.config import BUS_MODEL_FITTED, SystemConfig
 from repro.machine import run_trace
+from repro.sim import NS
 from repro.traces import gaussian_trace, random_trace
+
+# The heap ordering oracle lives beside the kernel tests in tests/sim.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "sim"))
+from heap_kernel import HeapSimulator  # noqa: E402
 
 
 def _random():
@@ -53,14 +59,14 @@ ENGINES = {
 }
 
 
-def _config(engine: str, kernel: str) -> SystemConfig:
+def _config(engine: str, **extra) -> SystemConfig:
     base = dict(
         workers=8,
         master_cores=4,
         submission_batch=8,
         memory_contention=False,
         bus_model=BUS_MODEL_FITTED,
-        sim_kernel=kernel,
+        **extra,
     )
     if engine != "single":
         # The full PR 6 stack: retire pipeline + fast dispatch + staged
@@ -89,43 +95,55 @@ def _schedule_digest(result) -> str:
     return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
 
 
+def _modelled(result) -> str:
+    """Every statistic except the host-side kernel profile and the
+    wall-clock telemetry signals."""
+    stats = dict(result.stats)
+    stats.pop("sim")
+    telemetry = stats.get("telemetry")
+    if telemetry:
+        host = set(telemetry.get("host_signals", []))
+        telemetry = dict(telemetry)
+        telemetry["signals"] = {
+            k: v for k, v in telemetry["signals"].items() if k not in host
+        }
+        stats["telemetry"] = telemetry
+    return repr(stats)
+
+
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 @pytest.mark.parametrize("trace_name", sorted(TRACES))
-def test_wheel_kernel_is_cycle_identical_to_heap(trace_name, engine):
+def test_wheel_kernel_is_cycle_identical_to_heap(trace_name, engine, monkeypatch):
     trace = TRACES[trace_name]()
-    heap = run_trace(trace, _config(engine, "heap"))
-    wheel = run_trace(trace, _config(engine, "wheel"))
+    config = _config(engine)
+    wheel = run_trace(trace, config)
+    monkeypatch.setattr(repro.machine.machine, "Simulator", HeapSimulator)
+    heap = run_trace(trace, config)
     assert wheel.makespan == heap.makespan
     assert _schedule_digest(wheel) == _schedule_digest(heap)
+    assert _modelled(wheel) == _modelled(heap)
     # The kernels fire the same events, not merely equivalent schedules.
     assert (
         wheel.stats["sim"]["events_processed"]
         == heap.stats["sim"]["events_processed"]
     )
-    assert wheel.stats["sim"]["kernel"] == "wheel"
-    assert heap.stats["sim"]["kernel"] == "heap"
 
 
-def test_kernel_knob_is_host_side_only():
-    """The knob flows config -> machine -> report, and flipping it leaves
-    every modelled statistic identical (only the host-side sim block and
-    the config note differ)."""
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_telemetry_sampled_run_is_cycle_identical_to_heap(engine, monkeypatch):
+    """The telemetry host loop pauses and resumes the kernel with
+    ``run(until=)`` at every window boundary; the wheel must still fire
+    the oracle's events, and the sampled series must match too."""
     trace = _random()
-    heap = run_trace(trace, _config("shards2", "heap"))
-    wheel = run_trace(trace, _config("shards2", "wheel"))
-    assert heap.config_notes["sim_kernel"] == "heap"
-    assert wheel.config_notes["sim_kernel"] == "wheel"
-
-    def modelled(result):
-        stats = dict(result.stats)
-        stats.pop("sim")
-        return repr(stats)
-
-    assert modelled(heap) == modelled(wheel)
-
-
-def test_sim_kernel_validates():
-    with pytest.raises(ValueError, match="sim_kernel"):
-        SystemConfig(sim_kernel="calendar")
-    assert SystemConfig().sim_kernel == "wheel"
-    assert SystemConfig(sim_kernel="heap").sim_kernel == "heap"
+    config = _config(engine, telemetry_window=100 * NS)
+    wheel = run_trace(trace, config)
+    monkeypatch.setattr(repro.machine.machine, "Simulator", HeapSimulator)
+    heap = run_trace(trace, config)
+    assert wheel.stats["telemetry"]["signals"]
+    assert wheel.makespan == heap.makespan
+    assert _schedule_digest(wheel) == _schedule_digest(heap)
+    assert _modelled(wheel) == _modelled(heap)
+    assert (
+        wheel.stats["sim"]["events_processed"]
+        == heap.stats["sim"]["events_processed"]
+    )

@@ -1,14 +1,16 @@
 """Large-trace end-to-end runs: the wheel kernel's reason to exist.
 
 The timing-wheel kernel and the streaming trace generator together put
-100k+-task traces in reach; this file pins two waypoints — a CI-sized
-50k-task trace and the million-task run the fast-path layer (PR 10)
-targets — each simulated end-to-end on the full sharded machine inside
-a wall-clock budget.  Marked ``slow``: deselect with ``-m 'not slow'``
-for a quick iteration loop (the tier-1 CI run keeps them).
+100k+-task traces in reach; this file pins three waypoints — a 2k-task
+trace on each engine, a 50k-task trace and a million-task run — each
+simulated end-to-end.  Every seeded run fires an exact number of kernel
+events, so the waypoints assert that count (deterministic) rather than a
+wall-clock budget: a different count means the machine or the kernel
+changed its schedule.  The two large waypoints are marked ``slow`` and
+deselected by ``pytest.ini``; run them with ``pytest -m slow``.
 """
 
-import time
+import hashlib
 
 import pytest
 
@@ -16,15 +18,60 @@ from repro.config import SystemConfig
 from repro.machine import run_trace
 from repro.traces import random_trace
 
-#: Generous CI budget (seconds) for trace build + 50k-task simulation;
-#: a warm dev machine does it in ~12s, so tripping this means a kernel
-#: or generator performance regression, not a slow runner.
-WALL_BUDGET = 120.0
+#: Per engine: kernel events, makespan (ps) and schedule digest of the
+#: seeded 2k-task run below.
+SMALL_WAYPOINTS = {
+    "single": (125_260, 62_955_998, "8062ed8f65ddd00d"),
+    "shards2": (185_364, 43_772_000, "01746e0345e1fa72"),
+    "shards4": (183_808, 31_351_000, "548ef57f0eb66391"),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(SMALL_WAYPOINTS))
+def test_2k_task_trace_fires_pinned_event_count(engine):
+    """The tier-1-sized waypoint: the same shape as the 50k run, on every
+    engine, with the full schedule pinned alongside the event count."""
+    trace = random_trace(
+        2_000,
+        n_addresses=256,
+        max_params=4,
+        seed=11,
+        mean_exec=3000,
+        mean_memory=0,
+        name="random-2k",
+    )
+    shards = {"single": 1, "shards2": 2, "shards4": 4}[engine]
+    cfg = SystemConfig(
+        workers=16,
+        maestro_shards=shards,
+        master_cores=4,
+        submission_batch=8,
+        memory_contention=False,
+    )
+    result = run_trace(trace, cfg)
+
+    assert len(result.records) == 2_000
+    assert all(r.is_complete() for r in result.records)
+    rows = [
+        (r.tid, r.core, r.ready, r.dispatched, r.exec_start, r.completed)
+        for r in result.records
+    ]
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+    events, makespan, golden = SMALL_WAYPOINTS[engine]
+    assert result.stats["sim"]["events_processed"] == events
+    assert result.makespan == makespan
+    assert digest == golden
+
+
+#: Kernel events fired by the seeded 50k-task run below.
+EVENTS_50K = 4_347_854
+
+#: Kernel events fired by the seeded million-task run below.
+EVENTS_1M = 67_997_461
 
 
 @pytest.mark.slow
-def test_50k_task_trace_completes_within_budget():
-    t0 = time.perf_counter()
+def test_50k_task_trace_fires_pinned_event_count():
     trace = random_trace(
         50_000,
         n_addresses=2048,
@@ -42,40 +89,23 @@ def test_50k_task_trace_completes_within_budget():
         memory_contention=False,
     )
     result = run_trace(trace, cfg)
-    wall = time.perf_counter() - t0
 
     assert len(result.records) == 50_000
     assert all(r.is_complete() for r in result.records)
-    sim = result.stats["sim"]
-    assert sim["kernel"] == "wheel"
-    # ~4.3M events for this trace; a wildly different count means the
-    # machine (not the kernel) changed.
-    assert sim["events_processed"] > 3_000_000
-    assert wall < WALL_BUDGET, (
-        f"50k-task run took {wall:.1f}s (budget {WALL_BUDGET:.0f}s) — "
-        "kernel or generator performance regression"
-    )
-
-
-#: Budget for the million-task waypoint.  The dev machine does the whole
-#: thing (chunked trace generation + ~68M-event simulation with the
-#: fast path on) in ~160s; 600s absorbs a slow CI runner with margin,
-#: so tripping it means a real scaling regression, not noise.
-MILLION_WALL_BUDGET = 600.0
+    assert result.stats["sim"]["events_processed"] == EVENTS_50K
 
 
 @pytest.mark.slow
-def test_million_task_trace_completes_within_budget():
-    """The PR 10 scale waypoint: one million tasks end-to-end.
+def test_million_task_trace_fires_pinned_event_count():
+    """The scale waypoint: one million tasks end-to-end.
 
     A narrow address pool keeps the chunked generator's key matrix (and
     so generation time) small; one parameter per task keeps the run
-    dependence-light — this waypoint is about the host kernel and the
-    fast-path layer sustaining ~0.5M events/sec over a 10ms modelled
-    second, not about hazard pressure (the 50k waypoint above and the
-    hazard-dense differential suites cover that).
+    dependence-light — this waypoint is about the host kernel sustaining
+    ~68M events over 10 ms of modelled time, not about hazard pressure
+    (the 50k waypoint above and the hazard-dense differential suites
+    cover that).
     """
-    t0 = time.perf_counter()
     trace = random_trace(
         1_000_000,
         n_addresses=1024,
@@ -96,7 +126,6 @@ def test_million_task_trace_completes_within_budget():
         memory_contention=False,
     )
     result = run_trace(trace, cfg)
-    wall = time.perf_counter() - t0
 
     # Retire count: every submitted task came back out of the machine.
     assert len(result.records) == 1_000_000
@@ -108,13 +137,4 @@ def test_million_task_trace_completes_within_budget():
         r.submitted <= r.stored <= r.ready <= r.dispatched <= r.completed
         for r in result.records
     )
-    sim = result.stats["sim"]
-    assert sim["kernel"] == "wheel"
-    assert sim["fast_path"] is True
-    # ~68M events for this trace; a wildly different count means the
-    # machine (not the kernel) changed.
-    assert sim["events_processed"] > 50_000_000
-    assert wall < MILLION_WALL_BUDGET, (
-        f"1M-task run took {wall:.1f}s (budget {MILLION_WALL_BUDGET:.0f}s) "
-        "— kernel, fast-path, or generator performance regression"
-    )
+    assert result.stats["sim"]["events_processed"] == EVENTS_1M

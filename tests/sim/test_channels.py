@@ -2,6 +2,7 @@
 
 import pytest
 
+from heap_kernel import KERNELS
 from repro.sim import Fifo, Simulator
 
 
@@ -390,63 +391,80 @@ def test_occupancy_accounting_through_producer_promotion():
     assert fifo.stat.histogram(until=100) == {1: pytest.approx(1.0)}
 
 
-def _stat_driven_run(fast_path: bool):
-    """One producer/consumer round trip on a tracked FIFO, with the
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_put_to_waiting_getter_wakes_getter_before_putter(kernel):
+    """The rendezvous hand-off wakes both sides this cycle, getter first,
+    behind any event already queued for the same timestamp."""
+    sim = KERNELS[kernel]()
+    fifo = Fifo(sim, capacity=1)
+    log = []
+
+    def consumer():
+        item = yield fifo.get()
+        log.append(("got", item, sim.now))
+
+    def producer():
+        yield sim.timeout(5)
+        sim.call_at(5, lambda: log.append(("queued", sim.now)))
+        yield fifo.put("x")
+        log.append(("put", sim.now))
+
+    sim.process(consumer())
+    sim.process(producer())
+    sim.run()
+    assert log == [("queued", 5), ("got", "x", 5), ("put", 5)]
+    assert len(fifo) == 0
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_get_from_full_fifo_wakes_blocked_putter_before_getter(kernel):
+    """Freeing a slot promotes the blocked producer's item and wakes the
+    producer before the consumer, both at the get's timestamp."""
+    sim = KERNELS[kernel]()
+    fifo = Fifo(sim, capacity=1)
+    log = []
+
+    def producer():
+        for i in range(2):
+            yield fifo.put(i)
+            log.append(("put", i, sim.now))
+
+    def consumer():
+        yield sim.timeout(7)
+        item = yield fifo.get()
+        log.append(("got", item, sim.now))
+
+    sim.process(producer())
+    sim.process(consumer())
+    sim.run()
+    assert log == [("put", 0, 0), ("put", 1, 7), ("got", 0, 7)]
+    assert fifo.snapshot() == [1]
+
+
+def _stat_driven_run(kernel):
+    """Bursty producer/consumer traffic on a tracked FIFO, with the
     occupancy readers sampled at fixed modelled times — the exact shape
     of the telemetry sampler's window-delta reads."""
-    from repro.sim import CallbackBlock
-
-    sim = Simulator(fast_path=fast_path)
+    sim = KERNELS[kernel]()
     fifo = Fifo(sim, capacity=4, track_occupancy=True)
     samples = []
 
-    class Producer(CallbackBlock):
-        __slots__ = ("i", "_s_sent", "_s_burst_done")
-
-        def __init__(self):
-            self.i = 0
-            self._s_sent = self._sent
-            self._s_burst_done = self._burst_done
-            super().__init__(sim, "prod", self._sent)
-
-        def _sent(self, _):
-            i = self.i
-            if i >= 24:
-                self._exit()
-                return
-            self.i = i + 1
+    def producer():
+        for i in range(24):
             if i % 6 == 5:
                 # A gap lets the consumer drain the burst to empty.
-                self._sleep(7, self._s_burst_done)
-            else:
-                self._put(fifo, i, self._s_sent)
+                yield sim.timeout(7)
+            yield fifo.put(i)
 
-        def _burst_done(self, _):
-            self._put(fifo, self.i - 1, self._s_sent)
-
-    class Consumer(CallbackBlock):
-        __slots__ = ("n", "_s_got", "_s_woke")
-
-        def __init__(self):
-            self.n = 0
-            self._s_got = self._got
-            self._s_woke = self._woke
-            super().__init__(sim, "cons", self._woke)
-
-        def _woke(self, _):
-            if self.n >= 24:
-                self._exit()
-                return
-            self.n += 1
-            self._get(fifo, self._s_got)
-
-        def _got(self, _item):
-            # Zero-latency gets exercise the inline hand-off; the
+    def consumer():
+        for n in range(24):
+            yield fifo.get()
+            # Zero-latency gets chain same-cycle hand-offs; the
             # occasional 2 ps think time lets the producer run ahead.
-            self._sleep(0 if self.n % 3 else 2, self._s_woke)
+            yield sim.timeout(0 if n % 3 else 2)
 
-    Producer()
-    Consumer()
+    sim.process(producer(), name="prod")
+    sim.process(consumer(), name="cons")
 
     def sample():
         stat = fifo.stat
@@ -473,18 +491,16 @@ def _stat_driven_run(fast_path: bool):
     return samples, final
 
 
-def test_occupancy_readers_identical_under_inline_fast_path():
-    """The fast path's inline same-cycle drains must be invisible to the
-    LevelStat/OccupancyStat window-delta readers: every transition an
-    inlined wake-up records happens at the same modelled instant, in the
-    same schedule order, as the ready-ring path — so the sampled area,
-    threshold-time and peak-level reads match exactly, not just
-    approximately."""
-    samples_on, final_on = _stat_driven_run(fast_path=True)
-    samples_off, final_off = _stat_driven_run(fast_path=False)
-    assert samples_on == samples_off
-    assert final_on == final_off
+def test_occupancy_readers_identical_across_kernels():
+    """Every occupancy transition happens at the same modelled instant, in
+    the same schedule order, on the wheel and on the heap oracle — so the
+    sampled area, threshold-time and peak-level reads match exactly, not
+    just approximately."""
+    samples_wheel, final_wheel = _stat_driven_run("wheel")
+    samples_heap, final_heap = _stat_driven_run("heap")
+    assert samples_wheel == samples_heap
+    assert final_wheel == final_heap
     # The workload genuinely exercised the readers: occupancy moved, and
     # at least one sample caught a non-empty queue mid-run.
-    assert final_on[2] >= 2
-    assert any(s[5] > 0 for s in samples_on)
+    assert final_wheel[2] >= 2
+    assert any(s[5] > 0 for s in samples_wheel)

@@ -1,39 +1,24 @@
-"""Kernel-selector tests: both schedulers, one contract.
+"""Kernel contract tests: the timing wheel against the heap oracle.
 
-Every test here runs against the heap kernel and the wheel kernel (or runs
-both and compares): ``run(until=)`` landing exactly on a wheel-bucket /
-overflow-horizon boundary, ``call_at`` at the current time, deadlock
-reports after the live-process registry compacted, far-future overflow
-ordering, and the steady-state no-garbage property of the hot path.
+Every test here runs against the wheel kernel and the heap ordering
+oracle in ``heap_kernel`` (or runs both and compares): ``run(until=)``
+landing exactly on a wheel-bucket / overflow-horizon boundary, ``call_at``
+at the current time, deadlock reports after the live-process registry
+compacted, far-future overflow ordering, and the steady-state no-garbage
+property of the hot path.
 """
 
 import gc
 
 import pytest
 
-from repro.sim import (DeadlockError, Fifo, HeapSimulator, Simulator,
-                       WheelSimulator)
-
-KERNELS = ["heap", "wheel"]
-
-
-def test_selector_dispatches_to_the_right_class():
-    assert type(Simulator()) is WheelSimulator
-    assert type(Simulator(kernel="wheel")) is WheelSimulator
-    assert type(Simulator(kernel="heap")) is HeapSimulator
-    assert isinstance(Simulator(kernel="heap"), Simulator)
-    with pytest.raises(ValueError, match="unknown sim kernel"):
-        Simulator(kernel="calendar")
-
-
-def test_subclasses_construct_directly():
-    assert WheelSimulator().kernel == "wheel"
-    assert HeapSimulator().kernel == "heap"
+from heap_kernel import KERNELS
+from repro.sim import DeadlockError, Fifo, Simulator
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_call_at_now_fires_this_timestep_in_order(kernel):
-    sim = Simulator(kernel=kernel)
+    sim = KERNELS[kernel]()
     fired = []
 
     def proc():
@@ -52,9 +37,35 @@ def test_call_at_now_fires_this_timestep_in_order(kernel):
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
+def test_zero_delay_wakeup_queues_behind_pending_same_time_events(kernel):
+    """A wake-up completed at the current timestamp is appended to that
+    timestep's queue: it fires after every event already scheduled for
+    ``now``, never ahead of them."""
+    sim = KERNELS[kernel]()
+    fifo = Fifo(sim, capacity=1)
+    fired = []
+
+    def waiter():
+        item = yield fifo.get()
+        fired.append(("woke", item))
+
+    def waker():
+        yield sim.timeout(3)
+        sim.call_at(3, lambda: fired.append("first"))
+        sim.call_at(3, lambda: fired.append("second"))
+        yield fifo.put("x")
+        fired.append("waker")
+
+    sim.process(waiter())
+    sim.process(waker())
+    assert sim.run() == 3
+    assert fired == ["first", "second", ("woke", "x"), "waker"]
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
 def test_run_until_is_inclusive_and_resumes_cleanly(kernel):
     """An event at exactly t=until fires; the paused run resumes intact."""
-    sim = Simulator(kernel=kernel)
+    sim = KERNELS[kernel]()
     fired = []
     sim.call_at(100, lambda: fired.append(100))
     sim.call_at(101, lambda: fired.append(101))
@@ -68,7 +79,7 @@ def test_run_until_is_inclusive_and_resumes_cleanly(kernel):
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_run_until_between_events_sets_now_without_firing(kernel):
-    sim = Simulator(kernel=kernel)
+    sim = KERNELS[kernel]()
     fired = []
     sim.call_at(100, lambda: fired.append(100))
     assert sim.run(until=40) == 40
@@ -83,7 +94,7 @@ def test_run_until_on_wheel_span_boundary():
     """Events at horizon-1 / horizon / horizon+1 straddle the calendar and
     the overflow heap; until= on the exact boundary must behave as if the
     tiers did not exist."""
-    span = WheelSimulator.WHEEL_SPAN
+    span = Simulator.WHEEL_SPAN
     for until, expect in [
         (span - 1, [span - 1]),
         (span, [span - 1, span]),
@@ -91,7 +102,7 @@ def test_run_until_on_wheel_span_boundary():
     ]:
         results = {}
         for kernel in KERNELS:
-            sim = Simulator(kernel=kernel)
+            sim = KERNELS[kernel]()
             fired = []
             for t in (span - 1, span, span + 1):
                 sim.call_at(t, lambda t=t: fired.append(t))
@@ -107,8 +118,8 @@ def test_run_until_on_wheel_span_boundary():
 def test_far_future_overflow_events_fire_in_schedule_order(kernel):
     """Events far beyond the wheel horizon (several spans out) fire in
     (time, scheduling-order) order even across overflow->bucket transfers."""
-    span = WheelSimulator.WHEEL_SPAN
-    sim = Simulator(kernel=kernel)
+    span = Simulator.WHEEL_SPAN
+    sim = KERNELS[kernel]()
     fired = []
     times = [7 * span + 3, 2, 3 * span, 3 * span, 7 * span + 3, span + 1, 2]
     for i, t in enumerate(times):
@@ -123,7 +134,7 @@ def test_far_future_overflow_events_fire_in_schedule_order(kernel):
 def test_deadlock_report_after_registry_compaction(kernel):
     """Many short-lived processes trigger the registry compaction; the
     eventual deadlock report must name exactly the still-blocked ones."""
-    sim = Simulator(kernel=kernel)
+    sim = KERNELS[kernel]()
     fifo = Fifo(sim, capacity=1, name="starved")
 
     def short_lived(i):
@@ -147,7 +158,7 @@ def test_deadlock_report_after_registry_compaction(kernel):
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_run_until_before_now_is_a_clamped_noop(kernel):
-    sim = Simulator(kernel=kernel)
+    sim = KERNELS[kernel]()
     fired = []
     sim.call_at(50, lambda: fired.append(50))
     sim.call_at(200, lambda: fired.append(200))
@@ -158,7 +169,7 @@ def test_run_until_before_now_is_a_clamped_noop(kernel):
 
 def test_profile_counters_are_populated():
     for kernel in KERNELS:
-        sim = Simulator(kernel=kernel)
+        sim = KERNELS[kernel]()
         fifo = Fifo(sim, capacity=4)
         n = 200
 
@@ -184,7 +195,7 @@ def test_profile_counters_are_populated():
 def test_event_counts_identical_across_kernels():
     counts = {}
     for kernel in KERNELS:
-        sim = Simulator(kernel=kernel)
+        sim = KERNELS[kernel]()
         fifo = Fifo(sim, capacity=2)
 
         def producer():
@@ -221,7 +232,7 @@ def test_steady_state_produces_no_per_event_garbage():
     nets allocations minus deallocations, so a bounded delta over tens of
     thousands of events means the hot path recycles everything it touches.
     """
-    sim = Simulator(kernel="wheel")
+    sim = Simulator()
     fifo = Fifo(sim, capacity=8)
     done = []
 

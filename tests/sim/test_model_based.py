@@ -11,6 +11,7 @@ from collections import deque
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heap_kernel import HeapSimulator
 from repro.sim import DeadlockError, Fifo, Resource, Simulator
 
 
@@ -143,10 +144,10 @@ def test_wheel_event_order_identical_to_heap(schedules, capacity):
     """The determinism contract, differentially: for arbitrary mixtures of
     zero-delay events, near-future timeouts, far-future overflow timeouts
     (delays beyond WHEEL_SPAN), call_at callbacks and FIFO wakeup fan-out,
-    the wheel kernel fires the exact event sequence the heap kernel does.
+    the wheel kernel fires the exact event sequence the heap oracle does.
     """
     def run(kernel):
-        sim = Simulator(kernel=kernel)
+        sim = kernel()
         fifo = Fifo(sim, capacity=capacity)
         log = []
 
@@ -178,7 +179,7 @@ def test_wheel_event_order_identical_to_heap(schedules, capacity):
             end = sim.now  # drainer parks on the empty FIFO: normal drain
         return end, log
 
-    assert run("heap") == run("wheel")
+    assert run(HeapSimulator) == run(Simulator)
 
 
 def test_verifier_catches_hardware_lies(monkeypatch):

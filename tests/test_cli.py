@@ -87,6 +87,15 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", "nope"])
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--kernel", "heap"], ["--sim-fast-path"], ["--no-sim-fast-path"]],
+        ids=["kernel", "sim-fast-path", "no-sim-fast-path"],
+    )
+    def test_removed_kernel_flags_rejected(self, flags):
+        with pytest.raises(SystemExit):
+            main(["run", "independent", "--tasks", "10", *flags])
+
 
 class TestSweep:
     def test_sweep_prints_curve(self, capsys):
@@ -503,7 +512,7 @@ class TestTelemetryCli:
                      "--cores", "1,2", "--profile",
                      "--json", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "kernel profile [" in out
+        assert "kernel profile: 2 runs" in out
         payload = json.loads(path.read_text())
         for row in payload["rows"]:
             assert row["sim"]["events_processed"] > 0
