@@ -35,7 +35,9 @@ Reproduce from the CLI::
     python -m repro sweep random --tasks 1200 --addresses 1024 --shards 4 \
         --masters 8 --batch 8 --retire-depth 4 --td-cache 64 \
         --prefetch-depth 2 --fast-path --coalesce 8 --spec-kickoff \
-        --check --no-contention --json BENCH_check_scaling.json
+        --axis check_coalesce_limit=1,8 \
+        --axis decentralized_check_scatter=off,on \
+        --no-contention --json report.json
 
 The machine-readable grid lands in ``BENCH_check_scaling.json`` at the
 repository root.
@@ -48,7 +50,7 @@ from conftest import FULL, report
 
 from repro.analysis import render_table
 from repro.config import BUS_MODEL_FITTED, SystemConfig
-from repro.machine import analyze_bottleneck, check_scaling_sweep
+from repro.machine import analyze_bottleneck, grid_sweep
 from repro.traces import random_trace
 
 N_TASKS = 3000 if FULL else 1200
@@ -94,11 +96,20 @@ def _experiment():
         memory_contention=False,
         bus_model=BUS_MODEL_FITTED,
     )
-    return check_scaling_sweep(trace, cfg, coalesce=CHECK_COALESCE), cfg
+    # Coalescing outermost: (off, off), (decentral, off), (off, coalesce),
+    # (both).
+    return grid_sweep(
+        trace,
+        cfg,
+        {
+            "check_coalesce_limit": [1, CHECK_COALESCE],
+            "decentralized_check_scatter": [False, True],
+        },
+    )
 
 
 def test_check_scaling(benchmark):
-    rep, cfg = benchmark.pedantic(_experiment, rounds=1, iterations=1)
+    rep = benchmark.pedantic(_experiment, rounds=1, iterations=1)
     rows = rep.rows()
 
     JSON_PATH.write_text(json.dumps(rep.to_json_dict(), indent=2) + "\n")
@@ -117,14 +128,14 @@ def test_check_scaling(benchmark):
         ],
         [
             [
-                "on" if r["decentralized"] else "off",
-                r["coalesce"] if r["coalesce"] > 1 else "off",
+                "on" if r["decentralized_check_scatter"] else "off",
+                r["check_coalesce_limit"] if r["check_coalesce_limit"] > 1 else "off",
                 round(r["makespan_ps"] / 1e6, 2),
                 round(r["speedup_vs_baseline"], 2),
                 f"{r['scatter_busy']:.1%}",
                 f"{r['check_engine_busy']:.1%}",
-                round(r["mean_batch"], 2),
-                f"{r['coalesce_rate']:.1%}",
+                round(r["check_mean_batch"], 2),
+                f"{r['check_coalesce_rate']:.1%}",
                 r["busiest_maestro_block"],
             ]
             for r in rows
@@ -136,7 +147,10 @@ def test_check_scaling(benchmark):
     table += f"\nmachine-readable grid: {JSON_PATH.name}"
     report("check_scaling", table)
 
-    by_point = {(r["decentralized"], r["coalesce"]): r for r in rows}
+    by_point = {
+        (r["decentralized_check_scatter"], r["check_coalesce_limit"]): r
+        for r in rows
+    }
     off = by_point[(False, 1)]
     both = by_point[(True, CHECK_COALESCE)]
 
@@ -146,7 +160,7 @@ def test_check_scaling(benchmark):
     # with send_tds at this saturation level), the saturation detail
     # names the check knobs as the lever.
     assert off["scatter_busy"] > 0.50, off
-    verdict = analyze_bottleneck(rep.at(False, 1), cfg)
+    verdict = analyze_bottleneck(rep.runs[0], rep.configs[0])
     assert verdict.occupancy.get("maestro.scatter", 0.0) >= 0.90, verdict.describe()
     name = verdict.verdict.removeprefix("maestro.")
     if name == "scatter" or name.endswith(".check"):
@@ -162,6 +176,6 @@ def test_check_scaling(benchmark):
     # Coalescing actually batches: the check engines drain
     # multi-probe batches and merge same-row probes.
     coal_only = by_point[(False, CHECK_COALESCE)]
-    assert coal_only["mean_batch"] > 1.0
-    assert both["mean_batch"] > 1.0
-    assert both["row_merges"] > 0
+    assert coal_only["check_mean_batch"] > 1.0
+    assert both["check_mean_batch"] > 1.0
+    assert both["check_row_merges"] > 0

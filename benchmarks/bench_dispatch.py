@@ -27,8 +27,9 @@ clear the >= 1.25x bar with the TD-transfer component overlapped to
 Reproduce from the CLI::
 
     python -m repro sweep random --tasks 1200 --shards 4 --masters 4 \
-        --batch 8 --retire-depth 4 --dispatch --prefetch-depth 2 \
-        --no-contention --json BENCH_dispatch_latency.json
+        --batch 8 --retire-depth 4 --prefetch-depth 2 \
+        --axis kickoff_fast_path=off,on --axis td_cache_entries=0,64 \
+        --no-contention --json report.json
 
 The machine-readable grid lands in ``BENCH_dispatch_latency.json`` at the
 repository root.
@@ -41,7 +42,7 @@ from conftest import FULL, report
 
 from repro.analysis import render_table
 from repro.config import BUS_MODEL_FITTED, SystemConfig
-from repro.machine import analyze_bottleneck, dispatch_latency_sweep
+from repro.machine import analyze_bottleneck, grid_sweep
 from repro.traces import random_trace
 
 N_TASKS = 3000 if FULL else 1200
@@ -76,11 +77,16 @@ def _experiment():
         memory_contention=False,
         bus_model=BUS_MODEL_FITTED,
     )
-    return dispatch_latency_sweep(trace, cfg, td_cache=TD_CACHE), cfg
+    # Fast path outermost: (off, off), (cache, off), (off, fast), (both).
+    return grid_sweep(
+        trace,
+        cfg,
+        {"kickoff_fast_path": [False, True], "td_cache_entries": [0, TD_CACHE]},
+    )
 
 
 def test_dispatch_latency(benchmark):
-    rep, cfg = benchmark.pedantic(_experiment, rounds=1, iterations=1)
+    rep = benchmark.pedantic(_experiment, rounds=1, iterations=1)
     rows = rep.rows()
 
     JSON_PATH.write_text(json.dumps(rep.to_json_dict(), indent=2) + "\n")
@@ -98,8 +104,8 @@ def test_dispatch_latency(benchmark):
         ],
         [
             [
-                r["td_cache"] or "off",
-                "on" if r["fast_path"] else "off",
+                r["td_cache_entries"] or "off",
+                "on" if r["kickoff_fast_path"] else "off",
                 round(r["makespan_ps"] / 1e6, 2),
                 round(r["speedup_vs_baseline"], 2),
                 r["chain_depth"],
@@ -123,14 +129,14 @@ def test_dispatch_latency(benchmark):
     table += f"\nmachine-readable grid: {JSON_PATH.name}"
     report("dispatch_latency", table)
 
-    by_point = {(r["td_cache"], r["fast_path"]): r for r in rows}
+    by_point = {(r["td_cache_entries"], r["kickoff_fast_path"]): r for r in rows}
     off = by_point[(0, False)]
     both = by_point[(TD_CACHE, True)]
 
     # The baseline must be what PR 3 left behind: a latency-bound machine
     # — nothing saturated, the critical chain's per-hop machinery latency
     # covering most of the run, with the TD transfer the dominant hop.
-    verdict = analyze_bottleneck(rep.at(0, False), cfg)
+    verdict = analyze_bottleneck(rep.runs[0], rep.configs[0])
     assert verdict.verdict == "latency", verdict.describe()
     assert off["chain_fraction"] > 0.5
     assert off["chain_hop_ns"]["td_transfer"] > 25.0

@@ -13,7 +13,7 @@ from conftest import FULL, report
 
 from repro.analysis import plot_series, render_table
 from repro.config import contention_free
-from repro.machine import NexusMachine, sweep_parameter
+from repro.machine import NexusMachine, grid_sweep
 from repro.traces import independent_trace
 
 WORKERS = 256 if FULL else 128
@@ -30,23 +30,22 @@ def _experiment():
     )
     baseline = NexusMachine(base.with_(workers=1)).run(trace)
 
+    dt_grid = grid_sweep(trace, base, {"dependence_table_entries": DT_SIZES})
     dt_sweep = {
         size: (
             result.speedup_over(baseline),
             result.stats["dep_table"]["max_hash_chain"],
         )
-        for size, result in sweep_parameter(
-            trace, base, "dependence_table_entries", DT_SIZES
-        ).items()
+        for size, result in zip(DT_SIZES, dt_grid.runs)
     }
+    tp_grid = grid_sweep(
+        trace,
+        base.with_(dependence_table_entries=8192),
+        {"task_pool_entries": TP_SIZES},
+    )
     tp_sweep = {
         size: result.speedup_over(baseline)
-        for size, result in sweep_parameter(
-            trace,
-            base.with_(dependence_table_entries=8192),
-            "task_pool_entries",
-            TP_SIZES,
-        ).items()
+        for size, result in zip(TP_SIZES, tp_grid.runs)
     }
     return dt_sweep, tp_sweep
 

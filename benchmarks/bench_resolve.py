@@ -30,8 +30,8 @@ Reproduce from the CLI::
 
     python -m repro sweep random --tasks 1200 --shards 4 --masters 8 \
         --batch 8 --retire-depth 4 --td-cache 64 --prefetch-depth 2 \
-        --fast-path --resolve --no-contention \
-        --json BENCH_resolve_latency.json
+        --fast-path --axis speculative_kickoff=off,on \
+        --axis finish_coalesce_limit=1,8 --no-contention --json report.json
 
 The machine-readable grid lands in ``BENCH_resolve_latency.json`` at the
 repository root.
@@ -44,7 +44,7 @@ from conftest import FULL, report
 
 from repro.analysis import render_table
 from repro.config import BUS_MODEL_FITTED, SystemConfig
-from repro.machine import analyze_bottleneck, resolve_scaling_sweep
+from repro.machine import analyze_bottleneck, grid_sweep
 from repro.traces import random_trace
 
 N_TASKS = 3000 if FULL else 1200
@@ -82,11 +82,17 @@ def _experiment():
         memory_contention=False,
         bus_model=BUS_MODEL_FITTED,
     )
-    return resolve_scaling_sweep(trace, cfg, coalesce=COALESCE), cfg
+    # Speculation outermost: (off, off), (coalesce, off), (off, spec),
+    # (both).
+    return grid_sweep(
+        trace,
+        cfg,
+        {"speculative_kickoff": [False, True], "finish_coalesce_limit": [1, COALESCE]},
+    )
 
 
 def test_resolve_latency(benchmark):
-    rep, cfg = benchmark.pedantic(_experiment, rounds=1, iterations=1)
+    rep = benchmark.pedantic(_experiment, rounds=1, iterations=1)
     rows = rep.rows()
 
     JSON_PATH.write_text(json.dumps(rep.to_json_dict(), indent=2) + "\n")
@@ -105,8 +111,8 @@ def test_resolve_latency(benchmark):
         ],
         [
             [
-                r["coalesce"] if r["coalesce"] > 1 else "off",
-                "on" if r["speculative"] else "off",
+                r["finish_coalesce_limit"] if r["finish_coalesce_limit"] > 1 else "off",
+                "on" if r["speculative_kickoff"] else "off",
                 round(r["makespan_ps"] / 1e6, 2),
                 round(r["speedup_vs_baseline"], 2),
                 round(r["chain_hop_ns"].get("resolve", 0.0), 1),
@@ -115,7 +121,7 @@ def test_resolve_latency(benchmark):
                     f"{r['chain_hop_ns'].get(c, 0.0):.0f}"
                     for c in ("resolve", "forward", "td_transfer", "start")
                 ),
-                round(r["mean_batch"], 2),
+                round(r["resolve_mean_batch"], 2),
                 r["speculative_kicks"],
             ]
             for r in rows
@@ -127,7 +133,9 @@ def test_resolve_latency(benchmark):
     table += f"\nmachine-readable grid: {JSON_PATH.name}"
     report("resolve_latency", table)
 
-    by_point = {(r["coalesce"], r["speculative"]): r for r in rows}
+    by_point = {
+        (r["finish_coalesce_limit"], r["speculative_kickoff"]): r for r in rows
+    }
     off = by_point[(1, False)]
     both = by_point[(COALESCE, True)]
 
@@ -135,7 +143,7 @@ def test_resolve_latency(benchmark):
     # widened: a latency-bound machine whose dominant hop component is
     # the resolve path (~43 ns+, as the ROADMAP recorded), with the
     # verdict naming the resolve knobs as the lever.
-    verdict = analyze_bottleneck(rep.at(1, False), cfg)
+    verdict = analyze_bottleneck(rep.runs[0], rep.configs[0])
     assert verdict.verdict == "latency", verdict.describe()
     assert "resolve" in (verdict.detail or "")
     assert off["dominant_chain_component"] == "resolve"
@@ -154,7 +162,7 @@ def test_resolve_latency(benchmark):
     coal_only = by_point[(COALESCE, False)]
     assert spec_only["chain_hop_ns"]["resolve"] < off["chain_hop_ns"]["resolve"]
     assert spec_only["speculative_kicks"] > 0
-    assert coal_only["mean_batch"] > 1.0
+    assert coal_only["resolve_mean_batch"] > 1.0
     assert coal_only["makespan_ps"] < off["makespan_ps"]
     # The combined machine beats either knob alone on the hop total.
     assert both["chain_hop_ns"]["total"] < off["chain_hop_ns"]["total"]

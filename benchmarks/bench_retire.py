@@ -27,8 +27,8 @@ extra depth buys nothing (tickets idle).
 Reproduce from the CLI::
 
     python -m repro sweep random --tasks 1200 --shards 4 --masters 4 \
-        --batch 8 --retire-depth 1,2,4,8 --no-contention \
-        --json BENCH_retire_scaling.json
+        --batch 8 --axis retire_pipeline_depth=1,2,4,8 --no-contention \
+        --json report.json
 
 The machine-readable curve lands in ``BENCH_retire_scaling.json`` at the
 repository root.
@@ -41,7 +41,7 @@ from conftest import FULL, report
 
 from repro.analysis import render_table
 from repro.config import BUS_MODEL_FITTED, SystemConfig
-from repro.machine import retire_scaling_sweep
+from repro.machine import grid_sweep
 from repro.traces import random_trace
 
 DEPTHS = [1, 2, 4, 8, 16] if FULL else [1, 2, 4, 8]
@@ -72,7 +72,7 @@ def _experiment():
         memory_contention=False,
         bus_model=BUS_MODEL_FITTED,
     )
-    return retire_scaling_sweep(trace, DEPTHS, cfg)
+    return grid_sweep(trace, cfg, {"retire_pipeline_depth": DEPTHS})
 
 
 def test_retire_scaling(benchmark):
@@ -93,7 +93,7 @@ def test_retire_scaling(benchmark):
         ],
         [
             [
-                r["depth"],
+                r["retire_pipeline_depth"],
                 r["task_pool_ports"],
                 round(r["makespan_ps"] / 1e6, 2),
                 round(r["speedup_vs_baseline"], 2),
@@ -109,7 +109,7 @@ def test_retire_scaling(benchmark):
     table += f"\nmachine-readable curve: {JSON_PATH.name}"
     report("retire_scaling", table)
 
-    by_depth = {r["depth"]: r for r in rows}
+    by_depth = {r["retire_pipeline_depth"]: r for r in rows}
     # The baseline must be what PR 2 left behind: a retire-bound machine —
     # the worst shard spends most of the run with its (single) retire
     # ticket charged, and a retire block is the busiest in the machine.

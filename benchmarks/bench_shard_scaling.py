@@ -14,8 +14,8 @@ prep, fitted bus model), so the curve isolates the Maestro itself.
 
 Reproduce from the CLI::
 
-    python -m repro sweep random --tasks 1500 --shards 1,2,4 \
-        --no-contention --no-prep --json BENCH_shard_scaling.json
+    python -m repro sweep random --tasks 1200 --axis maestro_shards=1,2,4 \
+        --no-contention --no-prep --json report.json
 
 The machine-readable curve lands in ``BENCH_shard_scaling.json`` at the
 repository root.
@@ -28,7 +28,7 @@ from conftest import FULL, report
 
 from repro.analysis import render_table
 from repro.config import BUS_MODEL_FITTED, SystemConfig
-from repro.machine import shard_scaling_sweep
+from repro.machine import grid_sweep
 from repro.traces import random_trace
 
 SHARDS = [1, 2, 4, 8] if FULL else [1, 2, 4]
@@ -54,7 +54,7 @@ def _experiment():
         task_prep_time=0,
         bus_model=BUS_MODEL_FITTED,
     )
-    return shard_scaling_sweep(trace, SHARDS, cfg)
+    return grid_sweep(trace, cfg, {"maestro_shards": SHARDS})
 
 
 def test_shard_scaling(benchmark):
@@ -67,7 +67,7 @@ def test_shard_scaling(benchmark):
         ["shards", "makespan (us)", "speedup", "busiest block", "util", "steals"],
         [
             [
-                r["shards"],
+                r["maestro_shards"],
                 round(r["makespan_ps"] / 1e6, 2),
                 round(r["speedup_vs_baseline"], 2),
                 r["busiest_maestro_block"],
@@ -81,7 +81,7 @@ def test_shard_scaling(benchmark):
     table += f"\nmachine-readable curve: {JSON_PATH.name}"
     report("shard_scaling", table)
 
-    by_shards = {r["shards"]: r for r in rows}
+    by_shards = {r["maestro_shards"]: r for r in rows}
     # The 1-shard machine must be dependency-resolution bound — otherwise
     # this curve would measure something else entirely.
     assert by_shards[1]["busiest_maestro_block"] in (

@@ -17,8 +17,9 @@ floor — the per-shard retire front-end, the natural next scaling target.
 
 Reproduce from the CLI::
 
-    python -m repro sweep random --tasks 1200 --shards 4 --masters 1,2,4 \
-        --batch 1,4,8 --no-contention --json BENCH_submission_scaling.json
+    python -m repro sweep random --tasks 1200 --shards 4 \
+        --axis master_cores=1,2,4 --axis submission_batch=1,4,8 \
+        --no-contention --json report.json
 
 The machine-readable grid lands in ``BENCH_submission_scaling.json`` at
 the repository root.
@@ -31,7 +32,7 @@ from conftest import FULL, report
 
 from repro.analysis import render_table
 from repro.config import BUS_MODEL_FITTED, SystemConfig
-from repro.machine import master_scaling_sweep
+from repro.machine import grid_sweep
 from repro.traces import random_trace
 
 MASTERS = [1, 2, 4, 8] if FULL else [1, 2, 4]
@@ -59,7 +60,9 @@ def _experiment():
         memory_contention=False,
         bus_model=BUS_MODEL_FITTED,
     )
-    return master_scaling_sweep(trace, MASTERS, BATCHES, cfg)
+    return grid_sweep(
+        trace, cfg, {"master_cores": MASTERS, "submission_batch": BATCHES}
+    )
 
 
 def test_submission_scaling(benchmark):
@@ -72,8 +75,8 @@ def test_submission_scaling(benchmark):
         ["masters", "batch", "makespan (us)", "speedup", "master-bound", "busiest block"],
         [
             [
-                r["masters"],
-                r["batch"],
+                r["master_cores"],
+                r["submission_batch"],
                 round(r["makespan_ps"] / 1e6, 2),
                 round(r["speedup_vs_baseline"], 2),
                 f"{r['master_bound_fraction']:.0%}",
@@ -87,7 +90,7 @@ def test_submission_scaling(benchmark):
     table += f"\nmachine-readable grid: {JSON_PATH.name}"
     report("submission_scaling", table)
 
-    by_point = {(r["masters"], r["batch"]): r for r in rows}
+    by_point = {(r["master_cores"], r["submission_batch"]): r for r in rows}
     # The baseline must be what PR 1 left behind: a master-bound machine.
     assert by_point[(1, 1)]["master_bound_fraction"] > 0.95
     # Two masters must lift the master-bound ceiling substantially.

@@ -10,7 +10,7 @@ Run:  python examples/design_space_exploration.py   (~1 minute)
 
 from repro.analysis import plot_series, render_table
 from repro.config import contention_free
-from repro.machine import NexusMachine, sweep_parameter
+from repro.machine import NexusMachine, grid_sweep
 from repro.traces import independent_trace
 
 WORKERS = 64  # scaled down from the paper's 256 so the example stays quick
@@ -28,9 +28,8 @@ def main() -> None:
     dt_sizes = [256, 512, 1024, 2048, 4096, 8192]
     dt_rows = []
     dt_points = []
-    for size, result in sweep_parameter(
-        trace, base_cfg, "dependence_table_entries", dt_sizes
-    ).items():
+    dt_grid = grid_sweep(trace, base_cfg, {"dependence_table_entries": dt_sizes})
+    for size, result in zip(dt_sizes, dt_grid.runs):
         speedup = result.speedup_over(baseline)
         chain = result.stats["dep_table"]["max_hash_chain"]
         dt_rows.append([size, round(speedup, 1), chain])
@@ -45,12 +44,12 @@ def main() -> None:
     tp_sizes = [64, 128, 256, 512, 1024, 2048]
     tp_rows = []
     tp_points = []
-    for size, result in sweep_parameter(
+    tp_grid = grid_sweep(
         trace,
         base_cfg.with_(dependence_table_entries=8192),
-        "task_pool_entries",
-        tp_sizes,
-    ).items():
+        {"task_pool_entries": tp_sizes},
+    )
+    for size, result in zip(tp_sizes, tp_grid.runs):
         speedup = result.speedup_over(baseline)
         tp_rows.append([size, round(speedup, 1)])
         tp_points.append((float(size), speedup))

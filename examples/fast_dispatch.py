@@ -18,7 +18,7 @@ Run with::
 
 from repro.analysis import render_table
 from repro.config import BUS_MODEL_FITTED, SystemConfig
-from repro.machine import analyze_bottleneck, dispatch_latency_sweep
+from repro.machine import analyze_bottleneck, grid_sweep
 from repro.traces import random_trace
 
 
@@ -42,15 +42,17 @@ def main() -> None:
         memory_contention=False,
         bus_model=BUS_MODEL_FITTED,
     )
-    report = dispatch_latency_sweep(trace, cfg, td_cache=64)
+    report = grid_sweep(
+        trace, cfg, {"kickoff_fast_path": [False, True], "td_cache_entries": [0, 64]}
+    )
 
     rows = []
     for row in report.rows():
         hop = row["chain_hop_ns"]
         rows.append(
             [
-                row["td_cache"] or "off",
-                "on" if row["fast_path"] else "off",
+                row["td_cache_entries"] or "off",
+                "on" if row["kickoff_fast_path"] else "off",
                 round(row["makespan_ps"] / 1e6, 2),
                 round(row["speedup_vs_baseline"], 2),
                 f"{hop.get('total', 0.0):.0f}",
@@ -84,13 +86,13 @@ def main() -> None:
     # The full attribution for the two ends of the grid: the baseline is
     # latency-bound with the chain arithmetic in the verdict detail; the
     # full subsystem's chain is ~1.5x shorter per hop.
-    for td_cache, fast_path in ((0, False), (64, True)):
-        run = report.at(td_cache, fast_path)
-        rep = analyze_bottleneck(
-            run,
-            cfg.with_(td_cache_entries=td_cache, kickoff_fast_path=fast_path),
+    for i in (0, -1):
+        run, point_cfg = report.runs[i], report.configs[i]
+        rep = analyze_bottleneck(run, point_cfg)
+        label = (
+            f"cache={point_cfg.td_cache_entries or 'off'}, "
+            f"fast path={'on' if point_cfg.kickoff_fast_path else 'off'}"
         )
-        label = f"cache={td_cache or 'off'}, fast path={'on' if fast_path else 'off'}"
         print(f"\n{label}: {rep.describe()}")
         sub = run.stats["dispatch"].get("fast_dispatch")
         if sub and "td_cache" in sub:

@@ -15,7 +15,7 @@ Run with::
 
 from repro.analysis import render_table
 from repro.config import BUS_MODEL_FITTED, SystemConfig
-from repro.machine import analyze_bottleneck, retire_scaling_sweep
+from repro.machine import analyze_bottleneck, grid_sweep
 from repro.traces import random_trace
 
 
@@ -38,17 +38,14 @@ def main() -> None:
         bus_model=BUS_MODEL_FITTED,
     )
     depths = [1, 2, 4, 8]
-    report = retire_scaling_sweep(trace, depths, cfg)
+    report = grid_sweep(trace, cfg, {"retire_pipeline_depth": depths})
 
     rows = []
-    for row in report.rows():
-        run = report.at(row["depth"])
-        verdict = analyze_bottleneck(
-            run, cfg.with_(retire_pipeline_depth=row["depth"])
-        )
+    for row, run, point_cfg in zip(report.rows(), report.runs, report.configs):
+        verdict = analyze_bottleneck(run, point_cfg)
         rows.append(
             [
-                row["depth"],
+                row["retire_pipeline_depth"],
                 row["task_pool_ports"],
                 round(row["makespan_ps"] / 1e6, 2),
                 round(row["speedup_vs_baseline"], 2),
@@ -67,10 +64,10 @@ def main() -> None:
     )
 
     # Show the full attribution for the two ends of the curve.
-    for depth in (depths[0], depths[-1]):
-        run = report.at(depth)
-        rep = analyze_bottleneck(run, cfg.with_(retire_pipeline_depth=depth))
-        print(f"\ndepth {depth}: {rep.describe()}")
+    for i in (0, -1):
+        run = report.runs[i]
+        rep = analyze_bottleneck(run, report.configs[i])
+        print(f"\ndepth {depths[i]}: {rep.describe()}")
         retire = run.stats["shards"]["retire"]
         print(
             f"  in-flight mean per shard: "

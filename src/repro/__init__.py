@@ -34,7 +34,7 @@ from .config import (
     paper_default,
     sharded_maestro,
 )
-from .machine import NexusMachine, RunResult, run_trace, shard_scaling_sweep, speedup_curve
+from .machine import NexusMachine, RunResult, grid_sweep, run_trace, speedup_curve
 from .traces import (
     TaskTrace,
     gaussian_trace,
@@ -56,7 +56,7 @@ __all__ = [
     "NexusMachine",
     "run_trace",
     "speedup_curve",
-    "shard_scaling_sweep",
+    "grid_sweep",
     "RunResult",
     "TaskTrace",
     "h264_wavefront_trace",

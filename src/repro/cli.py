@@ -4,18 +4,11 @@ Commands
 --------
 ``info``     print the machine configuration (the paper's Table IV)
 ``run``      simulate one workload on one machine and report the results
-``sweep``    speedup-vs-cores curve for a workload (Fig. 7/8 style), a
-             Maestro shard-scaling curve when ``--shards`` is given, a
-             submission front-end sweep when ``--masters`` is given, a
-             retire pipeline-depth sweep when ``--retire-depth`` is a
-             comma list (fixed single --shards), the fast-dispatch
-             feature grid (TD cache x kick-off fast path) with
-             ``--dispatch`` (fixed single --shards), or the
-             staged-resolve grid (coalescing x speculative kick-off)
-             with ``--resolve`` (fixed single --shards), or the
-             decentralized-check grid (scatter decentralization x
-             check coalescing) with ``--check`` (fixed single --shards),
-             or the efficiency-vs-granularity curve (HW Maestro vs the
+``sweep``    speedup-vs-cores curve for a workload (Fig. 7/8 style); with
+             ``--axis KNOB=v1,v2`` (repeatable) a grid over any
+             SystemConfig knobs instead (shard, submission, retire,
+             dispatch, resolve and check curves alike), or the
+             efficiency-vs-granularity curve (HW Maestro vs the
              software-RTS baseline) with ``--efficiency`` on the
              wait-chain workload
 ``workloads``list the available workload generators
@@ -31,29 +24,25 @@ Examples::
     python -m repro run gaussian --size 100 --workers 8 --no-contention
     python -m repro run random --tasks 1000 --shards 4 --workers 16
     python -m repro sweep independent --cores 1,4,16,64
-    python -m repro sweep random --tasks 1500 --shards 1,2,4 --no-contention
+    python -m repro sweep random --tasks 1500 --axis maestro_shards=1,2,4 \
+        --no-contention
     python -m repro run random --tasks 1000 --shards 4 --masters 2 --batch 4
-    python -m repro sweep random --tasks 1500 --shards 4 --masters 1,2,4 --batch 1,4,8
+    python -m repro sweep random --tasks 1500 --shards 4 \
+        --axis master_cores=1,2,4 --axis submission_batch=1,4,8
     python -m repro sweep random --tasks 1200 --shards 4 --masters 4 --batch 8 \
-        --retire-depth 1,2,4,8 --no-contention
+        --axis retire_pipeline_depth=1,2,4,8 --no-contention
     python -m repro run random --tasks 1200 --shards 4 --masters 4 --batch 8 \
         --retire-depth 4 --td-cache 64 --fast-path --no-contention
     python -m repro sweep random --tasks 1200 --shards 4 --masters 4 --batch 8 \
-        --retire-depth 4 --dispatch --no-contention --json BENCH_dispatch_latency.json
+        --retire-depth 4 --axis kickoff_fast_path=off,on \
+        --axis td_cache_entries=0,64 --no-contention --json dispatch.json
     python -m repro run random --tasks 1200 --shards 4 --masters 8 --batch 8 \
         --retire-depth 4 --td-cache 64 --fast-path --coalesce 8 --spec-kickoff \
         --no-contention
-    python -m repro sweep random --tasks 1200 --shards 4 --masters 8 --batch 8 \
-        --retire-depth 4 --td-cache 64 --fast-path --resolve --no-contention \
-        --json BENCH_resolve_latency.json
     python -m repro run random --tasks 1200 --addresses 1024 --shards 4 \
         --masters 8 --batch 8 --retire-depth 4 --td-cache 64 --fast-path \
         --coalesce 8 --spec-kickoff --check-scatter --check-coalesce 8 \
         --no-contention
-    python -m repro sweep random --tasks 1200 --addresses 1024 --shards 4 \
-        --masters 8 --batch 8 --retire-depth 4 --td-cache 64 --fast-path \
-        --coalesce 8 --spec-kickoff --check --no-contention \
-        --json BENCH_check_scaling.json
     python -m repro run cholesky --tiles 6 --workers 8 --bottleneck
     python -m repro run wait-chain --rows 16 --cols 64 --spin-ns 500 \
         --trace-out run.trace.json
@@ -71,20 +60,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, Optional
+import typing
+from typing import Any, Callable, Dict, List, Optional
 
 from .analysis import render_table
 from .config import SystemConfig
 from .machine import (
     analyze_bottleneck,
-    check_scaling_sweep,
-    dispatch_latency_sweep,
     efficiency_sweep,
-    master_scaling_sweep,
-    resolve_scaling_sweep,
-    retire_scaling_sweep,
+    grid_sweep,
     run_trace,
-    shard_scaling_sweep,
     speedup_curve,
 )
 from .runtime.task_graph import build_task_graph
@@ -205,9 +190,9 @@ def build_workload(name: str, args: argparse.Namespace) -> TaskTrace:
     return builder(args)
 
 
-def _config_from(
-    args: argparse.Namespace, shards: Optional[int] = None
-) -> SystemConfig:
+def _config_from(args: argparse.Namespace, **point: Any) -> SystemConfig:
+    """The machine the flags describe, with ``point``'s knob values (a
+    sweep grid point) applied on top."""
     overrides = {"workers": args.workers}
     if getattr(args, "no_contention", False):
         overrides["memory_contention"] = False
@@ -217,26 +202,14 @@ def _config_from(
         overrides["buffering_depth"] = args.depth
     if getattr(args, "restricted", False):
         overrides["restricted"] = True
-    if shards is not None:
-        overrides["maestro_shards"] = shards
-    # sweep passes --masters/--batch/--retire-depth as comma lists it
-    # consumes itself; a single value still applies to the machine directly.
     for flag, field_name in (
+        ("shards", "maestro_shards"),
         ("masters", "master_cores"),
         ("batch", "submission_batch"),
         ("retire_depth", "retire_pipeline_depth"),
     ):
-        value = getattr(args, flag, None)
-        if isinstance(value, int):
-            overrides[field_name] = value
-        elif isinstance(value, str):
-            if not value.isdigit():
-                raise SystemExit(
-                    f"--{flag.replace('_', '-')} must be a positive integer "
-                    "(a comma list is only valid in the matching sweep); "
-                    f"got {value!r}"
-                )
-            overrides[field_name] = int(value)
+        if getattr(args, flag, None) is not None:
+            overrides[field_name] = getattr(args, flag)
     if getattr(args, "hop_ns", None) is not None:
         from .sim import NS
 
@@ -267,11 +240,12 @@ def _config_from(
         from .sim import NS
 
         overrides["telemetry_window"] = args.telemetry_window * NS
+    overrides.update(point)
     try:
         return SystemConfig(**overrides)
     except ValueError as exc:
         # Configuration contradictions (e.g. --retire-depth 4 without a
-        # sharded --shards) should read as usage errors, not tracebacks.
+        # sharded --shards) read as usage errors, not tracebacks.
         raise SystemExit(str(exc)) from None
 
 
@@ -314,6 +288,19 @@ def _add_machine_args(p: argparse.ArgumentParser) -> None:
         "observe-only — the sampled schedule is cycle-identical to an "
         "unsampled run",
     )
+    p.add_argument("--shards", type=int, default=None, help="Maestro shard count")
+    p.add_argument("--hop-ns", type=int, default=None, help="shard hop latency (ns)")
+    p.add_argument("--masters", type=int, default=None, help="master core count")
+    p.add_argument(
+        "--batch", type=int, default=None, help="TDs per submission bus transaction"
+    )
+    p.add_argument(
+        "--retire-depth", type=int, default=None,
+        help="finishes in flight per shard's retire front-end",
+    )
+    _add_dispatch_args(p)
+    _add_resolve_args(p)
+    _add_check_args(p)
 
 
 def _add_dispatch_args(p: argparse.ArgumentParser) -> None:
@@ -369,7 +356,7 @@ def _add_check_args(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
-    cfg = _config_from(args, shards=args.shards)
+    cfg = _config_from(args)
     print(render_table(["parameter", "value"], cfg.table_iv(), "System configuration"))
     # Completeness listing: every SystemConfig knob with its effective
     # value, so no knob (present or future) can hide from `info` — the
@@ -433,7 +420,7 @@ def _run_with_hotspots(trace: TaskTrace, cfg: SystemConfig, top_n: int):
 
 def _cmd_run(args: argparse.Namespace) -> int:
     trace = build_workload(args.workload, args)
-    cfg = _config_from(args, shards=args.shards)
+    cfg = _config_from(args)
     print(trace.describe())
     hotspots_n = getattr(args, "profile_hotspots", None)
     if hotspots_n:
@@ -604,32 +591,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    grids = [
-        f"--{name}"
-        for name in ("resolve", "dispatch", "check", "efficiency")
-        if getattr(args, name, False)
-    ]
-    if len(grids) > 1:
-        raise SystemExit(
-            f"{' and '.join(grids)} select different sweep grids; "
-            "pick one (run the sweep twice for both curves)"
-        )
-    if getattr(args, "efficiency", False):
+    if args.efficiency:
+        if args.axis:
+            raise SystemExit(
+                "--efficiency and --axis select different sweep grids; "
+                "pick one (run the sweep twice for both curves)"
+            )
         # Builds its own trace per swept spin time; no shared trace.
         return _efficiency_sweep(args)
     trace = build_workload(args.workload, args)
-    if getattr(args, "check", False):
-        return _check_sweep(trace, args)
-    if getattr(args, "resolve", False):
-        return _resolve_sweep(trace, args)
-    if getattr(args, "dispatch", False):
-        return _dispatch_sweep(trace, args)
-    if args.retire_depth and "," in str(args.retire_depth):
-        return _retire_sweep(trace, args)
-    if args.masters:
-        return _master_sweep(trace, args)
-    if args.shards:
-        return _shard_sweep(trace, args)
+    if args.axis:
+        return _grid_sweep(trace, args)
     cfg = _config_from(args)
     cores = _int_values("cores", args.cores)
     curve = speedup_curve(trace, cores, cfg)
@@ -704,15 +676,7 @@ def _efficiency_sweep(args: argparse.Namespace) -> int:
             "the graph shape, --spin-ns the swept spin times)"
         )
     spins = _int_values("spin-ns", args.spin_ns or "250,1000,4000,16000,64000")
-    shards = None
-    if args.shards:
-        if "," in str(args.shards):
-            raise SystemExit(
-                "--efficiency sweeps spin time at a fixed machine shape; "
-                "give --shards a single value"
-            )
-        shards = int(args.shards)
-    cfg = _config_from(args, shards=shards)
+    cfg = _config_from(args)
     report = efficiency_sweep(
         spins,
         cfg,
@@ -756,333 +720,83 @@ def _efficiency_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _shard_sweep(trace: TaskTrace, args: argparse.Namespace) -> int:
-    """Maestro shard-scaling curve at a fixed worker count."""
-    shard_counts = _int_values("shards", args.shards)
-    depth = getattr(args, "retire_depth", None)
-    if depth is not None:
-        depth = _int_values("retire-depth", depth)[0]
-    if depth is not None and depth > 1 and min(shard_counts) < 2:
-        raise SystemExit(
-            f"--retire-depth {depth} needs the sharded engine at every "
-            "swept point; drop shard count 1 from --shards (the retire "
-            "pipeline has no meaning on the single-Maestro machine)"
-        )
-    # Build the base config at a swept shard count so sharded-only knobs
-    # (e.g. --retire-depth) validate; the sweep overrides it per point.
-    cfg = _config_from(args, shards=max(shard_counts))
-    report = shard_scaling_sweep(trace, shard_counts, cfg)
+def _axis_value(knob: str, kind: Any, text: str) -> Any:
+    """One ``--axis`` value, parsed by the knob's SystemConfig field type:
+    on/off/true/false for a bool, none for an Optional knob."""
+    word = text.strip().lower()
+    options = typing.get_args(kind)
+    if type(None) in options:  # Optional[X]
+        if word == "none":
+            return None
+        kind = next(t for t in options if t is not type(None))
+    if kind is bool:
+        if word in ("on", "true", "off", "false"):
+            return word in ("on", "true")
+    elif kind in (int, float, str):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    raise SystemExit(
+        f"--axis {knob}: cannot read {text!r} as {getattr(kind, '__name__', kind)} "
+        "(bools take on/off/true/false, optional knobs none)"
+    )
+
+
+def _parse_axes(specs: List[str]) -> Dict[str, List[Any]]:
+    """``--axis KNOB=v1,v2`` flags -> ``{knob: values}`` in flag order."""
+    types = typing.get_type_hints(SystemConfig)
+    axes: Dict[str, List[Any]] = {}
+    for spec in specs:
+        knob, _, values = spec.partition("=")
+        if knob not in types:
+            raise SystemExit(f"--axis {spec!r}: unknown SystemConfig knob {knob!r}")
+        if knob in axes:
+            raise SystemExit(f"--axis {knob} is given twice")
+        if not values:
+            raise SystemExit(f"--axis {spec!r}: expected {knob}=v1,v2,...")
+        axes[knob] = [_axis_value(knob, types[knob], v) for v in values.split(",")]
+    return axes
+
+
+def _grid_sweep(trace: TaskTrace, args: argparse.Namespace) -> int:
+    """Grid over the ``--axis`` knobs; speedups vs the first grid point."""
+    axes = _parse_axes(args.axis)
+    # Apply the first point to the base so knobs that only some machines
+    # accept (e.g. --retire-depth with a swept shard count) validate.
+    base = _config_from(args, **{k: v[0] for k, v in axes.items()})
+    try:
+        # grid_sweep builds and validates every point before the first
+        # run, so an invalid later point is a usage error too.
+        report = grid_sweep(trace, base, axes)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+
+    def show(value: Any) -> str:
+        if isinstance(value, bool):
+            return "on" if value else "off"
+        return "none" if value is None else str(value)
+
     rows = [
         [
-            r["shards"],
+            *(show(r[k]) for k in axes),
             f"{r['makespan_ps'] / 1e9:.4g}",
             round(r["speedup_vs_baseline"], 2),
             r["busiest_maestro_block"],
-            r["steals"],
-            r["cross_shard_messages"],
-        ]
-        for r in report.rows()
-    ]
-    speedup_col = f"speedup vs {report.baseline_shards} shard(s)"
-    print(
-        render_table(
-            ["shards", "makespan (ms)", speedup_col, "busiest block", "steals", "x-shard msgs"],
-            rows,
-            f"{trace.name} @ {cfg.workers} workers",
-        )
-    )
-    _sweep_report_out(args, report)
-    return 0
-
-
-def _retire_sweep(trace: TaskTrace, args: argparse.Namespace) -> int:
-    """Retire pipeline-depth scaling curve at fixed workers/shards/masters."""
-    depths = _int_values("retire-depth", args.retire_depth)
-    args.retire_depth = None  # the sweep itself varies the depth
-    shards = _int_values("shards", args.shards) if args.shards else []
-    if len(shards) != 1 or shards[0] < 2:
-        raise SystemExit(
-            "--retire-depth sweeps the retire pipeline at a fixed shard "
-            "count; give --shards a single value > 1 (the pipeline lives "
-            "in the sharded engine)"
-        )
-    cfg = _config_from(args, shards=shards[0])
-    report = retire_scaling_sweep(trace, depths, cfg)
-    rows = [
-        [
-            r["depth"],
-            r["task_pool_ports"],
-            f"{r['makespan_ps'] / 1e9:.4g}",
-            round(r["speedup_vs_baseline"], 2),
-            round(r["retire_inflight_mean"], 2),
-            f"{r['retire_full_fraction']:.0%}",
-            r["busiest_maestro_block"],
-        ]
-        for r in report.rows()
-    ]
-    print(
-        render_table(
-            [
-                "depth",
-                "TP ports",
-                "makespan (ms)",
-                f"speedup vs depth {report.baseline_depth}",
-                "mean in-flight",
-                "pipe full",
-                "busiest block",
-            ],
-            rows,
-            f"{trace.name} @ {cfg.workers} workers, {cfg.maestro_shards} shard(s), "
-            f"{cfg.master_cores} master(s)",
-        )
-    )
-    _sweep_report_out(args, report)
-    return 0
-
-
-def _dispatch_sweep(trace: TaskTrace, args: argparse.Namespace) -> int:
-    """Fast-dispatch feature-grid sweep at a fixed machine shape."""
-    shards = _int_values("shards", args.shards) if args.shards else []
-    if len(shards) != 1 or shards[0] < 2:
-        raise SystemExit(
-            "--dispatch sweeps the fast-dispatch features at a fixed shard "
-            "count; give --shards a single value > 1 (the subsystem lives "
-            "in the sharded engine)"
-        )
-    td_cache = args.td_cache if args.td_cache is not None else 64
-    if td_cache < 1:
-        raise SystemExit("--td-cache must be >= 1 for a --dispatch sweep")
-    if args.fast_path:
-        raise SystemExit(
-            "--fast-path cannot be combined with --dispatch: the sweep "
-            "itself toggles the fast path (its grid covers on and off)"
-        )
-    # The sweep itself toggles the dispatch knobs; everything else is the
-    # fixed machine under test (--td-cache only sizes the cache-on points).
-    args.td_cache = None
-    cfg = _config_from(args, shards=shards[0])
-    report = dispatch_latency_sweep(trace, cfg, td_cache=td_cache)
-    rows = []
-    for r in report.rows():
-        hop = r["chain_hop_ns"]
-        rows.append(
-            [
-                r["td_cache"] or "off",
-                "on" if r["fast_path"] else "off",
-                f"{r['makespan_ps'] / 1e9:.4g}",
-                round(r["speedup_vs_baseline"], 2),
-                r["chain_depth"],
-                f"{hop.get('total', 0.0):.0f}",
-                f"{hop.get('resolve', 0.0):.0f}/{hop.get('forward', 0.0):.0f}"
-                f"/{hop.get('td_transfer', 0.0):.0f}/{hop.get('start', 0.0):.0f}",
-                (
-                    f"{r['td_cache_hit_rate']:.0%}"
-                    if r["td_cache_hit_rate"] is not None
-                    else "-"
-                ),
-            ]
-        )
-    base_c, base_f = report.baseline_point
-    print(
-        render_table(
-            [
-                "TD cache",
-                "fast path",
-                "makespan (ms)",
-                f"speedup vs {base_c or 'off'}/{'on' if base_f else 'off'}",
-                "chain depth",
-                "ns/hop",
-                "resolve/fwd/TD/start",
-                "cache hits",
-            ],
-            rows,
-            f"{trace.name} @ {cfg.workers} workers, {cfg.maestro_shards} shard(s), "
-            f"{cfg.master_cores} master(s), retire depth "
-            f"{cfg.retire_pipeline_depth}",
-        )
-    )
-    _sweep_report_out(args, report)
-    return 0
-
-
-def _resolve_sweep(trace: TaskTrace, args: argparse.Namespace) -> int:
-    """Staged-resolve feature-grid sweep at a fixed machine shape."""
-    shards = _int_values("shards", args.shards) if args.shards else []
-    if len(shards) != 1 or shards[0] < 2:
-        raise SystemExit(
-            "--resolve sweeps the staged-resolve features at a fixed shard "
-            "count; give --shards a single value > 1 (the grid targets the "
-            "sharded machine — use resolve_scaling_sweep directly for a "
-            "single-Maestro study)"
-        )
-    coalesce = args.coalesce if args.coalesce is not None else 8
-    if coalesce < 2:
-        raise SystemExit("--coalesce must be >= 2 for a --resolve sweep")
-    if args.spec_kickoff:
-        raise SystemExit(
-            "--spec-kickoff cannot be combined with --resolve: the sweep "
-            "itself toggles speculative kick-off (its grid covers on and off)"
-        )
-    window = (args.coalesce_window or 0)
-    # The sweep itself toggles the resolve knobs; everything else is the
-    # fixed machine under test (--coalesce only sizes the on points).
-    args.coalesce = args.coalesce_window = None
-    cfg = _config_from(args, shards=shards[0])
-    from .sim import NS
-
-    report = resolve_scaling_sweep(trace, cfg, coalesce=coalesce, window=window * NS)
-    rows = []
-    for r in report.rows():
-        hop = r["chain_hop_ns"]
-        rows.append(
-            [
-                r["coalesce"] if r["coalesce"] > 1 else "off",
-                "on" if r["speculative"] else "off",
-                f"{r['makespan_ps'] / 1e9:.4g}",
-                round(r["speedup_vs_baseline"], 2),
-                f"{hop.get('resolve', 0.0):.0f}",
-                f"{hop.get('total', 0.0):.0f}",
-                f"{r['mean_batch']:.2f}",
-                f"{r['coalesce_rate']:.1%}",
-                r["speculative_kicks"],
-            ]
-        )
-    base_c, base_s = report.baseline_point
-    print(
-        render_table(
-            [
-                "coalesce",
-                "spec kick",
-                "makespan (ms)",
-                f"speedup vs {base_c if base_c > 1 else 'off'}"
-                f"/{'on' if base_s else 'off'}",
-                "resolve ns",
-                "ns/hop",
-                "mean batch",
-                "merge rate",
-                "spec kicks",
-            ],
-            rows,
-            f"{trace.name} @ {cfg.workers} workers, {cfg.maestro_shards} shard(s), "
-            f"{cfg.master_cores} master(s), retire depth "
-            f"{cfg.retire_pipeline_depth}",
-        )
-    )
-    _sweep_report_out(args, report)
-    return 0
-
-
-def _check_sweep(trace: TaskTrace, args: argparse.Namespace) -> int:
-    """Decentralized-check feature-grid sweep at a fixed machine shape."""
-    shards = _int_values("shards", args.shards) if args.shards else []
-    if len(shards) != 1 or shards[0] < 2:
-        raise SystemExit(
-            "--check sweeps the check-scatter features at a fixed shard "
-            "count; give --shards a single value > 1 (the grid targets the "
-            "sharded machine — use check_scaling_sweep directly for a "
-            "single-Maestro study)"
-        )
-    coalesce = args.check_coalesce if args.check_coalesce is not None else 8
-    if coalesce < 2:
-        raise SystemExit("--check-coalesce must be >= 2 for a --check sweep")
-    if args.check_scatter:
-        raise SystemExit(
-            "--check-scatter cannot be combined with --check: the sweep "
-            "itself toggles scatter decentralization (its grid covers on "
-            "and off)"
-        )
-    window = (args.check_coalesce_window or 0)
-    # The sweep itself toggles the check knobs; everything else is the
-    # fixed machine under test (--check-coalesce only sizes the on points).
-    args.check_coalesce = args.check_coalesce_window = None
-    cfg = _config_from(args, shards=shards[0])
-    from .sim import NS
-
-    report = check_scaling_sweep(trace, cfg, coalesce=coalesce, window=window * NS)
-    rows = []
-    for r in report.rows():
-        rows.append(
-            [
-                "on" if r["decentralized"] else "off",
-                r["coalesce"] if r["coalesce"] > 1 else "off",
-                f"{r['makespan_ps'] / 1e9:.4g}",
-                round(r["speedup_vs_baseline"], 2),
-                f"{r['scatter_busy']:.1%}",
-                f"{r['check_engine_busy']:.1%}",
-                f"{r['mean_batch']:.2f}",
-                f"{r['coalesce_rate']:.1%}",
-                r["busiest_maestro_block"],
-            ]
-        )
-    base_d, base_c = report.baseline_point
-    print(
-        render_table(
-            [
-                "decentral",
-                "coalesce",
-                "makespan (ms)",
-                f"speedup vs {'on' if base_d else 'off'}"
-                f"/{base_c if base_c > 1 else 'off'}",
-                "scatter busy",
-                "check busy",
-                "mean batch",
-                "merge rate",
-                "busiest block",
-            ],
-            rows,
-            f"{trace.name} @ {cfg.workers} workers, {cfg.maestro_shards} shard(s), "
-            f"{cfg.master_cores} master(s), retire depth "
-            f"{cfg.retire_pipeline_depth}",
-        )
-    )
-    _sweep_report_out(args, report)
-    return 0
-
-
-def _master_sweep(trace: TaskTrace, args: argparse.Namespace) -> int:
-    """Submission front-end scaling curve at fixed workers and shards."""
-    master_counts = _int_values("masters", args.masters)
-    batch_sizes = _int_values("batch", args.batch or "1")
-    shards = None
-    if args.shards:
-        if "," in args.shards:
-            raise SystemExit(
-                "--masters sweeps the front-end at a fixed shard count; "
-                "give --shards a single value"
-            )
-        shards = int(args.shards)
-    # The sweep itself varies the front-end knobs.
-    args.masters = args.batch = None
-    cfg = _config_from(args, shards=shards)
-    report = master_scaling_sweep(trace, master_counts, batch_sizes, cfg)
-    rows = [
-        [
-            r["masters"],
-            r["batch"],
-            f"{r['makespan_ps'] / 1e9:.4g}",
-            round(r["speedup_vs_baseline"], 2),
             (
-                f"{r['master_bound_fraction']:.0%}"
-                if r["master_bound_fraction"] is not None
+                f"{r['busiest_block_utilization']:.0%}"
+                if r["busiest_block_utilization"] is not None
                 else "-"
             ),
-            r["busiest_maestro_block"],
         ]
         for r in report.rows()
     ]
-    base_m, base_b = report.baseline_point
+    baseline = ", ".join(f"{k}={show(v)}" for k, v in report.points[0].items())
     print(
         render_table(
-            [
-                "masters",
-                "batch",
-                "makespan (ms)",
-                f"speedup vs {base_m}m/b{base_b}",
-                "master-bound",
-                "busiest block",
-            ],
+            [*axes, "makespan (ms)", "speedup", "busiest block", "utilization"],
             rows,
-            f"{trace.name} @ {cfg.workers} workers, {cfg.maestro_shards} shard(s)",
+            f"{trace.name} @ {base.workers} workers, speedup vs {baseline}",
         )
     )
     _sweep_report_out(args, report)
@@ -1146,19 +860,6 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     p_info = sub.add_parser("info", help="print the Table IV configuration")
     _add_machine_args(p_info)
-    p_info.add_argument("--shards", type=int, default=None, help="Maestro shard count")
-    p_info.add_argument("--hop-ns", type=int, default=None, help="shard hop latency (ns)")
-    p_info.add_argument("--masters", type=int, default=None, help="master core count")
-    p_info.add_argument(
-        "--batch", type=int, default=None, help="TDs per submission bus transaction"
-    )
-    p_info.add_argument(
-        "--retire-depth", type=int, default=None,
-        help="finishes in flight per shard's retire front-end",
-    )
-    _add_dispatch_args(p_info)
-    _add_resolve_args(p_info)
-    _add_check_args(p_info)
     p_info.set_defaults(func=_cmd_info)
 
     p_wl = sub.add_parser("workloads", help="list workload generators")
@@ -1167,19 +868,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_run = sub.add_parser("run", help="simulate one workload")
     _add_workload_args(p_run)
     _add_machine_args(p_run)
-    p_run.add_argument("--shards", type=int, default=None, help="Maestro shard count")
-    p_run.add_argument("--hop-ns", type=int, default=None, help="shard hop latency (ns)")
-    p_run.add_argument("--masters", type=int, default=None, help="master core count")
-    p_run.add_argument(
-        "--batch", type=int, default=None, help="TDs per submission bus transaction"
-    )
-    p_run.add_argument(
-        "--retire-depth", type=int, default=None,
-        help="finishes in flight per shard's retire front-end",
-    )
-    _add_dispatch_args(p_run)
-    _add_resolve_args(p_run)
-    _add_check_args(p_run)
     p_run.add_argument("--verify", action="store_true", help="check schedule legality")
     p_run.add_argument("--bottleneck", action="store_true", help="attribute the bottleneck")
     p_run.add_argument(
@@ -1209,56 +897,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser(
-        "sweep", help="speedup curve over core counts (or shard counts)"
+        "sweep", help="speedup curve over core counts (or a grid over any knobs)"
     )
     _add_workload_args(p_sweep)
     _add_machine_args(p_sweep)
     p_sweep.add_argument("--cores", default="1,2,4,8,16", help="comma-separated core counts")
     p_sweep.add_argument(
-        "--shards",
-        default=None,
-        help="comma-separated Maestro shard counts; switches to a shard-scaling sweep",
-    )
-    p_sweep.add_argument("--hop-ns", type=int, default=None, help="shard hop latency (ns)")
-    p_sweep.add_argument(
-        "--masters",
-        default=None,
-        help="comma-separated master core counts; switches to a submission "
-        "front-end sweep (fixed --shards, --batch may also be a comma list)",
-    )
-    p_sweep.add_argument(
-        "--batch",
-        default=None,
-        help="TDs per bus transaction (comma list allowed with --masters)",
-    )
-    p_sweep.add_argument(
-        "--retire-depth",
-        default=None,
-        help="finishes in flight per shard's retire front-end; a comma "
-        "list switches to a retire pipeline-depth sweep (fixed --shards)",
-    )
-    _add_dispatch_args(p_sweep)
-    _add_resolve_args(p_sweep)
-    p_sweep.add_argument(
-        "--dispatch",
-        action="store_true",
-        help="sweep the fast-dispatch feature grid (cache x fast path) at a "
-        "fixed single --shards; --td-cache sets the cache-on size",
-    )
-    p_sweep.add_argument(
-        "--resolve",
-        action="store_true",
-        help="sweep the staged-resolve grid (coalescing x speculative "
-        "kick-off) at a fixed single --shards; --coalesce sets the "
-        "on-point batch limit",
-    )
-    _add_check_args(p_sweep)
-    p_sweep.add_argument(
-        "--check",
-        action="store_true",
-        help="sweep the decentralized-check grid (scatter decentralization "
-        "x check coalescing) at a fixed single --shards; --check-coalesce "
-        "sets the on-point batch limit",
+        "--axis", action="append", default=[], metavar="KNOB=V1,V2",
+        help="sweep a SystemConfig knob over the listed values, in the "
+        "knob's own units (times in ps; on/off for bools, none for "
+        "optional knobs); repeat for a grid, first axis outermost. "
+        "Replaces the core curve; speedups are vs the first grid point",
     )
     p_sweep.add_argument(
         "--efficiency",

@@ -9,23 +9,13 @@ from .bottleneck import (
 from .machine import NexusMachine, run_trace
 from .results import RunResult, Scoreboard, TaskRecord
 from .sweep import (
-    CheckScalingReport,
-    DispatchLatencyReport,
+    COLUMNS,
     EfficiencyReport,
-    efficiency_sweep,
-    MasterScalingReport,
-    ResolveScalingReport,
-    RetireScalingReport,
-    ShardScalingReport,
+    GridReport,
     SpeedupCurve,
-    check_scaling_sweep,
-    dispatch_latency_sweep,
-    master_scaling_sweep,
-    resolve_scaling_sweep,
-    retire_scaling_sweep,
-    shard_scaling_sweep,
+    efficiency_sweep,
+    grid_sweep,
     speedup_curve,
-    sweep_parameter,
 )
 
 __all__ = [
@@ -36,19 +26,9 @@ __all__ = [
     "TaskRecord",
     "SpeedupCurve",
     "speedup_curve",
-    "sweep_parameter",
-    "ShardScalingReport",
-    "shard_scaling_sweep",
-    "MasterScalingReport",
-    "master_scaling_sweep",
-    "RetireScalingReport",
-    "retire_scaling_sweep",
-    "DispatchLatencyReport",
-    "dispatch_latency_sweep",
-    "ResolveScalingReport",
-    "resolve_scaling_sweep",
-    "CheckScalingReport",
-    "check_scaling_sweep",
+    "COLUMNS",
+    "GridReport",
+    "grid_sweep",
     "EfficiencyReport",
     "efficiency_sweep",
     "BottleneckReport",

@@ -1,13 +1,18 @@
-"""Parameter sweeps: speedup curves and design-space exploration helpers.
+"""Parameter sweeps: speedup curves and design-space exploration.
 
-All the paper's figures are sweeps of one machine parameter (worker count,
+All the paper's figures are sweeps of machine parameters (worker count,
 Dependence Table size, Task Pool size, buffering depth) at a fixed
-workload; this module runs them and collects paper-style series.
+workload.  :func:`grid_sweep` runs any Cartesian grid of
+:class:`SystemConfig` knobs over one trace; :func:`speedup_curve` keeps
+the paper's 1-worker baseline, which may lie outside the swept counts;
+:func:`efficiency_sweep` sweeps the trace itself (task granularity) on
+the hardware machine and the software-RTS baseline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..config import SystemConfig
@@ -18,30 +23,12 @@ from .results import RunResult
 __all__ = [
     "SpeedupCurve",
     "speedup_curve",
-    "sweep_parameter",
-    "ShardScalingReport",
-    "shard_scaling_sweep",
-    "MasterScalingReport",
-    "master_scaling_sweep",
-    "RetireScalingReport",
-    "retire_scaling_sweep",
-    "DispatchLatencyReport",
-    "dispatch_latency_sweep",
-    "ResolveScalingReport",
-    "resolve_scaling_sweep",
-    "CheckScalingReport",
-    "check_scaling_sweep",
+    "COLUMNS",
+    "GridReport",
+    "grid_sweep",
     "EfficiencyReport",
     "efficiency_sweep",
 ]
-
-
-def _attach_profiles(rows: List[dict], runs: Sequence[RunResult]) -> None:
-    """Attach each run's host-kernel profile (``stats["sim"]``: wall
-    seconds, events processed, events/sec, peak pending) to its row —
-    the sweep JSON analogue of ``run --profile``."""
-    for row, run in zip(rows, runs):
-        row["sim"] = run.stats.get("sim")
 
 
 @dataclass
@@ -117,752 +104,217 @@ def speedup_curve(
     )
 
 
-@dataclass
-class ShardScalingReport:
-    """Makespan vs Maestro shard count at a fixed worker count.
+def _stat(*path: str, default: Any = 0, digits: Optional[int] = None):
+    """Extractor for the nested ``run.stats[path[0]][path[1]]...`` value
+    (``default`` when absent), rounded to ``digits`` places when given."""
 
-    Speedups are measured against the 1-shard machine (the paper-exact
-    single Maestro), answering the design-space question the paper could
-    not ask: how far does hardware dependency resolution scale when the
-    Dependence Table itself is partitioned?
+    def extract(run: RunResult) -> Any:
+        value = run.stats
+        for key in path[:-1]:
+            value = value.get(key, {})
+        value = value.get(path[-1], default)
+        return value if digits is None else round(value, digits)
+
+    return extract
+
+
+def _util(run: RunResult) -> Dict[str, float]:
+    return run.stats.get("maestro_utilization", {})
+
+
+def _busiest(
+    util: Dict[str, float], match: Callable[[str], bool] = lambda name: True
+) -> Optional[float]:
+    """Highest occupancy among the Maestro blocks whose name ``match``es."""
+    busy = [v for k, v in util.items() if match(k)]
+    return round(max(busy), 4) if busy else None
+
+
+def _retire(run: RunResult, key: str, empty: Any) -> List[Any]:
+    """Per-shard retire-pipeline series ``key`` (``[empty]`` if absent)."""
+    return run.stats.get("shards", {}).get("retire", {}).get(key) or [empty]
+
+
+def _retire_inflight_mean(run: RunResult) -> float:
+    inflight = _retire(run, "inflight_mean", 0.0)
+    return round(sum(inflight) / len(inflight), 4)
+
+
+def _td_cache_hit_rate(run: RunResult) -> Optional[float]:
+    cache = run.stats.get("dispatch", {}).get("fast_dispatch", {}).get("td_cache")
+    return round(cache["hit_rate"], 4) if cache else None
+
+
+def _master_bound_fraction(run: RunResult) -> Optional[float]:
+    if run.master_done is None or not run.makespan:
+        return None
+    return round(run.master_done / run.makespan, 4)
+
+
+#: Named report columns, ``name -> extractor(RunResult)``.  Every
+#: :meth:`GridReport.rows` row carries all of them, whatever the axes, so
+#: one grid answers the shard, submission, retire, dispatch, resolve and
+#: check questions alike.  Resolve- and check-side counters that share a
+#: name carry their block as a prefix.
+COLUMNS: Dict[str, Callable[[RunResult], Any]] = {
+    "busiest_maestro_block": lambda r: (
+        max(u, key=u.get) if (u := _util(r)) else None
+    ),
+    "busiest_block_utilization": lambda r: _busiest(_util(r)),
+    # Submission front-end.
+    "master_done_ps": lambda r: r.master_done,
+    "master_bound_fraction": _master_bound_fraction,
+    "master_stall_ps": _stat("master_stall_ps"),
+    # Sharded Maestro: interconnect, stealing, retire pipeline.
+    "interconnect_messages": _stat("shards", "interconnect", "messages"),
+    "cross_shard_messages": _stat("shards", "interconnect", "cross_shard_messages"),
+    "steals": _stat("shards", "steals"),
+    "steals_after_forward": _stat("shards", "steals_after_forward"),
+    "task_pool_ports": lambda r: r.config_notes.get("task_pool_ports"),
+    "retire_inflight_mean": _retire_inflight_mean,
+    "retire_inflight_max": lambda r: max(_retire(r, "inflight_max", 0)),
+    "retire_full_fraction": lambda r: round(
+        max(_retire(r, "full_fraction", 0.0)), 4
+    ),
+    # Critical dependence chain and the fast-dispatch subsystem.
+    "chain_depth": _stat("dispatch", "chain_depth"),
+    "chain_fraction": _stat("dispatch", "chain_fraction", default=0.0),
+    "chain_hop_ns": _stat("dispatch", "chain_hop_ns", default={}),
+    "dominant_chain_component": _stat(
+        "dispatch", "dominant_chain_component", default=None
+    ),
+    "td_cache_hit_rate": _td_cache_hit_rate,
+    "fast_dispatches": _stat("dispatch", "fast_dispatch", "fast_dispatches"),
+    # Staged resolve pipeline.
+    "resolve_window_ps": _stat("resolve", "coalesce_window_ps"),
+    "resolve_mean_batch": _stat("resolve", "mean_batch", default=0.0, digits=4),
+    "resolve_coalesce_rate": _stat(
+        "resolve", "coalesce_rate", default=0.0, digits=4
+    ),
+    "resolve_row_merges": _stat("resolve", "row_merges"),
+    "speculative_kicks": _stat("resolve", "speculative_kicks"),
+    # Check path: the scatter block is the central sequencer when it
+    # runs, else the busiest per-master slice engine.
+    "scatter_busy": lambda r: _busiest(
+        _util(r), lambda k: k == "scatter" or k.endswith(".scatter")
+    ),
+    "check_engine_busy": lambda r: _busiest(
+        _util(r), lambda k: k.endswith(".check")
+    ),
+    "check_window_ps": _stat("check", "coalesce_window_ps"),
+    "check_mean_batch": _stat("check", "mean_batch", default=0.0, digits=4),
+    "check_coalesce_rate": _stat("check", "coalesce_rate", default=0.0, digits=4),
+    "check_row_merges": _stat("check", "row_merges"),
+    "reseq_max_held": lambda r: max(
+        r.stats.get("check", {}).get("reseq_max_held") or [0]
+    ),
+}
+
+
+@dataclass
+class GridReport:
+    """One trace run over a Cartesian grid of :class:`SystemConfig` knobs.
+
+    ``points[i]`` holds the knob values of grid point ``i``, ``configs[i]``
+    the machine it ran on and ``runs[i]`` its result.  The baseline every
+    speedup is measured against is the first point, so list the "off" or
+    smallest value first on every axis.
     """
 
     trace_name: str
-    workers: int
-    shard_counts: List[int]
-    runs: List[RunResult] = field(default_factory=list)
-
-    @property
-    def makespans(self) -> List[int]:
-        return [r.makespan for r in self.runs]
-
-    @property
-    def baseline_shards(self) -> int:
-        """Shard count speedups are measured against: 1 when the sweep
-        includes the single-Maestro machine, else the smallest count run
-        (the report labels the baseline explicitly either way)."""
-        return 1 if 1 in self.shard_counts else min(self.shard_counts)
+    axes: Dict[str, List[Any]]
+    points: List[Dict[str, Any]]
+    configs: List[SystemConfig]
+    runs: List[RunResult]
 
     @property
     def speedups(self) -> List[float]:
-        base = self.runs[self.shard_counts.index(self.baseline_shards)]
-        return [base.makespan / r.makespan for r in self.runs]
+        base = self.runs[0].makespan
+        return [base / r.makespan for r in self.runs]
 
-    def at(self, shards: int) -> RunResult:
-        return self.runs[self.shard_counts.index(shards)]
+    def at(self, **point: Any) -> RunResult:
+        """The run at the grid point with exactly these knob values."""
+        return self.runs[self.points.index(point)]
 
     def rows(self) -> List[dict]:
-        """One report row per shard count (used by the CLI and the bench)."""
+        """One row per grid point: its knob values, makespan, speedup vs
+        the first point and every :data:`COLUMNS` entry (a column named
+        like a swept knob, e.g. ``task_pool_ports``, keeps the knob's
+        value)."""
         out = []
-        for shards, run, speedup in zip(self.shard_counts, self.runs, self.speedups):
-            util = run.stats.get("maestro_utilization", {})
-            shard_info = run.stats.get("shards", {})
-            icn = shard_info.get("interconnect", {})
-            out.append(
-                {
-                    "shards": shards,
-                    "makespan_ps": run.makespan,
-                    "speedup_vs_baseline": round(speedup, 4),
-                    "busiest_maestro_block": (
-                        max(util, key=util.get) if util else None
-                    ),
-                    "busiest_block_utilization": (
-                        round(max(util.values()), 4) if util else None
-                    ),
-                    "interconnect_messages": icn.get("messages", 0),
-                    "cross_shard_messages": icn.get("cross_shard_messages", 0),
-                    "steals": shard_info.get("steals", 0),
-                }
-            )
+        for point, run, speedup in zip(self.points, self.runs, self.speedups):
+            row = dict(point)
+            row["makespan_ps"] = run.makespan
+            row["speedup_vs_baseline"] = round(speedup, 4)
+            for name, extract in COLUMNS.items():
+                row.setdefault(name, extract(run))  # a swept knob wins
+            out.append(row)
         return out
 
     def to_json_dict(self, profile: bool = False) -> dict:
+        """The report as JSON: the axes, the baseline point, the knobs the
+        whole grid holds away from their defaults, and the rows (each
+        with its host-kernel profile ``stats["sim"]`` when ``profile``)."""
         rows = self.rows()
         if profile:
-            _attach_profiles(rows, self.runs)
+            for row, run in zip(rows, self.runs):
+                row["sim"] = run.stats.get("sim")
+        first, default = self.configs[0], SystemConfig()
+        fixed = {
+            f.name: getattr(first, f.name)
+            for f in fields(SystemConfig)
+            if f.name not in self.axes
+            and getattr(first, f.name) != getattr(default, f.name)
+        }
         return {
             "trace": self.trace_name,
-            "workers": self.workers,
-            "baseline_shards": self.baseline_shards,
+            "axes": self.axes,
+            "baseline": self.points[0],
+            "fixed": fixed,
             "rows": rows,
         }
 
 
-def shard_scaling_sweep(
+def grid_sweep(
     trace: TaskTrace,
-    shard_counts: Sequence[int],
-    config: Optional[SystemConfig] = None,
-) -> ShardScalingReport:
-    """Run ``trace`` once per Maestro shard count (same workers throughout).
+    base: SystemConfig,
+    axes: Dict[str, Sequence[Any]],
+) -> GridReport:
+    """Run ``trace`` once per point of the Cartesian product of ``axes``.
 
-    ``shards=1`` uses the paper-exact single-Maestro engine, so the curve's
-    baseline is the machine the paper measured; every other point uses the
-    sharded subsystem.
+    ``axes`` maps :class:`SystemConfig` field names to the values to sweep;
+    the first axis is outermost (``itertools.product`` order).  Every
+    point's config is built with ``base.with_(**point)`` before any run
+    starts, so an invalid point fails fast with the config's own error.
     """
-    if not shard_counts:
-        raise ValueError("need at least one shard count")
-    base = config or SystemConfig()
-    runs = [
-        NexusMachine(base.with_(maestro_shards=s)).run(trace) for s in shard_counts
-    ]
-    return ShardScalingReport(
-        trace_name=trace.name,
-        workers=base.workers,
-        shard_counts=list(shard_counts),
-        runs=runs,
-    )
-
-
-@dataclass
-class MasterScalingReport:
-    """Makespan vs (master cores, submission batch) at fixed workers/shards.
-
-    Answers the question PR 1's shard sweep raised: once dependency
-    resolution is sharded the serial master is the ceiling — how far do
-    parallel submitters and DMA-style descriptor batching lift it?
-    Speedups are measured against the (1 master, batch 1) run when present,
-    else the smallest configuration swept.
-    """
-
-    trace_name: str
-    workers: int
-    shards: int
-    points: List[tuple[int, int]]  # (master_cores, submission_batch)
-    runs: List[RunResult] = field(default_factory=list)
-
-    @property
-    def baseline_point(self) -> tuple[int, int]:
-        return (1, 1) if (1, 1) in self.points else min(self.points)
-
-    @property
-    def speedups(self) -> List[float]:
-        base = self.runs[self.points.index(self.baseline_point)]
-        return [base.makespan / r.makespan for r in self.runs]
-
-    def at(self, masters: int, batch: int) -> RunResult:
-        return self.runs[self.points.index((masters, batch))]
-
-    def rows(self) -> List[dict]:
-        """One report row per swept point (used by the CLI and the bench)."""
-        out = []
-        for (masters, batch), run, speedup in zip(
-            self.points, self.runs, self.speedups
-        ):
-            util = run.stats.get("maestro_utilization", {})
-            out.append(
-                {
-                    "masters": masters,
-                    "batch": batch,
-                    "makespan_ps": run.makespan,
-                    "speedup_vs_baseline": round(speedup, 4),
-                    "master_done_ps": run.master_done,
-                    "master_bound_fraction": (
-                        round(run.master_done / run.makespan, 4)
-                        if run.master_done is not None and run.makespan
-                        else None
-                    ),
-                    "master_stall_ps": run.stats.get("master_stall_ps", 0),
-                    "busiest_maestro_block": (
-                        max(util, key=util.get) if util else None
-                    ),
-                    "busiest_block_utilization": (
-                        round(max(util.values()), 4) if util else None
-                    ),
-                }
-            )
-        return out
-
-    def to_json_dict(self, profile: bool = False) -> dict:
-        rows = self.rows()
-        if profile:
-            _attach_profiles(rows, self.runs)
-        return {
-            "trace": self.trace_name,
-            "workers": self.workers,
-            "shards": self.shards,
-            "baseline": {
-                "masters": self.baseline_point[0],
-                "batch": self.baseline_point[1],
-            },
-            "rows": rows,
-        }
-
-
-def master_scaling_sweep(
-    trace: TaskTrace,
-    master_counts: Sequence[int],
-    batch_sizes: Sequence[int] = (1,),
-    config: Optional[SystemConfig] = None,
-) -> MasterScalingReport:
-    """Run ``trace`` once per (master count, batch size) combination.
-
-    Every run keeps the worker count and Maestro shard count of ``config``;
-    only the submission front-end varies, so the curve isolates it.
-    """
-    if not master_counts or not batch_sizes:
-        raise ValueError("need at least one master count and one batch size")
-    base = config or SystemConfig()
-    points = [(m, b) for m in master_counts for b in batch_sizes]
-    runs = [
-        NexusMachine(base.with_(master_cores=m, submission_batch=b)).run(trace)
-        for m, b in points
-    ]
-    return MasterScalingReport(
-        trace_name=trace.name,
-        workers=base.workers,
-        shards=base.maestro_shards,
-        points=points,
-        runs=runs,
-    )
-
-
-@dataclass
-class RetireScalingReport:
-    """Makespan vs retire pipeline depth at fixed workers/shards/masters.
-
-    Answers the question PR 2's submission sweep raised: once submission is
-    parallel the per-shard retire front-end is the ceiling — how far does
-    pipelining retirement (multiple ticket-tagged finishes in flight per
-    shard) lift it?  Each swept depth is the full pipelined-retire design
-    point: ``retire_pipeline_depth`` tickets per shard *and* the Task Pool
-    ports the config derives for them (``SystemConfig.tp_ports``), so depth
-    1 is exactly today's serialized machine.  Speedups are measured against
-    the depth-1 run when present, else the shallowest depth swept.
-    """
-
-    trace_name: str
-    workers: int
-    shards: int
-    depths: List[int]
-    runs: List[RunResult] = field(default_factory=list)
-
-    @property
-    def baseline_depth(self) -> int:
-        return 1 if 1 in self.depths else min(self.depths)
-
-    @property
-    def speedups(self) -> List[float]:
-        base = self.runs[self.depths.index(self.baseline_depth)]
-        return [base.makespan / r.makespan for r in self.runs]
-
-    def at(self, depth: int) -> RunResult:
-        return self.runs[self.depths.index(depth)]
-
-    def rows(self) -> List[dict]:
-        """One report row per swept depth (used by the CLI and the bench)."""
-        out = []
-        for depth, run, speedup in zip(self.depths, self.runs, self.speedups):
-            util = run.stats.get("maestro_utilization", {})
-            retire = run.stats.get("shards", {}).get("retire", {})
-            inflight = retire.get("inflight_mean") or [0.0]
-            full = retire.get("full_fraction") or [0.0]
-            out.append(
-                {
-                    "depth": depth,
-                    "task_pool_ports": run.config_notes.get("task_pool_ports"),
-                    "makespan_ps": run.makespan,
-                    "speedup_vs_baseline": round(speedup, 4),
-                    "retire_inflight_mean": round(sum(inflight) / len(inflight), 4),
-                    "retire_inflight_max": max(
-                        retire.get("inflight_max") or [0]
-                    ),
-                    "retire_full_fraction": round(max(full), 4),
-                    "busiest_maestro_block": (
-                        max(util, key=util.get) if util else None
-                    ),
-                    "busiest_block_utilization": (
-                        round(max(util.values()), 4) if util else None
-                    ),
-                }
-            )
-        return out
-
-    def to_json_dict(self, profile: bool = False) -> dict:
-        rows = self.rows()
-        if profile:
-            _attach_profiles(rows, self.runs)
-        return {
-            "trace": self.trace_name,
-            "workers": self.workers,
-            "shards": self.shards,
-            "baseline_depth": self.baseline_depth,
-            "rows": rows,
-        }
-
-
-def retire_scaling_sweep(
-    trace: TaskTrace,
-    depths: Sequence[int],
-    config: Optional[SystemConfig] = None,
-) -> RetireScalingReport:
-    """Run ``trace`` once per retire pipeline depth (same machine otherwise).
-
-    ``config`` must use the sharded Maestro engine — the retire pipeline
-    lives in its per-shard front-ends; the single-Maestro machine has no
-    depth knob to sweep.  Leave ``task_pool_ports`` unset (``None``) so each
-    depth derives its own port provisioning; an explicit port count is kept
-    as given for every depth.
-    """
-    if not depths:
-        raise ValueError("need at least one retire pipeline depth")
-    base = config or SystemConfig()
-    if not base.use_sharded_maestro:
-        raise ValueError(
-            "retire_scaling_sweep needs the sharded Maestro engine: set "
-            "maestro_shards > 1 (or force_sharded_maestro) on the config"
-        )
-    runs = [
-        NexusMachine(base.with_(retire_pipeline_depth=d)).run(trace)
-        for d in depths
-    ]
-    return RetireScalingReport(
-        trace_name=trace.name,
-        workers=base.workers,
-        shards=base.maestro_shards,
-        depths=list(depths),
-        runs=runs,
-    )
-
-
-@dataclass
-class DispatchLatencyReport:
-    """Makespan + per-hop latency breakdown over the fast-dispatch grid.
-
-    Answers the question PR 3's retire sweep raised: once retirement is
-    pipelined the hazard-dense machine is *latency-bound* — ~90 ns per
-    dependence-chain hop over a chain hundreds of hops deep — so the
-    lever is no longer more bandwidth anywhere but a shorter hop.  Each
-    swept point toggles the fast-dispatch features (TD prefetch cache
-    entries, kick-off fast path); the rows carry the critical-chain hop
-    decomposition (resolve / forward / td_transfer / start) so the report
-    shows *which* serial component each feature removed.  Speedups are
-    measured against the both-off run when present, else the first point.
-    """
-
-    trace_name: str
-    workers: int
-    shards: int
-    points: List[tuple[int, bool]]  # (td_cache_entries, kickoff_fast_path)
-    runs: List[RunResult] = field(default_factory=list)
-
-    @property
-    def baseline_point(self) -> tuple[int, bool]:
-        return (0, False) if (0, False) in self.points else self.points[0]
-
-    @property
-    def speedups(self) -> List[float]:
-        base = self.runs[self.points.index(self.baseline_point)]
-        return [base.makespan / r.makespan for r in self.runs]
-
-    def at(self, td_cache: int, fast_path: bool) -> RunResult:
-        return self.runs[self.points.index((td_cache, fast_path))]
-
-    def rows(self) -> List[dict]:
-        """One report row per swept point (used by the CLI and the bench)."""
-        out = []
-        for (td_cache, fast_path), run, speedup in zip(
-            self.points, self.runs, self.speedups
-        ):
-            dispatch = run.stats.get("dispatch", {})
-            sub = dispatch.get("fast_dispatch", {})
-            cache = sub.get("td_cache", {})
-            shard_info = run.stats.get("shards", {})
-            out.append(
-                {
-                    "td_cache": td_cache,
-                    "fast_path": fast_path,
-                    "makespan_ps": run.makespan,
-                    "speedup_vs_baseline": round(speedup, 4),
-                    "chain_depth": dispatch.get("chain_depth", 0),
-                    "chain_fraction": dispatch.get("chain_fraction", 0.0),
-                    "chain_hop_ns": dispatch.get("chain_hop_ns", {}),
-                    "dominant_chain_component": dispatch.get(
-                        "dominant_chain_component"
-                    ),
-                    "td_cache_hit_rate": (
-                        round(cache["hit_rate"], 4) if cache else None
-                    ),
-                    "fast_dispatches": sub.get("fast_dispatches", 0),
-                    "steals": shard_info.get("steals", 0),
-                    "steals_after_forward": shard_info.get(
-                        "steals_after_forward", 0
-                    ),
-                }
-            )
-        return out
-
-    def to_json_dict(self, profile: bool = False) -> dict:
-        rows = self.rows()
-        if profile:
-            _attach_profiles(rows, self.runs)
-        return {
-            "trace": self.trace_name,
-            "workers": self.workers,
-            "shards": self.shards,
-            "baseline": {
-                "td_cache": self.baseline_point[0],
-                "fast_path": self.baseline_point[1],
-            },
-            "rows": rows,
-        }
-
-
-def dispatch_latency_sweep(
-    trace: TaskTrace,
-    config: Optional[SystemConfig] = None,
-    td_cache: int = 64,
-    points: Optional[Sequence[tuple[int, bool]]] = None,
-) -> DispatchLatencyReport:
-    """Run ``trace`` over the fast-dispatch feature grid.
-
-    The default grid is the four-point ablation — (cache off, fast path
-    off) baseline, each feature alone, both together — with ``td_cache``
-    entries per shard at the cache-on points.  ``config`` must use the
-    sharded Maestro engine (the subsystem lives in its per-shard blocks);
-    everything but the two dispatch knobs is held fixed, so the curve
-    isolates the subsystem.
-    """
-    base = config or SystemConfig()
-    if not base.use_sharded_maestro:
-        raise ValueError(
-            "dispatch_latency_sweep needs the sharded Maestro engine: set "
-            "maestro_shards > 1 (or force_sharded_maestro) on the config"
-        )
-    if points is None:
-        points = [(0, False), (td_cache, False), (0, True), (td_cache, True)]
-    points = list(points)
-    if not points:
-        raise ValueError("need at least one (td_cache, fast_path) point")
-    runs = [
-        NexusMachine(
-            base.with_(td_cache_entries=c, kickoff_fast_path=f)
-        ).run(trace)
-        for c, f in points
-    ]
-    return DispatchLatencyReport(
-        trace_name=trace.name,
-        workers=base.workers,
-        shards=base.maestro_shards,
-        points=points,
-        runs=runs,
-    )
-
-
-@dataclass
-class ResolveScalingReport:
-    """Makespan + resolve-hop breakdown over the staged-resolve grid.
-
-    Answers the question PR 4's dispatch sweep raised: with the dispatch
-    path cut, the remaining hop component is *resolve* — finish notify,
-    finish-engine queueing and the waiter kick — so the lever is the
-    staged resolve pipeline.  Each swept point toggles the two resolve
-    knobs (finish-notification coalescing, speculative kick-off); the
-    rows carry the critical-chain hop decomposition plus the coalescing
-    counters (batch shape, row-merge rate, speculative kicks) so the
-    report shows *how* each knob earned its cut.  Speedups are measured
-    against the both-off run when present, else the first point.
-    """
-
-    trace_name: str
-    workers: int
-    shards: int
-    window: int  #: coalesce window (ps) applied at the coalesce-on points
-    points: List[tuple[int, bool]]  # (finish_coalesce_limit, speculative)
-    runs: List[RunResult] = field(default_factory=list)
-
-    @property
-    def baseline_point(self) -> tuple[int, bool]:
-        return (1, False) if (1, False) in self.points else self.points[0]
-
-    @property
-    def speedups(self) -> List[float]:
-        base = self.runs[self.points.index(self.baseline_point)]
-        return [base.makespan / r.makespan for r in self.runs]
-
-    def at(self, coalesce: int, speculative: bool) -> RunResult:
-        return self.runs[self.points.index((coalesce, speculative))]
-
-    def rows(self) -> List[dict]:
-        """One report row per swept point (used by the CLI and the bench)."""
-        out = []
-        for (coalesce, speculative), run, speedup in zip(
-            self.points, self.runs, self.speedups
-        ):
-            dispatch = run.stats.get("dispatch", {})
-            resolve = run.stats.get("resolve", {})
-            util = run.stats.get("maestro_utilization", {})
-            out.append(
-                {
-                    "coalesce": coalesce,
-                    "speculative": speculative,
-                    "window_ps": resolve.get("coalesce_window_ps", 0),
-                    "makespan_ps": run.makespan,
-                    "speedup_vs_baseline": round(speedup, 4),
-                    "chain_depth": dispatch.get("chain_depth", 0),
-                    "chain_fraction": dispatch.get("chain_fraction", 0.0),
-                    "chain_hop_ns": dispatch.get("chain_hop_ns", {}),
-                    "dominant_chain_component": dispatch.get(
-                        "dominant_chain_component"
-                    ),
-                    "mean_batch": round(resolve.get("mean_batch", 0.0), 4),
-                    "coalesce_rate": round(resolve.get("coalesce_rate", 0.0), 4),
-                    "row_merges": resolve.get("row_merges", 0),
-                    "speculative_kicks": resolve.get("speculative_kicks", 0),
-                    "busiest_maestro_block": (
-                        max(util, key=util.get) if util else None
-                    ),
-                }
-            )
-        return out
-
-    def to_json_dict(self, profile: bool = False) -> dict:
-        rows = self.rows()
-        if profile:
-            _attach_profiles(rows, self.runs)
-        return {
-            "trace": self.trace_name,
-            "workers": self.workers,
-            "shards": self.shards,
-            "window_ps": self.window,
-            "baseline": {
-                "coalesce": self.baseline_point[0],
-                "speculative": self.baseline_point[1],
-            },
-            "rows": rows,
-        }
-
-
-def resolve_scaling_sweep(
-    trace: TaskTrace,
-    config: Optional[SystemConfig] = None,
-    coalesce: int = 8,
-    window: int = 0,
-    points: Optional[Sequence[tuple[int, bool]]] = None,
-) -> ResolveScalingReport:
-    """Run ``trace`` over the staged-resolve feature grid.
-
-    The default grid is the four-point ablation — (coalescing off,
-    speculative off) baseline, each knob alone, both together — with a
-    batch limit of ``coalesce`` (and ``window`` picoseconds of straggler
-    wait) at the coalescing-on points.  Unlike the retire and dispatch
-    sweeps this one runs on *either* engine: the staged resolve pipeline
-    is shared, so a single-Maestro config sweeps its Handle Finished
-    loop the same way.  Everything but the two resolve knobs is held
-    fixed, so the curve isolates the pipeline.
-    """
-    base = config or SystemConfig()
-    if coalesce < 2:
-        raise ValueError("coalesce must be >= 2 (the coalescing-on batch limit)")
-    if points is None:
-        points = [(1, False), (coalesce, False), (1, True), (coalesce, True)]
-    points = list(points)
-    if not points:
-        raise ValueError("need at least one (coalesce, speculative) point")
-    runs = [
-        NexusMachine(
-            base.with_(
-                finish_coalesce_limit=c,
-                finish_coalesce_window=window if c > 1 else 0,
-                speculative_kickoff=s,
-            )
-        ).run(trace)
-        for c, s in points
-    ]
-    return ResolveScalingReport(
-        trace_name=trace.name,
-        workers=base.workers,
-        shards=base.maestro_shards,
-        window=window,
-        points=points,
-        runs=runs,
-    )
-
-
-@dataclass
-class CheckScalingReport:
-    """Makespan + check-path occupancy over the decentralized-check grid.
-
-    Answers the question PR 5's resolve sweep raised: with the resolve
-    path staged, the central Check Scatter sequencer is the last block
-    every probe still funnels through (>80% busy on the widened
-    front-end) — so the levers are the decentralized scatter (per-master
-    slices re-sequenced per destination shard) and check-side coalescing
-    (same-row probes of one batch merged into a single Dependence Table
-    row access).  Each swept point toggles the two check knobs; the rows
-    carry the scatter occupancy (central sequencer or busiest slice),
-    the busiest check engine and the coalescing counters so the report
-    shows *how* each knob earned its cut.  Speedups are measured against
-    the both-off run when present, else the first point.
-    """
-
-    trace_name: str
-    workers: int
-    shards: int
-    window: int  #: check coalesce window (ps) applied at coalesce-on points
-    points: List[tuple[bool, int]]  # (decentralized, check_coalesce_limit)
-    runs: List[RunResult] = field(default_factory=list)
-
-    @property
-    def baseline_point(self) -> tuple[bool, int]:
-        return (False, 1) if (False, 1) in self.points else self.points[0]
-
-    @property
-    def speedups(self) -> List[float]:
-        base = self.runs[self.points.index(self.baseline_point)]
-        return [base.makespan / r.makespan for r in self.runs]
-
-    def at(self, decentralized: bool, coalesce: int) -> RunResult:
-        return self.runs[self.points.index((decentralized, coalesce))]
-
-    def rows(self) -> List[dict]:
-        """One report row per swept point (used by the CLI and the bench)."""
-        out = []
-        for (decentralized, coalesce), run, speedup in zip(
-            self.points, self.runs, self.speedups
-        ):
-            util = run.stats.get("maestro_utilization", {})
-            check = run.stats.get("check", {})
-            # The scatter block's occupancy: the central sequencer when
-            # it runs, else the busiest per-master slice engine.
-            scatter = {
-                k: v
-                for k, v in util.items()
-                if k == "scatter" or k.endswith(".scatter")
-            }
-            checks = {k: v for k, v in util.items() if k.endswith(".check")}
-            out.append(
-                {
-                    "decentralized": decentralized,
-                    "coalesce": coalesce,
-                    "window_ps": check.get("coalesce_window_ps", 0),
-                    "makespan_ps": run.makespan,
-                    "speedup_vs_baseline": round(speedup, 4),
-                    "scatter_busy": (
-                        round(max(scatter.values()), 4) if scatter else None
-                    ),
-                    "check_engine_busy": (
-                        round(max(checks.values()), 4) if checks else None
-                    ),
-                    "mean_batch": round(check.get("mean_batch", 0.0), 4),
-                    "coalesce_rate": round(check.get("coalesce_rate", 0.0), 4),
-                    "row_merges": check.get("row_merges", 0),
-                    "reseq_max_held": max(
-                        check.get("reseq_max_held") or [0]
-                    ),
-                    "busiest_maestro_block": (
-                        max(util, key=util.get) if util else None
-                    ),
-                }
-            )
-        return out
-
-    def to_json_dict(self, profile: bool = False) -> dict:
-        rows = self.rows()
-        if profile:
-            _attach_profiles(rows, self.runs)
-        return {
-            "trace": self.trace_name,
-            "workers": self.workers,
-            "shards": self.shards,
-            "window_ps": self.window,
-            "baseline": {
-                "decentralized": self.baseline_point[0],
-                "coalesce": self.baseline_point[1],
-            },
-            "rows": rows,
-        }
-
-
-def check_scaling_sweep(
-    trace: TaskTrace,
-    config: Optional[SystemConfig] = None,
-    coalesce: int = 8,
-    window: int = 0,
-    points: Optional[Sequence[tuple[bool, int]]] = None,
-) -> CheckScalingReport:
-    """Run ``trace`` over the decentralized-check feature grid.
-
-    The default grid is the four-point ablation — (central scatter,
-    coalescing off) baseline, each knob alone, both together — with a
-    batch limit of ``coalesce`` (and ``window`` picoseconds of straggler
-    wait) at the coalescing-on points.  ``config`` must use the sharded
-    Maestro engine — the scatter slices and check engines are its
-    per-shard/per-master blocks; the single Maestro has no scatter to
-    decentralize.  Everything but the two check knobs is held fixed, so
-    the curve isolates the check path.
-    """
-    base = config or SystemConfig()
-    if not base.use_sharded_maestro:
-        raise ValueError(
-            "check_scaling_sweep needs the sharded Maestro engine: set "
-            "maestro_shards > 1 (or force_sharded_maestro) on the config"
-        )
-    if coalesce < 2:
-        raise ValueError("coalesce must be >= 2 (the coalescing-on batch limit)")
-    if points is None:
-        points = [(False, 1), (True, 1), (False, coalesce), (True, coalesce)]
-    points = list(points)
-    if not points:
-        raise ValueError("need at least one (decentralized, coalesce) point")
-    runs = [
-        NexusMachine(
-            base.with_(
-                decentralized_check_scatter=d,
-                check_coalesce_limit=c,
-                check_coalesce_window=window if c > 1 else 0,
-            )
-        ).run(trace)
-        for d, c in points
-    ]
-    return CheckScalingReport(
-        trace_name=trace.name,
-        workers=base.workers,
-        shards=base.maestro_shards,
-        window=window,
-        points=points,
-        runs=runs,
-    )
-
-
-def sweep_parameter(
-    trace: TaskTrace,
-    base_config: SystemConfig,
-    parameter: str,
-    values: Sequence[Any],
-    extract: Optional[Callable[[RunResult], Any]] = None,
-) -> Dict[Any, Any]:
-    """Run the trace once per parameter value; returns ``{value: extracted}``.
-
-    Used by the Fig. 6 design-space exploration (Dependence Table / Task
-    Pool sizes).  ``extract`` defaults to the whole :class:`RunResult`.
-    """
-    if (
-        parameter == "dependence_table_entries"
-        and base_config.use_sharded_maestro
-        and base_config.dependence_table_entries_per_shard is not None
-    ):
-        # The sharded machine sizes its table slices from the per-shard
-        # override when one is set; sweeping the total would silently
-        # change nothing.
-        raise ValueError(
-            "sweeping dependence_table_entries has no effect: the sharded "
-            "config sets dependence_table_entries_per_shard="
-            f"{base_config.dependence_table_entries_per_shard}; sweep "
-            "'dependence_table_entries_per_shard' instead, or clear the "
-            "per-shard override so shard capacity derives from the total"
-        )
-    out: Dict[Any, Any] = {}
-    for value in values:
-        overrides: Dict[str, Any] = {parameter: value}
-        if parameter == "task_pool_entries":
-            # Keep the free-index list large enough (config invariant).
-            overrides["tp_free_list_entries"] = max(
-                value, base_config.tp_free_list_entries
-            )
-        cfg = base_config.with_(**overrides)
-        result = NexusMachine(cfg).run(trace)
-        out[value] = extract(result) if extract else result
-    return out
+    axes = {name: list(values) for name, values in axes.items()}
+    if not axes:
+        raise ValueError("grid_sweep needs at least one axis")
+    knobs = {f.name for f in fields(SystemConfig)}
+    for name, values in axes.items():
+        if name not in knobs:
+            raise ValueError(f"unknown SystemConfig knob {name!r} on a sweep axis")
+        if not values:
+            raise ValueError(f"sweep axis {name!r} has no values")
+    points = [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
+    configs = [base.with_(**point) for point in points]
+    if "dependence_table_entries" in axes:
+        for cfg in configs:
+            per_shard = cfg.dependence_table_entries_per_shard
+            if cfg.use_sharded_maestro and per_shard is not None:
+                # The sharded machine sizes its table slices from the
+                # per-shard override when one is set; sweeping the total
+                # would silently change nothing.
+                raise ValueError(
+                    "sweeping dependence_table_entries has no effect: the "
+                    "sharded config sets dependence_table_entries_per_shard="
+                    f"{per_shard}; sweep "
+                    "'dependence_table_entries_per_shard' instead, or clear "
+                    "the per-shard override so shard capacity derives from "
+                    "the total"
+                )
+    runs = [NexusMachine(cfg).run(trace) for cfg in configs]
+    return GridReport(trace.name, axes, points, configs, runs)
 
 
 @dataclass

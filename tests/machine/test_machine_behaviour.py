@@ -9,7 +9,7 @@ Dependence-Table stall path.
 import pytest
 
 from repro.config import SystemConfig
-from repro.machine import NexusMachine, run_trace, speedup_curve, sweep_parameter
+from repro.machine import NexusMachine, grid_sweep, run_trace, speedup_curve
 from repro.runtime.task_graph import build_task_graph
 from repro.traces import (
     TimeModel,
@@ -194,21 +194,15 @@ class TestSweepHelpers:
             memory_contention=False,
         )
         with pytest.raises(ValueError, match="dependence_table_entries_per_shard"):
-            sweep_parameter(trace, cfg, "dependence_table_entries", [1024, 2048])
+            grid_sweep(trace, cfg, {"dependence_table_entries": [1024, 2048]})
 
     def test_sweep_dt_entries_allowed_when_derived_per_shard(self):
         """Without the per-shard override the swept total drives the
         per-shard capacity, so the sweep is meaningful and allowed."""
         trace = independent_trace(n_tasks=30, n_params=2, time_model=FAST_TIMES)
         cfg = SystemConfig(workers=2, maestro_shards=2, memory_contention=False)
-        results = sweep_parameter(
-            trace,
-            cfg,
-            "dependence_table_entries",
-            [64],
-            extract=lambda r: r.makespan,
-        )
-        assert results[64] > 0
+        report = grid_sweep(trace, cfg, {"dependence_table_entries": [64]})
+        assert report.at(dependence_table_entries=64).makespan > 0
 
     def test_sweep_per_shard_dt_entries_directly(self):
         trace = independent_trace(n_tasks=30, n_params=2, time_model=FAST_TIMES)
@@ -218,26 +212,21 @@ class TestSweepHelpers:
             dependence_table_entries_per_shard=64,
             memory_contention=False,
         )
-        results = sweep_parameter(
-            trace,
-            cfg,
-            "dependence_table_entries_per_shard",
-            [32, 64],
-            extract=lambda r: r.makespan,
+        report = grid_sweep(
+            trace, cfg, {"dependence_table_entries_per_shard": [32, 64]}
         )
-        assert set(results) == {32, 64}
+        assert [c.dt_entries_per_shard for c in report.configs] == [32, 64]
+        assert all(r.makespan > 0 for r in report.runs)
 
-    def test_sweep_parameter_adjusts_free_list(self):
+    def test_sweep_task_pool_with_matching_free_list(self):
+        """A Task Pool axis runs when the base's free-index list covers
+        every swept size (the paper's Fig. 6 procedure oversizes it)."""
         trace = independent_trace(n_tasks=50, n_params=2, time_model=FAST_TIMES)
-        cfg = SystemConfig(workers=2, memory_contention=False)
-        results = sweep_parameter(
-            trace,
-            cfg,
-            "task_pool_entries",
-            [2048],
-            extract=lambda r: r.makespan,
+        cfg = SystemConfig(
+            workers=2, memory_contention=False, tp_free_list_entries=2048
         )
-        assert 2048 in results and results[2048] > 0
+        report = grid_sweep(trace, cfg, {"task_pool_entries": [512, 2048]})
+        assert report.at(task_pool_entries=2048).makespan > 0
 
 
 class TestRecordsAndStats:

@@ -33,6 +33,7 @@ class TestPublicApi:
             "NexusMachine",
             "run_trace",
             "speedup_curve",
+            "grid_sweep",
             "SystemConfig",
             "paper_default",
             "contention_free",

@@ -133,16 +133,25 @@ class TestShardedMaestroCli:
     def test_shard_sweep_writes_json(self, capsys, tmp_path):
         path = tmp_path / "shards.json"
         rc = main(["sweep", "random", "--tasks", "80", "--addresses", "16",
-                   "--workers", "4", "--shards", "1,2", "--no-contention",
-                   "--no-prep", "--json", str(path)])
+                   "--workers", "4", "--axis", "maestro_shards=1,2",
+                   "--no-contention", "--no-prep", "--json", str(path)])
         assert rc == 0
         out = capsys.readouterr().out
         assert "busiest block" in out
+        assert "speedup vs maestro_shards=1" in out
         import json
 
         data = json.loads(path.read_text())
-        assert [r["shards"] for r in data["rows"]] == [1, 2]
+        assert data["axes"] == {"maestro_shards": [1, 2]}
+        assert [r["maestro_shards"] for r in data["rows"]] == [1, 2]
         assert data["rows"][0]["speedup_vs_baseline"] == 1.0
+        assert "cross_shard_messages" in data["rows"][1]
+
+    def test_core_curve_takes_a_single_shard_count(self, capsys):
+        rc = main(["sweep", "random", "--tasks", "60", "--addresses", "16",
+                   "--shards", "2", "--cores", "1,2", "--no-contention"])
+        assert rc == 0
+        assert "saturation point" in capsys.readouterr().out
 
     def test_info_shows_shard_geometry(self, capsys):
         assert main(["info", "--workers", "8"]) == 0
@@ -163,24 +172,40 @@ class TestSubmissionFrontendCli:
     def test_master_sweep_writes_json(self, capsys, tmp_path):
         path = tmp_path / "masters.json"
         rc = main(["sweep", "random", "--tasks", "80", "--addresses", "16",
-                   "--workers", "4", "--shards", "2", "--masters", "1,2",
-                   "--batch", "1,4", "--no-contention", "--json", str(path)])
+                   "--workers", "4", "--shards", "2",
+                   "--axis", "master_cores=1,2", "--axis", "submission_batch=1,4",
+                   "--no-contention", "--json", str(path)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "master-bound" in out
+        assert "submission_batch" in out
         import json
 
         data = json.loads(path.read_text())
-        assert data["shards"] == 2
-        assert [(r["masters"], r["batch"]) for r in data["rows"]] == [
-            (1, 1), (1, 4), (2, 1), (2, 4)
-        ]
+        assert data["fixed"]["maestro_shards"] == 2
+        assert data["baseline"] == {"master_cores": 1, "submission_batch": 1}
+        assert [
+            (r["master_cores"], r["submission_batch"]) for r in data["rows"]
+        ] == [(1, 1), (1, 4), (2, 1), (2, 4)]
         assert data["rows"][0]["speedup_vs_baseline"] == 1.0
+        assert data["rows"][0]["master_bound_fraction"] is not None
 
-    def test_master_sweep_rejects_shard_list(self):
-        with pytest.raises(SystemExit):
-            main(["sweep", "random", "--tasks", "40", "--masters", "1,2",
-                  "--shards", "1,2"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "random", "--masters", "1,2", "--shards", "x"],
+            ["sweep", "wait-chain", "--efficiency", "--shards", "x"],
+            ["sweep", "random", "--shards", "1,2"],
+            ["sweep", "random", "--batch", "1,4"],
+        ],
+        ids=["masters-list-bad-shards", "efficiency-bad-shards", "shard-list",
+             "batch-list"],
+    )
+    def test_sweep_shape_flags_are_single_ints(self, argv):
+        """Malformed or comma-list shape flags are argparse usage errors
+        (exit 2), not ValueError tracebacks from a bare int()."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tasks", "40"])
+        assert exc.value.code == 2
 
     def test_info_shows_frontend_geometry(self, capsys):
         assert main(["info", "--masters", "2", "--batch", "4"]) == 0
@@ -203,41 +228,43 @@ class TestRetirePipelineCli:
         path = tmp_path / "retire.json"
         rc = main(["sweep", "random", "--tasks", "80", "--addresses", "16",
                    "--workers", "4", "--shards", "2", "--masters", "2",
-                   "--retire-depth", "1,4", "--no-contention",
+                   "--axis", "retire_pipeline_depth=1,4", "--no-contention",
                    "--json", str(path)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "pipe full" in out
+        assert "retire_pipeline_depth" in out
         import json
 
         data = json.loads(path.read_text())
-        assert data["shards"] == 2
-        assert data["baseline_depth"] == 1
-        assert [r["depth"] for r in data["rows"]] == [1, 4]
+        assert data["fixed"]["maestro_shards"] == 2
+        assert data["baseline"] == {"retire_pipeline_depth": 1}
+        assert [r["retire_pipeline_depth"] for r in data["rows"]] == [1, 4]
         assert [r["task_pool_ports"] for r in data["rows"]] == [1, 4]
         assert data["rows"][0]["speedup_vs_baseline"] == 1.0
 
     def test_retire_sweep_rejects_single_maestro(self):
         # --shards 1 (or none) is a usage error, not a raw traceback.
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit, match="requires the sharded Maestro"):
             main(["sweep", "random", "--tasks", "40",
-                  "--retire-depth", "1,2", "--shards", "1"])
-        with pytest.raises(SystemExit):
-            main(["sweep", "random", "--tasks", "40", "--retire-depth", "1,2"])
+                  "--axis", "retire_pipeline_depth=1,2", "--shards", "1"])
+        with pytest.raises(SystemExit, match="requires the sharded Maestro"):
+            main(["sweep", "random", "--tasks", "40",
+                  "--axis", "retire_pipeline_depth=1,2"])
 
     def test_shard_sweep_accepts_single_retire_depth(self, capsys):
         """A shard sweep with a fixed pipelined depth applies it everywhere
         (regression: the base config used to validate at 1 shard and die)."""
         rc = main(["sweep", "random", "--tasks", "60", "--addresses", "16",
-                   "--workers", "4", "--shards", "2,4",
+                   "--workers", "4", "--axis", "maestro_shards=2,4",
                    "--retire-depth", "2", "--no-contention"])
         assert rc == 0
         assert "speedup vs" in capsys.readouterr().out
 
-    def test_shard_sweep_rejects_depth_on_single_maestro_point(self):
-        with pytest.raises(SystemExit):
-            main(["sweep", "random", "--tasks", "40", "--shards", "1,2",
-                  "--retire-depth", "2"])
+    @pytest.mark.parametrize("shards", ["1,2", "2,1"])
+    def test_shard_sweep_rejects_depth_on_single_maestro_point(self, shards):
+        with pytest.raises(SystemExit, match="requires the sharded Maestro"):
+            main(["sweep", "random", "--tasks", "40",
+                  "--axis", f"maestro_shards={shards}", "--retire-depth", "2"])
 
     def test_run_retire_depth_without_shards_is_usage_error(self):
         with pytest.raises(SystemExit):
@@ -262,41 +289,33 @@ class TestRetirePipelineCli:
     def test_dispatch_sweep_writes_json(self, capsys, tmp_path):
         path = tmp_path / "dispatch.json"
         rc = main(["sweep", "random", "--tasks", "80", "--addresses", "16",
-                   "--workers", "4", "--shards", "2", "--dispatch",
-                   "--td-cache", "16", "--no-contention",
+                   "--workers", "4", "--shards", "2",
+                   "--axis", "kickoff_fast_path=off,on",
+                   "--axis", "td_cache_entries=0,16", "--no-contention",
                    "--json", str(path)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "resolve/fwd/TD/start" in out
+        assert "kickoff_fast_path" in out and "td_cache_entries" in out
         import json
 
         data = json.loads(path.read_text())
-        assert data["shards"] == 2
-        assert data["baseline"] == {"td_cache": 0, "fast_path": False}
-        assert [(r["td_cache"], r["fast_path"]) for r in data["rows"]] == [
-            (0, False), (16, False), (0, True), (16, True),
-        ]
+        assert data["fixed"]["maestro_shards"] == 2
+        assert data["baseline"] == {"kickoff_fast_path": False, "td_cache_entries": 0}
+        assert [
+            (r["td_cache_entries"], r["kickoff_fast_path"]) for r in data["rows"]
+        ] == [(0, False), (16, False), (0, True), (16, True)]
         assert data["rows"][0]["speedup_vs_baseline"] == 1.0
         assert "chain_hop_ns" in data["rows"][0]
+        assert data["rows"][0]["td_cache_hit_rate"] is None
+        assert data["rows"][1]["td_cache_hit_rate"] is not None
 
-    def test_dispatch_sweep_rejects_bad_usage(self):
-        # Needs a single sharded --shards value.
-        with pytest.raises(SystemExit):
-            main(["sweep", "random", "--tasks", "40", "--dispatch"])
-        with pytest.raises(SystemExit):
-            main(["sweep", "random", "--tasks", "40", "--dispatch",
-                  "--shards", "1"])
-        with pytest.raises(SystemExit):
-            main(["sweep", "random", "--tasks", "40", "--dispatch",
-                  "--shards", "1,2"])
-        # The grid toggles the fast path itself; a zero-size cache-on
-        # point is meaningless.
-        with pytest.raises(SystemExit):
-            main(["sweep", "random", "--tasks", "40", "--dispatch",
-                  "--shards", "2", "--fast-path"])
-        with pytest.raises(SystemExit):
-            main(["sweep", "random", "--tasks", "40", "--dispatch",
-                  "--shards", "2", "--td-cache", "0"])
+    def test_dispatch_sweep_rejects_single_maestro(self):
+        # A cache-on point needs the sharded engine: a usage error even
+        # though the first (cache-off) point alone would be valid.
+        for shards in ([], ["--shards", "1"]):
+            with pytest.raises(SystemExit, match="requires the sharded Maestro"):
+                main(["sweep", "random", "--tasks", "40",
+                      "--axis", "td_cache_entries=0,16", *shards])
 
     def test_run_fast_dispatch_without_shards_is_usage_error(self):
         with pytest.raises(SystemExit):
@@ -326,41 +345,35 @@ class TestRetirePipelineCli:
     def test_resolve_sweep_writes_json(self, capsys, tmp_path):
         path = tmp_path / "resolve.json"
         rc = main(["sweep", "random", "--tasks", "80", "--addresses", "16",
-                   "--workers", "4", "--shards", "2", "--resolve",
-                   "--coalesce", "4", "--no-contention", "--json", str(path)])
+                   "--workers", "4", "--shards", "2",
+                   "--axis", "speculative_kickoff=off,on",
+                   "--axis", "finish_coalesce_limit=1,4",
+                   "--no-contention", "--json", str(path)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "spec kick" in out
+        assert "speculative_kickoff" in out
         import json
 
         data = json.loads(path.read_text())
-        assert data["shards"] == 2
-        assert data["baseline"] == {"coalesce": 1, "speculative": False}
-        assert [(r["coalesce"], r["speculative"]) for r in data["rows"]] == [
-            (1, False), (4, False), (1, True), (4, True),
-        ]
+        assert data["fixed"]["maestro_shards"] == 2
+        assert data["baseline"] == {
+            "speculative_kickoff": False, "finish_coalesce_limit": 1
+        }
+        assert [
+            (r["finish_coalesce_limit"], r["speculative_kickoff"])
+            for r in data["rows"]
+        ] == [(1, False), (4, False), (1, True), (4, True)]
         assert data["rows"][0]["speedup_vs_baseline"] == 1.0
         assert "chain_hop_ns" in data["rows"][0]
-        assert "coalesce_rate" in data["rows"][0]
+        assert "resolve_coalesce_rate" in data["rows"][0]
 
-    def test_resolve_sweep_rejects_bad_usage(self):
-        # Needs a single sharded --shards value.
-        with pytest.raises(SystemExit):
-            main(["sweep", "random", "--tasks", "40", "--resolve"])
-        with pytest.raises(SystemExit):
-            main(["sweep", "random", "--tasks", "40", "--resolve",
-                  "--shards", "1"])
-        with pytest.raises(SystemExit):
-            main(["sweep", "random", "--tasks", "40", "--resolve",
-                  "--shards", "1,2"])
-        # The grid toggles speculation itself; a degenerate batch limit is
-        # meaningless.
-        with pytest.raises(SystemExit):
-            main(["sweep", "random", "--tasks", "40", "--resolve",
-                  "--shards", "2", "--spec-kickoff"])
-        with pytest.raises(SystemExit):
-            main(["sweep", "random", "--tasks", "40", "--resolve",
-                  "--shards", "2", "--coalesce", "1"])
+    def test_resolve_sweep_rejects_window_at_limit_one(self):
+        """A coalesce window is not zeroed at limit-1 grid points: the
+        config's own window-needs-limit validation rejects the grid."""
+        with pytest.raises(SystemExit, match="finish_coalesce_limit > 1"):
+            main(["sweep", "random", "--tasks", "40", "--shards", "2",
+                  "--axis", "finish_coalesce_limit=1,4",
+                  "--coalesce-window", "2"])
 
     def test_run_coalesce_window_without_limit_is_usage_error(self):
         with pytest.raises(SystemExit):
@@ -384,11 +397,50 @@ class TestRetirePipelineCli:
                   "--retire-depth", "1,2"])
 
 
-class TestSweepGridConflicts:
-    def test_resolve_and_dispatch_grids_conflict(self):
-        with pytest.raises(SystemExit, match="different sweep grids"):
-            main(["sweep", "random", "--tasks", "40", "--shards", "2",
-                  "--resolve", "--dispatch"])
+class TestSweepAxisParsing:
+    @pytest.mark.parametrize(
+        "axis, message",
+        [
+            ("kickoff_fast_path=yes", "kickoff_fast_path: cannot read 'yes'"),
+            ("maestro_shards=2,x", "maestro_shards: cannot read 'x' as int"),
+            ("task_pool_ports=auto", "task_pool_ports: cannot read 'auto'"),
+            ("shards=1,2", "unknown SystemConfig knob 'shards'"),
+            ("maestro_shards", "expected maestro_shards=v1,v2"),
+        ],
+        ids=["bad-bool", "non-int", "bad-optional", "unknown-knob", "no-values"],
+    )
+    def test_bad_axis_is_usage_error(self, axis, message):
+        with pytest.raises(SystemExit, match=message):
+            main(["sweep", "random", "--tasks", "40", "--axis", axis])
+
+    def test_repeated_knob_rejected(self):
+        with pytest.raises(SystemExit, match="given twice"):
+            main(["sweep", "random", "--tasks", "40", "--axis", "workers=1",
+                  "--axis", "workers=2"])
+
+    def test_axis_values_follow_the_field_type(self, capsys, tmp_path):
+        import json
+
+        path = tmp_path / "grid.json"
+        assert main(["sweep", "random", "--tasks", "40", "--addresses", "16",
+                     "--workers", "4", "--shards", "2", "--retire-depth", "2",
+                     "--axis", "task_pool_ports=none,1",
+                     "--axis", "locality_stealing=False,true",
+                     "--no-contention", "--json", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "none" in out and "off" in out and "on" in out
+        data = json.loads(path.read_text())
+        assert data["axes"] == {
+            "task_pool_ports": [None, 1], "locality_stealing": [False, True]
+        }
+        # A column named like a swept knob keeps the knob's value.
+        assert [r["task_pool_ports"] for r in data["rows"]] == [None, None, 1, 1]
+
+    @pytest.mark.parametrize("flag", ["--dispatch", "--resolve", "--check"])
+    def test_removed_grid_flags_rejected(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "random", "--tasks", "40", "--shards", "2", flag])
+        assert exc.value.code == 2
 
 
 class TestEfficiencyAndExport:
@@ -444,10 +496,10 @@ class TestEfficiencyAndExport:
         with pytest.raises(SystemExit, match="wait-chain"):
             main(["sweep", "random", "--tasks", "40", "--efficiency"])
 
-    def test_efficiency_conflicts_with_other_grids(self):
+    def test_efficiency_conflicts_with_axis(self):
         with pytest.raises(SystemExit, match="different sweep grids"):
             main(["sweep", "wait-chain", "--efficiency", "--shards", "2",
-                  "--resolve"])
+                  "--axis", "speculative_kickoff=off,on"])
 
 
 class TestTelemetryCli:
@@ -523,8 +575,8 @@ class TestTelemetryCli:
 
         path = tmp_path / "shards.json"
         assert main(["sweep", "random", "--tasks", "120", "--workers", "4",
-                     "--shards", "1,2", "--no-contention", "--profile",
-                     "--json", str(path)]) == 0
+                     "--axis", "maestro_shards=1,2", "--no-contention",
+                     "--profile", "--json", str(path)]) == 0
         capsys.readouterr()
         payload = json.loads(path.read_text())
         assert all(r["sim"]["events_processed"] > 0 for r in payload["rows"])
