@@ -21,9 +21,15 @@ _SEG_BYTES = 256
 #: Tasks per vectorized generation chunk.  Traces up to this size use the
 #: original per-task RNG path (bit-identical streams — the pinned golden
 #: digests replay traces of <= 3000 tasks); larger traces switch to the
-#: chunked vectorized path whose working memory is bounded by
-#: ``chunk x n_addresses`` regardless of the trace length.
+#: chunked vectorized path, whose per-chunk arrays are ``O(chunk x
+#: max_params)`` regardless of the trace length and the pool width.
 _CHUNK_TASKS = 8192
+
+#: Float64 sampling keys drawn per row block (1 MiB).  A chunk's
+#: ``chunk x n_addresses`` keys are drawn through one reusable buffer of
+#: this many keys (at least one row), so the pool width never sizes an
+#: allocation beyond it.
+_KEY_BLOCK = 1 << 17
 
 
 def random_trace(
@@ -41,7 +47,8 @@ def random_trace(
     the hardware TD limit exercises dummy tasks.  Deterministic per seed.
 
     Traces larger than ~8k tasks are built by the streaming chunked
-    generator (vectorized draws, bounded working memory), which produces a
+    generator (vectorized draws; working memory bounded by one chunk's
+    per-task arrays plus a fixed key block), which produces a
     different — equally deterministic — stream for the same seed; the
     small-trace path is byte-identical to the original generator so pinned
     golden schedules stay valid.
@@ -94,7 +101,7 @@ def _chunk_tasks(tasks, rng, start, m, n_addresses, max_params, mean_exec,
                  mean_memory) -> None:
     """Append ``m`` tasks built from whole-chunk vectorized draws.
 
-    All randomness for the chunk is drawn in five array operations; the
+    All randomness for the chunk is drawn in array operations; the
     remaining Python loop only assembles the (immutable) descriptor
     objects.  Sampling without replacement is the argsort-of-random-keys
     trick: each row's address ids are the indices of its ``k`` smallest
@@ -103,11 +110,19 @@ def _chunk_tasks(tasks, rng, start, m, n_addresses, max_params, mean_exec,
     max_k = min(max_params, n_addresses)
     ks = rng.integers(1, max_params + 1, size=m)
     np.minimum(ks, n_addresses, out=ks)
-    # (m, n_addresses) random keys; argpartition pulls each row's k
-    # smallest in O(n_addresses) — this matrix bounds the generator's
-    # working memory, independent of the total trace length.
-    keys = rng.random((m, n_addresses))
-    addr_rows = np.argpartition(keys, max_k - 1, axis=1)[:, :max_k]
+    # The chunk's (m, n_addresses) float64 keys, drawn row-major in row
+    # blocks through one reusable buffer: this consumes the stream exactly
+    # as one (m, n_addresses) draw would, so traces do not depend on the
+    # block size.  Only each row's max_k smallest are kept (argpartition
+    # is O(n_addresses) per row).
+    block_rows = max(1, _KEY_BLOCK // n_addresses)
+    buf = np.empty((min(block_rows, m), n_addresses), dtype=np.float64)
+    addr_rows = np.empty((m, max_k), dtype=np.int64)
+    for lo in range(0, m, block_rows):
+        rows = min(block_rows, m - lo)
+        block = rng.random(out=buf[:rows])
+        addr_rows[lo:lo + rows] = np.argpartition(
+            block, max_k - 1, axis=1)[:, :max_k]
     modes = rng.integers(0, 3, size=(m, max_k))
     exec_times = rng.integers(1, 2 * mean_exec + 1, size=m)
     read_times = rng.integers(0, 2 * mean_memory + 1, size=m)

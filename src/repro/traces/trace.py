@@ -205,29 +205,36 @@ class TaskTrace:
 
     @classmethod
     def load(cls, path: str) -> "TaskTrace":
-        """Load a trace produced by :meth:`save`."""
+        """Load a trace produced by :meth:`save`.
+
+        Each stored array is read once: ``NpzFile`` decompresses a member
+        on every item access, so indexing it per task is quadratic.
+        """
         with np.load(path, allow_pickle=False) as data:
             name = str(data["name"])
             meta = json.loads(str(data["meta"]))
-            offsets = data["param_offsets"]
-            addr = data["param_addr"]
-            size = data["param_size"]
-            mode = data["param_mode"]
-            tasks = []
-            for tid in range(len(data["func"])):
-                lo, hi = int(offsets[tid]), int(offsets[tid + 1])
-                params = tuple(
-                    Param(int(addr[k]), int(size[k]), AccessMode(int(mode[k])))
-                    for k in range(lo, hi)
+            offsets = data["param_offsets"].tolist()
+            addr = data["param_addr"].tolist()
+            size = data["param_size"].tolist()
+            mode = data["param_mode"].tolist()
+            func = data["func"].tolist()
+            exec_time = data["exec_time"].tolist()
+            read_time = data["read_time"].tolist()
+            write_time = data["write_time"].tolist()
+        tasks = []
+        for tid in range(len(func)):
+            params = tuple(
+                Param(addr[k], size[k], AccessMode(mode[k]))
+                for k in range(offsets[tid], offsets[tid + 1])
+            )
+            tasks.append(
+                TraceTask(
+                    tid=tid,
+                    func=func[tid],
+                    params=params,
+                    exec_time=exec_time[tid],
+                    read_time=read_time[tid],
+                    write_time=write_time[tid],
                 )
-                tasks.append(
-                    TraceTask(
-                        tid=tid,
-                        func=int(data["func"][tid]),
-                        params=params,
-                        exec_time=int(data["exec_time"][tid]),
-                        read_time=int(data["read_time"][tid]),
-                        write_time=int(data["write_time"][tid]),
-                    )
-                )
+            )
         return cls(name, tasks, meta)

@@ -99,8 +99,9 @@ def test_50k_task_trace_fires_pinned_event_count():
 def test_million_task_trace_fires_pinned_event_count():
     """The scale waypoint: one million tasks end-to-end.
 
-    A narrow address pool keeps the chunked generator's key matrix (and
-    so generation time) small; one parameter per task keeps the run
+    A narrow address pool keeps generation time small (the chunked
+    generator draws ``n_addresses`` sampling keys per task, through a
+    fixed-size key block); one parameter per task keeps the run
     dependence-light — this waypoint is about the host kernel sustaining
     ~68M events over 10 ms of modelled time, not about hazard pressure
     (the 50k waypoint above and the hazard-dense differential suites

@@ -1,5 +1,7 @@
 """Tests for the paper's workload generators (Fig. 4, Fig. 5, Table II)."""
 
+import hashlib
+
 import pytest
 
 from repro.config import SystemConfig
@@ -279,6 +281,62 @@ class TestRandomTraceStreaming:
         trace = random_trace(8192 * 2 + 17, n_addresses=16, seed=1)
         tids = [t.tid for t in trace]
         assert tids == list(range(len(trace)))
+
+    def test_chunked_stream_is_pinned(self):
+        """The chunked path's RNG stream, frozen: two chunks (the second
+        partial) over a pool whose key row blocks do not divide a chunk.
+        The digest was recorded from the whole-matrix key generator, so
+        drawing the keys in row blocks must not move a single draw."""
+        trace = random_trace(9000, n_addresses=1000, max_params=4, seed=5)
+        assert _stream_digest(trace) == CHUNKED_STREAM_DIGEST
+
+    @pytest.mark.parametrize(
+        "n_addresses,max_params",
+        [(1, 3), (5, 9), (37, 4)],
+        ids=["one-address", "params-over-pool", "ragged-pool"],
+    )
+    @pytest.mark.parametrize("block_rows", [1, 3])
+    def test_key_block_size_does_not_change_the_stream(
+        self, monkeypatch, n_addresses, max_params, block_rows
+    ):
+        from repro.traces import random_traces
+
+        n_tasks = 8192 + 50
+        default = random_trace(n_tasks, n_addresses, max_params, seed=3)
+        monkeypatch.setattr(
+            random_traces, "_KEY_BLOCK", block_rows * n_addresses
+        )
+        blocked = random_trace(n_tasks, n_addresses, max_params, seed=3)
+        assert blocked.tasks == default.tasks
+
+    def test_working_memory_does_not_grow_with_the_pool(self):
+        """A wide pool must not size a ``chunk x n_addresses`` key matrix
+        (8192 x 4096 float64 keys alone are 256 MiB).  Deterministic:
+        ``tracemalloc`` counts the allocations numpy makes."""
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            random_trace(9000, n_addresses=4096, max_params=1, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+#: sha256 of ``_stream_digest(random_trace(9000, n_addresses=1000,
+#: max_params=4, seed=5))``, recorded from the whole-matrix generator.
+CHUNKED_STREAM_DIGEST = (
+    "1bd5eb2c9e8209809584d5b16c6f292b8983d7bf4c3ae64e891c2404099b5789"
+)
+
+
+def _stream_digest(trace):
+    rows = [
+        (t.tid, t.params, t.exec_time, t.read_time, t.write_time)
+        for t in trace
+    ]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
 class TestTimeModel:

@@ -89,3 +89,32 @@ class TestTaskTrace:
         assert len(loaded) == 3
         for orig, back in zip(trace, loaded):
             assert orig == back
+
+    def test_load_reads_each_array_once(self, tmp_path, monkeypatch):
+        """A chunked-generator-sized trace round-trips, and ``load`` reads
+        every stored array at most once (``NpzFile`` decompresses a member
+        on each item access, so per-task indexing is quadratic)."""
+        from collections import Counter
+
+        from numpy.lib.npyio import NpzFile
+
+        from repro.traces import random_trace
+
+        trace = random_trace(8192 + 300, n_addresses=64, max_params=5, seed=4)
+        path = str(tmp_path / "big.npz")
+        trace.save(path)
+
+        reads = Counter()
+        getitem = NpzFile.__getitem__
+
+        def counting_getitem(self, key):
+            reads[key] += 1
+            return getitem(self, key)
+
+        monkeypatch.setattr(NpzFile, "__getitem__", counting_getitem)
+        loaded = TaskTrace.load(path)
+
+        assert loaded.name == trace.name
+        assert loaded.meta == trace.meta
+        assert loaded.tasks == trace.tasks
+        assert reads and max(reads.values()) == 1, reads
