@@ -46,15 +46,18 @@ def gantt_chart(
             if row[c] == " " or ch == "#":
                 row[c] = ch
 
-    for record in result.records:
-        if record.core < 0 or record.core >= cores:
+    sb = result.scoreboard
+    for core, fetch, start, end, writeback in zip(
+        sb.core, sb.fetch_start, sb.exec_start, sb.exec_end, sb.writeback_end
+    ):
+        if core < 0 or core >= cores:
             continue
-        if record.fetch_start >= 0 and record.exec_start >= 0:
-            paint(record.core, record.fetch_start, record.exec_start, "-")
-        if record.exec_start >= 0 and record.exec_end >= 0:
-            paint(record.core, record.exec_start, record.exec_end, "#")
-        if record.exec_end >= 0 and record.writeback_end >= 0:
-            paint(record.core, record.exec_end, record.writeback_end, "-")
+        if fetch >= 0 and start >= 0:
+            paint(core, fetch, start, "-")
+        if start >= 0 and end >= 0:
+            paint(core, start, end, "#")
+        if end >= 0 and writeback >= 0:
+            paint(core, end, writeback, "-")
 
     lines = [
         f"worker occupancy over {span / 1e6:.4g} us "
@@ -83,11 +86,13 @@ def stage_latency_table(result: RunResult) -> List[List[object]]:
         ("write-back", "exec_end", "writeback_end"),
         ("retire", "writeback_end", "completed"),
     ]
-    complete = [r for r in result.records if r.is_complete()]
+    sb = result.scoreboard
+    complete = [tid for tid, t in enumerate(sb.completed) if t != -1]
     if not complete:
         raise ValueError("no completed tasks to analyse")
     rows: List[List[object]] = []
     for name, a, b in stages:
-        total = sum(getattr(r, b) - getattr(r, a) for r in complete)
+        col_a, col_b = getattr(sb, a), getattr(sb, b)
+        total = sum(col_b[tid] - col_a[tid] for tid in complete)
         rows.append([name, round(total / len(complete) / 1e3, 1)])
     return rows

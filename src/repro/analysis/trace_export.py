@@ -58,7 +58,8 @@ def chrome_trace(result: RunResult) -> Dict[str, Any]:
     release-edge set.
     """
     shards = int(result.config_notes.get("maestro_shards", 1) or 1)
-    records = {r.tid: r for r in result.records if r.is_complete()}
+    sb = result.scoreboard
+    done = [tid for tid, t in enumerate(sb.completed) if t != _UNSET]
 
     events: List[Dict[str, Any]] = []
     events.append(
@@ -79,7 +80,7 @@ def chrome_trace(result: RunResult) -> Dict[str, Any]:
             "args": {"name": "task maestro"},
         }
     )
-    for core in sorted({r.core for r in records.values() if r.core != _UNSET}):
+    for core in sorted({sb.core[t] for t in done if sb.core[t] != _UNSET}):
         events.append(
             {
                 "ph": "M",
@@ -101,8 +102,13 @@ def chrome_trace(result: RunResult) -> Dict[str, Any]:
         )
 
     n_flows = 0
-    for tid in sorted(records):
-        r = records[tid]
+    for tid in done:
+        core = sb.core[tid]
+        released_by = sb.released_by[tid]
+        fetch_start = sb.fetch_start[tid]
+        exec_start = sb.exec_start[tid]
+        exec_end = sb.exec_end[tid]
+        writeback_end = sb.writeback_end[tid]
         # Task Pool residency on the home shard's lane (async: shard
         # lanes hold many overlapping tasks, which "X" slices can't).
         shard = tid % shards
@@ -114,8 +120,8 @@ def chrome_trace(result: RunResult) -> Dict[str, Any]:
                 "id": tid,
                 "pid": _PID_MAESTRO,
                 "tid": shard,
-                "ts": _us(r.stored),
-                "args": {"released_by": r.released_by},
+                "ts": _us(sb.stored[tid]),
+                "args": {"released_by": released_by},
             }
         )
         events.append(
@@ -126,7 +132,7 @@ def chrome_trace(result: RunResult) -> Dict[str, Any]:
                 "id": tid,
                 "pid": _PID_MAESTRO,
                 "tid": shard,
-                "ts": _us(r.ready),
+                "ts": _us(sb.ready[tid]),
             }
         )
         # The worker-side occupancy: one outer slice per task with the
@@ -137,22 +143,22 @@ def chrome_trace(result: RunResult) -> Dict[str, Any]:
                 "cat": "task",
                 "name": f"task {tid}",
                 "pid": _PID_WORKERS,
-                "tid": r.core,
-                "ts": _us(r.fetch_start),
-                "dur": _us(r.writeback_end - r.fetch_start),
-                "args": {"tid": tid, "released_by": r.released_by},
+                "tid": core,
+                "ts": _us(fetch_start),
+                "dur": _us(writeback_end - fetch_start),
+                "args": {"tid": tid, "released_by": released_by},
             }
         )
-        if r.exec_start > r.fetch_start:
+        if exec_start > fetch_start:
             events.append(
                 {
                     "ph": "X",
                     "cat": "phase",
                     "name": "fetch",
                     "pid": _PID_WORKERS,
-                    "tid": r.core,
-                    "ts": _us(r.fetch_start),
-                    "dur": _us(r.exec_start - r.fetch_start),
+                    "tid": core,
+                    "ts": _us(fetch_start),
+                    "dur": _us(exec_start - fetch_start),
                 }
             )
         events.append(
@@ -161,26 +167,25 @@ def chrome_trace(result: RunResult) -> Dict[str, Any]:
                 "cat": "phase",
                 "name": "exec",
                 "pid": _PID_WORKERS,
-                "tid": r.core,
-                "ts": _us(r.exec_start),
-                "dur": _us(r.exec_end - r.exec_start),
+                "tid": core,
+                "ts": _us(exec_start),
+                "dur": _us(exec_end - exec_start),
             }
         )
-        if r.writeback_end > r.exec_end:
+        if writeback_end > exec_end:
             events.append(
                 {
                     "ph": "X",
                     "cat": "phase",
                     "name": "writeback",
                     "pid": _PID_WORKERS,
-                    "tid": r.core,
-                    "ts": _us(r.exec_end),
-                    "dur": _us(r.writeback_end - r.exec_end),
+                    "tid": core,
+                    "ts": _us(exec_end),
+                    "dur": _us(writeback_end - exec_end),
                 }
             )
         # Dependence-release edge: predecessor write-back -> this fetch.
-        pred = records.get(r.released_by)
-        if pred is not None:
+        if released_by >= 0 and sb.completed[released_by] != _UNSET:
             events.append(
                 {
                     "ph": "s",
@@ -188,8 +193,8 @@ def chrome_trace(result: RunResult) -> Dict[str, Any]:
                     "name": "release",
                     "id": tid,
                     "pid": _PID_WORKERS,
-                    "tid": pred.core,
-                    "ts": _us(pred.writeback_end),
+                    "tid": sb.core[released_by],
+                    "ts": _us(sb.writeback_end[released_by]),
                 }
             )
             events.append(
@@ -200,8 +205,8 @@ def chrome_trace(result: RunResult) -> Dict[str, Any]:
                     "id": tid,
                     "bp": "e",
                     "pid": _PID_WORKERS,
-                    "tid": r.core,
-                    "ts": _us(r.fetch_start),
+                    "tid": core,
+                    "ts": _us(fetch_start),
                 }
             )
             n_flows += 1
@@ -216,7 +221,7 @@ def chrome_trace(result: RunResult) -> Dict[str, Any]:
         "workers": result.workers,
         "maestro_shards": shards,
         "makespan_ps": result.makespan,
-        "n_tasks": len(records),
+        "n_tasks": len(done),
         "n_dependence_flows": n_flows,
     }
     if n_counter_lanes:

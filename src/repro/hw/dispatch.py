@@ -65,8 +65,9 @@ cycle-for-cycle the PR 3 machine (differential-tested).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
+from ..scoreboard import Scoreboard
 from ..sim import Fifo, LatencyBreakdown
 from ..traces.trace import Param
 from .errors import ProtocolError
@@ -315,7 +316,7 @@ class FastDispatch:
             return (
                 fab.inflight.get(head) is live
                 and fab.task_pool.is_live_head(head)
-                and scoreboard.records[live.tid].dispatched < 0
+                and scoreboard.dispatched[live.tid] < 0
             )
 
         while True:
@@ -373,30 +374,30 @@ class FastDispatch:
 # ---- per-hop latency attribution ------------------------------------------------
 
 
-def _hop_components(record, pred) -> Optional[dict]:
+def _hop_components(sb: Scoreboard, tid: int, pred_tid: int) -> Optional[dict]:
     """Decompose one release edge into its serial components (ps)."""
-    stamps = (
-        pred.writeback_end,
-        record.ready,
-        record.dispatched,
-        record.fetch_start,
-        record.exec_start,
-    )
-    if any(t < 0 for t in stamps):
+    writeback_end = sb.writeback_end[pred_tid]
+    ready = sb.ready[tid]
+    dispatched = sb.dispatched[tid]
+    fetch_start = sb.fetch_start[tid]
+    exec_start = sb.exec_start[tid]
+    if min(writeback_end, ready, dispatched, fetch_start, exec_start) < 0:
         return None  # truncated run: the hop never completed
     return {
-        "resolve": record.ready - pred.writeback_end,
-        "forward": record.dispatched - record.ready,
-        "td_transfer": record.fetch_start - record.dispatched,
-        "start": record.exec_start - record.fetch_start,
+        "resolve": ready - writeback_end,
+        "forward": dispatched - ready,
+        "td_transfer": fetch_start - dispatched,
+        "start": exec_start - fetch_start,
     }
 
 
-def hop_latency_stats(records: Sequence, makespan: int) -> dict:
+def hop_latency_stats(records: Union[Scoreboard, Sequence], makespan: int) -> dict:
     """Decompose dependence-chain hop latency from the run's scoreboard.
 
-    A *hop* is a release edge: task ``r`` was made ready by the
-    resolution of ``records[r.released_by]``; its latency spans the
+    ``records`` is the :class:`~repro.scoreboard.Scoreboard` (its
+    columns are read directly) or any sequence of task records.  A *hop*
+    is a release edge: task ``t`` was made ready by the resolution of
+    task ``released_by[t]``; its latency spans the
     predecessor's write-back to the successor's execution start, cut into
     :data:`HOP_COMPONENTS`.  The ``released_by`` links form a forest (one
     releasing predecessor per task); the deepest root-to-leaf path is the
@@ -405,29 +406,30 @@ def hop_latency_stats(records: Sequence, makespan: int) -> dict:
     "latency" bottleneck verdict reads (execution time is excluded, so an
     application-bound chain of long tasks stays application-bound).
     """
-    n = len(records)
+    sb = Scoreboard.of(records)
+    released_by = sb.released_by
+    n = len(released_by)
     all_hops = LatencyBreakdown(HOP_COMPONENTS)
     depth = [0] * n  # release-chain depth per task (0 = chain root)
-    for record in records:
-        pred_tid = record.released_by
+    for task_tid, pred_tid in enumerate(released_by):
         if pred_tid < 0:
             continue
         # Walk the parent chain iteratively (memoized through `depth`) —
-        # record order is arbitrary, so a task's predecessors may not
+        # task order is arbitrary, so a task's predecessors may not
         # have their depths yet, and deep chains would overflow a
-        # recursive walk.
+        # recursive walk.  A forest walk visits at most n tasks, so a
+        # longer one is going round a cycle.
         chain = []
-        tid = record.tid
-        while depth[tid] == 0 and records[tid].released_by >= 0:
+        tid = task_tid
+        while depth[tid] == 0 and released_by[tid] >= 0:
             chain.append(tid)
-            tid = records[tid].released_by
-            if tid in chain:  # corrupt links; never happens in a legal run
+            tid = released_by[tid]
+            if len(chain) > n:  # corrupt links; never happens in a legal run
                 raise ProtocolError("released_by links form a cycle")
         base = depth[tid]
         for i, t in enumerate(reversed(chain)):
             depth[t] = base + i + 1
-        pred = records[pred_tid]
-        parts = _hop_components(record, pred)
+        parts = _hop_components(sb, task_tid, pred_tid)
         if parts is not None:
             all_hops.add(**parts)
 
@@ -436,9 +438,9 @@ def hop_latency_stats(records: Sequence, makespan: int) -> dict:
     if chain_depth:
         # Walk the deepest chain tip back to its root, collecting hops.
         tid = depth.index(chain_depth)
-        while records[tid].released_by >= 0:
-            pred_tid = records[tid].released_by
-            parts = _hop_components(records[tid], records[pred_tid])
+        while released_by[tid] >= 0:
+            pred_tid = released_by[tid]
+            parts = _hop_components(sb, tid, pred_tid)
             if parts is not None:
                 chain_hops.add(**parts)
             tid = pred_tid

@@ -122,7 +122,7 @@ def write_tp_block(fab: Fabric, scoreboard: Scoreboard, busy: BusyTracker,
             fab.inflight[head] = task
             if n_shards is not None:
                 fab.home_of[head] = task.tid % n_shards
-            scoreboard.records[task.tid].stored = sim.now
+            scoreboard.stored[task.tid] = sim.now
             # Backpressure on the New Tasks list is not Write TP work:
             # keep every put outside the busy window (as the paper-exact
             # batch-of-one loop always did).
@@ -279,7 +279,7 @@ class TaskMaestro:
             fab.tp_port.release()
             self.busy["check_deps"].end()
             if ready:
-                self.scoreboard.records[task.tid].ready = sim.now
+                self.scoreboard.ready[task.tid] = sim.now
                 yield fab.global_ready.put(head)
 
     # ---- Schedule --------------------------------------------------------------------
@@ -293,9 +293,9 @@ class TaskMaestro:
             self.busy["schedule"].begin()
             yield sim.timeout(2 * fab.cycle)  # pop both lists, push one
             task = fab.task_of(head)
-            record = self.scoreboard.records[task.tid]
-            record.dispatched = sim.now
-            record.core = core
+            sb = self.scoreboard
+            sb.dispatched[task.tid] = sim.now
+            sb.core[task.tid] = core
             self.busy["schedule"].end()
             yield fab.rdy_fifo[core].put(head)
 
@@ -316,10 +316,10 @@ class TaskMaestro:
         sim = fab.sim
         became_ready = yield from waiter_kick_block(fab, waiter_head)
         if became_ready:
-            waiter_task = fab.task_of(waiter_head)
-            record = self.scoreboard.records[waiter_task.tid]
-            record.ready = sim.now
-            record.released_by = releaser_tid
+            tid = fab.task_of(waiter_head).tid
+            sb = self.scoreboard
+            sb.ready[tid] = sim.now
+            sb.released_by[tid] = releaser_tid
             yield fab.global_ready.put(waiter_head)
 
     def _handle_finished(self):

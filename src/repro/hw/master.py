@@ -90,7 +90,7 @@ class MasterCore:
                     yield out.put(task)
                 self.stall_time += sim.now - before
                 self.submitted += 1
-                self.scoreboard.records[task.tid].submitted = sim.now
+                self.scoreboard.submitted[task.tid] = sim.now
         self.done_at = sim.now
 
 

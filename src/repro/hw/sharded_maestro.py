@@ -413,7 +413,7 @@ class ShardedMaestro:
             busy.end()
             if ready:
                 task = fab.task_of(head)
-                self.scoreboard.records[task.tid].ready = sim.now
+                self.scoreboard.ready[task.tid] = sim.now
                 yield fab.shard_ready[s].put(head)
                 yield fab.ready_tickets.put(s)
             elif fab.dispatch is not None and fab.dispatch.want_prefetch(head):
@@ -492,9 +492,9 @@ class ShardedMaestro:
             fab.forwarded_ready.discard(head)
             yield sim.timeout(2 * fab.cycle)  # pop both lists, push one
             task = fab.task_of(head)
-            record = self.scoreboard.records[task.tid]
-            record.dispatched = sim.now
-            record.core = core
+            sb = self.scoreboard
+            sb.dispatched[task.tid] = sim.now
+            sb.core[task.tid] = core
             busy.end()
             yield fab.rdy_fifo[core].put(head)
 
@@ -617,9 +617,9 @@ class ShardedMaestro:
             return
         home = fab.home_of[waiter_head]
         waiter_task = fab.task_of(waiter_head)
-        record = self.scoreboard.records[waiter_task.tid]
-        record.ready = sim.now
-        record.released_by = releaser_tid
+        sb = self.scoreboard
+        sb.ready[waiter_task.tid] = sim.now
+        sb.released_by[waiter_task.tid] = releaser_tid
         if dispatch is not None and dispatch.fast_path:
             # Kick-off fast path: hand the became-ready waiter to an idle
             # *local* worker, skipping the home-shard forward hop and the
@@ -640,8 +640,8 @@ class ShardedMaestro:
                         dispatch.cache.move(waiter_head, s)
                 dispatch.note_fast_dispatch(remote=home != s)
                 yield sim.timeout(2 * fab.cycle)  # pop pool, push rdy
-                record.dispatched = sim.now
-                record.core = core
+                sb.dispatched[waiter_task.tid] = sim.now
+                sb.core[waiter_task.tid] = core
                 yield fab.rdy_fifo[core].put(waiter_head)
                 return
         if home != s:

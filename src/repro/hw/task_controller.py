@@ -71,7 +71,7 @@ class TaskController:
         while True:
             head = yield self._fetch_q.get()
             task = fab.task_of(head)
-            self.scoreboard.records[task.tid].fetch_start = fab.sim.now
+            self.scoreboard.fetch_start[task.tid] = fab.sim.now
             yield from fab.memory.transfer(task.read_time)
             yield self._run_q.put(head)
 
@@ -81,12 +81,12 @@ class TaskController:
         while True:
             head = yield self._run_q.get()
             task = fab.task_of(head)
-            record = self.scoreboard.records[task.tid]
-            record.exec_start = sim.now
+            sb = self.scoreboard
+            sb.exec_start[task.tid] = sim.now
             self.busy.begin()
             yield sim.timeout(task.exec_time)
             self.busy.end()
-            record.exec_end = sim.now
+            sb.exec_end[task.tid] = sim.now
             self.tasks_run += 1
             yield self._out_q.put(head)
 
@@ -97,6 +97,6 @@ class TaskController:
             head = yield self._out_q.get()
             task = fab.task_of(head)
             yield from fab.memory.transfer(task.write_time)
-            self.scoreboard.records[task.tid].writeback_end = fab.sim.now
+            self.scoreboard.writeback_end[task.tid] = fab.sim.now
             yield fab.notify_fifo(c).put(c)
 

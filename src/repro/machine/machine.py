@@ -194,7 +194,7 @@ class NexusMachine:
             # Per-hop dependence-chain latency attribution (resolve /
             # forward / TD-transfer / start), computed from the scoreboard
             # after the run — it never perturbs the simulation.
-            "dispatch": hop_latency_stats(scoreboard.records, span),
+            "dispatch": hop_latency_stats(scoreboard, span),
             # Staged-resolve pipeline: coalescing rate, batch shape and
             # resolve-stage queue depths.
             "resolve": resolve_stats,

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
-from ..scoreboard import Scoreboard, TaskRecord
+from ..scoreboard import STAGES, Scoreboard, TaskRecord, stage_problems
 
 __all__ = ["TaskRecord", "Scoreboard", "RunResult"]
 
@@ -21,10 +21,20 @@ class RunResult:
     #: When the last master core finished submitting its final TD (ps), or
     #: ``None`` if the run was truncated (``max_time``) before it could.
     master_done: Optional[int]
-    records: List[TaskRecord]
+    #: Per-task lifecycle records: row views over the run's scoreboard
+    #: columns (a hand-built list of records is copied into columns).
+    records: Sequence[TaskRecord]
     #: Component statistics (Dependence Table, Task Pool, memory, queues).
     stats: Dict[str, Any] = field(default_factory=dict)
     config_notes: Dict[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.records = Scoreboard.of(self.records).records
+
+    @property
+    def scoreboard(self) -> Scoreboard:
+        """The run's lifecycle columns (``-1`` marks a stage never reached)."""
+        return self.records.board
 
     @property
     def n_tasks(self) -> int:
@@ -46,8 +56,17 @@ class RunResult:
         return self.n_tasks / (self.makespan * 1e-12)
 
     def worker_utilization(self) -> float:
-        """Aggregate fraction of worker-core time spent executing tasks."""
-        busy = sum(r.exec_end - r.exec_start for r in self.records)
+        """Aggregate fraction of worker-core time spent executing tasks.
+
+        Only closed execution intervals count: a ``max_time``-truncated
+        run's still-running tasks have no ``exec_end`` yet.
+        """
+        sb = self.scoreboard
+        busy = sum(
+            end - start
+            for start, end in zip(sb.exec_start, sb.exec_end)
+            if start >= 0 and end >= 0
+        )
         return busy / (self.makespan * self.workers) if self.makespan else 0.0
 
     def parallel_efficiency(self) -> float:
@@ -70,23 +89,24 @@ class RunResult:
         (successor's input fetch never precedes predecessor's write-back).
         """
         problems: List[str] = []
-        if len(self.records) != graph.n_tasks:
-            problems.append(
-                f"{len(self.records)} records for {graph.n_tasks} tasks"
-            )
+        sb = self.scoreboard
+        if sb.n_tasks != graph.n_tasks:
+            problems.append(f"{sb.n_tasks} records for {graph.n_tasks} tasks")
             return problems
-        for record in self.records:
-            if not record.is_complete():
-                problems.append(f"task {record.tid} never completed")
-            problems.extend(record.check_monotone())
+        for tid, stamps in enumerate(zip(*(getattr(sb, n) for n in STAGES))):
+            # Only a row with an unset or decreasing stamp can have problems.
+            if -1 in stamps or list(stamps) != sorted(stamps):
+                if stamps[-1] == -1:
+                    problems.append(f"task {tid} never completed")
+                problems.extend(stage_problems(tid, stamps))
         if problems:
             return problems
-        starts = [r.fetch_start for r in self.records]
         # Data becomes visible when Put Outputs finishes; Handle Finished may
         # grant a waiter between the predecessor's write-back and its formal
         # retirement, so write-back is the correct reference point.
-        finishes = [r.writeback_end for r in self.records]
-        problems.extend(graph.check_schedule(starts, finishes))
+        problems.extend(
+            graph.check_schedule(sb.fetch_start.tolist(), sb.writeback_end.tolist())
+        )
         return problems
 
     def summary(self) -> str:

@@ -84,10 +84,10 @@ def run_software_rts(
             )
             yield sim.timeout(cost)
             master_port.release()
-            scoreboard.records[task.tid].submitted = sim.now
-            scoreboard.records[task.tid].stored = sim.now
+            scoreboard.submitted[task.tid] = sim.now
+            scoreboard.stored[task.tid] = sim.now
             if remaining[task.tid] == 0:
-                scoreboard.records[task.tid].ready = sim.now
+                scoreboard.ready[task.tid] = sim.now
                 yield ready.put(task.tid)
         done["master"] = sim.now
 
@@ -98,11 +98,11 @@ def run_software_rts(
         released = []
         for s in g.successors[tid]:
             remaining[s] -= 1
-            if remaining[s] == 0 and scoreboard.records[s].submitted >= 0:
+            if remaining[s] == 0 and scoreboard.submitted[s] >= 0:
                 released.append(s)
         master_port.release()
         for s in released:
-            scoreboard.records[s].ready = sim.now
+            scoreboard.ready[s] = sim.now
             yield ready.put(s)
         scoreboard.note_completed(tid, sim.now)
 
@@ -110,16 +110,15 @@ def run_software_rts(
         while True:
             tid = yield ready.get()
             task = trace[tid]
-            record = scoreboard.records[tid]
-            record.core = core
-            record.dispatched = sim.now
-            record.fetch_start = sim.now
+            scoreboard.core[tid] = core
+            scoreboard.dispatched[tid] = sim.now
+            scoreboard.fetch_start[tid] = sim.now
             yield from memory.transfer(task.read_time)
-            record.exec_start = sim.now
+            scoreboard.exec_start[tid] = sim.now
             yield sim.timeout(task.exec_time)
-            record.exec_end = sim.now
+            scoreboard.exec_end[tid] = sim.now
             yield from memory.transfer(task.write_time)
-            record.writeback_end = sim.now
+            scoreboard.writeback_end[tid] = sim.now
             sim.process(finish(tid), name=f"rts-finish-{tid}")
 
     sim.process(master(), name="rts-master")
