@@ -64,7 +64,7 @@ def test_fig7_dependency_patterns(benchmark):
     # Pattern (b): "limits the scalability of this benchmark to at most 8
     # cores" (1024-entry Task Pool / 120-task rows ~ 8.5 resident rows).
     assert horiz.peak() < 12
-    assert horiz.at(64) == max(horiz.at(64), horiz.at(32)) or True
+    assert horiz.at(64) >= horiz.at(32)
     # Pattern (c) scales well to 64 cores.
     assert vert.at(64) > 40
     # The wavefront is application-limited: it saturates below vertical.

@@ -1,7 +1,9 @@
 """Shared benchmark infrastructure.
 
-Every file in this directory regenerates one table or figure of the paper
-(see DESIGN.md's per-experiment index).  Conventions:
+Every file in this directory regenerates one table or figure of the paper,
+or (``bench_curves.py``) the pinned scaling curves; the README's
+"Reproduce the paper & the scaling curves" section indexes them.
+Conventions:
 
 * experiments run once via ``benchmark.pedantic(fn, rounds=1)`` — the
   timing pytest-benchmark reports is the *simulation wall time*, while the
@@ -63,8 +65,3 @@ def independent_trace_full():
     from repro.traces import independent_trace
 
     return independent_trace()
-
-
-@pytest.fixture(scope="session")
-def full_tier() -> bool:
-    return FULL

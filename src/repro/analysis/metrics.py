@@ -19,7 +19,9 @@ def efficiency(speedup: float, cores: int) -> float:
 
 @dataclass(frozen=True)
 class PaperComparison:
-    """One paper-vs-measured data point for EXPERIMENTS.md."""
+    """One paper-vs-measured data point (a row of a bench's "paper vs
+    measured" table; see the README's "Reproduce the paper & the scaling
+    curves")."""
 
     experiment: str
     metric: str

@@ -660,9 +660,7 @@ def _sweep_report_out(args: argparse.Namespace, report) -> None:
     """Shared sweep tail: optional --profile summary, optional --json dump."""
     profile = getattr(args, "profile", False)
     if profile:
-        runs = getattr(report, "hw_runs", None)
-        runs = report.hw_runs + report.sw_runs if runs is not None else report.runs
-        _print_profile_summary(runs)
+        _print_profile_summary(report.runs)
     if args.json:
         _write_json(args.json, report.to_json_dict(profile=profile))
 
@@ -696,7 +694,7 @@ def _efficiency_sweep(args: argparse.Namespace) -> int:
             f"{r['hw_overhead_ns_per_task']:.0f}",
             f"{r['sw_overhead_ns_per_task']:.0f}",
         ]
-        for r in report.rows_out()
+        for r in report.rows()
     ]
     print(
         render_table(

@@ -317,6 +317,16 @@ class SystemConfig:
                 "TP Free Indices list must hold every Task Pool index "
                 f"({self.tp_free_list_entries} < {self.task_pool_entries})"
             )
+        # Each Worker Cores IDs list (one per shard; cores go to shards
+        # round-robin) starts holding its cores 'buffering depth' times.
+        worker_ids = -(-self.workers // self.maestro_shards) * self.buffering_depth
+        if self.worker_ids_list_entries < worker_ids:
+            raise ValueError(
+                f"worker_ids_list_entries must be >= {worker_ids} to hold "
+                f"ceil({self.workers} workers / {self.maestro_shards} shards) "
+                f"x buffering depth {self.buffering_depth}, got "
+                f"{self.worker_ids_list_entries}"
+            )
         if self.core_gflops <= 0:
             raise ValueError("core_gflops must be positive")
         if self.shard_hop_time < 0:

@@ -397,14 +397,11 @@ class Fabric:
             )
             # "contains initially all worker cores IDs (repeated 'buffering
             # depth' times)" — round-robin order so one pass hands every core
-            # a task before any core gets its second.
+            # a task before any core gets its second.  SystemConfig checks
+            # that worker_ids_list_entries has room for them.
             for _ in range(config.buffering_depth):
                 for core in range(config.workers):
-                    if not self.worker_ids.try_put(core):
-                        raise ValueError(
-                            "Worker Cores IDs list too small for "
-                            f"{config.workers} workers x depth {config.buffering_depth}"
-                        )
+                    self.worker_ids.try_put(core)
         else:
             # Per-shard ready lists + worker pools: workers are assigned to
             # shards round-robin (core -> core % n_shards), each repeated
@@ -433,11 +430,7 @@ class Fabric:
             ]
             for _ in range(config.buffering_depth):
                 for core in range(config.workers):
-                    if not self.worker_pools[core % self.n_shards].try_put(core):
-                        raise ValueError(
-                            "per-shard Worker Cores IDs list too small for "
-                            f"{config.workers} workers x depth {config.buffering_depth}"
-                        )
+                    self.worker_pools[core % self.n_shards].try_put(core)
 
         # ---- per-core channels ----------------------------------------------------------
         depth = config.buffering_depth

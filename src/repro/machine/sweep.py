@@ -335,12 +335,17 @@ class EfficiencyReport:
 
     trace_name: str
     workers: int
-    rows: int
-    cols: int
+    chain_rows: int
+    chain_cols: int
     k_deps: int
     spins_ns: List[int]
     hw_runs: List[RunResult] = field(default_factory=list)
     sw_runs: List[RunResult] = field(default_factory=list)
+
+    @property
+    def runs(self) -> List[RunResult]:
+        """Every run of the sweep: the HW runs, then the SW runs."""
+        return self.hw_runs + self.sw_runs
 
     @property
     def hw_efficiencies(self) -> List[float]:
@@ -359,10 +364,10 @@ class EfficiencyReport:
         i = self.spins_ns.index(spin_ns)
         return self.hw_efficiencies[i] / self.sw_efficiencies[i]
 
-    def rows_out(self) -> List[dict]:
+    def rows(self) -> List[dict]:
         """One report row per swept spin time (used by the CLI and bench)."""
         out = []
-        n = self.rows * self.cols
+        n = self.chain_rows * self.chain_cols
         for spin, hw, sw in zip(self.spins_ns, self.hw_runs, self.sw_runs):
             hw_eff = hw.parallel_efficiency()
             sw_eff = sw.parallel_efficiency()
@@ -386,7 +391,7 @@ class EfficiencyReport:
         return out
 
     def to_json_dict(self, profile: bool = False) -> dict:
-        rows = self.rows_out()
+        rows = self.rows()
         if profile:
             # Two machines per grid point: the HW Maestro run and the
             # software-RTS baseline each carry their own kernel profile.
@@ -396,8 +401,8 @@ class EfficiencyReport:
         return {
             "trace": self.trace_name,
             "workers": self.workers,
-            "chain_rows": self.rows,
-            "chain_cols": self.cols,
+            "chain_rows": self.chain_rows,
+            "chain_cols": self.chain_cols,
             "k_deps": self.k_deps,
             "finest_spin_ns": self.finest_spin_ns,
             "ratio_at_finest": round(self.ratio_at(self.finest_spin_ns), 4),
@@ -467,8 +472,8 @@ def efficiency_sweep(
     return EfficiencyReport(
         trace_name=f"wait-chain-{rows}x{cols}-k{min(k_deps, rows)}",
         workers=cfg.workers,
-        rows=rows,
-        cols=cols,
+        chain_rows=rows,
+        chain_cols=cols,
         k_deps=min(k_deps, rows),
         spins_ns=spins,
         hw_runs=hw_runs,

@@ -11,7 +11,9 @@ from repro.config import (
     no_prep_delay,
     paper_default,
 )
+from repro.machine import NexusMachine
 from repro.sim import NS
+from repro.traces import independent_trace
 
 
 class TestTableIVDefaults:
@@ -134,6 +136,19 @@ class TestValidation:
     def test_free_list_must_cover_task_pool(self):
         with pytest.raises(ValueError, match="TP Free Indices"):
             SystemConfig(task_pool_entries=2048, tp_free_list_entries=1024)
+
+    @pytest.mark.parametrize(
+        "workers,shards,entries", [(4, 1, 8), (4, 4, 2), (5, 2, 6)]
+    )
+    def test_worker_ids_list_must_hold_every_core_id(self, workers, shards, entries):
+        """Each shard's Worker Cores IDs list starts with its round-robin
+        share of the cores, 'buffering depth' (2) times over."""
+        cfg = dict(workers=workers, maestro_shards=shards)
+        with pytest.raises(ValueError, match="worker_ids_list_entries must be >= "):
+            SystemConfig(worker_ids_list_entries=entries - 1, **cfg)
+        boundary = SystemConfig(worker_ids_list_entries=entries, **cfg)
+        result = NexusMachine(boundary).run(independent_trace(n_tasks=24))
+        assert result.n_tasks == 24
 
     def test_negative_prep_time_rejected(self):
         with pytest.raises(ValueError):

@@ -163,5 +163,5 @@ def test_architecture_documents_the_granularity_workloads():
     # The pinned curve is reproducible from the README too.
     readme = (REPO / "README.md").read_text()
     assert "BENCH_efficiency.json" in readme
-    assert "bench_efficiency.py" in readme
+    assert "bench_curves.py -k efficiency" in readme
     assert "--trace-out" in readme

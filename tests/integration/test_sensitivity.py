@@ -1,8 +1,9 @@
-"""Sensitivity checks for modelling choices documented in EXPERIMENTS.md.
+"""Sensitivity checks for the modelling choices the paper leaves ambiguous.
 
-These quantify the effect of the two knobs the paper leaves ambiguous —
-the submission-cost model and the trace's time variance — so the numbers
-quoted in the deviations section stay honest.
+These quantify the effect of two such knobs — the submission-cost model
+(``BUS_MODEL_FITTED`` vs ``BUS_MODEL_FORMULA`` in ``repro.config``) and
+the trace's time variance — so the curves the README's "Reproduce the
+paper & the scaling curves" section pins stay honest about them.
 """
 
 import pytest
@@ -22,8 +23,8 @@ class TestBusModelSensitivity:
             assert fitted.submission_time(n_params) < formula.submission_time(n_params)
 
     def test_headline_shift_is_bounded(self):
-        """The two models differ, but by a bounded factor (~15% per
-        EXPERIMENTS.md) in the master-bound regime (256 cores)."""
+        """The two models differ, but by a bounded factor (~15%) in the
+        master-bound regime (256 cores)."""
         trace = independent_trace(n_tasks=2000)
         results = {}
         for model in (BUS_MODEL_FORMULA, BUS_MODEL_FITTED):
