@@ -65,6 +65,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from .analysis import render_table
 from .config import SystemConfig
+from .hw.errors import CapacityError
 from .machine import (
     analyze_bottleneck,
     efficiency_sweep,
@@ -939,7 +940,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_val.set_defaults(func=_cmd_validate)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CapacityError as exc:
+        # A workload that does not fit a fixed structure (restricted-mode
+        # spills, a Dependence Table slice smaller than one task's
+        # addresses) is a usage error, like a config contradiction.
+        raise SystemExit(str(exc)) from None
 
 
 if __name__ == "__main__":  # pragma: no cover

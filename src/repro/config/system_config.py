@@ -85,7 +85,8 @@ class SystemConfig:
     maestro_shards: int = 1
     #: Inter-Maestro interconnect latency per ring hop (picoseconds).
     shard_hop_time: int = 4 * NS
-    #: Dependence Table entries owned by each shard.  ``None`` splits
+    #: Dependence Table entries owned by each shard's table slice; it also
+    #: sizes the single Maestro's one slice.  ``None`` splits
     #: ``dependence_table_entries`` evenly (ceiling) across the shards so the
     #: total capacity stays comparable to the single-Maestro machine.
     dependence_table_entries_per_shard: Optional[int] = None

@@ -6,13 +6,17 @@ is that diagram as a data structure.  The Maestro, Task Controllers and
 master core all receive the same :class:`Fabric` instance and communicate
 exclusively through it.
 
+Every machine builds the Maestro-side structures as per-shard lists —
+Dependence Table slices (``dep_shards``) with their ports and slots-freed
+signals, ready lists (``shard_ready``), Worker Cores IDs lists
+(``worker_pools``) and the TD-request / task-finished lines.  The paper's
+single Maestro is the one-slice machine and reads index 0 of each list.
 Beyond the paper, the fabric can also be built **sharded**
 (``config.use_sharded_maestro``): the Dependence Table is hash-partitioned
 over ``maestro_shards`` Maestro instances joined by a ring
-:class:`Interconnect`, each shard owning its own table, table port, message
-inboxes, ready list and worker-core pool.  The single-Maestro structures
-and the sharded structures are mutually exclusive — a machine is wired one
-way or the other, so the paper-exact path is untouched by the extension.
+:class:`Interconnect`, and only the sharded engine gets the interconnect,
+its message inboxes, the ready tickets, the home-shard map and the
+fast-dispatch subsystem.
 
 A second extension parallelizes the *submission* side
 (``config.use_parallel_frontend``): ``master_cores`` master cores each
@@ -82,6 +86,7 @@ task through ``retire_gather[src][ticket]``, never by arrival order.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -89,6 +94,7 @@ from ..config import SystemConfig
 from ..sim import Fifo, LevelStat, Resource, Signal, Simulator
 from ..traces.trace import TaskTrace, TraceTask
 from .dependence_table import DependenceTable, shard_hash
+from .errors import CapacityError
 from .memory import MemorySystem
 from .task_pool import TaskPool
 
@@ -301,11 +307,6 @@ class Fabric:
         #: on; ``None`` otherwise — see ``_build_shards``).
         self.dispatch = None
 
-        #: Staged resolve pipeline owner (both engines; its speculative
-        #: kick queues exist only when ``speculative_kickoff`` is on).
-        #: Built below once the engine shape is known.
-        self.resolve = None
-
         # ---- tables -------------------------------------------------------------
         self.task_pool = TaskPool(
             config.task_pool_entries, config.max_params_per_td, config.restricted
@@ -318,17 +319,26 @@ class Fabric:
         # under-models).  Maestro blocks arbitrate for a port per table
         # operation.
         self.tp_port = Resource(sim, config.tp_ports, name="tp-port")
-        if not self.sharded:
-            self.dep_table = DependenceTable(
-                config.dependence_table_entries,
+        n = self.n_shards
+        #: Dependence Table slices: shard ``shard_of(addr)`` owns every
+        #: entry for ``addr`` (one slice — the paper's table — at 1 shard).
+        self.dep_shards: List[DependenceTable] = [
+            DependenceTable(
+                config.dt_entries_per_shard,
                 config.kickoff_list_size,
                 config.restricted,
             )
-            self.dt_port = Resource(sim, 1, name="dt-port")
-            #: Raised by Handle Finished whenever Dependence Table slots free
-            #: up, so a stalled Check Deps can retry its allocation.
-            self.dt_freed = Signal(sim, name="dt-freed")
-        else:
+            for _ in range(n)
+        ]
+        self.dt_ports: List[Resource] = [
+            Resource(sim, 1, name=f"s{s}-dt-port") for s in range(n)
+        ]
+        #: Raised by a slice's resolve stage whenever its Dependence Table
+        #: slots free up, so a stalled check can retry its allocation.
+        self.dt_freed_shard: List[Signal] = [
+            Signal(sim, name=f"s{s}-dt-freed") for s in range(n)
+        ]
+        if self.sharded:
             self._build_shards()
 
         # Staged resolve pipeline (finish-notification coalescing +
@@ -338,6 +348,7 @@ class Fabric:
         # no extra events (see repro.hw.resolve).
         from .resolve import CheckPipeline, ResolvePipeline
 
+        #: Staged resolve pipeline owner (both engines).
         self.resolve = ResolvePipeline(self)
 
         #: Check-path pipeline owner (decentralized scatter + check-side
@@ -350,9 +361,8 @@ class Fabric:
         #: Dependence Table (slice): how many tasks sat queued in
         #: Kick-Off Lists over time — the live-hazard signal the
         #: admission-throttle study reads (bookkeeping only, no events).
-        tables = self.dep_shards if self.sharded else [self.dep_table]
         self.kickoff_waiters: List[LevelStat] = []
-        for table in tables:
+        for table in self.dep_shards:
             stat = LevelStat(sim)
             table.waiter_stat = stat
             self.kickoff_waiters.append(stat)
@@ -385,52 +395,24 @@ class Fabric:
         for idx in range(config.task_pool_entries):
             if not self.tp_free.try_put(idx):
                 raise ValueError("TP Free Indices list cannot hold all indices")
-        if not self.sharded:
-            self.global_ready: Fifo = Fifo(
-                sim,
-                config.global_ready_list_entries,
-                "global-ready",
-                track_occupancy=True,
-            )
-            self.worker_ids: Fifo = Fifo(
-                sim, config.worker_ids_list_entries, "worker-ids"
-            )
-            # "contains initially all worker cores IDs (repeated 'buffering
-            # depth' times)" — round-robin order so one pass hands every core
-            # a task before any core gets its second.  SystemConfig checks
-            # that worker_ids_list_entries has room for them.
-            for _ in range(config.buffering_depth):
-                for core in range(config.workers):
-                    self.worker_ids.try_put(core)
-        else:
-            # Per-shard ready lists + worker pools: workers are assigned to
-            # shards round-robin (core -> core % n_shards), each repeated
-            # 'buffering depth' times as in the single-Maestro list.
-            self.shard_ready: List[Fifo] = [
-                Fifo(
-                    sim,
-                    config.global_ready_list_entries,
-                    f"s{s}-ready",
-                    track_occupancy=True,
-                )
-                for s in range(self.n_shards)
-            ]
-            #: One ticket per task sitting in some shard's ready list; the
-            #: payload is the home shard (a locality hint for stealing).
-            self.ready_tickets: Fifo = Fifo(
-                sim, config.task_pool_entries, "ready-tickets"
-            )
-            self.worker_pools: List[Fifo] = [
-                Fifo(
-                    sim,
-                    config.worker_ids_list_entries,
-                    f"s{s}-worker-ids",
-                )
-                for s in range(self.n_shards)
-            ]
-            for _ in range(config.buffering_depth):
-                for core in range(config.workers):
-                    self.worker_pools[core % self.n_shards].try_put(core)
+        # Per-shard ready lists + Worker Cores IDs lists: workers are
+        # assigned to shards round-robin (core -> core % n_shards).  The
+        # paper's list "contains initially all worker cores IDs (repeated
+        # 'buffering depth' times)" — round-robin order so one pass hands
+        # every core a task before any core gets its second.  SystemConfig
+        # checks that worker_ids_list_entries has room for them.
+        self.shard_ready: List[Fifo] = [
+            Fifo(sim, config.global_ready_list_entries, f"s{s}-ready",
+                 track_occupancy=True)
+            for s in range(n)
+        ]
+        self.worker_pools: List[Fifo] = [
+            Fifo(sim, config.worker_ids_list_entries, f"s{s}-worker-ids")
+            for s in range(n)
+        ]
+        for _ in range(config.buffering_depth):
+            for core in range(config.workers):
+                self.worker_pools[core % n].try_put(core)
 
         # ---- per-core channels ----------------------------------------------------------
         depth = config.buffering_depth
@@ -443,28 +425,20 @@ class Fabric:
         self.td_channel: List[Fifo] = [
             Fifo(sim, 1, f"c{c}-td-link") for c in range(config.workers)
         ]
-        if not self.sharded:
-            #: TD request lines into the Send TDs block (core, tp_head) pairs.
-            self.td_request: Fifo = Fifo(sim, config.workers * depth, "td-requests")
-            #: Task-finished notification lines into Handle Finished (core ids).
-            #: Occupancy-tracked: it is the single engine's resolve-stage
-            #: intake queue (notifications waiting for Handle Finished).
-            self.finished_notify: Fifo = Fifo(
-                sim, config.workers * depth, "finished-notify",
-                track_occupancy=True,
-            )
-        else:
-            # Request/notification lines are point-to-point wires; in the
-            # sharded machine each worker core's lines terminate at its own
-            # shard's Send TDs / Handle Finished front-end.
-            self.td_request_shard: List[Fifo] = [
-                Fifo(sim, config.workers * depth, f"s{s}-td-requests")
-                for s in range(self.n_shards)
-            ]
-            self.finished_notify_shard: List[Fifo] = [
-                Fifo(sim, config.workers * depth, f"s{s}-finished-notify")
-                for s in range(self.n_shards)
-            ]
+        # Request/notification lines are point-to-point wires: each worker
+        # core's lines terminate at its own shard's Send TDs block and
+        # Handle Finished (retire) front-end, as (core, tp_head) pairs and
+        # core ids.  The notify lines are occupancy-tracked: they are the
+        # single engine's resolve-stage intake queue.
+        self.td_request_shard: List[Fifo] = [
+            Fifo(sim, config.workers * depth, f"s{s}-td-requests")
+            for s in range(n)
+        ]
+        self.finished_notify_shard: List[Fifo] = [
+            Fifo(sim, config.workers * depth, f"s{s}-finished-notify",
+                 track_occupancy=True)
+            for s in range(n)
+        ]
 
         # ---- task identity --------------------------------------------------------------
         #: TP head index -> in-flight trace task (index reuse is safe: an
@@ -472,7 +446,12 @@ class Fabric:
         self.inflight: Dict[int, TraceTask] = {}
 
         # Pre-validate: the hardware compares base addresses, so a task
-        # listing the same address twice would race against itself.
+        # listing the same address twice would race against itself.  A
+        # task's check holds one table entry per distinct address in each
+        # slice until it completes, so a task with more addresses in one
+        # slice than the slice has entries would wait forever on slots it
+        # holds itself: reject it by name before the first event.
+        slice_entries = config.dt_entries_per_shard
         for task in trace:
             addrs = [p.addr for p in task.params]
             if len(set(addrs)) != len(addrs):
@@ -481,31 +460,30 @@ class Fabric:
                     "tracks dependencies per base address (merge the "
                     "parameters into a single inout)"
                 )
+            if len(addrs) > slice_entries:
+                per_slice = Counter(self.shard_of(a) for a in addrs)
+                s, count = per_slice.most_common(1)[0]
+                if count > slice_entries:
+                    raise CapacityError(
+                        f"task {task.tid} needs {count} Dependence Table "
+                        f"entries in slice {s} but the slice only has "
+                        f"{slice_entries} (dt_entries_per_shard)"
+                    )
 
         self.on_chip = config.on_chip_access_time
         self.cycle = cycle
 
     def _build_shards(self) -> None:
-        """Wire the sharded-Maestro structures (tables, ports, inboxes)."""
+        """Wire the sharded-only structures (interconnect, inboxes, ready
+        tickets, retire tickets, home map, fast dispatch)."""
         sim, config = self.sim, self.config
         n = self.n_shards
         self.icn = Interconnect(sim, n, config.shard_hop_time)
-        #: Hash-partitioned Dependence Table: shard ``shard_of(addr)`` owns
-        #: every entry for ``addr``.
-        self.dep_shards: List[DependenceTable] = [
-            DependenceTable(
-                config.dt_entries_per_shard,
-                config.kickoff_list_size,
-                config.restricted,
-            )
-            for _ in range(n)
-        ]
-        self.dt_ports: List[Resource] = [
-            Resource(sim, 1, name=f"s{s}-dt-port") for s in range(n)
-        ]
-        self.dt_freed_shard: List[Signal] = [
-            Signal(sim, name=f"s{s}-dt-freed") for s in range(n)
-        ]
+        #: One ticket per task sitting in some shard's ready list; the
+        #: payload is the home shard (a locality hint for stealing).
+        self.ready_tickets: Fifo = Fifo(
+            sim, config.task_pool_entries, "ready-tickets"
+        )
         # Scatter/gather message queues.  Check and finish requests travel
         # on separate virtual channels so a check stalled on a full shard
         # table can never block the finish traffic that will free it.
@@ -624,15 +602,26 @@ class Fabric:
 
     def td_request_fifo(self, core: int) -> Fifo:
         """Where a Task Controller posts its TD requests."""
-        if self.sharded:
-            return self.td_request_shard[self.core_shard(core)]
-        return self.td_request
+        return self.td_request_shard[self.core_shard(core)]
 
     def notify_fifo(self, core: int) -> Fifo:
         """Where a Task Controller raises its task-finished line."""
-        if self.sharded:
-            return self.finished_notify_shard[self.core_shard(core)]
-        return self.finished_notify
+        return self.finished_notify_shard[self.core_shard(core)]
 
     def task_of(self, head: int) -> TraceTask:
         return self.inflight[head]
+
+    def dep_table_stats(self) -> dict:
+        """Dependence Table statistics merged across the slices: sizes and
+        counts add, high-water shapes take the largest slice's."""
+        per_shard = [t.stats() for t in self.dep_shards]
+        summed = ("occupied", "high_water", "dummy_entries_created")
+        merged = {
+            key: (sum if key in summed else max)(st[key] for st in per_shard)
+            for key in per_shard[0]
+            if key != "mean_probes"
+        }
+        lookups = sum(t.total_lookups for t in self.dep_shards)
+        probes = sum(t.total_probes for t in self.dep_shards)
+        merged["mean_probes"] = probes / lookups if lookups else 0.0
+        return merged

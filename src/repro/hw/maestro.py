@@ -8,6 +8,8 @@ Four concurrently running hardware blocks, each a simulation process:
   new task's ID onto the New Tasks list.
 * **Check Deps** — resolves the new task's dependencies against the
   Dependence Table (Listing 2); ready tasks go to the Global Ready list.
+  It runs the sharded check engines' :func:`~repro.hw.resolve.check_update_block`
+  on slice 0; a task's addresses are distinct, so each probe is its own row.
 * **Schedule** — pairs ready tasks with worker-core slots from the Worker
   Cores IDs list (round-robin load balancing: a core's ID re-enters the
   list tail when a task of it retires).
@@ -28,10 +30,13 @@ The *Get TDs* block of the paper is the `tds_buffer` FIFO itself — its job
 is decoupling the master from Write TP, which a buffered channel models
 exactly.
 
+The engine is the one-slice machine: it reads index 0 of the fabric's
+per-shard lists (``dep_shards``, ``shard_ready``, ``worker_pools``, ...).
+
 Timing: every table access costs ``on_chip_access_time`` (hash lookups cost
 one access per probe), FIFO manipulations cost one Nexus cycle, and TD
 transfers to Task Controllers use the on-chip-bus word timing.  Tables are
-port-arbitrated through ``tp_port``/``dt_port`` (the Task Pool exposes
+port-arbitrated through ``tp_port``/``dt_ports`` (the Task Pool exposes
 ``SystemConfig.tp_ports`` concurrent ports; the paper-default machine has
 one).
 
@@ -46,7 +51,12 @@ from __future__ import annotations
 from ..scoreboard import Scoreboard
 from ..sim import BusyTracker
 from .fabric import Fabric
-from .resolve import notify_drain_block, table_update_block, waiter_kick_block
+from .resolve import (
+    check_update_block,
+    notify_drain_block,
+    table_update_block,
+    waiter_kick_block,
+)
 
 __all__ = [
     "TaskMaestro",
@@ -255,24 +265,10 @@ class TaskMaestro:
             head = yield fab.new_tasks.get()
             self.busy["check_deps"].begin()
             task = fab.task_of(head)
-            for param in task.params:
-                # A parameter may need one fresh Dependence Table slot
-                # (a new address entry or a Kick-Off dummy); stall until
-                # Handle Finished frees space rather than overflow.
-                while fab.dep_table.free_slots == 0:
-                    fab.dt_freed.clear()
-                    yield fab.dt_freed.wait()
-                yield fab.dt_port.acquire()
-                blocked, accesses = fab.dep_table.check_param(
-                    head, param.addr, param.size, param.mode.reads, param.mode.writes
-                )
-                yield sim.timeout(accesses * fab.on_chip)
-                fab.dt_port.release()
-                if blocked:
-                    yield fab.tp_port.acquire()
-                    fab.task_pool.add_dependence(head)
-                    yield sim.timeout(fab.on_chip)
-                    fab.tp_port.release()
+            # Check messages as the sharded engines carry them; home and
+            # n_params only address replies, which one slice never sends.
+            probes = [(head, 0, param, task.n_params) for param in task.params]
+            yield from check_update_block(fab, 0, probes, pipelined=False)
             yield fab.tp_port.acquire()
             ready = fab.task_pool.finish_check(head)
             yield sim.timeout(fab.on_chip)
@@ -280,7 +276,7 @@ class TaskMaestro:
             self.busy["check_deps"].end()
             if ready:
                 self.scoreboard.ready[task.tid] = sim.now
-                yield fab.global_ready.put(head)
+                yield fab.shard_ready[0].put(head)
 
     # ---- Schedule --------------------------------------------------------------------
 
@@ -288,8 +284,8 @@ class TaskMaestro:
         fab = self.fabric
         sim = fab.sim
         while True:
-            head = yield fab.global_ready.get()
-            core = yield fab.worker_ids.get()
+            head = yield fab.shard_ready[0].get()
+            core = yield fab.worker_pools[0].get()
             self.busy["schedule"].begin()
             yield sim.timeout(2 * fab.cycle)  # pop both lists, push one
             task = fab.task_of(head)
@@ -302,7 +298,9 @@ class TaskMaestro:
     # ---- Send TDs -----------------------------------------------------------------------
 
     def _send_tds(self):
-        return send_tds_block(self.fabric, self.fabric.td_request, self.busy["send_tds"])
+        return send_tds_block(
+            self.fabric, self.fabric.td_request_shard[0], self.busy["send_tds"]
+        )
 
     # ---- Handle Finished (the staged resolve pipeline) ------------------------------
 
@@ -320,7 +318,7 @@ class TaskMaestro:
             sb = self.scoreboard
             sb.ready[tid] = sim.now
             sb.released_by[tid] = releaser_tid
-            yield fab.global_ready.put(waiter_head)
+            yield fab.shard_ready[0].put(waiter_head)
 
     def _handle_finished(self):
         """The resolve pipeline: notify intake → table update → kick → retire.
@@ -336,11 +334,19 @@ class TaskMaestro:
         sim = fab.sim
         resolve = fab.resolve
         busy = self.busy["handle_finished"]
+        line = fab.finished_notify_shard[0]
+        # Coalescing and speculative kick-off kick per committed row group,
+        # the sharded finish engine's early-kick model.
+        staged = resolve.coalesce_limit > 1 or resolve.speculative
+
+        def kick(grants):
+            return resolve.kick_grants(0, grants, self._kick_one)
+
         while True:
-            first = yield fab.finished_notify.get()
+            first = yield line.get()
             busy.begin()
             yield sim.timeout(fab.cycle)  # observe + acknowledge the 1-bit line
-            cores = yield from notify_drain_block(fab, resolve, first)
+            cores = yield from notify_drain_block(fab, line, first)
             # Read each finished task's input/output list from the Task Pool.
             finished = []  # (core, head, task) in notification order
             updates = []  # (releaser head, param) in notification order
@@ -355,50 +361,21 @@ class TaskMaestro:
                 updates.extend((head, param) for param in params)
             # Update the Dependence Table (same-row updates merged) and
             # kick off pending tasks whose Dependence Counter reached zero.
-            if resolve.speculative:
-                # Grants go to the kick unit the moment they are computed,
-                # overlapping each row's commit latency and the remaining
-                # updates of the batch.
-                def post_kicks(grants):
-                    for releaser_head, waiter_head in grants:
-                        yield resolve.post_kick(
-                            0, fab.task_of(releaser_head).tid, waiter_head
-                        )
-
+            if staged:
                 yield from table_update_block(
-                    fab, fab.dep_table, fab.dt_port, fab.dt_freed, updates,
-                    resolve, on_grants=post_kicks, grants_early=True,
-                )
-            elif resolve.coalesce_limit > 1:
-                # Coalesced but inline: kick per committed row group, the
-                # same early-kick model the sharded engine uses — a batch
-                # never delays an early grant behind an unrelated row.
-                def kick_grants(grants):
-                    for releaser_head, waiter_head in grants:
-                        yield from self._kick_one(
-                            fab.task_of(releaser_head).tid, waiter_head
-                        )
-
-                yield from table_update_block(
-                    fab, fab.dep_table, fab.dt_port, fab.dt_freed, updates,
-                    resolve, on_grants=kick_grants,
+                    fab, 0, updates, on_grants=kick,
+                    grants_early=resolve.speculative,
                 )
             else:
                 # Paper-exact serial loop: all updates, then all kicks —
                 # the recorded-golden event order of the seed machine.
-                granted = yield from table_update_block(
-                    fab, fab.dep_table, fab.dt_port, fab.dt_freed, updates,
-                    resolve,
-                )
-                for releaser_head, waiter_head in granted:
-                    yield from self._kick_one(
-                        fab.task_of(releaser_head).tid, waiter_head
-                    )
+                granted = yield from table_update_block(fab, 0, updates)
+                yield from kick(granted)
             # Retire: free the Task Pool chains, recycle indices and cores.
             for core, head, task in finished:
                 yield from retire_free_block(fab, head)
             busy.end()
             for core, head, task in finished:
-                yield fab.worker_ids.put(core)
+                yield fab.worker_pools[0].put(core)
                 self.retired += 1
                 self.scoreboard.note_completed(task.tid, sim.now)

@@ -9,11 +9,11 @@ as one shared subsystem of block bodies (the ``write_tp_block`` /
 three explicit stages so the timing model lives in exactly one place and
 the two optimizations below apply to *both* engines:
 
-* **Notify intake** — pop the trigger queue (the ``finished_notify`` line
-  in the single Maestro, a shard's finish inbox in the sharded one) and,
-  with coalescing on, drain up to ``finish_coalesce_limit`` further
+* **Notify intake** — pop the trigger queue (slice 0's task-finished
+  line in the single Maestro, a shard's finish inbox in the sharded one)
+  and, with coalescing on, drain up to ``finish_coalesce_limit`` further
   already-arrived notifications into one batch
-  (:func:`notify_drain_block` / :func:`finish_intake_block`).  An
+  (:func:`notify_drain_block` / :func:`inbox_intake_block`).  An
   optional ``finish_coalesce_window`` lets the intake wait a bounded time
   for stragglers before draining.
 * **Dependence-table update** — apply the batch's updates to the
@@ -27,11 +27,12 @@ the two optimizations below apply to *both* engines:
   which is ARCHITECTURE.md invariant 5.
 * **Waiter kick** — decrement each granted waiter's Dependence Counter
   (:func:`waiter_kick_block`) and hand became-ready tasks on (ready
-  list, forward hop, or the fast-dispatch kick-off fast path).  With
-  ``speculative_kickoff`` on, the kicks are posted to a per-shard **kick
-  unit** (:meth:`ResolvePipeline.kick_unit`) instead of running inline,
-  so the kick of one notification's waiter overlaps the table-update
-  commit of the *next* notification.  The kick unit arbitrates for the
+  list, forward hop, or the fast-dispatch kick-off fast path); both
+  engines route their grants through :meth:`ResolvePipeline.kick_grants`.
+  With ``speculative_kickoff`` on, the kicks are posted to a per-shard
+  **kick unit** (:meth:`ResolvePipeline.kick_unit`) instead of running
+  inline, so the kick of one notification's waiter overlaps the
+  table-update commit of the *next* notification.  The kick unit arbitrates for the
   same Task Pool ports as every other Maestro block and preserves kick
   order per shard (a FIFO hand-off), so no bandwidth is conjured and
   duplicate grants of the same waiter commute exactly as they did
@@ -45,20 +46,22 @@ pre-resolve-pipeline machines (differential-tested against recorded
 goldens in ``tests/integration/test_resolve_differential.py``).
 
 The *check* side of the machine reuses the same staging discipline:
-:func:`check_intake_block` / :func:`check_update_block` (driven by
-:class:`CheckPipeline`) are the check-flavored mirror of the intake and
-table-update stages — a batch of already-arrived check probes per
-check-engine activation, same-row probes merged into one hash-probe
-access (``row_latched`` in
+:func:`inbox_intake_block` / :func:`check_update_block` (knobs in
+:class:`CheckPipeline`) are the check-flavored intake and table-update
+stages — a batch of already-arrived check probes per check-engine
+activation, same-row probes merged into one hash-probe access
+(``row_latched`` in
 :meth:`~repro.hw.dependence_table.DependenceTable.check_param`), the
 probe/insert stages pipelined across the batch.  Gated by
 ``check_coalesce_limit``/``check_coalesce_window`` and
 differential-tested in ``tests/integration/test_check_differential.py``.
+:func:`check_update_block` is also the single Maestro's Check Deps body,
+run on slice 0 with one task's probes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..sim import Fifo
 
@@ -66,51 +69,53 @@ __all__ = [
     "ResolvePipeline",
     "CheckPipeline",
     "notify_drain_block",
-    "finish_intake_block",
-    "check_intake_block",
+    "inbox_intake_block",
     "table_update_block",
     "check_update_block",
     "waiter_kick_block",
 ]
 
 
-def notify_drain_block(fab, resolve: "ResolvePipeline", first):
-    """Stage 1 (single-Maestro flavor): coalesce finished-notify pops.
+def notify_drain_block(fab, line: Fifo, first):
+    """Stage 1 (single-Maestro flavor): coalesce task-finished line pops.
 
-    ``first`` is the core id already popped off the ``finished_notify``
-    line (the activation trigger; its 1-cycle acknowledge is charged by
-    the caller).  With coalescing on, waits out the configured window and
-    then drains further already-queued notifications, up to the batch
-    limit.  Returns the list of notifying core ids, arrival order.
+    ``first`` is the core id already popped off ``line`` (the activation
+    trigger; its 1-cycle acknowledge is charged by the caller).  With
+    coalescing on, waits out the configured window and then drains
+    further already-queued notifications, up to the batch limit.
+    Returns the list of notifying core ids, arrival order.
     """
+    resolve = fab.resolve
     cores = [first]
     if resolve.coalesce_limit > 1:
         if resolve.coalesce_window:
             yield fab.sim.timeout(resolve.coalesce_window)
         while len(cores) < resolve.coalesce_limit:
-            nxt = fab.finished_notify.try_get()
+            nxt = line.try_get()
             if nxt is None:
                 break
             cores.append(nxt)
     return cores
 
 
-def finish_intake_block(fab, inbox: Fifo, resolve: "ResolvePipeline", first):
-    """Stage 1 (sharded flavor): coalesce a shard's finish-inbox drain.
+def inbox_intake_block(fab, inbox: Fifo, pipe, first):
+    """Stage 1 (inbox flavor): coalesce a shard's finish- or check-inbox
+    drain, with the batch knobs of ``pipe`` (the :class:`ResolvePipeline`
+    or the :class:`CheckPipeline`).
 
     ``first`` is the stamped message's payload already received (and
-    waited out) by the engine.  Drains up to ``finish_coalesce_limit`` - 1
+    waited out) by the engine.  Drains up to ``coalesce_limit`` - 1
     further messages whose stamped arrival time has passed — a message
     still in flight on the ring is *not* waited for (beyond the optional
     coalesce window), so coalescing never delays a batch for traffic that
     has not physically arrived.  Returns the payload list, arrival order.
     """
     msgs = [first]
-    if resolve.coalesce_limit > 1:
-        if resolve.coalesce_window:
-            yield fab.sim.timeout(resolve.coalesce_window)
+    if pipe.coalesce_limit > 1:
+        if pipe.coalesce_window:
+            yield fab.sim.timeout(pipe.coalesce_window)
         now = fab.sim.now
-        while len(msgs) < resolve.coalesce_limit:
+        while len(msgs) < pipe.coalesce_limit:
             head = inbox.peek()
             if head is None or head[0] > now:
                 break
@@ -118,59 +123,38 @@ def finish_intake_block(fab, inbox: Fifo, resolve: "ResolvePipeline", first):
     return msgs
 
 
-def check_intake_block(fab, inbox: Fifo, check: "CheckPipeline", first):
-    """Stage 1 (check flavor): coalesce a shard's check-inbox drain.
-
-    The mirror image of :func:`finish_intake_block` on the check side:
-    ``first`` is the stamped check message's payload already received (and
-    waited out) by the check engine; up to ``check_coalesce_limit`` - 1
-    further messages whose stamped arrival time has passed are drained
-    into the batch — a probe still in flight on the ring is never waited
-    for beyond the optional ``check_coalesce_window``.  Returns the
-    payload list, arrival order.
-    """
-    msgs = [first]
-    if check.coalesce_limit > 1:
-        if check.coalesce_window:
-            yield fab.sim.timeout(check.coalesce_window)
-        now = fab.sim.now
-        while len(msgs) < check.coalesce_limit:
-            head = inbox.peek()
-            if head is None or head[0] > now:
-                break
-            msgs.append(inbox.try_get()[1])
-    return msgs
-
-
-def check_update_block(fab, shard: int, msgs, check: "CheckPipeline"):
+def check_update_block(fab, shard: int, msgs, pipelined: bool,
+                       on_checked=None):
     """Stage 2 (check flavor): apply a batch of dependence checks to one
-    shard's Dependence Table slice.
+    Dependence Table slice.
 
     ``msgs`` is the batch's ordered ``(head, home, param, n_params)``
     check-message list.  Probes are grouped by table row (insertion
     order, so per-address order within the batch is arrival order); each
     group costs one port arbitration and one merged access — the first
     probe pays the hash lookup (and any insert), the rest find the row
-    latched; a later row's first probe pipelines with the previous row's
-    commit.  A batch of one is cycle-for-cycle the paper's Listing 2
-    loop.  Blocked tasks get their Dependence Counter bumped and every
-    probe's reply travels to its own home shard, in batch order per row
-    group — a coalesced batch never delays an early group's replies
-    behind an unrelated row.
+    latched; with ``pipelined`` (a coalescing engine) a later row's first
+    probe pipelines with the previous row's commit.  Without it each
+    group is cycle-for-cycle one step of the paper's Listing 2 loop.
+    Blocked tasks get their Dependence Counter bumped, and then
+    ``on_checked`` (a generator function taking the message, optional)
+    runs per probe in batch order per row group — the sharded engine
+    posts the reply to the home shard there, so a coalesced batch never
+    delays an early group's replies behind an unrelated row.  Returns the
+    number of row groups.
     """
     sim = fab.sim
     table = fab.dep_shards[shard]
     port = fab.dt_ports[shard]
-    pipelined = check.coalesce_limit > 1
     groups: Dict[int, List[tuple]] = {}
     for msg in msgs:
         groups.setdefault(msg[2].addr, []).append(msg)
     for g, group in enumerate(groups.values()):
         # A check may need fresh table slots (a new address entry or a
         # Kick-Off dummy, at most one per probe).  The free-slot wait must
-        # precede the port grab: the finish engine that frees slots
+        # precede the port grab: the resolve stage that frees slots
         # arbitrates for the same port, so waiting while holding it would
-        # deadlock the shard.  One slot per probe is reserved
+        # deadlock the slice.  One slot per probe is reserved
         # conservatively — the whole group commits under one grant.
         while table.free_slots < len(group):
             fab.dt_freed_shard[shard].clear()
@@ -178,7 +162,8 @@ def check_update_block(fab, shard: int, msgs, check: "CheckPipeline"):
         yield port.acquire()
         accesses_total = 0
         results = []
-        for i, (head, home, param, n) in enumerate(group):
+        for i, msg in enumerate(group):
+            head, _, param, _ = msg
             blocked, accesses = table.check_param(
                 head, param.addr, param.size,
                 param.mode.reads, param.mode.writes,
@@ -191,36 +176,34 @@ def check_update_block(fab, shard: int, msgs, check: "CheckPipeline"):
                 probe_overlapped=pipelined and i == 0 and g > 0,
             )
             accesses_total += accesses
-            results.append((head, home, n, blocked))
+            results.append((msg, blocked))
         yield sim.timeout(accesses_total * fab.on_chip)
         port.release()
-        for head, home, n, blocked in results:
+        for msg, blocked in results:
             if blocked:
                 yield fab.tp_port.acquire()
-                fab.task_pool.add_dependence(head)
+                fab.task_pool.add_dependence(msg[0])
                 yield sim.timeout(fab.on_chip)
                 fab.tp_port.release()
-            yield fab.reply_inbox[home].put(
-                fab.icn.message(shard, home, (head, n))
-            )
-    check.note_batch(len(msgs), len(groups))
+            if on_checked is not None:
+                yield from on_checked(msg)
+    return len(groups)
 
 
-def table_update_block(fab, table, port, freed, updates,
-                       resolve: Optional["ResolvePipeline"] = None,
-                       on_grants=None, grants_early: bool = False):
-    """Stage 2: apply a batch of finish updates to one Dependence Table.
+def table_update_block(fab, shard: int, updates, on_grants=None,
+                       grants_early: bool = False):
+    """Stage 2: apply a batch of finish updates to one Dependence Table
+    slice.
 
     ``updates`` is the batch's ordered ``(releaser_head, param)`` list;
-    ``table``/``port``/``freed`` are the engine's table, port and
-    slots-freed signal (the central ones in the single Maestro, a shard's
-    own in the sharded one) — the timing body is shared so the resolve
-    charge cannot drift between engines.  Updates are grouped by table
-    row (insertion order, so per-address order within the batch is
-    arrival order); each group costs one port arbitration and one merged
-    access — the first update pays the hash probe, the rest find the row
-    latched.  A batch of one is cycle-for-cycle the paper's
-    per-parameter loop.
+    ``shard`` names the slice, its port and its slots-freed signal (slice
+    0 in the single Maestro, a shard's own in the sharded one) — the
+    timing body is shared so the resolve charge cannot drift between
+    engines.  Updates are grouped by table row (insertion order, so
+    per-address order within the batch is arrival order); each group
+    costs one port arbitration and one merged access — the first update
+    pays the hash probe, the rest find the row latched.  A batch of one
+    is cycle-for-cycle the paper's per-parameter loop.
 
     ``on_grants`` (a generator function taking the group's ordered
     ``(releaser_head, waiter_head)`` grants) is invoked per row group,
@@ -237,11 +220,15 @@ def table_update_block(fab, table, port, freed, updates,
     inline caller doing its own kick work must leave it False.
     """
     sim = fab.sim
+    resolve = fab.resolve
+    table = fab.dep_shards[shard]
+    port = fab.dt_ports[shard]
+    freed = fab.dt_freed_shard[shard]
     # The probe/modify pipelining below is part of the *coalesced* drain
     # model: without coalescing the engine processes updates one
     # notification at a time, exactly as the paper's loop, and no probe
     # has a predecessor's write-back to hide behind.
-    pipelined = resolve is not None and resolve.coalesce_limit > 1
+    pipelined = resolve.coalesce_limit > 1
     groups: Dict[int, List[Tuple[int, object]]] = {}
     for head, param in updates:
         groups.setdefault(param.addr, []).append((head, param))
@@ -274,8 +261,7 @@ def table_update_block(fab, table, port, freed, updates,
                 yield from on_grants(group_grants)
         else:
             granted.extend(group_grants)
-    if resolve is not None:
-        resolve.note_batch(len(updates), len(groups))
+    resolve.note_batch(len(updates), len(groups))
     return granted
 
 
@@ -310,7 +296,7 @@ class ResolvePipeline:
         self.coalesce_limit = config.finish_coalesce_limit
         self.coalesce_window = config.finish_coalesce_window
         self.speculative = config.speculative_kickoff
-        #: One kick queue per shard (one total on the single Maestro).
+        #: One kick queue per shard (slice 0's on the single Maestro).
         self.kick_queues: List[Fifo] = []
         if self.speculative:
             # Sized for every in-flight grant: a waiter is granted at most
@@ -320,7 +306,7 @@ class ResolvePipeline:
             cap = config.task_pool_entries * config.max_params_per_td
             self.kick_queues = [
                 Fifo(fabric.sim, cap, f"s{s}-kick-queue", track_occupancy=True)
-                for s in range(fabric.n_shards if fabric.sharded else 1)
+                for s in range(fabric.n_shards)
             ]
         # ---- statistics ------------------------------------------------------
         #: Resolve activations (one per drained batch).
@@ -347,15 +333,24 @@ class ResolvePipeline:
 
     # ---- speculative kick-off ----------------------------------------------------
 
-    def post_kick(self, shard: int, releaser_tid: int, waiter_head: int):
-        """Waitable that hands one kick to ``shard``'s kick unit.
+    def kick_grants(self, shard: int, grants, kick):
+        """Stage 3 for one group of ``(releaser_head, waiter_head)``
+        grants, shared by both engines.
 
-        The releaser's trace tid is captured eagerly: with the kick
-        decoupled from the resolve loop, the releasing task can retire
-        (and leave the in-flight map) before the kick unit runs.
+        Under speculative kick-off each grant is posted to ``shard``'s
+        kick unit; otherwise ``kick`` — the engine's kick body, a
+        generator function of ``(releaser_tid, waiter_head)`` — runs
+        inline.  The releaser tid is captured now: a decoupled kick may
+        run after its releaser has retired and left the in-flight map.
         """
-        self.speculative_kicks += 1
-        return self.kick_queues[shard].put((releaser_tid, waiter_head))
+        task_of = self.fabric.task_of
+        for releaser_head, waiter_head in grants:
+            releaser_tid = task_of(releaser_head).tid
+            if self.speculative:
+                self.speculative_kicks += 1
+                yield self.kick_queues[shard].put((releaser_tid, waiter_head))
+            else:
+                yield from kick(releaser_tid, waiter_head)
 
     def kick_unit(self, shard: int, busy, handler):
         """Process body of ``shard``'s kick unit (stage 3, decoupled).
@@ -398,7 +393,9 @@ class CheckPipeline:
 
     The check-side mirror of :class:`ResolvePipeline`: built by the
     :class:`~repro.hw.fabric.Fabric` for every machine (the counters are
-    free bookkeeping), but the scatter slices and per-destination
+    free bookkeeping; the sharded check engines record their batches
+    here, the single Maestro's Check Deps does not), but the scatter
+    slices and per-destination
     re-sequencers exist only when ``decentralized_check_scatter`` is on —
     a knobs-off machine carries no extra FIFOs, processes or events and
     keeps the central program-ordered scatter sequencer.

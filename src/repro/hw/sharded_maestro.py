@@ -34,12 +34,13 @@ Protocol
   still observes its checks in program order — the Check Scatter
   invariant survives decentralization by re-sequencing, exactly as the
   MergeUnit preserves submission order (ARCHITECTURE.md invariant 6).
-* **Check engine** (per shard) — services its check inbox: probes the
-  shard's Dependence Table slice exactly as Listing 2, bumps the waiter's
-  Dependence Counter in the Task Pool on a hazard, and posts a reply to the
-  home shard's gather unit.  With check-side coalescing on
-  (``check_coalesce_limit`` > 1) the engine instead runs the staged check
-  blocks of :mod:`repro.hw.resolve`: intake drains a batch of
+* **Check engine** (per shard) — services its check inbox on the staged
+  check blocks of :mod:`repro.hw.resolve`, the same check body the single
+  Maestro's Check Deps runs on slice 0: probes the shard's Dependence
+  Table slice, bumps the waiter's Dependence Counter in the Task Pool on a
+  hazard, and posts a reply to the home shard's gather unit.  Without
+  check-side coalescing every batch is one probe — exactly Listing 2.
+  With it (``check_coalesce_limit`` > 1) intake drains a batch of
   already-arrived probes, same-row probes merge into one row access and
   the probe/insert stages pipeline across the batch — the check-side
   mirror of the finish engine's coalescing.
@@ -122,6 +123,7 @@ legality of this one at every shard count and retire depth.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict
 
 from ..scoreboard import Scoreboard
@@ -129,9 +131,8 @@ from ..sim import BusyTracker
 from .fabric import Fabric, RetireSlot
 from .maestro import retire_free_block, send_tds_block, write_tp_block
 from .resolve import (
-    check_intake_block,
     check_update_block,
-    finish_intake_block,
+    inbox_intake_block,
     table_update_block,
     waiter_kick_block,
 )
@@ -245,9 +246,7 @@ class ShardedMaestro:
                 # the knobs-off machine's event stream is untouched.
                 sim.process(
                     self.fabric.resolve.kick_unit(
-                        s,
-                        self.busy[f"s{s}.kick"],
-                        lambda tid, waiter, s=s: self._kick_waiter(s, tid, waiter),
+                        s, self.busy[f"s{s}.kick"], partial(self._kick_waiter, s)
                     ),
                     name=f"smaestro.s{s}.kick",
                 )
@@ -341,55 +340,27 @@ class ShardedMaestro:
     # ---- Check engine (per shard; Listing 2 on the shard's table slice) -----------
 
     def _check_engine(self, s: int):
-        # Coalescing restructures the engine loop; the serial body below
-        # must stay verbatim the pre-coalescing engine, so the two are
-        # separate generators picked once at build time.
-        if self.fabric.check_pipe.coalesce_limit > 1:
-            return self._check_engine_coalesced(s)
-        return self._check_engine_serial(s)
-
-    def _check_engine_coalesced(self, s: int):
-        """Coalesced check engine: the staged check blocks of
-        :mod:`repro.hw.resolve` (intake drain + batched table probe)."""
+        """Check engine: intake drain + the staged table probe; a batch of
+        one (coalescing off) is Listing 2 on the shard's slice."""
         fab = self.fabric
         busy = self.busy[f"s{s}.check"]
         check = fab.check_pipe
-        while True:
-            first = yield from self._recv(fab.check_inbox[s])
-            busy.begin()
-            msgs = yield from check_intake_block(
-                fab, fab.check_inbox[s], check, first
-            )
-            yield from check_update_block(fab, s, msgs, check)
-            busy.end()
+        inbox = fab.check_inbox[s]
+        pipelined = check.coalesce_limit > 1
 
-    def _check_engine_serial(self, s: int):
-        fab = self.fabric
-        sim = fab.sim
-        table = fab.dep_shards[s]
-        busy = self.busy[f"s{s}.check"]
-        while True:
-            head, home, param, n = yield from self._recv(fab.check_inbox[s])
-            busy.begin()
-            # A parameter may need a fresh slot in this shard's table slice;
-            # stall until this shard's finish engine frees space.
-            while table.free_slots == 0:
-                fab.dt_freed_shard[s].clear()
-                yield fab.dt_freed_shard[s].wait()
-            yield fab.dt_ports[s].acquire()
-            blocked, accesses = table.check_param(
-                head, param.addr, param.size, param.mode.reads, param.mode.writes
-            )
-            yield sim.timeout(accesses * fab.on_chip)
-            fab.dt_ports[s].release()
-            if blocked:
-                yield fab.tp_port.acquire()
-                fab.task_pool.add_dependence(head)
-                yield sim.timeout(fab.on_chip)
-                fab.tp_port.release()
-            busy.end()
-            fab.check_pipe.note_batch(1, 1)
+        def reply(msg):
+            head, home, _, n = msg
             yield fab.reply_inbox[home].put(fab.icn.message(s, home, (head, n)))
+
+        while True:
+            first = yield from self._recv(inbox)
+            busy.begin()
+            msgs = yield from inbox_intake_block(fab, inbox, check, first)
+            rows = yield from check_update_block(
+                fab, s, msgs, pipelined, on_checked=reply
+            )
+            check.note_batch(len(msgs), rows)
+            busy.end()
 
     # ---- Gather (per shard; closes the check once all replies are in) --------------
 
@@ -660,39 +631,26 @@ class ShardedMaestro:
         # keeps pipelined retirement safe under coalescing (ARCHITECTURE.md
         # invariants 3 and 5).
         fab = self.fabric
-        sim = fab.sim
-        table = fab.dep_shards[s]
         busy = self.busy[f"s{s}.finish"]
         resolve = fab.resolve
+        inbox = fab.finish_inbox[s]
+
+        kick_waiter = partial(self._kick_waiter, s)
+
+        def kick(grants):
+            # Stage 3, per committed row group so an early grant is never
+            # delayed behind an unrelated row.
+            return resolve.kick_grants(s, grants, kick_waiter)
+
         while True:
-            first = yield from self._recv(fab.finish_inbox[s])
+            first = yield from self._recv(inbox)
             busy.begin()
-            msgs = yield from finish_intake_block(
-                fab, fab.finish_inbox[s], resolve, first
-            )
-
-            def kick_grants(grants, s=s):
-                # Stage 3, invoked per committed row group so an early
-                # grant is never delayed behind an unrelated row.  Under
-                # speculative kick-off the kicks go to the shard's kick
-                # unit (overlapping the next row's update commit); the
-                # releaser tid is captured now — its task may retire
-                # before the kick unit runs.
-                for releaser_head, waiter_head in grants:
-                    releaser_tid = fab.task_of(releaser_head).tid
-                    if resolve.speculative:
-                        yield resolve.post_kick(s, releaser_tid, waiter_head)
-                    else:
-                        yield from self._kick_waiter(s, releaser_tid, waiter_head)
-
+            msgs = yield from inbox_intake_block(fab, inbox, resolve, first)
             yield from table_update_block(
                 fab,
-                table,
-                fab.dt_ports[s],
-                fab.dt_freed_shard[s],
+                s,
                 [(head, param) for head, _, _, param in msgs],
-                resolve,
-                on_grants=kick_grants,
+                on_grants=kick,
                 # The decoupled kick unit may take grants the moment they
                 # are computed, overlapping the row's commit latency.
                 grants_early=resolve.speculative,
@@ -702,27 +660,3 @@ class ShardedMaestro:
             # maps it back to the task, never relying on arrival order.
             for head, src, ticket, param in msgs:
                 yield fab.retire_inbox[src].put(fab.icn.message(s, src, ticket))
-
-    # ---- aggregate statistics ------------------------------------------------------
-
-    def dep_table_stats(self) -> dict:
-        """Merged Dependence Table statistics across all shards."""
-        per_shard = [t.stats() for t in self.fabric.dep_shards]
-        merged = {
-            "occupied": sum(s["occupied"] for s in per_shard),
-            "high_water": sum(s["high_water"] for s in per_shard),
-            "max_hash_chain": max(s["max_hash_chain"] for s in per_shard),
-            "max_kickoff_entries": max(s["max_kickoff_entries"] for s in per_shard),
-            "max_kickoff_waiters": max(s["max_kickoff_waiters"] for s in per_shard),
-            "dummy_entries_created": sum(
-                s["dummy_entries_created"] for s in per_shard
-            ),
-        }
-        lookups = sum(t.total_lookups for t in self.fabric.dep_shards)
-        probes = sum(t.total_probes for t in self.fabric.dep_shards)
-        merged["mean_probes"] = probes / lookups if lookups else 0.0
-        return merged
-
-    def shard_stats(self) -> list:
-        """Per-shard table statistics (load-balance diagnostics)."""
-        return [t.stats() for t in self.fabric.dep_shards]

@@ -98,24 +98,13 @@ class NexusMachine:
         # Post-conditions: the machine drained completely.
         if scoreboard.all_done:
             assert fabric.task_pool.is_empty, "Task Pool not empty after run"
-            if fabric.sharded:
-                for s, table in enumerate(fabric.dep_shards):
-                    assert table.is_empty, f"DT shard {s} not empty after run"
-            else:
-                assert fabric.dep_table.is_empty, "Dependence Table not empty after run"
+            for s, table in enumerate(fabric.dep_shards):
+                assert table.is_empty, f"DT shard {s} not empty after run"
             assert not fabric.inflight, "in-flight map not empty after run"
 
         span = max(1, scoreboard.last_completion)
-        if fabric.sharded:
-            dep_stats = maestro.dep_table_stats()
-            ready_stat = sum(
-                (f.stat.mean() if f.stat else 0.0) for f in fabric.shard_ready
-            )
-        else:
-            dep_stats = fabric.dep_table.stats()
-            ready_stat = (
-                fabric.global_ready.stat.mean() if fabric.global_ready.stat else 0.0
-            )
+        dep_stats = fabric.dep_table_stats()
+        ready_stat = sum(f.stat.mean() for f in fabric.shard_ready)
         # Kick-off waiter-list occupancy: time-weighted queued-hazard count
         # per Dependence Table (slice), feeding the admission-throttle
         # study alongside the existing max_kickoff_waiters high-water mark.
@@ -146,10 +135,9 @@ class NexusMachine:
                 f.stat.max_level for f in fabric.finish_inbox
             ]
         else:
-            resolve_stats["notify_queue_mean"] = round(
-                fabric.finished_notify.stat.mean(span), 4
-            )
-            resolve_stats["notify_queue_max"] = fabric.finished_notify.stat.max_level
+            notify = fabric.finished_notify_shard[0].stat
+            resolve_stats["notify_queue_mean"] = round(notify.mean(span), 4)
+            resolve_stats["notify_queue_max"] = notify.max_level
         if fabric.resolve.kick_queues:
             resolve_stats["kick_queue_mean"] = [
                 round(q.stat.mean(span), 4) for q in fabric.resolve.kick_queues
@@ -227,7 +215,7 @@ class NexusMachine:
                 "interconnect": fabric.icn.stats(),
                 "steals": maestro.steals,
                 "steals_after_forward": maestro.steals_after_forward,
-                "per_shard_dep_table": maestro.shard_stats(),
+                "per_shard_dep_table": [t.stats() for t in fabric.dep_shards],
                 # Retire front-end occupancy: time-weighted in-flight finish
                 # counts per shard.  ``full_fraction`` is the share of the
                 # run a shard spent with every retire ticket charged — the
@@ -381,10 +369,8 @@ def _register_telemetry(
     sampler.add_signal("master.busy", master_busy)
 
     sampler.add_mean_level("tds_buffer.depth", [fabric.tds_buffer.stat])
+    sampler.add_mean_level("ready.depth", [f.stat for f in fabric.shard_ready])
     if fabric.sharded:
-        sampler.add_mean_level(
-            "ready.depth", [f.stat for f in fabric.shard_ready]
-        )
         sampler.add_mean_level(
             "resolve.inbox.depth", [f.stat for f in fabric.finish_inbox]
         )
@@ -397,9 +383,8 @@ def _register_telemetry(
             cfg.retire_pipeline_depth,
         )
     else:
-        sampler.add_mean_level("ready.depth", [fabric.global_ready.stat])
         sampler.add_mean_level(
-            "resolve.inbox.depth", [fabric.finished_notify.stat]
+            "resolve.inbox.depth", [fabric.finished_notify_shard[0].stat]
         )
     sampler.add_mean_level("dep_table.kickoff_waiters", fabric.kickoff_waiters)
     if fabric.resolve.kick_queues:

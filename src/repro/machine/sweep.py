@@ -301,13 +301,13 @@ def grid_sweep(
     if "dependence_table_entries" in axes:
         for cfg in configs:
             per_shard = cfg.dependence_table_entries_per_shard
-            if cfg.use_sharded_maestro and per_shard is not None:
-                # The sharded machine sizes its table slices from the
-                # per-shard override when one is set; sweeping the total
-                # would silently change nothing.
+            if per_shard is not None:
+                # Every machine sizes its table slices from the per-shard
+                # override when one is set; sweeping the total would
+                # silently change nothing.
                 raise ValueError(
                     "sweeping dependence_table_entries has no effect: the "
-                    "sharded config sets dependence_table_entries_per_shard="
+                    "config sets dependence_table_entries_per_shard="
                     f"{per_shard}; sweep "
                     "'dependence_table_entries_per_shard' instead, or clear "
                     "the per-shard override so shard capacity derives from "

@@ -2,7 +2,8 @@
 
 The timing-wheel kernel and the streaming trace generator together put
 100k+-task traces in reach; this file pins three waypoints — a 2k-task
-trace on each engine, a 50k-task trace and a million-task run — each
+trace on each engine and on three knobs-on stacks, a 50k-task trace and a
+million-task run — each
 simulated end-to-end.  Every seeded run fires an exact number of kernel
 events, so the waypoints assert that count (deterministic) rather than a
 wall-clock budget: a different count means the machine or the kernel
@@ -18,19 +19,43 @@ from repro.config import SystemConfig
 from repro.machine import run_trace
 from repro.traces import random_trace
 
-#: Per engine: kernel events, makespan (ps) and schedule digest of the
-#: seeded 2k-task run below.
+#: Per machine — (shards, config overrides) — kernel events, makespan (ps)
+#: and schedule digest of the seeded 2k-task run below.  The knobs-on rows
+#: pin the coalesced and speculative resolve/check event orders, which the
+#: knobs-off rows cannot see.
 SMALL_WAYPOINTS = {
-    "single": (125_260, 62_955_998, "8062ed8f65ddd00d"),
-    "shards2": (185_364, 43_772_000, "01746e0345e1fa72"),
-    "shards4": (183_808, 31_351_000, "548ef57f0eb66391"),
+    (1, ()): (125_260, 62_955_998, "8062ed8f65ddd00d"),
+    (2, ()): (185_364, 43_772_000, "01746e0345e1fa72"),
+    (4, ()): (183_808, 31_351_000, "548ef57f0eb66391"),
+    (1, (("finish_coalesce_limit", 4),)): (
+        125_324, 58_214_383, "d4eb936e1aeef07f"
+    ),
+    (1, (("speculative_kickoff", True),)): (
+        132_203, 58_073_749, "a77a35e20437e8fb"
+    ),
+    (
+        4,
+        (
+            ("check_coalesce_limit", 8),
+            ("decentralized_check_scatter", True),
+            ("finish_coalesce_limit", 8),
+            ("speculative_kickoff", True),
+        ),
+    ): (200_937, 23_113_263, "36feb4675c4634e0"),
 }
 
 
-@pytest.mark.parametrize("engine", sorted(SMALL_WAYPOINTS))
-def test_2k_task_trace_fires_pinned_event_count(engine):
+def _waypoint_id(key) -> str:
+    shards, overrides = key
+    name = "single" if shards == 1 else f"shards{shards}"
+    return name + "".join(f"-{knob}={value}" for knob, value in overrides)
+
+
+@pytest.mark.parametrize("key", sorted(SMALL_WAYPOINTS), ids=_waypoint_id)
+def test_2k_task_trace_fires_pinned_event_count(key):
     """The tier-1-sized waypoint: the same shape as the 50k run, on every
-    engine, with the full schedule pinned alongside the event count."""
+    engine and on knobs-on stacks, with the full schedule pinned alongside
+    the event count."""
     trace = random_trace(
         2_000,
         n_addresses=256,
@@ -40,13 +65,14 @@ def test_2k_task_trace_fires_pinned_event_count(engine):
         mean_memory=0,
         name="random-2k",
     )
-    shards = {"single": 1, "shards2": 2, "shards4": 4}[engine]
+    shards, overrides = key
     cfg = SystemConfig(
         workers=16,
         maestro_shards=shards,
         master_cores=4,
         submission_batch=8,
         memory_contention=False,
+        **dict(overrides),
     )
     result = run_trace(trace, cfg)
 
@@ -57,7 +83,7 @@ def test_2k_task_trace_fires_pinned_event_count(engine):
         for r in result.records
     ]
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
-    events, makespan, golden = SMALL_WAYPOINTS[engine]
+    events, makespan, golden = SMALL_WAYPOINTS[key]
     assert result.stats["sim"]["events_processed"] == events
     assert result.makespan == makespan
     assert digest == golden

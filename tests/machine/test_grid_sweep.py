@@ -121,7 +121,8 @@ class TestValidation:
             grid_sweep(trace, cfg, {"dependence_table_entries": [1024, 2048]})
 
     def test_dependence_table_guard_checks_each_point(self, trace, no_runs):
-        # Only the sharded point ignores the total; that is enough to refuse.
+        # Both engines size their slices from the per-shard override, so
+        # every point ignores the total; the guard refuses the grid.
         cfg = BASE.with_(dependence_table_entries_per_shard=64)
         with pytest.raises(ValueError, match="has no effect"):
             grid_sweep(

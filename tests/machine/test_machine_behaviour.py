@@ -9,13 +9,18 @@ Dependence-Table stall path.
 import pytest
 
 from repro.config import SystemConfig
+from repro.hw.errors import CapacityError
+from repro.hw.fabric import Fabric
 from repro.machine import NexusMachine, grid_sweep, run_trace, speedup_curve
 from repro.runtime.task_graph import build_task_graph
+from repro.sim import Simulator
 from repro.traces import (
     TimeModel,
+    gaussian_trace,
     h264_wavefront_trace,
     horizontal_chains_trace,
     independent_trace,
+    random_trace,
 )
 
 FAST_TIMES = TimeModel(mean_exec=2_000_000, mean_memory=500_000, cv=0.0)
@@ -130,6 +135,57 @@ class TestDependenceTableStall:
         assert (
             run_trace(trace, normal).makespan < run_trace(trace, tiny).makespan
         )
+
+
+class TestDependenceTableFit:
+    """A task holds one table entry per distinct address in each slice
+    until its check completes, so a task with more addresses in one slice
+    than the slice has entries would wait forever on slots it holds
+    itself.  The fabric rejects it by name before the first event."""
+
+    @staticmethod
+    def _random():
+        return random_trace(
+            300, n_addresses=16, max_params=6, mean_exec=4000, mean_memory=0,
+            seed=3,
+        )
+
+    @pytest.mark.parametrize(
+        "trace_name, shards, entries",
+        [("gaussian", 1, 16), ("gaussian", 4, 16), ("random", 1, 4),
+         ("random", 4, 16)],
+    )
+    def test_task_wider_than_its_slice_is_rejected(self, trace_name, shards,
+                                                   entries):
+        trace = gaussian_trace(20) if trace_name == "gaussian" else self._random()
+        cfg = SystemConfig(
+            workers=4, maestro_shards=shards, dependence_table_entries=entries
+        )
+        with pytest.raises(
+            CapacityError,
+            match=r"task \d+ needs \d+ Dependence Table entries in slice \d+ "
+            rf"but the slice only has {entries // shards}",
+        ):
+            Fabric(Simulator(), cfg, trace)
+
+    @pytest.mark.parametrize(
+        "trace_name, shards, entries",
+        [("gaussian", 1, 20), ("gaussian", 4, 24), ("random", 1, 8),
+         ("random", 4, 20)],
+    )
+    def test_task_that_fits_its_slice_retires(self, trace_name, shards,
+                                              entries):
+        trace = gaussian_trace(20) if trace_name == "gaussian" else self._random()
+        cfg = SystemConfig(
+            workers=4, maestro_shards=shards, dependence_table_entries=entries
+        )
+        result = run_trace(trace, cfg)
+        assert result.verify_against(build_task_graph(trace)) == []
+
+    def test_per_shard_entries_size_the_single_engine_table(self):
+        cfg = SystemConfig(dependence_table_entries_per_shard=64)
+        trace = independent_trace(n_tasks=4, n_params=2)
+        assert Fabric(Simulator(), cfg, trace).dep_shards[0].capacity == 64
 
 
 class TestSweepHelpers:

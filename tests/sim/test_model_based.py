@@ -192,7 +192,7 @@ def test_verifier_catches_hardware_lies(monkeypatch):
     from repro.runtime.task_graph import build_task_graph
     from repro.traces import AccessMode, Param, TaskTrace, TraceTask
 
-    def never_blocks(self, tid, addr, size, reads, writes):
+    def never_blocks(self, tid, addr, size, reads, writes, **kwargs):
         entry, probes = self._lookup(addr)
         if entry is None:
             entry = self._insert(addr, size)

@@ -77,9 +77,8 @@ class TestRun:
         assert "dependence check: OK" in capsys.readouterr().out
 
     def test_restricted_gaussian_fails_loudly(self):
-        from repro.hw.errors import CapacityError
-
-        with pytest.raises(CapacityError):
+        # A capacity error exits with its one-line message, no traceback.
+        with pytest.raises(SystemExit, match="dummy tasks are disabled"):
             main(["run", "gaussian", "--size", "24", "--workers", "2",
                   "--restricted"])
 
@@ -105,6 +104,11 @@ class TestSweep:
         out = capsys.readouterr().out
         assert "speedup" in out
         assert "saturation point" in out
+
+    def test_dependence_table_too_small_is_a_one_line_error(self):
+        with pytest.raises(SystemExit, match="needs 20 Dependence Table entries"):
+            main(["sweep", "gaussian", "--size", "20", "--workers", "4",
+                  "--axis", "dependence_table_entries=16"])
 
 
 class TestValidate:
