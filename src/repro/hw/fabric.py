@@ -576,6 +576,15 @@ class Fabric:
         self.retire_inflight: List[LevelStat] = [LevelStat(sim) for _ in range(n)]
         self._retire_inflight_count: List[int] = [0] * n
 
+    def close(self) -> None:
+        """Release a finished machine by reference counting: close the
+        simulator and drop the sub-blocks that point back at the fabric
+        (the resolve and check pipelines, the merge unit, the check
+        re-sequencers and fast dispatch).  Read their statistics first."""
+        self.sim.close()
+        self.resolve = self.check_pipe = self.merge = self.dispatch = None
+        self.check_reseq = []
+
     def note_retire_issue(self, s: int) -> None:
         """Record one more finish in flight at shard ``s`` (stats only)."""
         self._retire_inflight_count[s] += 1

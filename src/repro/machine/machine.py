@@ -50,9 +50,19 @@ class NexusMachine:
         (which would be a configuration or model bug — the paper's sizing
         rules make the default machine deadlock-free).
         """
+        fabric = Fabric(Simulator(), self.config, trace)
+        try:
+            return self._simulate(fabric, max_time)
+        finally:
+            # A finished run leaves no reference cycles: the machine is
+            # freed the moment the caller drops it, not at the cyclic
+            # collector's next full pass.
+            fabric.close()
+
+    def _simulate(self, fabric: Fabric, max_time: Optional[int]) -> RunResult:
         cfg = self.config
-        sim = Simulator()
-        fabric = Fabric(sim, cfg, trace)
+        sim = fabric.sim
+        trace = fabric.trace
         scoreboard = Scoreboard(len(trace))
 
         master = MasterCluster(fabric, scoreboard)

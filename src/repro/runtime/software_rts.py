@@ -130,6 +130,10 @@ def run_software_rts(
     except DeadlockError:
         if not scoreboard.all_done:
             raise
+    finally:
+        # Parked workers and the channels' cached waitables would keep
+        # the run in reference cycles; release it by reference counting.
+        sim.close()
 
     return RunResult(
         trace_name=f"{trace.name}+software-rts",

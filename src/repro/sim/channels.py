@@ -96,6 +96,7 @@ class Fifo:
         # and each used to allocate a fresh object per operation.
         self._put = Put(self)
         self._get = Get(self)
+        sim._channels.append(self)
 
     # -- public API ---------------------------------------------------------------
 
@@ -185,6 +186,12 @@ class Fifo:
         return list(self._items)
 
     # -- kernel side ---------------------------------------------------------------
+
+    def _unlink(self) -> None:
+        """Break the FIFO's cycles once its simulator closes."""
+        self._put = self._get = None
+        self._getters.clear()
+        self._putters.clear()
 
     def _note(self) -> None:
         if self.stat is not None:

@@ -47,6 +47,12 @@ ProcessBody = Generator["Waitable", Any, Any]
 _TIMEOUT_CACHE_LIMIT = 4096
 
 
+def _dead(value: Any) -> None:
+    """Resume callback of a process that has ended: a wake-up that still
+    reaches it (e.g. from a queue it was parked on when an exception was
+    thrown into it) is dropped, as ``Process._resume`` drops it."""
+
+
 def _invoke0(callback: Callable[[], None]) -> None:
     """Run-loop adapter for :meth:`Simulator.call_at`: the scheduled entry
     is ``(_invoke0, callback)``, so no per-call closure is allocated."""
@@ -183,8 +189,18 @@ class Process(Waitable):
     def _kill(self) -> None:
         """Terminate the process after an escaped exception."""
         self.alive = False
+        self._release()
         self.sim._live_processes -= 1
         self.sim._forget(self)
+
+    def _release(self) -> None:
+        """Drop the references that tie an ended process into cycles: its
+        cached bound ``_resume`` (the process itself) and its generator,
+        whose frame holds the block that owns the process's queues."""
+        self._resume_cb = _dead
+        self._send = _dead
+        self._gen = None
+        self._waiting_on = None
 
     def _wait_for(self, target: Any) -> None:
         if not isinstance(target, Waitable):
@@ -199,6 +215,7 @@ class Process(Waitable):
     def _finish(self, result: Any) -> None:
         self.alive = False
         self.result = result
+        self._release()
         self.sim._live_processes -= 1
         # Joiner wakeups are batched through the scheduler's same-timestamp
         # path: a burst of same-cycle completions costs
@@ -275,6 +292,7 @@ class Simulator:
         "_overflow",
         "_horizon",
         "_pending",
+        "_channels",
     )
 
     #: Calendar window in picoseconds (~0.26 us).  Block latencies in this
@@ -304,6 +322,10 @@ class Simulator:
         self._overflow: list[tuple[int, int, Callable[..., None], Any]] = []
         self._horizon: int = self.WHEEL_SPAN
         self._pending: int = 0
+        #: Channels built on this simulator (FIFOs, signals, gates,
+        #: resources), each holding a cached waitable that points back at
+        #: it; :meth:`close` unlinks them.
+        self._channels: list[Any] = []
 
     # -- scheduling -------------------------------------------------------------
 
@@ -460,6 +482,35 @@ class Simulator:
         for i, gen in enumerate(processes):
             self.process(gen, name=f"proc{i}")
         return self.run()
+
+    def close(self) -> None:
+        """Release a finished simulation by reference counting alone.
+
+        A run ends with every block parked in its endless loop, and every
+        channel keeps a cached waitable that points back at it, so without
+        this the whole machine sits in reference cycles until the cyclic
+        collector's next full pass.  ``close`` closes the parked processes'
+        generators, unlinks the channels' cached waitables and waiter
+        queues, and drops every pending event.  Statistics stay readable;
+        the simulator and its channels cannot run again.
+        """
+        for proc in self._blocked_registry:
+            if proc.alive:
+                proc.alive = False
+                gen = proc._gen
+                proc._release()
+                proc._joiners.clear()
+                gen.close()
+        self._blocked_registry = []
+        self._live_processes = 0
+        for channel in self._channels:
+            channel._unlink()
+        self._channels = []
+        self._ready.clear()
+        self._buckets.clear()
+        self._times.clear()
+        self._overflow.clear()
+        self._pending = 0
 
     def _blocked_report(self) -> list[tuple[str, str]]:
         return [

@@ -51,6 +51,12 @@ class Signal:
         self._level = False
         self._waiters: Deque[Process] = deque()
         self._wait = _SignalWait(self)
+        sim._channels.append(self)
+
+    def _unlink(self) -> None:
+        """Break the signal's cycles once its simulator closes."""
+        self._wait = None
+        self._waiters.clear()
 
     @property
     def level(self) -> bool:
@@ -109,6 +115,12 @@ class Gate:
         self._count = 0
         self._waiters: Deque[Process] = deque()
         self._wait = _GateWait(self)
+        sim._channels.append(self)
+
+    def _unlink(self) -> None:
+        """Break the gate's cycles once its simulator closes."""
+        self._wait = None
+        self._waiters.clear()
 
     @property
     def pending(self) -> int:
@@ -183,6 +195,12 @@ class Resource:
             OccupancyStat(sim) if track_occupancy else None
         )
         self._acquire = Acquire(self)
+        sim._channels.append(self)
+
+    def _unlink(self) -> None:
+        """Break the resource's cycles once its simulator closes."""
+        self._acquire = None
+        self._waiters.clear()
 
     @property
     def in_use(self) -> int:

@@ -1,5 +1,7 @@
 """Tests for the golden-model dependence analysis (Listing 2 semantics)."""
 
+import hashlib
+
 import pytest
 
 from repro.runtime.task_graph import DependenceKind, build_task_graph
@@ -162,3 +164,39 @@ class TestScheduleChecker:
     def test_wrong_length_detected(self):
         g = build_task_graph(trace_of([(A, "out")], [(A, "in")]))
         assert g.check_schedule([0], [10]) != []
+
+
+def edge_digest(graph):
+    """sha256 of the sorted ``(pred, succ, kind)`` edge list."""
+    edges = sorted(
+        (p, s, graph.edge_kinds[(p, s)])
+        for s in range(graph.n_tasks)
+        for p in graph.predecessors[s]
+    )
+    return hashlib.sha256(repr(edges).encode()).hexdigest()
+
+
+#: Edge counts and digests recorded on the set-of-sets graph the CSR graph
+#: replaced; the CSR build must reproduce every edge and kind exactly.
+GRAPH_GOLDENS = [
+    ("gaussian_trace(30)", 1275,
+     "2b6996ccaeb3c4a44fb1dd6931f9f9709588633b902b6e358ace84f911165d3c"),
+    ("random_trace(3000, 16, 6, seed=1)", 11746,
+     "864149dff40eea0a7f05d951c42bb3370b3825fe447a8e1d93f77afac08f2a90"),
+    ("random_trace(9000, 1024, 4, seed=5)", 27855,
+     "9d6e5a717fdff578bb98d530ca9eeb76c86049ab848afcd458b15a59e3c06654"),
+    ("wait_chain_trace(4, 50, spin_ns=250)", 196,
+     "0231fd5af69ed90cf77d81d472fbac08827a8a6c9711709af7a9c6092c3ac292"),
+    ("h264_wavefront_trace()", 16013,
+     "ede12e86543f16b63832cfa9e940861f5c7c6a29db5bf65c1025854d240daeed"),
+]
+
+
+@pytest.mark.parametrize("expr, n_edges, digest", GRAPH_GOLDENS,
+                         ids=[g[0] for g in GRAPH_GOLDENS])
+def test_graph_golden_digests(expr, n_edges, digest):
+    from repro import traces
+
+    graph = build_task_graph(eval(expr, vars(traces)))
+    assert graph.n_edges == n_edges
+    assert edge_digest(graph) == digest

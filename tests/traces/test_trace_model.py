@@ -1,5 +1,7 @@
 """Tests for the trace data model and serialization."""
 
+import hashlib
+
 import pytest
 
 from repro.traces import AccessMode, Param, TaskTrace, TraceTask
@@ -118,3 +120,42 @@ class TestTaskTrace:
         assert loaded.meta == trace.meta
         assert loaded.tasks == trace.tasks
         assert reads and max(reads.values()) == 1, reads
+
+
+def row_digest(trace):
+    """sha256 over every row ``(tid, func, params, exec, read, write)``."""
+    h = hashlib.sha256()
+    for t in trace:
+        h.update(repr((
+            t.tid, t.func,
+            tuple((p.addr, p.size, int(p.mode)) for p in t.params),
+            t.exec_time, t.read_time, t.write_time,
+        )).encode())
+    return h.hexdigest()
+
+
+#: Row digests recorded on the object-per-task trace the columns replaced:
+#: every generator, including both ``random_trace`` paths (per task below
+#: 8192 tasks, chunked above), must write exactly the same rows.
+TRACE_GOLDENS = [
+    ("gaussian_trace(30)", 464,
+     "82274360d8c00c60892d51afa97396e145c4ec59b0691b3bb15c92b893ea362c"),
+    ("random_trace(3000, 16, 6, seed=1)", 3000,
+     "829b5e55fa038854f129b3d34a5d54bb8b4ef7ee2671889970b849daacaab0c1"),
+    ("random_trace(9000, 1024, 4, seed=5)", 9000,
+     "3eebd22d65a013e8f1c65673b14c4e7ffaeb0f379e811977c7ccd9e477c3f7bb"),
+    ("wait_chain_trace(4, 50, spin_ns=250)", 200,
+     "fe3bbf8416b4e27b420eaffac97e4e391acc381f479cd4dc935099b6b5864029"),
+    ("h264_wavefront_trace()", 8160,
+     "853be015bce3089bd2ff27243191f251b7586499ecb8358620c4320af68d9d13"),
+]
+
+
+@pytest.mark.parametrize("expr, n_tasks, digest", TRACE_GOLDENS,
+                         ids=[g[0] for g in TRACE_GOLDENS])
+def test_trace_golden_digests(expr, n_tasks, digest):
+    from repro import traces
+
+    trace = eval(expr, vars(traces))
+    assert len(trace) == n_tasks
+    assert row_digest(trace) == digest
