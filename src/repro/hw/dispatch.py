@@ -277,7 +277,7 @@ class FastDispatch:
         normal Task Pool read.
         """
         fab = self.fabric
-        tid = fab.task_of(head).tid
+        tid = fab.tid_of(head)
         if src_shard != home_shard:
             msg = fab.icn.message(src_shard, home_shard, (head, tid))
         else:
@@ -310,21 +310,20 @@ class FastDispatch:
         sim = fab.sim
         cache = self.cache
 
-        def worthwhile(head, live):
+        def worthwhile(head, tid):
             # Still the same in-flight task, chain still in the pool,
             # and not yet handed to a worker core.
             return (
-                fab.inflight.get(head) is live
+                fab.inflight.get(head) == tid
                 and fab.task_pool.is_live_head(head)
-                and scoreboard.dispatched[live.tid] < 0
+                and scoreboard.dispatched[tid] < 0
             )
 
         while True:
             arrive_at, (head, tid) = yield self.prefetch_req[shard].get()
             if arrive_at > sim.now:
                 yield sim.timeout(arrive_at - sim.now)
-            live = fab.inflight.get(head)
-            if live is None or live.tid != tid or not worthwhile(head, live):
+            if not worthwhile(head, tid):
                 self.prefetch_stale += 1
                 continue
             if cache.contains(head):
@@ -337,10 +336,10 @@ class FastDispatch:
             # the in-flight mapping) nor stage a descriptor that already
             # shipped.
             params = yield from td_read_stream_block(
-                fab, head, validate=lambda: worthwhile(head, live)
+                fab, head, validate=lambda: worthwhile(head, tid)
             )
             busy.end()
-            if params is None or not worthwhile(head, live):
+            if params is None or not worthwhile(head, tid):
                 self.prefetch_stale += 1  # retired/dispatched mid-flight
                 continue
             cache.insert(shard, CachedTD(head=head, tid=tid, params=params))

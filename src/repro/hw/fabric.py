@@ -90,9 +90,11 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from ..config import SystemConfig
 from ..sim import Fifo, LevelStat, Resource, Signal, Simulator
-from ..traces.trace import TaskTrace, TraceTask
+from ..traces.trace import TaskTrace
 from .dependence_table import DependenceTable, shard_hash
 from .errors import CapacityError
 from .memory import MemorySystem
@@ -148,14 +150,15 @@ class MergeUnit:
         total = len(fab.trace)
         while self.next_seq < total:
             src = self.next_seq % n_masters
-            seq, task = yield fab.master_buffers[src].get()
+            # A descriptor's task id is its global sequence number.
+            seq = yield fab.master_buffers[src].get()
             if seq != self.next_seq:
                 raise RuntimeError(
                     f"merge unit expected sequence {self.next_seq}, got {seq} "
                     f"from master {src} (per-master streams out of order)"
                 )
             yield sim.timeout(fab.cycle)  # reorder-slot pop + central push
-            yield fab.tds_buffer.put(task)
+            yield fab.tds_buffer.put(seq)
             self.next_seq += 1
             self.merged += 1
 
@@ -307,6 +310,9 @@ class Fabric:
         #: on; ``None`` otherwise — see ``_build_shards``).
         self.dispatch = None
 
+        # Before any channel exists, so a rejected trace leaves no cycles.
+        self._check_fit(trace, config.dt_entries_per_shard)
+
         # ---- tables -------------------------------------------------------------
         self.task_pool = TaskPool(
             config.task_pool_entries, config.max_params_per_td, config.restricted
@@ -441,37 +447,46 @@ class Fabric:
         ]
 
         # ---- task identity --------------------------------------------------------------
-        #: TP head index -> in-flight trace task (index reuse is safe: an
-        #: index is only recycled after Handle Finished retires the task).
-        self.inflight: Dict[int, TraceTask] = {}
-
-        # Pre-validate: the hardware compares base addresses, so a task
-        # listing the same address twice would race against itself.  A
-        # task's check holds one table entry per distinct address in each
-        # slice until it completes, so a task with more addresses in one
-        # slice than the slice has entries would wait forever on slots it
-        # holds itself: reject it by name before the first event.
-        slice_entries = config.dt_entries_per_shard
-        for task in trace:
-            addrs = [p.addr for p in task.params]
-            if len(set(addrs)) != len(addrs):
-                raise ValueError(
-                    f"task {task.tid} lists a base address twice; Nexus++ "
-                    "tracks dependencies per base address (merge the "
-                    "parameters into a single inout)"
-                )
-            if len(addrs) > slice_entries:
-                per_slice = Counter(self.shard_of(a) for a in addrs)
-                s, count = per_slice.most_common(1)[0]
-                if count > slice_entries:
-                    raise CapacityError(
-                        f"task {task.tid} needs {count} Dependence Table "
-                        f"entries in slice {s} but the slice only has "
-                        f"{slice_entries} (dt_entries_per_shard)"
-                    )
-
+        #: TP head index -> trace task id of the in-flight task (index reuse
+        #: is safe: an index is only recycled after Handle Finished retires
+        #: the task).  Blocks read the task's fields from the trace columns
+        #: by that id.
+        self.inflight: Dict[int, int] = {}
         self.on_chip = config.on_chip_access_time
         self.cycle = cycle
+
+    def _check_fit(self, trace: TaskTrace, slice_entries: int) -> None:
+        """Pre-validate the trace against the Dependence Table, on its
+        columns: the hardware compares base addresses, so a task listing
+        the same address twice would race against itself.  A task's check
+        holds one table entry per distinct address in each slice until it
+        completes, so a task with more addresses in one slice than the
+        slice has entries would wait forever on slots it holds itself:
+        reject it by name before the first event."""
+        offsets = np.frombuffer(trace.param_offsets, dtype=np.int64)
+        addrs = np.frombuffer(trace.param_addr, dtype=np.uint64)
+        counts = np.diff(offsets)
+        owner = np.repeat(np.arange(len(trace)), counts)
+        order = np.lexsort((addrs, owner))
+        owner, addrs = owner[order], addrs[order]
+        twice = (owner[1:] == owner[:-1]) & (addrs[1:] == addrs[:-1])
+        first_twice = int(owner[1:][twice][0]) if twice.any() else len(trace)
+        for tid in np.flatnonzero(counts[:first_twice] > slice_entries).tolist():
+            lo, hi = offsets[tid], offsets[tid + 1]
+            per_slice = Counter(self.shard_of(a) for a in trace.param_addr[lo:hi])
+            s, count = per_slice.most_common(1)[0]
+            if count > slice_entries:
+                raise CapacityError(
+                    f"task {tid} needs {count} Dependence Table "
+                    f"entries in slice {s} but the slice only has "
+                    f"{slice_entries} (dt_entries_per_shard)"
+                )
+        if first_twice < len(trace):
+            raise ValueError(
+                f"task {first_twice} lists a base address twice; Nexus++ "
+                "tracks dependencies per base address (merge the "
+                "parameters into a single inout)"
+            )
 
     def _build_shards(self) -> None:
         """Wire the sharded-only structures (interconnect, inboxes, ready
@@ -617,7 +632,8 @@ class Fabric:
         """Where a Task Controller raises its task-finished line."""
         return self.finished_notify_shard[self.core_shard(core)]
 
-    def task_of(self, head: int) -> TraceTask:
+    def tid_of(self, head: int) -> int:
+        """Trace task id of the in-flight task at TP head ``head``."""
         return self.inflight[head]
 
     def dep_table_stats(self) -> dict:

@@ -106,6 +106,7 @@ def write_tp_block(fab: Fabric, scoreboard: Scoreboard, busy: BusyTracker,
     paper's per-descriptor loop.
     """
     sim = fab.sim
+    trace = fab.trace
     batch_limit = fab.config.submission_batch
     while True:
         first = yield fab.tds_buffer.get()
@@ -118,21 +119,25 @@ def write_tp_block(fab: Fabric, scoreboard: Scoreboard, busy: BusyTracker,
             if nxt is None:
                 break
             batch.append(nxt)
-        for i, task in enumerate(batch):
-            need = fab.task_pool.entries_for(task)  # CapacityError if restricted
+        for i, tid in enumerate(batch):
+            params = trace.params_of(tid)
+            # CapacityError if restricted
+            need = fab.task_pool.entries_for(tid, len(params))
             indices = []
             for _ in range(need):
                 idx = yield fab.tp_free.get()
                 indices.append(idx)
             yield fab.tp_port.acquire()
-            head, accesses = fab.task_pool.store(task, indices)
+            head, accesses = fab.task_pool.store(
+                tid, trace.func[tid], params, indices
+            )
             fab.task_pool.begin_check(head)
             yield sim.timeout(accesses * fab.on_chip)
             fab.tp_port.release()
-            fab.inflight[head] = task
+            fab.inflight[head] = tid
             if n_shards is not None:
-                fab.home_of[head] = task.tid % n_shards
-            scoreboard.stored[task.tid] = sim.now
+                fab.home_of[head] = tid % n_shards
+            scoreboard.stored[tid] = sim.now
             # Backpressure on the New Tasks list is not Write TP work:
             # keep every put outside the busy window (as the paper-exact
             # batch-of-one loop always did).
@@ -195,7 +200,7 @@ def send_tds_block(fab: Fabric, request_fifo, busy: BusyTracker, cache=None,
         busy.begin()
         yield sim.timeout(fab.cycle)  # request-line arbitration
         staged = (
-            cache.lookup(head, fab.task_of(head).tid, shard)
+            cache.lookup(head, fab.tid_of(head), shard)
             if cache is not None
             else None
         )
@@ -264,10 +269,11 @@ class TaskMaestro:
         while True:
             head = yield fab.new_tasks.get()
             self.busy["check_deps"].begin()
-            task = fab.task_of(head)
+            tid = fab.tid_of(head)
+            params = fab.trace.params_of(tid)
             # Check messages as the sharded engines carry them; home and
             # n_params only address replies, which one slice never sends.
-            probes = [(head, 0, param, task.n_params) for param in task.params]
+            probes = [(head, 0, param, len(params)) for param in params]
             yield from check_update_block(fab, 0, probes, pipelined=False)
             yield fab.tp_port.acquire()
             ready = fab.task_pool.finish_check(head)
@@ -275,7 +281,7 @@ class TaskMaestro:
             fab.tp_port.release()
             self.busy["check_deps"].end()
             if ready:
-                self.scoreboard.ready[task.tid] = sim.now
+                self.scoreboard.ready[tid] = sim.now
                 yield fab.shard_ready[0].put(head)
 
     # ---- Schedule --------------------------------------------------------------------
@@ -288,10 +294,10 @@ class TaskMaestro:
             core = yield fab.worker_pools[0].get()
             self.busy["schedule"].begin()
             yield sim.timeout(2 * fab.cycle)  # pop both lists, push one
-            task = fab.task_of(head)
+            tid = fab.tid_of(head)
             sb = self.scoreboard
-            sb.dispatched[task.tid] = sim.now
-            sb.core[task.tid] = core
+            sb.dispatched[tid] = sim.now
+            sb.core[tid] = core
             self.busy["schedule"].end()
             yield fab.rdy_fifo[core].put(head)
 
@@ -314,7 +320,7 @@ class TaskMaestro:
         sim = fab.sim
         became_ready = yield from waiter_kick_block(fab, waiter_head)
         if became_ready:
-            tid = fab.task_of(waiter_head).tid
+            tid = fab.tid_of(waiter_head)
             sb = self.scoreboard
             sb.ready[tid] = sim.now
             sb.released_by[tid] = releaser_tid
@@ -348,16 +354,16 @@ class TaskMaestro:
             yield sim.timeout(fab.cycle)  # observe + acknowledge the 1-bit line
             cores = yield from notify_drain_block(fab, line, first)
             # Read each finished task's input/output list from the Task Pool.
-            finished = []  # (core, head, task) in notification order
+            finished = []  # (core, head, tid) in notification order
             updates = []  # (releaser head, param) in notification order
             for core in cores:
                 head = yield fab.fin_fifo[core].get()
-                task = fab.task_of(head)
+                tid = fab.tid_of(head)
                 yield fab.tp_port.acquire()
                 params, accesses = fab.task_pool.read_params(head)
                 yield sim.timeout(accesses * fab.on_chip)
                 fab.tp_port.release()
-                finished.append((core, head, task))
+                finished.append((core, head, tid))
                 updates.extend((head, param) for param in params)
             # Update the Dependence Table (same-row updates merged) and
             # kick off pending tasks whose Dependence Counter reached zero.
@@ -372,10 +378,10 @@ class TaskMaestro:
                 granted = yield from table_update_block(fab, 0, updates)
                 yield from kick(granted)
             # Retire: free the Task Pool chains, recycle indices and cores.
-            for core, head, task in finished:
+            for core, head, tid in finished:
                 yield from retire_free_block(fab, head)
             busy.end()
-            for core, head, task in finished:
+            for core, head, tid in finished:
                 yield fab.worker_pools[0].put(core)
                 self.retired += 1
-                self.scoreboard.note_completed(task.tid, sim.now)
+                self.scoreboard.note_completed(tid, sim.now)

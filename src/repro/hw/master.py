@@ -59,38 +59,34 @@ class MasterCore:
         fab = self.fabric
         sim = fab.sim
         cfg = fab.config
-        # This master's round-robin slice, tagged with global sequence
-        # numbers (= trace indices) for the merge unit.
-        slice_ = [
-            (seq, task)
-            for seq, task in enumerate(fab.trace)
-            if seq % fab.n_masters == self.master_id
-        ]
+        # This master's round-robin slice of task ids, which double as the
+        # global sequence numbers the merge unit restores.  A range, so the
+        # slice is never materialized: each descriptor is read from the
+        # trace columns as it is generated.
+        trace = fab.trace
+        tids = range(self.master_id, len(trace), fab.n_masters)
         out = (
             fab.master_buffers[self.master_id]
             if fab.parallel_frontend
             else fab.tds_buffer
         )
         batch = cfg.submission_batch
-        for start in range(0, len(slice_), batch):
-            chunk = slice_[start : start + batch]
-            for _, task in chunk:
-                if cfg.task_prep_time:
+        for start in range(0, len(tids), batch):
+            chunk = tids[start : start + batch]
+            if cfg.task_prep_time:
+                for _ in chunk:
                     yield sim.timeout(cfg.task_prep_time)
             # One bus transaction for the whole batch (a batch of one is
             # exactly the paper's per-descriptor submission timing).
             yield sim.timeout(
-                cfg.batch_submission_time([task.n_params for _, task in chunk])
+                cfg.batch_submission_time([trace.n_params_of(t) for t in chunk])
             )
-            for seq, task in chunk:
+            for tid in chunk:
                 before = sim.now
-                if fab.parallel_frontend:
-                    yield out.put((seq, task))  # stalls while the buffer is full
-                else:
-                    yield out.put(task)
+                yield out.put(tid)  # stalls while the buffer is full
                 self.stall_time += sim.now - before
                 self.submitted += 1
-                self.scoreboard.submitted[task.tid] = sim.now
+                self.scoreboard.submitted[tid] = sim.now
         self.done_at = sim.now
 
 

@@ -343,9 +343,9 @@ class ResolvePipeline:
         inline.  The releaser tid is captured now: a decoupled kick may
         run after its releaser has retired and left the in-flight map.
         """
-        task_of = self.fabric.task_of
+        tid_of = self.fabric.tid_of
         for releaser_head, waiter_head in grants:
-            releaser_tid = task_of(releaser_head).tid
+            releaser_tid = tid_of(releaser_head)
             if self.speculative:
                 self.speculative_kicks += 1
                 yield self.kick_queues[shard].put((releaser_tid, waiter_head))

@@ -276,10 +276,10 @@ class ShardedMaestro:
         while True:
             head = yield fab.new_tasks.get()
             self.busy["scatter"].begin()
-            task = fab.task_of(head)
+            params = fab.trace.params_of(fab.tid_of(head))
             home = fab.home_of[head]
-            n = task.n_params
-            for param in task.params:
+            n = len(params)
+            for param in params:
                 owner = fab.shard_of(param.addr)
                 # One message injected per Nexus cycle; a full inbox
                 # backpressures the whole scatter (in-order network).
@@ -305,11 +305,12 @@ class ShardedMaestro:
         fab = self.fabric
         while True:
             head = yield fab.new_tasks.get()
-            task = fab.task_of(head)
+            tid = fab.tid_of(head)
+            params = fab.trace.params_of(tid)
             home = fab.home_of[head]
-            n = task.n_params
-            slice_fifo = fab.scatter_slices[task.tid % fab.n_masters]
-            for param in task.params:
+            n = len(params)
+            slice_fifo = fab.scatter_slices[tid % fab.n_masters]
+            for param in params:
                 owner = fab.shard_of(param.addr)
                 seq = fab.dest_seq[owner]
                 fab.dest_seq[owner] = seq + 1
@@ -383,8 +384,7 @@ class ShardedMaestro:
             fab.tp_port.release()
             busy.end()
             if ready:
-                task = fab.task_of(head)
-                self.scoreboard.ready[task.tid] = sim.now
+                self.scoreboard.ready[fab.tid_of(head)] = sim.now
                 yield fab.shard_ready[s].put(head)
                 yield fab.ready_tickets.put(s)
             elif fab.dispatch is not None and fab.dispatch.want_prefetch(head):
@@ -462,10 +462,10 @@ class ShardedMaestro:
                 yield sim.timeout(fab.icn.charge_round_trip(s, victim))
             fab.forwarded_ready.discard(head)
             yield sim.timeout(2 * fab.cycle)  # pop both lists, push one
-            task = fab.task_of(head)
+            tid = fab.tid_of(head)
             sb = self.scoreboard
-            sb.dispatched[task.tid] = sim.now
-            sb.core[task.tid] = core
+            sb.dispatched[tid] = sim.now
+            sb.core[tid] = core
             busy.end()
             yield fab.rdy_fifo[core].put(head)
 
@@ -493,7 +493,7 @@ class ShardedMaestro:
             busy.begin()
             yield sim.timeout(fab.cycle)  # observe + acknowledge the 1-bit line
             head = yield fab.fin_fifo[core].get()
-            task = fab.task_of(head)
+            tid = fab.tid_of(head)
             if pipelined:
                 # Charge a retire ticket: an empty ticket FIFO is the
                 # backpressure that bounds the in-flight finish count.
@@ -535,7 +535,7 @@ class ShardedMaestro:
             busy.end()
             yield fab.worker_pools[fab.core_shard(core)].put(core)
             self.retired += 1
-            self.scoreboard.note_completed(task.tid, sim.now)
+            self.scoreboard.note_completed(tid, sim.now)
 
     # ---- Retire completion (per shard: gather half — per-ticket reply count) -------
 
@@ -556,7 +556,7 @@ class ShardedMaestro:
             # block touches a head past its finish scatter.
             busy.begin()
             del gather[ticket]
-            task = fab.task_of(slot.head)
+            tid = fab.tid_of(slot.head)
             del fab.home_of[slot.head]
             yield from retire_free_block(fab, slot.head)
             fab.note_retire_done(s)
@@ -564,7 +564,7 @@ class ShardedMaestro:
             yield fab.retire_tickets[s].put(ticket)
             yield fab.worker_pools[fab.core_shard(slot.core)].put(slot.core)
             self.retired += 1
-            self.scoreboard.note_completed(task.tid, sim.now)
+            self.scoreboard.note_completed(tid, sim.now)
 
     # ---- Finish engine (per shard: the staged resolve pipeline) --------------------
 
@@ -587,10 +587,10 @@ class ShardedMaestro:
                 dispatch.request_prefetch(s, fab.home_of[waiter_head], waiter_head)
             return
         home = fab.home_of[waiter_head]
-        waiter_task = fab.task_of(waiter_head)
+        waiter_tid = fab.tid_of(waiter_head)
         sb = self.scoreboard
-        sb.ready[waiter_task.tid] = sim.now
-        sb.released_by[waiter_task.tid] = releaser_tid
+        sb.ready[waiter_tid] = sim.now
+        sb.released_by[waiter_tid] = releaser_tid
         if dispatch is not None and dispatch.fast_path:
             # Kick-off fast path: hand the became-ready waiter to an idle
             # *local* worker, skipping the home-shard forward hop and the
@@ -611,8 +611,8 @@ class ShardedMaestro:
                         dispatch.cache.move(waiter_head, s)
                 dispatch.note_fast_dispatch(remote=home != s)
                 yield sim.timeout(2 * fab.cycle)  # pop pool, push rdy
-                sb.dispatched[waiter_task.tid] = sim.now
-                sb.core[waiter_task.tid] = core
+                sb.dispatched[waiter_tid] = sim.now
+                sb.core[waiter_tid] = core
                 yield fab.rdy_fifo[core].put(waiter_head)
                 return
         if home != s:

@@ -70,9 +70,9 @@ class TaskController:
         fab = self.fabric
         while True:
             head = yield self._fetch_q.get()
-            task = fab.task_of(head)
-            self.scoreboard.fetch_start[task.tid] = fab.sim.now
-            yield from fab.memory.transfer(task.read_time)
+            tid = fab.tid_of(head)
+            self.scoreboard.fetch_start[tid] = fab.sim.now
+            yield from fab.memory.transfer(fab.trace.read_time[tid])
             yield self._run_q.put(head)
 
     def _run_task(self):
@@ -80,13 +80,13 @@ class TaskController:
         sim = fab.sim
         while True:
             head = yield self._run_q.get()
-            task = fab.task_of(head)
+            tid = fab.tid_of(head)
             sb = self.scoreboard
-            sb.exec_start[task.tid] = sim.now
+            sb.exec_start[tid] = sim.now
             self.busy.begin()
-            yield sim.timeout(task.exec_time)
+            yield sim.timeout(fab.trace.exec_time[tid])
             self.busy.end()
-            sb.exec_end[task.tid] = sim.now
+            sb.exec_end[tid] = sim.now
             self.tasks_run += 1
             yield self._out_q.put(head)
 
@@ -95,8 +95,8 @@ class TaskController:
         c = self.core_id
         while True:
             head = yield self._out_q.get()
-            task = fab.task_of(head)
-            yield from fab.memory.transfer(task.write_time)
-            self.scoreboard.writeback_end[task.tid] = fab.sim.now
+            tid = fab.tid_of(head)
+            yield from fab.memory.transfer(fab.trace.write_time[tid])
+            self.scoreboard.writeback_end[tid] = fab.sim.now
             yield fab.notify_fifo(c).put(c)
 

@@ -19,9 +19,9 @@ Maestro block) can charge ``accesses * on_chip_access_time``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from ..traces.trace import Param, TraceTask
+from ..traces.trace import Param
 from .errors import CapacityError, ProtocolError
 
 __all__ = ["TaskPool", "TPEntry", "entries_needed"]
@@ -99,41 +99,45 @@ class TaskPool:
 
     # ---- sizing -----------------------------------------------------------------
 
-    def entries_for(self, task: TraceTask) -> int:
-        """How many Task Pool entries storing ``task`` takes.
+    def entries_for(self, tid: int, n_params: int) -> int:
+        """How many Task Pool entries storing task ``tid`` (with
+        ``n_params`` parameters) takes.
 
         In restricted (original-Nexus) mode a task that does not fit one
         descriptor raises :class:`CapacityError` instead.
         """
-        need = entries_needed(task.n_params, self.max_params)
+        need = entries_needed(n_params, self.max_params)
         if self.restricted and need > 1:
             raise CapacityError(
-                f"task {task.tid} has {task.n_params} parameters; a Task "
+                f"task {tid} has {n_params} parameters; a Task "
                 f"Descriptor holds {self.max_params} and dummy tasks are "
                 "disabled (Nexus restricted mode)"
             )
         if need > self.capacity:
             raise CapacityError(
-                f"task {task.tid} needs {need} Task Pool entries but the "
+                f"task {tid} needs {need} Task Pool entries but the "
                 f"pool only has {self.capacity}"
             )
         return need
 
     # ---- storage ----------------------------------------------------------------
 
-    def store(self, task: TraceTask, indices: List[int]) -> Tuple[int, int]:
-        """Write ``task`` into pre-allocated ``indices`` (head first).
+    def store(self, tid: int, func: int, params: Sequence[Param],
+              indices: List[int]) -> Tuple[int, int]:
+        """Write task ``tid`` (function ``func``, parameter list
+        ``params``) into pre-allocated ``indices`` (head first).
 
         Returns ``(head_index, accesses)``.  The caller obtains ``indices``
         from the TP Free Indices list; their count must equal
         :meth:`entries_for`.
         """
-        need = self.entries_for(task)
+        n_params = len(params)
+        need = self.entries_for(tid, n_params)
         if len(indices) != need:
             raise ProtocolError(
-                f"task {task.tid}: got {len(indices)} indices, needs {need}"
+                f"task {tid}: got {len(indices)} indices, needs {need}"
             )
-        params = list(task.params)
+        params = list(params)
         head = indices[0]
         accesses = 0
         for chain_pos, idx in enumerate(indices):
@@ -144,18 +148,18 @@ class TaskPool:
             slots = self.max_params if is_tail else self.max_params - 1
             entry.valid = True
             entry.is_dummy = chain_pos > 0
-            entry.func = task.func
+            entry.func = func
             entry.params = params[:slots]
             params = params[slots:]
             entry.next_dummy = None if is_tail else indices[chain_pos + 1]
             if chain_pos == 0:
-                entry.trace_tid = task.tid
-                entry.n_params = task.n_params
+                entry.trace_tid = tid
+                entry.n_params = n_params
                 entry.n_dummies = need - 1
                 entry.dep_count = 0
             accesses += 1
         if params:
-            raise ProtocolError(f"task {task.tid}: {len(params)} parameters left over")
+            raise ProtocolError(f"task {tid}: {len(params)} parameters left over")
         self.dummy_tasks_created += need - 1
         self.occupied += need
         if self.occupied > self.high_water:

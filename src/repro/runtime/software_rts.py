@@ -71,24 +71,24 @@ def run_software_rts(
     #: All runtime bookkeeping serializes on the master core.
     master_port = Resource(sim, 1, name="master-core")
     ready: Fifo = Fifo(sim, None, "ready-tasks")
-    remaining = [len(g.predecessors[t]) for t in range(len(trace))]
+    remaining = [g.in_degree(t) for t in range(len(trace))]
     done = {"master": 0}
 
     def master():
-        for task in trace:
+        for tid in range(len(trace)):
             yield master_port.acquire()
             cost = (
                 cfg.task_prep_time
                 + rts_cfg.submit_cost
-                + rts_cfg.per_param_cost * task.n_params
+                + rts_cfg.per_param_cost * trace.n_params_of(tid)
             )
             yield sim.timeout(cost)
             master_port.release()
-            scoreboard.submitted[task.tid] = sim.now
-            scoreboard.stored[task.tid] = sim.now
-            if remaining[task.tid] == 0:
-                scoreboard.ready[task.tid] = sim.now
-                yield ready.put(task.tid)
+            scoreboard.submitted[tid] = sim.now
+            scoreboard.stored[tid] = sim.now
+            if remaining[tid] == 0:
+                scoreboard.ready[tid] = sim.now
+                yield ready.put(tid)
         done["master"] = sim.now
 
     def finish(tid: int):
@@ -109,15 +109,14 @@ def run_software_rts(
     def worker(core: int):
         while True:
             tid = yield ready.get()
-            task = trace[tid]
             scoreboard.core[tid] = core
             scoreboard.dispatched[tid] = sim.now
             scoreboard.fetch_start[tid] = sim.now
-            yield from memory.transfer(task.read_time)
+            yield from memory.transfer(trace.read_time[tid])
             scoreboard.exec_start[tid] = sim.now
-            yield sim.timeout(task.exec_time)
+            yield sim.timeout(trace.exec_time[tid])
             scoreboard.exec_end[tid] = sim.now
-            yield from memory.transfer(task.write_time)
+            yield from memory.transfer(trace.write_time[tid])
             scoreboard.writeback_end[tid] = sim.now
             sim.process(finish(tid), name=f"rts-finish-{tid}")
 

@@ -24,11 +24,15 @@ up to modelled overheads... and a sanity lower bound via work/P).
 from __future__ import annotations
 
 import heapq
+from array import array
+from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from collections.abc import Mapping
+from typing import Dict, Iterator, List, Sequence, Tuple
 
-from ..traces.trace import TaskTrace
+import numpy as np
+
+from ..traces.trace import AccessMode, TaskTrace
 
 __all__ = ["TaskGraph", "build_task_graph", "DependenceKind"]
 
@@ -41,60 +45,157 @@ class DependenceKind:
     WAW = "WAW"
 
 
-@dataclass
-class TaskGraph:
-    """Immutable dependence DAG over a trace, with analysis helpers."""
+#: Edge kind by its stored byte, which is also its strength rank: a pair
+#: carrying several hazards keeps the strongest (RAW > WAW > WAR).
+_KINDS = (DependenceKind.WAR, DependenceKind.WAW, DependenceKind.RAW)
+_WAR, _WAW, _RAW = range(3)
+_IN, _OUT = int(AccessMode.IN), int(AccessMode.OUT)
 
-    trace: TaskTrace
-    #: successors[tid] -> set of dependent task ids.
-    successors: List[Set[int]]
-    #: predecessors[tid] -> set of prerequisite task ids.
-    predecessors: List[Set[int]]
-    #: Edge kinds keyed by (pred, succ); a pair may carry several hazards,
-    #: the strongest (RAW > WAW > WAR) is kept.
-    edge_kinds: Dict[Tuple[int, int], str] = field(default_factory=dict)
+
+class _Rows(Sequence):
+    """Adjacency rows of one CSR (``offsets``, ``ids``): ``rows[t]`` is the
+    frozenset of task ids in row ``t``."""
+
+    __slots__ = ("_offsets", "_ids")
+
+    def __init__(self, offsets: array, ids: array):
+        self._offsets = offsets
+        self._ids = ids
+
+    def __len__(self) -> int:
+        return len(self._offsets) - 1
+
+    def __getitem__(self, tid: int) -> frozenset:
+        return frozenset(self._ids[self._offsets[tid]:self._offsets[tid + 1]])
+
+
+class _EdgeKinds(Mapping):
+    """Read-only ``(pred, succ) -> kind`` view of the predecessor CSR,
+    iterated by ascending successor, then ascending predecessor."""
+
+    __slots__ = ("_graph",)
+
+    def __init__(self, graph: "TaskGraph"):
+        self._graph = graph
+
+    def __getitem__(self, edge: Tuple[int, int]) -> str:
+        k = self._graph._edge_index(*edge)
+        if k < 0:
+            raise KeyError(edge)
+        return _KINDS[self._graph._pred_kinds[k]]
+
+    def __len__(self) -> int:
+        return len(self._graph._pred_ids)
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        offsets, ids = self._graph._pred_offsets, self._graph._pred_ids
+        for succ in range(len(offsets) - 1):
+            for k in range(offsets[succ], offsets[succ + 1]):
+                yield ids[k], succ
+
+    def values(self):
+        return [_KINDS[kind] for kind in self._graph._pred_kinds]
+
+
+class TaskGraph:
+    """Immutable dependence DAG over a trace, with analysis helpers.
+
+    Stored as predecessor CSR: ``_pred_offsets`` (one int64 per task plus
+    one), ``_pred_ids`` (int32 predecessor ids, ascending within a row) and
+    ``_pred_kinds`` (one kind byte per edge).  Successor CSR is derived on
+    first use.  ``predecessors``/``successors`` rows, ``edge_kinds`` and
+    ``is_edge`` keep the meaning of the set-of-sets graph this replaced.
+    """
+
+    def __init__(self, trace: TaskTrace, pred_offsets: array, pred_ids: array,
+                 pred_kinds: bytes):
+        self.trace = trace
+        self._pred_offsets = pred_offsets
+        self._pred_ids = pred_ids
+        self._pred_kinds = pred_kinds
+        self._succ_offsets: array | None = None
+        self._succ_ids: array | None = None
+
+    @property
+    def predecessors(self) -> _Rows:
+        """``predecessors[tid]`` -> frozenset of prerequisite task ids."""
+        return _Rows(self._pred_offsets, self._pred_ids)
+
+    @property
+    def successors(self) -> _Rows:
+        """``successors[tid]`` -> frozenset of dependent task ids."""
+        if self._succ_offsets is None:
+            self._derive_successors()
+        return _Rows(self._succ_offsets, self._succ_ids)
+
+    @property
+    def edge_kinds(self) -> _EdgeKinds:
+        """Edge kinds keyed by ``(pred, succ)``; a pair may carry several
+        hazards, the strongest (RAW > WAW > WAR) is kept."""
+        return _EdgeKinds(self)
+
+    def _derive_successors(self) -> None:
+        offsets = np.frombuffer(self._pred_offsets, dtype=np.int64)
+        preds = np.frombuffer(self._pred_ids, dtype=np.int32)
+        succs = np.repeat(
+            np.arange(self.n_tasks, dtype=np.int32), np.diff(offsets)
+        )
+        # A stable sort by predecessor keeps each row's successors in
+        # ascending order, as the predecessor rows are.
+        order = np.argsort(preds, kind="stable")
+        counts = np.bincount(preds, minlength=self.n_tasks)
+        self._succ_offsets = array("q", np.concatenate(([0], np.cumsum(counts))).tobytes())
+        self._succ_ids = array("i", succs[order].tobytes())
+
+    def _edge_index(self, pred: int, succ: int) -> int:
+        """CSR position of edge ``pred -> succ``, or -1 when absent."""
+        if not 0 <= succ < self.n_tasks:
+            return -1
+        lo, hi = self._pred_offsets[succ], self._pred_offsets[succ + 1]
+        k = bisect_left(self._pred_ids, pred, lo, hi)
+        return k if k < hi and self._pred_ids[k] == pred else -1
 
     # ---- basic queries ----------------------------------------------------------
 
     @property
     def n_tasks(self) -> int:
-        return len(self.trace)
+        return len(self._pred_offsets) - 1
 
     @property
     def n_edges(self) -> int:
-        return sum(len(s) for s in self.successors)
+        return len(self._pred_ids)
 
     def in_degree(self, tid: int) -> int:
-        return len(self.predecessors[tid])
+        return self._pred_offsets[tid + 1] - self._pred_offsets[tid]
 
     def roots(self) -> List[int]:
         """Tasks with no prerequisites (ready at time zero)."""
-        return [t for t in range(self.n_tasks) if not self.predecessors[t]]
+        offsets = self._pred_offsets
+        return [t for t in range(self.n_tasks) if offsets[t] == offsets[t + 1]]
 
     def is_edge(self, pred: int, succ: int) -> bool:
-        return succ in self.successors[pred]
+        return self._edge_index(pred, succ) >= 0
 
     # ---- scheduling-theoretic bounds ---------------------------------------------
 
     def task_cost(self, tid: int) -> int:
         """Serial per-task cost used in bounds: exec plus memory phases."""
-        t = self.trace[tid]
-        return t.exec_time + t.read_time + t.write_time
+        t = self.trace
+        return t.exec_time[tid] + t.read_time[tid] + t.write_time[tid]
 
     @property
     def total_work(self) -> int:
         """T1: serial execution time of the whole trace."""
-        return sum(self.task_cost(t) for t in range(self.n_tasks))
+        return self.trace.total_exec_time + self.trace.total_memory_time
 
     def critical_path(self) -> int:
         """T-infinity: longest cost-weighted path through the DAG."""
         n = self.n_tasks
+        offsets, ids = self._pred_offsets, self._pred_ids
         finish = [0] * n
         for tid in range(n):  # tids are a topological order (program order)
-            start = 0
-            for p in self.predecessors[tid]:
-                if finish[p] > start:
-                    start = finish[p]
+            start = max((finish[p] for p in ids[offsets[tid]:offsets[tid + 1]]),
+                        default=0)
             finish[tid] = start + self.task_cost(tid)
         return max(finish) if n else 0
 
@@ -107,7 +208,8 @@ class TaskGraph:
         if cores < 1:
             raise ValueError("cores must be >= 1")
         n = self.n_tasks
-        indeg = [len(self.predecessors[t]) for t in range(n)]
+        indeg = [self.in_degree(t) for t in range(n)]
+        successors = self.successors
         ready: List[int] = [t for t in range(n) if indeg[t] == 0]
         heapq.heapify(ready)
         core_free = [0] * cores  # heap of core-available times
@@ -132,7 +234,7 @@ class TaskGraph:
             finish[tid] = end
             heapq.heappush(core_free, end)
             done += 1
-            for s in self.successors[tid]:
+            for s in successors[tid]:
                 indeg[s] -= 1
                 earliest[s] = max(earliest[s], end)
                 if indeg[s] == 0:
@@ -153,13 +255,13 @@ class TaskGraph:
         the paper's "ramping effect" curve.
         """
         n = self.n_tasks
+        offsets, ids = self._pred_offsets, self._pred_ids
         depth = [0] * n
         for tid in range(n):
-            d = 0
-            for p in self.predecessors[tid]:
-                if depth[p] + 1 > d:
-                    d = depth[p] + 1
-            depth[tid] = d
+            depth[tid] = max(
+                (depth[p] + 1 for p in ids[offsets[tid]:offsets[tid + 1]]),
+                default=0,
+            )
         profile: Dict[int, int] = defaultdict(int)
         for d in depth:
             profile[d] += 1
@@ -182,7 +284,9 @@ class TaskGraph:
         """Return a list of dependence violations for a simulated schedule.
 
         A legal schedule starts every task no earlier than the finish of all
-        its predecessors.  Empty list = legal.
+        its predecessors.  Empty list = legal.  Problems are listed by
+        ascending successor id and, within one successor, by ascending
+        predecessor id.
         """
         problems = []
         if len(start_times) != self.n_tasks or len(finish_times) != self.n_tasks:
@@ -190,65 +294,65 @@ class TaskGraph:
                 f"schedule covers {len(start_times)} tasks, trace has {self.n_tasks}"
             )
             return problems
+        offsets, ids, kinds = self._pred_offsets, self._pred_ids, self._pred_kinds
         for succ in range(self.n_tasks):
-            for pred in self.predecessors[succ]:
-                if finish_times[pred] > start_times[succ]:
-                    kind = self.edge_kinds.get((pred, succ), "?")
+            start = start_times[succ]
+            for k in range(offsets[succ], offsets[succ + 1]):
+                pred = ids[k]
+                if finish_times[pred] > start:
                     problems.append(
-                        f"{kind} violation: task {succ} started at "
-                        f"{start_times[succ]} before task {pred} finished at "
+                        f"{_KINDS[kinds[k]]} violation: task {succ} started at "
+                        f"{start} before task {pred} finished at "
                         f"{finish_times[pred]}"
                     )
         return problems
 
 
-_KIND_RANK = {DependenceKind.WAR: 0, DependenceKind.WAW: 1, DependenceKind.RAW: 2}
-
-
 def build_task_graph(trace: TaskTrace) -> TaskGraph:
-    """Run the golden dependence analysis over a trace in program order."""
-    n = len(trace)
-    successors: List[Set[int]] = [set() for _ in range(n)]
-    predecessors: List[Set[int]] = [set() for _ in range(n)]
-    edge_kinds: Dict[Tuple[int, int], str] = {}
+    """Run the golden dependence analysis over a trace in program order.
 
+    Emits predecessor CSR directly: each task's predecessors are gathered
+    with their strongest hazard, then appended in ascending id order.
+    """
+    n = len(trace)
+    offsets = array("q", [0])
+    ids = array("i")
+    kinds = bytearray()
+
+    param_offsets, param_addr = trace.param_offsets, trace.param_addr
+    param_mode = trace.param_mode
     last_writer: Dict[int, int] = {}
     readers_since_write: Dict[int, List[int]] = defaultdict(list)
 
-    def add_edge(pred: int, succ: int, kind: str) -> None:
-        if pred == succ:
-            return
-        successors[pred].add(succ)
-        predecessors[succ].add(pred)
-        key = (pred, succ)
-        old = edge_kinds.get(key)
-        if old is None or _KIND_RANK[kind] > _KIND_RANK[old]:
-            edge_kinds[key] = kind
-
-    for task in trace:
-        tid = task.tid
+    for tid in range(n):
         # De-duplicate addresses within one task: a repeated address acts
         # with its strongest combined mode (reads if any param reads, writes
         # if any writes) — matches the hardware, which processes parameters
         # sequentially against the table.
         seen: Dict[int, Tuple[bool, bool]] = {}
-        for p in task.params:
-            r, w = seen.get(p.addr, (False, False))
-            seen[p.addr] = (r or p.mode.reads, w or p.mode.writes)
+        for k in range(param_offsets[tid], param_offsets[tid + 1]):
+            addr, mode = param_addr[k], param_mode[k]
+            r, w = seen.get(addr, (False, False))
+            seen[addr] = (r or mode != _OUT, w or mode != _IN)
+        found: Dict[int, int] = {}  # predecessor -> strongest kind
         for addr, (reads, writes) in seen.items():
-            if reads:
-                w = last_writer.get(addr)
-                if w is not None:
-                    add_edge(w, tid, DependenceKind.RAW)
+            w = last_writer.get(addr)
+            if reads and w is not None:
+                found[w] = _RAW
             if writes:
-                w = last_writer.get(addr)
-                if w is not None:
-                    add_edge(w, tid, DependenceKind.WAW)
+                if w is not None and found.get(w, -1) < _WAW:
+                    found[w] = _WAW
                 for r in readers_since_write[addr]:
-                    add_edge(r, tid, DependenceKind.WAR)
+                    if r not in found:
+                        found[r] = _WAR
                 last_writer[addr] = tid
                 readers_since_write[addr] = []
             if reads and not writes:
                 readers_since_write[addr].append(tid)
+        found.pop(tid, None)
+        for pred in sorted(found):
+            ids.append(pred)
+            kinds.append(found[pred])
+        offsets.append(len(ids))
 
-    return TaskGraph(trace, successors, predecessors, edge_kinds)
+    return TaskGraph(trace, offsets, ids, bytes(kinds))

@@ -25,7 +25,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..config import SystemConfig
-from .trace import AccessMode, Param, TaskTrace, TraceTask
+from .trace import AccessMode, Param, TaskTrace, TraceBuilder, TraceTask
 
 __all__ = ["wait_chain_trace", "spatial_decomposition_trace"]
 
@@ -80,20 +80,19 @@ def wait_chain_trace(
     def addr(r: int, c: int) -> int:
         return _WAIT_CHAIN_BASE + (c * rows + r) * block_bytes
 
-    tasks: List[TraceTask] = []
+    builder = TraceBuilder()
+    exec_times = exec_times.tolist()
     for c in range(cols):
         for r in range(rows):
             params = [
-                Param(addr((r + d) % rows, c - 1), block_bytes, AccessMode.IN)
+                (addr((r + d) % rows, c - 1), block_bytes, AccessMode.IN)
                 for d in range(k)
                 if c > 0
             ]
-            params.append(Param(addr(r, c), block_bytes, AccessMode.OUT))
-            tid = len(tasks)
-            tasks.append(TraceTask(tid, _WAIT, tuple(params), int(exec_times[tid])))
-    return TaskTrace(
+            params.append((addr(r, c), block_bytes, AccessMode.OUT))
+            builder.add(_WAIT, exec_times[c * rows + r], 0, 0, params)
+    return builder.build(
         name or f"wait-chain-{rows}x{cols}-k{k}-{spin_ns}ns",
-        tasks,
         meta={
             "pattern": "wait-chain",
             "rows": rows,

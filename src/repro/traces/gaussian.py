@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..config import SystemConfig
-from .trace import AccessMode, Param, TaskTrace, TraceTask
+from .trace import AccessMode, TaskTrace, TraceBuilder
 
 __all__ = [
     "gaussian_task_count",
@@ -101,43 +101,31 @@ def gaussian_trace(
             cfg.memory_time_for_bytes(io_bytes),
         )
 
-    tasks: list[TraceTask] = []
+    builder = TraceBuilder()
     tid = 0
+    inout, in_ = AccessMode.INOUT, AccessMode.IN
     for i in range(1, n):
+        pivot_row = _row_addr(i, n)
         # Pivot task T(i,i): find/swap/scale pivot of column i.
-        weight = n + 1 - i
-        exec_time, read_time, write_time = times(weight)
-        params = [Param(_row_addr(i, n), row_bytes, AccessMode.INOUT)]
-        params.extend(
-            Param(_row_addr(j, n), row_bytes, AccessMode.IN) for j in range(i + 1, n + 1)
-        )
-        tasks.append(
-            TraceTask(tid, _PIVOT_FUNC, tuple(params), exec_time, read_time, write_time)
+        builder.add(
+            _PIVOT_FUNC,
+            *times(n + 1 - i),
+            [(pivot_row, row_bytes, inout)]
+            + [(_row_addr(j, n), row_bytes, in_) for j in range(i + 1, n + 1)],
         )
         tid += 1
         # Update tasks T(j,i), j = i+1..n.
-        weight = n - i
-        exec_time, read_time, write_time = times(weight)
+        exec_time, read_time, write_time = times(n - i)
         for j in range(i + 1, n + 1):
-            tasks.append(
-                TraceTask(
-                    tid,
-                    _UPDATE_FUNC,
-                    (
-                        Param(_row_addr(i, n), row_bytes, AccessMode.IN),
-                        Param(_row_addr(j, n), row_bytes, AccessMode.INOUT),
-                    ),
-                    exec_time,
-                    read_time,
-                    write_time,
-                )
+            builder.add(
+                _UPDATE_FUNC, exec_time, read_time, write_time,
+                ((pivot_row, row_bytes, in_), (_row_addr(j, n), row_bytes, inout)),
             )
             tid += 1
 
     assert tid == gaussian_task_count(n)
-    return TaskTrace(
+    return builder.build(
         name or f"gaussian-{n}",
-        tasks,
         meta={
             "pattern": "gaussian",
             "n": n,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .trace import AccessMode, Param, TaskTrace, TraceTask
+from .trace import TaskTrace, TraceBuilder
 
 __all__ = ["random_trace"]
 
@@ -60,52 +60,47 @@ def random_trace(
     if max_params < 1:
         raise ValueError("need at least one parameter")
     rng = np.random.default_rng(seed)
+    builder = TraceBuilder()
     if n_tasks <= _CHUNK_TASKS:
-        tasks = _legacy_tasks(rng, n_tasks, n_addresses, max_params,
-                              mean_exec, mean_memory)
+        _legacy_tasks(builder, rng, n_tasks, n_addresses, max_params,
+                      mean_exec, mean_memory)
     else:
-        tasks = []
         for start in range(0, n_tasks, _CHUNK_TASKS):
             m = min(_CHUNK_TASKS, n_tasks - start)
-            _chunk_tasks(tasks, rng, start, m, n_addresses, max_params,
+            _chunk_tasks(builder, rng, m, n_addresses, max_params,
                          mean_exec, mean_memory)
-    return TaskTrace(
+    return builder.build(
         name,
-        tasks,
         meta={"pattern": "random", "seed": seed, "n_addresses": n_addresses},
     )
 
 
-def _legacy_tasks(rng, n_tasks, n_addresses, max_params, mean_exec,
-                  mean_memory) -> list[TraceTask]:
+def _legacy_tasks(builder, rng, n_tasks, n_addresses, max_params, mean_exec,
+                  mean_memory) -> None:
     """The original per-task generator (RNG stream pinned by goldens)."""
-    tasks = []
-    for tid in range(n_tasks):
+    for _ in range(n_tasks):
         k = int(rng.integers(1, max_params + 1))
         k = min(k, n_addresses)
         addr_ids = rng.choice(n_addresses, size=k, replace=False)
-        params = []
-        for a in addr_ids:
-            mode = AccessMode(int(rng.integers(0, 3)))
-            params.append(Param(_ADDR_BASE + int(a) * _SEG_BYTES, _SEG_BYTES, mode))
+        params = [
+            (_ADDR_BASE + int(a) * _SEG_BYTES, _SEG_BYTES, int(rng.integers(0, 3)))
+            for a in addr_ids
+        ]
         exec_time = int(rng.integers(1, 2 * mean_exec + 1))
         read_time = int(rng.integers(0, 2 * mean_memory + 1))
         write_time = int(rng.integers(0, 2 * mean_memory + 1))
-        tasks.append(
-            TraceTask(tid, 0xF00D, tuple(params), exec_time, read_time, write_time)
-        )
-    return tasks
+        builder.add(0xF00D, exec_time, read_time, write_time, params)
 
 
-def _chunk_tasks(tasks, rng, start, m, n_addresses, max_params, mean_exec,
+def _chunk_tasks(builder, rng, m, n_addresses, max_params, mean_exec,
                  mean_memory) -> None:
     """Append ``m`` tasks built from whole-chunk vectorized draws.
 
-    All randomness for the chunk is drawn in array operations; the
-    remaining Python loop only assembles the (immutable) descriptor
-    objects.  Sampling without replacement is the argsort-of-random-keys
-    trick: each row's address ids are the indices of its ``k`` smallest
-    keys, uniform over all k-subsets.
+    All randomness for the chunk is drawn in array operations, and the
+    chunk goes into the trace columns as whole arrays.  Sampling without
+    replacement is the argsort-of-random-keys trick: each row's address
+    ids are the indices of its ``k`` smallest keys, uniform over all
+    k-subsets.
     """
     max_k = min(max_params, n_addresses)
     ks = rng.integers(1, max_params + 1, size=m)
@@ -128,23 +123,15 @@ def _chunk_tasks(tasks, rng, start, m, n_addresses, max_params, mean_exec,
     read_times = rng.integers(0, 2 * mean_memory + 1, size=m)
     write_times = rng.integers(0, 2 * mean_memory + 1, size=m)
 
-    addr_rows = (_ADDR_BASE + addr_rows * _SEG_BYTES).tolist()
-    modes = modes.tolist()
-    ks = ks.tolist()
-    exec_times = exec_times.tolist()
-    read_times = read_times.tolist()
-    write_times = write_times.tolist()
-    append = tasks.append
-    in_, out, inout = AccessMode.IN, AccessMode.OUT, AccessMode.INOUT
-    mode_of = (in_, out, inout)
-    for i in range(m):
-        k = ks[i]
-        addrs = addr_rows[i]
-        mrow = modes[i]
-        params = tuple(
-            Param(addrs[j], _SEG_BYTES, mode_of[mrow[j]]) for j in range(k)
-        )
-        append(
-            TraceTask(start + i, 0xF00D, params, exec_times[i],
-                      read_times[i], write_times[i])
-        )
+    # Row i keeps its first ks[i] draws, in draw order.
+    keep = np.arange(max_k) < ks[:, None]
+    builder.extend(
+        func=np.full(m, 0xF00D),
+        exec_time=exec_times,
+        read_time=read_times,
+        write_time=write_times,
+        n_params=ks,
+        param_addr=_ADDR_BASE + addr_rows[keep] * _SEG_BYTES,
+        param_size=np.full(int(ks.sum()), _SEG_BYTES),
+        param_mode=modes[keep],
+    )

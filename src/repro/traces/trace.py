@@ -4,19 +4,27 @@ The paper's evaluation is trace-driven: each task carries its input/output
 parameter list (base address, size, access mode — the same triple a StarSs
 ``#pragma css task input(...) inout(...)`` produces) plus the time it spends
 executing and reading/writing its operands from/to off-chip memory.
+
+A :class:`TaskTrace` stores no object per task.  It keeps one column per
+task field (``func``, ``exec_time``, ``read_time``, ``write_time``) and
+the parameters in CSR form (``param_offsets`` plus ``param_addr``,
+``param_size`` and ``param_mode``), all as :mod:`array` columns, so an
+element read is a plain Python int.  :class:`TraceTask` and
+:class:`Param` are immutable rows: ``trace[tid]`` builds one from the
+columns on access, and a hand-built list of them is copied into columns
+by ``TaskTrace(name, tasks)``.
 """
 
 from __future__ import annotations
 
-
 import json
-from dataclasses import dataclass
+from array import array
 from enum import IntEnum
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["AccessMode", "Param", "TraceTask", "TaskTrace"]
+__all__ = ["AccessMode", "Param", "TraceTask", "TaskTrace", "TraceBuilder"]
 
 
 class AccessMode(IntEnum):
@@ -42,8 +50,17 @@ class AccessMode(IntEnum):
             raise ValueError(f"unknown access mode {text!r}") from None
 
 
-@dataclass(frozen=True)
-class Param:
+#: Access modes by their stored byte.
+_MODES = tuple(AccessMode)
+
+
+class _ParamFields(NamedTuple):
+    addr: int
+    size: int
+    mode: AccessMode
+
+
+class Param(_ParamFields):
     """One task parameter: ``(base memory address, size, access mode)``.
 
     Dependencies are decided by comparing base addresses only, exactly as in
@@ -51,42 +68,49 @@ class Param:
     addresses of the inputs/outputs").
     """
 
-    addr: int
-    size: int
-    mode: AccessMode
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.addr < 0:
-            raise ValueError(f"negative address {self.addr:#x}")
-        if self.size <= 0:
-            raise ValueError(f"parameter size must be positive, got {self.size}")
+    def __new__(cls, addr: int, size: int, mode: AccessMode) -> "Param":
+        if addr < 0:
+            raise ValueError(f"negative address {addr:#x}")
+        if size <= 0:
+            raise ValueError(f"parameter size must be positive, got {size}")
+        return tuple.__new__(cls, (addr, size, mode))
 
     def __str__(self) -> str:
         return f"{self.addr:#x}/{self.size}/{self.mode.name.lower()}"
 
 
-@dataclass(frozen=True)
-class TraceTask:
+class _TaskFields(NamedTuple):
+    tid: int
+    func: int
+    params: tuple
+    exec_time: int
+    read_time: int = 0
+    write_time: int = 0
+
+
+class TraceTask(_TaskFields):
     """A task instance in serial program order.
 
     ``exec_time``/``read_time``/``write_time`` are uncontended durations in
     picoseconds; the machine model adds queueing/contention on top.
     """
 
-    tid: int
-    func: int
-    params: tuple[Param, ...]
-    exec_time: int
-    read_time: int = 0
-    write_time: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.tid < 0:
-            raise ValueError(f"negative task id {self.tid}")
-        if not self.params:
-            raise ValueError(f"task {self.tid}: needs at least one parameter")
-        if self.exec_time < 0 or self.read_time < 0 or self.write_time < 0:
-            raise ValueError(f"task {self.tid}: negative duration")
+    def __new__(cls, tid: int, func: int, params: tuple[Param, ...],
+                exec_time: int, read_time: int = 0,
+                write_time: int = 0) -> "TraceTask":
+        if tid < 0:
+            raise ValueError(f"negative task id {tid}")
+        if not params:
+            raise ValueError(f"task {tid}: needs at least one parameter")
+        if exec_time < 0 or read_time < 0 or write_time < 0:
+            raise ValueError(f"task {tid}: negative duration")
+        return tuple.__new__(
+            cls, (tid, func, params, exec_time, read_time, write_time)
+        )
 
     @property
     def n_params(self) -> int:
@@ -104,66 +128,234 @@ class TraceTask:
         return (p for p in self.params if p.mode.writes)
 
 
+#: Column name -> ``array`` type code.  Every column but the mode byte is
+#: 8 bytes wide; addresses are unsigned.
+_COLUMNS = {
+    "func": "q",
+    "exec_time": "q",
+    "read_time": "q",
+    "write_time": "q",
+    "param_offsets": "q",
+    "param_addr": "Q",
+    "param_size": "q",
+    "param_mode": "b",
+}
+_TASK_COLUMNS = ("func", "exec_time", "read_time", "write_time")
+
+
+def _column(typecode: str, values: Any) -> array:
+    """``values`` (a NumPy array, an ``array`` or any int iterable) as an
+    ``array`` column, copied from a NumPy buffer without Python ints."""
+    if isinstance(values, array) and values.typecode == typecode:
+        return values
+    col = array(typecode)
+    if isinstance(values, np.ndarray):
+        _extend(col, values)
+    else:
+        col.extend(values)
+    return col
+
+
+def _extend(col: array, values: np.ndarray) -> None:
+    col.frombytes(np.ascontiguousarray(values, dtype=np.dtype(col.typecode)).tobytes())
+
+
+class TraceBuilder:
+    """Trace columns grown in program order, a task or a block at a time;
+    the generators write rows here instead of building task objects."""
+
+    def __init__(self) -> None:
+        self.columns = {key: array(code) for key, code in _COLUMNS.items()}
+        self.columns["param_offsets"].append(0)
+
+    def add(self, func: int, exec_time: int, read_time: int, write_time: int,
+            params: Iterable[tuple[int, int, int]]) -> None:
+        """Append one task; ``params`` are ``(addr, size, mode)`` triples."""
+        cols = self.columns
+        cols["func"].append(func)
+        cols["exec_time"].append(exec_time)
+        cols["read_time"].append(read_time)
+        cols["write_time"].append(write_time)
+        addr, size, mode = cols["param_addr"], cols["param_size"], cols["param_mode"]
+        for a, sz, m in params:
+            addr.append(a)
+            size.append(sz)
+            mode.append(m)
+        cols["param_offsets"].append(len(addr))
+
+    def extend(self, func: np.ndarray, exec_time: np.ndarray,
+               read_time: np.ndarray, write_time: np.ndarray,
+               n_params: np.ndarray, param_addr: np.ndarray,
+               param_size: np.ndarray, param_mode: np.ndarray) -> None:
+        """Append a block of tasks from whole-block NumPy arrays: one entry
+        per task, and the block's parameters flattened in task order."""
+        cols = self.columns
+        base = len(cols["param_addr"])
+        for key, values in (
+            ("func", func), ("exec_time", exec_time), ("read_time", read_time),
+            ("write_time", write_time), ("param_addr", param_addr),
+            ("param_size", param_size), ("param_mode", param_mode),
+        ):
+            _extend(cols[key], values)
+        _extend(cols["param_offsets"], base + np.cumsum(n_params))
+
+    def build(self, name: str, meta: Optional[dict] = None) -> "TaskTrace":
+        return TaskTrace.from_columns(name, meta, **self.columns)
+
+
 class TaskTrace:
-    """An ordered collection of tasks plus provenance metadata.
+    """An ordered collection of tasks plus provenance metadata, stored as
+    columns.
 
     Iteration order is serial program order — the order the master core
-    generates and submits Task Descriptors.
+    generates and submits Task Descriptors.  ``trace[tid]`` and iteration
+    build :class:`TraceTask` rows on access; the machine's hot path reads
+    the columns by task id instead (``exec_time[tid]``,
+    :meth:`n_params_of`, :meth:`params_of`).
     """
 
+    func: array
+    exec_time: array
+    read_time: array
+    write_time: array
+    param_offsets: array
+    param_addr: array
+    param_size: array
+    param_mode: array
+
     def __init__(self, name: str, tasks: Iterable[TraceTask], meta: Optional[dict] = None):
+        builder = TraceBuilder()
+        for i, task in enumerate(tasks):
+            if task.tid != i:
+                raise ValueError(
+                    f"trace {name!r}: task #{i} has tid {task.tid}; "
+                    "tids must equal serial position"
+                )
+            builder.add(task.func, task.exec_time, task.read_time,
+                        task.write_time, task.params)
+        self._init(name, builder.columns, meta)
+
+    @classmethod
+    def from_columns(cls, name: str, meta: Optional[dict] = None,
+                     **columns: Any) -> "TaskTrace":
+        """A trace from its columns (NumPy arrays, ``array`` or int lists),
+        named as the attributes; tids are the row positions."""
+        if set(columns) != set(_COLUMNS):
+            raise ValueError(f"trace columns must be exactly {sorted(_COLUMNS)}")
+        trace = cls.__new__(cls)
+        trace._init(
+            name,
+            {key: _column(code, columns[key]) for key, code in _COLUMNS.items()},
+            meta,
+        )
+        return trace
+
+    def _init(self, name: str, cols: dict, meta: Optional[dict]) -> None:
         self.name = name
-        self.tasks: list[TraceTask] = list(tasks)
         self.meta: dict[str, Any] = dict(meta or {})
+        for key, col in cols.items():
+            setattr(self, key, col)
         self._validate()
 
     def _validate(self) -> None:
-        if not self.tasks:
+        """Reject what a hand-built :class:`TraceTask` or :class:`Param`
+        would reject, with the same messages, in whole-column operations."""
+        n = len(self.func)
+        if not n:
             raise ValueError(f"trace {self.name!r} is empty")
-        for i, task in enumerate(self.tasks):
-            if task.tid != i:
-                raise ValueError(
-                    f"trace {self.name!r}: task #{i} has tid {task.tid}; "
-                    "tids must equal serial position"
-                )
+        offsets = np.frombuffer(self.param_offsets, dtype=np.int64)
+        n_params = len(self.param_addr)
+        if (
+            any(len(getattr(self, key)) != n for key in _TASK_COLUMNS)
+            or len(offsets) != n + 1
+            or offsets[0] != 0
+            or offsets[-1] != n_params
+            or len(self.param_size) != n_params
+            or len(self.param_mode) != n_params
+        ):
+            raise ValueError(f"trace {self.name!r}: column lengths disagree")
+        bad = np.flatnonzero(np.diff(offsets) < 1)
+        if bad.size:
+            raise ValueError(f"task {bad[0]}: needs at least one parameter")
+        for key in _TASK_COLUMNS[1:]:
+            bad = np.flatnonzero(np.frombuffer(getattr(self, key), dtype=np.int64) < 0)
+            if bad.size:
+                raise ValueError(f"task {bad[0]}: negative duration")
+        sizes = np.frombuffer(self.param_size, dtype=np.int64)
+        bad = np.flatnonzero(sizes <= 0)
+        if bad.size:
+            raise ValueError(f"parameter size must be positive, got {sizes[bad[0]]}")
+        modes = np.frombuffer(self.param_mode, dtype=np.int8)
+        bad = np.flatnonzero((modes < 0) | (modes >= len(_MODES)))
+        if bad.size:
+            raise ValueError(f"unknown access mode {modes[bad[0]]}")
+
+    # ---- rows ----------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.tasks)
+        return len(self.func)
 
     def __iter__(self) -> Iterator[TraceTask]:
-        return iter(self.tasks)
+        return map(self.__getitem__, range(len(self.func)))
 
     def __getitem__(self, tid: int) -> TraceTask:
-        return self.tasks[tid]
+        if tid < 0:
+            tid += len(self.func)
+        return tuple.__new__(TraceTask, (
+            tid,
+            self.func[tid],
+            self.params_of(tid),
+            self.exec_time[tid],
+            self.read_time[tid],
+            self.write_time[tid],
+        ))
+
+    @property
+    def tasks(self) -> list[TraceTask]:
+        """Every row as a list (builds one object per task and parameter:
+        for tests and small traces, never the machine's hot path)."""
+        return list(self)
+
+    def n_params_of(self, tid: int) -> int:
+        return self.param_offsets[tid + 1] - self.param_offsets[tid]
+
+    def params_of(self, tid: int) -> tuple[Param, ...]:
+        """Task ``tid``'s parameters as :class:`Param` rows."""
+        new = tuple.__new__
+        addr, size, mode = self.param_addr, self.param_size, self.param_mode
+        return tuple(
+            new(Param, (addr[k], size[k], _MODES[mode[k]]))
+            for k in range(self.param_offsets[tid], self.param_offsets[tid + 1])
+        )
 
     # ---- summary statistics ---------------------------------------------------
 
     @property
     def total_exec_time(self) -> int:
-        return sum(t.exec_time for t in self.tasks)
+        return sum(self.exec_time)
 
     @property
     def total_memory_time(self) -> int:
-        return sum(t.memory_time for t in self.tasks)
+        return sum(self.read_time) + sum(self.write_time)
 
     @property
     def mean_exec_time(self) -> float:
-        return self.total_exec_time / len(self.tasks)
+        return self.total_exec_time / len(self)
 
     @property
     def mean_memory_time(self) -> float:
-        return self.total_memory_time / len(self.tasks)
+        return self.total_memory_time / len(self)
 
     @property
     def max_params(self) -> int:
-        return max(t.n_params for t in self.tasks)
+        return int(np.diff(np.frombuffer(self.param_offsets, dtype=np.int64)).max())
 
     def address_set(self) -> set[int]:
-        return {p.addr for t in self.tasks for p in t.params}
+        return set(self.param_addr)
 
     def describe(self) -> str:
         return (
-            f"trace {self.name!r}: {len(self.tasks)} tasks, "
+            f"trace {self.name!r}: {len(self)} tasks, "
             f"mean exec {self.mean_exec_time / 1e6:.3g}us, "
             f"mean mem {self.mean_memory_time / 1e6:.3g}us, "
             f"max params {self.max_params}, "
@@ -173,34 +365,15 @@ class TaskTrace:
     # ---- serialization -----------------------------------------------------------
 
     def save(self, path: str) -> None:
-        """Persist to a compact ``.npz`` file (variable-length params flattened)."""
-        n = len(self.tasks)
-        counts = np.fromiter((t.n_params for t in self.tasks), dtype=np.int64, count=n)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        total = int(offsets[-1])
-        addr = np.zeros(total, dtype=np.uint64)
-        size = np.zeros(total, dtype=np.int64)
-        mode = np.zeros(total, dtype=np.int8)
-        pos = 0
-        for t in self.tasks:
-            for p in t.params:
-                addr[pos] = p.addr
-                size[pos] = p.size
-                mode[pos] = int(p.mode)
-                pos += 1
+        """Persist the columns to a compact ``.npz`` file."""
         np.savez_compressed(
             path,
             name=np.array(self.name),
             meta=np.array(json.dumps(self.meta)),
-            func=np.fromiter((t.func for t in self.tasks), dtype=np.int64, count=n),
-            exec_time=np.fromiter((t.exec_time for t in self.tasks), dtype=np.int64, count=n),
-            read_time=np.fromiter((t.read_time for t in self.tasks), dtype=np.int64, count=n),
-            write_time=np.fromiter((t.write_time for t in self.tasks), dtype=np.int64, count=n),
-            param_offsets=offsets,
-            param_addr=addr,
-            param_size=size,
-            param_mode=mode,
+            **{
+                key: np.frombuffer(getattr(self, key), dtype=np.dtype(code))
+                for key, code in _COLUMNS.items()
+            },
         )
 
     @classmethod
@@ -213,28 +386,5 @@ class TaskTrace:
         with np.load(path, allow_pickle=False) as data:
             name = str(data["name"])
             meta = json.loads(str(data["meta"]))
-            offsets = data["param_offsets"].tolist()
-            addr = data["param_addr"].tolist()
-            size = data["param_size"].tolist()
-            mode = data["param_mode"].tolist()
-            func = data["func"].tolist()
-            exec_time = data["exec_time"].tolist()
-            read_time = data["read_time"].tolist()
-            write_time = data["write_time"].tolist()
-        tasks = []
-        for tid in range(len(func)):
-            params = tuple(
-                Param(addr[k], size[k], AccessMode(mode[k]))
-                for k in range(offsets[tid], offsets[tid + 1])
-            )
-            tasks.append(
-                TraceTask(
-                    tid=tid,
-                    func=func[tid],
-                    params=params,
-                    exec_time=exec_time[tid],
-                    read_time=read_time[tid],
-                    write_time=write_time[tid],
-                )
-            )
-        return cls(name, tasks, meta)
+            columns = {key: data[key] for key in _COLUMNS}
+        return cls.from_columns(name, meta, **columns)

@@ -15,6 +15,15 @@ def make_task(tid=0, n_params=3):
     return TraceTask(tid, 0xABCD, params, 100, 10, 10)
 
 
+def store(pool, task, indices):
+    """Store a hand-built task the way Write TP stores a trace row."""
+    return pool.store(task.tid, task.func, task.params, indices)
+
+
+def entries_for(pool, task):
+    return pool.entries_for(task.tid, task.n_params)
+
+
 class TestEntriesNeeded:
     @pytest.mark.parametrize(
         "n_params,expected",
@@ -42,7 +51,7 @@ class TestStoreAndRead:
     def test_simple_store_roundtrip(self):
         pool = TaskPool(entries=16, max_params=8)
         task = make_task(n_params=3)
-        head, accesses = pool.store(task, [5])
+        head, accesses = store(pool, task, [5])
         assert head == 5
         assert accesses == 1
         assert pool.occupied == 1
@@ -55,7 +64,7 @@ class TestStoreAndRead:
     def test_dummy_chain_storage(self):
         pool = TaskPool(entries=16, max_params=8)
         task = make_task(n_params=10)
-        head, accesses = pool.store(task, [0, 9])
+        head, accesses = store(pool, task, [0, 9])
         assert accesses == 2
         assert pool.occupied == 2
         assert pool.dummy_tasks_created == 1
@@ -72,7 +81,7 @@ class TestStoreAndRead:
     def test_long_chain(self):
         pool = TaskPool(entries=32, max_params=8)
         task = make_task(n_params=22)  # 7 + 7 + 8
-        head, _ = pool.store(task, [1, 2, 3])
+        head, _ = store(pool, task, [1, 2, 3])
         params, reads = pool.read_params(head)
         assert params == list(task.params)
         assert reads == 3
@@ -81,17 +90,17 @@ class TestStoreAndRead:
     def test_wrong_index_count_rejected(self):
         pool = TaskPool(entries=16, max_params=8)
         with pytest.raises(ProtocolError, match="needs 2"):
-            pool.store(make_task(n_params=10), [0])
+            store(pool, make_task(n_params=10), [0])
 
     def test_double_occupancy_rejected(self):
         pool = TaskPool(entries=16, max_params=8)
-        pool.store(make_task(0), [3])
+        store(pool, make_task(0), [3])
         with pytest.raises(ProtocolError, match="occupied"):
-            pool.store(make_task(1), [3])
+            store(pool, make_task(1), [3])
 
     def test_read_dummy_head_rejected(self):
         pool = TaskPool(entries=16, max_params=8)
-        pool.store(make_task(n_params=10), [0, 1])
+        store(pool, make_task(n_params=10), [0, 1])
         with pytest.raises(ProtocolError, match="dummy"):
             pool.read_params(1)
 
@@ -99,7 +108,7 @@ class TestStoreAndRead:
 class TestFree:
     def test_free_returns_whole_chain(self):
         pool = TaskPool(entries=16, max_params=8)
-        head, _ = pool.store(make_task(n_params=16), [4, 8, 12])
+        head, _ = store(pool, make_task(n_params=16), [4, 8, 12])
         freed, accesses = pool.free_chain(head)
         assert freed == [4, 8, 12]
         assert accesses == 3
@@ -108,15 +117,15 @@ class TestFree:
 
     def test_freed_entries_reusable(self):
         pool = TaskPool(entries=4, max_params=8)
-        head, _ = pool.store(make_task(0), [2])
+        head, _ = store(pool, make_task(0), [2])
         pool.free_chain(head)
-        head2, _ = pool.store(make_task(1), [2])
+        head2, _ = store(pool, make_task(1), [2])
         assert pool.head(head2).trace_tid == 1
 
     def test_high_water_tracking(self):
         pool = TaskPool(entries=16, max_params=8)
-        h0, _ = pool.store(make_task(0, n_params=10), [0, 1])
-        h1, _ = pool.store(make_task(1), [2])
+        h0, _ = store(pool, make_task(0, n_params=10), [0, 1])
+        h1, _ = store(pool, make_task(1), [2])
         assert pool.high_water == 3
         pool.free_chain(h0)
         assert pool.high_water == 3
@@ -126,7 +135,7 @@ class TestFree:
 class TestDependenceCounter:
     def test_add_and_resolve(self):
         pool = TaskPool(entries=16, max_params=8)
-        head, _ = pool.store(make_task(), [0])
+        head, _ = store(pool, make_task(), [0])
         pool.add_dependences(head, 2)
         assert pool.head(head).dep_count == 2
         assert not pool.resolve_dependence(head)
@@ -134,7 +143,7 @@ class TestDependenceCounter:
 
     def test_underflow_rejected(self):
         pool = TaskPool(entries=16, max_params=8)
-        head, _ = pool.store(make_task(), [0])
+        head, _ = store(pool, make_task(), [0])
         with pytest.raises(ProtocolError, match="underflow"):
             pool.resolve_dependence(head)
 
@@ -143,16 +152,16 @@ class TestRestrictedMode:
     def test_restricted_rejects_wide_tasks(self):
         pool = TaskPool(entries=16, max_params=8, restricted=True)
         with pytest.raises(CapacityError, match="dummy tasks are disabled"):
-            pool.entries_for(make_task(n_params=9))
+            entries_for(pool, make_task(n_params=9))
 
     def test_restricted_allows_fitting_tasks(self):
         pool = TaskPool(entries=16, max_params=8, restricted=True)
-        assert pool.entries_for(make_task(n_params=8)) == 1
+        assert entries_for(pool, make_task(n_params=8)) == 1
 
     def test_task_larger_than_pool_rejected(self):
         pool = TaskPool(entries=2, max_params=8)
         with pytest.raises(CapacityError, match="pool only has 2"):
-            pool.entries_for(make_task(n_params=30))
+            entries_for(pool, make_task(n_params=30))
 
 
 class TestValidation:

@@ -1,6 +1,8 @@
 """Tests for the golden-model dependence analysis (Listing 2 semantics)."""
 
+import gc
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -97,6 +99,72 @@ class TestGraphQueries:
         assert g.average_parallelism() == pytest.approx(1.5)
 
 
+class TestCSRQueries:
+    """The CSR graph answers every query the set-of-sets graph did."""
+
+    @pytest.fixture(scope="class")
+    def g(self):
+        return build_task_graph(
+            trace_of([(A, "out")], [(A, "in"), (B, "out")],
+                     [(A, "out"), (B, "in")], [(B, "out")], [(C, "in")])
+        )
+
+    def test_edge_kinds_mapping(self, g):
+        kinds = g.edge_kinds
+        assert dict(kinds) == {
+            (0, 1): "RAW", (0, 2): "WAW", (1, 2): "RAW",
+            (1, 3): "WAW", (2, 3): "WAR",
+        }
+        assert kinds[(2, 3)] == DependenceKind.WAR
+        assert kinds.get((0, 3)) is None and kinds.get((0, 3), "?") == "?"
+        assert (1, 3) in kinds and (3, 1) not in kinds
+        assert sorted(kinds.values()) == ["RAW", "RAW", "WAR", "WAW", "WAW"]
+        assert len(kinds) == g.n_edges == 5
+        with pytest.raises(KeyError):
+            kinds[(4, 0)]
+
+    def test_rows_compare_as_sets(self, g):
+        assert g.predecessors[2] == {0, 1}
+        assert g.predecessors[0] == set() and g.predecessors[4] == set()
+        assert [g.in_degree(t) for t in range(5)] == [0, 1, 2, 2, 0]
+        assert g.successors[0] == {1, 2} and g.successors[1] == {2, 3}
+        assert g.successors[3] == set()
+        assert len(g.predecessors) == len(g.successors) == 5
+        assert g.roots() == [0, 4]
+
+    def test_is_edge(self, g):
+        assert g.is_edge(0, 2) and g.is_edge(2, 3)
+        assert not g.is_edge(2, 0) and not g.is_edge(0, 3)
+        assert not g.is_edge(0, 99)
+
+    def test_count_false_dependencies(self):
+        from repro.runtime.renaming import count_false_dependencies
+
+        trace = trace_of([(A, "out")], [(A, "in"), (B, "out")],
+                         [(A, "out"), (B, "in")], [(B, "out")])
+        assert count_false_dependencies(trace) == (2, 1, 2)
+
+
+def test_graph_retains_at_most_64_bytes_per_task():
+    """Predecessor CSR: one int64 offset per task plus a four-byte id and a
+    kind byte per edge (the set-of-sets graph kept 855 B/task)."""
+    from repro.traces import gaussian_trace
+
+    trace = gaussian_trace(100)
+    tracemalloc.start()
+    try:
+        graph = build_task_graph(trace)
+        n_edges = graph.n_edges
+        gc.collect()
+        with_graph = tracemalloc.get_traced_memory()[0]
+        del graph
+        gc.collect()
+        retained = with_graph - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 5 * n_edges <= retained <= 64 * len(trace)
+
+
 class TestBounds:
     def test_critical_path_linear_chain(self):
         g = build_task_graph(
@@ -160,6 +228,21 @@ class TestScheduleChecker:
         problems = g.check_schedule([0, 50], [100, 150])
         assert len(problems) == 1
         assert "RAW violation" in problems[0]
+
+    def test_violation_strings_are_pinned(self):
+        """The perf ledger parses these strings: they must not change.
+        Problems come by ascending successor, then ascending predecessor."""
+        g = build_task_graph(
+            trace_of([(A, "out")], [(A, "in"), (B, "out")],
+                     [(A, "out"), (B, "in")], [(B, "out")])
+        )
+        assert g.check_schedule([0, 5, 6, 7], [10, 20, 30, 40]) == [
+            "RAW violation: task 1 started at 5 before task 0 finished at 10",
+            "WAW violation: task 2 started at 6 before task 0 finished at 10",
+            "RAW violation: task 2 started at 6 before task 1 finished at 20",
+            "WAW violation: task 3 started at 7 before task 1 finished at 20",
+            "WAR violation: task 3 started at 7 before task 2 finished at 30",
+        ]
 
     def test_wrong_length_detected(self):
         g = build_task_graph(trace_of([(A, "out")], [(A, "in")]))

@@ -443,3 +443,56 @@ def test_finished_processes_compact_out_of_the_registry():
     sim.run()
     assert sim._live_processes == 0
     assert len(sim._blocked_registry) <= 500 // 2 + 1
+
+
+# ---- close: a finished simulation is freed by reference counting ---------------
+
+
+def test_close_releases_parked_processes_and_drops_pending_events():
+    import gc
+
+    from repro.sim import Fifo, Gate, Resource, Signal
+
+    gc.collect()
+    gc.disable()
+    try:
+        sim = Simulator()
+        empty = Fifo(sim, 1, "empty")
+        full = Fifo(sim, 1, "full")
+        full.try_put("x")
+        port = Resource(sim, 1, "port")
+        line = Signal(sim, "line")
+        gate = Gate(sim, "gate")
+        closed = []
+
+        def parked(name, waitable):
+            try:
+                yield waitable
+            finally:
+                closed.append(name)
+
+        def holder():
+            yield port.acquire()
+            yield sim.timeout(10 * NS)  # still pending when the run pauses
+
+        sim.process(holder(), name="holder")
+        procs = [
+            sim.process(parked("get", empty.get()), name="get"),
+            sim.process(parked("put", full.put("y")), name="put"),
+            sim.process(parked("acquire", port.acquire()), name="acquire"),
+            sim.process(parked("signal", line.wait()), name="signal"),
+            sim.process(parked("gate", gate.wait()), name="gate"),
+        ]
+        sim.run(until=1 * NS)
+        assert sim.pending_events == 1
+        assert all(p.alive for p in procs)
+
+        sim.close()
+        assert sorted(closed) == ["acquire", "gate", "get", "put", "signal"]
+        assert not any(p.alive for p in procs)
+        assert sim.pending_events == 0
+        assert sim.run() == 1 * NS  # nothing left to fire
+        del sim, empty, full, port, line, gate, procs, holder, parked
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

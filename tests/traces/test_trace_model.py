@@ -1,6 +1,8 @@
 """Tests for the trace data model and serialization."""
 
+import gc
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -159,3 +161,61 @@ def test_trace_golden_digests(expr, n_tasks, digest):
     trace = eval(expr, vars(traces))
     assert len(trace) == n_tasks
     assert row_digest(trace) == digest
+
+
+def test_trace_retains_at_most_160_bytes_per_task():
+    """Columns, not an object per task and per parameter: eight bytes per
+    task field and offset, 17 per parameter (the object trace kept 615)."""
+    from repro.traces import gaussian_trace
+
+    tracemalloc.start()
+    try:
+        trace = gaussian_trace(100)
+        n_tasks, n_params = len(trace), len(trace.param_addr)
+        gc.collect()
+        with_trace = tracemalloc.get_traced_memory()[0]
+        del trace
+        gc.collect()
+        retained = with_trace - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 40 * n_tasks + 17 * n_params <= retained <= 160 * n_tasks
+
+
+class TestColumns:
+    def test_rows_read_back_hand_built_tasks(self):
+        tasks = [make_task(0, n_params=1), make_task(1, n_params=4)]
+        trace = TaskTrace("rows", tasks)
+        assert list(trace) == tasks and trace.tasks == tasks
+        assert trace[1] == tasks[1] and trace[-1] == tasks[1]
+        assert trace.params_of(1) == tasks[1].params
+        assert trace.n_params_of(1) == 4
+        assert list(trace.param_offsets) == [0, 1, 5]
+
+    def test_hot_path_reads_are_python_ints(self):
+        from repro.traces import gaussian_trace, random_trace
+
+        for trace in (gaussian_trace(6), random_trace(9000, 64, 4, seed=2)):
+            tid = len(trace) - 1
+            for column in (trace.func, trace.exec_time, trace.read_time,
+                           trace.write_time, trace.param_addr,
+                           trace.param_size, trace.param_mode):
+                assert type(column[0]) is int
+            assert type(trace.n_params_of(tid)) is int
+            assert all(type(v) is int for p in trace.params_of(tid) for v in p[:2])
+
+    def test_from_columns_rejects_what_rows_reject(self):
+        good = dict(func=[1, 1], exec_time=[5, 5], read_time=[0, 0],
+                    write_time=[0, 0], param_offsets=[0, 1, 2],
+                    param_addr=[0x10, 0x20], param_size=[8, 8], param_mode=[0, 1])
+        assert len(TaskTrace.from_columns("ok", **good)) == 2
+        cases = [
+            (dict(param_offsets=[0, 2, 2]), "task 1: needs at least one parameter"),
+            (dict(exec_time=[5, -1]), "task 1: negative duration"),
+            (dict(param_size=[8, 0]), "parameter size must be positive"),
+            (dict(param_mode=[0, 3]), "unknown access mode"),
+            (dict(func=[1]), "column lengths disagree"),
+        ]
+        for change, message in cases:
+            with pytest.raises(ValueError, match=message):
+                TaskTrace.from_columns("bad", **{**good, **change})
