@@ -49,7 +49,7 @@ class MemorySystem:
 
         Usage inside a Task Controller process::
 
-            yield from memory.transfer(task.read_time)
+            yield from memory.transfer(trace.read_time[tid])
         """
         self.phases += 1
         if duration <= 0:
