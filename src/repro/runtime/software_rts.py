@@ -72,6 +72,7 @@ def run_software_rts(
     master_port = Resource(sim, 1, name="master-core")
     ready: Fifo = Fifo(sim, None, "ready-tasks")
     remaining = [g.in_degree(t) for t in range(len(trace))]
+    successors = g.successors
     done = {"master": 0}
 
     def master():
@@ -96,7 +97,7 @@ def run_software_rts(
         yield master_port.acquire()
         yield sim.timeout(rts_cfg.finish_cost)
         released = []
-        for s in g.successors[tid]:
+        for s in successors[tid]:
             remaining[s] -= 1
             if remaining[s] == 0 and scoreboard.submitted[s] >= 0:
                 released.append(s)

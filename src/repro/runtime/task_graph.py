@@ -27,8 +27,8 @@ import heapq
 from array import array
 from bisect import bisect_left
 from collections import defaultdict
-from collections.abc import Mapping
-from typing import Dict, Iterator, List, Sequence, Tuple
+from collections.abc import Mapping, Sequence
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -93,7 +93,8 @@ class _EdgeKinds(Mapping):
             for k in range(offsets[succ], offsets[succ + 1]):
                 yield ids[k], succ
 
-    def values(self):
+    def values(self) -> List[str]:
+        """Every edge's kind, in iteration order (no per-edge search)."""
         return [_KINDS[kind] for kind in self._graph._pred_kinds]
 
 
@@ -123,7 +124,12 @@ class TaskGraph:
 
     @property
     def successors(self) -> _Rows:
-        """``successors[tid]`` -> frozenset of dependent task ids."""
+        """``successors[tid]`` -> frozenset of dependent task ids.
+
+        A row is built from ascending ids, as the set-of-sets graph added
+        them, so it iterates in the same order; the software runtime's
+        release order (and so its pinned schedules) depends on that.
+        """
         if self._succ_offsets is None:
             self._derive_successors()
         return _Rows(self._succ_offsets, self._succ_ids)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from array import array
 from enum import IntEnum
-from typing import Any, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
