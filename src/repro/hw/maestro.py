@@ -270,7 +270,9 @@ class TaskMaestro:
             head = yield fab.new_tasks.get()
             self.busy["check_deps"].begin()
             tid = fab.tid_of(head)
-            params = fab.trace.params_of(tid)
+            # The descriptor Write TP just stored (its read is not charged
+            # separately: the probes below carry the check's timing).
+            params, _ = fab.task_pool.read_params(head)
             # Check messages as the sharded engines carry them; home and
             # n_params only address replies, which one slice never sends.
             probes = [(head, 0, param, len(params)) for param in params]

@@ -276,7 +276,8 @@ class ShardedMaestro:
         while True:
             head = yield fab.new_tasks.get()
             self.busy["scatter"].begin()
-            params = fab.trace.params_of(fab.tid_of(head))
+            # The descriptor Write TP just stored (read, not charged).
+            params, _ = fab.task_pool.read_params(head)
             home = fab.home_of[head]
             n = len(params)
             for param in params:
@@ -305,11 +306,10 @@ class ShardedMaestro:
         fab = self.fabric
         while True:
             head = yield fab.new_tasks.get()
-            tid = fab.tid_of(head)
-            params = fab.trace.params_of(tid)
+            params, _ = fab.task_pool.read_params(head)
             home = fab.home_of[head]
             n = len(params)
-            slice_fifo = fab.scatter_slices[tid % fab.n_masters]
+            slice_fifo = fab.scatter_slices[fab.tid_of(head) % fab.n_masters]
             for param in params:
                 owner = fab.shard_of(param.addr)
                 seq = fab.dest_seq[owner]
