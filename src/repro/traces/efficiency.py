@@ -25,7 +25,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..config import SystemConfig
-from .trace import AccessMode, Param, TaskTrace, TraceBuilder, TraceTask
+from .trace import AccessMode, Param, TaskTrace, TraceWriter, TraceTask
 
 __all__ = ["wait_chain_trace", "spatial_decomposition_trace"]
 
@@ -80,7 +80,7 @@ def wait_chain_trace(
     def addr(r: int, c: int) -> int:
         return _WAIT_CHAIN_BASE + (c * rows + r) * block_bytes
 
-    builder = TraceBuilder()
+    writer = TraceWriter()
     exec_times = exec_times.tolist()
     for c in range(cols):
         for r in range(rows):
@@ -90,8 +90,8 @@ def wait_chain_trace(
                 if c > 0
             ]
             params.append((addr(r, c), block_bytes, AccessMode.OUT))
-            builder.add(_WAIT, exec_times[c * rows + r], 0, 0, params)
-    return builder.build(
+            writer.add(_WAIT, exec_times[c * rows + r], 0, 0, params)
+    return writer.build(
         name or f"wait-chain-{rows}x{cols}-k{k}-{spin_ns}ns",
         meta={
             "pattern": "wait-chain",

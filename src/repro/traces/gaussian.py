@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..config import SystemConfig
-from .trace import AccessMode, TaskTrace, TraceBuilder
+from .trace import AccessMode, TaskTrace, TraceWriter
 
 __all__ = [
     "gaussian_task_count",
@@ -101,13 +101,13 @@ def gaussian_trace(
             cfg.memory_time_for_bytes(io_bytes),
         )
 
-    builder = TraceBuilder()
+    writer = TraceWriter()
     tid = 0
     inout, in_ = AccessMode.INOUT, AccessMode.IN
     for i in range(1, n):
         pivot_row = _row_addr(i, n)
         # Pivot task T(i,i): find/swap/scale pivot of column i.
-        builder.add(
+        writer.add(
             _PIVOT_FUNC,
             *times(n + 1 - i),
             [(pivot_row, row_bytes, inout)]
@@ -117,14 +117,14 @@ def gaussian_trace(
         # Update tasks T(j,i), j = i+1..n.
         exec_time, read_time, write_time = times(n - i)
         for j in range(i + 1, n + 1):
-            builder.add(
+            writer.add(
                 _UPDATE_FUNC, exec_time, read_time, write_time,
                 ((pivot_row, row_bytes, in_), (_row_addr(j, n), row_bytes, inout)),
             )
             tid += 1
 
     assert tid == gaussian_task_count(n)
-    return builder.build(
+    return writer.build(
         name or f"gaussian-{n}",
         meta={
             "pattern": "gaussian",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .trace import TaskTrace, TraceBuilder
+from .trace import TaskTrace, TraceWriter
 
 __all__ = ["random_trace"]
 
@@ -60,22 +60,22 @@ def random_trace(
     if max_params < 1:
         raise ValueError("need at least one parameter")
     rng = np.random.default_rng(seed)
-    builder = TraceBuilder()
+    writer = TraceWriter()
     if n_tasks <= _CHUNK_TASKS:
-        _legacy_tasks(builder, rng, n_tasks, n_addresses, max_params,
+        _legacy_tasks(writer, rng, n_tasks, n_addresses, max_params,
                       mean_exec, mean_memory)
     else:
         for start in range(0, n_tasks, _CHUNK_TASKS):
             m = min(_CHUNK_TASKS, n_tasks - start)
-            _chunk_tasks(builder, rng, m, n_addresses, max_params,
+            _chunk_tasks(writer, rng, m, n_addresses, max_params,
                          mean_exec, mean_memory)
-    return builder.build(
+    return writer.build(
         name,
         meta={"pattern": "random", "seed": seed, "n_addresses": n_addresses},
     )
 
 
-def _legacy_tasks(builder, rng, n_tasks, n_addresses, max_params, mean_exec,
+def _legacy_tasks(writer, rng, n_tasks, n_addresses, max_params, mean_exec,
                   mean_memory) -> None:
     """The original per-task generator (RNG stream pinned by goldens)."""
     for _ in range(n_tasks):
@@ -89,10 +89,10 @@ def _legacy_tasks(builder, rng, n_tasks, n_addresses, max_params, mean_exec,
         exec_time = int(rng.integers(1, 2 * mean_exec + 1))
         read_time = int(rng.integers(0, 2 * mean_memory + 1))
         write_time = int(rng.integers(0, 2 * mean_memory + 1))
-        builder.add(0xF00D, exec_time, read_time, write_time, params)
+        writer.add(0xF00D, exec_time, read_time, write_time, params)
 
 
-def _chunk_tasks(builder, rng, m, n_addresses, max_params, mean_exec,
+def _chunk_tasks(writer, rng, m, n_addresses, max_params, mean_exec,
                  mean_memory) -> None:
     """Append ``m`` tasks built from whole-chunk vectorized draws.
 
@@ -125,7 +125,7 @@ def _chunk_tasks(builder, rng, m, n_addresses, max_params, mean_exec,
 
     # Row i keeps its first ks[i] draws, in draw order.
     keep = np.arange(max_k) < ks[:, None]
-    builder.extend(
+    writer.extend(
         func=np.full(m, 0xF00D),
         exec_time=exec_times,
         read_time=read_times,

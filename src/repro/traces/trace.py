@@ -24,7 +24,7 @@ from typing import Any, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-__all__ = ["AccessMode", "Param", "TraceTask", "TaskTrace", "TraceBuilder"]
+__all__ = ["AccessMode", "Param", "TraceTask", "TaskTrace", "TraceWriter"]
 
 
 class AccessMode(IntEnum):
@@ -160,7 +160,7 @@ def _extend(col: array, values: np.ndarray) -> None:
     col.frombytes(np.ascontiguousarray(values, dtype=np.dtype(col.typecode)).tobytes())
 
 
-class TraceBuilder:
+class TraceWriter:
     """Trace columns grown in program order, a task or a block at a time;
     the generators write rows here instead of building task objects."""
 
@@ -224,16 +224,16 @@ class TaskTrace:
     param_mode: array
 
     def __init__(self, name: str, tasks: Iterable[TraceTask], meta: Optional[dict] = None):
-        builder = TraceBuilder()
+        writer = TraceWriter()
         for i, task in enumerate(tasks):
             if task.tid != i:
                 raise ValueError(
                     f"trace {name!r}: task #{i} has tid {task.tid}; "
                     "tids must equal serial position"
                 )
-            builder.add(task.func, task.exec_time, task.read_time,
+            writer.add(task.func, task.exec_time, task.read_time,
                         task.write_time, task.params)
-        self._init(name, builder.columns, meta)
+        self._init(name, writer.columns, meta)
 
     @classmethod
     def from_columns(cls, name: str, meta: Optional[dict] = None,
