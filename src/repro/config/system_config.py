@@ -73,7 +73,8 @@ class SystemConfig:
     new_tasks_list_entries: int = 1024
     #: TP Free Indices list: one slot per Task Pool entry.
     tp_free_list_entries: int = 1024
-    #: Global Ready Tasks list: 2 KB of 2-byte task IDs.
+    #: Global Ready Tasks list: 2 KB of 2-byte task IDs.  Must hold at
+    #: least ``task_pool_entries`` tasks (see ``__post_init__``).
     global_ready_list_entries: int = 1024
     #: Worker Cores IDs list: 2 KB of 2-byte core IDs.
     worker_ids_list_entries: int = 1024
@@ -93,10 +94,6 @@ class SystemConfig:
     #: Depth of each shard's check/finish message queues (scatter requests
     #: queue here; a full inbox backpressures the sender).
     shard_inbox_entries: int = 16
-    #: Run the sharded Maestro implementation even when ``maestro_shards``
-    #: is 1 (differential-testing switch; the production machine uses the
-    #: dedicated single-Maestro engine at 1 shard).
-    force_sharded_maestro: bool = False
     #: Finishes each shard's retire front-end may keep in flight at once.
     #: 1 reproduces the serialized retire loop (param read, finish scatter,
     #: reply gather and chain free complete for one task before the next
@@ -318,6 +315,20 @@ class SystemConfig:
                 "TP Free Indices list must hold every Task Pool index "
                 f"({self.tp_free_list_entries} < {self.task_pool_entries})"
             )
+        if self.global_ready_list_entries < self.task_pool_entries:
+            # A ready task holds a Task Pool entry, so a ready list as large
+            # as the pool never fills.  A smaller one can: Handle Finished
+            # (or a shard's finish engine) then stalls on the full list
+            # while it still holds the finished tasks' worker cores, which
+            # the scheduler needs to drain the list.  Table IV sizes both
+            # at 1K entries.
+            raise ValueError(
+                "global_ready_list_entries must be >= task_pool_entries "
+                f"({self.global_ready_list_entries} < "
+                f"{self.task_pool_entries}): a full ready list stalls the "
+                "kick-off of ready tasks while it holds the worker cores "
+                "the scheduler needs to drain the list"
+            )
         # Each Worker Cores IDs list (one per shard; cores go to shards
         # round-robin) starts holding its cores 'buffering depth' times.
         worker_ids = -(-self.workers // self.maestro_shards) * self.buffering_depth
@@ -338,8 +349,8 @@ class SystemConfig:
         if self.retire_pipeline_depth > 1 and not self.use_sharded_maestro:
             raise ValueError(
                 "retire_pipeline_depth > 1 requires the sharded Maestro "
-                "engine (set maestro_shards > 1 or force_sharded_maestro); "
-                "the single-Maestro machine would silently ignore it"
+                "engine (set maestro_shards > 1); the single-Maestro machine "
+                "would silently ignore it"
             )
         if self.task_pool_ports is not None and self.task_pool_ports < 1:
             raise ValueError("task_pool_ports must be >= 1")
@@ -355,8 +366,8 @@ class SystemConfig:
             raise ValueError(
                 "the fast-dispatch subsystem (td_cache_entries > 0 or "
                 "kickoff_fast_path) requires the sharded Maestro engine "
-                "(set maestro_shards > 1 or force_sharded_maestro); the "
-                "single-Maestro machine would silently ignore it"
+                "(set maestro_shards > 1); the single-Maestro machine would "
+                "silently ignore it"
             )
         if self.finish_coalesce_limit < 1:
             raise ValueError(
@@ -394,9 +405,9 @@ class SystemConfig:
             raise ValueError(
                 "the decentralized check scatter and check-side coalescing "
                 "(decentralized_check_scatter or check_coalesce_limit > 1) "
-                "require the sharded Maestro engine (set maestro_shards > 1 "
-                "or force_sharded_maestro); the single-Maestro machine has "
-                "no Check Scatter to decentralize"
+                "require the sharded Maestro engine (set maestro_shards > 1); "
+                "the single-Maestro machine has no Check Scatter to "
+                "decentralize"
             )
         if self.telemetry_window < 0:
             raise ValueError(
@@ -405,9 +416,8 @@ class SystemConfig:
         if self.locality_stealing and not self.use_sharded_maestro:
             raise ValueError(
                 "locality_stealing=True requires the sharded Maestro "
-                "engine (set maestro_shards > 1 or force_sharded_maestro); "
-                "the single-Maestro machine has no stealing scheduler and "
-                "would silently ignore it"
+                "engine (set maestro_shards > 1); the single-Maestro machine "
+                "has no stealing scheduler and would silently ignore it"
             )
 
     # ---- derived quantities -----------------------------------------------------------
@@ -435,7 +445,7 @@ class SystemConfig:
     @property
     def use_sharded_maestro(self) -> bool:
         """True when the machine should wire the sharded Maestro subsystem."""
-        return self.maestro_shards > 1 or self.force_sharded_maestro
+        return self.maestro_shards > 1
 
     @property
     def use_parallel_frontend(self) -> bool:

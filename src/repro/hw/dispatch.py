@@ -59,7 +59,7 @@ bottleneck verdict and the dispatch-latency sweep report.
 
 With ``td_cache_entries=0`` and ``kickoff_fast_path=False`` none of this
 is built: no processes, no FIFOs, no events — the machine is
-cycle-for-cycle the PR 3 machine (differential-tested).
+cycle-for-cycle the PR 3 machine (pinned by the golden schedules).
 """
 
 from __future__ import annotations

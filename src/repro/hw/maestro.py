@@ -41,7 +41,7 @@ port-arbitrated through ``tp_port``/``dt_ports`` (the Task Pool exposes
 one).
 
 Three block bodies are shared with the sharded Maestro so their timing
-cannot drift between engines (the differential tests compare them):
+cannot drift between engines (the golden schedules pin both):
 :func:`write_tp_block`, :func:`send_tds_block` and
 :func:`retire_free_block` (the chain-free tail of retirement).
 """
@@ -95,9 +95,9 @@ def write_tp_block(fab: Fabric, scoreboard: Scoreboard, busy: BusyTracker,
     """The Write TP block body, shared by the single and sharded Maestros.
 
     The timing model lives here once: any change to it reaches both
-    machines, which the shard differential tests compare against each
-    other.  ``n_shards`` is set only by the sharded Maestro, which also
-    assigns each stored task a home shard (round-robin by task id).
+    machines, whose golden schedules pin it on both engines.
+    ``n_shards`` is set only by the sharded Maestro, which also assigns
+    each stored task a home shard (round-robin by task id).
 
     The block drains the TDs Buffer in batches of up to
     ``submission_batch`` descriptors per activation, charging the

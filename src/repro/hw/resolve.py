@@ -42,8 +42,8 @@ With both knobs at their defaults (``finish_coalesce_limit=1``,
 ``speculative_kickoff=False``) none of this changes the machines: batches
 are single notifications, row merging never triggers, no kick queues or
 kick-unit processes exist — both engines are cycle-for-cycle the
-pre-resolve-pipeline machines (differential-tested against recorded
-goldens in ``tests/integration/test_resolve_differential.py``).
+pre-resolve-pipeline machines (pinned by the recorded goldens in
+``tests/integration/test_goldens.py``).
 
 The *check* side of the machine reuses the same staging discipline:
 :func:`inbox_intake_block` / :func:`check_update_block` (knobs in
@@ -53,8 +53,8 @@ activation, same-row probes merged into one hash-probe access
 (``row_latched`` in
 :meth:`~repro.hw.dependence_table.DependenceTable.check_param`), the
 probe/insert stages pipelined across the batch.  Gated by
-``check_coalesce_limit``/``check_coalesce_window`` and
-differential-tested in ``tests/integration/test_check_differential.py``.
+``check_coalesce_limit``/``check_coalesce_window``; the knobs-off
+check path replays the same goldens.
 :func:`check_update_block` is also the single Maestro's Check Deps body,
 run on slice 0 with one task's probes.
 """

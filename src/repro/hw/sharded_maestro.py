@@ -65,7 +65,7 @@ Protocol
   from the Task Pool and scatters one ticket-tagged finish message per
   parameter to the owning shards.  At depth 1 the same process also
   gathers the replies and frees the chain inline — cycle-for-cycle the
-  pre-pipelining serialized loop (differential-tested).
+  pre-pipelining serialized loop (pinned by the golden schedules).
 * **Finish engine** (per shard) — services ticket-tagged finish messages
   on the shared staged resolve blocks (:mod:`repro.hw.resolve`): intake
   (with finish-notification coalescing on, a batch of already-arrived
@@ -113,12 +113,11 @@ finish order at the owning shard's serial finish engine.  Finishes from
 *different* shards interleave arbitrarily, exactly as they already did at
 depth 1; both tasks have finished, so their table updates commute.
 
-With ``maestro_shards=1`` this protocol is a pipelined refinement of the
-single Maestro (scatter/gather stages are explicit), not a cycle-exact
-reproduction of it — the production machine therefore keeps the dedicated
-:class:`~repro.hw.maestro.TaskMaestro` at one shard, and the differential
-tests pin both the one-shard equivalence of that engine and the schedule
-legality of this one at every shard count and retire depth.
+The engine is built only when ``maestro_shards`` > 1: at one shard the
+machine is the paper's dedicated :class:`~repro.hw.maestro.TaskMaestro`.
+``tests/integration/test_goldens.py`` pins both engines' schedules, and
+``tests/integration/test_knob_space.py`` checks this one's schedule
+legality across shard counts, retire depths and the other knobs.
 """
 
 from __future__ import annotations

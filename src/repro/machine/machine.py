@@ -67,7 +67,7 @@ class NexusMachine:
 
         master = MasterCluster(fabric, scoreboard)
         # One shard keeps the paper-exact single-Maestro engine; more shards
-        # (or the differential-testing force switch) wire the sharded one.
+        # wire the sharded one.
         if fabric.sharded:
             maestro = ShardedMaestro(fabric, scoreboard)
         else:

@@ -132,7 +132,7 @@ class TestSampling:
 
 class TestObserveOnly:
     def test_knob_stack_digest_unchanged_with_telemetry_on(self):
-        """The kernel-differential machine (full PR 6 knob stack, 4
+        """The golden table's full-stack machine (every knob on, 4
         shards) must replay cycle-identically when sampled."""
         base = dict(
             workers=8,

@@ -9,8 +9,8 @@ Validates the three contracts of :mod:`repro.analysis.trace_export`:
   slice per retired task, and the flow-event set is exactly the
   scoreboard's ``released_by`` dependence edges;
 * exporting is observe-only — byte-stable for a given run and incapable
-  of perturbing a schedule (the kernel-differential machine replays
-  cycle-identically with export enabled).
+  of perturbing a schedule (the golden table's full-stack machine
+  replays cycle-identically with export enabled).
 """
 
 import hashlib
@@ -157,7 +157,7 @@ class TestGolden:
 
 class TestObserveOnly:
     def test_export_never_perturbs_the_schedule(self, tmp_path):
-        """The kernel-differential machine (full PR 6 knob stack, 4
+        """The golden table's full-stack machine (every knob on, 4
         shards) must replay cycle-identically with export enabled."""
         cfg = SystemConfig(
             workers=8,

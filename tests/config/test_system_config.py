@@ -117,21 +117,86 @@ class TestDerivedHelpers:
 
 class TestValidation:
     @pytest.mark.parametrize(
-        "field,value",
+        "field,value,reason",
         [
-            ("workers", 0),
-            ("buffering_depth", 0),
-            ("task_pool_entries", -1),
-            ("memory_banks", 0),
-            ("kickoff_list_size", 1),
-            ("max_params_per_td", 1),
-            ("core_gflops", 0),
-            ("memory_batch_chunks", 0),
+            ("workers", 0, "workers"),
+            ("buffering_depth", 0, "buffering_depth"),
+            ("task_pool_entries", -1, "task_pool_entries"),
+            ("memory_banks", 0, "memory_banks"),
+            ("kickoff_list_size", 1, "kickoff_list_size"),
+            ("max_params_per_td", 1, "max_params_per_td"),
+            ("core_gflops", 0, "core_gflops"),
+            ("memory_batch_chunks", 0, "memory_batch_chunks"),
+            ("global_ready_list_entries", 1023, "global_ready_list_entries"),
+            ("finish_coalesce_limit", 0, "finish_coalesce_limit"),
+            ("check_coalesce_limit", 0, "check_coalesce_limit"),
+            # A batch window with a one-message batch limit.
+            ("finish_coalesce_window", 1000, "finish_coalesce_window"),
+            ("check_coalesce_window", 1000, "check_coalesce_window"),
+            # Mechanisms that live only in the sharded engine.
+            ("retire_pipeline_depth", 4, "sharded"),
+            ("td_cache_entries", 64, "sharded"),
+            ("kickoff_fast_path", True, "sharded"),
+            ("locality_stealing", True, "sharded"),
+            ("decentralized_check_scatter", True, "sharded"),
+            ("check_coalesce_limit", 4, "sharded"),
         ],
     )
-    def test_invalid_values_rejected(self, field, value):
-        with pytest.raises(ValueError):
+    def test_invalid_values_rejected(self, field, value, reason):
+        with pytest.raises(ValueError, match=reason):
             SystemConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            dict(master_cores=1, submission_batch=1),
+            dict(retire_pipeline_depth=1),
+            dict(td_cache_entries=0, kickoff_fast_path=False),
+            dict(finish_coalesce_limit=1, speculative_kickoff=False),
+            dict(
+                decentralized_check_scatter=False,
+                check_coalesce_limit=1,
+                check_coalesce_window=0,
+            ),
+        ],
+    )
+    def test_explicit_off_knobs_are_the_default_machine(self, knobs):
+        assert SystemConfig(**knobs) == SystemConfig()
+
+    @pytest.mark.parametrize(
+        "knobs,switch,expected",
+        [
+            ({}, "use_sharded_maestro", False),
+            (dict(maestro_shards=2), "use_sharded_maestro", True),
+            ({}, "use_parallel_frontend", False),
+            ({}, "tp_ports", 1),
+            (dict(maestro_shards=4, retire_pipeline_depth=4), "tp_ports", 4),
+            (dict(maestro_shards=4, task_pool_ports=2), "tp_ports", 2),
+            ({}, "use_fast_dispatch", False),
+            (dict(maestro_shards=4, td_cache_entries=8), "use_fast_dispatch", True),
+            # The steal policy follows the fast-dispatch subsystem unless set.
+            ({}, "steal_locality", False),
+            (dict(maestro_shards=4, td_cache_entries=8), "steal_locality", True),
+            (dict(maestro_shards=4, locality_stealing=True), "steal_locality", True),
+            (
+                dict(maestro_shards=4, kickoff_fast_path=True, locality_stealing=False),
+                "steal_locality",
+                False,
+            ),
+            ({}, "use_resolve_pipeline", False),
+            (dict(finish_coalesce_limit=4), "use_resolve_pipeline", True),
+            (dict(speculative_kickoff=True), "use_resolve_pipeline", True),
+            ({}, "use_check_pipeline", False),
+            (
+                dict(maestro_shards=2, decentralized_check_scatter=True),
+                "use_check_pipeline",
+                True,
+            ),
+            (dict(maestro_shards=2, check_coalesce_limit=4), "use_check_pipeline", True),
+        ],
+    )
+    def test_derived_switches(self, knobs, switch, expected):
+        assert getattr(SystemConfig(**knobs), switch) == expected
 
     def test_free_list_must_cover_task_pool(self):
         with pytest.raises(ValueError, match="TP Free Indices"):
@@ -197,10 +262,6 @@ class TestShardedMaestroConfig:
         assert cfg.maestro_shards == 1
         assert not cfg.use_sharded_maestro
         assert cfg.shard_hop_time == 4 * NS
-
-    def test_force_switch_enables_sharded_engine_at_one_shard(self):
-        assert SystemConfig(force_sharded_maestro=True).use_sharded_maestro
-        assert SystemConfig(maestro_shards=2).use_sharded_maestro
 
     def test_per_shard_table_split_is_ceiling(self):
         cfg = SystemConfig(maestro_shards=3)

@@ -23,7 +23,6 @@ SCALING_KNOBS = [
     "shard_hop_time",
     "dependence_table_entries_per_shard",
     "shard_inbox_entries",
-    "force_sharded_maestro",
     "master_cores",
     "submission_batch",
     "retire_pipeline_depth",

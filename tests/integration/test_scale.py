@@ -1,92 +1,21 @@
 """Large-trace end-to-end runs: the wheel kernel's reason to exist.
 
 The timing-wheel kernel and the streaming trace generator together put
-100k+-task traces in reach; this file pins three waypoints — a 2k-task
-trace on each engine and on three knobs-on stacks, a 50k-task trace and a
-million-task run — each
-simulated end-to-end.  Every seeded run fires an exact number of kernel
-events, so the waypoints assert that count (deterministic) rather than a
-wall-clock budget: a different count means the machine or the kernel
-changed its schedule.  The two large waypoints are marked ``slow`` and
-deselected by ``pytest.ini``; run them with ``pytest -m slow``.
+100k+-task traces in reach; this file pins two waypoints — a 50k-task
+trace and a million-task run — each simulated end-to-end.  Every seeded
+run fires an exact number of kernel events, so the waypoints assert that
+count (deterministic) rather than a wall-clock budget: a different count
+means the machine or the kernel changed its schedule.  Both are marked
+``slow`` and deselected by ``pytest.ini``; run them with ``pytest -m
+slow``.  The tier-1-sized 2k-task waypoint is a row set of the golden
+table in ``test_goldens.py``.
 """
-
-import hashlib
 
 import pytest
 
 from repro.config import SystemConfig
 from repro.machine import run_trace
 from repro.traces import random_trace
-
-#: Per machine — (shards, config overrides) — kernel events, makespan (ps)
-#: and schedule digest of the seeded 2k-task run below.  The knobs-on rows
-#: pin the coalesced and speculative resolve/check event orders, which the
-#: knobs-off rows cannot see.
-SMALL_WAYPOINTS = {
-    (1, ()): (125_260, 62_955_998, "8062ed8f65ddd00d"),
-    (2, ()): (185_364, 43_772_000, "01746e0345e1fa72"),
-    (4, ()): (183_808, 31_351_000, "548ef57f0eb66391"),
-    (1, (("finish_coalesce_limit", 4),)): (
-        125_324, 58_214_383, "d4eb936e1aeef07f"
-    ),
-    (1, (("speculative_kickoff", True),)): (
-        132_203, 58_073_749, "a77a35e20437e8fb"
-    ),
-    (
-        4,
-        (
-            ("check_coalesce_limit", 8),
-            ("decentralized_check_scatter", True),
-            ("finish_coalesce_limit", 8),
-            ("speculative_kickoff", True),
-        ),
-    ): (200_937, 23_113_263, "36feb4675c4634e0"),
-}
-
-
-def _waypoint_id(key) -> str:
-    shards, overrides = key
-    name = "single" if shards == 1 else f"shards{shards}"
-    return name + "".join(f"-{knob}={value}" for knob, value in overrides)
-
-
-@pytest.mark.parametrize("key", sorted(SMALL_WAYPOINTS), ids=_waypoint_id)
-def test_2k_task_trace_fires_pinned_event_count(key):
-    """The tier-1-sized waypoint: the same shape as the 50k run, on every
-    engine and on knobs-on stacks, with the full schedule pinned alongside
-    the event count."""
-    trace = random_trace(
-        2_000,
-        n_addresses=256,
-        max_params=4,
-        seed=11,
-        mean_exec=3000,
-        mean_memory=0,
-        name="random-2k",
-    )
-    shards, overrides = key
-    cfg = SystemConfig(
-        workers=16,
-        maestro_shards=shards,
-        master_cores=4,
-        submission_batch=8,
-        memory_contention=False,
-        **dict(overrides),
-    )
-    result = run_trace(trace, cfg)
-
-    assert len(result.records) == 2_000
-    assert all(r.is_complete() for r in result.records)
-    rows = [
-        (r.tid, r.core, r.ready, r.dispatched, r.exec_start, r.completed)
-        for r in result.records
-    ]
-    digest = hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
-    events, makespan, golden = SMALL_WAYPOINTS[key]
-    assert result.stats["sim"]["events_processed"] == events
-    assert result.makespan == makespan
-    assert digest == golden
 
 
 #: Kernel events fired by the seeded 50k-task run below.
@@ -130,8 +59,7 @@ def test_million_task_trace_fires_pinned_event_count():
     fixed-size key block); one parameter per task keeps the run
     dependence-light — this waypoint is about the host kernel sustaining
     ~68M events over 10 ms of modelled time, not about hazard pressure
-    (the 50k waypoint above and the hazard-dense differential suites
-    cover that).
+    (the 50k waypoint above and the golden table cover that).
     """
     trace = random_trace(
         1_000_000,
@@ -159,7 +87,7 @@ def test_million_task_trace_fires_pinned_event_count():
     assert all(r.is_complete() for r in result.records)
     # Legality: the per-task lifecycle stamps are causally ordered.  (The
     # full golden-graph dependence check is quadratic in trace size and
-    # lives in the differential suites at smaller scales.)
+    # lives in the knob-space property at smaller scales.)
     assert all(
         r.submitted <= r.stored <= r.ready <= r.dispatched <= r.completed
         for r in result.records

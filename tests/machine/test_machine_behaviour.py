@@ -275,11 +275,15 @@ class TestSweepHelpers:
         assert all(r.makespan > 0 for r in report.runs)
 
     def test_sweep_task_pool_with_matching_free_list(self):
-        """A Task Pool axis runs when the base's free-index list covers
-        every swept size (the paper's Fig. 6 procedure oversizes it)."""
+        """A Task Pool axis runs when the base's free-index list and ready
+        list cover every swept size (the paper's Fig. 6 procedure oversizes
+        them)."""
         trace = independent_trace(n_tasks=50, n_params=2, time_model=FAST_TIMES)
         cfg = SystemConfig(
-            workers=2, memory_contention=False, tp_free_list_entries=2048
+            workers=2,
+            memory_contention=False,
+            tp_free_list_entries=2048,
+            global_ready_list_entries=2048,
         )
         report = grid_sweep(trace, cfg, {"task_pool_entries": [512, 2048]})
         assert report.at(task_pool_entries=2048).makespan > 0
