@@ -20,12 +20,15 @@ themselves:
   decentralized scatter: every mechanism on at once;
 * ``2k*`` — the 2,000-task waypoint on 16 workers, knobs off and on.
 
-The rows on :data:`HEAP_STACKS` also replay on the heap ordering oracle
+Every row's run must also retire its trace legally and obey the
+conservation laws of the blocks its config wires (``laws.py``).  The rows
+on :data:`HEAP_STACKS` also replay on the heap ordering oracle
 (``tests/sim/heap_kernel.py``), which must fire the same events and model
 the same statistics as the timing wheel.
 """
 
 import ast
+import functools
 import hashlib
 import itertools
 import sys
@@ -33,10 +36,12 @@ from functools import partial
 from pathlib import Path
 
 import pytest
+from laws import LAWS, assert_retires_legally
 
 import repro.machine.machine
 from repro.config import BUS_MODEL_FITTED, SystemConfig
 from repro.machine import run_trace
+from repro.runtime.task_graph import build_task_graph
 from repro.sim import NS
 from repro.traces import gaussian_trace, h264_wavefront_trace, random_trace
 
@@ -182,19 +187,52 @@ def _row_id(key) -> str:
     return f"{trace}-{stack}-shards{shards}"
 
 
-@pytest.mark.parametrize("key", list(GOLDEN), ids=_row_id)
-def test_golden_row_replays(key, monkeypatch):
+@functools.cache
+def _replay(key):
+    """The row's trace and its run on the timing wheel, shared by every
+    check of the row."""
     trace = TRACES[key[0]]()
-    config = _config(key)
-    wheel = run_trace(trace, config)
+    return trace, run_trace(trace, _config(key))
+
+
+@pytest.mark.parametrize("key", list(GOLDEN), ids=_row_id)
+def test_golden_row_replays(key):
+    trace, wheel = _replay(key)
     assert len(wheel.records) == len(trace)
     assert all(r.is_complete() for r in wheel.records)
     assert _pinned(wheel) == GOLDEN[key]
-    if key[1] in HEAP_STACKS:
-        monkeypatch.setattr(repro.machine.machine, "Simulator", HeapSimulator)
-        heap = run_trace(trace, config)
-        assert _pinned(heap) == GOLDEN[key]
-        assert _modelled(heap) == _modelled(wheel)
+
+
+@pytest.mark.parametrize(
+    "key", [key for key in GOLDEN if key[1] in HEAP_STACKS], ids=_row_id
+)
+def test_golden_row_replays_on_heap(key, monkeypatch):
+    trace, wheel = _replay(key)
+    monkeypatch.setattr(repro.machine.machine, "Simulator", HeapSimulator)
+    heap = run_trace(trace, _config(key))
+    assert _pinned(heap) == GOLDEN[key]
+    assert _modelled(heap) == _modelled(wheel)
+
+
+@pytest.mark.parametrize("key", list(GOLDEN), ids=_row_id)
+def test_golden_row_retires_legally(key):
+    trace, wheel = _replay(key)
+    assert_retires_legally(wheel, trace, build_task_graph(trace))
+
+
+@pytest.mark.parametrize(
+    "law, key",
+    [
+        (law, key)
+        for key in GOLDEN
+        for law, (applies, _) in LAWS.items()
+        if applies(_config(key))
+    ],
+    ids=lambda v: v if isinstance(v, str) else _row_id(v),
+)
+def test_golden_row_obeys_conservation_law(law, key):
+    trace, wheel = _replay(key)
+    LAWS[law][1](wheel, trace, _config(key))
 
 
 def test_telemetry_sampled_run_replays_on_heap(monkeypatch):
