@@ -21,8 +21,6 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..config import SystemConfig
 from ..traces.trace import AccessMode, Param, TaskTrace, TraceTask
 
@@ -67,7 +65,9 @@ class RecordedTask:
 
 
 def _object_bytes(obj: Any) -> int:
-    if isinstance(obj, np.ndarray):
+    # An ndarray can only exist once NumPy is loaded; never import it here.
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(obj, np.ndarray):
         return int(obj.nbytes)
     if isinstance(obj, (bytes, bytearray, memoryview)):
         return len(obj)

@@ -88,9 +88,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Dict, List, Tuple
-
-import numpy as np
 
 from ..config import SystemConfig
 from ..sim import Fifo, LevelStat, Resource, Signal, Simulator
@@ -462,31 +461,26 @@ class Fabric:
         holds one table entry per distinct address in each slice until it
         completes, so a task with more addresses in one slice than the
         slice has entries would wait forever on slots it holds itself:
-        reject it by name before the first event."""
-        offsets = np.frombuffer(trace.param_offsets, dtype=np.int64)
-        addrs = np.frombuffer(trace.param_addr, dtype=np.uint64)
-        counts = np.diff(offsets)
-        owner = np.repeat(np.arange(len(trace)), counts)
-        order = np.lexsort((addrs, owner))
-        owner, addrs = owner[order], addrs[order]
-        twice = (owner[1:] == owner[:-1]) & (addrs[1:] == addrs[:-1])
-        first_twice = int(owner[1:][twice][0]) if twice.any() else len(trace)
-        for tid in np.flatnonzero(counts[:first_twice] > slice_entries).tolist():
-            lo, hi = offsets[tid], offsets[tid + 1]
-            per_slice = Counter(self.shard_of(a) for a in trace.param_addr[lo:hi])
-            s, count = per_slice.most_common(1)[0]
-            if count > slice_entries:
-                raise CapacityError(
-                    f"task {tid} needs {count} Dependence Table "
-                    f"entries in slice {s} but the slice only has "
-                    f"{slice_entries} (dt_entries_per_shard)"
+        reject it by name before the first event.  Tasks are checked in
+        program order, so the first task that cannot run names the error."""
+        addrs = trace.param_addr
+        for tid, (lo, hi) in enumerate(pairwise(trace.param_offsets)):
+            width = hi - lo
+            if width > 1 and len(set(addrs[lo:hi])) < width:
+                raise ValueError(
+                    f"task {tid} lists a base address twice; Nexus++ "
+                    "tracks dependencies per base address (merge the "
+                    "parameters into a single inout)"
                 )
-        if first_twice < len(trace):
-            raise ValueError(
-                f"task {first_twice} lists a base address twice; Nexus++ "
-                "tracks dependencies per base address (merge the "
-                "parameters into a single inout)"
-            )
+            if width > slice_entries:
+                per_slice = Counter(map(self.shard_of, addrs[lo:hi]))
+                s, count = per_slice.most_common(1)[0]
+                if count > slice_entries:
+                    raise CapacityError(
+                        f"task {tid} needs {count} Dependence Table "
+                        f"entries in slice {s} but the slice only has "
+                        f"{slice_entries} (dt_entries_per_shard)"
+                    )
 
     def _build_shards(self) -> None:
         """Wire the sharded-only structures (interconnect, inboxes, ready

@@ -28,9 +28,8 @@ from array import array
 from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Mapping, Sequence
+from itertools import accumulate, pairwise
 from typing import Dict, Iterator, List, Tuple
-
-import numpy as np
 
 from ..traces.trace import AccessMode, TaskTrace
 
@@ -141,17 +140,22 @@ class TaskGraph:
         return _EdgeKinds(self)
 
     def _derive_successors(self) -> None:
-        offsets = np.frombuffer(self._pred_offsets, dtype=np.int64)
-        preds = np.frombuffer(self._pred_ids, dtype=np.int32)
-        succs = np.repeat(
-            np.arange(self.n_tasks, dtype=np.int32), np.diff(offsets)
-        )
-        # A stable sort by predecessor keeps each row's successors in
-        # ascending order, as the predecessor rows are.
-        order = np.argsort(preds, kind="stable")
-        counts = np.bincount(preds, minlength=self.n_tasks)
-        self._succ_offsets = array("q", np.concatenate(([0], np.cumsum(counts))).tobytes())
-        self._succ_ids = array("i", succs[order].tobytes())
+        """Successor CSR by a counting sort of the predecessor CSR: each
+        edge is placed in its predecessor's row while successors are walked
+        in ascending order, so every row comes out ascending."""
+        preds = self._pred_ids
+        counts = array("q", bytes(8 * (self.n_tasks + 1)))
+        for pred in preds:
+            counts[pred + 1] += 1
+        offsets = array("q", accumulate(counts))
+        cursor = array("q", offsets)
+        ids = array("i", bytes(4 * len(preds)))
+        for succ, (lo, hi) in enumerate(pairwise(self._pred_offsets)):
+            for pred in preds[lo:hi]:
+                ids[cursor[pred]] = succ
+                cursor[pred] += 1
+        self._succ_offsets = offsets
+        self._succ_ids = ids
 
     def _edge_index(self, pred: int, succ: int) -> int:
         """CSR position of edge ``pred -> succ``, or -1 when absent."""

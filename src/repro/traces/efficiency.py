@@ -22,8 +22,6 @@ from __future__ import annotations
 import itertools
 from typing import List, Optional
 
-import numpy as np
-
 from ..config import SystemConfig
 from .trace import AccessMode, Param, TaskTrace, TraceWriter, TraceTask
 
@@ -70,18 +68,19 @@ def wait_chain_trace(
     n = rows * cols
     spin_ps = spin_ns * _NS
     if cv > 0:
+        import numpy as np
+
         sigma = float(np.sqrt(np.log1p(cv * cv)))
         mu = float(np.log(spin_ps)) - sigma * sigma / 2
         rng = np.random.default_rng(seed)
-        exec_times = np.maximum(1, rng.lognormal(mu, sigma, n).astype(np.int64))
+        exec_times = np.maximum(1, rng.lognormal(mu, sigma, n).astype(np.int64)).tolist()
     else:
-        exec_times = np.full(n, spin_ps, dtype=np.int64)
+        exec_times = [spin_ps] * n
 
     def addr(r: int, c: int) -> int:
         return _WAIT_CHAIN_BASE + (c * rows + r) * block_bytes
 
     writer = TraceWriter()
-    exec_times = exec_times.tolist()
     for c in range(cols):
         for r in range(rows):
             params = [

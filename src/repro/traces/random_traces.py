@@ -5,11 +5,12 @@ hardware Dependence Table against the golden software task graph across the
 whole hazard space (RAW / WAR / WAW, shared addresses, wide fan-out,
 parameter-count spills) — and, since the timing-wheel kernel, to stress the
 simulator itself with 100k+-task traces.
+
+They draw from NumPy's RNG, so NumPy is imported when one is built, not
+when the package is.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .trace import TaskTrace, TraceWriter
 
@@ -59,6 +60,8 @@ def random_trace(
         raise ValueError("need at least one address")
     if max_params < 1:
         raise ValueError("need at least one parameter")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     writer = TraceWriter()
     if n_tasks <= _CHUNK_TASKS:
@@ -102,6 +105,8 @@ def _chunk_tasks(writer, rng, m, n_addresses, max_params, mean_exec,
     ids are the indices of its ``k`` smallest keys, uniform over all
     k-subsets.
     """
+    import numpy as np
+
     max_k = min(max_params, n_addresses)
     ks = rng.integers(1, max_params + 1, size=m)
     np.minimum(ks, n_addresses, out=ks)

@@ -6,17 +6,20 @@ off-chip memory and 11.8us for execution".  The raw trace is not available,
 so we sample per-task times from a seeded lognormal calibrated to those
 means.  A lognormal matches the long-tailed distribution of macroblock
 decode times reported for H.264 workloads; the coefficient of variation is
-a parameter so the sensitivity can be benchmarked.
+a parameter so the sensitivity can be benchmarked.  Sampling draws from
+NumPy's RNG, which is imported on the first sample, not with the package.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..sim.time_units import US
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["TimeModel", "H264_TIME_MODEL"]
 
@@ -47,6 +50,8 @@ class TimeModel:
 
     def sample(self, n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return integer arrays (exec, read, write), each of length ``n``."""
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         exec_times = self._lognormal(rng, self.mean_exec, n)
         memory = self._lognormal(rng, self.mean_memory, n)
@@ -55,6 +60,8 @@ class TimeModel:
         return exec_times.astype(np.int64), read, write
 
     def _lognormal(self, rng: np.random.Generator, mean: float, n: int) -> np.ndarray:
+        import numpy as np
+
         if mean == 0:
             return np.zeros(n)
         if self.cv == 0:

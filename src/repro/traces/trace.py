@@ -13,16 +13,26 @@ element read is a plain Python int.  :class:`TraceTask` and
 :class:`Param` are immutable rows: ``trace[tid]`` builds one from the
 columns on access, and a hand-built list of them is copied into columns
 by ``TaskTrace(name, tasks)``.
+
+The columns are checked with builtins, so building and reading a trace
+needs no NumPy; only the block writer :meth:`TraceWriter.extend` and the
+``.npz`` I/O (:meth:`TaskTrace.save`/:meth:`TaskTrace.load`) import it.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from array import array
 from enum import IntEnum
-from typing import Any, Iterable, Iterator, NamedTuple, Optional
+from itertools import islice
+from operator import lt, sub
+from typing import (
+    TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Optional,
+)
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["AccessMode", "Param", "TraceTask", "TaskTrace", "TraceWriter"]
 
@@ -149,7 +159,8 @@ def _column(typecode: str, values: Any) -> array:
     if isinstance(values, array) and values.typecode == typecode:
         return values
     col = array(typecode)
-    if isinstance(values, np.ndarray):
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(values, np.ndarray):
         _extend(col, values)
     else:
         col.extend(values)
@@ -157,7 +168,27 @@ def _column(typecode: str, values: Any) -> array:
 
 
 def _extend(col: array, values: np.ndarray) -> None:
+    import numpy as np
+
     col.frombytes(np.ascontiguousarray(values, dtype=np.dtype(col.typecode)).tobytes())
+
+
+#: Position of the sign byte in an 8-byte column element: a column has no
+#: negative value exactly when all its sign bytes are below 0x80 (ASCII).
+_SIGN_BYTE = 7 if sys.byteorder == "little" else 0
+#: The bytes that store an access mode: deleting them from the mode column
+#: leaves only the invalid ones.
+_MODE_BYTES = bytes(range(len(_MODES)))
+
+
+def _widths(offsets: array) -> Iterator[int]:
+    """Row lengths of a CSR offsets column."""
+    return map(sub, islice(offsets, 1, None), offsets)
+
+
+def _first(values: Iterable[int], bad: Callable[[int], bool]) -> int:
+    """Index of the first of ``values`` for which ``bad`` holds."""
+    return next(i for i, v in enumerate(values) if bad(v))
 
 
 class TraceWriter:
@@ -189,6 +220,8 @@ class TraceWriter:
                param_size: np.ndarray, param_mode: np.ndarray) -> None:
         """Append a block of tasks from whole-block NumPy arrays: one entry
         per task, and the block's parameters flattened in task order."""
+        import numpy as np
+
         cols = self.columns
         base = len(cols["param_addr"])
         for key, values in (
@@ -263,7 +296,7 @@ class TaskTrace:
         n = len(self.func)
         if not n:
             raise ValueError(f"trace {self.name!r} is empty")
-        offsets = np.frombuffer(self.param_offsets, dtype=np.int64)
+        offsets = self.param_offsets
         n_params = len(self.param_addr)
         if (
             any(len(getattr(self, key)) != n for key in _TASK_COLUMNS)
@@ -274,21 +307,24 @@ class TaskTrace:
             or len(self.param_mode) != n_params
         ):
             raise ValueError(f"trace {self.name!r}: column lengths disagree")
-        bad = np.flatnonzero(np.diff(offsets) < 1)
-        if bad.size:
-            raise ValueError(f"task {bad[0]}: needs at least one parameter")
+        # Each check is one whole-column pass at C speed; the index of the
+        # first bad value is searched for only once the pass has failed.
+        if not all(map(lt, offsets, islice(offsets, 1, None))):
+            bad = _first(_widths(offsets), lambda width: width < 1)
+            raise ValueError(f"task {bad}: needs at least one parameter")
         for key in _TASK_COLUMNS[1:]:
-            bad = np.flatnonzero(np.frombuffer(getattr(self, key), dtype=np.int64) < 0)
-            if bad.size:
-                raise ValueError(f"task {bad[0]}: negative duration")
-        sizes = np.frombuffer(self.param_size, dtype=np.int64)
-        bad = np.flatnonzero(sizes <= 0)
-        if bad.size:
-            raise ValueError(f"parameter size must be positive, got {sizes[bad[0]]}")
-        modes = np.frombuffer(self.param_mode, dtype=np.int8)
-        bad = np.flatnonzero((modes < 0) | (modes >= len(_MODES)))
-        if bad.size:
-            raise ValueError(f"unknown access mode {modes[bad[0]]}")
+            col = getattr(self, key)
+            if not col.tobytes()[_SIGN_BYTE::8].isascii():
+                bad = _first(col, lambda duration: duration < 0)
+                raise ValueError(f"task {bad}: negative duration")
+        sizes = self.param_size
+        if min(sizes) < 1:
+            bad = _first(sizes, lambda size: size < 1)
+            raise ValueError(f"parameter size must be positive, got {sizes[bad]}")
+        modes = self.param_mode
+        if modes.tobytes().translate(None, _MODE_BYTES):
+            bad = _first(modes, lambda mode: not 0 <= mode < len(_MODES))
+            raise ValueError(f"unknown access mode {modes[bad]}")
 
     # ---- rows ----------------------------------------------------------------------
 
@@ -348,7 +384,7 @@ class TaskTrace:
 
     @property
     def max_params(self) -> int:
-        return int(np.diff(np.frombuffer(self.param_offsets, dtype=np.int64)).max())
+        return max(_widths(self.param_offsets))
 
     def address_set(self) -> set[int]:
         return set(self.param_addr)
@@ -366,6 +402,8 @@ class TaskTrace:
 
     def save(self, path: str) -> None:
         """Persist the columns to a compact ``.npz`` file."""
+        import numpy as np
+
         np.savez_compressed(
             path,
             name=np.array(self.name),
@@ -383,6 +421,8 @@ class TaskTrace:
         Each stored array is read once: ``NpzFile`` decompresses a member
         on every item access, so indexing it per task is quadratic.
         """
+        import numpy as np
+
         with np.load(path, allow_pickle=False) as data:
             name = str(data["name"])
             meta = json.loads(str(data["meta"]))

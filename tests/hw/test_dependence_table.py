@@ -129,6 +129,17 @@ class TestHandleFinished:
         assert finish(t, 0, A, "in") == []
         assert t.is_empty
 
+    def test_check_finish_pairs_over_a_hot_set_leave_the_table_empty(self):
+        """Entries reinserted and deleted 200 times over the same 16
+        addresses (the same hash chains) never leak a slot."""
+        t = DependenceTable(4096, 8)
+        for round_ in range(200):
+            for a in range(16):
+                tid, addr = round_ * 16 + a, 0x1000 + a * 256
+                assert not check(t, tid, addr, "inout")
+                assert finish(t, tid, addr, "inout") == []
+        assert t.is_empty and t.total_lookups > 0
+
     def test_raw_release(self):
         t = dt()
         check(t, 0, A, "out")

@@ -15,7 +15,11 @@ from repro.machine import NexusMachine, grid_sweep, run_trace, speedup_curve
 from repro.runtime.task_graph import build_task_graph
 from repro.sim import Simulator
 from repro.traces import (
+    AccessMode,
+    Param,
+    TaskTrace,
     TimeModel,
+    TraceTask,
     gaussian_trace,
     h264_wavefront_trace,
     horizontal_chains_trace,
@@ -181,6 +185,33 @@ class TestDependenceTableFit:
         )
         result = run_trace(trace, cfg)
         assert result.verify_against(build_task_graph(trace)) == []
+
+    @staticmethod
+    def _listing(*widths):
+        """One task per width: that many distinct addresses; a negative
+        width ``-w`` lists ``w`` distinct addresses, then the first again."""
+        tasks = []
+        for tid, width in enumerate(widths):
+            addrs = [0x1000 + 0x100 * (tid * 16 + k) for k in range(abs(width))]
+            if width < 0:
+                addrs.append(addrs[0])
+            params = tuple(Param(a, 64, AccessMode.INOUT) for a in addrs)
+            tasks.append(TraceTask(tid, 1, params, 1000))
+        return TaskTrace("fit", tasks)
+
+    @pytest.mark.parametrize(
+        "widths, error, message",
+        [((1, -1, 2), ValueError, "task 1 lists a base address twice"),
+         ((1, 5, -1), CapacityError, "task 1 needs 5 Dependence Table"),
+         ((1, -1, 5), ValueError, "task 1 lists a base address twice"),
+         ((1, -5, 2), ValueError, "task 1 lists a base address twice")],
+        ids=["twice", "over-wide-first", "twice-first", "over-wide-twice"],
+    )
+    def test_first_task_that_cannot_fit_names_the_error(self, widths, error,
+                                                        message):
+        cfg = SystemConfig(workers=4, dependence_table_entries=4)
+        with pytest.raises(error, match=message):
+            Fabric(Simulator(), cfg, self._listing(*widths))
 
     def test_per_shard_entries_size_the_single_engine_table(self):
         cfg = SystemConfig(dependence_table_entries_per_shard=64)

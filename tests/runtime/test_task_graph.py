@@ -5,6 +5,8 @@ import hashlib
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from strategies import traces
 
 from repro.runtime.task_graph import DependenceKind, build_task_graph
 from repro.traces import AccessMode, Param, TaskTrace, TraceTask
@@ -143,6 +145,24 @@ class TestCSRQueries:
         trace = trace_of([(A, "out")], [(A, "in"), (B, "out")],
                          [(A, "out"), (B, "in")], [(B, "out")])
         assert count_false_dependencies(trace) == (2, 1, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(traces(max_tasks=40))
+def test_successor_csr_is_the_transposed_predecessor_csr(trace):
+    """Every edge appears once in each CSR, and each successor row holds
+    ascending ids, the order the software runtime releases them in."""
+    g = build_task_graph(trace)
+    assert len(g.successors) == g.n_tasks
+    offsets, ids = g._succ_offsets, g._succ_ids
+    assert offsets[0] == 0 and offsets[-1] == len(ids) == g.n_edges
+    rows = [list(ids[offsets[t]:offsets[t + 1]]) for t in range(g.n_tasks)]
+    assert all(row == sorted(set(row)) for row in rows)
+    transposed = [[] for _ in range(g.n_tasks)]
+    for succ in range(g.n_tasks):
+        for pred in sorted(g.predecessors[succ]):
+            transposed[pred].append(succ)
+    assert rows == transposed
 
 
 def test_graph_retains_at_most_64_bytes_per_task():

@@ -5,6 +5,8 @@ import hashlib
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.traces import AccessMode, Param, TaskTrace, TraceTask
 
@@ -219,3 +221,67 @@ class TestColumns:
         for change, message in cases:
             with pytest.raises(ValueError, match=message):
                 TaskTrace.from_columns("bad", **{**good, **change})
+
+
+# ---- whole-column validation: the first bad index wins ----------------------------
+
+
+@st.composite
+def one_bad_column(draw):
+    """Good one-parameter-per-task columns (wide values, so every byte of
+    an element varies) with a bad value written at a first index above 1
+    and another at a later index.  Returns the columns and the message
+    the first bad index must give."""
+    n = draw(st.integers(4, 40))
+    first = draw(st.integers(2, n - 2))
+    later = draw(st.integers(first + 1, n - 1))
+    key = draw(st.sampled_from(["param_offsets", "exec_time", "read_time",
+                                "write_time", "param_size", "param_mode"]))
+    wide = st.integers(0, 2**62)
+    cols = {k: draw(st.lists(wide, min_size=n, max_size=n))
+            for k in ("exec_time", "read_time", "write_time")}
+    cols["func"] = [7] * n
+    counts = [1] * n
+    if key == "param_offsets":
+        counts[first] = counts[later] = 0
+        message = f"task {first}: needs at least one parameter"
+    elif key in cols:
+        below = st.integers(-(2**62), -1)
+        cols[key][first], cols[key][later] = draw(below), draw(below)
+        message = f"task {first}: negative duration"
+    n_params = sum(counts)
+    cols["param_offsets"] = [0]
+    for c in counts:
+        cols["param_offsets"].append(cols["param_offsets"][-1] + c)
+    cols.update(param_addr=list(range(n_params)),
+                param_size=draw(st.lists(st.integers(1, 2**62),
+                                         min_size=n_params, max_size=n_params)),
+                param_mode=draw(st.lists(st.integers(0, 2),
+                                         min_size=n_params, max_size=n_params)))
+    if key in ("param_size", "param_mode"):
+        bad = (st.integers(-(2**62), 0) if key == "param_size"
+               else st.integers(-128, -1) | st.integers(3, 127))
+        value = draw(bad)
+        cols[key][first], cols[key][later] = value, draw(bad)
+        message = (f"parameter size must be positive, got {value}"
+                   if key == "param_size" else f"unknown access mode {value}")
+    return cols, message
+
+
+@settings(max_examples=120, deadline=None)
+@given(one_bad_column())
+def test_validate_names_the_first_bad_index(case):
+    columns, message = case
+    with pytest.raises(ValueError) as err:
+        TaskTrace.from_columns("bad", **columns)
+    assert str(err.value) == message
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 8), min_size=0, max_size=30), st.integers(1, 4))
+def test_max_params_sees_the_last_task(widths, extra):
+    """The widest task last: an off-by-one over the offsets would miss it."""
+    widths = widths + [max(widths, default=0) + extra]
+    trace = TaskTrace("wide", [make_task(tid, n_params=w)
+                               for tid, w in enumerate(widths)])
+    assert trace.max_params == widths[-1]
