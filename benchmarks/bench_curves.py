@@ -10,11 +10,12 @@ deterministic, so CI re-runs the table and then fails on
     PYTHONPATH=src python -m pytest -q benchmarks/bench_curves.py -k retire
     REPRO_FULL=1 PYTHONPATH=src python -m pytest -q benchmarks/bench_curves.py
 
-The six grid curves are a ladder, each one ``grid_sweep(trace, base,
-axes)`` call.  Each rung starts from the machine the previous curve left
-bottlenecked and sweeps the feature that lifts that bottleneck: Maestro
-shards, then parallel masters and submission batching, the retire
-pipeline, fast dispatch and the staged resolve.  The check curve moves
+The six grid curves climb ``repro.config.LADDER``, each one
+``grid_sweep(trace, base, axes)`` call.  Each starts from a rung, the
+machine the previous curve left bottlenecked, and sweeps the knobs of the
+rung above it, the feature that lifts that bottleneck: Maestro shards,
+then parallel masters and submission batching, the retire pipeline, fast
+dispatch, the staged resolve and the decentralized check.  The check curve moves
 to a param-dense workload, on which the central Check Scatter is the
 limit.  The efficiency curve is one ``efficiency_sweep`` call: HW
 Maestro against the software RTS as tasks shrink.  The README's
@@ -32,13 +33,13 @@ import pytest
 from conftest import FULL, report
 
 from repro.analysis import render_table
-from repro.config import BUS_MODEL_FITTED, SystemConfig
+from repro.config import LADDER, SystemConfig
 from repro.machine import analyze_bottleneck, efficiency_sweep, grid_sweep
 from repro.traces import random_trace
 
 REPO = Path(__file__).parent.parent
 N_TASKS = 3000 if FULL else 1200
-WORKERS = 16
+WORKERS = LADDER["fitted"].workers
 
 SHARDS = [1, 2, 4, 8] if FULL else [1, 2, 4]
 MASTERS = [1, 2, 4, 8] if FULL else [1, 2, 4]
@@ -66,17 +67,6 @@ param_dense = partial(
     hazard_dense, n_addresses=1024, mean_exec=500, name="random-param-dense"
 )
 
-# Every machine parameter but dependence resolution is generous: no memory
-# contention and the fitted bus model.  Each rung keeps the features the
-# previous curve proved out.
-FITTED = SystemConfig(
-    workers=WORKERS, memory_contention=False, bus_model=BUS_MODEL_FITTED
-)
-SHARDED = FITTED.with_(maestro_shards=4)
-WIDE = SHARDED.with_(master_cores=4, submission_batch=8)
-PIPELINED = WIDE.with_(retire_pipeline_depth=4, td_prefetch_depth=2)
-FAST = PIPELINED.with_(master_cores=8, td_cache_entries=64, kickoff_fast_path=True)
-STAGED = FAST.with_(finish_coalesce_limit=8, speculative_kickoff=True)
 
 At = Callable[..., dict]
 
@@ -274,7 +264,9 @@ CURVES = [
         "shard_scaling",
         "Maestro shard scaling ({trace}, {workers} workers)",
         lambda: grid_sweep(
-            hazard_dense(), FITTED.with_(task_prep_time=0), {"maestro_shards": SHARDS}
+            hazard_dense(),
+            LADDER["fitted"].with_(task_prep_time=0),
+            {"maestro_shards": SHARDS},
         ),
         [
             ("shards", lambda r: r["maestro_shards"]),
@@ -291,7 +283,7 @@ CURVES = [
         "Submission front-end scaling ({trace}, {workers} workers, 4 shards)",
         lambda: grid_sweep(
             hazard_dense(),
-            SHARDED,
+            LADDER["sharded"],
             {"master_cores": MASTERS, "submission_batch": BATCHES},
         ),
         [
@@ -308,7 +300,9 @@ CURVES = [
         "retire_scaling",
         "Retire pipeline scaling ({trace}, {workers} workers, 4 shards, "
         "4 masters x batch 8)",
-        lambda: grid_sweep(hazard_dense(), WIDE, {"retire_pipeline_depth": DEPTHS}),
+        lambda: grid_sweep(
+            hazard_dense(), LADDER["frontend"], {"retire_pipeline_depth": DEPTHS}
+        ),
         [
             ("depth", lambda r: r["retire_pipeline_depth"]),
             ("TP ports", lambda r: r["task_pool_ports"]),
@@ -327,7 +321,7 @@ CURVES = [
         # Fast path outermost: (off, off), (cache, off), (off, fast), (both).
         lambda: grid_sweep(
             hazard_dense(),
-            PIPELINED,
+            LADDER["retire"],
             {"kickoff_fast_path": [False, True], "td_cache_entries": [0, 64]},
         ),
         [
@@ -355,7 +349,7 @@ CURVES = [
         # (both).
         lambda: grid_sweep(
             hazard_dense(),
-            FAST,
+            LADDER["dispatch"],
             {"speculative_kickoff": [False, True], "finish_coalesce_limit": [1, 8]},
         ),
         [
@@ -379,7 +373,7 @@ CURVES = [
         # coalesce), (both).
         lambda: grid_sweep(
             param_dense(),
-            STAGED,
+            LADDER["resolve"],
             {
                 "check_coalesce_limit": [1, 8],
                 "decentralized_check_scatter": [False, True],

@@ -25,11 +25,7 @@ def _experiment():
     trace = independent_trace()
     # "all the other structures are configured to be very large; the Task
     # Pool, for example, is configured to hold 8K Task Descriptors".
-    base = contention_free(workers=WORKERS).with_(
-        task_pool_entries=8192,
-        tp_free_list_entries=8192,
-        global_ready_list_entries=8192,
-    )
+    base = contention_free(workers=WORKERS).with_(task_pool_entries=8192)
     baseline = NexusMachine(base.with_(workers=1)).run(trace)
 
     dt_grid = grid_sweep(trace, base, {"dependence_table_entries": DT_SIZES})

@@ -19,11 +19,7 @@ N_TASKS = 3000
 
 def main() -> None:
     trace = independent_trace(n_tasks=N_TASKS)
-    base_cfg = contention_free(workers=WORKERS).with_(
-        task_pool_entries=2048,
-        tp_free_list_entries=2048,
-        global_ready_list_entries=2048,
-    )
+    base_cfg = contention_free(workers=WORKERS).with_(task_pool_entries=2048)
     baseline = NexusMachine(base_cfg.with_(workers=1)).run(trace)
 
     # --- sweep the Dependence Table, large fixed Task Pool ---------------------

@@ -17,7 +17,7 @@ Run with::
 """
 
 from repro.analysis import render_table
-from repro.config import BUS_MODEL_FITTED, SystemConfig
+from repro.config import LADDER
 from repro.machine import analyze_bottleneck, grid_sweep
 from repro.traces import random_trace
 
@@ -32,16 +32,7 @@ def main() -> None:
         mean_memory=0,
         name="random-hazard-dense",
     )
-    cfg = SystemConfig(
-        workers=16,
-        maestro_shards=4,
-        master_cores=4,
-        submission_batch=8,
-        retire_pipeline_depth=4,
-        td_prefetch_depth=2,
-        memory_contention=False,
-        bus_model=BUS_MODEL_FITTED,
-    )
+    cfg = LADDER["retire"]
     report = grid_sweep(
         trace, cfg, {"kickoff_fast_path": [False, True], "td_cache_entries": [0, 64]}
     )

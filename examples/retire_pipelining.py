@@ -14,7 +14,7 @@ Run with::
 """
 
 from repro.analysis import render_table
-from repro.config import BUS_MODEL_FITTED, SystemConfig
+from repro.config import LADDER
 from repro.machine import analyze_bottleneck, grid_sweep
 from repro.traces import random_trace
 
@@ -29,14 +29,7 @@ def main() -> None:
         mean_memory=0,
         name="random-hazard-dense",
     )
-    cfg = SystemConfig(
-        workers=16,
-        maestro_shards=4,
-        master_cores=4,
-        submission_batch=8,
-        memory_contention=False,
-        bus_model=BUS_MODEL_FITTED,
-    )
+    cfg = LADDER["frontend"]
     depths = [1, 2, 4, 8]
     report = grid_sweep(trace, cfg, {"retire_pipeline_depth": depths})
 

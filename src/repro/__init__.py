@@ -32,7 +32,6 @@ from .config import (
     nexus_restricted,
     no_prep_delay,
     paper_default,
-    sharded_maestro,
 )
 from .machine import NexusMachine, RunResult, grid_sweep, run_trace, speedup_curve
 from .traces import (
@@ -52,7 +51,6 @@ __all__ = [
     "contention_free",
     "no_prep_delay",
     "nexus_restricted",
-    "sharded_maestro",
     "NexusMachine",
     "run_trace",
     "speedup_curve",

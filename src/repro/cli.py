@@ -199,7 +199,7 @@ def _config_from(args: argparse.Namespace, **point: Any) -> SystemConfig:
         overrides["memory_contention"] = False
     if getattr(args, "no_prep", False):
         overrides["task_prep_time"] = 0
-    if getattr(args, "depth", None):
+    if getattr(args, "depth", None) is not None:
         overrides["buffering_depth"] = args.depth
     if getattr(args, "restricted", False):
         overrides["restricted"] = True

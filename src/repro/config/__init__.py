@@ -1,17 +1,12 @@
 """Configuration for the Nexus++ machine (Table IV of the paper)."""
 
 from .presets import (
-    coalesced_resolve,
+    LADDER,
     contention_free,
-    decentral_check,
-    fast_dispatch,
     fast_functional,
-    multi_master,
     nexus_restricted,
     no_prep_delay,
     paper_default,
-    pipelined_retire,
-    sharded_maestro,
 )
 from .system_config import BUS_MODEL_FITTED, BUS_MODEL_FORMULA, SystemConfig
 
@@ -24,10 +19,5 @@ __all__ = [
     "no_prep_delay",
     "nexus_restricted",
     "fast_functional",
-    "sharded_maestro",
-    "multi_master",
-    "pipelined_retire",
-    "fast_dispatch",
-    "coalesced_resolve",
-    "decentral_check",
+    "LADDER",
 ]

@@ -1,8 +1,9 @@
-"""Named configurations matching the paper's experimental setups."""
+"""Named configurations: the paper's experimental setups and the ladder of
+machines this reproduction builds beyond it."""
 
 from __future__ import annotations
 
-from .system_config import SystemConfig
+from .system_config import BUS_MODEL_FITTED, SystemConfig
 
 __all__ = [
     "paper_default",
@@ -10,12 +11,7 @@ __all__ = [
     "no_prep_delay",
     "nexus_restricted",
     "fast_functional",
-    "sharded_maestro",
-    "multi_master",
-    "pipelined_retire",
-    "fast_dispatch",
-    "coalesced_resolve",
-    "decentral_check",
+    "LADDER",
 ]
 
 
@@ -48,196 +44,43 @@ def nexus_restricted(workers: int = 16, **overrides) -> SystemConfig:
     return SystemConfig(workers=workers, restricted=True, **overrides)
 
 
-def sharded_maestro(shards: int = 4, workers: int = 16, **overrides) -> SystemConfig:
-    """Multi-Maestro machine: the Dependence Table hash-partitioned over
-    ``shards`` Maestro instances on a ring interconnect (beyond the paper).
-
-    The total Dependence Table capacity matches Table IV by default (each
-    shard owns ``4096 / shards`` entries); override
-    ``dependence_table_entries_per_shard`` to size shards independently.
-    """
-    return SystemConfig(workers=workers, maestro_shards=shards, **overrides)
-
-
-def multi_master(
-    masters: int = 2,
-    batch: int = 4,
-    shards: int = 4,
-    workers: int = 16,
-    **overrides,
-) -> SystemConfig:
-    """Parallel submission front-end on top of the sharded Maestro (beyond
-    the paper): ``masters`` master cores each submit a round-robin slice of
-    the trace in DMA-style batches of ``batch`` descriptors per bus
-    transaction; a sequence-numbered merge unit restores global program
-    order before Write TP, so dependence resolution is unchanged.
-
-    Defaults pair the front-end with a 4-shard Maestro — the machine PR 1's
-    shard-scaling sweep showed to be master-bound.
-    """
-    return SystemConfig(
-        workers=workers,
-        master_cores=masters,
-        submission_batch=batch,
-        maestro_shards=shards,
-        **overrides,
-    )
-
-
-def pipelined_retire(
-    depth: int = 4,
-    masters: int = 4,
-    batch: int = 8,
-    shards: int = 4,
-    workers: int = 16,
-    **overrides,
-) -> SystemConfig:
-    """Pipelined per-shard retirement on top of the multi-master sharded
-    machine (beyond the paper): each shard's retire front-end keeps up to
-    ``depth`` finishes in flight, tagging finish scatter/gather with retire
-    tickets so param read, table update, reply gather and chain free of
-    successive tasks overlap.
-
-    Defaults pair the pipeline with the 4-master/4-shard machine PR 2's
-    submission sweep showed to be retire-bound (the ~31 us ceiling on the
-    hazard-dense bench workload).
-    """
-    return SystemConfig(
-        workers=workers,
-        retire_pipeline_depth=depth,
-        master_cores=masters,
-        submission_batch=batch,
-        maestro_shards=shards,
-        **overrides,
-    )
-
-
-def fast_dispatch(
-    td_cache: int = 64,
-    prefetch_depth: int = 2,
-    depth: int = 4,
-    masters: int = 4,
-    batch: int = 8,
-    shards: int = 4,
-    workers: int = 16,
-    **overrides,
-) -> SystemConfig:
-    """Fast-dispatch subsystem on top of the pipelined-retire machine
-    (beyond the paper): per-shard TD prefetch caches of ``td_cache``
-    staged descriptors pull near-ready waiters' TD chains out of the Task
-    Pool ahead of the final finish->kick resolution, and the kick-off
-    fast path lets the resolving shard hand a became-ready waiter
-    straight to an idle local worker, skipping the home-shard forward
-    hop.  Locality-aware stealing rides along (``locality_stealing``
-    derives on).
-
-    Defaults pair the subsystem with the 4-shard / 4-master / depth-4
-    machine PR 3's retire sweep left *latency-bound* (~90 ns per
-    dependence-chain hop on the hazard-dense bench workload).
-    ``prefetch_depth`` defaults to 2 (stage a waiter's TD two unresolved
-    dependences out): under the fast path the window between the last
-    two resolutions shrinks to almost nothing, so the conservative
-    drops-to-1 trigger misses the finishes that land back-to-back.
-    """
-    return SystemConfig(
-        workers=workers,
-        td_cache_entries=td_cache,
-        td_prefetch_depth=prefetch_depth,
-        kickoff_fast_path=True,
-        retire_pipeline_depth=depth,
-        master_cores=masters,
-        submission_batch=batch,
-        maestro_shards=shards,
-        **overrides,
-    )
-
-
-def coalesced_resolve(
-    coalesce: int = 8,
-    window: int = 0,
-    td_cache: int = 64,
-    prefetch_depth: int = 2,
-    depth: int = 4,
-    masters: int = 8,
-    batch: int = 8,
-    shards: int = 4,
-    workers: int = 16,
-    **overrides,
-) -> SystemConfig:
-    """Staged resolve pipeline on top of the fast-dispatch machine (beyond
-    the paper): finish-notification coalescing (up to ``coalesce``
-    notifications drained per resolve activation, same-row Dependence
-    Table updates merged into one row access, the probe/modify stages
-    pipelined across the batch) plus speculative kick-off (per-shard kick
-    units overlap each waiter kick with the next notification's
-    table-update commit).
-
-    Defaults pair the pipeline with an 8-master fast-dispatch machine —
-    PR 4's bench left the 4-master machine master-bound again, and with
-    the front-end widened the hazard-dense workload is *resolve*-bound
-    (~47 ns resolve hop), which is exactly what these knobs cut.
-    """
-    return SystemConfig(
-        workers=workers,
-        finish_coalesce_limit=coalesce,
-        finish_coalesce_window=window,
-        speculative_kickoff=True,
-        td_cache_entries=td_cache,
-        td_prefetch_depth=prefetch_depth,
-        kickoff_fast_path=True,
-        retire_pipeline_depth=depth,
-        master_cores=masters,
-        submission_batch=batch,
-        maestro_shards=shards,
-        **overrides,
-    )
-
-
-def decentral_check(
-    check_coalesce: int = 8,
-    check_window: int = 0,
-    coalesce: int = 8,
-    td_cache: int = 64,
-    prefetch_depth: int = 2,
-    depth: int = 4,
-    masters: int = 8,
-    batch: int = 8,
-    shards: int = 4,
-    workers: int = 16,
-    **overrides,
-) -> SystemConfig:
-    """Decentralized check scatter on top of the coalesced-resolve machine
-    (beyond the paper): the central Check Scatter sequencer is replaced by
-    per-master scatter slices re-sequenced per destination shard (the
-    program-ordered check invariant preserved by sequence numbers, as the
-    merge unit preserves submission order), and the per-shard check
-    engines coalesce up to ``check_coalesce`` already-arrived probes per
-    activation, merging same-row probes into one Dependence Table row
-    access — the check-side mirror of finish-notification coalescing.
-
-    Defaults pair the knobs with the full 8-master fast-dispatch stack —
-    PR 5's bench left that machine's central scatter sequencer >80% busy,
-    the last serialization point every probe still funnels through.
-    """
-    return SystemConfig(
-        workers=workers,
-        decentralized_check_scatter=True,
-        check_coalesce_limit=check_coalesce,
-        check_coalesce_window=check_window,
-        finish_coalesce_limit=coalesce,
-        speculative_kickoff=True,
-        td_cache_entries=td_cache,
-        td_prefetch_depth=prefetch_depth,
-        kickoff_fast_path=True,
-        retire_pipeline_depth=depth,
-        master_cores=masters,
-        submission_batch=batch,
-        maestro_shards=shards,
-        **overrides,
-    )
-
-
 def fast_functional(workers: int = 4, **overrides) -> SystemConfig:
     """Small, quick configuration for functional tests (not timing studies)."""
     overrides.setdefault("memory_batch_chunks", 8)
     return SystemConfig(workers=workers, **overrides)
+
+
+#: The machines beyond the paper, in the order they were built.  Each rung
+#: is the rung before it plus the mechanism that lifts the bottleneck that
+#: machine shows on the hazard-dense scaling workload
+#: (``benchmarks/bench_curves.py`` sweeps each rung's knobs).  Derive a
+#: variant with ``LADDER[name].with_(...)``.
+LADDER = {
+    # 16 workers, contention-free memory and the fitted bus model: every
+    # machine parameter but dependence resolution is generous.
+    "fitted": SystemConfig(
+        workers=16, memory_contention=False, bus_model=BUS_MODEL_FITTED
+    ),
+}
+# The Dependence Table hash-partitioned over Maestro shards on a ring.
+LADDER["sharded"] = LADDER["fitted"].with_(maestro_shards=4)
+# Parallel master cores and batched submission through the merge unit.
+LADDER["frontend"] = LADDER["sharded"].with_(master_cores=4, submission_batch=8)
+# The pipelined retire front-end, and the prefetch trigger depth the TD
+# caches of the rungs above use.
+LADDER["retire"] = LADDER["frontend"].with_(
+    retire_pipeline_depth=4, td_prefetch_depth=2
+)
+# Fast dispatch (TD prefetch caches, the kick-off fast path), fed by more
+# masters.
+LADDER["dispatch"] = LADDER["retire"].with_(
+    master_cores=8, td_cache_entries=64, kickoff_fast_path=True
+)
+# The staged resolve: finish coalescing and speculative kick-off.
+LADDER["resolve"] = LADDER["dispatch"].with_(
+    finish_coalesce_limit=8, speculative_kickoff=True
+)
+# The check pipeline: decentralized scatter and check coalescing.
+LADDER["full"] = LADDER["resolve"].with_(
+    decentralized_check_scatter=True, check_coalesce_limit=8
+)

@@ -71,13 +71,10 @@ class SystemConfig:
     tds_sizes_list_entries: int = 1024
     #: New Tasks list: 2 KB of 2-byte task IDs.
     new_tasks_list_entries: int = 1024
-    #: TP Free Indices list: one slot per Task Pool entry.
-    tp_free_list_entries: int = 1024
-    #: Global Ready Tasks list: 2 KB of 2-byte task IDs.  Must hold at
-    #: least ``task_pool_entries`` tasks (see ``__post_init__``).
-    global_ready_list_entries: int = 1024
-    #: Worker Cores IDs list: 2 KB of 2-byte core IDs.
-    worker_ids_list_entries: int = 1024
+    # The TP Free Indices, ready and Worker Cores IDs lists have no knob:
+    # the fabric sizes each at the bound where it cannot fill (Table IV's
+    # 1K entries are at or above every bound), so no size models another
+    # machine.
 
     # ---- sharded Maestro --------------------------------------------------------
     #: Number of Task Maestro shards.  1 reproduces the paper's single
@@ -275,9 +272,6 @@ class SystemConfig:
             ("kickoff_list_size", self.kickoff_list_size),
             ("tds_sizes_list_entries", self.tds_sizes_list_entries),
             ("new_tasks_list_entries", self.new_tasks_list_entries),
-            ("tp_free_list_entries", self.tp_free_list_entries),
-            ("global_ready_list_entries", self.global_ready_list_entries),
-            ("worker_ids_list_entries", self.worker_ids_list_entries),
             ("off_chip_access_time", self.off_chip_access_time),
             ("memory_chunk_bytes", self.memory_chunk_bytes),
             ("memory_banks", self.memory_banks),
@@ -310,35 +304,6 @@ class SystemConfig:
             raise ValueError("max_params_per_td must be >= 2")
         if self.kickoff_list_size < 2:
             raise ValueError("kickoff_list_size must be >= 2")
-        if self.tp_free_list_entries < self.task_pool_entries:
-            raise ValueError(
-                "TP Free Indices list must hold every Task Pool index "
-                f"({self.tp_free_list_entries} < {self.task_pool_entries})"
-            )
-        if self.global_ready_list_entries < self.task_pool_entries:
-            # A ready task holds a Task Pool entry, so a ready list as large
-            # as the pool never fills.  A smaller one can: Handle Finished
-            # (or a shard's finish engine) then stalls on the full list
-            # while it still holds the finished tasks' worker cores, which
-            # the scheduler needs to drain the list.  Table IV sizes both
-            # at 1K entries.
-            raise ValueError(
-                "global_ready_list_entries must be >= task_pool_entries "
-                f"({self.global_ready_list_entries} < "
-                f"{self.task_pool_entries}): a full ready list stalls the "
-                "kick-off of ready tasks while it holds the worker cores "
-                "the scheduler needs to drain the list"
-            )
-        # Each Worker Cores IDs list (one per shard; cores go to shards
-        # round-robin) starts holding its cores 'buffering depth' times.
-        worker_ids = -(-self.workers // self.maestro_shards) * self.buffering_depth
-        if self.worker_ids_list_entries < worker_ids:
-            raise ValueError(
-                f"worker_ids_list_entries must be >= {worker_ids} to hold "
-                f"ceil({self.workers} workers / {self.maestro_shards} shards) "
-                f"x buffering depth {self.buffering_depth}, got "
-                f"{self.worker_ids_list_entries}"
-            )
         if self.core_gflops <= 0:
             raise ValueError("core_gflops must be positive")
         if self.shard_hop_time < 0:

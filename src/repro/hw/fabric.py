@@ -396,24 +396,28 @@ class Fabric:
             ]
             self.merge = MergeUnit(self)
         self.new_tasks: Fifo = Fifo(sim, config.new_tasks_list_entries, "new-tasks")
-        self.tp_free: Fifo = Fifo(sim, config.tp_free_list_entries, "tp-free-indices")
-        for idx in range(config.task_pool_entries):
-            if not self.tp_free.try_put(idx):
-                raise ValueError("TP Free Indices list cannot hold all indices")
+        # The TP Free Indices list holds every Task Pool index, and each
+        # shard's ready list as many tasks as the pool (a ready task keeps
+        # its entry), so neither ever fills.  A smaller ready list could:
+        # the finish engine would stall on it while holding the worker
+        # cores the scheduler needs to drain it.
+        pool = config.task_pool_entries
+        self.tp_free: Fifo = Fifo(sim, pool, "tp-free-indices")
+        for idx in range(pool):
+            self.tp_free.try_put(idx)
         # Per-shard ready lists + Worker Cores IDs lists: workers are
         # assigned to shards round-robin (core -> core % n_shards).  The
         # paper's list "contains initially all worker cores IDs (repeated
         # 'buffering depth' times)" — round-robin order so one pass hands
-        # every core a task before any core gets its second.  SystemConfig
-        # checks that worker_ids_list_entries has room for them.
+        # every core a task before any core gets its second.  Each list
+        # holds exactly its shard's share, so it never fills either.
         self.shard_ready: List[Fifo] = [
-            Fifo(sim, config.global_ready_list_entries, f"s{s}-ready",
-                 track_occupancy=True)
+            Fifo(sim, pool, f"s{s}-ready", track_occupancy=True)
             for s in range(n)
         ]
+        worker_ids = -(-config.workers // n) * config.buffering_depth
         self.worker_pools: List[Fifo] = [
-            Fifo(sim, config.worker_ids_list_entries, f"s{s}-worker-ids")
-            for s in range(n)
+            Fifo(sim, worker_ids, f"s{s}-worker-ids") for s in range(n)
         ]
         for _ in range(config.buffering_depth):
             for core in range(config.workers):

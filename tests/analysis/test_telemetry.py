@@ -29,7 +29,7 @@ from repro.analysis import (
     write_metrics,
 )
 from repro.analysis.telemetry import METRICS_SCHEMA_VERSION, TimeSeries
-from repro.config import BUS_MODEL_FITTED, SystemConfig
+from repro.config import LADDER, SystemConfig
 from repro.machine import run_trace
 from repro.traces import wait_chain_trace
 
@@ -134,22 +134,7 @@ class TestObserveOnly:
     def test_knob_stack_digest_unchanged_with_telemetry_on(self):
         """The golden table's full-stack machine (every knob on, 4
         shards) must replay cycle-identically when sampled."""
-        base = dict(
-            workers=8,
-            master_cores=4,
-            submission_batch=8,
-            memory_contention=False,
-            bus_model=BUS_MODEL_FITTED,
-            maestro_shards=4,
-            retire_pipeline_depth=4,
-            td_cache_entries=16,
-            td_prefetch_depth=2,
-            kickoff_fast_path=True,
-            finish_coalesce_limit=8,
-            speculative_kickoff=True,
-            decentralized_check_scatter=True,
-            check_coalesce_limit=8,
-        )
+        base = LADDER["full"].with_(workers=8, master_cores=4, td_cache_entries=16)
 
         def digest(result):
             rows = [
@@ -159,10 +144,8 @@ class TestObserveOnly:
             return hashlib.sha256(repr(rows).encode()).hexdigest()
 
         trace = wait_chain_trace(8, 10, k_deps=3, spin_ns=800, cv=0.3, seed=5)
-        plain = run_trace(trace, SystemConfig(**base))
-        sampled = run_trace(
-            trace, SystemConfig(**base, telemetry_window=3_000_000)
-        )
+        plain = run_trace(trace, base)
+        sampled = run_trace(trace, base.with_(telemetry_window=3_000_000))
         assert digest(plain) == digest(sampled)
         assert sampled.telemetry["times_ps"]
         # The sampled run registers the optional-subsystem signals.

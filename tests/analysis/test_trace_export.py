@@ -19,7 +19,7 @@ import json
 import pytest
 
 from repro.analysis import chrome_trace, write_chrome_trace
-from repro.config import BUS_MODEL_FITTED, SystemConfig
+from repro.config import LADDER, SystemConfig
 from repro.machine import run_trace
 from repro.traces import wait_chain_trace
 
@@ -159,22 +159,7 @@ class TestObserveOnly:
     def test_export_never_perturbs_the_schedule(self, tmp_path):
         """The golden table's full-stack machine (every knob on, 4
         shards) must replay cycle-identically with export enabled."""
-        cfg = SystemConfig(
-            workers=8,
-            master_cores=4,
-            submission_batch=8,
-            memory_contention=False,
-            bus_model=BUS_MODEL_FITTED,
-            maestro_shards=4,
-            retire_pipeline_depth=4,
-            td_cache_entries=16,
-            td_prefetch_depth=2,
-            kickoff_fast_path=True,
-            finish_coalesce_limit=8,
-            speculative_kickoff=True,
-            decentralized_check_scatter=True,
-            check_coalesce_limit=8,
-        )
+        cfg = LADDER["full"].with_(workers=8, master_cores=4, td_cache_entries=16)
 
         def digest(result):
             rows = [

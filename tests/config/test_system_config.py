@@ -11,8 +11,9 @@ from repro.config import (
     no_prep_delay,
     paper_default,
 )
+from repro.hw.fabric import Fabric
 from repro.machine import NexusMachine
-from repro.sim import NS
+from repro.sim import NS, Simulator
 from repro.traces import independent_trace
 
 
@@ -47,9 +48,6 @@ class TestTableIVDefaults:
         cfg = SystemConfig()
         assert cfg.tds_sizes_list_entries == 1024
         assert cfg.new_tasks_list_entries == 1024
-        assert cfg.tp_free_list_entries == 1024
-        assert cfg.global_ready_list_entries == 1024
-        assert cfg.worker_ids_list_entries == 1024
 
     def test_buffering_depth_is_double(self):
         assert SystemConfig().buffering_depth == 2
@@ -127,7 +125,6 @@ class TestValidation:
             ("max_params_per_td", 1, "max_params_per_td"),
             ("core_gflops", 0, "core_gflops"),
             ("memory_batch_chunks", 0, "memory_batch_chunks"),
-            ("global_ready_list_entries", 1023, "global_ready_list_entries"),
             ("finish_coalesce_limit", 0, "finish_coalesce_limit"),
             ("check_coalesce_limit", 0, "check_coalesce_limit"),
             # A batch window with a one-message batch limit.
@@ -198,21 +195,22 @@ class TestValidation:
     def test_derived_switches(self, knobs, switch, expected):
         assert getattr(SystemConfig(**knobs), switch) == expected
 
-    def test_free_list_must_cover_task_pool(self):
-        with pytest.raises(ValueError, match="TP Free Indices"):
-            SystemConfig(task_pool_entries=2048, tp_free_list_entries=1024)
-
     @pytest.mark.parametrize(
         "workers,shards,entries", [(4, 1, 8), (4, 4, 2), (5, 2, 6)]
     )
-    def test_worker_ids_list_must_hold_every_core_id(self, workers, shards, entries):
-        """Each shard's Worker Cores IDs list starts with its round-robin
-        share of the cores, 'buffering depth' (2) times over."""
-        cfg = dict(workers=workers, maestro_shards=shards)
-        with pytest.raises(ValueError, match="worker_ids_list_entries must be >= "):
-            SystemConfig(worker_ids_list_entries=entries - 1, **cfg)
-        boundary = SystemConfig(worker_ids_list_entries=entries, **cfg)
-        result = NexusMachine(boundary).run(independent_trace(n_tasks=24))
+    def test_worker_ids_list_holds_every_core_id(self, workers, shards, entries):
+        """Each shard's Worker Cores IDs list is sized at its round-robin
+        share of the cores, 'buffering depth' (2) times over; the TP Free
+        Indices and ready lists at the Task Pool's size."""
+        cfg = SystemConfig(
+            workers=workers, maestro_shards=shards, task_pool_entries=64
+        )
+        fabric = Fabric(Simulator(), cfg, independent_trace(n_tasks=24))
+        assert max(f.capacity for f in fabric.worker_pools) == entries
+        assert max(len(f) for f in fabric.worker_pools) == entries
+        assert fabric.tp_free.capacity == len(fabric.tp_free) == 64
+        assert {f.capacity for f in fabric.shard_ready} == {64}
+        result = NexusMachine(cfg).run(independent_trace(n_tasks=24))
         assert result.n_tasks == 24
 
     def test_negative_prep_time_rejected(self):
@@ -288,11 +286,3 @@ class TestShardedMaestroConfig:
         assert rows["Maestro shards"] == "4"
         assert rows["Shard hop latency"] == "4ns"
         assert rows["Dependence Table per shard"] == "1024 entries"
-
-    def test_sharded_preset(self):
-        from repro.config import sharded_maestro
-
-        cfg = sharded_maestro(shards=4, workers=32)
-        assert cfg.maestro_shards == 4
-        assert cfg.workers == 32
-        assert cfg.use_sharded_maestro

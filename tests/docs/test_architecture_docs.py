@@ -98,6 +98,10 @@ def test_presets_list_is_in_sync():
         assert f"`{preset}`" in text, (
             f"preset {preset!r} not mentioned in ARCHITECTURE.md"
         )
+    for rung in presets_mod.LADDER:
+        assert f"`{rung}`" in text, (
+            f"ladder rung {rung!r} not mentioned in ARCHITECTURE.md"
+        )
 
 
 def test_entry_points_link_architecture_md():

@@ -28,6 +28,7 @@ the same statistics as the timing wheel.
 """
 
 import ast
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -39,7 +40,7 @@ import pytest
 from laws import LAWS, assert_retires_legally
 
 import repro.machine.machine
-from repro.config import BUS_MODEL_FITTED, SystemConfig
+from repro.config import BUS_MODEL_FORMULA, LADDER, SystemConfig
 from repro.machine import run_trace
 from repro.runtime.task_graph import build_task_graph
 from repro.sim import NS
@@ -74,38 +75,29 @@ TRACES = {
     ),
 }
 
-_FRONTEND = dict(
-    workers=8,
-    master_cores=4,
-    submission_batch=8,
-    memory_contention=False,
-    bus_model=BUS_MODEL_FITTED,
-)
-_RETIRE4 = dict(_FRONTEND, retire_pipeline_depth=4)
-_DISPATCH = dict(
-    _RETIRE4, td_cache_entries=16, td_prefetch_depth=2, kickoff_fast_path=True
-)
-_WAYPOINT = dict(
-    workers=16, master_cores=4, submission_batch=8, memory_contention=False
-)
-_PIPELINES = dict(
-    finish_coalesce_limit=8,
-    speculative_kickoff=True,
-    decentralized_check_scatter=True,
-    check_coalesce_limit=8,
-)
+#: The knobs the ``resolve`` and ``full`` rungs add: the staged resolve and
+#: check pipelines.
+_PIPELINES = {
+    f.name: getattr(LADDER["full"], f.name)
+    for f in dataclasses.fields(SystemConfig)
+    if getattr(LADDER["full"], f.name) != getattr(LADDER["dispatch"], f.name)
+}
+_WAYPOINT = LADDER["frontend"].with_(bus_model=BUS_MODEL_FORMULA)
 
-#: Knob stacks; each row adds its shard count.
+#: Knob stacks, each a rung of ``repro.config.LADDER`` at the sizes its
+#: goldens were recorded on; each row adds its shard count.
 STACKS = {
-    "paper-w8": dict(workers=8),
-    "frontend": _FRONTEND,
-    "retire4": _RETIRE4,
-    "dispatch": _DISPATCH,
-    "full": dict(_DISPATCH, **_PIPELINES),
+    "paper-w8": SystemConfig(workers=8),
+    "frontend": LADDER["frontend"].with_(workers=8),
+    "retire4": LADDER["frontend"].with_(workers=8, retire_pipeline_depth=4),
+    "dispatch": LADDER["retire"].with_(
+        workers=8, td_cache_entries=16, kickoff_fast_path=True
+    ),
+    "full": LADDER["full"].with_(workers=8, master_cores=4, td_cache_entries=16),
     "2k": _WAYPOINT,
-    "2k-coalesce4": dict(_WAYPOINT, finish_coalesce_limit=4),
-    "2k-speculative": dict(_WAYPOINT, speculative_kickoff=True),
-    "2k-full": dict(_WAYPOINT, **_PIPELINES),
+    "2k-coalesce4": _WAYPOINT.with_(finish_coalesce_limit=4),
+    "2k-speculative": _WAYPOINT.with_(speculative_kickoff=True),
+    "2k-full": _WAYPOINT.with_(**_PIPELINES),
 }
 
 #: (trace, stack, shards) -> (kernel events, makespan_ps, schedule digest).
@@ -145,7 +137,7 @@ HEAP_STACKS = {"frontend", "full"}
 
 def _config(key, **extra) -> SystemConfig:
     _, stack, shards = key
-    return SystemConfig(maestro_shards=shards, **STACKS[stack], **extra)
+    return STACKS[stack].with_(maestro_shards=shards, **extra)
 
 
 def schedule_digest(result) -> str:

@@ -55,24 +55,21 @@ from repro.traces import (
 )
 
 #: Each bounded structure at its minimum size (ARCHITECTURE.md records
-#: which engines reject which).  The ready list's smallest legal size is
-#: the Task Pool's.
+#: which engines reject which).
 MINIMUMS = [
     dict(task_pool_entries=8),
     dict(kickoff_list_size=2),
     dict(tds_sizes_list_entries=1),
     dict(new_tasks_list_entries=1),
-    dict(global_ready_list_entries=1),
-    dict(global_ready_list_entries=8, task_pool_entries=8),
     dict(shard_inbox_entries=1),
     dict(td_cache_entries=1),
 ]
 
-#: The engines the explicit examples run on.
+#: The engines the explicit examples run on, as knob dicts.
 EXAMPLE_ENGINES = [
     dict(workers=4),
     dict(workers=4, maestro_shards=2),
-    dict(STACKS["full"], maestro_shards=4),
+    dataclasses.asdict(STACKS["full"].with_(maestro_shards=4)),
 ]
 
 #: Hazard-dense: few addresses, parameter lists past the TD limit.
@@ -92,7 +89,6 @@ PROBES = [
 @st.composite
 def knob_vectors(draw):
     shards = draw(st.integers(1, 8))
-    task_pool = draw(st.sampled_from([4, 8, 16, 1024]))
     knobs = dict(
         workers=draw(st.integers(1, 8)),
         buffering_depth=draw(st.integers(1, 2)),
@@ -109,11 +105,7 @@ def knob_vectors(draw):
         task_pool_ports=draw(st.sampled_from([None, 1, 2])),
         # Bounded structures: at their minimum, twice it, or Table IV size.
         dependence_table_entries_per_shard=draw(st.sampled_from([None, 8])),
-        task_pool_entries=task_pool,
-        # SystemConfig rejects a ready list smaller than the Task Pool.
-        global_ready_list_entries=draw(
-            st.sampled_from([task_pool, 2 * task_pool, 1024, 1])
-        ),
+        task_pool_entries=draw(st.sampled_from([4, 8, 16, 1024])),
         kickoff_list_size=draw(st.sampled_from([2, 4, 8])),
         tds_sizes_list_entries=draw(st.sampled_from([1, 2, 1024])),
         new_tasks_list_entries=draw(st.sampled_from([1, 2, 1024])),
@@ -153,8 +145,6 @@ HELD_AT_DEFAULT = {
     "td_bytes": "sizes the Table IV report, not a structure",
     "dt_entry_bytes": "sizes the Table IV report, not a structure",
     "dependence_table_entries": "dependence_table_entries_per_shard is drawn",
-    "tp_free_list_entries": "must hold the whole Task Pool, so never fills",
-    "worker_ids_list_entries": "must hold every worker, so never fills",
     "telemetry_window": "sampling injects no events (test_goldens pins it)",
     "restricted": "turns spills into errors (tests/hw pins both)",
     "notes": "free-form provenance text",

@@ -11,19 +11,17 @@ tests here pin the rest:
 * the per-address orders it must not break survive on adversarial traces
   (ARCHITECTURE.md invariants 4-6);
 * the TD cache stays coherent with the Task Pool;
-* each preset runs the bench machine.
+* each rung of ``repro.config.LADDER`` retires the golden Gaussian trace
+  legally and obeys the conservation laws of the blocks it wires.
 """
 
+import functools
+
 import pytest
+from laws import LAWS, assert_retires_legally
 from test_goldens import STACKS, TRACES
 
-from repro.config import (
-    SystemConfig,
-    coalesced_resolve,
-    decentral_check,
-    fast_dispatch,
-    pipelined_retire,
-)
+from repro.config import LADDER, SystemConfig
 from repro.hw.fabric import Fabric
 from repro.hw.sharded_maestro import ShardedMaestro
 from repro.machine import run_trace
@@ -44,21 +42,13 @@ SHARDED_ENGINES = ["shards2", "shards4"]
 
 def _config(engine: str, **overrides) -> SystemConfig:
     stack, shards = ENGINES[engine]
-    return SystemConfig(maestro_shards=shards, **STACKS[stack], **overrides)
+    return STACKS[stack].with_(maestro_shards=shards, **overrides)
 
 
 def _retire4(**overrides) -> SystemConfig:
     """The front-end plus retire depth 4 (the fast-dispatch goldens'
     knobs-off stack)."""
-    return SystemConfig(**dict(STACKS["retire4"], **overrides))
-
-
-def _assert_retires_legally(result, trace):
-    assert {r.tid for r in result.records if r.is_complete()} == set(
-        range(len(trace))
-    )
-    problems = result.verify_against(build_task_graph(trace))
-    assert problems == [], "\n".join(problems[:5])
+    return STACKS["retire4"].with_(**overrides)
 
 
 def _waw_chain() -> TaskTrace:
@@ -161,21 +151,7 @@ def test_same_address_inflight_finishes_apply_in_order(depth, shards):
         memory_contention=False,
     )
     result = run_trace(trace, cfg)
-    _assert_retires_legally(result, trace)
-    assert result.stats["dep_table"]["occupied"] == 0
-
-
-def test_pipelined_retire_preset_runs_the_bench_machine():
-    cfg = pipelined_retire()
-    assert cfg.retire_pipeline_depth == 4
-    assert cfg.maestro_shards == 4
-    assert cfg.master_cores == 4
-    assert cfg.tp_ports == 4
-    trace = TRACES["gaussian"]()
-    graph = build_task_graph(trace)
-    result = run_trace(trace, cfg)
-    assert all(r.is_complete() for r in result.records)
-    assert result.verify_against(graph) == []
+    assert_retires_legally(result, trace, build_task_graph(trace))
 
 
 # ---- fast dispatch: TD prefetch cache, kick-off fast path, stealing --------------
@@ -195,8 +171,7 @@ def test_pipelined_retire_preset_runs_the_bench_machine():
 def test_fast_dispatch_features_fire(shards, features):
     trace = TRACES["random"]()
     result = run_trace(trace, _retire4(maestro_shards=shards, **features))
-    _assert_retires_legally(result, trace)
-    assert result.stats["dep_table"]["occupied"] == 0
+    assert_retires_legally(result, trace, build_task_graph(trace))
     sub = result.stats["dispatch"]["fast_dispatch"]
     if features.get("td_cache_entries"):
         cache = sub["td_cache"]
@@ -225,21 +200,6 @@ def test_subsystem_actually_shortens_the_chain_hops():
     on_hop = on.stats["dispatch"]["chain_hop_ns"]
     assert on_hop["td_transfer"] < off_hop["td_transfer"]
     assert on_hop["forward"] < off_hop["forward"]
-
-
-def test_fast_dispatch_preset_runs_the_bench_machine():
-    cfg = fast_dispatch()
-    assert cfg.td_cache_entries == 64
-    assert cfg.kickoff_fast_path
-    assert cfg.td_prefetch_depth == 2
-    assert cfg.steal_locality
-    assert cfg.retire_pipeline_depth == 4
-    assert cfg.maestro_shards == 4
-    trace = TRACES["gaussian"]()
-    graph = build_task_graph(trace)
-    result = run_trace(trace, cfg)
-    assert all(r.is_complete() for r in result.records)
-    assert result.verify_against(graph) == []
 
 
 #: TD-cache coherence (ARCHITECTURE.md invariant 4): no cache entry
@@ -403,7 +363,7 @@ def test_locality_stealing_never_starves_a_worker_starved_machine():
     ticket = run_trace(trace, _retire4(locality_stealing=False, **kw))
     locality = run_trace(trace, _retire4(locality_stealing=True, **kw))
     for result in (ticket, locality):
-        _assert_retires_legally(result, trace)
+        assert_retires_legally(result, trace, build_task_graph(trace))
     assert locality.makespan <= ticket.makespan
 
 
@@ -442,8 +402,7 @@ def test_resolve_pipeline_coalesces_and_speculates(engine, knobs):
     actually happens."""
     trace = TRACES["random"]()
     result = run_trace(trace, _config(engine, **knobs))
-    _assert_retires_legally(result, trace)
-    assert result.stats["dep_table"]["occupied"] == 0
+    assert_retires_legally(result, trace, build_task_graph(trace))
     resolve = result.stats["resolve"]
     assert resolve["updates"] == resolve["batches"] or (
         resolve["coalesce_limit"] > 1 or engine == "single"
@@ -469,20 +428,6 @@ def test_same_address_finish_order_survives_coalescing():
     assert result.verify_against(graph) == []
     order = sorted(result.records, key=lambda r: r.exec_start)
     assert [r.tid for r in order] == list(range(64))
-
-
-def test_coalesced_resolve_preset_runs_the_bench_machine():
-    cfg = coalesced_resolve()
-    assert cfg.finish_coalesce_limit == 8
-    assert cfg.speculative_kickoff
-    assert cfg.use_resolve_pipeline
-    assert cfg.master_cores == 8
-    assert cfg.td_cache_entries == 64 and cfg.kickoff_fast_path
-    trace = TRACES["gaussian"]()
-    graph = build_task_graph(trace)
-    result = run_trace(trace, cfg)
-    assert all(r.is_complete() for r in result.records)
-    assert result.verify_against(graph) == []
 
 
 def test_speculation_actually_cuts_the_resolve_hop():
@@ -544,8 +489,7 @@ def test_check_pipeline_resequences_and_coalesces(engine, knobs):
     re-sequencer, and check coalescing actually batches probes."""
     trace = TRACES["random"]()
     result = run_trace(trace, _config(engine, **knobs))
-    _assert_retires_legally(result, trace)
-    assert result.stats["dep_table"]["occupied"] == 0
+    assert_retires_legally(result, trace, build_task_graph(trace))
     check = result.stats["check"]
     assert check["probes"] == sum(t.n_params for t in trace)
     if knobs.get("decentralized_check_scatter"):
@@ -573,21 +517,6 @@ def test_same_address_check_order_survives_decentralization():
     assert [r.tid for r in order] == list(range(64))
 
 
-def test_decentral_check_preset_runs_the_bench_machine():
-    cfg = decentral_check()
-    assert cfg.decentralized_check_scatter
-    assert cfg.check_coalesce_limit == 8
-    assert cfg.use_check_pipeline
-    assert cfg.finish_coalesce_limit == 8 and cfg.speculative_kickoff
-    assert cfg.master_cores == 8
-    assert cfg.td_cache_entries == 64 and cfg.kickoff_fast_path
-    trace = TRACES["gaussian"]()
-    graph = build_task_graph(trace)
-    result = run_trace(trace, cfg)
-    assert all(r.is_complete() for r in result.records)
-    assert result.verify_against(graph) == []
-
-
 def test_decentralization_actually_unloads_the_sequencer():
     """On a param-dense flood the decentralized machine must drop the
     busiest scatter engine's occupancy (the bench pins the full-size
@@ -612,3 +541,32 @@ def test_decentralization_actually_unloads_the_sequencer():
         )
 
     assert max_scatter(on) < max_scatter(off)
+
+
+# ---- the ladder of machine stacks --------------------------------------------------
+
+
+@functools.cache
+def _gaussian_on(rung: str):
+    trace = TRACES["gaussian"]()
+    return trace, run_trace(trace, LADDER[rung])
+
+
+@pytest.mark.parametrize("rung", list(LADDER))
+def test_ladder_rung_retires_the_gaussian_trace_legally(rung):
+    trace, result = _gaussian_on(rung)
+    assert_retires_legally(result, trace, build_task_graph(trace))
+
+
+@pytest.mark.parametrize(
+    "law, rung",
+    [
+        (law, rung)
+        for rung, config in LADDER.items()
+        for law, (applies, _) in LAWS.items()
+        if applies(config)
+    ],
+)
+def test_ladder_rung_obeys_conservation_law(law, rung):
+    trace, result = _gaussian_on(rung)
+    LAWS[law][1](result, trace, LADDER[rung])

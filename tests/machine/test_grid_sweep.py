@@ -4,9 +4,7 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.machine import COLUMNS, NexusMachine, grid_sweep
-from repro.traces import TimeModel, independent_trace, random_trace
-
-FAST_TIMES = TimeModel(mean_exec=2_000_000, mean_memory=500_000, cv=0.0)
+from repro.traces import random_trace
 
 
 @pytest.fixture(scope="module")
@@ -130,8 +128,3 @@ class TestValidation:
                 cfg,
                 {"maestro_shards": [1, 2], "dependence_table_entries": [1024]},
             )
-
-    def test_task_pool_above_the_free_list_raises_the_config_error(self, no_runs):
-        trace = independent_trace(n_tasks=10, n_params=2, time_model=FAST_TIMES)
-        with pytest.raises(ValueError, match="TP Free Indices list"):
-            grid_sweep(trace, BASE, {"task_pool_entries": [512, 2048]})

@@ -39,10 +39,9 @@ class TestTaskPoolWindow:
         small = SystemConfig(
             workers=16,
             task_pool_entries=40,
-            tp_free_list_entries=40,
             memory_contention=False,
         )
-        large = small.with_(task_pool_entries=1024, tp_free_list_entries=1024)
+        large = small.with_(task_pool_entries=1024)
         r_small = run_trace(trace, small)
         r_large = run_trace(trace, large)
         # The large pool exposes many chains at once; the small one cannot.
@@ -53,10 +52,9 @@ class TestTaskPoolWindow:
         small = SystemConfig(
             workers=8,
             task_pool_entries=64,
-            tp_free_list_entries=64,
             memory_contention=False,
         )
-        large = small.with_(task_pool_entries=1024, tp_free_list_entries=1024)
+        large = small.with_(task_pool_entries=1024)
         r_small = run_trace(trace, small)
         r_large = run_trace(trace, large)
         # 64 >> 2x8 in-flight need: window is not the bottleneck.
@@ -104,7 +102,6 @@ class TestMasterBackpressure:
             workers=1,
             tds_sizes_list_entries=2,
             task_pool_entries=4,
-            tp_free_list_entries=4,
             memory_contention=False,
         )
         result = run_trace(trace, cfg)
@@ -305,17 +302,11 @@ class TestSweepHelpers:
         assert [c.dt_entries_per_shard for c in report.configs] == [32, 64]
         assert all(r.makespan > 0 for r in report.runs)
 
-    def test_sweep_task_pool_with_matching_free_list(self):
-        """A Task Pool axis runs when the base's free-index list and ready
-        list cover every swept size (the paper's Fig. 6 procedure oversizes
-        them)."""
+    def test_sweep_task_pool_sizes_its_lists(self):
+        """A Task Pool axis runs from any base: the free-index and ready
+        lists follow the pool's size."""
         trace = independent_trace(n_tasks=50, n_params=2, time_model=FAST_TIMES)
-        cfg = SystemConfig(
-            workers=2,
-            memory_contention=False,
-            tp_free_list_entries=2048,
-            global_ready_list_entries=2048,
-        )
+        cfg = SystemConfig(workers=2, memory_contention=False)
         report = grid_sweep(trace, cfg, {"task_pool_entries": [512, 2048]})
         assert report.at(task_pool_entries=2048).makespan > 0
 

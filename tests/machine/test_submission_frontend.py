@@ -3,7 +3,7 @@ timing model, truncated-run reporting, and the master-scaling grid."""
 
 import pytest
 
-from repro.config import BUS_MODEL_FITTED, SystemConfig, multi_master
+from repro.config import BUS_MODEL_FITTED, SystemConfig
 from repro.machine import NexusMachine, grid_sweep, run_trace
 from repro.machine.bottleneck import analyze_bottleneck
 from repro.runtime.task_graph import build_task_graph
@@ -49,12 +49,6 @@ class TestFrontendConfig:
         assert SystemConfig(master_cores=4).master_buffer_entries == 256
         assert SystemConfig(master_cores=3).master_buffer_entries == 342
 
-    def test_multi_master_preset(self):
-        cfg = multi_master(masters=2, batch=4, shards=4)
-        assert cfg.use_parallel_frontend
-        assert cfg.use_sharded_maestro
-        assert cfg.master_cores == 2 and cfg.submission_batch == 4
-
     def test_table_iv_lists_frontend_geometry_only_when_extended(self):
         rows = dict(SystemConfig().table_iv())
         assert "Master cores" not in rows  # paper table stays paper-shaped
@@ -85,7 +79,6 @@ class TestMasterBackpressure:
             workers=1,
             tds_sizes_list_entries=2,
             task_pool_entries=4,
-            tp_free_list_entries=4,
             memory_contention=False,
             master_cores=masters,
             submission_batch=batch,
@@ -106,7 +99,6 @@ class TestMasterBackpressure:
             workers=1,
             tds_sizes_list_entries=2,
             task_pool_entries=4,
-            tp_free_list_entries=4,
             memory_contention=False,
             master_cores=2,
         )
@@ -121,7 +113,6 @@ class TestMasterBackpressure:
             workers=1,
             tds_sizes_list_entries=2,
             task_pool_entries=4,
-            tp_free_list_entries=4,
             memory_contention=False,
             master_cores=2,
         )

@@ -13,29 +13,14 @@ import gc
 
 import pytest
 
-from repro.config import BUS_MODEL_FITTED, SystemConfig
+from repro.config import LADDER, SystemConfig
 from repro.machine import NexusMachine
 from repro.runtime import run_software_rts
 from repro.traces import random_trace, wait_chain_trace
 
 #: The perf ledger's hazard-dense stack: 4 shards with every resolve,
 #: check, retire and dispatch knob on.
-HAZARD_DENSE = SystemConfig(
-    workers=8,
-    maestro_shards=4,
-    master_cores=8,
-    submission_batch=8,
-    retire_pipeline_depth=4,
-    td_cache_entries=64,
-    td_prefetch_depth=2,
-    kickoff_fast_path=True,
-    finish_coalesce_limit=8,
-    speculative_kickoff=True,
-    decentralized_check_scatter=True,
-    check_coalesce_limit=8,
-    memory_contention=False,
-    bus_model=BUS_MODEL_FITTED,
-)
+HAZARD_DENSE = LADDER["full"].with_(workers=8)
 
 
 def cyclic_garbage_after(run) -> int:

@@ -82,6 +82,11 @@ class TestRun:
             main(["run", "gaussian", "--size", "24", "--workers", "2",
                   "--restricted"])
 
+    @pytest.mark.parametrize("flag", ["--depth", "--shards", "--workers"])
+    def test_zero_machine_size_is_a_one_line_error(self, flag):
+        with pytest.raises(SystemExit, match="must be positive, got 0"):
+            main(["run", "wait-chain", "--rows", "2", "--cols", "2", flag, "0"])
+
     def test_unknown_workload_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "nope"])
