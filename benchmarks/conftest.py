@@ -1,7 +1,7 @@
 """Shared benchmark infrastructure.
 
-Every file in this directory regenerates one table or figure of the paper,
-or (``bench_curves.py``) the pinned scaling curves; the README's
+``bench_curves.py`` holds every pinned experiment, the paper's figures
+and the scaling curves alike, one ``CURVES`` row each; the README's
 "Reproduce the paper & the scaling curves" section indexes them.
 Conventions:
 
@@ -11,8 +11,9 @@ Conventions:
   :func:`report`, which both prints it to the real stdout (so it lands in
   ``bench_output.txt``) and writes ``benchmarks/results/<name>.txt``;
 * the ``REPRO_FULL=1`` environment variable unlocks the paper's full-size
-  configurations (256+ cores, n=500/1000 Gaussian matrices) — the default
-  tier keeps the whole suite under ~10 minutes on a laptop;
+  configurations (256 cores, the n=500 Gaussian matrix, every core
+  count); the module docstring of ``bench_curves.py`` lists what the
+  default tier drops;
 * shape assertions encode the paper's qualitative claims, so a regression
   that breaks the reproduction fails the suite rather than silently
   printing different numbers.
@@ -22,8 +23,6 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-
-import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -52,16 +51,3 @@ def pytest_terminal_summary(terminalreporter):
         for line in text.splitlines():
             terminalreporter.write_line(line)
 
-
-@pytest.fixture(scope="session")
-def h264_trace():
-    from repro.traces import h264_wavefront_trace
-
-    return h264_wavefront_trace()
-
-
-@pytest.fixture(scope="session")
-def independent_trace_full():
-    from repro.traces import independent_trace
-
-    return independent_trace()

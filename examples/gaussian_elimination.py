@@ -19,7 +19,7 @@ from repro.analysis import render_table
 from repro.config import nexus_restricted, paper_default
 from repro.frontend import StarSsProgram
 from repro.hw.errors import CapacityError
-from repro.machine import run_trace, speedup_curve
+from repro.machine import grid_sweep, run_trace
 from repro.runtime import DataflowExecutor
 from repro.traces import gaussian_task_count, gaussian_trace
 
@@ -85,11 +85,11 @@ def nexus_vs_nexuspp(n: int = 64) -> None:
 def mini_fig8(n: int = 100) -> None:
     trace = gaussian_trace(n)
     cores = [1, 2, 4, 8, 16]
-    curve = speedup_curve(trace, cores, paper_default())
+    rep = grid_sweep(trace, paper_default(), {"workers": cores})
     print()
     print(render_table(
         ["cores", "speedup"],
-        [[c, round(s, 2)] for c, s in curve.rows()],
+        [[c, round(s, 2)] for c, s in zip(cores, rep.speedups)],
         f"GE n={n} on Nexus++ (miniature Fig. 8; larger n scales further)",
     ))
 

@@ -17,7 +17,7 @@ import numpy as np
 from repro.analysis import plot_speedup_curves, render_table
 from repro.config import paper_default
 from repro.frontend import StarSsProgram
-from repro.machine import speedup_curve
+from repro.machine import grid_sweep, saturation_point
 from repro.runtime import DataflowExecutor
 from repro.sim import US
 
@@ -83,17 +83,18 @@ def main() -> None:
     # Give every decode task the paper's published mean times.
     trace = prog.to_trace(exec_time=round(11.8 * US))
     cores = [1, 2, 4, 8, 16, 32]
-    curve = speedup_curve(trace, cores, paper_default())
+    speedups = grid_sweep(trace, paper_default(), {"workers": cores}).speedups
+    curve = list(zip(cores, speedups))
     print()
     print(render_table(
         ["cores", "speedup", "efficiency"],
-        [[c, round(s, 2), f"{s / c:.2f}"] for c, s in curve.rows()],
+        [[c, round(s, 2), f"{s / c:.2f}"] for c, s in curve],
         "wavefront on Nexus++ (scaled-down frame)",
     ))
     print()
-    print(plot_speedup_curves({"wavefront": curve.rows()},
+    print(plot_speedup_curves({"wavefront": curve},
                               title="Ramping effect limits wavefront scaling"))
-    print(f"\nsaturates around {curve.saturation_point()} cores "
+    print(f"\nsaturates around {saturation_point(cores, speedups)} cores "
           f"(available parallelism, not Nexus++, is the limit)")
 
 

@@ -33,7 +33,7 @@ from .config import (
     no_prep_delay,
     paper_default,
 )
-from .machine import NexusMachine, RunResult, grid_sweep, run_trace, speedup_curve
+from .machine import NexusMachine, RunResult, grid_sweep, run_trace
 from .traces import (
     TaskTrace,
     gaussian_trace,
@@ -53,7 +53,6 @@ __all__ = [
     "nexus_restricted",
     "NexusMachine",
     "run_trace",
-    "speedup_curve",
     "grid_sweep",
     "RunResult",
     "TaskTrace",

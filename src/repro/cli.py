@@ -71,7 +71,7 @@ from .machine import (
     efficiency_sweep,
     grid_sweep,
     run_trace,
-    speedup_curve,
+    saturation_point,
 )
 from .runtime.task_graph import build_task_graph
 from .traces import (
@@ -603,18 +603,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     trace = build_workload(args.workload, args)
     if args.axis:
         return _grid_sweep(trace, args)
-    cfg = _config_from(args)
-    cores = _int_values("cores", args.cores)
-    curve = speedup_curve(trace, cores, cfg)
-    rows = [[c, round(s, 2), f"{s / c:.2f}"] for c, s in curve.rows()]
+    # The 1-worker point leads the grid, so speedups are vs 1 worker.
+    cores = [1] + [c for c in _int_values("cores", args.cores) if c != 1]
+    rep = grid_sweep(trace, _config_from(args), {"workers": cores})
+    curve = list(zip(cores, rep.speedups))
+    rows = [[c, round(s, 2), f"{s / c:.2f}"] for c, s in curve]
     print(render_table(["cores", "speedup", "efficiency"], rows, trace.name))
-    print(f"saturation point: ~{curve.saturation_point()} cores")
+    print(f"saturation point: ~{saturation_point(cores, rep.speedups)} cores")
     if getattr(args, "profile", False):
-        _print_profile_summary(curve.runs)
+        _print_profile_summary(rep.runs)
     if args.json:
-        rows = [{"cores": c, "speedup": round(s, 4)} for c, s in curve.rows()]
+        rows = [{"cores": c, "speedup": round(s, 4)} for c, s in curve]
         if getattr(args, "profile", False):
-            for row, run in zip(rows, curve.runs):
+            for row, run in zip(rows, rep.runs):
                 row["sim"] = run.stats.get("sim")
         _write_json(args.json, {"trace": trace.name, "rows": rows})
     return 0

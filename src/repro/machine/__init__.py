@@ -12,10 +12,9 @@ from .sweep import (
     COLUMNS,
     EfficiencyReport,
     GridReport,
-    SpeedupCurve,
     efficiency_sweep,
     grid_sweep,
-    speedup_curve,
+    saturation_point,
 )
 
 __all__ = [
@@ -24,11 +23,10 @@ __all__ = [
     "RunResult",
     "Scoreboard",
     "TaskRecord",
-    "SpeedupCurve",
-    "speedup_curve",
     "COLUMNS",
     "GridReport",
     "grid_sweep",
+    "saturation_point",
     "EfficiencyReport",
     "efficiency_sweep",
     "BottleneckReport",

@@ -3,8 +3,11 @@
 All the paper's figures are sweeps of machine parameters (worker count,
 Dependence Table size, Task Pool size, buffering depth) at a fixed
 workload.  :func:`grid_sweep` runs any Cartesian grid of
-:class:`SystemConfig` knobs over one trace; :func:`speedup_curve` keeps
-the paper's 1-worker baseline, which may lie outside the swept counts;
+:class:`SystemConfig` knobs over one trace.  A speedup-vs-cores curve is
+its ``workers`` axis with 1 first, so every speedup is over the 1-worker
+run, as in the paper: "the speedup is measured against the single core
+experiment of Nexus++ (double buffering enabled)".
+:func:`saturation_point` reads where such a curve flattens.
 :func:`efficiency_sweep` sweeps the trace itself (task granularity) on
 the hardware machine and the software-RTS baseline.
 """
@@ -21,8 +24,7 @@ from .machine import NexusMachine
 from .results import RunResult
 
 __all__ = [
-    "SpeedupCurve",
-    "speedup_curve",
+    "saturation_point",
     "COLUMNS",
     "GridReport",
     "grid_sweep",
@@ -31,77 +33,21 @@ __all__ = [
 ]
 
 
-@dataclass
-class SpeedupCurve:
-    """Speedup vs worker count, measured against the 1-worker run.
+def saturation_point(
+    core_counts: Sequence[int], speedups: Sequence[float], tolerance: float = 0.05
+) -> int:
+    """Smallest core count at or beyond which the curve *stays* within
+    ``tolerance`` of the peak speedup.
 
-    Matches the paper's methodology: "the speedup is measured against the
-    single core experiment of Nexus++ (double buffering enabled)".
+    A point that merely touches the tolerance band before the curve dips
+    again (non-monotone curves do this) is not saturation — the whole
+    tail from the returned count onward must sit in the band.
     """
-
-    trace_name: str
-    core_counts: List[int]
-    speedups: List[float]
-    baseline: RunResult
-    runs: List[RunResult] = field(default_factory=list)
-
-    def at(self, cores: int) -> float:
-        return self.speedups[self.core_counts.index(cores)]
-
-    def peak(self) -> float:
-        return max(self.speedups)
-
-    def saturation_point(self, tolerance: float = 0.05) -> int:
-        """Smallest core count at or beyond which the curve *stays* within
-        ``tolerance`` of the peak speedup.
-
-        A point that merely touches the tolerance band before the curve
-        dips again (non-monotone curves do this) is not saturation — the
-        whole tail from the returned count onward must sit in the band.
-        """
-        threshold = self.peak() * (1.0 - tolerance)
-        for i, cores in enumerate(self.core_counts):
-            if all(s >= threshold for s in self.speedups[i:]):
-                return cores
-        return self.core_counts[-1]
-
-    def rows(self) -> List[tuple[int, float]]:
-        return list(zip(self.core_counts, self.speedups))
-
-
-def speedup_curve(
-    trace: TaskTrace,
-    core_counts: Sequence[int],
-    config: Optional[SystemConfig] = None,
-    baseline_config: Optional[SystemConfig] = None,
-) -> SpeedupCurve:
-    """Run ``trace`` for every worker count; speedups vs the 1-worker run.
-
-    ``config`` provides all non-worker-count parameters.  The baseline uses
-    the same configuration with a single worker (override with
-    ``baseline_config`` for e.g. contention-free baselines).
-    """
-    if not core_counts:
-        raise ValueError("need at least one core count")
-    base_cfg = (baseline_config or config or SystemConfig()).with_(workers=1)
-    baseline = NexusMachine(base_cfg).run(trace)
-    cfg = config or SystemConfig()
-    runs: List[RunResult] = []
-    speedups: List[float] = []
-    for cores in core_counts:
-        if cores == 1 and base_cfg == cfg.with_(workers=1):
-            result = baseline
-        else:
-            result = NexusMachine(cfg.with_(workers=cores)).run(trace)
-        runs.append(result)
-        speedups.append(result.speedup_over(baseline))
-    return SpeedupCurve(
-        trace_name=trace.name,
-        core_counts=list(core_counts),
-        speedups=speedups,
-        baseline=baseline,
-        runs=runs,
-    )
+    threshold = max(speedups) * (1.0 - tolerance)
+    for i, cores in enumerate(core_counts):
+        if all(s >= threshold for s in speedups[i:]):
+            return cores
+    return core_counts[-1]
 
 
 def _stat(*path: str, default: Any = 0, digits: Optional[int] = None):
@@ -279,6 +225,7 @@ def grid_sweep(
     trace: TaskTrace,
     base: SystemConfig,
     axes: Dict[str, Sequence[Any]],
+    run: Optional[Callable[[SystemConfig], RunResult]] = None,
 ) -> GridReport:
     """Run ``trace`` once per point of the Cartesian product of ``axes``.
 
@@ -286,6 +233,9 @@ def grid_sweep(
     the first axis is outermost (``itertools.product`` order).  Every
     point's config is built with ``base.with_(**point)`` before any run
     starts, so an invalid point fails fast with the config's own error.
+    ``run(config)`` runs one point, by default ``trace`` on a
+    :class:`NexusMachine`; pass another to sweep the software-RTS
+    baseline, or to reuse runs a caller already holds.
     """
     axes = {name: list(values) for name, values in axes.items()}
     if not axes:
@@ -313,7 +263,7 @@ def grid_sweep(
                     "the per-shard override so shard capacity derives from "
                     "the total"
                 )
-    runs = [NexusMachine(cfg).run(trace) for cfg in configs]
+    runs = [run(cfg) if run else NexusMachine(cfg).run(trace) for cfg in configs]
     return GridReport(trace.name, axes, points, configs, runs)
 
 

@@ -33,7 +33,7 @@ Design notes
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 from .errors import DeadlockError, ProcessError
 
@@ -476,12 +476,6 @@ class Simulator:
         if self._live_processes > 0:
             raise DeadlockError(self._blocked_report())
         return self.now
-
-    def run_all(self, processes: Iterable[ProcessBody]) -> int:
-        """Convenience: register each generator as a process, then run."""
-        for i, gen in enumerate(processes):
-            self.process(gen, name=f"proc{i}")
-        return self.run()
 
     def close(self) -> None:
         """Release a finished simulation by reference counting alone.

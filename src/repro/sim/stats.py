@@ -160,10 +160,6 @@ class BusyTracker:
         self.intervals += 1
         self._busy_since = None
 
-    @property
-    def is_busy(self) -> bool:
-        return self._busy_since is not None
-
     def utilization(self, span: int) -> float:
         """Fraction of ``span`` spent busy (counts an open interval to now).
 

@@ -202,14 +202,6 @@ class Resource:
         self._acquire = None
         self._waiters.clear()
 
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
     def acquire(self) -> Acquire:
         """Waitable that grants one unit (blocks while all units are busy)."""
         return self._acquire

@@ -11,7 +11,7 @@ import pytest
 from repro.config import SystemConfig
 from repro.hw.errors import CapacityError
 from repro.hw.fabric import Fabric
-from repro.machine import NexusMachine, grid_sweep, run_trace, speedup_curve
+from repro.machine import grid_sweep, run_trace, saturation_point
 from repro.runtime.task_graph import build_task_graph
 from repro.sim import Simulator
 from repro.traces import (
@@ -217,54 +217,41 @@ class TestDependenceTableFit:
 
 
 class TestSweepHelpers:
-    def test_speedup_curve_monotone_for_independent(self):
+    def test_workers_axis_speedups_monotone_for_independent(self):
         trace = independent_trace(n_tasks=300, n_params=2, time_model=FAST_TIMES)
-        curve = speedup_curve(
-            trace, [1, 2, 4], SystemConfig(memory_contention=False)
+        rep = grid_sweep(
+            trace, SystemConfig(memory_contention=False), {"workers": [1, 2, 4]}
         )
-        assert curve.speedups[0] == pytest.approx(1.0, abs=0.01)
-        assert curve.speedups == sorted(curve.speedups)
-        assert curve.at(4) > 3.0
-        assert curve.peak() == curve.speedups[-1]
+        speedups = rep.speedups
+        assert speedups[0] == 1.0
+        assert speedups == sorted(speedups)
+        assert speedups[-1] > 3.0
 
     def test_saturation_point(self):
         trace = horizontal_chains_trace(rows=4, cols=30, time_model=FAST_TIMES)
-        curve = speedup_curve(trace, [1, 2, 4, 8, 16], SystemConfig(memory_contention=False))
+        cores = [1, 2, 4, 8, 16]
+        rep = grid_sweep(
+            trace, SystemConfig(memory_contention=False), {"workers": cores}
+        )
         # Only 4 chains exist: saturation at or before 8 cores.
-        assert curve.saturation_point() <= 8
+        assert saturation_point(cores, rep.speedups) <= 8
 
-    def test_empty_core_counts_rejected(self):
+    def test_empty_workers_axis_rejected(self):
         trace = independent_trace(n_tasks=10, n_params=2)
-        with pytest.raises(ValueError):
-            speedup_curve(trace, [])
+        with pytest.raises(ValueError, match="has no values"):
+            grid_sweep(trace, SystemConfig(), {"workers": []})
 
     def test_saturation_point_ignores_pre_peak_touch(self):
         """Regression: a non-monotone curve whose 1-core point already
         touches the tolerance band of the peak must not report saturation
         at 1 core — the curve dips below the band afterwards."""
-        from repro.machine.sweep import SpeedupCurve
-
-        curve = SpeedupCurve(
-            trace_name="synthetic",
-            core_counts=[1, 2, 4, 8, 16],
-            speedups=[3.9, 2.0, 3.0, 3.8, 4.0],
-            baseline=None,
-        )
         # Peak 4.0, 5% band is >= 3.8: cores 1 touches it but the curve
         # then dips to 2.0; the first count whose whole tail stays in the
         # band is 8.
-        assert curve.saturation_point() == 8
+        assert saturation_point([1, 2, 4, 8, 16], [3.9, 2.0, 3.0, 3.8, 4.0]) == 8
 
     def test_saturation_point_monotone_curve_unchanged(self):
-        from repro.machine.sweep import SpeedupCurve
-
-        curve = SpeedupCurve(
-            trace_name="synthetic",
-            core_counts=[1, 2, 4, 8],
-            speedups=[1.0, 1.9, 3.85, 4.0],
-            baseline=None,
-        )
-        assert curve.saturation_point() == 4
+        assert saturation_point([1, 2, 4, 8], [1.0, 1.9, 3.85, 4.0]) == 4
 
     def test_sweep_dt_entries_rejected_with_per_shard_override(self):
         """Regression: sweeping the total Dependence Table size on a

@@ -32,7 +32,6 @@ class TestPublicApi:
         for name in (
             "NexusMachine",
             "run_trace",
-            "speedup_curve",
             "grid_sweep",
             "SystemConfig",
             "paper_default",

@@ -110,6 +110,17 @@ class TestSweep:
         assert "speedup" in out
         assert "saturation point" in out
 
+    def test_core_list_without_one_is_measured_against_one_worker(self, capsys):
+        rc = main(["sweep", "independent", "--tasks", "60", "--cores", "2,4"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        rows = [line.split("|") for line in out.splitlines() if line.count("|") == 2]
+        cores = {int(r[0]): float(r[1]) for r in rows if r[0].strip().isdigit()}
+        assert sorted(cores) == [1, 2, 4]
+        assert cores[1] == 1.0
+        assert cores[4] > cores[2] > 1.0
+        assert "saturation point" in out
+
     def test_dependence_table_too_small_is_a_one_line_error(self):
         with pytest.raises(SystemExit, match="needs 20 Dependence Table entries"):
             main(["sweep", "gaussian", "--size", "20", "--workers", "4",
