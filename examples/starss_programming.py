@@ -19,7 +19,12 @@ from repro.analysis import render_table
 from repro.config import paper_default
 from repro.frontend import StarSsProgram
 from repro.machine import run_trace
-from repro.runtime import DataflowExecutor, SoftwareRTSConfig, run_software_rts
+from repro.runtime import (
+    DataflowExecutor,
+    SoftwareRTSConfig,
+    build_task_graph,
+    run_software_rts,
+)
 from repro.sim import US
 
 N_BLOCKS = 24
@@ -79,12 +84,13 @@ def main() -> None:
     print(f"recorded {len(prog.tasks)} tasks in "
           f"{prog.tasks[-1].epoch + 1} barrier epochs")
     report = DataflowExecutor(workers=6).execute(prog)
-    print(f"executed: max concurrency {report.max_concurrency}, "
+    trace = prog.to_trace(exec_time=round(5 * US))
+    widest = build_task_graph(trace).max_parallelism()
+    print(f"executed: widest level {widest}, "
           f"reduction = {total[0]:.1f} (expected {expected_total():.1f})")
     assert report.ok and total[0] == expected_total()
 
-    # --- lower to a trace and simulate ------------------------------------------
-    trace = prog.to_trace(exec_time=round(5 * US))
+    # --- simulate the lowered trace --------------------------------------------
     print(f"\nlowered trace: {trace.describe()}")
 
     cfg = paper_default(workers=8)

@@ -308,6 +308,8 @@ def telemetry_schema() -> Dict[str, Any]:
             "events_per_sec": "int",
             "tasks_per_sec": "int",
             "peak_pending_events": "int",
+            "events_by_block": "dict[str, int] (process names, digits "
+            "folded to N; sums to events_processed)",
             "hotspots": "optional list[object] (run --profile-hotspots)",
         },
         "kind": "repro-metrics",
@@ -495,6 +497,7 @@ def diff_metrics(doc: Dict[str, Any], baseline: Dict[str, Any]) -> str:
         f"worker utilization {doc['worker_utilization']:.1%} vs "
         f"{baseline['worker_utilization']:.1%} ({d_ut:+.1%})"
     )
+    lines.extend(_diff_events_by_block(doc, baseline))
     ours = TimeSeries.from_dict(doc["telemetry"]) if doc.get("telemetry") else None
     theirs = (
         TimeSeries.from_dict(baseline["telemetry"])
@@ -522,3 +525,20 @@ def diff_metrics(doc: Dict[str, Any], baseline: Dict[str, Any]) -> str:
     if only_theirs:
         lines.append(f"  signals only in baseline: {', '.join(only_theirs)}")
     return "\n".join(lines)
+
+
+def _diff_events_by_block(doc: Dict[str, Any], baseline: Dict[str, Any]) -> List[str]:
+    """Kernel events per block in both documents, when both carry them."""
+    ours, theirs = (
+        d.get("aggregates", {}).get("sim", {}).get("events_by_block")
+        for d in (doc, baseline)
+    )
+    if not ours or not theirs:
+        return []
+    blocks = sorted(set(ours) | set(theirs), key=lambda b: (-ours.get(b, 0), b))
+    width = max(len(b) for b in blocks)
+    lines = [f"  {'events by block'.ljust(width)}      this  baseline         Δ"]
+    for block in blocks:
+        a, b = ours.get(block, 0), theirs.get(block, 0)
+        lines.append(f"  {block.ljust(width)}  {a:>8,}  {b:>8,}  {a - b:>+8,}")
+    return lines

@@ -439,6 +439,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"{prof['tasks_per_sec']:,} tasks/s, "
             f"peak pending {prof['peak_pending_events']:,}"
         )
+        top = list(prof["events_by_block"].items())[:6]
+        print("events per task, top blocks: " + ", ".join(
+            f"{block} {count / len(trace):.1f}" for block, count in top))
     if hotspots_n:
         rows = [
             [

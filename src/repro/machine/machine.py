@@ -214,6 +214,7 @@ class NexusMachine:
                     round(len(trace) / wall_seconds) if wall_seconds > 0 else 0
                 ),
                 "peak_pending_events": sim.peak_pending,
+                "events_by_block": sim.events_by_block(),
             },
         }
         if fabric.dispatch is not None:

@@ -33,6 +33,7 @@ Design notes
 from __future__ import annotations
 
 import heapq
+import re
 from typing import Any, Callable, Generator, Optional
 
 from .errors import DeadlockError, ProcessError
@@ -45,6 +46,18 @@ ProcessBody = Generator["Waitable", Any, Any]
 #: Interned :class:`Timeout` cache bound per simulator; stop growing it
 #: past this many distinct delays (pathological workloads only).
 _TIMEOUT_CACHE_LIMIT = 4096
+
+#: ``events_by_block`` key for fired events that resumed no live process:
+#: ``call_at`` callbacks and wake-ups that reach an ended process.
+OTHER_EVENTS = "(no live process)"
+
+_DIGITS = re.compile(r"\d+")
+
+
+def block_name(process_name: str) -> str:
+    """A process name with its digit runs folded to ``N``, so every shard,
+    core or task instance of one block shares a key (``smaestro.sN.check``)."""
+    return _DIGITS.sub("N", process_name)
 
 
 def _dead(value: Any) -> None:
@@ -110,7 +123,7 @@ class Process(Waitable):
     """
 
     __slots__ = ("sim", "name", "_gen", "_send", "_resume_cb", "alive",
-                 "result", "_joiners", "_waiting_on")
+                 "result", "_joiners", "_waiting_on", "resumes")
 
     def __init__(self, sim: "Simulator", gen: ProcessBody, name: str):
         self.sim = sim
@@ -128,6 +141,8 @@ class Process(Waitable):
         #: running).  Kept as the object, not a rendered string: deadlock
         #: reports call ``describe()`` lazily, the hot loop never does.
         self._waiting_on: Optional[Waitable] = None
+        #: Events that resumed this process while it was alive.
+        self.resumes = 0
         sim._live_processes += 1
         # First step happens as a zero-delay event so that creating a process
         # inside another process does not run its body re-entrantly.
@@ -138,6 +153,7 @@ class Process(Waitable):
     def _resume(self, value: Any) -> None:
         if not self.alive:
             return
+        self.resumes += 1
         self._waiting_on = None
         try:
             target = self._send(value)
@@ -196,7 +212,11 @@ class Process(Waitable):
     def _release(self) -> None:
         """Drop the references that tie an ended process into cycles: its
         cached bound ``_resume`` (the process itself) and its generator,
-        whose frame holds the block that owns the process's queues."""
+        whose frame holds the block that owns the process's queues.
+        Its resume count moves to the simulator's per-block tally."""
+        ended = self.sim._ended_resumes
+        block = block_name(self.name)
+        ended[block] = ended.get(block, 0) + self.resumes
         self._resume_cb = _dead
         self._send = _dead
         self._gen = None
@@ -285,6 +305,7 @@ class Simulator:
         "_dead_registered",
         "_timeouts",
         "events_processed",
+        "_ended_resumes",
         "peak_pending",
         "_ready",
         "_buckets",
@@ -314,6 +335,8 @@ class Simulator:
         self._timeouts: dict[int, Timeout] = {}
         #: Events fired so far (callbacks invoked), for run profiling.
         self.events_processed: int = 0
+        #: Resumes of ended processes per :func:`block_name`.
+        self._ended_resumes: dict[str, int] = {}
         #: High-water mark of scheduled-but-unfired events.
         self.peak_pending: int = 0
         self._ready: list[Any] = []
@@ -513,6 +536,23 @@ class Simulator:
             for p in self._blocked_registry
             if p.alive
         ]
+
+    def events_by_block(self) -> dict[str, int]:
+        """Fired events per :func:`block_name`, most first; they sum to
+        :attr:`events_processed`, with any event that resumed no live
+        process under :data:`OTHER_EVENTS`."""
+        counts = dict(self._ended_resumes)
+        for proc in self._blocked_registry:
+            if proc.alive:
+                block = block_name(proc.name)
+                counts[block] = counts.get(block, 0) + proc.resumes
+        other = self.events_processed - sum(counts.values())
+        if other:
+            counts[OTHER_EVENTS] = other
+        return dict(sorted(
+            ((k, v) for k, v in counts.items() if v),
+            key=lambda kv: (-kv[1], kv[0]),
+        ))
 
     @property
     def pending_events(self) -> int:

@@ -6,12 +6,17 @@ whole hazard space (RAW / WAR / WAW, shared addresses, wide fan-out,
 parameter-count spills) — and, since the timing-wheel kernel, to stress the
 simulator itself with 100k+-task traces.
 
-They draw from NumPy's RNG, so NumPy is imported when one is built, not
-when the package is.
+Traces of up to :data:`_CHUNK_TASKS` tasks draw task by task from
+:class:`~repro.traces._pcg64.PCG64`, the standard-library replay of
+``numpy.random.default_rng(seed)``'s stream; larger ones import NumPy and
+draw whole chunks from its ``Generator``.
 """
 
 from __future__ import annotations
 
+import operator
+
+from ._pcg64 import PCG64
 from .trace import TaskTrace, TraceWriter
 
 __all__ = ["random_trace"]
@@ -20,10 +25,11 @@ _ADDR_BASE = 0x2000000
 _SEG_BYTES = 256
 
 #: Tasks per vectorized generation chunk.  Traces up to this size use the
-#: original per-task RNG path (bit-identical streams — the pinned golden
-#: digests replay traces of <= 3000 tasks); larger traces switch to the
-#: chunked vectorized path, whose per-chunk arrays are ``O(chunk x
-#: max_params)`` regardless of the trace length and the pool width.
+#: per-task path on the stdlib PCG64 (NumPy's stream, bit for bit — the
+#: pinned golden digests replay traces of <= 3000 tasks); larger traces
+#: switch to the chunked vectorized path, whose per-chunk arrays are
+#: ``O(chunk x max_params)`` regardless of the trace length and the pool
+#: width.
 _CHUNK_TASKS = 8192
 
 #: Float64 sampling keys drawn per row block (1 MiB).  A chunk's
@@ -60,14 +66,14 @@ def random_trace(
         raise ValueError("need at least one address")
     if max_params < 1:
         raise ValueError("need at least one parameter")
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
     writer = TraceWriter()
     if n_tasks <= _CHUNK_TASKS:
-        _legacy_tasks(writer, rng, n_tasks, n_addresses, max_params,
-                      mean_exec, mean_memory)
+        _per_task(writer, PCG64(seed), n_tasks, n_addresses, max_params,
+                  mean_exec, mean_memory)
     else:
+        import numpy as np
+
+        rng = np.random.default_rng(seed)
         for start in range(0, n_tasks, _CHUNK_TASKS):
             m = min(_CHUNK_TASKS, n_tasks - start)
             _chunk_tasks(writer, rng, m, n_addresses, max_params,
@@ -78,20 +84,26 @@ def random_trace(
     )
 
 
-def _legacy_tasks(writer, rng, n_tasks, n_addresses, max_params, mean_exec,
-                  mean_memory) -> None:
-    """The original per-task generator (RNG stream pinned by goldens)."""
+def _per_task(writer, rng, n_tasks, n_addresses, max_params, mean_exec,
+              mean_memory) -> None:
+    """The per-task generator, drawing NumPy's stream (pinned by goldens)
+    from the stdlib :class:`PCG64`."""
+    integers = rng.integers
+    choice = rng.choice
+    # Bounds as NumPy reads them: int() of each (float bounds truncate).
+    n_addresses = operator.index(n_addresses)
+    k_high = int(max_params + 1)
+    exec_high = int(2 * mean_exec + 1)
+    memory_high = int(2 * mean_memory + 1)
     for _ in range(n_tasks):
-        k = int(rng.integers(1, max_params + 1))
-        k = min(k, n_addresses)
-        addr_ids = rng.choice(n_addresses, size=k, replace=False)
+        k = min(integers(1, k_high), n_addresses)
         params = [
-            (_ADDR_BASE + int(a) * _SEG_BYTES, _SEG_BYTES, int(rng.integers(0, 3)))
-            for a in addr_ids
+            (_ADDR_BASE + a * _SEG_BYTES, _SEG_BYTES, integers(0, 3))
+            for a in choice(n_addresses, k)
         ]
-        exec_time = int(rng.integers(1, 2 * mean_exec + 1))
-        read_time = int(rng.integers(0, 2 * mean_memory + 1))
-        write_time = int(rng.integers(0, 2 * mean_memory + 1))
+        exec_time = integers(1, exec_high)
+        read_time = integers(0, memory_high)
+        write_time = integers(0, memory_high)
         writer.add(0xF00D, exec_time, read_time, write_time, params)
 
 

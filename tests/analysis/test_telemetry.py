@@ -215,6 +215,10 @@ class TestMetricsDocument:
         diff = diff_metrics(doc, doc)
         assert "+0.00%" in diff
         assert "workers.busy" in diff
+        by_block = doc["aggregates"]["sim"]["events_by_block"]
+        assert sum(by_block.values()) == doc["aggregates"]["sim"]["events_processed"]
+        assert "events by block" in diff
+        assert all(block in diff for block in by_block)
 
     def test_report_reads_documents_with_and_without_kernel_keys(
         self, run, tmp_path, capsys

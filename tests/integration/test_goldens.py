@@ -21,7 +21,8 @@ themselves:
 * ``2k*`` — the 2,000-task waypoint on 16 workers, knobs off and on.
 
 Every row's run must also retire its trace legally and obey the
-conservation laws of the blocks its config wires (``laws.py``).  The rows
+conservation laws of the blocks its config wires (``laws.py``).  Two rows
+also pin their kernel events per block (:data:`EVENTS_BY_BLOCK`).  The rows
 on :data:`HEAP_STACKS` also replay on the heap ordering oracle
 (``tests/sim/heap_kernel.py``), which must fire the same events and model
 the same statistics as the timing wheel.
@@ -134,6 +135,44 @@ GOLDEN = {
 #: Maestro on the front-end and the sharded engine with every knob on.
 HEAP_STACKS = {"frontend", "full"}
 
+#: ``stats["sim"]["events_by_block"]`` of two rows: every event resumes a
+#: live block, so each table sums to its row's pinned kernel events.
+EVENTS_BY_BLOCK = {
+    ("random", "full", 4): {
+        "smaestro.sN.finish": 6450,
+        "smaestro.sN.check": 5756,
+        "smaestro.sN.retire": 5232,
+        "sN-check-reseq": 4580,
+        "smaestro.mN.scatter": 4246,
+        "smaestro.sN.retire-done": 4164,
+        "smaestro.sN.gather": 3295,
+        "smaestro.sN.kick": 2456,
+        "smaestro.sN.send-tds": 2318,
+        "smaestro.write-tp": 1821,
+        "smaestro.scatter-route": 1815,
+        "tcN.get-td": 1608,
+        "smaestro.sN.prefetch": 1318,
+        "smaestro.sN.schedule": 1262,
+        "tcN.run-task": 1208,
+        "merge-unit": 1201,
+        "master-core-N": 856,
+        "tcN.get-inputs": 808,
+        "tcN.put-outputs": 808,
+    },
+    ("gaussian", "paper-w8", 1): {
+        "maestro.handle-finished": 6486,
+        "maestro.check-deps": 4220,
+        "maestro.send-tds": 2836,
+        "maestro.write-tp": 2470,
+        "tcN.get-inputs": 1628,
+        "tcN.get-td": 1628,
+        "tcN.put-outputs": 1628,
+        "maestro.schedule": 1621,
+        "tcN.run-task": 1223,
+        "master-core-N": 1216,
+    },
+}
+
 
 def _config(key, **extra) -> SystemConfig:
     _, stack, shards = key
@@ -204,6 +243,16 @@ def test_golden_row_replays_on_heap(key, monkeypatch):
     heap = run_trace(trace, _config(key))
     assert _pinned(heap) == GOLDEN[key]
     assert _modelled(heap) == _modelled(wheel)
+    assert (heap.stats["sim"]["events_by_block"]
+            == wheel.stats["sim"]["events_by_block"])
+
+
+@pytest.mark.parametrize("key", list(EVENTS_BY_BLOCK), ids=_row_id)
+def test_golden_row_events_by_block(key):
+    _, wheel = _replay(key)
+    by_block = wheel.stats["sim"]["events_by_block"]
+    assert by_block == EVENTS_BY_BLOCK[key]
+    assert sum(by_block.values()) == GOLDEN[key][0]
 
 
 @pytest.mark.parametrize("key", list(GOLDEN), ids=_row_id)

@@ -496,3 +496,33 @@ def test_close_releases_parked_processes_and_drops_pending_events():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_events_by_block_folds_digits_and_sums_to_events_processed():
+    """Ended and parked processes are both counted, instances of one block
+    share a key, and a ``call_at`` callback resumes no process."""
+    from repro.sim import Fifo
+    from repro.sim.core import OTHER_EVENTS
+
+    sim = Simulator()
+    fifo = Fifo(sim, capacity=1)
+
+    def worker():
+        for _ in range(2):
+            yield sim.timeout(NS)
+
+    def consumer():
+        while True:
+            yield fifo.get()
+
+    for core in range(3):
+        sim.process(worker(), name=f"tc{core}.run-task")
+    sim.process(consumer(), name="merge-unit")
+    sim.call_at(5 * NS, lambda: None)
+    with pytest.raises(DeadlockError):
+        sim.run()
+    by_block = sim.events_by_block()
+    assert by_block == {"tcN.run-task": 9, "merge-unit": 1, OTHER_EVENTS: 1}
+    assert sum(by_block.values()) == sim.events_processed
+    sim.close()
+    assert sim.events_by_block() == by_block

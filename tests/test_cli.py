@@ -71,6 +71,14 @@ class TestRun:
         assert "bottleneck:" in out
         assert "dummy entries" in out
 
+    def test_run_profile_prints_events_per_task_by_block(self, capsys):
+        rc = main(["run", "gaussian", "--size", "12", "--workers", "2",
+                   "--profile"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "kernel profile:" in out
+        assert "events per task, top blocks: maestro.handle-finished" in out
+
     def test_run_cholesky(self, capsys):
         rc = main(["run", "cholesky", "--tiles", "4", "--workers", "4", "--verify"])
         assert rc == 0

@@ -1,6 +1,7 @@
-"""The paper's machine, its golden graph and the deterministic trace
-generators run on the standard library: only a generator that draws from
-NumPy's RNG (or the ``.npz`` trace I/O) imports NumPy.
+"""The paper's machine, its golden graph, the deterministic trace
+generators and random traces of up to 8,192 tasks run on the standard
+library: only the chunked random-trace path, the generators that draw from
+NumPy's RNG and the ``.npz`` trace I/O import NumPy.
 
 Runs in a fresh interpreter, since the test session itself has NumPy
 loaded.
@@ -40,18 +41,47 @@ assert main(["run", "wait-chain", "--rows", "4", "--cols", "8",
 
 assert "numpy" not in sys.modules, "the stdlib-only path loaded numpy"
 
-random_trace(20, seed=1)
-assert "numpy" in sys.modules, "random_trace draws from numpy's RNG"
+random_trace(8192)
+assert "numpy" not in sys.modules, "a per-task random_trace loaded numpy"
+
+random_trace(8193)
+assert "numpy" in sys.modules, "the chunked random_trace draws from numpy"
+print("ok")
+"""
+
+#: With NumPy unimportable, a hazard-dense random trace still builds, runs
+#: on the full sharded stack and retires legally.
+BLOCKED = """
+import sys
+
+sys.modules["numpy"] = None
+
+from repro.config import LADDER
+from repro.machine import run_trace
+from repro.runtime import build_task_graph
+from repro.traces import random_trace
+
+trace = random_trace(400, 96, 6, seed=7)
+result = run_trace(trace, LADDER["full"].with_(maestro_shards=4))
+assert result.verify_against(build_task_graph(trace)) == []
 print("ok")
 """
 
 
-def test_machine_graph_and_deterministic_traces_leave_numpy_unloaded():
+def _run(script: str) -> None:
     src = pathlib.Path(repro.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT], env=env, capture_output=True,
+        [sys.executable, "-c", script], env=env, capture_output=True,
         text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.rstrip().endswith("ok")
+
+
+def test_machine_graph_and_deterministic_traces_leave_numpy_unloaded():
+    _run(SCRIPT)
+
+
+def test_hazard_dense_random_run_without_numpy():
+    _run(BLOCKED)
