@@ -1,4 +1,4 @@
-"""Command-line interface: ``python -m repro <command>``.
+"""Command-line interface: ``python -m repro``.
 
 Commands
 --------
@@ -17,40 +17,48 @@ Commands
              two of them (makespan, worker utilization, per-signal
              mean/max deltas)
 
+Machines
+--------
+``info``, ``run`` and ``sweep`` build one :class:`~repro.config.SystemConfig`:
+the ``--stack RUNG`` base (a :data:`repro.config.LADDER` rung; the paper's
+Table IV without it), then ``--workers N`` and every repeatable
+``--set KNOB=VALUE``.  ``--set`` reaches every knob in its own units (times
+in ps; on/off for bools, none for optional knobs), and ``info`` lists them
+all.  ``sweep --axis KNOB=v1,v2`` varies a knob the same way.
+
 Examples::
 
     python -m repro info --workers 64
+    python -m repro info --stack full --workers 8
     python -m repro run h264 --workers 16
-    python -m repro run gaussian --size 100 --workers 8 --no-contention
-    python -m repro run random --tasks 1000 --shards 4 --workers 16
+    python -m repro run gaussian --size 100 --workers 8 --set memory_contention=off
+    python -m repro run random --tasks 1000 --workers 16 --set maestro_shards=4
+    python -m repro run independent --workers 256 --set memory_contention=off \
+        --set task_prep_time=0 --bottleneck
     python -m repro sweep independent --cores 1,4,16,64
-    python -m repro sweep random --tasks 1500 --axis maestro_shards=1,2,4 \
-        --no-contention
-    python -m repro run random --tasks 1000 --shards 4 --masters 2 --batch 4
-    python -m repro sweep random --tasks 1500 --shards 4 \
+    python -m repro sweep random --tasks 1500 --stack fitted \
+        --axis maestro_shards=1,2,4
+    python -m repro run random --tasks 1000 --set maestro_shards=4 \
+        --set master_cores=2 --set submission_batch=4
+    python -m repro sweep random --tasks 1500 --stack sharded \
         --axis master_cores=1,2,4 --axis submission_batch=1,4,8
-    python -m repro sweep random --tasks 1200 --shards 4 --masters 4 --batch 8 \
-        --axis retire_pipeline_depth=1,2,4,8 --no-contention
-    python -m repro run random --tasks 1200 --shards 4 --masters 4 --batch 8 \
-        --retire-depth 4 --td-cache 64 --fast-path --no-contention
-    python -m repro sweep random --tasks 1200 --shards 4 --masters 4 --batch 8 \
-        --retire-depth 4 --axis kickoff_fast_path=off,on \
-        --axis td_cache_entries=0,64 --no-contention --json dispatch.json
-    python -m repro run random --tasks 1200 --shards 4 --masters 8 --batch 8 \
-        --retire-depth 4 --td-cache 64 --fast-path --coalesce 8 --spec-kickoff \
-        --no-contention
-    python -m repro run random --tasks 1200 --addresses 1024 --shards 4 \
-        --masters 8 --batch 8 --retire-depth 4 --td-cache 64 --fast-path \
-        --coalesce 8 --spec-kickoff --check-scatter --check-coalesce 8 \
-        --no-contention
+    python -m repro sweep random --tasks 1200 --stack frontend \
+        --axis retire_pipeline_depth=1,2,4,8
+    python -m repro sweep random --tasks 1200 --stack retire \
+        --axis kickoff_fast_path=off,on --axis td_cache_entries=0,64 \
+        --json dispatch.json
+    python -m repro run random --tasks 1200 --stack resolve --verify
+    python -m repro run random --tasks 1200 --addresses 1024 --stack full \
+        --set check_coalesce_window=4000
     python -m repro run cholesky --tiles 6 --workers 8 --bottleneck
     python -m repro run wait-chain --rows 16 --cols 64 --spin-ns 500 \
         --trace-out run.trace.json
     python -m repro run spatial --grid 5 --steps 4 --dims 3 --workers 16
     python -m repro sweep wait-chain --efficiency --rows 32 --cols 40 \
-        --spin-ns 250,1000,4000,16000,64000 --no-contention \
+        --spin-ns 250,1000,4000,16000,64000 --set memory_contention=off \
         --json BENCH_efficiency.json
-    python -m repro run wait-chain --rows 8 --cols 32 --telemetry-window 50000 \
+    python -m repro run wait-chain --rows 8 --cols 32 \
+        --set telemetry_window=50000000 \
         --metrics-out run.metrics.json --trace-out run.trace.json
     python -m repro report run.metrics.json
     python -m repro report run.metrics.json baseline.metrics.json
@@ -64,7 +72,7 @@ import typing
 from typing import Any, Callable, Dict, List, Optional
 
 from .analysis import render_table
-from .config import SystemConfig
+from .config import LADDER, SystemConfig
 from .hw.errors import CapacityError
 from .machine import (
     analyze_bottleneck,
@@ -91,7 +99,7 @@ from .traces import (
     wait_chain_trace,
 )
 
-__all__ = ["main", "build_workload", "WORKLOADS"]
+__all__ = ["main", "build_parser", "build_workload", "WORKLOADS"]
 
 #: name -> (builder, description).  Builders accept the parsed namespace.
 WORKLOADS: Dict[str, tuple[Callable[[argparse.Namespace], TaskTrace], str]] = {
@@ -191,62 +199,39 @@ def build_workload(name: str, args: argparse.Namespace) -> TaskTrace:
     return builder(args)
 
 
-def _config_from(args: argparse.Namespace, **point: Any) -> SystemConfig:
-    """The machine the flags describe, with ``point``'s knob values (a
-    sweep grid point) applied on top."""
-    overrides = {"workers": args.workers}
-    if getattr(args, "no_contention", False):
-        overrides["memory_contention"] = False
-    if getattr(args, "no_prep", False):
-        overrides["task_prep_time"] = 0
-    if getattr(args, "depth", None) is not None:
-        overrides["buffering_depth"] = args.depth
-    if getattr(args, "restricted", False):
-        overrides["restricted"] = True
-    for flag, field_name in (
-        ("shards", "maestro_shards"),
-        ("masters", "master_cores"),
-        ("batch", "submission_batch"),
-        ("retire_depth", "retire_pipeline_depth"),
-    ):
-        if getattr(args, flag, None) is not None:
-            overrides[field_name] = getattr(args, flag)
-    if getattr(args, "hop_ns", None) is not None:
-        from .sim import NS
-
-        overrides["shard_hop_time"] = args.hop_ns * NS
-    if getattr(args, "td_cache", None) is not None:
-        overrides["td_cache_entries"] = args.td_cache
-    if getattr(args, "fast_path", False):
-        overrides["kickoff_fast_path"] = True
-    if getattr(args, "prefetch_depth", None) is not None:
-        overrides["td_prefetch_depth"] = args.prefetch_depth
-    if getattr(args, "coalesce", None) is not None:
-        overrides["finish_coalesce_limit"] = args.coalesce
-    if getattr(args, "coalesce_window", None) is not None:
-        from .sim import NS
-
-        overrides["finish_coalesce_window"] = args.coalesce_window * NS
-    if getattr(args, "spec_kickoff", False):
-        overrides["speculative_kickoff"] = True
-    if getattr(args, "check_scatter", False):
-        overrides["decentralized_check_scatter"] = True
-    if getattr(args, "check_coalesce", None) is not None:
-        overrides["check_coalesce_limit"] = args.check_coalesce
-    if getattr(args, "check_coalesce_window", None) is not None:
-        from .sim import NS
-
-        overrides["check_coalesce_window"] = args.check_coalesce_window * NS
-    if getattr(args, "telemetry_window", None) is not None:
-        from .sim import NS
-
-        overrides["telemetry_window"] = args.telemetry_window * NS
-    overrides.update(point)
+def _base_machine(name: Optional[str]) -> SystemConfig:
+    """The ``--stack`` rung, or the paper's Table IV machine without one."""
+    if name is None:
+        return SystemConfig()
     try:
-        return SystemConfig(**overrides)
+        return LADDER[name]
+    except KeyError:
+        raise SystemExit(
+            f"--stack {name!r}: unknown machine; try: {', '.join(LADDER)}"
+        ) from None
+
+
+def _config_from(args: argparse.Namespace, **point: Any) -> SystemConfig:
+    """The machine the flags describe: the ``--stack`` base, then
+    ``--workers`` and the ``--set`` knobs, then ``point``'s knob values (a
+    sweep grid point)."""
+    base = _base_machine(args.stack)
+    knobs = _parse_knobs("set", args.set)
+    if args.workers is not None:
+        if "workers" in knobs:
+            raise SystemExit("workers is given twice: --workers and --set workers")
+        knobs["workers"] = args.workers
+    for knob in point:
+        if knob in knobs:
+            raise SystemExit(
+                f"{knob} is given twice: fix it (--set/--workers) or sweep "
+                "it (--axis), not both"
+            )
+    try:
+        return base.with_(**knobs, **point)
     except ValueError as exc:
-        # Configuration contradictions (e.g. --retire-depth 4 without a
-        # sharded --shards) read as usage errors, not tracebacks.
+        # Configuration contradictions (e.g. retire_pipeline_depth=4 on
+        # the single Maestro) read as usage errors, not tracebacks.
         raise SystemExit(str(exc)) from None
 
 
@@ -278,81 +263,20 @@ def _add_workload_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_machine_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--workers", type=int, default=16, help="worker cores")
-    p.add_argument("--no-contention", action="store_true", help="contention-free memory")
-    p.add_argument("--no-prep", action="store_true", help="zero master task-prep time")
-    p.add_argument("--depth", type=int, help="Task Controller buffering depth")
-    p.add_argument("--restricted", action="store_true", help="original-Nexus limits")
     p.add_argument(
-        "--telemetry-window", type=int, default=None,
-        help="windowed telemetry sampling period in ns (0/omitted = off); "
-        "observe-only — the sampled schedule is cycle-identical to an "
-        "unsampled run",
-    )
-    p.add_argument("--shards", type=int, default=None, help="Maestro shard count")
-    p.add_argument("--hop-ns", type=int, default=None, help="shard hop latency (ns)")
-    p.add_argument("--masters", type=int, default=None, help="master core count")
-    p.add_argument(
-        "--batch", type=int, default=None, help="TDs per submission bus transaction"
+        "--workers", type=int, default=None,
+        help="worker cores (default: the base machine's, 16)",
     )
     p.add_argument(
-        "--retire-depth", type=int, default=None,
-        help="finishes in flight per shard's retire front-end",
-    )
-    _add_dispatch_args(p)
-    _add_resolve_args(p)
-    _add_check_args(p)
-
-
-def _add_dispatch_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--td-cache", type=int, default=None,
-        help="per-shard TD prefetch cache entries (0 = off)",
+        "--stack", default=None, metavar="RUNG",
+        help="base machine: a repro.config.LADDER rung "
+        f"({', '.join(LADDER)}); default the paper's Table IV",
     )
     p.add_argument(
-        "--fast-path", action="store_true",
-        help="enable the kick-off fast path (resolving shard dispatches "
-        "became-ready waiters to idle local workers)",
-    )
-    p.add_argument(
-        "--prefetch-depth", type=int, default=None,
-        help="Dependence-Counter threshold that triggers a TD prefetch",
-    )
-
-
-def _add_resolve_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--coalesce", type=int, default=None,
-        help="finish notifications drained per resolve activation "
-        "(1 = the paper's one-at-a-time loop)",
-    )
-    p.add_argument(
-        "--coalesce-window", type=int, default=None,
-        help="ns the notify intake waits for stragglers before draining "
-        "a batch (needs --coalesce > 1)",
-    )
-    p.add_argument(
-        "--spec-kickoff", action="store_true",
-        help="speculative kick-off: waiter kicks run in per-shard kick "
-        "units, overlapping the next notification's table update",
-    )
-
-
-def _add_check_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--check-scatter", action="store_true",
-        help="decentralize the Check Scatter: per-master scatter slices "
-        "re-sequenced per destination shard (program order preserved)",
-    )
-    p.add_argument(
-        "--check-coalesce", type=int, default=None,
-        help="check probes drained per check-engine activation "
-        "(1 = the paper's one-at-a-time Listing 2 loop)",
-    )
-    p.add_argument(
-        "--check-coalesce-window", type=int, default=None,
-        help="ns the check intake waits for stragglers before draining "
-        "a batch (needs --check-coalesce > 1)",
+        "--set", action="append", default=[], metavar="KNOB=VALUE",
+        help="set a SystemConfig knob on the base machine, in the knob's "
+        "own units (times in ps; on/off for bools, none for optional "
+        "knobs); repeatable. `info` lists every knob",
     )
 
 
@@ -723,9 +647,9 @@ def _efficiency_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _axis_value(knob: str, kind: Any, text: str) -> Any:
-    """One ``--axis`` value, parsed by the knob's SystemConfig field type:
-    on/off/true/false for a bool, none for an Optional knob."""
+def _knob_value(flag: str, knob: str, kind: Any, text: str) -> Any:
+    """One ``--set``/``--axis`` value, parsed by the knob's SystemConfig
+    field type: on/off/true/false for a bool, none for an Optional knob."""
     word = text.strip().lower()
     options = typing.get_args(kind)
     if type(None) in options:  # Optional[X]
@@ -741,32 +665,43 @@ def _axis_value(knob: str, kind: Any, text: str) -> Any:
         except ValueError:
             pass
     raise SystemExit(
-        f"--axis {knob}: cannot read {text!r} as {getattr(kind, '__name__', kind)} "
-        "(bools take on/off/true/false, optional knobs none)"
+        f"--{flag} {knob}: cannot read {text!r} as "
+        f"{getattr(kind, '__name__', kind)} (bools take on/off/true/false, "
+        "optional knobs none)"
     )
 
 
-def _parse_axes(specs: List[str]) -> Dict[str, List[Any]]:
-    """``--axis KNOB=v1,v2`` flags -> ``{knob: values}`` in flag order."""
+def _parse_knobs(flag: str, specs: List[str], many: bool = False) -> Dict[str, Any]:
+    """``--set KNOB=VALUE`` flags -> ``{knob: value}``, or with ``many``
+    ``--axis KNOB=v1,v2`` flags -> ``{knob: [values]}``, in flag order."""
     types = typing.get_type_hints(SystemConfig)
-    axes: Dict[str, List[Any]] = {}
+    knobs: Dict[str, Any] = {}
     for spec in specs:
-        knob, _, values = spec.partition("=")
+        knob, _, text = spec.partition("=")
+        if knob == "notes":
+            raise SystemExit(f"--{flag} notes: provenance notes are not a machine knob")
         if knob not in types:
-            raise SystemExit(f"--axis {spec!r}: unknown SystemConfig knob {knob!r}")
-        if knob in axes:
-            raise SystemExit(f"--axis {knob} is given twice")
-        if not values:
-            raise SystemExit(f"--axis {spec!r}: expected {knob}=v1,v2,...")
-        axes[knob] = [_axis_value(knob, types[knob], v) for v in values.split(",")]
-    return axes
+            raise SystemExit(f"--{flag} {spec!r}: unknown SystemConfig knob {knob!r}")
+        if knob in knobs:
+            raise SystemExit(f"--{flag} {knob} is given twice")
+        if not text:
+            raise SystemExit(
+                f"--{flag} {spec!r}: expected {knob}={'v1,v2,...' if many else 'VALUE'}"
+            )
+        values = [
+            _knob_value(flag, knob, types[knob], v)
+            for v in (text.split(",") if many else [text])
+        ]
+        knobs[knob] = values if many else values[0]
+    return knobs
 
 
 def _grid_sweep(trace: TaskTrace, args: argparse.Namespace) -> int:
     """Grid over the ``--axis`` knobs; speedups vs the first grid point."""
-    axes = _parse_axes(args.axis)
+    axes = _parse_knobs("axis", args.axis, many=True)
     # Apply the first point to the base so knobs that only some machines
-    # accept (e.g. --retire-depth with a swept shard count) validate.
+    # accept (e.g. a fixed retire_pipeline_depth with a swept shard count)
+    # validate.
     base = _config_from(args, **{k: v[0] for k, v in axes.items()})
     try:
         # grid_sweep builds and validates every point before the first
@@ -853,7 +788,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser; each command's namespace carries its
+    handler as ``func``."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Nexus++ reproduction: simulate StarSs workloads on a "
@@ -942,8 +879,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_val = sub.add_parser("validate", help="inspect a saved .npz trace")
     p_val.add_argument("path")
     p_val.set_defaults(func=_cmd_validate)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CapacityError as exc:

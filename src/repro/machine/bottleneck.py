@@ -123,6 +123,23 @@ def _busiest_is_retire(occupancy: Dict[str, float]) -> bool:
     return max(blocks, key=blocks.get).endswith(".retire")
 
 
+def _saturation_verdict(occupancy: Dict[str, float]) -> Optional[str]:
+    """The saturation rule, for a whole run or one telemetry window: the
+    most occupied saturated stage, or "retire" under retire backpressure,
+    or ``None`` when neither holds."""
+    saturated = {k: v for k, v in occupancy.items() if v >= _SATURATION}
+    if saturated:
+        # Workers saturated means the machine is doing its job: only call
+        # them the bottleneck if nothing upstream is also saturated.
+        upstream = {k: v for k, v in saturated.items() if k != "workers"}
+        return max((upstream or saturated).items(), key=lambda kv: kv[1])[0]
+    if occupancy.get("retire", 0.0) >= _RETIRE_BACKPRESSURE and _busiest_is_retire(
+        occupancy
+    ):
+        return "retire"
+    return None
+
+
 def analyze_bottleneck(
     result: RunResult, config: Optional[SystemConfig] = None
 ) -> BottleneckReport:
@@ -173,22 +190,11 @@ def analyze_bottleneck(
     else:
         occupancy["workers"] = result.worker_utilization()
 
-    saturated = {k: v for k, v in occupancy.items() if v >= _SATURATION}
-    detail = None
-    if saturated:
-        # Workers saturated means the machine is doing its job: only call
-        # them the bottleneck if nothing upstream is also saturated.
-        upstream = {k: v for k, v in saturated.items() if k != "workers"}
-        verdict = max(
-            (upstream or saturated).items(), key=lambda kv: kv[1]
-        )[0]
-        detail = _check_path_detail(verdict)
-    elif occupancy.get("retire", 0.0) >= _RETIRE_BACKPRESSURE and _busiest_is_retire(
-        occupancy
-    ):
-        verdict = "retire"
-    else:
+    verdict = _saturation_verdict(occupancy)
+    if verdict is None:
         verdict, detail = _latency_or_application(result)
+    else:
+        detail = _check_path_detail(verdict)
     return BottleneckReport(occupancy=occupancy, verdict=verdict, detail=detail)
 
 
@@ -224,24 +230,6 @@ class BottleneckTimeline:
     def verdicts(self) -> List[str]:
         """The phase verdicts in time order (collapsed, no timestamps)."""
         return [verdict for _s, _e, verdict in self.phases]
-
-
-def _window_verdict(occupancy: Dict[str, float], fallback: str) -> str:
-    """The run-level verdict rules applied to one window's occupancies.
-
-    Saturation and retire-backpressure are meaningful per window; the
-    latency-vs-application split is not (the dispatch attribution is a
-    whole-run statistic), so unsaturated windows inherit the run-level
-    fallback verdict."""
-    saturated = {k: v for k, v in occupancy.items() if v >= _SATURATION}
-    if saturated:
-        upstream = {k: v for k, v in saturated.items() if k != "workers"}
-        return max((upstream or saturated).items(), key=lambda kv: kv[1])[0]
-    if occupancy.get("retire", 0.0) >= _RETIRE_BACKPRESSURE and _busiest_is_retire(
-        occupancy
-    ):
-        return "retire"
-    return fallback
 
 
 def _window_occupancy(
@@ -284,12 +272,15 @@ def bottleneck_timeline(
         return None
     times: List[int] = telemetry["times_ps"]
     signals: Dict[str, List[float]] = telemetry["signals"]
+    # The latency-vs-application split is a whole-run statistic (the
+    # dispatch attribution), so unsaturated windows inherit the run-level
+    # verdict.
     fallback, _detail = _latency_or_application(result)
 
     phases: List[tuple[int, int, str]] = []
     for i, end in enumerate(times):
         start = times[i - 1] if i else 0
-        verdict = _window_verdict(_window_occupancy(signals, i), fallback)
+        verdict = _saturation_verdict(_window_occupancy(signals, i)) or fallback
         if phases and phases[-1][2] == verdict:
             phases[-1] = (phases[-1][0], end, verdict)
         else:

@@ -2,7 +2,7 @@
 
 Public API::
 
-    from repro.sim import Simulator, Fifo, Signal, Gate, Resource
+    from repro.sim import Simulator, Fifo, Signal, Resource
     from repro.sim import NS, US, MS, fmt_time
 
 See :mod:`repro.sim.core` for the execution model.
@@ -12,7 +12,7 @@ from .core import Process, Simulator, Timeout, Waitable
 from .channels import Fifo
 from .errors import DeadlockError, ProcessError, SimError
 from .stats import BusyTracker, LatencyBreakdown, LevelStat, OccupancyStat, Sampler
-from .sync import Gate, Resource, Signal
+from .sync import Resource, Signal
 from .time_units import MS, NS, PS, S, US, cycles, fmt_time, ns, us
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "Waitable",
     "Fifo",
     "Signal",
-    "Gate",
     "Resource",
     "BusyTracker",
     "LatencyBreakdown",

@@ -345,9 +345,9 @@ class Simulator:
         self._overflow: list[tuple[int, int, Callable[..., None], Any]] = []
         self._horizon: int = self.WHEEL_SPAN
         self._pending: int = 0
-        #: Channels built on this simulator (FIFOs, signals, gates,
-        #: resources), each holding a cached waitable that points back at
-        #: it; :meth:`close` unlinks them.
+        #: Channels built on this simulator (FIFOs, signals, resources),
+        #: each holding a cached waitable that points back at it;
+        #: :meth:`close` unlinks them.
         self._channels: list[Any] = []
 
     # -- scheduling -------------------------------------------------------------

@@ -1,11 +1,10 @@
-"""Synchronization primitives: 1-bit signals, gates and counted resources.
+"""Synchronization primitives: 1-bit signals and counted resources.
 
 The paper stresses that "all events and notifications are one-bit signals"
 between Task Maestro blocks and Task Controllers.  :class:`Signal` models a
-level-sensitive 1-bit line with wait-until-set semantics, :class:`Gate`
-models a 'some request pending' line that round-robin arbiters (the *Send
-TDs* and *Handle Finished* blocks) sleep on, and :class:`Resource` models
-counted resources such as the 32 off-chip memory banks.
+level-sensitive 1-bit line with wait-until-set semantics, and
+:class:`Resource` models counted resources such as the 32 off-chip memory
+banks.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from typing import Deque, Optional
 from .core import Process, Simulator, Waitable
 from .stats import OccupancyStat
 
-__all__ = ["Signal", "Gate", "Resource", "Acquire"]
+__all__ = ["Signal", "Resource", "Acquire"]
 
 
 class _SignalWait(Waitable):
@@ -79,71 +78,6 @@ class Signal:
 
     def __repr__(self) -> str:
         return f"<Signal {self.name} {'high' if self._level else 'low'}>"
-
-
-class _GateWait(Waitable):
-    __slots__ = ("gate",)
-
-    def __init__(self, gate: "Gate"):
-        self.gate = gate
-
-    def describe(self) -> str:
-        return f"gate({self.gate.name}, count={self.gate._count})"
-
-    def _arm(self, sim: Simulator, proc: Process) -> None:
-        if self.gate._count > 0:
-            sim._dispatch(proc._resume_cb, None)
-        else:
-            self.gate._waiters.append(proc)
-
-
-class Gate:
-    """Counted wake-up line: 'at least one request is pending'.
-
-    Producers call :meth:`raise_request`; the arbiter process waits on the
-    gate, then scans its request lines round-robin and calls
-    :meth:`drop_request` for each one it services.  Unlike a FIFO this does
-    not impose an order — the arbiter's own scan order decides, which is
-    exactly how the paper's round-robin blocks behave.
-    """
-
-    __slots__ = ("_sim", "name", "_count", "_waiters", "_wait")
-
-    def __init__(self, sim: Simulator, name: str = "gate"):
-        self._sim = sim
-        self.name = name
-        self._count = 0
-        self._waiters: Deque[Process] = deque()
-        self._wait = _GateWait(self)
-        sim._channels.append(self)
-
-    def _unlink(self) -> None:
-        """Break the gate's cycles once its simulator closes."""
-        self._wait = None
-        self._waiters.clear()
-
-    @property
-    def pending(self) -> int:
-        return self._count
-
-    def raise_request(self) -> None:
-        self._count += 1
-        if self._count == 1:
-            while self._waiters:
-                proc = self._waiters.popleft()
-                self._sim._schedule(self._sim.now, proc._resume_cb, None)
-
-    def drop_request(self) -> None:
-        if self._count <= 0:
-            raise RuntimeError(f"gate {self.name}: drop_request with no pending request")
-        self._count -= 1
-
-    def wait(self) -> _GateWait:
-        """Waitable that completes while at least one request is pending."""
-        return self._wait
-
-    def __repr__(self) -> str:
-        return f"<Gate {self.name} pending={self._count}>"
 
 
 class Acquire(Waitable):

@@ -144,7 +144,7 @@ def test_architecture_documents_the_chrome_trace_export():
 
 def test_architecture_documents_the_telemetry_subsystem():
     text = _doc_text().lower()
-    for phrase in ("telemetry_window", "--telemetry-window", "--metrics-out",
+    for phrase in ("telemetry_window", "--set telemetry_window", "--metrics-out",
                    "schema_version", "bottleneck timeline", "counter lane",
                    "window-delta read", "host_signals", "workers.busy",
                    "dep_table.kickoff_waiters", "repro report"):
@@ -152,7 +152,7 @@ def test_architecture_documents_the_telemetry_subsystem():
     # The reproduce recipe (sampled run -> metrics -> report diff) is in
     # the README too.
     readme = (REPO / "README.md").read_text()
-    assert "--telemetry-window" in readme
+    assert "--set telemetry_window" in readme
     assert "--metrics-out" in readme
     assert "repro report" in readme
 

@@ -451,7 +451,7 @@ def test_finished_processes_compact_out_of_the_registry():
 def test_close_releases_parked_processes_and_drops_pending_events():
     import gc
 
-    from repro.sim import Fifo, Gate, Resource, Signal
+    from repro.sim import Fifo, Resource, Signal
 
     gc.collect()
     gc.disable()
@@ -462,7 +462,6 @@ def test_close_releases_parked_processes_and_drops_pending_events():
         full.try_put("x")
         port = Resource(sim, 1, "port")
         line = Signal(sim, "line")
-        gate = Gate(sim, "gate")
         closed = []
 
         def parked(name, waitable):
@@ -481,18 +480,17 @@ def test_close_releases_parked_processes_and_drops_pending_events():
             sim.process(parked("put", full.put("y")), name="put"),
             sim.process(parked("acquire", port.acquire()), name="acquire"),
             sim.process(parked("signal", line.wait()), name="signal"),
-            sim.process(parked("gate", gate.wait()), name="gate"),
         ]
         sim.run(until=1 * NS)
         assert sim.pending_events == 1
         assert all(p.alive for p in procs)
 
         sim.close()
-        assert sorted(closed) == ["acquire", "gate", "get", "put", "signal"]
+        assert sorted(closed) == ["acquire", "get", "put", "signal"]
         assert not any(p.alive for p in procs)
         assert sim.pending_events == 0
         assert sim.run() == 1 * NS  # nothing left to fire
-        del sim, empty, full, port, line, gate, procs, holder, parked
+        del sim, empty, full, port, line, procs, holder, parked
         assert gc.collect() == 0
     finally:
         gc.enable()

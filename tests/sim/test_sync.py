@@ -1,8 +1,8 @@
-"""Unit tests for signals, gates, and counted resources."""
+"""Unit tests for signals and counted resources."""
 
 import pytest
 
-from repro.sim import Gate, Resource, Signal, Simulator
+from repro.sim import Resource, Signal, Simulator
 
 
 class TestSignal:
@@ -86,67 +86,6 @@ class TestSignal:
         sig.set()
         sig.set()
         assert sig.level
-
-
-class TestGate:
-    def test_wait_completes_while_pending(self):
-        sim = Simulator()
-        gate = Gate(sim)
-        served = []
-
-        def arbiter():
-            for _ in range(2):
-                yield gate.wait()
-                gate.drop_request()
-                served.append(sim.now)
-
-        def requester():
-            yield sim.timeout(10)
-            gate.raise_request()
-            yield sim.timeout(10)
-            gate.raise_request()
-
-        sim.process(arbiter())
-        sim.process(requester())
-        sim.run()
-        assert served == [10, 20]
-
-    def test_pending_count_accumulates(self):
-        sim = Simulator()
-        gate = Gate(sim)
-        gate.raise_request()
-        gate.raise_request()
-        assert gate.pending == 2
-        gate.drop_request()
-        assert gate.pending == 1
-
-    def test_drop_without_pending_raises(self):
-        sim = Simulator()
-        gate = Gate(sim)
-        with pytest.raises(RuntimeError):
-            gate.drop_request()
-
-    def test_arbiter_drains_multiple_requests_without_resleeping(self):
-        sim = Simulator()
-        gate = Gate(sim)
-        served = []
-
-        def arbiter():
-            while len(served) < 3:
-                yield gate.wait()
-                gate.drop_request()
-                served.append(sim.now)
-
-        def requesters():
-            yield sim.timeout(5)
-            gate.raise_request()
-            gate.raise_request()
-            gate.raise_request()
-
-        sim.process(arbiter())
-        sim.process(requesters())
-        sim.run()
-        assert served == [5, 5, 5]
 
 
 class TestResource:

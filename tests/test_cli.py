@@ -36,8 +36,10 @@ class TestInfoAndListing:
         )
 
     def test_info_knob_listing_shows_effective_values(self, capsys):
-        assert main(["info", "--shards", "4", "--coalesce", "8",
-                     "--spec-kickoff", "--td-cache", "32"]) == 0
+        assert main(["info", "--set", "maestro_shards=4",
+                     "--set", "finish_coalesce_limit=8",
+                     "--set", "speculative_kickoff=on",
+                     "--set", "td_cache_entries=32"]) == 0
         out = capsys.readouterr().out
         assert "All configuration knobs" in out
         for row in ("finish_coalesce_limit | 8", "speculative_kickoff | True",
@@ -57,7 +59,7 @@ class TestInfoAndListing:
 class TestRun:
     def test_run_independent(self, capsys):
         rc = main(["run", "independent", "--tasks", "50", "--workers", "4",
-                   "--verify", "--no-contention"])
+                   "--verify", "--set", "memory_contention=off"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "50 tasks" in out
@@ -88,12 +90,17 @@ class TestRun:
         # A capacity error exits with its one-line message, no traceback.
         with pytest.raises(SystemExit, match="dummy tasks are disabled"):
             main(["run", "gaussian", "--size", "24", "--workers", "2",
-                  "--restricted"])
+                  "--set", "restricted=on"])
 
-    @pytest.mark.parametrize("flag", ["--depth", "--shards", "--workers"])
-    def test_zero_machine_size_is_a_one_line_error(self, flag):
+    @pytest.mark.parametrize(
+        "flags",
+        [["--set", "buffering_depth=0"], ["--set", "maestro_shards=0"],
+         ["--workers", "0"]],
+        ids=["depth", "shards", "workers"],
+    )
+    def test_zero_machine_size_is_a_one_line_error(self, flags):
         with pytest.raises(SystemExit, match="must be positive, got 0"):
-            main(["run", "wait-chain", "--rows", "2", "--cols", "2", flag, "0"])
+            main(["run", "wait-chain", "--rows", "2", "--cols", "2", *flags])
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(SystemExit):
@@ -112,7 +119,7 @@ class TestRun:
 class TestSweep:
     def test_sweep_prints_curve(self, capsys):
         rc = main(["sweep", "independent", "--tasks", "60", "--cores", "1,2,4",
-                   "--no-contention"])
+                   "--set", "memory_contention=off"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "speedup" in out
@@ -150,8 +157,8 @@ class TestValidate:
 class TestShardedMaestroCli:
     def test_run_with_shards(self, capsys):
         rc = main(["run", "random", "--tasks", "60", "--addresses", "16",
-                   "--workers", "4", "--shards", "2", "--verify",
-                   "--no-contention"])
+                   "--workers", "4", "--set", "maestro_shards=2", "--verify",
+                   "--set", "memory_contention=off"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "dependence check: OK" in out
@@ -162,7 +169,8 @@ class TestShardedMaestroCli:
         path = tmp_path / "shards.json"
         rc = main(["sweep", "random", "--tasks", "80", "--addresses", "16",
                    "--workers", "4", "--axis", "maestro_shards=1,2",
-                   "--no-contention", "--no-prep", "--json", str(path)])
+                   "--set", "memory_contention=off", "--set", "task_prep_time=0",
+                   "--json", str(path)])
         assert rc == 0
         out = capsys.readouterr().out
         assert "busiest block" in out
@@ -177,7 +185,8 @@ class TestShardedMaestroCli:
 
     def test_core_curve_takes_a_single_shard_count(self, capsys):
         rc = main(["sweep", "random", "--tasks", "60", "--addresses", "16",
-                   "--shards", "2", "--cores", "1,2", "--no-contention"])
+                   "--set", "maestro_shards=2", "--cores", "1,2",
+                   "--set", "memory_contention=off"])
         assert rc == 0
         assert "saturation point" in capsys.readouterr().out
 
@@ -190,8 +199,10 @@ class TestShardedMaestroCli:
 class TestSubmissionFrontendCli:
     def test_run_with_masters_and_batch(self, capsys):
         rc = main(["run", "random", "--tasks", "60", "--addresses", "16",
-                   "--workers", "4", "--shards", "2", "--masters", "2",
-                   "--batch", "4", "--verify", "--no-contention"])
+                   "--workers", "4", "--set", "maestro_shards=2",
+                   "--set", "master_cores=2",
+                   "--set", "submission_batch=4", "--verify",
+                   "--set", "memory_contention=off"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "dependence check: OK" in out
@@ -200,9 +211,9 @@ class TestSubmissionFrontendCli:
     def test_master_sweep_writes_json(self, capsys, tmp_path):
         path = tmp_path / "masters.json"
         rc = main(["sweep", "random", "--tasks", "80", "--addresses", "16",
-                   "--workers", "4", "--shards", "2",
+                   "--workers", "4", "--set", "maestro_shards=2",
                    "--axis", "master_cores=1,2", "--axis", "submission_batch=1,4",
-                   "--no-contention", "--json", str(path)])
+                   "--set", "memory_contention=off", "--json", str(path)])
         assert rc == 0
         out = capsys.readouterr().out
         assert "submission_batch" in out
@@ -218,25 +229,29 @@ class TestSubmissionFrontendCli:
         assert data["rows"][0]["master_bound_fraction"] is not None
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["sweep", "random", "--masters", "1,2", "--shards", "x"],
-            ["sweep", "wait-chain", "--efficiency", "--shards", "x"],
-            ["sweep", "random", "--shards", "1,2"],
-            ["sweep", "random", "--batch", "1,4"],
+            (["sweep", "random", "--set", "master_cores=1,2"],
+             "master_cores: cannot read '1,2' as int"),
+            (["sweep", "wait-chain", "--efficiency", "--set", "maestro_shards=x"],
+             "maestro_shards: cannot read 'x' as int"),
+            (["sweep", "random", "--set", "maestro_shards=1,2"],
+             "maestro_shards: cannot read '1,2' as int"),
+            (["sweep", "random", "--set", "submission_batch=1,4"],
+             "submission_batch: cannot read '1,4' as int"),
         ],
-        ids=["masters-list-bad-shards", "efficiency-bad-shards", "shard-list",
-             "batch-list"],
+        ids=["masters-list", "efficiency-bad-shards", "shard-list", "batch-list"],
     )
-    def test_sweep_shape_flags_are_single_ints(self, argv):
-        """Malformed or comma-list shape flags are argparse usage errors
-        (exit 2), not ValueError tracebacks from a bare int()."""
-        with pytest.raises(SystemExit) as exc:
+    def test_set_takes_one_value(self, argv, message):
+        """A comma list or a malformed value in ``--set`` is a one-line
+        usage error (``--axis`` is the way to sweep), not a ValueError
+        traceback from a bare int()."""
+        with pytest.raises(SystemExit, match=message):
             main(argv + ["--tasks", "40"])
-        assert exc.value.code == 2
 
     def test_info_shows_frontend_geometry(self, capsys):
-        assert main(["info", "--masters", "2", "--batch", "4"]) == 0
+        assert main(["info", "--set", "master_cores=2",
+                     "--set", "submission_batch=4"]) == 0
         out = capsys.readouterr().out
         assert "Master cores" in out
         assert "Submission batch" in out
@@ -245,8 +260,10 @@ class TestSubmissionFrontendCli:
 class TestRetirePipelineCli:
     def test_run_with_retire_depth(self, capsys):
         rc = main(["run", "random", "--tasks", "60", "--addresses", "16",
-                   "--workers", "4", "--shards", "2", "--masters", "2",
-                   "--retire-depth", "4", "--verify", "--no-contention"])
+                   "--workers", "4", "--set", "maestro_shards=2",
+                   "--set", "master_cores=2",
+                   "--set", "retire_pipeline_depth=4", "--verify",
+                   "--set", "memory_contention=off"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "dependence check: OK" in out
@@ -255,8 +272,10 @@ class TestRetirePipelineCli:
     def test_retire_sweep_writes_json(self, capsys, tmp_path):
         path = tmp_path / "retire.json"
         rc = main(["sweep", "random", "--tasks", "80", "--addresses", "16",
-                   "--workers", "4", "--shards", "2", "--masters", "2",
-                   "--axis", "retire_pipeline_depth=1,4", "--no-contention",
+                   "--workers", "4", "--set", "maestro_shards=2",
+                   "--set", "master_cores=2",
+                   "--axis", "retire_pipeline_depth=1,4",
+                   "--set", "memory_contention=off",
                    "--json", str(path)])
         assert rc == 0
         out = capsys.readouterr().out
@@ -274,7 +293,7 @@ class TestRetirePipelineCli:
         # --shards 1 (or none) is a usage error, not a raw traceback.
         with pytest.raises(SystemExit, match="requires the sharded Maestro"):
             main(["sweep", "random", "--tasks", "40",
-                  "--axis", "retire_pipeline_depth=1,2", "--shards", "1"])
+                  "--axis", "retire_pipeline_depth=1,2", "--set", "maestro_shards=1"])
         with pytest.raises(SystemExit, match="requires the sharded Maestro"):
             main(["sweep", "random", "--tasks", "40",
                   "--axis", "retire_pipeline_depth=1,2"])
@@ -284,7 +303,8 @@ class TestRetirePipelineCli:
         (regression: the base config used to validate at 1 shard and die)."""
         rc = main(["sweep", "random", "--tasks", "60", "--addresses", "16",
                    "--workers", "4", "--axis", "maestro_shards=2,4",
-                   "--retire-depth", "2", "--no-contention"])
+                   "--set", "retire_pipeline_depth=2",
+                   "--set", "memory_contention=off"])
         assert rc == 0
         assert "speedup vs" in capsys.readouterr().out
 
@@ -292,22 +312,26 @@ class TestRetirePipelineCli:
     def test_shard_sweep_rejects_depth_on_single_maestro_point(self, shards):
         with pytest.raises(SystemExit, match="requires the sharded Maestro"):
             main(["sweep", "random", "--tasks", "40",
-                  "--axis", f"maestro_shards={shards}", "--retire-depth", "2"])
+                  "--axis", f"maestro_shards={shards}",
+                  "--set", "retire_pipeline_depth=2"])
 
     def test_run_retire_depth_without_shards_is_usage_error(self):
         with pytest.raises(SystemExit):
-            main(["run", "random", "--tasks", "40", "--retire-depth", "4"])
+            main(["run", "random", "--tasks", "40", "--set", "retire_pipeline_depth=4"])
 
     def test_info_shows_retire_geometry(self, capsys):
-        assert main(["info", "--shards", "4", "--retire-depth", "4"]) == 0
+        assert main(["info", "--set", "maestro_shards=4",
+                     "--set", "retire_pipeline_depth=4"]) == 0
         out = capsys.readouterr().out
         assert "Retire pipeline depth" in out
 
     def test_run_with_fast_dispatch(self, capsys):
         rc = main(["run", "random", "--tasks", "60", "--addresses", "16",
-                   "--workers", "4", "--shards", "2", "--td-cache", "16",
-                   "--fast-path", "--prefetch-depth", "2", "--verify",
-                   "--no-contention"])
+                   "--workers", "4", "--set", "maestro_shards=2",
+                   "--set", "td_cache_entries=16",
+                   "--set", "kickoff_fast_path=on", "--set", "td_prefetch_depth=2",
+                   "--verify",
+                   "--set", "memory_contention=off"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "dependence check: OK" in out
@@ -317,9 +341,9 @@ class TestRetirePipelineCli:
     def test_dispatch_sweep_writes_json(self, capsys, tmp_path):
         path = tmp_path / "dispatch.json"
         rc = main(["sweep", "random", "--tasks", "80", "--addresses", "16",
-                   "--workers", "4", "--shards", "2",
+                   "--workers", "4", "--set", "maestro_shards=2",
                    "--axis", "kickoff_fast_path=off,on",
-                   "--axis", "td_cache_entries=0,16", "--no-contention",
+                   "--axis", "td_cache_entries=0,16", "--set", "memory_contention=off",
                    "--json", str(path)])
         assert rc == 0
         out = capsys.readouterr().out
@@ -340,20 +364,21 @@ class TestRetirePipelineCli:
     def test_dispatch_sweep_rejects_single_maestro(self):
         # A cache-on point needs the sharded engine: a usage error even
         # though the first (cache-off) point alone would be valid.
-        for shards in ([], ["--shards", "1"]):
+        for shards in ([], ["--set", "maestro_shards=1"]):
             with pytest.raises(SystemExit, match="requires the sharded Maestro"):
                 main(["sweep", "random", "--tasks", "40",
                       "--axis", "td_cache_entries=0,16", *shards])
 
     def test_run_fast_dispatch_without_shards_is_usage_error(self):
         with pytest.raises(SystemExit):
-            main(["run", "random", "--tasks", "40", "--td-cache", "16"])
+            main(["run", "random", "--tasks", "40", "--set", "td_cache_entries=16"])
         with pytest.raises(SystemExit):
-            main(["run", "random", "--tasks", "40", "--fast-path"])
+            main(["run", "random", "--tasks", "40", "--set", "kickoff_fast_path=on"])
 
     def test_info_shows_dispatch_geometry(self, capsys):
-        assert main(["info", "--shards", "4", "--td-cache", "64",
-                     "--fast-path"]) == 0
+        assert main(["info", "--set", "maestro_shards=4",
+                     "--set", "td_cache_entries=64",
+                     "--set", "kickoff_fast_path=on"]) == 0
         out = capsys.readouterr().out
         assert "TD prefetch cache" in out
         assert "Kick-off fast path" in out
@@ -362,8 +387,10 @@ class TestRetirePipelineCli:
 
     def test_run_with_resolve_pipeline(self, capsys):
         rc = main(["run", "random", "--tasks", "60", "--addresses", "16",
-                   "--workers", "4", "--shards", "2", "--coalesce", "4",
-                   "--spec-kickoff", "--verify", "--no-contention"])
+                   "--workers", "4", "--set", "maestro_shards=2",
+                   "--set", "finish_coalesce_limit=4",
+                   "--set", "speculative_kickoff=on", "--verify",
+                   "--set", "memory_contention=off"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "dependence check: OK" in out
@@ -373,10 +400,10 @@ class TestRetirePipelineCli:
     def test_resolve_sweep_writes_json(self, capsys, tmp_path):
         path = tmp_path / "resolve.json"
         rc = main(["sweep", "random", "--tasks", "80", "--addresses", "16",
-                   "--workers", "4", "--shards", "2",
+                   "--workers", "4", "--set", "maestro_shards=2",
                    "--axis", "speculative_kickoff=off,on",
                    "--axis", "finish_coalesce_limit=1,4",
-                   "--no-contention", "--json", str(path)])
+                   "--set", "memory_contention=off", "--json", str(path)])
         assert rc == 0
         out = capsys.readouterr().out
         assert "speculative_kickoff" in out
@@ -399,30 +426,32 @@ class TestRetirePipelineCli:
         """A coalesce window is not zeroed at limit-1 grid points: the
         config's own window-needs-limit validation rejects the grid."""
         with pytest.raises(SystemExit, match="finish_coalesce_limit > 1"):
-            main(["sweep", "random", "--tasks", "40", "--shards", "2",
+            main(["sweep", "random", "--tasks", "40", "--set", "maestro_shards=2",
                   "--axis", "finish_coalesce_limit=1,4",
-                  "--coalesce-window", "2"])
+                  "--set", "finish_coalesce_window=2000"])
 
     def test_run_coalesce_window_without_limit_is_usage_error(self):
         with pytest.raises(SystemExit):
             main(["run", "random", "--tasks", "40", "--workers", "4",
-                  "--coalesce-window", "2"])
+                  "--set", "finish_coalesce_window=2000"])
 
     def test_info_shows_resolve_geometry(self, capsys):
-        assert main(["info", "--shards", "4", "--coalesce", "8",
-                     "--coalesce-window", "2", "--spec-kickoff"]) == 0
+        assert main(["info", "--set", "maestro_shards=4",
+                     "--set", "finish_coalesce_limit=8",
+                     "--set", "finish_coalesce_window=2000",
+                     "--set", "speculative_kickoff=on"]) == 0
         out = capsys.readouterr().out
         assert "Finish coalesce limit" in out
         assert "Finish coalesce window" in out
         assert "Speculative kick-off" in out
 
     def test_malformed_retire_depth_is_usage_error(self):
-        with pytest.raises(SystemExit):
-            main(["sweep", "random", "--tasks", "20", "--shards", "2,4",
-                  "--retire-depth", "two"])
-        with pytest.raises(SystemExit):
-            main(["sweep", "random", "--tasks", "20", "--shards", "x",
-                  "--retire-depth", "1,2"])
+        with pytest.raises(SystemExit, match="cannot read 'two' as int"):
+            main(["sweep", "random", "--tasks", "20", "--set", "maestro_shards=2",
+                  "--set", "retire_pipeline_depth=two"])
+        with pytest.raises(SystemExit, match="cannot read '1,2' as int"):
+            main(["sweep", "random", "--tasks", "20", "--set", "maestro_shards=2",
+                  "--set", "retire_pipeline_depth=1,2"])
 
 
 class TestSweepAxisParsing:
@@ -451,10 +480,11 @@ class TestSweepAxisParsing:
 
         path = tmp_path / "grid.json"
         assert main(["sweep", "random", "--tasks", "40", "--addresses", "16",
-                     "--workers", "4", "--shards", "2", "--retire-depth", "2",
+                     "--workers", "4", "--set", "maestro_shards=2",
+                     "--set", "retire_pipeline_depth=2",
                      "--axis", "task_pool_ports=none,1",
                      "--axis", "locality_stealing=False,true",
-                     "--no-contention", "--json", str(path)]) == 0
+                     "--set", "memory_contention=off", "--json", str(path)]) == 0
         out = capsys.readouterr().out
         assert "none" in out and "off" in out and "on" in out
         data = json.loads(path.read_text())
@@ -467,7 +497,156 @@ class TestSweepAxisParsing:
     @pytest.mark.parametrize("flag", ["--dispatch", "--resolve", "--check"])
     def test_removed_grid_flags_rejected(self, flag):
         with pytest.raises(SystemExit) as exc:
-            main(["sweep", "random", "--tasks", "40", "--shards", "2", flag])
+            main(["sweep", "random", "--tasks", "40", "--set", "maestro_shards=2",
+                  flag])
+        assert exc.value.code == 2
+
+
+def _config(*argv):
+    """The SystemConfig ``info`` builds from ``argv``, without running."""
+    from repro.cli import _config_from, build_parser
+
+    return _config_from(build_parser().parse_args(["info", *argv]))
+
+
+#: knob -> (``--set`` text, the value it reads as, the ``--stack`` base).
+#: Each value is off the knob's Table IV default; a knob the single
+#: Maestro rejects goes on the ``sharded`` rung, and a coalesce window on
+#: ``full``, whose limits are above 1.
+REACHABLE = {
+    "workers": ("4", 4, None),
+    "buffering_depth": ("3", 3, None),
+    "core_clock_hz": ("1000000000", 1_000_000_000, None),
+    "nexus_clock_hz": ("250000000", 250_000_000, None),
+    "on_chip_access_time": ("3000", 3000, None),
+    "task_pool_entries": ("512", 512, None),
+    "max_params_per_td": ("4", 4, None),
+    "td_bytes": ("64", 64, None),
+    "dependence_table_entries": ("2048", 2048, None),
+    "dt_entry_bytes": ("32", 32, None),
+    "kickoff_list_size": ("4", 4, None),
+    "tds_sizes_list_entries": ("512", 512, None),
+    "new_tasks_list_entries": ("512", 512, None),
+    "maestro_shards": ("2", 2, None),
+    "shard_hop_time": ("8000", 8000, None),
+    "dependence_table_entries_per_shard": ("1024", 1024, None),
+    "shard_inbox_entries": ("8", 8, None),
+    "retire_pipeline_depth": ("2", 2, "sharded"),
+    "task_pool_ports": ("2", 2, None),
+    "td_cache_entries": ("32", 32, "sharded"),
+    "td_prefetch_depth": ("3", 3, None),
+    "kickoff_fast_path": ("on", True, "sharded"),
+    "finish_coalesce_limit": ("4", 4, None),
+    "finish_coalesce_window": ("4000", 4000, "full"),
+    "speculative_kickoff": ("on", True, None),
+    "decentralized_check_scatter": ("on", True, "sharded"),
+    "check_coalesce_limit": ("4", 4, "sharded"),
+    "check_coalesce_window": ("4000", 4000, "full"),
+    "locality_stealing": ("true", True, "sharded"),
+    "master_cores": ("2", 2, None),
+    "submission_batch": ("4", 4, None),
+    "task_prep_time": ("0", 0, None),
+    "bus_handshake_cycles": ("3", 3, None),
+    "bus_word_cycles": ("1", 1, None),
+    "bus_model": ("fitted", "fitted", None),
+    "off_chip_access_time": ("24000", 24000, None),
+    "memory_chunk_bytes": ("64", 64, None),
+    "memory_banks": ("16", 16, None),
+    "memory_contention": ("off", False, None),
+    "memory_batch_chunks": ("8", 8, None),
+    "telemetry_window": ("5000000", 5_000_000, None),
+    "restricted": ("on", True, None),
+    "core_gflops": ("4.5", 4.5, None),
+}
+
+#: The per-knob flags ``--set`` replaced.
+REMOVED_FLAGS = [
+    "--no-contention", "--no-prep", "--depth", "--restricted",
+    "--telemetry-window", "--shards", "--hop-ns", "--masters", "--batch",
+    "--retire-depth", "--td-cache", "--fast-path", "--prefetch-depth",
+    "--coalesce", "--coalesce-window", "--spec-kickoff", "--check-scatter",
+    "--check-coalesce", "--check-coalesce-window",
+]
+
+
+class TestSetAndStack:
+    def test_every_knob_but_notes_has_a_case(self):
+        import dataclasses
+
+        from repro.config import SystemConfig
+
+        fields = {f.name for f in dataclasses.fields(SystemConfig)}
+        assert set(REACHABLE) == fields - {"notes"}
+
+    @pytest.mark.parametrize("knob", sorted(REACHABLE))
+    def test_set_reaches_every_knob(self, knob):
+        from repro.config import LADDER, SystemConfig
+
+        text, value, stack = REACHABLE[knob]
+        base = LADDER[stack] if stack else SystemConfig()
+        assert getattr(SystemConfig(), knob) != value != getattr(base, knob)
+        stack_args = ["--stack", stack] if stack else []
+        cfg = _config(*stack_args, "--set", f"{knob}={text}")
+        assert getattr(cfg, knob) == value
+        assert cfg == base.with_(**{knob: value})
+
+    def test_stack_full_on_8_workers_is_the_hazard_dense_machine(self, monkeypatch):
+        import importlib.util
+        import sys
+        from pathlib import Path
+
+        from repro.config import LADDER
+
+        cfg = _config("--stack", "full", "--workers", "8")
+        assert cfg == LADDER["full"].with_(workers=8)
+        path = Path(__file__).parents[1] / "perf_ledger" / "ledger.py"
+        spec = importlib.util.spec_from_file_location("ledger", path)
+        ledger = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "ledger", ledger)
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        spec.loader.exec_module(ledger)
+        assert cfg == ledger.HAZARD_DENSE_CONFIG
+
+    def test_without_stack_the_base_is_table_iv(self):
+        from repro.config import SystemConfig
+
+        assert _config() == SystemConfig()
+
+    def test_info_shows_the_stack(self, capsys):
+        assert main(["info", "--stack", "retire"]) == 0
+        out = capsys.readouterr().out
+        assert "Retire pipeline depth" in out
+        assert "bus_model | 'fitted'" in " ".join(out.split())
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["info", "--set", "shards=4"], "unknown SystemConfig knob 'shards'"),
+            (["info", "--set", "workers=2", "--set", "workers=4"],
+             "--set workers is given twice"),
+            (["info", "--workers", "2", "--set", "workers=4"],
+             "workers is given twice"),
+            (["sweep", "random", "--tasks", "20", "--set", "maestro_shards=2",
+              "--axis", "maestro_shards=2,4"],
+             "maestro_shards is given twice"),
+            (["info", "--set", "memory_contention=maybe"],
+             "memory_contention: cannot read 'maybe' as bool"),
+            (["info", "--set", "maestro_shards"], "expected maestro_shards=VALUE"),
+            (["info", "--set", "notes=x"], "notes are not a machine knob"),
+            (["info", "--stack", "turbo"], "--stack 'turbo': unknown machine"),
+        ],
+        ids=["unknown-knob", "twice", "workers-twice", "set-and-axis",
+             "unreadable", "no-value", "notes", "unknown-stack"],
+    )
+    def test_bad_machine_flags_are_one_line_errors(self, argv, message):
+        with pytest.raises(SystemExit, match=message) as exc:
+            main(argv)
+        assert "\n" not in str(exc.value.code)
+
+    @pytest.mark.parametrize("flag", REMOVED_FLAGS)
+    def test_removed_machine_flags_rejected(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "independent", "--tasks", "10", flag, "1"])
         assert exc.value.code == 2
 
 
@@ -526,14 +705,15 @@ class TestEfficiencyAndExport:
 
     def test_efficiency_conflicts_with_axis(self):
         with pytest.raises(SystemExit, match="different sweep grids"):
-            main(["sweep", "wait-chain", "--efficiency", "--shards", "2",
+            main(["sweep", "wait-chain", "--efficiency",
+                  "--set", "maestro_shards=2",
                   "--axis", "speculative_kickoff=off,on"])
 
 
 class TestTelemetryCli:
     ARGS = ["run", "wait-chain", "--rows", "4", "--cols", "6",
             "--spin-ns", "500", "--workers", "4",
-            "--telemetry-window", "2000"]
+            "--set", "telemetry_window=2000000"]
 
     def test_run_with_telemetry_prints_timeline(self, capsys):
         assert main(self.ARGS) == 0
@@ -603,7 +783,7 @@ class TestTelemetryCli:
 
         path = tmp_path / "shards.json"
         assert main(["sweep", "random", "--tasks", "120", "--workers", "4",
-                     "--axis", "maestro_shards=1,2", "--no-contention",
+                     "--axis", "maestro_shards=1,2", "--set", "memory_contention=off",
                      "--profile", "--json", str(path)]) == 0
         capsys.readouterr()
         payload = json.loads(path.read_text())
@@ -623,4 +803,4 @@ class TestTelemetryCli:
     def test_telemetry_window_rejects_negative(self):
         with pytest.raises(SystemExit, match="telemetry_window"):
             main(["run", "wait-chain", "--rows", "3", "--cols", "4",
-                  "--workers", "2", "--telemetry-window", "-5"])
+                  "--workers", "2", "--set", "telemetry_window=-5000"])
