@@ -60,7 +60,7 @@ import pytest
 from conftest import FULL, report
 
 from repro.analysis import compare, plot_speedup_curves, render_table
-from repro.config import LADDER, SystemConfig, contention_free
+from repro.config import LADDER, SystemConfig
 from repro.machine import (
     GridReport,
     NexusMachine,
@@ -72,24 +72,12 @@ from repro.machine import (
 from repro.runtime import run_software_rts
 from repro.runtime.renaming import count_false_dependencies, rename_trace
 from repro.runtime.task_graph import build_task_graph
-from repro.traces import (
-    TaskTrace,
-    blocked_lu_trace,
-    cholesky_trace,
-    gaussian_task_count,
-    gaussian_trace,
-    h264_wavefront_trace,
-    horizontal_chains_trace,
-    independent_trace,
-    jacobi_stencil_trace,
-    pipeline_trace,
-    random_trace,
-    reduction_tree_trace,
-    vertical_chains_trace,
-)
+from repro.traces import TaskTrace, gaussian_task_count, workload
 
 REPO = Path(__file__).parent.parent
-N_TASKS = 3000 if FULL else 1200
+#: The scaling curves' traces: the catalogue's 1,200 tasks, 3,000 at the
+#: full tier.
+SCALE = {"n_tasks": 3000} if FULL else {}
 WORKERS = LADDER["fitted"].workers
 
 #: The paper's 256-core machine for Fig. 6 and the contention-free
@@ -112,24 +100,6 @@ SPINS_NS = [250, 1000, 4000, 16000, 64000]
 if FULL:
     SPINS_NS = [100] + SPINS_NS + [256000]
 
-#: ~4 ns tasks on a 96-address pool and no memory phases: deep dependence
-#: chains, so dependence resolution is the work.
-hazard_dense = partial(
-    random_trace,
-    N_TASKS,
-    n_addresses=96,
-    max_params=6,
-    seed=7,
-    mean_exec=4000,
-    mean_memory=0,
-    name="random-hazard-dense",
-)
-#: Short tasks on 1024 addresses: shallow chains, so throughput (every
-#: param probed through the Check Scatter) is the limit, not latency.
-param_dense = partial(
-    hazard_dense, n_addresses=1024, mean_exec=500, name="random-param-dense"
-)
-
 PIPELINE = "pipeline 192x4"
 RENAMED = "pipeline 192x4 renamed"
 VERSATILITY = [
@@ -140,29 +110,37 @@ VERSATILITY = [
     "pipeline 128x4",
 ]
 
-#: Every trace a row runs, by key.  The paper's traces keep their sizes
-#: at both tiers: Fig. 7's patterns are 8,160 tasks each.
-TRACES: Dict[str, Callable[[], TaskTrace]] = {
-    "independent": independent_trace,
-    "h264": h264_wavefront_trace,
-    "horizontal": horizontal_chains_trace,
-    "vertical": vertical_chains_trace,
-    **{f"gaussian n={n}": partial(gaussian_trace, n) for n in (100, 250, 500)},
-    PIPELINE: partial(pipeline_trace, items=192, stages=4),
-    RENAMED: lambda: rename_trace(trace(PIPELINE)),
-    "cholesky 12x12": partial(cholesky_trace, 12),
-    "blocked-lu 8x8": partial(blocked_lu_trace, 8),
-    "jacobi 8x8x6": partial(jacobi_stencil_trace, 8, 6),
-    "reduction 256": partial(reduction_tree_trace, 256),
-    "pipeline 128x4": partial(pipeline_trace, 128, 4),
-    "hazard-dense": hazard_dense,
-    "param-dense": param_dense,
+#: Every trace a row runs, by key: a catalogue read, ``(workload,
+#: parameters)``.  The paper's traces keep their sizes at both tiers:
+#: Fig. 7's patterns are 8,160 tasks each.  ``hazard-dense`` (deep
+#: dependence chains, so dependence resolution is the work) and
+#: ``param-dense`` (shallow chains, so probe throughput through the Check
+#: Scatter is the limit) are the scaling curves' workloads.
+TRACES: Dict[str, Tuple[str, Dict[str, Any]]] = {
+    "independent": ("independent", {}),
+    "h264": ("h264", {}),
+    "horizontal": ("horizontal", {}),
+    "vertical": ("vertical", {}),
+    **{f"gaussian n={n}": ("gaussian", {"n": n}) for n in (100, 250, 500)},
+    PIPELINE: ("pipeline", {"items": 192, "stages": 4}),
+    "cholesky 12x12": ("cholesky", {"tiles": 12}),
+    "blocked-lu 8x8": ("blocked-lu", {"tiles": 8}),
+    "jacobi 8x8x6": ("jacobi", {"grid": 8, "iterations": 6}),
+    "reduction 256": ("reduction", {"leaves": 256}),
+    "pipeline 128x4": ("pipeline", {"items": 128, "stages": 4}),
+    "hazard-dense": ("hazard-dense", SCALE),
+    "param-dense": ("param-dense", SCALE),
 }
 
 
 @cache
 def trace(key: str) -> TaskTrace:
-    return TRACES[key]()
+    """``TRACES[key]``'s trace; :data:`RENAMED` is the renamed
+    :data:`PIPELINE`."""
+    if key == RENAMED:
+        return rename_trace(trace(PIPELINE))
+    name, params = TRACES[key]
+    return workload(name, **params)
 
 
 @cache
@@ -303,7 +281,7 @@ NS_PER_HOP = ("ns/hop", lambda r: round(r["chain_hop_ns"].get("total", 0.0), 1))
 
 # "All the other structures are configured to be very large; the Task
 # Pool, for example, is configured to hold 8K Task Descriptors."
-FIG6 = contention_free(workers=MANY_CORES).with_(task_pool_entries=8192)
+FIG6 = LADDER["contention-free"].with_(workers=MANY_CORES, task_pool_entries=8192)
 
 
 def fig6_extra(label: str, result: RunResult, cfg: SystemConfig) -> dict:
@@ -697,7 +675,7 @@ CURVES = [
                 ),
                 "contention-free": sweep(
                     "independent",
-                    contention_free(),
+                    LADDER["contention-free"],
                     {"task_prep_time": [PREP, 0], "workers": [1, MANY_CORES]},
                 ),
             }
@@ -955,7 +933,7 @@ CURVES = [
         # previous column; only the spin time changes.
         lambda: efficiency_sweep(
             SPINS_NS,
-            SystemConfig(workers=WORKERS, memory_contention=False),
+            LADDER["contention-free"],
             rows=32,
             cols=40,
             k_deps=1,

@@ -11,7 +11,7 @@ Run:  python examples/bottleneck_analysis.py
 """
 
 from repro.analysis import gantt_chart, render_table, stage_latency_table
-from repro.config import SystemConfig, contention_free
+from repro.config import LADDER, SystemConfig
 from repro.machine import analyze_bottleneck, run_trace
 from repro.traces import TimeModel, horizontal_chains_trace, independent_trace
 
@@ -51,7 +51,7 @@ def main() -> None:
 
     # 4. Master-bound: 256 cores drain tasks faster than one master makes them.
     trace = independent_trace()
-    cfg = contention_free(workers=256)
+    cfg = LADDER["contention-free"].with_(workers=256)
     result = run_trace(trace, cfg)
     print("\n=== master-bound: 256 cores, contention-free ===")
     print(result.summary())

@@ -9,7 +9,7 @@ Run:  python examples/design_space_exploration.py   (~1 minute)
 """
 
 from repro.analysis import plot_series, render_table
-from repro.config import contention_free
+from repro.config import LADDER
 from repro.machine import NexusMachine, grid_sweep
 from repro.traces import independent_trace
 
@@ -19,7 +19,7 @@ N_TASKS = 3000
 
 def main() -> None:
     trace = independent_trace(n_tasks=N_TASKS)
-    base_cfg = contention_free(workers=WORKERS).with_(task_pool_entries=2048)
+    base_cfg = LADDER["contention-free"].with_(workers=WORKERS).with_(task_pool_entries=2048)
     baseline = NexusMachine(base_cfg.with_(workers=1)).run(trace)
 
     # --- sweep the Dependence Table, large fixed Task Pool ---------------------

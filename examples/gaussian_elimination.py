@@ -16,7 +16,7 @@ Run:  python examples/gaussian_elimination.py
 import numpy as np
 
 from repro.analysis import render_table
-from repro.config import nexus_restricted, paper_default
+from repro.config import LADDER, SystemConfig
 from repro.frontend import StarSsProgram
 from repro.hw.errors import CapacityError
 from repro.machine import grid_sweep, run_trace
@@ -71,11 +71,11 @@ def nexus_vs_nexuspp(n: int = 64) -> None:
     print(f"\nGE n={n}: {len(trace)} tasks, widest task "
           f"{trace.max_params} parameters")
     try:
-        run_trace(trace, nexus_restricted(workers=4))
+        run_trace(trace, LADDER["restricted"].with_(workers=4))
         print("restricted Nexus: unexpectedly succeeded?!")
     except CapacityError as exc:
         print(f"restricted Nexus: REJECTED — {exc}")
-    result = run_trace(trace, paper_default(workers=4))
+    result = run_trace(trace, SystemConfig(workers=4))
     dep = result.stats["dep_table"]
     print(f"Nexus++: completed in {result.makespan / 1e6:.1f} us using "
           f"{result.stats['task_pool']['dummy_tasks_created']} dummy tasks and "
@@ -86,7 +86,7 @@ def nexus_vs_nexuspp(n: int = 64) -> None:
 def mini_fig8(n: int = 100) -> None:
     trace = gaussian_trace(n)
     cores = [1, 2, 4, 8, 16]
-    rep = grid_sweep(trace, paper_default(), {"workers": cores})
+    rep = grid_sweep(trace, SystemConfig(), {"workers": cores})
     print()
     print(render_table(
         ["cores", "speedup"],

@@ -15,7 +15,7 @@ Run:  python examples/h264_wavefront.py
 import numpy as np
 
 from repro.analysis import plot_speedup_curves, render_table
-from repro.config import paper_default
+from repro.config import SystemConfig
 from repro.frontend import StarSsProgram
 from repro.machine import grid_sweep, saturation_point
 from repro.runtime import DataflowExecutor, build_task_graph
@@ -86,7 +86,7 @@ def main() -> None:
 
     # --- hardware simulation ---------------------------------------------------
     cores = [1, 2, 4, 8, 16, 32]
-    speedups = grid_sweep(trace, paper_default(), {"workers": cores}).speedups
+    speedups = grid_sweep(trace, SystemConfig(), {"workers": cores}).speedups
     curve = list(zip(cores, speedups))
     print()
     print(render_table(

@@ -8,7 +8,7 @@ did — all in a few seconds.
 Run:  python examples/quickstart.py
 """
 
-from repro import NexusMachine, h264_wavefront_trace, paper_default
+from repro import NexusMachine, SystemConfig, h264_wavefront_trace
 from repro.analysis import render_table
 from repro.runtime import build_task_graph
 
@@ -19,7 +19,7 @@ def main() -> None:
     print(trace.describe())
 
     # 2. The machine: Table IV configuration with 16 worker cores.
-    config = paper_default(workers=16)
+    config = SystemConfig(workers=16)
     print()
     print(render_table(["parameter", "value"], config.table_iv(), "Table IV"))
 

@@ -16,7 +16,7 @@ Run:  python examples/starss_programming.py
 import numpy as np
 
 from repro.analysis import render_table
-from repro.config import paper_default
+from repro.config import SystemConfig
 from repro.frontend import StarSsProgram
 from repro.machine import run_trace
 from repro.runtime import (
@@ -93,7 +93,7 @@ def main() -> None:
     # --- simulate the lowered trace --------------------------------------------
     print(f"\nlowered trace: {trace.describe()}")
 
-    cfg = paper_default(workers=8)
+    cfg = SystemConfig(workers=8)
     hw = run_trace(trace, cfg)
     sw = run_software_rts(trace, cfg, SoftwareRTSConfig())
     rows = [

@@ -7,7 +7,7 @@ Model", Tamer Dallou and Ben Juurlink, ICPP Workshops 2012
 Layers, bottom-up:
 
 * :mod:`repro.sim`      — discrete-event simulation kernel (SystemC substitute)
-* :mod:`repro.config`   — Table IV system parameters and presets
+* :mod:`repro.config`   — Table IV system parameters and named machines
 * :mod:`repro.traces`   — the paper's workloads (H.264 wavefront, synthetic
   patterns, independent tasks, Gaussian elimination) as task traces
 * :mod:`repro.hw`       — the Nexus++ hardware: Task Pool, Dependence Table,
@@ -20,19 +20,13 @@ Layers, bottom-up:
 
 Quickstart::
 
-    from repro import NexusMachine, paper_default, h264_wavefront_trace
+    from repro import NexusMachine, SystemConfig, h264_wavefront_trace
 
-    result = NexusMachine(paper_default(workers=16)).run(h264_wavefront_trace())
+    result = NexusMachine(SystemConfig(workers=16)).run(h264_wavefront_trace())
     print(result.summary())
 """
 
-from .config import (
-    SystemConfig,
-    contention_free,
-    nexus_restricted,
-    no_prep_delay,
-    paper_default,
-)
+from .config import LADDER, SystemConfig
 from .machine import NexusMachine, RunResult, grid_sweep, run_trace
 from .traces import (
     TaskTrace,
@@ -41,16 +35,14 @@ from .traces import (
     horizontal_chains_trace,
     independent_trace,
     vertical_chains_trace,
+    workload,
 )
 
 __version__ = "1.0.0"
 
 __all__ = [
     "SystemConfig",
-    "paper_default",
-    "contention_free",
-    "no_prep_delay",
-    "nexus_restricted",
+    "LADDER",
     "NexusMachine",
     "run_trace",
     "grid_sweep",
@@ -61,5 +53,6 @@ __all__ = [
     "horizontal_chains_trace",
     "vertical_chains_trace",
     "gaussian_trace",
+    "workload",
     "__version__",
 ]

@@ -7,60 +7,51 @@ Commands
 ``sweep``    speedup-vs-cores curve for a workload (Fig. 7/8 style); with
              ``--axis KNOB=v1,v2`` (repeatable) a grid over any
              SystemConfig knobs instead (shard, submission, retire,
-             dispatch, resolve and check curves alike), or the
-             efficiency-vs-granularity curve (HW Maestro vs the
-             software-RTS baseline) with ``--efficiency`` on the
+             dispatch, resolve and check curves alike), or with
+             ``--efficiency SPINS_NS`` the efficiency-vs-granularity
+             curve (HW Maestro vs the software-RTS baseline) on the
              wait-chain workload
-``workloads``list the available workload generators
+``workloads``list the workloads, each with its parameters and defaults
 ``validate`` check a saved trace file for well-formedness and graph stats
 ``report``   pretty-print a ``run --metrics-out`` JSON document, or diff
              two of them (makespan, worker utilization, per-signal
              mean/max deltas)
 
+Workloads
+---------
+``run`` and ``sweep`` build one trace: the named workload of
+:data:`repro.traces.CATALOGUE` with every repeatable ``--param NAME=VALUE``
+over its defaults, read by the generator's parameter types like ``--set``
+(on/off for bools, none for optional parameters).  ``workloads`` lists
+each workload's parameters.
+
 Machines
 --------
 ``info``, ``run`` and ``sweep`` build one :class:`~repro.config.SystemConfig`:
-the ``--stack RUNG`` base (a :data:`repro.config.LADDER` rung; the paper's
-Table IV without it), then ``--workers N`` and every repeatable
+the ``--stack NAME`` base (a :data:`repro.config.LADDER` machine; the
+paper's Table IV without it), then ``--workers N`` and every repeatable
 ``--set KNOB=VALUE``.  ``--set`` reaches every knob in its own units (times
 in ps; on/off for bools, none for optional knobs), and ``info`` lists them
 all.  ``sweep --axis KNOB=v1,v2`` varies a knob the same way.
 
-Examples::
+Examples (README.md gives the command for each pinned curve)::
 
-    python -m repro info --workers 64
     python -m repro info --stack full --workers 8
-    python -m repro run h264 --workers 16
-    python -m repro run gaussian --size 100 --workers 8 --set memory_contention=off
-    python -m repro run random --tasks 1000 --workers 16 --set maestro_shards=4
-    python -m repro run independent --workers 256 --set memory_contention=off \
-        --set task_prep_time=0 --bottleneck
+    python -m repro workloads
+    python -m repro run gaussian --param n=100 --workers 8 --bottleneck
+    python -m repro run independent --workers 256 --stack no-prep --bottleneck
+    python -m repro run hazard-dense --stack resolve --verify
     python -m repro sweep independent --cores 1,4,16,64
-    python -m repro sweep random --tasks 1500 --stack fitted \
+    python -m repro sweep hazard-dense --stack fitted --set task_prep_time=0 \
         --axis maestro_shards=1,2,4
-    python -m repro run random --tasks 1000 --set maestro_shards=4 \
-        --set master_cores=2 --set submission_batch=4
-    python -m repro sweep random --tasks 1500 --stack sharded \
-        --axis master_cores=1,2,4 --axis submission_batch=1,4,8
-    python -m repro sweep random --tasks 1200 --stack frontend \
-        --axis retire_pipeline_depth=1,2,4,8
-    python -m repro sweep random --tasks 1200 --stack retire \
+    python -m repro sweep hazard-dense --stack retire \
         --axis kickoff_fast_path=off,on --axis td_cache_entries=0,64 \
         --json dispatch.json
-    python -m repro run random --tasks 1200 --stack resolve --verify
-    python -m repro run random --tasks 1200 --addresses 1024 --stack full \
-        --set check_coalesce_window=4000
-    python -m repro run cholesky --tiles 6 --workers 8 --bottleneck
-    python -m repro run wait-chain --rows 16 --cols 64 --spin-ns 500 \
-        --trace-out run.trace.json
-    python -m repro run spatial --grid 5 --steps 4 --dims 3 --workers 16
-    python -m repro sweep wait-chain --efficiency --rows 32 --cols 40 \
-        --spin-ns 250,1000,4000,16000,64000 --set memory_contention=off \
-        --json BENCH_efficiency.json
-    python -m repro run wait-chain --rows 8 --cols 32 \
+    python -m repro sweep wait-chain --efficiency 250,1000,4000,16000,64000 \
+        --stack contention-free --json BENCH_efficiency.json
+    python -m repro run wait-chain --param rows=8 --param cols=32 \
         --set telemetry_window=50000000 \
         --metrics-out run.metrics.json --trace-out run.trace.json
-    python -m repro report run.metrics.json
     python -m repro report run.metrics.json baseline.metrics.json
 """
 
@@ -69,7 +60,7 @@ from __future__ import annotations
 import argparse
 import sys
 import typing
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 from .analysis import render_table
 from .config import LADDER, SystemConfig
@@ -82,121 +73,32 @@ from .machine import (
     saturation_point,
 )
 from .runtime.task_graph import build_task_graph
-from .traces import (
-    TaskTrace,
-    blocked_lu_trace,
-    cholesky_trace,
-    gaussian_trace,
-    h264_wavefront_trace,
-    horizontal_chains_trace,
-    independent_trace,
-    jacobi_stencil_trace,
-    pipeline_trace,
-    random_trace,
-    reduction_tree_trace,
-    spatial_decomposition_trace,
-    vertical_chains_trace,
-    wait_chain_trace,
-)
+from .traces import CATALOGUE, TaskTrace, workload
 
-__all__ = ["main", "build_parser", "build_workload", "WORKLOADS"]
+__all__ = ["main", "build_parser"]
 
-#: name -> (builder, description).  Builders accept the parsed namespace.
-WORKLOADS: Dict[str, tuple[Callable[[argparse.Namespace], TaskTrace], str]] = {
-    "h264": (
-        lambda a: h264_wavefront_trace(),
-        "H.264 macroblock wavefront, 120x68 (Fig. 4a)",
-    ),
-    "independent": (
-        lambda a: independent_trace(n_tasks=a.tasks or 8160),
-        "independent tasks (headline benchmark)",
-    ),
-    "horizontal": (
-        lambda a: horizontal_chains_trace(),
-        "horizontal chains (Fig. 4b)",
-    ),
-    "vertical": (
-        lambda a: vertical_chains_trace(),
-        "vertical chains (Fig. 4c)",
-    ),
-    "gaussian": (
-        lambda a: gaussian_trace(a.size or 100),
-        "Gaussian elimination with partial pivoting (Fig. 5; --size)",
-    ),
-    "cholesky": (
-        lambda a: cholesky_trace(a.tiles or 8),
-        "blocked Cholesky factorisation (--tiles)",
-    ),
-    "blocked-lu": (
-        lambda a: blocked_lu_trace(a.tiles or 6),
-        "blocked LU factorisation (--tiles)",
-    ),
-    "jacobi": (
-        lambda a: jacobi_stencil_trace(a.grid or 8, a.iterations or 4),
-        "2D Jacobi stencil (--grid, --iterations)",
-    ),
-    "reduction": (
-        lambda a: reduction_tree_trace(a.leaves or 64),
-        "binary reduction tree (--leaves, power of two)",
-    ),
-    "pipeline": (
-        lambda a: pipeline_trace(a.items or 64, a.stages or 4),
-        "streaming pipeline (--items, --stages)",
-    ),
-    "wait-chain": (
-        lambda a: wait_chain_trace(
-            a.rows or 16,
-            a.cols or 64,
-            k_deps=a.deps or 1,
-            spin_ns=_single_int("spin-ns", a.spin_ns, 1000),
-            seed=a.seed if a.seed is not None else 11,
-        ),
-        "granularity probe: rows x cols wait-chains of spin_ns tasks "
-        "(--rows, --cols, --deps, --spin-ns)",
-    ),
-    "spatial": (
-        lambda a: spatial_decomposition_trace(
-            a.grid or 6, a.steps or 4, dims=a.dims or 2
-        ),
-        "halo-exchange spatial decomposition, 2D/3D Moore neighbourhood "
-        "(--grid, --steps, --dims)",
-    ),
-    "random": (
-        lambda a: random_trace(
-            n_tasks=a.tasks or 1000,
-            n_addresses=a.addresses or 96,
-            max_params=6,
-            seed=a.seed if a.seed is not None else 7,
-            mean_exec=4000,
-            mean_memory=200,
-        ),
-        "random hazard-dense tiny tasks; dependency-resolution bound "
-        "(--tasks, --addresses, --seed)",
-    ),
-}
+#: ``sweep --efficiency``'s spin times (ns) without a value.
+SPINS_NS = "250,1000,4000,16000,64000"
+
+#: Every knob ``--set`` and ``--axis`` read, by its SystemConfig field
+#: type; the provenance ``notes`` are not a knob.
+_KNOBS = {k: t for k, t in typing.get_type_hints(SystemConfig).items() if k != "notes"}
 
 
-def _single_int(flag: str, value, default: int) -> int:
-    """A --flag that is a comma list in sweeps but a single value in run."""
-    if value is None:
-        return default
-    text = str(value)
-    if not text.isdigit() or int(text) < 1:
-        raise SystemExit(
-            f"--{flag} must be a single positive integer here (a comma "
-            f"list is only valid in `sweep --efficiency`); got {value!r}"
-        )
-    return int(text)
+def _workload_params(args: argparse.Namespace) -> Dict[str, Any]:
+    """The ``--param`` values, read by the workload generator's types."""
+    types = {p: kind for p, (kind, _) in CATALOGUE[args.workload].parameters().items()}
+    return _parse_knobs("param", args.param, types, f"{args.workload} parameter")
 
 
-def build_workload(name: str, args: argparse.Namespace) -> TaskTrace:
+def _trace_from(args: argparse.Namespace) -> TaskTrace:
+    """The trace the positional workload and its ``--param`` values name."""
     try:
-        builder, _ = WORKLOADS[name]
-    except KeyError:
-        raise SystemExit(
-            f"unknown workload {name!r}; try: {', '.join(sorted(WORKLOADS))}"
-        ) from None
-    return builder(args)
+        return workload(args.workload, **_workload_params(args))
+    except ValueError as exc:
+        # A generator's own check (e.g. a non-positive size) reads as a
+        # usage error, like a config contradiction.
+        raise SystemExit(str(exc)) from None
 
 
 def _base_machine(name: Optional[str]) -> SystemConfig:
@@ -216,7 +118,7 @@ def _config_from(args: argparse.Namespace, **point: Any) -> SystemConfig:
     ``--workers`` and the ``--set`` knobs, then ``point``'s knob values (a
     sweep grid point)."""
     base = _base_machine(args.stack)
-    knobs = _parse_knobs("set", args.set)
+    knobs = _parse_knobs("set", args.set, _KNOBS, "SystemConfig knob")
     if args.workers is not None:
         if "workers" in knobs:
             raise SystemExit("workers is given twice: --workers and --set workers")
@@ -235,41 +137,14 @@ def _config_from(args: argparse.Namespace, **point: Any) -> SystemConfig:
         raise SystemExit(str(exc)) from None
 
 
-def _add_workload_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("workload", choices=sorted(WORKLOADS), help="workload name")
-    p.add_argument("--tasks", type=int, help="task count (independent)")
-    p.add_argument("--size", type=int, help="matrix dimension (gaussian)")
-    p.add_argument("--tiles", type=int, help="tile grid side (cholesky/blocked-lu)")
-    p.add_argument("--grid", type=int, help="block grid side (jacobi/spatial)")
-    p.add_argument("--iterations", type=int, help="iterations (jacobi)")
-    p.add_argument("--leaves", type=int, help="leaves (reduction)")
-    p.add_argument("--items", type=int, help="items (pipeline)")
-    p.add_argument("--stages", type=int, help="stages (pipeline)")
-    p.add_argument("--rows", type=int, help="parallel chains (wait-chain)")
-    p.add_argument("--cols", type=int, help="tasks per chain (wait-chain)")
-    p.add_argument(
-        "--deps", type=int,
-        help="dependences on the previous column per task (wait-chain)",
-    )
-    p.add_argument(
-        "--spin-ns", default=None,
-        help="task body length in ns (wait-chain); a comma list with "
-        "`sweep --efficiency` sweeps granularity",
-    )
-    p.add_argument("--steps", type=int, help="timesteps (spatial)")
-    p.add_argument("--dims", type=int, help="grid dimensionality 2|3 (spatial)")
-    p.add_argument("--addresses", type=int, help="shared address pool (random)")
-    p.add_argument("--seed", type=int, help="trace RNG seed (random)")
-
-
 def _add_machine_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--workers", type=int, default=None,
         help="worker cores (default: the base machine's, 16)",
     )
     p.add_argument(
-        "--stack", default=None, metavar="RUNG",
-        help="base machine: a repro.config.LADDER rung "
+        "--stack", default=None, metavar="NAME",
+        help="base machine: a repro.config.LADDER machine "
         f"({', '.join(LADDER)}); default the paper's Table IV",
     )
     p.add_argument(
@@ -299,8 +174,11 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_workloads(args: argparse.Namespace) -> int:
-    rows = [[name, desc] for name, (_, desc) in sorted(WORKLOADS.items())]
-    print(render_table(["name", "description"], rows, "Available workloads"))
+    print("Workloads, each with its parameters (set one with --param NAME=VALUE):")
+    for name, entry in CATALOGUE.items():
+        params = entry.parameters().items()
+        print(f"\n{name:<14}{entry.description}")
+        print(" " * 14 + " ".join(f"{p}={_show(v)}" for p, (_, v) in params))
     return 0
 
 
@@ -344,7 +222,7 @@ def _run_with_hotspots(trace: TaskTrace, cfg: SystemConfig, top_n: int):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    trace = build_workload(args.workload, args)
+    trace = _trace_from(args)
     cfg = _config_from(args)
     print(trace.describe())
     hotspots_n = getattr(args, "profile_hotspots", None)
@@ -527,7 +405,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
         # Builds its own trace per swept spin time; no shared trace.
         return _efficiency_sweep(args)
-    trace = build_workload(args.workload, args)
+    trace = _trace_from(args)
     if args.axis:
         return _grid_sweep(trace, args)
     # The 1-worker point leads the grid, so speedups are vs 1 worker.
@@ -599,19 +477,19 @@ def _efficiency_sweep(args: argparse.Namespace) -> int:
     if args.workload != "wait-chain":
         raise SystemExit(
             "--efficiency sweeps task granularity on the wait-chain probe; "
-            "use `sweep wait-chain --efficiency` (--rows/--cols/--deps set "
-            "the graph shape, --spin-ns the swept spin times)"
+            "use `sweep wait-chain --efficiency SPINS_NS` (--param rows, "
+            "cols, k_deps, cv and seed set the graph shape)"
         )
-    spins = _int_values("spin-ns", args.spin_ns or "250,1000,4000,16000,64000")
+    spins = _int_values("efficiency", args.efficiency)
+    shape = _workload_params(args)
+    other = sorted(set(shape) - {"rows", "cols", "k_deps", "cv", "seed"})
+    if other:
+        raise SystemExit(
+            f"--param {other[0]}: `sweep --efficiency` sets only rows, cols, "
+            "k_deps, cv and seed; its value lists the spin times"
+        )
     cfg = _config_from(args)
-    report = efficiency_sweep(
-        spins,
-        cfg,
-        rows=args.rows or 32,
-        cols=args.cols or 40,
-        k_deps=args.deps or 1,
-        seed=args.seed if args.seed is not None else 11,
-    )
+    report = efficiency_sweep(spins, cfg, **shape)
     rows = [
         [
             r["spin_ns"],
@@ -648,8 +526,8 @@ def _efficiency_sweep(args: argparse.Namespace) -> int:
 
 
 def _knob_value(flag: str, knob: str, kind: Any, text: str) -> Any:
-    """One ``--set``/``--axis`` value, parsed by the knob's SystemConfig
-    field type: on/off/true/false for a bool, none for an Optional knob."""
+    """One ``--set``/``--axis``/``--param`` value, parsed by its type:
+    on/off/true/false for a bool, none for an Optional one."""
     word = text.strip().lower()
     options = typing.get_args(kind)
     if type(None) in options:  # Optional[X]
@@ -667,21 +545,22 @@ def _knob_value(flag: str, knob: str, kind: Any, text: str) -> Any:
     raise SystemExit(
         f"--{flag} {knob}: cannot read {text!r} as "
         f"{getattr(kind, '__name__', kind)} (bools take on/off/true/false, "
-        "optional knobs none)"
+        "optional values none)"
     )
 
 
-def _parse_knobs(flag: str, specs: List[str], many: bool = False) -> Dict[str, Any]:
-    """``--set KNOB=VALUE`` flags -> ``{knob: value}``, or with ``many``
-    ``--axis KNOB=v1,v2`` flags -> ``{knob: [values]}``, in flag order."""
-    types = typing.get_type_hints(SystemConfig)
+def _parse_knobs(
+    flag: str, specs: List[str], types: Mapping[str, Any], what: str,
+    many: bool = False,
+) -> Dict[str, Any]:
+    """``--flag NAME=VALUE`` flags -> ``{name: value}``, or with ``many``
+    ``--axis NAME=v1,v2`` flags -> ``{name: [values]}``, in flag order;
+    each value is read by ``types[name]``, and ``what`` names a name."""
     knobs: Dict[str, Any] = {}
     for spec in specs:
         knob, _, text = spec.partition("=")
-        if knob == "notes":
-            raise SystemExit(f"--{flag} notes: provenance notes are not a machine knob")
         if knob not in types:
-            raise SystemExit(f"--{flag} {spec!r}: unknown SystemConfig knob {knob!r}")
+            raise SystemExit(f"--{flag} {spec!r}: unknown {what} {knob!r}")
         if knob in knobs:
             raise SystemExit(f"--{flag} {knob} is given twice")
         if not text:
@@ -696,9 +575,16 @@ def _parse_knobs(flag: str, specs: List[str], many: bool = False) -> Dict[str, A
     return knobs
 
 
+def _show(value: Any) -> str:
+    """A knob or parameter value as ``--set``/``--param`` read it."""
+    if isinstance(value, bool):
+        return "on" if value else "off"
+    return "none" if value is None else str(value)
+
+
 def _grid_sweep(trace: TaskTrace, args: argparse.Namespace) -> int:
     """Grid over the ``--axis`` knobs; speedups vs the first grid point."""
-    axes = _parse_knobs("axis", args.axis, many=True)
+    axes = _parse_knobs("axis", args.axis, _KNOBS, "SystemConfig knob", many=True)
     # Apply the first point to the base so knobs that only some machines
     # accept (e.g. a fixed retire_pipeline_depth with a swept shard count)
     # validate.
@@ -710,14 +596,9 @@ def _grid_sweep(trace: TaskTrace, args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
 
-    def show(value: Any) -> str:
-        if isinstance(value, bool):
-            return "on" if value else "off"
-        return "none" if value is None else str(value)
-
     rows = [
         [
-            *(show(r[k]) for k in axes),
+            *(_show(r[k]) for k in axes),
             f"{r['makespan_ps'] / 1e9:.4g}",
             round(r["speedup_vs_baseline"], 2),
             r["busiest_maestro_block"],
@@ -729,7 +610,7 @@ def _grid_sweep(trace: TaskTrace, args: argparse.Namespace) -> int:
         ]
         for r in report.rows()
     ]
-    baseline = ", ".join(f"{k}={show(v)}" for k, v in report.points[0].items())
+    baseline = ", ".join(f"{k}={_show(v)}" for k, v in report.points[0].items())
     print(
         render_table(
             [*axes, "makespan (ms)", "speedup", "busiest block", "utilization"],
@@ -802,12 +683,24 @@ def build_parser() -> argparse.ArgumentParser:
     _add_machine_args(p_info)
     p_info.set_defaults(func=_cmd_info)
 
-    p_wl = sub.add_parser("workloads", help="list workload generators")
+    p_wl = sub.add_parser(
+        "workloads", help="list the workloads with their parameters"
+    )
     p_wl.set_defaults(func=_cmd_workloads)
 
     p_run = sub.add_parser("run", help="simulate one workload")
-    _add_workload_args(p_run)
-    _add_machine_args(p_run)
+    p_sweep = sub.add_parser(
+        "sweep", help="speedup curve over core counts (or a grid over any knobs)"
+    )
+    for p in (p_run, p_sweep):
+        p.add_argument("workload", choices=list(CATALOGUE), help="workload name")
+        p.add_argument(
+            "--param", action="append", default=[], metavar="NAME=VALUE",
+            help="set a parameter of the workload's generator (on/off for "
+            "bools, none for optional ones); repeatable. `workloads` lists "
+            "each workload's parameters and defaults",
+        )
+        _add_machine_args(p)
     p_run.add_argument("--verify", action="store_true", help="check schedule legality")
     p_run.add_argument("--bottleneck", action="store_true", help="attribute the bottleneck")
     p_run.add_argument(
@@ -836,11 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.set_defaults(func=_cmd_run)
 
-    p_sweep = sub.add_parser(
-        "sweep", help="speedup curve over core counts (or a grid over any knobs)"
-    )
-    _add_workload_args(p_sweep)
-    _add_machine_args(p_sweep)
     p_sweep.add_argument("--cores", default="1,2,4,8,16", help="comma-separated core counts")
     p_sweep.add_argument(
         "--axis", action="append", default=[], metavar="KNOB=V1,V2",
@@ -850,11 +738,12 @@ def build_parser() -> argparse.ArgumentParser:
         "Replaces the core curve; speedups are vs the first grid point",
     )
     p_sweep.add_argument(
-        "--efficiency",
-        action="store_true",
+        "--efficiency", nargs="?", const=SPINS_NS, default=None,
+        metavar="SPINS_NS",
         help="sweep task granularity on the wait-chain probe: parallel "
         "efficiency of the HW Maestro vs the software-RTS baseline at "
-        "each --spin-ns value (workload must be wait-chain)",
+        f"each listed spin time in ns (default {SPINS_NS}; workload must "
+        "be wait-chain)",
     )
     p_sweep.add_argument(
         "--profile", action="store_true",

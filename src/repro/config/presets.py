@@ -1,67 +1,35 @@
-"""Named configurations: the paper's experimental setups and the ladder of
-machines this reproduction builds beyond it."""
+"""Named machines: the paper's experimental setups and the ladder of
+machines this reproduction builds beyond it, in one table."""
 
 from __future__ import annotations
 
 from .system_config import BUS_MODEL_FITTED, SystemConfig
 
-__all__ = [
-    "paper_default",
-    "contention_free",
-    "no_prep_delay",
-    "nexus_restricted",
-    "fast_functional",
-    "LADDER",
-]
+__all__ = ["LADDER"]
 
 
-def paper_default(workers: int = 16, **overrides) -> SystemConfig:
-    """Table IV configuration: double buffering, memory contention modeled."""
-    return SystemConfig(workers=workers, **overrides)
-
-
-def contention_free(workers: int = 256, **overrides) -> SystemConfig:
-    """The paper's contention-free memory experiments (143x headline)."""
-    return SystemConfig(workers=workers, memory_contention=False, **overrides)
-
-
-def no_prep_delay(workers: int = 256, **overrides) -> SystemConfig:
-    """Contention-free *and* zero task-preparation delay (221x headline)."""
-    return SystemConfig(
-        workers=workers, memory_contention=False, task_prep_time=0, **overrides
-    )
-
-
-def nexus_restricted(workers: int = 16, **overrides) -> SystemConfig:
-    """Original-Nexus limitations: no dummy tasks/entries, no double buffering.
-
-    Tasks with more than ``max_params_per_td`` parameters, or dependency
-    patterns needing more than ``kickoff_list_size`` waiters on one address,
-    raise :class:`repro.hw.errors.CapacityError` — the paper's argument for
-    why e.g. Gaussian elimination "could not be executed by Nexus".
-    """
-    overrides.setdefault("buffering_depth", 1)
-    return SystemConfig(workers=workers, restricted=True, **overrides)
-
-
-def fast_functional(workers: int = 4, **overrides) -> SystemConfig:
-    """Small, quick configuration for functional tests (not timing studies)."""
-    overrides.setdefault("memory_batch_chunks", 8)
-    return SystemConfig(workers=workers, **overrides)
-
-
-#: The machines beyond the paper, in the order they were built.  Each rung
-#: is the rung before it plus the mechanism that lifts the bottleneck that
-#: machine shows on the hazard-dense scaling workload
-#: (``benchmarks/bench_curves.py`` sweeps each rung's knobs).  Derive a
-#: variant with ``LADDER[name].with_(...)``.
+#: Every named machine, each with 16 workers; ``--stack NAME`` picks one.
+#: Table IV itself, ``SystemConfig()``, needs no name.  First the paper's
+#: setups beside Table IV, then the machines beyond the paper in the order
+#: they were built: each rung is the rung before it plus the mechanism
+#: that lifts the bottleneck that machine shows on the hazard-dense
+#: scaling workload (``benchmarks/bench_curves.py`` sweeps each rung's
+#: knobs).  Derive a variant with ``LADDER[name].with_(...)``.
 LADDER = {
-    # 16 workers, contention-free memory and the fitted bus model: every
-    # machine parameter but dependence resolution is generous.
-    "fitted": SystemConfig(
-        workers=16, memory_contention=False, bus_model=BUS_MODEL_FITTED
-    ),
+    # The paper's contention-free memory experiments (the 143x headline).
+    "contention-free": SystemConfig(workers=16, memory_contention=False),
 }
+# Contention-free and zero task-preparation delay (the 221x headline).
+LADDER["no-prep"] = LADDER["contention-free"].with_(task_prep_time=0)
+# The original Nexus: no dummy tasks or entries, no double buffering.
+# Tasks with more than ``max_params_per_td`` parameters, or more waiters
+# on one address than a Kick-Off List holds, raise
+# :class:`repro.hw.errors.CapacityError`: the paper's argument for why
+# e.g. Gaussian elimination "could not be executed by Nexus".
+LADDER["restricted"] = SystemConfig(workers=16, restricted=True, buffering_depth=1)
+# Contention-free memory and the fitted bus model: every machine
+# parameter but dependence resolution is generous.
+LADDER["fitted"] = LADDER["contention-free"].with_(bus_model=BUS_MODEL_FITTED)
 # The Dependence Table hash-partitioned over Maestro shards on a ring.
 LADDER["sharded"] = LADDER["fitted"].with_(maestro_shards=4)
 # Parallel master cores and batched submission through the merge unit.

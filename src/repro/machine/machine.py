@@ -6,11 +6,11 @@ completion.
 
 Typical use::
 
-    from repro.config import paper_default
+    from repro.config import SystemConfig
     from repro.traces import h264_wavefront_trace
     from repro.machine import NexusMachine
 
-    result = NexusMachine(paper_default(workers=16)).run(h264_wavefront_trace())
+    result = NexusMachine(SystemConfig(workers=16)).run(h264_wavefront_trace())
     print(result.summary())
 """
 

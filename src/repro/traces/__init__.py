@@ -7,9 +7,11 @@ Provides the paper's four benchmark families —
 * :func:`independent_trace`      (maximum-scalability benchmark)
 * :func:`gaussian_trace`         (Fig. 5 / Table II)
 
-plus :func:`random_trace` for property-based testing.
+plus :func:`random_trace` for property-based testing, and the
+:data:`CATALOGUE` of named workloads that :func:`workload` builds from.
 """
 
+from .catalogue import CATALOGUE, Workload, workload
 from .dense_linalg import blocked_lu_trace, cholesky_task_count, cholesky_trace
 from .gaussian import (
     TABLE_II_SIZES,
@@ -60,4 +62,7 @@ __all__ = [
     "pipeline_trace",
     "wait_chain_trace",
     "spatial_decomposition_trace",
+    "CATALOGUE",
+    "Workload",
+    "workload",
 ]

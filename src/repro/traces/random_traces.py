@@ -66,6 +66,8 @@ def random_trace(
         raise ValueError("need at least one address")
     if max_params < 1:
         raise ValueError("need at least one parameter")
+    if mean_exec < 1 or mean_memory < 0:
+        raise ValueError("need mean_exec >= 1 and mean_memory >= 0")
     writer = TraceWriter()
     if n_tasks <= _CHUNK_TASKS:
         _per_task(writer, PCG64(seed), n_tasks, n_addresses, max_params,
@@ -126,21 +128,26 @@ def _chunk_tasks(writer, rng, m, n_addresses, max_params, mean_exec,
     # blocks through one reusable buffer: this consumes the stream exactly
     # as one (m, n_addresses) draw would, so traces do not depend on the
     # block size.  Only each row's max_k smallest are kept (argpartition
-    # is O(n_addresses) per row).
+    # is O(n_addresses) per row), sorted by key when there are several:
+    # the order inside a partition is undefined, and row i keeps its first
+    # ks[i].
     block_rows = max(1, _KEY_BLOCK // n_addresses)
     buf = np.empty((min(block_rows, m), n_addresses), dtype=np.float64)
     addr_rows = np.empty((m, max_k), dtype=np.int64)
     for lo in range(0, m, block_rows):
         rows = min(block_rows, m - lo)
         block = rng.random(out=buf[:rows])
-        addr_rows[lo:lo + rows] = np.argpartition(
-            block, max_k - 1, axis=1)[:, :max_k]
+        kept = addr_rows[lo:lo + rows]
+        kept[:] = np.argpartition(block, max_k - 1, axis=1)[:, :max_k]
+        if max_k > 1:
+            order = np.argsort(np.take_along_axis(block, kept, axis=1), axis=1)
+            kept[:] = np.take_along_axis(kept, order, axis=1)
     modes = rng.integers(0, 3, size=(m, max_k))
     exec_times = rng.integers(1, 2 * mean_exec + 1, size=m)
     read_times = rng.integers(0, 2 * mean_memory + 1, size=m)
     write_times = rng.integers(0, 2 * mean_memory + 1, size=m)
 
-    # Row i keeps its first ks[i] draws, in draw order.
+    # Row i keeps its ks[i] smallest keys, smallest first.
     keep = np.arange(max_k) < ks[:, None]
     writer.extend(
         func=np.full(m, 0xF00D),

@@ -81,13 +81,13 @@ class TestMetrics:
         assert "0.92x" in row[-1]
 
     def test_comparison_row_shape(self):
-        from repro.config import fast_functional
+        from repro.config import SystemConfig
         from repro.machine import run_trace
         from repro.traces import independent_trace
 
         trace = independent_trace(n_tasks=12, n_params=2)
-        base = run_trace(trace, fast_functional(workers=1))
-        r4 = run_trace(trace, fast_functional(workers=4))
+        base = run_trace(trace, SystemConfig(workers=1, memory_batch_chunks=8))
+        r4 = run_trace(trace, SystemConfig(workers=4, memory_batch_chunks=8))
         row = comparison_row("indep", r4, base)
         assert row[0] == "indep"
         assert row[1] == 4

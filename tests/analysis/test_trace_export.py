@@ -186,8 +186,8 @@ class TestObserveOnly:
     ):
         from repro.cli import main
 
-        argv = ["run", "wait-chain", "--rows", "4", "--cols", "6",
-                "--spin-ns", "500", "--workers", "4", "--verify"]
+        argv = ["run", "wait-chain", "--param", "rows=4", "--param", "cols=6",
+                "--param", "spin_ns=500", "--workers", "4", "--verify"]
         assert main(argv) == 0
         plain = capsys.readouterr().out
 

@@ -2,15 +2,7 @@
 
 import pytest
 
-from repro.config import (
-    BUS_MODEL_FITTED,
-    BUS_MODEL_FORMULA,
-    SystemConfig,
-    contention_free,
-    nexus_restricted,
-    no_prep_delay,
-    paper_default,
-)
+from repro.config import BUS_MODEL_FITTED, BUS_MODEL_FORMULA, LADDER, SystemConfig
 from repro.hw.fabric import Fabric
 from repro.machine import NexusMachine
 from repro.sim import NS, Simulator
@@ -231,27 +223,40 @@ class TestValidation:
 
 
 class TestPresets:
+    """The paper's setups: Table IV is ``SystemConfig()``, the others are
+    named machines of ``LADDER``."""
+
     def test_paper_default(self):
-        cfg = paper_default(workers=64)
+        cfg = SystemConfig(workers=64)
         assert cfg.workers == 64
         assert cfg.memory_contention
         assert cfg.buffering_depth == 2
 
     def test_contention_free(self):
-        cfg = contention_free()
-        assert cfg.workers == 256
-        assert not cfg.memory_contention
+        cfg = LADDER["contention-free"]
+        assert cfg == SystemConfig(workers=16, memory_contention=False)
         assert cfg.task_prep_time == 30 * NS
 
     def test_no_prep_delay(self):
-        cfg = no_prep_delay()
+        cfg = LADDER["no-prep"]
         assert cfg.task_prep_time == 0
         assert not cfg.memory_contention
 
     def test_nexus_restricted(self):
-        cfg = nexus_restricted()
+        cfg = LADDER["restricted"]
         assert cfg.restricted
         assert cfg.buffering_depth == 1
+        assert cfg.memory_contention
+
+    def test_every_named_machine_has_16_workers(self):
+        assert {name: cfg.workers for name, cfg in LADDER.items()} == dict.fromkeys(
+            LADDER, 16
+        )
+
+    def test_fitted_is_contention_free_on_the_fitted_bus(self):
+        assert LADDER["fitted"] == SystemConfig(
+            workers=16, memory_contention=False, bus_model=BUS_MODEL_FITTED
+        )
 
 
 class TestShardedMaestroConfig:

@@ -104,6 +104,14 @@ def test_presets_list_is_in_sync():
         )
 
 
+def test_workload_catalogue_is_in_sync():
+    from repro.traces import CATALOGUE
+
+    text = _doc_text()
+    missing = [name for name in CATALOGUE if f"`{name}`" not in text]
+    assert not missing, f"workloads not named in ARCHITECTURE.md: {missing}"
+
+
 def test_entry_points_link_architecture_md():
     assert "ARCHITECTURE.md" in (REPO / "README.md").read_text()
     assert "ARCHITECTURE.md" in (REPO / "ROADMAP.md").read_text()

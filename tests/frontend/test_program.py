@@ -146,7 +146,7 @@ class TestLowering:
             StarSsProgram().to_trace()
 
     def test_trace_runs_on_machine(self):
-        from repro.config import fast_functional
+        from repro.config import SystemConfig
         from repro.machine import run_trace
 
         prog, copy, double = make_program()
@@ -154,6 +154,6 @@ class TestLowering:
         copy(a, b)
         double(b)
         copy(b, c)
-        result = run_trace(prog.to_trace(exec_time=5000), fast_functional())
+        result = run_trace(prog.to_trace(exec_time=5000), SystemConfig(workers=4, memory_batch_chunks=8))
         graph = build_task_graph(prog.to_trace(exec_time=5000))
         assert result.verify_against(graph) == []

@@ -18,11 +18,14 @@ themselves:
   path: before the staged resolve and the decentralized check scatter;
 * ``full`` — plus finish and check coalescing, speculative kick-off and the
   decentralized scatter: every mechanism on at once;
-* ``2k*`` — the 2,000-task waypoint on 16 workers, knobs off and on.
+* ``2k*`` — the 2,000-task waypoint on 16 workers, knobs off and on;
+* ``stream`` — the ledger's ``stream-1p`` machine and trace at 2,000 tasks:
+  one parameter per task, so per-task block costs, not hazards.
 
-Every row's run must also retire its trace legally and obey the
-conservation laws of the blocks its config wires (``laws.py``).  Two rows
-also pin their kernel events per block (:data:`EVENTS_BY_BLOCK`).  The rows
+Each row's trace is a read of the workload catalogue
+(:data:`repro.traces.CATALOGUE`).  Every row's run must also retire its
+trace legally and obey the conservation laws of the blocks its config
+wires (``laws.py``).  Three rows also pin their kernel events per block (:data:`EVENTS_BY_BLOCK`).  The rows
 on :data:`HEAP_STACKS` also replay on the heap ordering oracle
 (``tests/sim/heap_kernel.py``), which must fire the same events and model
 the same statistics as the timing wheel.
@@ -34,7 +37,6 @@ import functools
 import hashlib
 import itertools
 import sys
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -45,35 +47,30 @@ from repro.config import BUS_MODEL_FORMULA, LADDER, SystemConfig
 from repro.machine import run_trace
 from repro.runtime.task_graph import build_task_graph
 from repro.sim import NS
-from repro.traces import gaussian_trace, h264_wavefront_trace, random_trace
+from repro.traces import workload
 
 # The heap ordering oracle lives beside the kernel tests in tests/sim.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "sim"))
 from heap_kernel import HeapSimulator  # noqa: E402
 
+#: Each row's trace: a catalogue read, ``(workload, parameters)``, at the
+#: size its goldens were recorded on.
 TRACES = {
-    "random": partial(
-        random_trace,
-        400,
-        n_addresses=96,
-        max_params=6,
-        seed=7,
-        mean_exec=4000,
-        mean_memory=0,
-        name="random-hazard-dense",
+    "random": ("hazard-dense", {"n_tasks": 400}),
+    "gaussian": ("gaussian", {"n": 28}),
+    "h264": ("h264", {"rows": 14, "cols": 10}),
+    "random-2k": (
+        "hazard-dense",
+        {
+            "n_tasks": 2_000,
+            "n_addresses": 256,
+            "max_params": 4,
+            "seed": 11,
+            "mean_exec": 3000,
+            "name": "random-2k",
+        },
     ),
-    "gaussian": partial(gaussian_trace, 28),
-    "h264": partial(h264_wavefront_trace, rows=14, cols=10),
-    "random-2k": partial(
-        random_trace,
-        2_000,
-        n_addresses=256,
-        max_params=4,
-        seed=11,
-        mean_exec=3000,
-        mean_memory=0,
-        name="random-2k",
-    ),
+    "stream-1p": ("stream-1p", {"n_tasks": 2_000}),
 }
 
 #: The knobs the ``resolve`` and ``full`` rungs add: the staged resolve and
@@ -99,6 +96,15 @@ STACKS = {
     "2k-coalesce4": _WAYPOINT.with_(finish_coalesce_limit=4),
     "2k-speculative": _WAYPOINT.with_(speculative_kickoff=True),
     "2k-full": _WAYPOINT.with_(**_PIPELINES),
+    # The ledger's stream-1p machine: 32 workers, 8 masters, the check
+    # pipeline and finish coalescing on, the formula bus.
+    "stream": _WAYPOINT.with_(
+        workers=32,
+        master_cores=8,
+        finish_coalesce_limit=8,
+        decentralized_check_scatter=True,
+        check_coalesce_limit=8,
+    ),
 }
 
 #: (trace, stack, shards) -> (kernel events, makespan_ps, schedule digest).
@@ -129,13 +135,14 @@ GOLDEN = {
     ("random-2k", "2k-coalesce4", 1): (125_324, 58_214_383, "d4eb936e1aeef07f"),
     ("random-2k", "2k-speculative", 1): (132_203, 58_073_749, "a77a35e20437e8fb"),
     ("random-2k", "2k-full", 4): (200_937, 23_113_263, "36feb4675c4634e0"),
+    ("stream-1p", "stream", 4): (136_112, 20_425_113, "7d137a0b1d5adc53"),
 }
 
 #: Stacks whose rows also replay on the heap ordering oracle: the single
 #: Maestro on the front-end and the sharded engine with every knob on.
 HEAP_STACKS = {"frontend", "full"}
 
-#: ``stats["sim"]["events_by_block"]`` of two rows: every event resumes a
+#: ``stats["sim"]["events_by_block"]`` of three rows: every event resumes a
 #: live block, so each table sums to its row's pinned kernel events.
 EVENTS_BY_BLOCK = {
     ("random", "full", 4): {
@@ -171,7 +178,31 @@ EVENTS_BY_BLOCK = {
         "tcN.run-task": 1223,
         "master-core-N": 1216,
     },
+    ("stream-1p", "stream", 4): {
+        "smaestro.sN.retire": 25268,
+        "smaestro.sN.send-tds": 14004,
+        "smaestro.sN.gather": 11462,
+        "smaestro.sN.schedule": 9698,
+        "smaestro.sN.finish": 9248,
+        "smaestro.write-tp": 8507,
+        "smaestro.sN.check": 8041,
+        "tcN.get-td": 8032,
+        "sN-check-reseq": 7482,
+        "tcN.run-task": 6032,
+        "smaestro.mN.scatter": 6008,
+        "merge-unit": 6001,
+        "master-core-N": 4264,
+        "tcN.get-inputs": 4032,
+        "tcN.put-outputs": 4032,
+        "smaestro.scatter-route": 4001,
+    },
 }
+
+
+def golden_trace(key: str):
+    """The trace ``TRACES[key]`` reads from the catalogue."""
+    name, params = TRACES[key]
+    return workload(name, **params)
 
 
 def _config(key, **extra) -> SystemConfig:
@@ -222,7 +253,7 @@ def _row_id(key) -> str:
 def _replay(key):
     """The row's trace and its run on the timing wheel, shared by every
     check of the row."""
-    trace = TRACES[key[0]]()
+    trace = golden_trace(key[0])
     return trace, run_trace(trace, _config(key))
 
 
@@ -281,7 +312,7 @@ def test_telemetry_sampled_run_replays_on_heap(monkeypatch):
     ``run(until=)`` at every window boundary; the wheel must still fire
     the oracle's events, and the sampled series must match too."""
     key = ("random", "full", 4)
-    trace = TRACES["random"]()
+    trace, _ = _replay(key)
     config = _config(key, telemetry_window=100 * NS)
     wheel = run_trace(trace, config)
     monkeypatch.setattr(repro.machine.machine, "Simulator", HeapSimulator)
@@ -290,6 +321,16 @@ def test_telemetry_sampled_run_replays_on_heap(monkeypatch):
     # Sampling injects no events: the run is the unsampled golden row.
     assert _pinned(wheel) == _pinned(heap) == GOLDEN[key]
     assert _modelled(heap) == _modelled(wheel)
+
+
+def test_stream_row_is_the_ledger_workload_at_2000_tasks(ledger):
+    """The ``stream-1p`` row runs the ledger's ``stream-1p`` machine on
+    its trace at scale 0.2 (2,000 tasks, the per-task generator path)."""
+    stream = ledger.WORKLOADS["stream-1p"]
+    assert STACKS["stream"] == stream.config
+    name, params = TRACES["stream-1p"]
+    ours = workload(name, **params, seed=3)
+    assert ours.tasks == stream.build(seed=3, scale=0.2).tasks
 
 
 def test_every_golden_row_is_a_distinct_run():

@@ -11,17 +11,19 @@ tests here pin the rest:
 * the per-address orders it must not break survive on adversarial traces
   (ARCHITECTURE.md invariants 4-6);
 * the TD cache stays coherent with the Task Pool;
-* each rung of ``repro.config.LADDER`` retires the golden Gaussian trace
-  legally and obeys the conservation laws of the blocks it wires.
+* each machine of ``repro.config.LADDER`` retires the golden Gaussian
+  trace legally and obeys the conservation laws of the blocks it wires,
+  except the ``restricted`` original Nexus, which rejects it by name.
 """
 
 import functools
 
 import pytest
 from laws import LAWS, assert_retires_legally
-from test_goldens import STACKS, TRACES
+from test_goldens import STACKS, golden_trace
 
 from repro.config import LADDER, SystemConfig
+from repro.hw.errors import CapacityError
 from repro.hw.fabric import Fabric
 from repro.hw.sharded_maestro import ShardedMaestro
 from repro.machine import run_trace
@@ -68,7 +70,7 @@ def _waw_chain() -> TaskTrace:
 def test_merge_unit_restores_program_order(trace_name):
     """Tasks must reach Write TP (be stored) in trace order even though
     four masters submit their slices concurrently."""
-    trace = TRACES[trace_name]()
+    trace = golden_trace(trace_name)
     result = run_trace(
         trace, SystemConfig(workers=8, master_cores=4, submission_batch=2)
     )
@@ -78,7 +80,7 @@ def test_merge_unit_restores_program_order(trace_name):
 
 def test_batching_alone_amortizes_the_handshake():
     """One master with batching submits strictly faster than without."""
-    trace = TRACES["gaussian"]()
+    trace = golden_trace("gaussian")
     r1 = run_trace(trace, SystemConfig(workers=8, submission_batch=1))
     r8 = run_trace(trace, SystemConfig(workers=8, submission_batch=8))
     assert r8.master_done < r1.master_done
@@ -91,7 +93,7 @@ def test_batching_alone_amortizes_the_handshake():
 
 def test_shard_partitioning_actually_distributes_load():
     """Multi-shard runs must spread table traffic across the shards."""
-    trace = TRACES["gaussian"]()
+    trace = golden_trace("gaussian")
     result = run_trace(trace, SystemConfig(workers=8, maestro_shards=4))
     per_shard = result.stats["shards"]["per_shard_dep_table"]
     assert len(per_shard) == 4
@@ -169,7 +171,7 @@ def test_same_address_inflight_finishes_apply_in_order(depth, shards):
     ids=["cache", "fastpath", "both", "both-deep"],
 )
 def test_fast_dispatch_features_fire(shards, features):
-    trace = TRACES["random"]()
+    trace = golden_trace("random")
     result = run_trace(trace, _retire4(maestro_shards=shards, **features))
     assert_retires_legally(result, trace, build_task_graph(trace))
     sub = result.stats["dispatch"]["fast_dispatch"]
@@ -184,7 +186,7 @@ def test_subsystem_actually_shortens_the_chain_hops():
     """On the latency-bound flood the full subsystem must beat the
     both-off machine and overlap the TD transfer (the bench pins the
     full-size 1.25x bar; this is the fast in-suite version)."""
-    trace = TRACES["random"]()
+    trace = golden_trace("random")
     off = run_trace(trace, _retire4(maestro_shards=4))
     on = run_trace(
         trace,
@@ -333,7 +335,7 @@ def test_locality_stealing_suppresses_post_forward_ping_pong():
     forward hop to send it home; the locality policy (ticket deferral to
     a self-serving home shard) must eliminate nearly all of it without
     losing completeness."""
-    trace = TRACES["random"]()
+    trace = golden_trace("random")
     graph = build_task_graph(trace)
     kw = dict(workers=16, maestro_shards=4)
     ticket = run_trace(trace, _retire4(locality_stealing=False, **kw))
@@ -358,7 +360,7 @@ def test_locality_stealing_never_starves_a_worker_starved_machine():
     on.  The pool-occupancy cutoff disables deferral on such machines,
     so locality stealing must now be no worse than ``locality_stealing=
     False`` on the exact configuration that regressed."""
-    trace = TRACES["random"]()
+    trace = golden_trace("random")
     kw = dict(workers=2, maestro_shards=8)
     ticket = run_trace(trace, _retire4(locality_stealing=False, **kw))
     locality = run_trace(trace, _retire4(locality_stealing=True, **kw))
@@ -373,7 +375,7 @@ def test_locality_stealing_never_starves_a_worker_starved_machine():
 def test_knobs_off_machine_builds_no_resolve_structures():
     """No kick queues, no kick-unit processes, no extra busy trackers on
     the knobs-off machine — the gating that keeps it cycle-identical."""
-    trace = TRACES["random"]()
+    trace = golden_trace("random")
     fab = Fabric(Simulator(), _config("shards2"), trace)
     assert fab.resolve.kick_queues == []
     maestro = ShardedMaestro(fab, Scoreboard(len(trace)))
@@ -400,7 +402,7 @@ def test_resolve_pipeline_coalesces_and_speculates(engine, knobs):
     """Across the knob grid, on both engines: the complete task set
     retires legally, the tables drain, and the coalescing/speculation
     actually happens."""
-    trace = TRACES["random"]()
+    trace = golden_trace("random")
     result = run_trace(trace, _config(engine, **knobs))
     assert_retires_legally(result, trace, build_task_graph(trace))
     resolve = result.stats["resolve"]
@@ -434,7 +436,7 @@ def test_speculation_actually_cuts_the_resolve_hop():
     """On the hazard-dense flood the speculative machine must shorten the
     resolve hop component (the bench pins the full-size 1.5x bar; this is
     the fast in-suite version)."""
-    trace = TRACES["random"]()
+    trace = golden_trace("random")
     off = run_trace(trace, _config("shards4"))
     on = run_trace(
         trace,
@@ -454,7 +456,7 @@ def test_knobs_off_machine_builds_no_scatter_structures():
     """No slice FIFOs, no re-sequencers, no per-master scatter busy
     trackers on the knobs-off machine — the gating that keeps it
     cycle-identical."""
-    trace = TRACES["random"]()
+    trace = golden_trace("random")
     fab = Fabric(Simulator(), _config("shards2"), trace)
     assert not hasattr(fab, "scatter_slices")
     assert not hasattr(fab, "check_reseq")
@@ -487,7 +489,7 @@ def test_check_pipeline_resequences_and_coalesces(engine, knobs):
     """Across the knob grid, on every sharded engine: the complete task
     set retires legally, the tables drain, every probe passes a
     re-sequencer, and check coalescing actually batches probes."""
-    trace = TRACES["random"]()
+    trace = golden_trace("random")
     result = run_trace(trace, _config(engine, **knobs))
     assert_retires_legally(result, trace, build_task_graph(trace))
     check = result.stats["check"]
@@ -548,11 +550,16 @@ def test_decentralization_actually_unloads_the_sequencer():
 
 @functools.cache
 def _gaussian_on(rung: str):
-    trace = TRACES["gaussian"]()
+    trace = golden_trace("gaussian")
     return trace, run_trace(trace, LADDER[rung])
 
 
-@pytest.mark.parametrize("rung", list(LADDER))
+#: The named machines that can run Gaussian elimination: all but the
+#: original Nexus.
+RUNS_GAUSSIAN = [rung for rung, config in LADDER.items() if not config.restricted]
+
+
+@pytest.mark.parametrize("rung", RUNS_GAUSSIAN)
 def test_ladder_rung_retires_the_gaussian_trace_legally(rung):
     trace, result = _gaussian_on(rung)
     assert_retires_legally(result, trace, build_task_graph(trace))
@@ -562,11 +569,17 @@ def test_ladder_rung_retires_the_gaussian_trace_legally(rung):
     "law, rung",
     [
         (law, rung)
-        for rung, config in LADDER.items()
+        for rung in RUNS_GAUSSIAN
         for law, (applies, _) in LAWS.items()
-        if applies(config)
+        if applies(LADDER[rung])
     ],
 )
 def test_ladder_rung_obeys_conservation_law(law, rung):
     trace, result = _gaussian_on(rung)
     LAWS[law][1](result, trace, LADDER[rung])
+
+
+def test_restricted_machine_rejects_the_gaussian_trace():
+    """The paper: Gaussian elimination "could not be executed by Nexus"."""
+    with pytest.raises(CapacityError, match="dummy tasks are disabled"):
+        run_trace(golden_trace("gaussian"), LADDER["restricted"])

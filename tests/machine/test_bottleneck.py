@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import SystemConfig, contention_free
+from repro.config import LADDER, SystemConfig
 from repro.machine import analyze_bottleneck, run_trace
 from repro.traces import TimeModel, horizontal_chains_trace, independent_trace
 
@@ -34,7 +34,7 @@ class TestVerdicts:
 
     def test_master_bound_at_scale(self):
         trace = independent_trace()
-        cfg = contention_free(workers=256)
+        cfg = LADDER["contention-free"].with_(workers=256)
         result = run_trace(trace, cfg)
         rep = analyze_bottleneck(result, cfg)
         assert rep.verdict == "master"

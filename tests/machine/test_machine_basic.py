@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import SystemConfig, fast_functional, nexus_restricted
+from repro.config import LADDER, SystemConfig
 from repro.hw.errors import CapacityError
 from repro.machine import NexusMachine, run_trace
 from repro.runtime.task_graph import build_task_graph
@@ -188,7 +188,7 @@ class TestDummyMechanisms:
         )
         trace = TaskTrace("wide9", [TraceTask(0, 1, params, 1000, 0, 0)])
         with pytest.raises(CapacityError, match="dummy tasks are disabled"):
-            run_trace(trace, nexus_restricted(workers=2))
+            run_trace(trace, LADDER["restricted"].with_(workers=2))
 
     def test_restricted_mode_rejects_wide_fanout(self):
         tasks = [TraceTask(0, 1, (Param(0x100, 64, AccessMode.OUT),), 5_000_000, 0, 0)]
@@ -198,18 +198,18 @@ class TestDummyMechanisms:
             )
         trace = TaskTrace("fanout11", tasks)
         with pytest.raises(CapacityError, match="dummy entries are disabled"):
-            run_trace(trace, nexus_restricted(workers=2))
+            run_trace(trace, LADDER["restricted"].with_(workers=2))
 
     def test_restricted_mode_runs_fitting_workloads(self):
         trace = h264_wavefront_trace(rows=4, cols=4)
-        result = run_trace(trace, nexus_restricted(workers=2))
+        result = run_trace(trace, LADDER["restricted"].with_(workers=2))
         assert_legal(trace, result)
 
     def test_gaussian_fails_restricted_but_runs_nexuspp(self):
         """The paper's core claim: GE 'could not be executed by Nexus'."""
         trace = gaussian_trace(16)
         with pytest.raises(CapacityError):
-            run_trace(trace, nexus_restricted(workers=4))
+            run_trace(trace, LADDER["restricted"].with_(workers=4))
         result = run_trace(trace, small_cfg(workers=4))
         assert_legal(trace, result)
 

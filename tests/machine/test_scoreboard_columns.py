@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from repro import NexusMachine, paper_default
+from repro import NexusMachine, SystemConfig
 from repro.hw.dispatch import hop_latency_stats
 from repro.hw.errors import ProtocolError
 from repro.machine.results import RunResult
@@ -115,7 +115,7 @@ def test_finished_run_retains_under_100_bytes_per_task():
     trace = independent_trace(2000)
     tracemalloc.start()
     try:
-        result = NexusMachine(paper_default(4)).run(trace)
+        result = NexusMachine(SystemConfig(workers=4)).run(trace)
         records = result.records
         del result
         gc.collect()
@@ -131,7 +131,7 @@ def test_finished_run_retains_under_100_bytes_per_task():
 class TestTruncatedRun:
     @pytest.fixture(scope="class")
     def cut(self):
-        machine = NexusMachine(paper_default(4))
+        machine = NexusMachine(SystemConfig(workers=4))
         trace = gaussian_trace(20)
         full = machine.run(trace)
         return machine.run(trace, max_time=full.makespan // 3)
@@ -214,7 +214,7 @@ class TestVerifyStrings:
 
 class TestHopLatencyColumns:
     def test_board_and_record_list_agree(self):
-        result = NexusMachine(paper_default(4)).run(gaussian_trace(12))
+        result = NexusMachine(SystemConfig(workers=4)).run(gaussian_trace(12))
         from_board = hop_latency_stats(result.scoreboard, result.makespan)
         from_list = hop_latency_stats(list(result.records), result.makespan)
         assert from_board == from_list

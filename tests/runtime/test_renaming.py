@@ -81,12 +81,12 @@ class TestRenaming:
         assert raw == 1 and war == 1 and waw == 2
 
     def test_renamed_trace_runs_on_machine(self):
-        from repro.config import fast_functional
+        from repro.config import SystemConfig
         from repro.machine import run_trace
 
         trace = random_trace(60, n_addresses=5, seed=12)
         renamed = rename_trace(trace)
-        result = run_trace(renamed, fast_functional(workers=4))
+        result = run_trace(renamed, SystemConfig(workers=4, memory_batch_chunks=8))
         assert result.verify_against(build_task_graph(renamed)) == []
 
     def test_renaming_speeds_up_waw_heavy_trace(self):

@@ -34,9 +34,8 @@ class TestPublicApi:
             "run_trace",
             "grid_sweep",
             "SystemConfig",
-            "paper_default",
-            "contention_free",
-            "nexus_restricted",
+            "LADDER",
+            "workload",
             "h264_wavefront_trace",
             "gaussian_trace",
             "independent_trace",
@@ -73,6 +72,7 @@ class TestPublicApi:
             "reduction_tree_trace",
             "pipeline_trace",
             "random_trace",
+            "workload",
         ):
             assert callable(getattr(t, name))
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import WORKLOADS, main
+from repro.cli import main
+from repro.traces import CATALOGUE
 
 
 class TestInfoAndListing:
@@ -50,15 +51,20 @@ class TestInfoAndListing:
             assert re.search(rf"{name}\s*\|\s*{value}", out), row
 
     def test_workloads_listing(self, capsys):
+        """Each workload is listed with its parameters and the values it
+        builds with (the catalogue's over the generator's defaults)."""
         assert main(["workloads"]) == 0
         out = capsys.readouterr().out
-        for name in WORKLOADS:
-            assert name in out
+        for name in CATALOGUE:
+            assert f"\n{name} " in out
+        assert "n_tasks=1200 n_addresses=96 max_params=6 seed=7" in out
+        assert "rows=16 cols=64 k_deps=1 spin_ns=1000 cv=0.0" in out
+        assert "name=none" in out
 
 
 class TestRun:
     def test_run_independent(self, capsys):
-        rc = main(["run", "independent", "--tasks", "50", "--workers", "4",
+        rc = main(["run", "independent", "--param", "n_tasks=50", "--workers", "4",
                    "--verify", "--set", "memory_contention=off"])
         assert rc == 0
         out = capsys.readouterr().out
@@ -66,7 +72,7 @@ class TestRun:
         assert "dependence check: OK" in out
 
     def test_run_gaussian_with_bottleneck(self, capsys):
-        rc = main(["run", "gaussian", "--size", "24", "--workers", "2",
+        rc = main(["run", "gaussian", "--param", "n=24", "--workers", "2",
                    "--bottleneck"])
         assert rc == 0
         out = capsys.readouterr().out
@@ -74,7 +80,7 @@ class TestRun:
         assert "dummy entries" in out
 
     def test_run_profile_prints_events_per_task_by_block(self, capsys):
-        rc = main(["run", "gaussian", "--size", "12", "--workers", "2",
+        rc = main(["run", "gaussian", "--param", "n=12", "--workers", "2",
                    "--profile"])
         assert rc == 0
         out = capsys.readouterr().out
@@ -82,14 +88,14 @@ class TestRun:
         assert "events per task, top blocks: maestro.handle-finished" in out
 
     def test_run_cholesky(self, capsys):
-        rc = main(["run", "cholesky", "--tiles", "4", "--workers", "4", "--verify"])
+        rc = main(["run", "cholesky", "--param", "tiles=4", "--workers", "4", "--verify"])
         assert rc == 0
         assert "dependence check: OK" in capsys.readouterr().out
 
     def test_restricted_gaussian_fails_loudly(self):
         # A capacity error exits with its one-line message, no traceback.
         with pytest.raises(SystemExit, match="dummy tasks are disabled"):
-            main(["run", "gaussian", "--size", "24", "--workers", "2",
+            main(["run", "gaussian", "--param", "n=24", "--workers", "2",
                   "--set", "restricted=on"])
 
     @pytest.mark.parametrize(
@@ -100,7 +106,7 @@ class TestRun:
     )
     def test_zero_machine_size_is_a_one_line_error(self, flags):
         with pytest.raises(SystemExit, match="must be positive, got 0"):
-            main(["run", "wait-chain", "--rows", "2", "--cols", "2", *flags])
+            main(["run", "wait-chain", "--param", "rows=2", "--param", "cols=2", *flags])
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(SystemExit):
@@ -113,12 +119,12 @@ class TestRun:
     )
     def test_removed_kernel_flags_rejected(self, flags):
         with pytest.raises(SystemExit):
-            main(["run", "independent", "--tasks", "10", *flags])
+            main(["run", "independent", "--param", "n_tasks=10", *flags])
 
 
 class TestSweep:
     def test_sweep_prints_curve(self, capsys):
-        rc = main(["sweep", "independent", "--tasks", "60", "--cores", "1,2,4",
+        rc = main(["sweep", "independent", "--param", "n_tasks=60", "--cores", "1,2,4",
                    "--set", "memory_contention=off"])
         assert rc == 0
         out = capsys.readouterr().out
@@ -126,7 +132,7 @@ class TestSweep:
         assert "saturation point" in out
 
     def test_core_list_without_one_is_measured_against_one_worker(self, capsys):
-        rc = main(["sweep", "independent", "--tasks", "60", "--cores", "2,4"])
+        rc = main(["sweep", "independent", "--param", "n_tasks=60", "--cores", "2,4"])
         assert rc == 0
         out = capsys.readouterr().out
         rows = [line.split("|") for line in out.splitlines() if line.count("|") == 2]
@@ -138,7 +144,7 @@ class TestSweep:
 
     def test_dependence_table_too_small_is_a_one_line_error(self):
         with pytest.raises(SystemExit, match="needs 20 Dependence Table entries"):
-            main(["sweep", "gaussian", "--size", "20", "--workers", "4",
+            main(["sweep", "gaussian", "--param", "n=20", "--workers", "4",
                   "--axis", "dependence_table_entries=16"])
 
 
@@ -156,7 +162,7 @@ class TestValidate:
 
 class TestShardedMaestroCli:
     def test_run_with_shards(self, capsys):
-        rc = main(["run", "random", "--tasks", "60", "--addresses", "16",
+        rc = main(["run", "random", "--param", "n_tasks=60", "--param", "n_addresses=16",
                    "--workers", "4", "--set", "maestro_shards=2", "--verify",
                    "--set", "memory_contention=off"])
         assert rc == 0
@@ -167,7 +173,7 @@ class TestShardedMaestroCli:
 
     def test_shard_sweep_writes_json(self, capsys, tmp_path):
         path = tmp_path / "shards.json"
-        rc = main(["sweep", "random", "--tasks", "80", "--addresses", "16",
+        rc = main(["sweep", "random", "--param", "n_tasks=80", "--param", "n_addresses=16",
                    "--workers", "4", "--axis", "maestro_shards=1,2",
                    "--set", "memory_contention=off", "--set", "task_prep_time=0",
                    "--json", str(path)])
@@ -184,7 +190,7 @@ class TestShardedMaestroCli:
         assert "cross_shard_messages" in data["rows"][1]
 
     def test_core_curve_takes_a_single_shard_count(self, capsys):
-        rc = main(["sweep", "random", "--tasks", "60", "--addresses", "16",
+        rc = main(["sweep", "random", "--param", "n_tasks=60", "--param", "n_addresses=16",
                    "--set", "maestro_shards=2", "--cores", "1,2",
                    "--set", "memory_contention=off"])
         assert rc == 0
@@ -198,7 +204,7 @@ class TestShardedMaestroCli:
 
 class TestSubmissionFrontendCli:
     def test_run_with_masters_and_batch(self, capsys):
-        rc = main(["run", "random", "--tasks", "60", "--addresses", "16",
+        rc = main(["run", "random", "--param", "n_tasks=60", "--param", "n_addresses=16",
                    "--workers", "4", "--set", "maestro_shards=2",
                    "--set", "master_cores=2",
                    "--set", "submission_batch=4", "--verify",
@@ -210,7 +216,7 @@ class TestSubmissionFrontendCli:
 
     def test_master_sweep_writes_json(self, capsys, tmp_path):
         path = tmp_path / "masters.json"
-        rc = main(["sweep", "random", "--tasks", "80", "--addresses", "16",
+        rc = main(["sweep", "random", "--param", "n_tasks=80", "--param", "n_addresses=16",
                    "--workers", "4", "--set", "maestro_shards=2",
                    "--axis", "master_cores=1,2", "--axis", "submission_batch=1,4",
                    "--set", "memory_contention=off", "--json", str(path)])
@@ -231,13 +237,16 @@ class TestSubmissionFrontendCli:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["sweep", "random", "--set", "master_cores=1,2"],
+            (["sweep", "random", "--param", "n_tasks=40",
+              "--set", "master_cores=1,2"],
              "master_cores: cannot read '1,2' as int"),
             (["sweep", "wait-chain", "--efficiency", "--set", "maestro_shards=x"],
              "maestro_shards: cannot read 'x' as int"),
-            (["sweep", "random", "--set", "maestro_shards=1,2"],
+            (["sweep", "random", "--param", "n_tasks=40",
+              "--set", "maestro_shards=1,2"],
              "maestro_shards: cannot read '1,2' as int"),
-            (["sweep", "random", "--set", "submission_batch=1,4"],
+            (["sweep", "random", "--param", "n_tasks=40",
+              "--set", "submission_batch=1,4"],
              "submission_batch: cannot read '1,4' as int"),
         ],
         ids=["masters-list", "efficiency-bad-shards", "shard-list", "batch-list"],
@@ -247,7 +256,7 @@ class TestSubmissionFrontendCli:
         usage error (``--axis`` is the way to sweep), not a ValueError
         traceback from a bare int()."""
         with pytest.raises(SystemExit, match=message):
-            main(argv + ["--tasks", "40"])
+            main(argv)
 
     def test_info_shows_frontend_geometry(self, capsys):
         assert main(["info", "--set", "master_cores=2",
@@ -259,7 +268,7 @@ class TestSubmissionFrontendCli:
 
 class TestRetirePipelineCli:
     def test_run_with_retire_depth(self, capsys):
-        rc = main(["run", "random", "--tasks", "60", "--addresses", "16",
+        rc = main(["run", "random", "--param", "n_tasks=60", "--param", "n_addresses=16",
                    "--workers", "4", "--set", "maestro_shards=2",
                    "--set", "master_cores=2",
                    "--set", "retire_pipeline_depth=4", "--verify",
@@ -271,7 +280,7 @@ class TestRetirePipelineCli:
 
     def test_retire_sweep_writes_json(self, capsys, tmp_path):
         path = tmp_path / "retire.json"
-        rc = main(["sweep", "random", "--tasks", "80", "--addresses", "16",
+        rc = main(["sweep", "random", "--param", "n_tasks=80", "--param", "n_addresses=16",
                    "--workers", "4", "--set", "maestro_shards=2",
                    "--set", "master_cores=2",
                    "--axis", "retire_pipeline_depth=1,4",
@@ -292,16 +301,16 @@ class TestRetirePipelineCli:
     def test_retire_sweep_rejects_single_maestro(self):
         # --shards 1 (or none) is a usage error, not a raw traceback.
         with pytest.raises(SystemExit, match="requires the sharded Maestro"):
-            main(["sweep", "random", "--tasks", "40",
+            main(["sweep", "random", "--param", "n_tasks=40",
                   "--axis", "retire_pipeline_depth=1,2", "--set", "maestro_shards=1"])
         with pytest.raises(SystemExit, match="requires the sharded Maestro"):
-            main(["sweep", "random", "--tasks", "40",
+            main(["sweep", "random", "--param", "n_tasks=40",
                   "--axis", "retire_pipeline_depth=1,2"])
 
     def test_shard_sweep_accepts_single_retire_depth(self, capsys):
         """A shard sweep with a fixed pipelined depth applies it everywhere
         (regression: the base config used to validate at 1 shard and die)."""
-        rc = main(["sweep", "random", "--tasks", "60", "--addresses", "16",
+        rc = main(["sweep", "random", "--param", "n_tasks=60", "--param", "n_addresses=16",
                    "--workers", "4", "--axis", "maestro_shards=2,4",
                    "--set", "retire_pipeline_depth=2",
                    "--set", "memory_contention=off"])
@@ -311,13 +320,13 @@ class TestRetirePipelineCli:
     @pytest.mark.parametrize("shards", ["1,2", "2,1"])
     def test_shard_sweep_rejects_depth_on_single_maestro_point(self, shards):
         with pytest.raises(SystemExit, match="requires the sharded Maestro"):
-            main(["sweep", "random", "--tasks", "40",
+            main(["sweep", "random", "--param", "n_tasks=40",
                   "--axis", f"maestro_shards={shards}",
                   "--set", "retire_pipeline_depth=2"])
 
     def test_run_retire_depth_without_shards_is_usage_error(self):
         with pytest.raises(SystemExit):
-            main(["run", "random", "--tasks", "40", "--set", "retire_pipeline_depth=4"])
+            main(["run", "random", "--param", "n_tasks=40", "--set", "retire_pipeline_depth=4"])
 
     def test_info_shows_retire_geometry(self, capsys):
         assert main(["info", "--set", "maestro_shards=4",
@@ -326,7 +335,7 @@ class TestRetirePipelineCli:
         assert "Retire pipeline depth" in out
 
     def test_run_with_fast_dispatch(self, capsys):
-        rc = main(["run", "random", "--tasks", "60", "--addresses", "16",
+        rc = main(["run", "random", "--param", "n_tasks=60", "--param", "n_addresses=16",
                    "--workers", "4", "--set", "maestro_shards=2",
                    "--set", "td_cache_entries=16",
                    "--set", "kickoff_fast_path=on", "--set", "td_prefetch_depth=2",
@@ -340,7 +349,7 @@ class TestRetirePipelineCli:
 
     def test_dispatch_sweep_writes_json(self, capsys, tmp_path):
         path = tmp_path / "dispatch.json"
-        rc = main(["sweep", "random", "--tasks", "80", "--addresses", "16",
+        rc = main(["sweep", "random", "--param", "n_tasks=80", "--param", "n_addresses=16",
                    "--workers", "4", "--set", "maestro_shards=2",
                    "--axis", "kickoff_fast_path=off,on",
                    "--axis", "td_cache_entries=0,16", "--set", "memory_contention=off",
@@ -366,14 +375,14 @@ class TestRetirePipelineCli:
         # though the first (cache-off) point alone would be valid.
         for shards in ([], ["--set", "maestro_shards=1"]):
             with pytest.raises(SystemExit, match="requires the sharded Maestro"):
-                main(["sweep", "random", "--tasks", "40",
+                main(["sweep", "random", "--param", "n_tasks=40",
                       "--axis", "td_cache_entries=0,16", *shards])
 
     def test_run_fast_dispatch_without_shards_is_usage_error(self):
         with pytest.raises(SystemExit):
-            main(["run", "random", "--tasks", "40", "--set", "td_cache_entries=16"])
+            main(["run", "random", "--param", "n_tasks=40", "--set", "td_cache_entries=16"])
         with pytest.raises(SystemExit):
-            main(["run", "random", "--tasks", "40", "--set", "kickoff_fast_path=on"])
+            main(["run", "random", "--param", "n_tasks=40", "--set", "kickoff_fast_path=on"])
 
     def test_info_shows_dispatch_geometry(self, capsys):
         assert main(["info", "--set", "maestro_shards=4",
@@ -386,7 +395,7 @@ class TestRetirePipelineCli:
         assert "Task Pool ports" in out
 
     def test_run_with_resolve_pipeline(self, capsys):
-        rc = main(["run", "random", "--tasks", "60", "--addresses", "16",
+        rc = main(["run", "random", "--param", "n_tasks=60", "--param", "n_addresses=16",
                    "--workers", "4", "--set", "maestro_shards=2",
                    "--set", "finish_coalesce_limit=4",
                    "--set", "speculative_kickoff=on", "--verify",
@@ -399,7 +408,7 @@ class TestRetirePipelineCli:
 
     def test_resolve_sweep_writes_json(self, capsys, tmp_path):
         path = tmp_path / "resolve.json"
-        rc = main(["sweep", "random", "--tasks", "80", "--addresses", "16",
+        rc = main(["sweep", "random", "--param", "n_tasks=80", "--param", "n_addresses=16",
                    "--workers", "4", "--set", "maestro_shards=2",
                    "--axis", "speculative_kickoff=off,on",
                    "--axis", "finish_coalesce_limit=1,4",
@@ -426,13 +435,13 @@ class TestRetirePipelineCli:
         """A coalesce window is not zeroed at limit-1 grid points: the
         config's own window-needs-limit validation rejects the grid."""
         with pytest.raises(SystemExit, match="finish_coalesce_limit > 1"):
-            main(["sweep", "random", "--tasks", "40", "--set", "maestro_shards=2",
+            main(["sweep", "random", "--param", "n_tasks=40", "--set", "maestro_shards=2",
                   "--axis", "finish_coalesce_limit=1,4",
                   "--set", "finish_coalesce_window=2000"])
 
     def test_run_coalesce_window_without_limit_is_usage_error(self):
         with pytest.raises(SystemExit):
-            main(["run", "random", "--tasks", "40", "--workers", "4",
+            main(["run", "random", "--param", "n_tasks=40", "--workers", "4",
                   "--set", "finish_coalesce_window=2000"])
 
     def test_info_shows_resolve_geometry(self, capsys):
@@ -447,10 +456,10 @@ class TestRetirePipelineCli:
 
     def test_malformed_retire_depth_is_usage_error(self):
         with pytest.raises(SystemExit, match="cannot read 'two' as int"):
-            main(["sweep", "random", "--tasks", "20", "--set", "maestro_shards=2",
+            main(["sweep", "random", "--param", "n_tasks=20", "--set", "maestro_shards=2",
                   "--set", "retire_pipeline_depth=two"])
         with pytest.raises(SystemExit, match="cannot read '1,2' as int"):
-            main(["sweep", "random", "--tasks", "20", "--set", "maestro_shards=2",
+            main(["sweep", "random", "--param", "n_tasks=20", "--set", "maestro_shards=2",
                   "--set", "retire_pipeline_depth=1,2"])
 
 
@@ -468,18 +477,18 @@ class TestSweepAxisParsing:
     )
     def test_bad_axis_is_usage_error(self, axis, message):
         with pytest.raises(SystemExit, match=message):
-            main(["sweep", "random", "--tasks", "40", "--axis", axis])
+            main(["sweep", "random", "--param", "n_tasks=40", "--axis", axis])
 
     def test_repeated_knob_rejected(self):
         with pytest.raises(SystemExit, match="given twice"):
-            main(["sweep", "random", "--tasks", "40", "--axis", "workers=1",
+            main(["sweep", "random", "--param", "n_tasks=40", "--axis", "workers=1",
                   "--axis", "workers=2"])
 
     def test_axis_values_follow_the_field_type(self, capsys, tmp_path):
         import json
 
         path = tmp_path / "grid.json"
-        assert main(["sweep", "random", "--tasks", "40", "--addresses", "16",
+        assert main(["sweep", "random", "--param", "n_tasks=40", "--param", "n_addresses=16",
                      "--workers", "4", "--set", "maestro_shards=2",
                      "--set", "retire_pipeline_depth=2",
                      "--axis", "task_pool_ports=none,1",
@@ -497,7 +506,7 @@ class TestSweepAxisParsing:
     @pytest.mark.parametrize("flag", ["--dispatch", "--resolve", "--check"])
     def test_removed_grid_flags_rejected(self, flag):
         with pytest.raises(SystemExit) as exc:
-            main(["sweep", "random", "--tasks", "40", "--set", "maestro_shards=2",
+            main(["sweep", "random", "--param", "n_tasks=40", "--set", "maestro_shards=2",
                   flag])
         assert exc.value.code == 2
 
@@ -559,13 +568,17 @@ REACHABLE = {
     "core_gflops": ("4.5", 4.5, None),
 }
 
-#: The per-knob flags ``--set`` replaced.
+#: The per-knob flags ``--set`` replaced, then the per-workload flags
+#: ``--param`` replaced.
 REMOVED_FLAGS = [
     "--no-contention", "--no-prep", "--depth", "--restricted",
     "--telemetry-window", "--shards", "--hop-ns", "--masters", "--batch",
     "--retire-depth", "--td-cache", "--fast-path", "--prefetch-depth",
     "--coalesce", "--coalesce-window", "--spec-kickoff", "--check-scatter",
     "--check-coalesce", "--check-coalesce-window",
+    "--tasks", "--size", "--tiles", "--grid", "--iterations", "--leaves",
+    "--items", "--stages", "--rows", "--cols", "--deps", "--spin-ns",
+    "--steps", "--dims", "--addresses", "--seed",
 ]
 
 
@@ -590,21 +603,11 @@ class TestSetAndStack:
         assert getattr(cfg, knob) == value
         assert cfg == base.with_(**{knob: value})
 
-    def test_stack_full_on_8_workers_is_the_hazard_dense_machine(self, monkeypatch):
-        import importlib.util
-        import sys
-        from pathlib import Path
-
+    def test_stack_full_on_8_workers_is_the_hazard_dense_machine(self, ledger):
         from repro.config import LADDER
 
         cfg = _config("--stack", "full", "--workers", "8")
         assert cfg == LADDER["full"].with_(workers=8)
-        path = Path(__file__).parents[1] / "perf_ledger" / "ledger.py"
-        spec = importlib.util.spec_from_file_location("ledger", path)
-        ledger = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, "ledger", ledger)
-        monkeypatch.setattr(sys, "path", list(sys.path))
-        spec.loader.exec_module(ledger)
         assert cfg == ledger.HAZARD_DENSE_CONFIG
 
     def test_without_stack_the_base_is_table_iv(self):
@@ -626,13 +629,13 @@ class TestSetAndStack:
              "--set workers is given twice"),
             (["info", "--workers", "2", "--set", "workers=4"],
              "workers is given twice"),
-            (["sweep", "random", "--tasks", "20", "--set", "maestro_shards=2",
+            (["sweep", "random", "--param", "n_tasks=20", "--set", "maestro_shards=2",
               "--axis", "maestro_shards=2,4"],
              "maestro_shards is given twice"),
             (["info", "--set", "memory_contention=maybe"],
              "memory_contention: cannot read 'maybe' as bool"),
             (["info", "--set", "maestro_shards"], "expected maestro_shards=VALUE"),
-            (["info", "--set", "notes=x"], "notes are not a machine knob"),
+            (["info", "--set", "notes=x"], "unknown SystemConfig knob 'notes'"),
             (["info", "--stack", "turbo"], "--stack 'turbo': unknown machine"),
         ],
         ids=["unknown-knob", "twice", "workers-twice", "set-and-axis",
@@ -646,22 +649,153 @@ class TestSetAndStack:
     @pytest.mark.parametrize("flag", REMOVED_FLAGS)
     def test_removed_machine_flags_rejected(self, flag):
         with pytest.raises(SystemExit) as exc:
-            main(["run", "independent", "--tasks", "10", flag, "1"])
+            main(["run", "independent", "--param", "n_tasks=10", flag, "1"])
         assert exc.value.code == 2
+
+
+def _scalar_parameters():
+    return [
+        pytest.param(name, param, id=f"{name}-{param}")
+        for name, entry in CATALOGUE.items()
+        for param in entry.parameters()
+    ]
+
+
+#: A ``--param`` text per parameter type, and the value it reads as: off
+#: every catalogue default.
+OFF_DEFAULT = {int: ("5", 5), float: ("0.5", 0.5), str: ("x", "x"), bool: ("on", True)}
+
+
+class TestParam:
+    @pytest.mark.parametrize("name, param", _scalar_parameters())
+    def test_param_reaches_every_scalar_parameter(self, name, param, monkeypatch):
+        """``--param`` reads each scalar parameter of each catalogue
+        generator by its type and hands it to the generator, over the
+        catalogue's own parameters."""
+        import dataclasses
+        import functools
+        import typing
+
+        from repro import cli
+
+        entry = CATALOGUE[name]
+        kind, default = entry.parameters()[param]
+        bare = [t for t in typing.get_args(kind) if t is not type(None)] or [kind]
+        text, value = OFF_DEFAULT[bare[0]]
+        assert value != default
+        calls = []
+
+        @functools.wraps(entry.generator)
+        def record(**params):
+            calls.append(params)
+
+        monkeypatch.setitem(
+            CATALOGUE, name, dataclasses.replace(entry, generator=record)
+        )
+        args = cli.build_parser().parse_args(["run", name, "--param", f"{param}={text}"])
+        cli._trace_from(args)
+        assert calls == [{**entry.params, param: value}]
+
+    def test_param_builds_the_catalogue_trace(self, capsys):
+        assert main(["run", "hazard-dense", "--param", "n_tasks=50",
+                     "--param", "name=tiny", "--workers", "4", "--verify"]) == 0
+        out = capsys.readouterr().out
+        assert "tiny" in out and "50 tasks" in out
+        assert "dependence check: OK" in out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "independent", "--param", "tasks=10"],
+             "unknown independent parameter 'tasks'"),
+            (["run", "gaussian", "--param", "config=none"],
+             "unknown gaussian parameter 'config'"),
+            (["run", "random", "--param", "n_tasks=10", "--param", "n_tasks=20"],
+             "--param n_tasks is given twice"),
+            (["run", "random", "--param", "n_tasks"], "expected n_tasks=VALUE"),
+            (["run", "random", "--param", "n_tasks=ten"],
+             "n_tasks: cannot read 'ten' as int"),
+            (["run", "random", "--param", "n_tasks=0"], "need at least one task"),
+            (["run", "random", "--param", "mean_exec=0"], "need mean_exec >= 1"),
+            (["sweep", "wait-chain", "--param", "rows=2", "--param", "rows=3",
+              "--efficiency", "500"], "--param rows is given twice"),
+        ],
+        ids=["unknown", "not-scalar", "twice", "no-value", "unreadable",
+             "generator-check", "generator-times", "efficiency-twice"],
+    )
+    def test_bad_params_are_one_line_errors(self, argv, message):
+        with pytest.raises(SystemExit, match=message) as exc:
+            main(argv)
+        assert "\n" not in str(exc.value.code)
+
+    def test_run_help_lists_at_most_ten_long_options(self, capsys):
+        import re
+
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        out = capsys.readouterr().out
+        options = set(re.findall(r"^  (--[\w-]+)", out, re.MULTILINE))
+        assert "--param" in options
+        assert len(options) <= 10, sorted(options)
+
+    @pytest.mark.parametrize("stack", ["contention-free", "no-prep", "restricted"])
+    def test_stack_names_the_papers_machines(self, stack):
+        from repro.config import LADDER
+
+        assert _config("--stack", stack) == LADDER[stack]
+
+
+#: README's command for each pinned scaling curve, by the file it pins.
+README_CURVES = {
+    "shard_scaling": "sweep hazard-dense --stack fitted --set task_prep_time=0 "
+    "--axis maestro_shards=1,2,4",
+    "submission_scaling": "sweep hazard-dense --stack sharded "
+    "--axis master_cores=1,2,4 --axis submission_batch=1,4,8",
+    "retire_scaling": "sweep hazard-dense --stack frontend "
+    "--axis retire_pipeline_depth=1,2,4,8",
+    "dispatch_latency": "sweep hazard-dense --stack retire "
+    "--axis kickoff_fast_path=off,on --axis td_cache_entries=0,64",
+    "resolve_latency": "sweep hazard-dense --stack dispatch "
+    "--axis speculative_kickoff=off,on --axis finish_coalesce_limit=1,8",
+    "check_scaling": "sweep param-dense --stack resolve "
+    "--axis check_coalesce_limit=1,8 --axis decentralized_check_scatter=off,on",
+    "efficiency": "sweep wait-chain --efficiency 250,1000,4000,16000,64000 "
+    "--stack contention-free",
+}
+
+
+@pytest.mark.parametrize("curve", list(README_CURVES))
+def test_readme_command_writes_the_pinned_curve(curve, capsys, tmp_path):
+    """README's command for each scaling curve writes the pinned
+    ``BENCH_<curve>.json`` document: the CLI's catalogue workloads and
+    ``--stack`` machines are the ones ``benchmarks/bench_curves.py`` runs
+    (at its default tier)."""
+    import json
+    from pathlib import Path
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert f"python -m repro {README_CURVES[curve]}" in " ".join(
+        readme.replace("\\\n", " ").split()
+    )
+    path = tmp_path / "curve.json"
+    assert main([*README_CURVES[curve].split(), "--json", str(path)]) == 0
+    capsys.readouterr()
+    pinned = Path(__file__).parents[1] / f"BENCH_{curve}.json"
+    assert json.loads(path.read_text()) == json.loads(pinned.read_text())
 
 
 class TestEfficiencyAndExport:
     def test_run_wait_chain(self, capsys):
-        assert main(["run", "wait-chain", "--rows", "4", "--cols", "6",
-                     "--deps", "2", "--spin-ns", "500", "--workers", "4",
+        assert main(["run", "wait-chain", "--param", "rows=4", "--param", "cols=6",
+                     "--param", "k_deps=2", "--param", "spin_ns=500", "--workers", "4",
                      "--verify"]) == 0
         out = capsys.readouterr().out
         assert "wait-chain-4x6-k2-500ns" in out
         assert "dependence check: OK" in out
 
     def test_run_spatial(self, capsys):
-        assert main(["run", "spatial", "--grid", "3", "--steps", "2",
-                     "--dims", "3", "--workers", "4", "--verify"]) == 0
+        assert main(["run", "spatial", "--param", "grid=3", "--param", "steps=2",
+                     "--param", "dims=3", "--workers", "4", "--verify"]) == 0
         out = capsys.readouterr().out
         assert "spatial-3d-3^3x2" in out
         assert "dependence check: OK" in out
@@ -670,8 +804,8 @@ class TestEfficiencyAndExport:
         import json
 
         path = tmp_path / "run.trace.json"
-        assert main(["run", "wait-chain", "--rows", "3", "--cols", "4",
-                     "--spin-ns", "400", "--workers", "2",
+        assert main(["run", "wait-chain", "--param", "rows=3", "--param", "cols=4",
+                     "--param", "spin_ns=400", "--workers", "2",
                      "--trace-out", str(path)]) == 0
         out = capsys.readouterr().out
         assert f"chrome trace written to {path}" in out
@@ -680,28 +814,34 @@ class TestEfficiencyAndExport:
         assert doc["otherData"]["n_tasks"] == 12
 
     def test_run_rejects_spin_list(self):
-        with pytest.raises(SystemExit, match="single positive integer"):
-            main(["run", "wait-chain", "--spin-ns", "250,1000",
+        with pytest.raises(SystemExit, match="spin_ns: cannot read '250,1000' as int"):
+            main(["run", "wait-chain", "--param", "spin_ns=250,1000",
                   "--workers", "2"])
 
     def test_efficiency_sweep_writes_json(self, capsys, tmp_path):
         import json
 
         path = tmp_path / "eff.json"
-        assert main(["sweep", "wait-chain", "--efficiency",
-                     "--rows", "6", "--cols", "8",
-                     "--spin-ns", "500,8000", "--workers", "4",
-                     "--json", str(path)]) == 0
+        assert main(["sweep", "wait-chain", "--efficiency", "500,8000",
+                     "--param", "rows=6", "--param", "cols=8",
+                     "--workers", "4", "--json", str(path)]) == 0
         out = capsys.readouterr().out
+        assert "wait-chain-6x8-k1 @ 4 workers" in out
         assert "hw eff" in out and "sw eff" in out
         assert "parallel efficiency vs granularity" in out
         payload = json.loads(path.read_text())
         assert [r["spin_ns"] for r in payload["rows"]] == [500, 8000]
         assert all(r["efficiency_ratio"] > 1.0 for r in payload["rows"])
 
+    @pytest.mark.parametrize("param", ["spin_ns=500", "block_bytes=128"])
+    def test_efficiency_sweep_takes_only_the_graph_shape(self, param):
+        with pytest.raises(SystemExit, match="sets only rows, cols"):
+            main(["sweep", "wait-chain", "--efficiency", "500",
+                  "--param", param])
+
     def test_efficiency_sweep_requires_wait_chain(self):
         with pytest.raises(SystemExit, match="wait-chain"):
-            main(["sweep", "random", "--tasks", "40", "--efficiency"])
+            main(["sweep", "random", "--param", "n_tasks=40", "--efficiency"])
 
     def test_efficiency_conflicts_with_axis(self):
         with pytest.raises(SystemExit, match="different sweep grids"):
@@ -711,8 +851,8 @@ class TestEfficiencyAndExport:
 
 
 class TestTelemetryCli:
-    ARGS = ["run", "wait-chain", "--rows", "4", "--cols", "6",
-            "--spin-ns", "500", "--workers", "4",
+    ARGS = ["run", "wait-chain", "--param", "rows=4", "--param", "cols=6",
+            "--param", "spin_ns=500", "--workers", "4",
             "--set", "telemetry_window=2000000"]
 
     def test_run_with_telemetry_prints_timeline(self, capsys):
@@ -755,7 +895,7 @@ class TestTelemetryCli:
         import json
 
         path = tmp_path / "plain.json"
-        assert main(["run", "wait-chain", "--rows", "3", "--cols", "4",
+        assert main(["run", "wait-chain", "--param", "rows=3", "--param", "cols=4",
                      "--workers", "2", "--metrics-out", str(path)]) == 0
         capsys.readouterr()
         doc = json.loads(path.read_text())
@@ -767,8 +907,8 @@ class TestTelemetryCli:
         import json
 
         path = tmp_path / "sweep.json"
-        assert main(["sweep", "wait-chain", "--rows", "4", "--cols", "6",
-                     "--spin-ns", "500", "--workers", "4",
+        assert main(["sweep", "wait-chain", "--param", "rows=4", "--param", "cols=6",
+                     "--param", "spin_ns=500", "--workers", "4",
                      "--cores", "1,2", "--profile",
                      "--json", str(path)]) == 0
         out = capsys.readouterr().out
@@ -782,7 +922,7 @@ class TestTelemetryCli:
         import json
 
         path = tmp_path / "shards.json"
-        assert main(["sweep", "random", "--tasks", "120", "--workers", "4",
+        assert main(["sweep", "random", "--param", "n_tasks=120", "--workers", "4",
                      "--axis", "maestro_shards=1,2", "--set", "memory_contention=off",
                      "--profile", "--json", str(path)]) == 0
         capsys.readouterr()
@@ -793,8 +933,8 @@ class TestTelemetryCli:
         import json
 
         path = tmp_path / "plain-sweep.json"
-        assert main(["sweep", "wait-chain", "--rows", "4", "--cols", "6",
-                     "--spin-ns", "500", "--workers", "4",
+        assert main(["sweep", "wait-chain", "--param", "rows=4", "--param", "cols=6",
+                     "--param", "spin_ns=500", "--workers", "4",
                      "--cores", "1,2", "--json", str(path)]) == 0
         capsys.readouterr()
         payload = json.loads(path.read_text())
@@ -802,5 +942,5 @@ class TestTelemetryCli:
 
     def test_telemetry_window_rejects_negative(self):
         with pytest.raises(SystemExit, match="telemetry_window"):
-            main(["run", "wait-chain", "--rows", "3", "--cols", "4",
+            main(["run", "wait-chain", "--param", "rows=3", "--param", "cols=4",
                   "--workers", "2", "--set", "telemetry_window=-5000"])

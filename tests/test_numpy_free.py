@@ -36,8 +36,10 @@ chain = wait_chain_trace(4, 8)
 sw = run_software_rts(chain, SystemConfig(workers=4))
 assert sw.verify_against(build_task_graph(chain)) == []
 
-assert main(["run", "wait-chain", "--rows", "4", "--cols", "8",
+assert main(["run", "wait-chain", "--param", "rows=4", "--param", "cols=8",
              "--workers", "4", "--verify"]) == 0
+assert main(["run", "hazard-dense", "--param", "n_tasks=60",
+             "--stack", "full", "--workers", "4", "--verify"]) == 0
 
 assert "numpy" not in sys.modules, "the stdlib-only path loaded numpy"
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import SystemConfig, fast_functional
+from repro.config import SystemConfig
 from repro.machine import run_trace
 from repro.runtime.task_graph import build_task_graph
 from repro.traces import (
@@ -46,7 +46,7 @@ class TestCholesky:
 
     def test_runs_legally_on_machine(self):
         trace = cholesky_trace(5, tile_size=32)
-        result = run_trace(trace, fast_functional(workers=4))
+        result = run_trace(trace, SystemConfig(workers=4, memory_batch_chunks=8))
         assert result.verify_against(build_task_graph(trace)) == []
 
     def test_validation(self):
@@ -74,7 +74,7 @@ class TestBlockedLU:
 
     def test_runs_legally_on_machine(self):
         trace = blocked_lu_trace(4, tile_size=32)
-        result = run_trace(trace, fast_functional(workers=4))
+        result = run_trace(trace, SystemConfig(workers=4, memory_batch_chunks=8))
         assert result.verify_against(build_task_graph(trace)) == []
 
 
@@ -98,7 +98,7 @@ class TestJacobi:
 
     def test_runs_legally_on_machine(self):
         trace = jacobi_stencil_trace(3, 3)
-        result = run_trace(trace, fast_functional(workers=4))
+        result = run_trace(trace, SystemConfig(workers=4, memory_batch_chunks=8))
         assert result.verify_against(build_task_graph(trace)) == []
 
     def test_parallelism_is_grid_sized(self):
@@ -119,7 +119,7 @@ class TestReductionTree:
 
     def test_runs_legally_on_machine(self):
         trace = reduction_tree_trace(32)
-        result = run_trace(trace, fast_functional(workers=8))
+        result = run_trace(trace, SystemConfig(workers=8, memory_batch_chunks=8))
         assert result.verify_against(build_task_graph(trace)) == []
 
 
@@ -144,5 +144,5 @@ class TestPipeline:
 
     def test_runs_legally_on_machine(self):
         trace = pipeline_trace(8, 3)
-        result = run_trace(trace, fast_functional(workers=4))
+        result = run_trace(trace, SystemConfig(workers=4, memory_batch_chunks=8))
         assert result.verify_against(build_task_graph(trace)) == []

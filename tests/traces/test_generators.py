@@ -21,6 +21,7 @@ from repro.traces import (
     vertical_chains_trace,
     wait_chain_trace,
     wavefront_step,
+    workload,
 )
 
 
@@ -290,6 +291,36 @@ class TestRandomTraceStreaming:
         trace = random_trace(9000, n_addresses=1000, max_params=4, seed=5)
         assert _stream_digest(trace) == CHUNKED_STREAM_DIGEST
 
+    def test_one_param_chunked_stream_is_pinned(self):
+        """A ``stream-1p`` trace above the chunk size (one parameter per
+        task, the perf ledger's and the 1M waypoint's shape) keeps the
+        stream it had before the kept addresses were sorted: with one
+        address per task the smallest key is the only order there is."""
+        trace = workload("stream-1p")
+        assert len(trace) == 10_000
+        assert _stream_digest(trace) == STREAM_1P_DIGEST
+
+    def test_chunked_trace_does_not_depend_on_the_partition_order(
+        self, monkeypatch
+    ):
+        """NumPy documents the order inside an ``argpartition`` as
+        undefined.  Each chunked task keeps its ``k`` smallest sampling
+        keys, smallest first, so a partition that leaves its kept columns
+        in another order (here reversed) builds the same trace."""
+        import numpy as np
+
+        default = random_trace(9000, n_addresses=1000, max_params=4, seed=5)
+        argpartition = np.argpartition
+
+        def reversed_partition(a, kth, axis=-1):
+            out = argpartition(a, kth, axis=axis)
+            out[:, : kth + 1] = out[:, kth::-1].copy()
+            return out
+
+        monkeypatch.setattr(np, "argpartition", reversed_partition)
+        shuffled = random_trace(9000, n_addresses=1000, max_params=4, seed=5)
+        assert shuffled.tasks == default.tasks
+
     @pytest.mark.parametrize(
         "n_addresses,max_params",
         [(1, 3), (5, 9), (37, 4)],
@@ -328,6 +359,13 @@ class TestRandomTraceStreaming:
 #: max_params=4, seed=5))``, recorded from the whole-matrix generator.
 CHUNKED_STREAM_DIGEST = (
     "1bd5eb2c9e8209809584d5b16c6f292b8983d7bf4c3ae64e891c2404099b5789"
+)
+
+
+#: ``_stream_digest(workload("stream-1p"))``, recorded before the chunked
+#: path sorted each task's kept addresses by key.
+STREAM_1P_DIGEST = (
+    "e9fd59be2b2c7f6e10fb94f2f662f6edab28c217fc6af3d04503c70bc0e00448"
 )
 
 
