@@ -1,12 +1,13 @@
-"""NumPy's PCG64 stream on the standard library, for small random traces.
+"""NumPy's PCG64 stream on the standard library, for random traces.
 
 :class:`PCG64` replays ``numpy.random.default_rng(seed)`` bit for bit
-for the three calls the per-task ``random_trace`` path makes:
+for the three calls ``random_trace``'s per-task generator makes:
 
 * the seeding: ``SeedSequence(seed)`` hashes the seed's 32-bit words into
   a four-word pool, and PCG64 takes its 128-bit state and increment from
   the pool's first four 64-bit output words;
-* ``Generator.integers(low, high)`` on a scalar: Lemire's bounded draw
+* ``Generator.integers(low, high)`` on a scalar (:func:`span` checks the
+  bounds, :meth:`PCG64.bounded` draws): Lemire's bounded draw
   (arXiv:1805.10941), on one 32-bit half-word when the range fits in 32
   bits (the other half is saved for the next 32-bit draw) and on a whole
   64-bit output otherwise;
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import operator
 
-__all__ = ["PCG64"]
+__all__ = ["PCG64", "span"]
 
 _M32 = 0xFFFFFFFF
 _M64 = 0xFFFFFFFFFFFFFFFF
@@ -93,6 +94,19 @@ def _seed_words(seed: int) -> list[int]:
     return [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
 
 
+def span(low: int, high: int) -> int:
+    """``Generator.integers(low, high)``'s bound checks: the ``span`` for
+    which ``low + PCG64.bounded(span)`` is that call's draw."""
+    high -= 1
+    if low < _INT64_MIN:
+        raise ValueError("low is out of bounds for int64")
+    if high > _INT64_MAX:
+        raise ValueError("high is out of bounds for int64")
+    if low > high:
+        raise ValueError("low >= high")
+    return high - low
+
+
 class PCG64:
     """PCG-XSL-RR 128/64 with NumPy's draws on top of it."""
 
@@ -129,8 +143,20 @@ class PCG64:
         if rng == 0:
             return 0
         if rng < _M32:
+            # next_uint32 inlined, LCG step and output included: this
+            # branch draws nearly every value of a random trace.
             excl = rng + 1
-            m = self.next_uint32() * excl
+            half = self._half
+            if half is None:
+                state = self._state = (self._state * _MULT + self._inc) & _M128
+                x = ((state >> 64) ^ state) & _M64
+                rot = state >> 122
+                x = (x >> rot | x << (64 - rot)) & _M64
+                self._half = x >> 32
+                m = (x & _M32) * excl
+            else:
+                self._half = None
+                m = half * excl
             if m & _M32 < excl:
                 threshold = (_M32 - rng) % excl
                 while m & _M32 < threshold:
@@ -150,14 +176,7 @@ class PCG64:
 
     def integers(self, low: int, high: int) -> int:
         """``Generator.integers(low, high)``: a draw from ``[low, high)``."""
-        high -= 1
-        if low < _INT64_MIN:
-            raise ValueError("low is out of bounds for int64")
-        if high > _INT64_MAX:
-            raise ValueError("high is out of bounds for int64")
-        if low > high:
-            raise ValueError("low >= high")
-        return low + self.bounded(high - low)
+        return low + self.bounded(span(low, high))
 
     def choice(self, n: int, k: int) -> list[int]:
         """``Generator.choice(n, size=k, replace=False)``, as a list, for

@@ -20,6 +20,7 @@ generators state that claim directly:
 from __future__ import annotations
 
 import itertools
+import math
 from typing import List, Optional
 
 from ..config import SystemConfig
@@ -64,6 +65,8 @@ def wait_chain_trace(
         raise ValueError("k_deps must be >= 1")
     if spin_ns < 1:
         raise ValueError("spin_ns must be >= 1")
+    if not (math.isfinite(cv) and cv >= 0):
+        raise ValueError(f"cv must be finite and >= 0, got {cv}")
     k = min(k_deps, rows)
     n = rows * cols
     spin_ps = spin_ns * _NS

@@ -15,8 +15,8 @@ columns on access, and a hand-built list of them is copied into columns
 by ``TaskTrace(name, tasks)``.
 
 The columns are checked with builtins, so building and reading a trace
-needs no NumPy; only the block writer :meth:`TraceWriter.extend` and the
-``.npz`` I/O (:meth:`TaskTrace.save`/:meth:`TaskTrace.load`) import it.
+needs no NumPy; only the ``.npz`` I/O (:meth:`TaskTrace.save`/
+:meth:`TaskTrace.load`) imports it.
 """
 
 from __future__ import annotations
@@ -27,12 +27,7 @@ from array import array
 from enum import IntEnum
 from itertools import islice
 from operator import lt, sub
-from typing import (
-    TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Optional,
-)
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
 
 __all__ = ["AccessMode", "Param", "TraceTask", "TaskTrace", "TraceWriter"]
 
@@ -161,16 +156,10 @@ def _column(typecode: str, values: Any) -> array:
     col = array(typecode)
     np = sys.modules.get("numpy")
     if np is not None and isinstance(values, np.ndarray):
-        _extend(col, values)
+        col.frombytes(np.ascontiguousarray(values, dtype=np.dtype(typecode)).tobytes())
     else:
         col.extend(values)
     return col
-
-
-def _extend(col: array, values: np.ndarray) -> None:
-    import numpy as np
-
-    col.frombytes(np.ascontiguousarray(values, dtype=np.dtype(col.typecode)).tobytes())
 
 
 #: Position of the sign byte in an 8-byte column element: a column has no
@@ -192,8 +181,8 @@ def _first(values: Iterable[int], bad: Callable[[int], bool]) -> int:
 
 
 class TraceWriter:
-    """Trace columns grown in program order, a task or a block at a time;
-    the generators write rows here instead of building task objects."""
+    """Trace columns grown in program order, a task at a time; the
+    generators write rows here instead of building task objects."""
 
     def __init__(self) -> None:
         self.columns = {key: array(code) for key, code in _COLUMNS.items()}
@@ -213,24 +202,6 @@ class TraceWriter:
             size.append(sz)
             mode.append(m)
         cols["param_offsets"].append(len(addr))
-
-    def extend(self, func: np.ndarray, exec_time: np.ndarray,
-               read_time: np.ndarray, write_time: np.ndarray,
-               n_params: np.ndarray, param_addr: np.ndarray,
-               param_size: np.ndarray, param_mode: np.ndarray) -> None:
-        """Append a block of tasks from whole-block NumPy arrays: one entry
-        per task, and the block's parameters flattened in task order."""
-        import numpy as np
-
-        cols = self.columns
-        base = len(cols["param_addr"])
-        for key, values in (
-            ("func", func), ("exec_time", exec_time), ("read_time", read_time),
-            ("write_time", write_time), ("param_addr", param_addr),
-            ("param_size", param_size), ("param_mode", param_mode),
-        ):
-            _extend(cols[key], values)
-        _extend(cols["param_offsets"], base + np.cumsum(n_params))
 
     def build(self, name: str, meta: Optional[dict] = None) -> "TaskTrace":
         return TaskTrace.from_columns(name, meta, **self.columns)

@@ -1,7 +1,7 @@
 """Large-trace end-to-end runs: the wheel kernel's reason to exist.
 
-The timing-wheel kernel and the streaming trace generator together put
-100k+-task traces in reach; this file pins two waypoints — a 50k-task
+The timing-wheel kernel and the column-writing trace generator together
+put 100k+-task traces in reach; this file pins two waypoints — a 50k-task
 trace and a million-task run — each simulated end-to-end.  Every seeded
 run fires an exact number of kernel events, so the waypoints assert that
 count (deterministic) rather than a wall-clock budget: a different count
@@ -19,10 +19,10 @@ from repro.traces import random_trace
 
 
 #: Kernel events fired by the seeded 50k-task run below.
-EVENTS_50K = 4_347_854
+EVENTS_50K = 4_350_375
 
 #: Kernel events fired by the seeded million-task run below.
-EVENTS_1M = 67_997_461
+EVENTS_1M = 68_003_070
 
 
 @pytest.mark.slow
@@ -54,9 +54,7 @@ def test_50k_task_trace_fires_pinned_event_count():
 def test_million_task_trace_fires_pinned_event_count():
     """The scale waypoint: one million tasks end-to-end.
 
-    A narrow address pool keeps generation time small (the chunked
-    generator draws ``n_addresses`` sampling keys per task, through a
-    fixed-size key block); one parameter per task keeps the run
+    One parameter per task keeps generation cheap and the run
     dependence-light — this waypoint is about the host kernel sustaining
     ~68M events over 10 ms of modelled time, not about hazard pressure
     (the 50k waypoint above and the golden table cover that).

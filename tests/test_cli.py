@@ -717,11 +717,14 @@ class TestParam:
              "n_tasks: cannot read 'ten' as int"),
             (["run", "random", "--param", "n_tasks=0"], "need at least one task"),
             (["run", "random", "--param", "mean_exec=0"], "need mean_exec >= 1"),
+            (["run", "wait-chain", "--param", "cv=-1"],
+             "cv must be finite and >= 0, got -1"),
             (["sweep", "wait-chain", "--param", "rows=2", "--param", "rows=3",
               "--efficiency", "500"], "--param rows is given twice"),
         ],
         ids=["unknown", "not-scalar", "twice", "no-value", "unreadable",
-             "generator-check", "generator-times", "efficiency-twice"],
+             "generator-check", "generator-times", "wait-chain-cv",
+             "efficiency-twice"],
     )
     def test_bad_params_are_one_line_errors(self, argv, message):
         with pytest.raises(SystemExit, match=message) as exc:

@@ -1,7 +1,7 @@
 """The paper's machine, its golden graph, the deterministic trace
-generators and random traces of up to 8,192 tasks run on the standard
-library: only the chunked random-trace path, the generators that draw from
-NumPy's RNG and the ``.npz`` trace I/O import NumPy.
+generators and random traces of any length run on the standard library:
+only the generators that draw from NumPy's RNG (``TimeModel`` sampling,
+wait-chain jitter) and the ``.npz`` trace I/O import NumPy.
 
 Runs in a fresh interpreter, since the test session itself has NumPy
 loaded.
@@ -22,7 +22,7 @@ from repro.cli import main
 from repro.config import SystemConfig
 from repro.machine import run_trace
 from repro.runtime import build_task_graph, run_software_rts
-from repro.traces import gaussian_trace, random_trace, wait_chain_trace
+from repro.traces import gaussian_trace, wait_chain_trace, workload
 
 assert "numpy" not in sys.modules, "import repro loaded numpy"
 
@@ -43,16 +43,14 @@ assert main(["run", "hazard-dense", "--param", "n_tasks=60",
 
 assert "numpy" not in sys.modules, "the stdlib-only path loaded numpy"
 
-random_trace(8192)
-assert "numpy" not in sys.modules, "a per-task random_trace loaded numpy"
-
-random_trace(8193)
-assert "numpy" in sys.modules, "the chunked random_trace draws from numpy"
+assert len(workload("stream-1p")) == 10_000
+assert "numpy" not in sys.modules, "a 10,000-task random_trace loaded numpy"
 print("ok")
 """
 
 #: With NumPy unimportable, a hazard-dense random trace still builds, runs
-#: on the full sharded stack and retires legally.
+#: on the full sharded stack and retires legally, and the perf ledger's
+#: 10,000-task ``stream-1p`` trace builds.
 BLOCKED = """
 import sys
 
@@ -61,11 +59,12 @@ sys.modules["numpy"] = None
 from repro.config import LADDER
 from repro.machine import run_trace
 from repro.runtime import build_task_graph
-from repro.traces import random_trace
+from repro.traces import random_trace, workload
 
 trace = random_trace(400, 96, 6, seed=7)
 result = run_trace(trace, LADDER["full"].with_(maestro_shards=4))
 assert result.verify_against(build_task_graph(trace)) == []
+assert len(workload("stream-1p")) == 10_000
 print("ok")
 """
 

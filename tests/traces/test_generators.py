@@ -233,7 +233,8 @@ class TestRandomTrace:
 
 
 class TestRandomTraceStreaming:
-    """The chunked vectorized path used for >8k-task traces."""
+    """Traces longer than the golden schedules replay (up to 3,000 tasks)
+    draw the same per-task stream, however long they get."""
 
     def test_streaming_path_is_deterministic(self):
         a = random_trace(9000, n_addresses=64, seed=5)
@@ -262,10 +263,10 @@ class TestRandomTraceStreaming:
         assert report.ok, report.errors
 
     def test_small_traces_keep_the_legacy_stream(self):
-        """Traces at or below the chunk size must keep the original RNG
-        stream byte-for-byte — the pinned golden schedule digests replay
-        random traces of up to 3000 tasks.  Spot-check against frozen
-        first-task values recorded from the pre-streaming generator."""
+        """Random traces keep the original RNG stream byte-for-byte — the
+        pinned golden schedule digests replay random traces of up to 3000
+        tasks.  Spot-check against frozen first-task values recorded from
+        the original generator."""
         trace = random_trace(
             400, n_addresses=96, max_params=6, seed=7,
             mean_exec=4000, mean_memory=0, name="pinned",
@@ -277,73 +278,43 @@ class TestRandomTraceStreaming:
             (33574912, 2), (33568768, 0), (33570304, 2),
         ]
 
-    def test_chunk_boundary_is_seamless(self):
-        """Tids stay dense and consecutive across chunk boundaries."""
-        trace = random_trace(8192 * 2 + 17, n_addresses=16, seed=1)
-        tids = [t.tid for t in trace]
-        assert tids == list(range(len(trace)))
+    @pytest.mark.parametrize(
+        "shorter, longer, params",
+        [
+            (8000, 9000, {}),
+            (2000, 10_000, dict(n_addresses=1024, max_params=1,
+                                mean_exec=2000, mean_memory=0)),
+        ],
+        ids=["default", "stream-1p"],
+    )
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_a_longer_trace_starts_with_the_shorter_one(
+        self, shorter, longer, params, seed
+    ):
+        """Growing ``n_tasks`` only appends rows: the first ``n`` rows of
+        any longer trace are the ``n``-task trace, on both sides of 8,192
+        tasks."""
+        short = random_trace(shorter, seed=seed, **params)
+        long = random_trace(longer, seed=seed, **params)
+        assert long.tasks[:shorter] == short.tasks
 
-    def test_chunked_stream_is_pinned(self):
-        """The chunked path's RNG stream, frozen: two chunks (the second
-        partial) over a pool whose key row blocks do not divide a chunk.
-        The digest was recorded from the whole-matrix key generator, so
-        drawing the keys in row blocks must not move a single draw."""
+    def test_long_stream_is_pinned(self):
+        """A 9,000-task stream over a 1,000-address pool, frozen without
+        NumPy (``test_pcg64`` checks it is NumPy's own stream)."""
         trace = random_trace(9000, n_addresses=1000, max_params=4, seed=5)
-        assert _stream_digest(trace) == CHUNKED_STREAM_DIGEST
+        assert _stream_digest(trace) == LONG_STREAM_DIGEST
 
-    def test_one_param_chunked_stream_is_pinned(self):
-        """A ``stream-1p`` trace above the chunk size (one parameter per
-        task, the perf ledger's and the 1M waypoint's shape) keeps the
-        stream it had before the kept addresses were sorted: with one
-        address per task the smallest key is the only order there is."""
+    def test_stream_1p_is_pinned(self):
+        """The ``stream-1p`` trace (one parameter per task, the perf
+        ledger's and the 1M waypoint's shape), frozen without NumPy."""
         trace = workload("stream-1p")
         assert len(trace) == 10_000
         assert _stream_digest(trace) == STREAM_1P_DIGEST
 
-    def test_chunked_trace_does_not_depend_on_the_partition_order(
-        self, monkeypatch
-    ):
-        """NumPy documents the order inside an ``argpartition`` as
-        undefined.  Each chunked task keeps its ``k`` smallest sampling
-        keys, smallest first, so a partition that leaves its kept columns
-        in another order (here reversed) builds the same trace."""
-        import numpy as np
-
-        default = random_trace(9000, n_addresses=1000, max_params=4, seed=5)
-        argpartition = np.argpartition
-
-        def reversed_partition(a, kth, axis=-1):
-            out = argpartition(a, kth, axis=axis)
-            out[:, : kth + 1] = out[:, kth::-1].copy()
-            return out
-
-        monkeypatch.setattr(np, "argpartition", reversed_partition)
-        shuffled = random_trace(9000, n_addresses=1000, max_params=4, seed=5)
-        assert shuffled.tasks == default.tasks
-
-    @pytest.mark.parametrize(
-        "n_addresses,max_params",
-        [(1, 3), (5, 9), (37, 4)],
-        ids=["one-address", "params-over-pool", "ragged-pool"],
-    )
-    @pytest.mark.parametrize("block_rows", [1, 3])
-    def test_key_block_size_does_not_change_the_stream(
-        self, monkeypatch, n_addresses, max_params, block_rows
-    ):
-        from repro.traces import random_traces
-
-        n_tasks = 8192 + 50
-        default = random_trace(n_tasks, n_addresses, max_params, seed=3)
-        monkeypatch.setattr(
-            random_traces, "_KEY_BLOCK", block_rows * n_addresses
-        )
-        blocked = random_trace(n_tasks, n_addresses, max_params, seed=3)
-        assert blocked.tasks == default.tasks
-
     def test_working_memory_does_not_grow_with_the_pool(self):
-        """A wide pool must not size a ``chunk x n_addresses`` key matrix
-        (8192 x 4096 float64 keys alone are 256 MiB).  Deterministic:
-        ``tracemalloc`` counts the allocations numpy makes."""
+        """A wide pool must not size anything by ``n_tasks x n_addresses``
+        (9000 x 4096 float64 keys alone are 281 MiB).  Deterministic:
+        ``tracemalloc`` counts the allocations."""
         import tracemalloc
 
         tracemalloc.start()
@@ -356,16 +327,15 @@ class TestRandomTraceStreaming:
 
 
 #: sha256 of ``_stream_digest(random_trace(9000, n_addresses=1000,
-#: max_params=4, seed=5))``, recorded from the whole-matrix generator.
-CHUNKED_STREAM_DIGEST = (
-    "1bd5eb2c9e8209809584d5b16c6f292b8983d7bf4c3ae64e891c2404099b5789"
+#: max_params=4, seed=5))``.
+LONG_STREAM_DIGEST = (
+    "75790e58990a63368ce9853eaee54555571182aa961b6c10a39d13cc0f754129"
 )
 
 
-#: ``_stream_digest(workload("stream-1p"))``, recorded before the chunked
-#: path sorted each task's kept addresses by key.
+#: ``_stream_digest(workload("stream-1p"))``.
 STREAM_1P_DIGEST = (
-    "e9fd59be2b2c7f6e10fb94f2f662f6edab28c217fc6af3d04503c70bc0e00448"
+    "46884a02010dacc3bd0fef9f337f5b357b56d54ef70191bab96a80e352fc9508"
 )
 
 
@@ -462,8 +432,8 @@ class TestWaitChain:
         assert report.ok, report.errors
 
     def test_beyond_8k_tasks_stays_dense_and_correct(self):
-        """Wait-chains larger than the 8192-task chunk size keep dense
-        tids and the exact dependence structure across the boundary."""
+        """Wait-chains of more than 8,192 tasks keep dense tids and the
+        exact dependence structure past that size."""
         rows, cols, k = 128, 65, 2
         trace = wait_chain_trace(rows, cols, k_deps=k, spin_ns=300)
         assert len(trace) == 8320
@@ -487,6 +457,11 @@ class TestWaitChain:
             wait_chain_trace(5, 5, k_deps=0)
         with pytest.raises(ValueError):
             wait_chain_trace(5, 5, spin_ns=0)
+
+    @pytest.mark.parametrize("cv", [-1, -0.1, float("nan"), float("inf")])
+    def test_bad_cv_is_rejected_by_name(self, cv):
+        with pytest.raises(ValueError, match="cv must be finite and >= 0"):
+            wait_chain_trace(5, 5, cv=cv)
 
 
 class TestSpatialDecomposition:

@@ -1,11 +1,12 @@
 """The stdlib PCG64 replays NumPy's ``default_rng`` stream bit for bit.
 
-``random_trace`` draws traces of up to ``_CHUNK_TASKS`` tasks from
-``repro.traces._pcg64``; the pinned random goldens were recorded on
-NumPy's ``Generator``.  These tests hold the two together: raw draws,
-bounded draws on each of Lemire's branches, both ``choice`` algorithms and
-whole traces, over multi-word seeds and the zero-width ranges that draw
-nothing.  ``numpy_trace_oracle`` is the NumPy form of the generator.
+``random_trace`` draws every trace from ``repro.traces._pcg64``; the
+pinned random goldens were recorded on NumPy's ``Generator``.  These tests
+hold the two together: raw draws, bounded draws on each of Lemire's
+branches, both ``choice`` algorithms and whole traces, over multi-word
+seeds and the zero-width ranges that draw nothing, and the pinned
+``stream-1p`` and 9,000-task streams.  ``numpy_trace_oracle`` is the NumPy
+form of the generator.
 """
 
 import random
@@ -16,9 +17,9 @@ np = pytest.importorskip("numpy")
 
 from numpy_trace_oracle import oracle_trace  # noqa: E402
 
-from repro.traces import random_trace  # noqa: E402
+from repro.traces import CATALOGUE, random_trace, workload  # noqa: E402
 from repro.traces._pcg64 import PCG64  # noqa: E402
-from repro.traces.random_traces import _CHUNK_TASKS, _per_task  # noqa: E402
+from repro.traces.random_traces import _per_task  # noqa: E402
 from repro.traces.trace import TraceWriter  # noqa: E402
 
 #: Single-word seeds, a two-word seed and multi-word ``SeedSequence``
@@ -117,9 +118,22 @@ def test_traces_equal_the_oracle(shape, seed):
     assert trace.tasks == expected.tasks
 
 
-def test_largest_per_task_trace_equals_the_oracle():
-    expected, _ = oracle_trace(_CHUNK_TASKS, 64, 5, 3)
-    assert random_trace(_CHUNK_TASKS, 64, 5, seed=3).tasks == expected.tasks
+@pytest.mark.parametrize("args", [(8192, 64, 5, 3), (9000, 1000, 4, 5)],
+                         ids=lambda a: "-".join(map(str, a)))
+def test_long_traces_equal_the_oracle(args):
+    """The largest trace drawn per task before every length was, and the
+    stream ``test_generators`` pins at 9,000 tasks."""
+    expected, _ = oracle_trace(*args)
+    assert random_trace(*args).tasks == expected.tasks
+
+
+def test_stream_1p_equals_the_oracle():
+    """The perf ledger's 10,000-task ``stream-1p`` trace is NumPy's
+    stream, so its pinned digest is too."""
+    params = dict(CATALOGUE["stream-1p"].params)
+    del params["name"]
+    expected, _ = oracle_trace(**params)
+    assert workload("stream-1p").tasks == expected.tasks
 
 
 def test_negative_seed_raises_as_numpy_does():

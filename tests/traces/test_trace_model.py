@@ -97,9 +97,9 @@ class TestTaskTrace:
             assert orig == back
 
     def test_load_reads_each_array_once(self, tmp_path, monkeypatch):
-        """A chunked-generator-sized trace round-trips, and ``load`` reads
-        every stored array at most once (``NpzFile`` decompresses a member
-        on each item access, so per-task indexing is quadratic)."""
+        """An 8,492-task trace round-trips, and ``load`` reads every stored
+        array at most once (``NpzFile`` decompresses a member on each item
+        access, so per-task indexing is quadratic)."""
         from collections import Counter
 
         from numpy.lib.npyio import NpzFile
@@ -139,15 +139,16 @@ def row_digest(trace):
 
 
 #: Row digests recorded on the object-per-task trace the columns replaced:
-#: every generator, including both ``random_trace`` paths (per task below
-#: 8192 tasks, chunked above), must write exactly the same rows.
+#: every generator must write exactly the same rows.  The 9,000-task random
+#: row was re-recorded when traces above 8,192 tasks moved to the per-task
+#: stream.
 TRACE_GOLDENS = [
     ("gaussian_trace(30)", 464,
      "82274360d8c00c60892d51afa97396e145c4ec59b0691b3bb15c92b893ea362c"),
     ("random_trace(3000, 16, 6, seed=1)", 3000,
      "829b5e55fa038854f129b3d34a5d54bb8b4ef7ee2671889970b849daacaab0c1"),
     ("random_trace(9000, 1024, 4, seed=5)", 9000,
-     "3eebd22d65a013e8f1c65673b14c4e7ffaeb0f379e811977c7ccd9e477c3f7bb"),
+     "3a0d996c5f6036b7b399f4fcb00b1d841d264abb06e8db75b2aabf38cb6217d7"),
     ("wait_chain_trace(4, 50, spin_ns=250)", 200,
      "fe3bbf8416b4e27b420eaffac97e4e391acc381f479cd4dc935099b6b5864029"),
     ("h264_wavefront_trace()", 8160,
