@@ -4,10 +4,10 @@
 Shows the full path from annotated source code to hardware simulation:
 
 1. write the wavefront decode loop with ``@prog.task`` pragmas;
-2. *execute it functionally* (threaded, dependence-driven) and validate the
-   result against a serial reference;
-3. lower the recorded program to a task trace and replay it on Nexus++
-   machines of increasing size (a miniature of Fig. 7's wavefront series).
+2. lower the recorded program to a task trace and replay it on Nexus++
+   machines of increasing size (a miniature of Fig. 7's wavefront series);
+3. *execute it functionally* in the order the 8-core machine started the
+   tasks, and validate the result against a serial reference.
 
 Run:  python examples/h264_wavefront.py
 """
@@ -16,9 +16,9 @@ import numpy as np
 
 from repro.analysis import plot_speedup_curves, render_table
 from repro.config import SystemConfig
-from repro.frontend import StarSsProgram
+from repro.frontend import StarSsProgram, execute
 from repro.machine import grid_sweep, saturation_point
-from repro.runtime import DataflowExecutor, build_task_graph
+from repro.runtime import build_task_graph
 from repro.sim import US
 
 ROWS, COLS = 24, 16  # scaled-down frame so the example runs in seconds
@@ -67,26 +67,29 @@ def reference_frame() -> list[list[float]]:
 
 
 def main() -> None:
-    # --- functional execution -------------------------------------------------
     prog, frame = build_program()
-    report = DataflowExecutor(workers=8).execute(prog)
+    # Give every decode task the paper's published mean times.
+    trace = prog.to_trace(exec_time=round(11.8 * US))
+    cores = [1, 2, 4, 8, 16, 32]
+    sweep = grid_sweep(trace, SystemConfig(), {"workers": cores})
+
+    # --- functional execution, in the 8-core machine's start order ------------
+    graph = build_task_graph(trace)
+    result = sweep.at(workers=8)
+    assert not result.verify_against(graph)
+    report = execute(prog, result.start_order())
     ref = reference_frame()
     ok = all(
         frame[i][j][0, 0] == ref[i][j] for i in range(ROWS) for j in range(COLS)
     )
-    # Give every decode task the paper's published mean times.
-    trace = prog.to_trace(exec_time=round(11.8 * US))
-    # The widest level of the dependence graph, not the threaded run's
-    # concurrency: that one depends on thread timing.
-    widest = build_task_graph(trace).max_parallelism()
+    widest = graph.max_parallelism()
     print(f"functional wavefront: {len(prog.tasks)} tasks, "
           f"widest level {widest}, "
           f"result {'correct' if ok else 'WRONG'}")
     assert ok and report.ok
 
-    # --- hardware simulation ---------------------------------------------------
-    cores = [1, 2, 4, 8, 16, 32]
-    speedups = grid_sweep(trace, SystemConfig(), {"workers": cores}).speedups
+    # --- hardware simulation --------------------------------------------------
+    speedups = sweep.speedups
     curve = list(zip(cores, speedups))
     print()
     print(render_table(

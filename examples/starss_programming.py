@@ -6,9 +6,10 @@ Covers every frontend feature on a realistic blocked-matrix pipeline:
 * ``@prog.task`` pragmas with input/output/inout directions,
 * variadic parameter lists (``*blocks`` — tasks wider than one descriptor),
 * barriers,
-* functional parallel execution with result validation,
 * lowering to a trace and comparing a software StarSs runtime against
-  Nexus++ on the *same* recorded program (the paper's motivation, §I).
+  Nexus++ on the *same* recorded program (the paper's motivation, §I),
+* functional execution in the order Nexus++ started the tasks, with
+  result validation.
 
 Run:  python examples/starss_programming.py
 """
@@ -17,14 +18,9 @@ import numpy as np
 
 from repro.analysis import render_table
 from repro.config import SystemConfig
-from repro.frontend import StarSsProgram
+from repro.frontend import StarSsProgram, execute
 from repro.machine import run_trace
-from repro.runtime import (
-    DataflowExecutor,
-    SoftwareRTSConfig,
-    build_task_graph,
-    run_software_rts,
-)
+from repro.runtime import SoftwareRTSConfig, build_task_graph, run_software_rts
 from repro.sim import US
 
 N_BLOCKS = 24
@@ -79,23 +75,24 @@ def expected_total() -> float:
 
 
 def main() -> None:
-    # --- record + functional execution -----------------------------------------
+    # --- record, simulate, and execute in Nexus++'s start order ---------------
     prog, blocks, halo, total = build_pipeline()
     print(f"recorded {len(prog.tasks)} tasks in "
           f"{prog.tasks[-1].epoch + 1} barrier epochs")
-    report = DataflowExecutor(workers=6).execute(prog)
     trace = prog.to_trace(exec_time=round(5 * US))
-    widest = build_task_graph(trace).max_parallelism()
+    graph = build_task_graph(trace)
+    cfg = SystemConfig(workers=8)
+    hw = run_trace(trace, cfg)
+    sw = run_software_rts(trace, cfg, SoftwareRTSConfig())
+    assert not hw.verify_against(graph)
+    report = execute(prog, hw.start_order())
+    widest = graph.max_parallelism()
     print(f"executed: widest level {widest}, "
           f"reduction = {total[0]:.1f} (expected {expected_total():.1f})")
     assert report.ok and total[0] == expected_total()
 
-    # --- simulate the lowered trace --------------------------------------------
+    # --- compare the two runtimes on the lowered trace ------------------------
     print(f"\nlowered trace: {trace.describe()}")
-
-    cfg = SystemConfig(workers=8)
-    hw = run_trace(trace, cfg)
-    sw = run_software_rts(trace, cfg, SoftwareRTSConfig())
     rows = [
         ["software StarSs RTS", round(sw.makespan / 1e6, 1),
          f"{sw.worker_utilization():.0%}"],

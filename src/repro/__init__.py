@@ -13,9 +13,9 @@ Layers, bottom-up:
 * :mod:`repro.hw`       — the Nexus++ hardware: Task Pool, Dependence Table,
   Task Maestro blocks, Task Controllers, banked memory
 * :mod:`repro.machine`  — the full-system Task Machine simulator and sweeps
-* :mod:`repro.runtime`  — golden dependence semantics, functional executor,
-  software-RTS baseline
-* :mod:`repro.frontend` — StarSs-style ``@task`` pragma layer
+* :mod:`repro.runtime`  — golden dependence semantics, software-RTS baseline
+* :mod:`repro.frontend` — StarSs-style ``@task`` pragma layer: record a
+  program, lower it to a trace, run its bodies in a modelled start order
 * :mod:`repro.analysis` — metrics, ASCII tables/plots for the figures
 
 Quickstart::

@@ -8,10 +8,10 @@ calling the decorated function *records* a task instead of executing it.
 
 Recorded programs can be
 
-* executed for real (threaded, dependence-driven) via
-  :class:`repro.runtime.executor.DataflowExecutor`, or
 * lowered to a :class:`~repro.traces.trace.TaskTrace` and replayed on the
-  cycle-level :class:`~repro.machine.NexusMachine`.
+  cycle-level :class:`~repro.machine.NexusMachine`, and
+* executed for real by :func:`repro.frontend.execute`, in program order or
+  in the order the modelled machine started their tasks.
 """
 
 from __future__ import annotations
@@ -233,13 +233,19 @@ class StarSsProgram:
         Barriers stall the *master core*, which the trace format (pure data
         flow) does not express, so they are dropped during lowering — data
         dependencies already order the epochs in every program whose phases
-        communicate through data.  The functional executor
-        (:class:`repro.runtime.DataflowExecutor`) honours barriers exactly.
+        communicate through data.  :func:`repro.frontend.execute` rejects
+        an order that crosses a barrier, so a program whose data do not
+        express one fails there rather than computing a wrong result.
+
+        Each task's ``func`` is the index of its :class:`TaskSpec` in the
+        order the specs were first recorded, so two identical builds of a
+        program lower to identical traces.
         """
         cfg = config or SystemConfig()
         if not self.tasks:
             raise ValueError("no tasks recorded")
         trace_tasks: List[TraceTask] = []
+        func_ids: Dict[TaskSpec, int] = {}
         for task in self.tasks:
             params = []
             read_bytes = 0
@@ -257,7 +263,7 @@ class StarSsProgram:
             trace_tasks.append(
                 TraceTask(
                     tid=task.tid,
-                    func=id(task.spec.func) & 0xFFFF,
+                    func=func_ids.setdefault(task.spec, len(func_ids)),
                     params=tuple(params),
                     exec_time=et,
                     read_time=cfg.memory_time_for_bytes(read_bytes),

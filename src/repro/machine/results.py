@@ -81,6 +81,23 @@ class RunResult:
         """
         return self.worker_utilization()
 
+    def start_order(self) -> List[int]:
+        """Task ids in the order their bodies started: by ``(exec_start, tid)``.
+
+        For a run that passes :meth:`verify_against` this is a topological
+        order of the golden graph: a successor's ``fetch_start`` is no
+        earlier than each predecessor's ``writeback_end``, which is at or
+        after that predecessor's ``exec_start``; on a tie the predecessor
+        has the smaller tid.  :func:`repro.frontend.execute` runs a
+        recorded program's bodies in it.
+        """
+        exec_start = self.scoreboard.exec_start
+        if -1 in exec_start:
+            raise ValueError(
+                f"task {exec_start.index(-1)} never started: no start order"
+            )
+        return sorted(range(len(exec_start)), key=exec_start.__getitem__)
+
     def verify_against(self, graph) -> List[str]:
         """All correctness checks against the golden task graph.
 

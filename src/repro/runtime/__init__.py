@@ -1,7 +1,5 @@
-"""Software runtime layer: golden task graph, functional executor,
-software-RTS timing baseline."""
+"""Software runtime layer: golden task graph, software-RTS timing baseline."""
 
-from .executor import DataflowExecutor, ExecutionReport
 from .software_rts import SoftwareRTSConfig, run_software_rts
 from .task_graph import DependenceKind, TaskGraph, build_task_graph
 
@@ -9,8 +7,6 @@ __all__ = [
     "TaskGraph",
     "build_task_graph",
     "DependenceKind",
-    "DataflowExecutor",
-    "ExecutionReport",
     "SoftwareRTSConfig",
     "run_software_rts",
 ]

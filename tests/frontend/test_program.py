@@ -145,6 +145,19 @@ class TestLowering:
         with pytest.raises(ValueError, match="no tasks"):
             StarSsProgram().to_trace()
 
+    def test_identical_builds_lower_to_equal_func_columns(self):
+        def build():
+            prog, copy, double = make_program()
+            a, b = np.ones(4), np.zeros(4)
+            copy(a, b)
+            double(b)
+            double(b)
+            return prog.to_trace()
+
+        first, second = build(), build()
+        # Each task spec is numbered in the order it was first recorded.
+        assert list(first.func) == list(second.func) == [0, 1, 1]
+
     def test_trace_runs_on_machine(self):
         from repro.config import SystemConfig
         from repro.machine import run_trace
