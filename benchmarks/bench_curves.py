@@ -148,15 +148,14 @@ def graph(key: str):
     return build_task_graph(trace(key))
 
 
-#: ``(trace key, software RTS?, repr(config)) -> run``.  A
-#: ``SystemConfig`` holds a dict, so it is keyed by its repr.
-_RUNS: Dict[Tuple[str, bool, str], RunResult] = {}
+#: ``(trace key, software RTS?, config) -> run``.
+_RUNS: Dict[Tuple[str, bool, SystemConfig], RunResult] = {}
 
 
 def run(key: str, cfg: SystemConfig, software: bool = False) -> RunResult:
     """``TRACES[key]`` on ``cfg`` (under the software RTS when
     ``software``), run once per session."""
-    memo = (key, software, repr(cfg))
+    memo = (key, software, cfg)
     if memo not in _RUNS:
         tr = trace(key)
         _RUNS[memo] = (
@@ -181,22 +180,22 @@ class Series:
     """Several grid reports read as one table.
 
     Each row is a report row plus its ``series`` label and the
-    ``extra(label, run, config)`` columns.  The JSON keeps each report's
+    ``extra(label, run)`` columns.  The JSON keeps each report's
     header (trace, axes, baseline, fixed knobs) under ``series``.
     """
 
     def __init__(
         self,
         reports: Dict[str, GridReport],
-        extra: Callable[[str, RunResult, SystemConfig], dict] = lambda *_: {},
+        extra: Callable[[str, RunResult], dict] = lambda *_: {},
     ):
         self.reports = reports
         names = dict.fromkeys(rep.trace_name for rep in reports.values())
         self.trace_name = ", ".join(names)
         self._rows = [
-            {"series": label, **row, **extra(label, result, cfg)}
+            {"series": label, **row, **extra(label, result)}
             for label, rep in reports.items()
-            for row, result, cfg in zip(rep.rows(), rep.runs, rep.configs)
+            for row, result in zip(rep.rows(), rep.runs)
         ]
 
     def rows(self) -> list:
@@ -284,8 +283,9 @@ NS_PER_HOP = ("ns/hop", lambda r: round(r["chain_hop_ns"].get("total", 0.0), 1))
 FIG6 = LADDER["contention-free"].with_(workers=MANY_CORES, task_pool_entries=8192)
 
 
-def fig6_extra(label: str, result: RunResult, cfg: SystemConfig) -> dict:
+def fig6_extra(label: str, result: RunResult) -> dict:
     base = run("independent", FIG6.with_(workers=1))
+    cfg = result.config
     return {
         "workers": cfg.workers,
         "dependence_table_entries": cfg.dependence_table_entries,
@@ -416,14 +416,14 @@ def check_sw_rts(rep, at: At) -> None:
     assert hw[16] > 11
 
 
-def renaming_extra(key: str, result: RunResult, cfg: SystemConfig) -> dict:
+def renaming_extra(key: str, result: RunResult) -> dict:
     raw, war, waw = count_false_dependencies(trace(key))
     return {
         "raw_edges": raw,
         "war_edges": war,
         "waw_edges": waw,
         "dt_high_water": result.stats["dep_table"]["high_water"],
-        "bottleneck": analyze_bottleneck(result, cfg).verdict,
+        "bottleneck": analyze_bottleneck(result).verdict,
     }
 
 
@@ -438,11 +438,11 @@ def check_renaming(rep, at: At) -> None:
     assert ren["dt_high_water"] >= plain["dt_high_water"]
 
 
-def versatility_extra(key: str, result: RunResult, cfg: SystemConfig) -> dict:
+def versatility_extra(key: str, result: RunResult) -> dict:
     return {
         "tasks": len(trace(key)),
         "avg_parallelism": round(graph(key).average_parallelism(), 4),
-        "bottleneck": analyze_bottleneck(result, cfg).verdict,
+        "bottleneck": analyze_bottleneck(result).verdict,
         "max_kickoff_waiters": result.stats["dep_table"]["max_kickoff_waiters"],
         "violations": len(result.verify_against(graph(key))),
     }
@@ -516,7 +516,7 @@ def check_dispatch(rep, at: At) -> None:
     cache_only, fast_only = point(64, False), point(0, True)
     # The baseline is latency-bound: nothing saturated, the critical
     # chain covering most of the run, the TD transfer its dominant hop.
-    verdict = analyze_bottleneck(rep.runs[0], rep.configs[0])
+    verdict = analyze_bottleneck(rep.runs[0])
     assert verdict.verdict == "latency", verdict.describe()
     assert off["chain_fraction"] > 0.5
     assert off["chain_hop_ns"]["td_transfer"] > 25.0
@@ -540,7 +540,7 @@ def check_resolve(rep, at: At) -> None:
     spec_only, coal_only = point(1, True), point(8, False)
     # With 8 masters the baseline is latency-bound on the resolve hop,
     # and the verdict names the resolve knobs as the lever.
-    verdict = analyze_bottleneck(rep.runs[0], rep.configs[0])
+    verdict = analyze_bottleneck(rep.runs[0])
     assert verdict.verdict == "latency", verdict.describe()
     assert "resolve" in (verdict.detail or "")
     assert off["dominant_chain_component"] == "resolve"
@@ -567,7 +567,7 @@ def check_check(rep, at: At) -> None:
     # scatter wins the verdict (it can tie with send_tds here), the
     # detail names the check knobs as the lever.
     assert off["scatter_busy"] > 0.50, off
-    verdict = analyze_bottleneck(rep.runs[0], rep.configs[0])
+    verdict = analyze_bottleneck(rep.runs[0])
     assert verdict.occupancy.get("maestro.scatter", 0.0) >= 0.90, verdict.describe()
     name = verdict.verdict.removeprefix("maestro.")
     if name == "scatter" or name.endswith(".check"):
@@ -838,7 +838,12 @@ CURVES = [
         ),
         [
             ("depth", lambda r: r["retire_pipeline_depth"]),
-            ("TP ports", lambda r: r["task_pool_ports"]),
+            (
+                "TP ports",
+                lambda r: LADDER["frontend"]
+                .with_(retire_pipeline_depth=r["retire_pipeline_depth"])
+                .tp_ports,
+            ),
             MAKESPAN,
             SPEEDUP,
             ("mean in-flight", lambda r: round(r["retire_inflight_mean"], 2)),

@@ -20,7 +20,7 @@ FAST = TimeModel(mean_exec=2_000_000, mean_memory=1_500_000, cv=0.1)
 
 def show(title: str, trace, cfg: SystemConfig) -> None:
     result = run_trace(trace, cfg)
-    verdict = analyze_bottleneck(result, cfg)
+    verdict = analyze_bottleneck(result)
     print(f"\n=== {title} ===")
     print(result.summary())
     print(verdict.describe())
@@ -55,7 +55,7 @@ def main() -> None:
     result = run_trace(trace, cfg)
     print("\n=== master-bound: 256 cores, contention-free ===")
     print(result.summary())
-    print(analyze_bottleneck(result, cfg).describe())
+    print(analyze_bottleneck(result).describe())
     print()
     print(render_table(
         ["lifecycle stage", "mean latency (ns)"],

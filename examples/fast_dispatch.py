@@ -78,11 +78,11 @@ def main() -> None:
     # latency-bound with the chain arithmetic in the verdict detail; the
     # full subsystem's chain is ~1.5x shorter per hop.
     for i in (0, -1):
-        run, point_cfg = report.runs[i], report.configs[i]
-        rep = analyze_bottleneck(run, point_cfg)
+        run = report.runs[i]
+        rep = analyze_bottleneck(run)
         label = (
-            f"cache={point_cfg.td_cache_entries or 'off'}, "
-            f"fast path={'on' if point_cfg.kickoff_fast_path else 'off'}"
+            f"cache={run.config.td_cache_entries or 'off'}, "
+            f"fast path={'on' if run.config.kickoff_fast_path else 'off'}"
         )
         print(f"\n{label}: {rep.describe()}")
         sub = run.stats["dispatch"].get("fast_dispatch")

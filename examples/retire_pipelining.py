@@ -34,12 +34,12 @@ def main() -> None:
     report = grid_sweep(trace, cfg, {"retire_pipeline_depth": depths})
 
     rows = []
-    for row, run, point_cfg in zip(report.rows(), report.runs, report.configs):
-        verdict = analyze_bottleneck(run, point_cfg)
+    for row, run in zip(report.rows(), report.runs):
+        verdict = analyze_bottleneck(run)
         rows.append(
             [
                 row["retire_pipeline_depth"],
-                row["task_pool_ports"],
+                run.config.tp_ports,
                 round(row["makespan_ps"] / 1e6, 2),
                 round(row["speedup_vs_baseline"], 2),
                 f"{row['retire_full_fraction']:.0%}",
@@ -59,7 +59,7 @@ def main() -> None:
     # Show the full attribution for the two ends of the curve.
     for i in (0, -1):
         run = report.runs[i]
-        rep = analyze_bottleneck(run, report.configs[i])
+        rep = analyze_bottleneck(run)
         print(f"\ndepth {depths[i]}: {rep.describe()}")
         retire = run.stats["shards"]["retire"]
         print(

@@ -16,24 +16,23 @@ like neither.  This module adds the missing time dimension:
 * :class:`TimeSeries` — the sampled values keyed by stable dotted signal
   names (``s0.check.busy``, ``dep_table.kickoff_waiters``, ...), carried
   in ``RunResult.stats["telemetry"]`` as a plain JSON-shaped dict.
-* the **versioned metrics document** (``schema_version`` 1):
-  :func:`build_metrics_document` consolidates the aggregate stats blocks
-  plus the time series; :func:`validate_metrics` checks a document
-  against :func:`telemetry_schema` (hand-rolled — no external schema
-  dependency); :func:`render_metrics` pretty-prints one document and
+* the **versioned metrics document** (``schema_version`` 2):
+  :func:`build_metrics_document` consolidates the machine's config, the
+  aggregate stats blocks and the time series; :func:`validate_metrics`
+  checks a document against :func:`telemetry_schema` (hand-rolled — no
+  external schema dependency); :func:`render_metrics` pretty-prints one document and
   :func:`diff_metrics` diffs two (makespan, per-signal mean/max deltas)
   — the comparison primitive regression gating needs.
 
-Signals flagged ``host=True`` (wall-clock-derived rates such as
-``host.events_per_sec``) are carried in the metrics document but excluded
-from the byte-stable Chrome-trace counter lanes, which must not depend on
-host timing.
+Every signal is a modelled quantity, so the time series is the same on
+every run of one trace on one machine.  The host's wall-clock rates are
+run-level facts in ``aggregates.sim`` only.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -55,7 +54,7 @@ __all__ = [
 
 #: Version stamp of the metrics document layout.  Bump on any breaking
 #: change to the document shape so downstream consumers can gate on it.
-METRICS_SCHEMA_VERSION = 1
+METRICS_SCHEMA_VERSION = 2
 
 #: A signal read: ``fn(t0, t1) -> float`` for the window ``[t0, t1)``.
 SignalRead = Callable[[int, int], float]
@@ -76,7 +75,6 @@ class TimeSeries:
         self.window_ps = window_ps
         self.times_ps: List[int] = []
         self.signals: Dict[str, List[float]] = {}
-        self.host_signals: List[str] = []
 
     @property
     def n_samples(self) -> int:
@@ -96,7 +94,6 @@ class TimeSeries:
             "window_ps": self.window_ps,
             "times_ps": list(self.times_ps),
             "signals": {k: list(v) for k, v in sorted(self.signals.items())},
-            "host_signals": sorted(self.host_signals),
         }
 
     @classmethod
@@ -107,7 +104,6 @@ class TimeSeries:
             str(k): [float(x) for x in v]
             for k, v in (data.get("signals") or {}).items()
         }
-        out.host_signals = [str(s) for s in data.get("host_signals", [])]
         return out
 
 
@@ -130,18 +126,11 @@ class TelemetrySampler:
 
     # ---- signal registration ---------------------------------------------------
 
-    def add_signal(self, name: str, read: SignalRead, host: bool = False) -> None:
-        """Register ``read(t0, t1)`` under the dotted signal ``name``.
-
-        ``host=True`` marks a wall-clock-derived (nondeterministic) signal
-        carried in the metrics document but excluded from the byte-stable
-        trace-export counter lanes.
-        """
+    def add_signal(self, name: str, read: SignalRead) -> None:
+        """Register ``read(t0, t1)`` under the dotted signal ``name``."""
         if name in self.series.signals:
             raise ValueError(f"duplicate telemetry signal {name!r}")
         self.series.signals[name] = []
-        if host:
-            self.series.host_signals.append(name)
         self._reads.append((name, read))
 
     def add_busy(self, name: str, tracker: "BusyTracker") -> None:
@@ -199,9 +188,7 @@ class TelemetrySampler:
 
         self.add_signal(name, read)
 
-    def add_counter(
-        self, name: str, current: Callable[[], float], host: bool = False
-    ) -> None:
+    def add_counter(self, name: str, current: Callable[[], float]) -> None:
         """Per-window delta of a monotone cumulative counter."""
         state = [0.0]
 
@@ -210,7 +197,7 @@ class TelemetrySampler:
             delta, state[0] = cur - state[0], cur
             return delta
 
-        self.add_signal(name, read, host=host)
+        self.add_signal(name, read)
 
     def add_rate(
         self,
@@ -233,20 +220,6 @@ class TelemetrySampler:
     def add_gauge(self, name: str, current: Callable[[], float]) -> None:
         """Instantaneous value read at each window boundary."""
         self.add_signal(name, lambda t0, t1: float(current()))
-
-    def add_events_per_sec(self, sim: "Simulator") -> None:
-        """Host-side events/sec over each window (wall-clock derived, so
-        flagged ``host`` and excluded from the byte-stable trace lanes)."""
-        state = [(0, time.perf_counter())]
-
-        def read(t0: int, t1: int) -> float:
-            events, wall = sim.events_processed, time.perf_counter()
-            d_events = events - state[0][0]
-            d_wall = wall - state[0][1]
-            state[0] = (events, wall)
-            return d_events / d_wall if d_wall > 0 else 0.0
-
-        self.add_signal("host.events_per_sec", read, host=True)
 
     # ---- sampling ----------------------------------------------------------------
 
@@ -289,7 +262,7 @@ def telemetry_schema() -> Dict[str, Any]:
             "makespan_ps": "int",
             "master_done_ps": "int|null",
             "worker_utilization": "number",
-            "config_notes": "object",
+            "config": "object",
             "aggregates": "object",
             "telemetry": "object|null",
         },
@@ -297,7 +270,6 @@ def telemetry_schema() -> Dict[str, Any]:
             "window_ps": "int>0",
             "times_ps": "ascending list[int]",
             "signals": "dict[str, list[number]] (lengths == len(times_ps))",
-            "host_signals": "list[str] (subset of signals)",
         },
         # Host-performance block carried in aggregates["sim"]: wall-clock
         # facts about the simulation run itself (never the modelled
@@ -331,7 +303,7 @@ def validate_metrics(doc: Any) -> List[str]:
     """Validate ``doc`` against :func:`telemetry_schema`.
 
     Returns a list of problems; an empty list means the document is a
-    well-formed version-1 metrics document.
+    well-formed version-2 metrics document.
     """
     problems: List[str] = []
     if not isinstance(doc, dict):
@@ -387,18 +359,11 @@ def _validate_telemetry_block(tel: Dict[str, Any]) -> List[str]:
                 f"telemetry signal {name!r} has {len(values)} samples for "
                 f"{len(times)} windows"
             )
-    host = tel.get("host_signals", [])
-    if not isinstance(host, list):
-        problems.append("telemetry.host_signals must be a list")
-    else:
-        unknown = [h for h in host if h not in signals]
-        if unknown:
-            problems.append(f"host_signals name unknown signals: {unknown}")
     return problems
 
 
 def build_metrics_document(result: "RunResult") -> Dict[str, Any]:
-    """Consolidate one finished run into the version-1 metrics document.
+    """Consolidate one finished run into the version-2 metrics document.
 
     The document is round-tripped through JSON so it is exactly what a
     reader of the written file sees (integer histogram keys become
@@ -415,7 +380,7 @@ def build_metrics_document(result: "RunResult") -> Dict[str, Any]:
         "makespan_ps": result.makespan,
         "master_done_ps": result.master_done,
         "worker_utilization": round(result.worker_utilization(), 6),
-        "config_notes": result.config_notes,
+        "config": dataclasses.asdict(result.config),
         "aggregates": aggregates,
         "telemetry": result.stats.get("telemetry"),
     }

@@ -57,7 +57,7 @@ def chrome_trace(result: RunResult) -> Dict[str, Any]:
     a completed task, so the exported flow set *is* the scoreboard's
     release-edge set.
     """
-    shards = int(result.config_notes.get("maestro_shards", 1) or 1)
+    shards = result.config.maestro_shards
     sb = result.scoreboard
     done = [tid for tid, t in enumerate(sb.completed) if t != _UNSET]
 
@@ -238,17 +238,15 @@ def chrome_trace(result: RunResult) -> Dict[str, Any]:
 def _append_counter_lanes(
     events: List[Dict[str, Any]], telemetry: Dict[str, Any]
 ) -> int:
-    """Emit one ``ph: "C"`` lane per deterministic telemetry signal.
+    """Emit one ``ph: "C"`` lane per telemetry signal.
 
     Counter samples carry the value over the window *ending* at the
-    sample timestamp.  Signals listed in ``host_signals`` (wall-clock
-    derived, e.g. events/sec of the host process) are skipped so the
-    exported document stays byte-identical across reruns of the same
-    simulation.  Returns the number of lanes emitted.
+    sample timestamp.  Every signal is modelled, so the exported document
+    is byte-identical across reruns of the same simulation.  Returns the
+    number of lanes emitted.
     """
-    host = set(telemetry.get("host_signals", ()))
     times = telemetry["times_ps"]
-    lanes = [name for name in sorted(telemetry["signals"]) if name not in host]
+    lanes = sorted(telemetry["signals"])
     if lanes:
         events.append(
             {

@@ -80,9 +80,8 @@ __all__ = ["main", "build_parser"]
 #: ``sweep --efficiency``'s spin times (ns) without a value.
 SPINS_NS = "250,1000,4000,16000,64000"
 
-#: Every knob ``--set`` and ``--axis`` read, by its SystemConfig field
-#: type; the provenance ``notes`` are not a knob.
-_KNOBS = {k: t for k, t in typing.get_type_hints(SystemConfig).items() if k != "notes"}
+#: Every knob ``--set`` and ``--axis`` read, by its SystemConfig field type.
+_KNOBS = typing.get_type_hints(SystemConfig)
 
 
 def _workload_params(args: argparse.Namespace) -> Dict[str, Any]:
@@ -271,7 +270,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return 1
         print(f"dependence check: OK ({graph.n_edges} edges)")
     if args.bottleneck:
-        print(analyze_bottleneck(result, cfg).describe())
+        print(analyze_bottleneck(result).describe())
     dep = result.stats["dep_table"]
     print(
         f"dummy tasks {result.stats['task_pool']['dummy_tasks_created']}, "
@@ -373,7 +372,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"{telemetry['window_ps'] / 1e6:.4g} us, "
             f"{len(telemetry['signals'])} signals"
         )
-        timeline = bottleneck_timeline(result, cfg)
+        timeline = bottleneck_timeline(result)
         if timeline is not None:
             print(f"bottleneck timeline: {timeline.strip()}")
     if getattr(args, "metrics_out", None):

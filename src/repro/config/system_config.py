@@ -10,7 +10,7 @@ table the paper prints).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Optional
 
 from ..sim.time_units import NS
@@ -32,7 +32,9 @@ BUS_MODEL_FITTED = "fitted"
 class SystemConfig:
     """Complete parameter set for a Nexus++ machine simulation.
 
-    Defaults reproduce Table IV of the paper.
+    Defaults reproduce Table IV of the paper.  Frozen and hashable: every
+    run carries the config it ran on (``RunResult.config``), and equal
+    configs are one dict key.
     """
 
     # ---- machine shape ---------------------------------------------------------
@@ -100,14 +102,6 @@ class SystemConfig:
     #: A sharded-engine knob: raising it on a single-Maestro machine is an
     #: error rather than a silent no-op.
     retire_pipeline_depth: int = 1
-    #: Concurrent Task Pool access ports (a banked/multi-ported SRAM; the
-    #: paper's per-entry busy bits allow concurrent access to distinct
-    #: entries, which a single arbitration port under-models).  ``None``
-    #: provisions one port per *per-shard ticket slot* — i.e.
-    #: ``retire_pipeline_depth`` ports, shared by all shards and blocks —
-    #: so the depth-1 machine keeps the paper-exact single port and a
-    #: deeper retire pipeline scales its TP bandwidth with its depth.
-    task_pool_ports: Optional[int] = None
 
     # ---- fast-dispatch subsystem -------------------------------------------------
     #: Per-shard TD prefetch cache capacity, in staged Task Descriptors.
@@ -144,13 +138,6 @@ class SystemConfig:
     #: apply in that order within the merged access (ARCHITECTURE.md
     #: invariant 5).  Works on both Maestro engines.
     finish_coalesce_limit: int = 1
-    #: Picoseconds the notify intake waits after the first notification of
-    #: a batch for stragglers to land before draining (0 = drain only
-    #: what already arrived).  Trades a bounded added latency on the
-    #: first notification for larger batches; meaningful only with
-    #: ``finish_coalesce_limit`` > 1 (setting it alone is an error rather
-    #: than a silent no-op).
-    finish_coalesce_window: int = 0
     #: Speculative kick-off: hand became-ready waiter kicks to a dedicated
     #: per-shard kick unit instead of running them inline in the resolve
     #: loop, so the kick of one notification's waiter overlaps the
@@ -183,11 +170,6 @@ class SystemConfig:
     #: preserved: batches drain in arrival order and same-row probes apply
     #: in that order within the merged access.  A sharded-engine knob.
     check_coalesce_limit: int = 1
-    #: Picoseconds a check engine waits after the first probe of a batch
-    #: for stragglers before draining (0 = drain only what already
-    #: arrived).  Meaningful only with ``check_coalesce_limit`` > 1
-    #: (setting it alone is an error rather than a silent no-op).
-    check_coalesce_window: int = 0
 
     #: Locality-aware work stealing: an idle shard prefers stealing from
     #: shards that have no idle worker of their own, leaving a ready task
@@ -254,8 +236,6 @@ class SystemConfig:
     #: Worker peak FLOP rate, used by workloads specified in FLOPs (Gaussian
     #: elimination: 2 GFLOPS per core, §V).
     core_gflops: float = 2.0
-    #: Free-form provenance notes carried into result reports.
-    notes: dict[str, Any] = field(default_factory=dict)
 
     # ---- validation ------------------------------------------------------------------
 
@@ -317,8 +297,6 @@ class SystemConfig:
                 "engine (set maestro_shards > 1); the single-Maestro machine "
                 "would silently ignore it"
             )
-        if self.task_pool_ports is not None and self.task_pool_ports < 1:
-            raise ValueError("task_pool_ports must be >= 1")
         if self.td_cache_entries < 0:
             raise ValueError(
                 f"td_cache_entries must be >= 0, got {self.td_cache_entries}"
@@ -339,32 +317,10 @@ class SystemConfig:
                 f"finish_coalesce_limit must be >= 1, got "
                 f"{self.finish_coalesce_limit}"
             )
-        if self.finish_coalesce_window < 0:
-            raise ValueError(
-                f"finish_coalesce_window must be >= 0, got "
-                f"{self.finish_coalesce_window}"
-            )
-        if self.finish_coalesce_window > 0 and self.finish_coalesce_limit == 1:
-            raise ValueError(
-                "finish_coalesce_window > 0 needs finish_coalesce_limit > 1: "
-                "a batch window with a one-notification batch limit would "
-                "silently add latency and coalesce nothing"
-            )
         if self.check_coalesce_limit < 1:
             raise ValueError(
                 f"check_coalesce_limit must be >= 1, got "
                 f"{self.check_coalesce_limit}"
-            )
-        if self.check_coalesce_window < 0:
-            raise ValueError(
-                f"check_coalesce_window must be >= 0, got "
-                f"{self.check_coalesce_window}"
-            )
-        if self.check_coalesce_window > 0 and self.check_coalesce_limit == 1:
-            raise ValueError(
-                "check_coalesce_window > 0 needs check_coalesce_limit > 1: "
-                "a batch window with a one-probe batch limit would silently "
-                "add latency and coalesce nothing"
             )
         if self.use_check_pipeline and not self.use_sharded_maestro:
             raise ValueError(
@@ -427,10 +383,12 @@ class SystemConfig:
 
     @property
     def tp_ports(self) -> int:
-        """Effective Task Pool port count (one per per-shard ticket slot —
-        ``retire_pipeline_depth`` — when ``task_pool_ports`` derives)."""
-        if self.task_pool_ports is not None:
-            return self.task_pool_ports
+        """Concurrent Task Pool access ports: one per per-shard retire
+        ticket slot, ``retire_pipeline_depth``, shared by all shards and
+        blocks.  The depth-1 machine keeps the paper's single port and a
+        deeper retire pipeline scales Task Pool bandwidth with its depth
+        (the paper's per-entry busy bits allow concurrent access to
+        distinct entries, which one arbitration port under-models)."""
         return self.retire_pipeline_depth
 
     @property
@@ -570,10 +528,6 @@ class SystemConfig:
                     f"{self.finish_coalesce_limit} notifications/batch",
                 ),
                 (
-                    "Finish coalesce window",
-                    f"{self.finish_coalesce_window / NS:g}ns",
-                ),
-                (
                     "Speculative kick-off",
                     "on" if self.speculative_kickoff else "off",
                 ),
@@ -589,10 +543,6 @@ class SystemConfig:
                 (
                     "Check coalesce limit",
                     f"{self.check_coalesce_limit} probes/batch",
-                ),
-                (
-                    "Check coalesce window",
-                    f"{self.check_coalesce_window / NS:g}ns",
                 ),
             ]
         return [

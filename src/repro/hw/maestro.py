@@ -53,7 +53,7 @@ from ..sim import BusyTracker
 from .fabric import Fabric
 from .resolve import (
     check_update_block,
-    notify_drain_block,
+    notify_drain,
     table_update_block,
     waiter_kick_block,
 )
@@ -354,7 +354,7 @@ class TaskMaestro:
             first = yield line.get()
             busy.begin()
             yield sim.timeout(fab.cycle)  # observe + acknowledge the 1-bit line
-            cores = yield from notify_drain_block(fab, line, first)
+            cores = notify_drain(fab, line, first)
             # Read each finished task's input/output list from the Task Pool.
             finished = []  # (core, head, tid) in notification order
             updates = []  # (releaser head, param) in notification order

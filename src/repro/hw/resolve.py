@@ -13,9 +13,7 @@ the two optimizations below apply to *both* engines:
   line in the single Maestro, a shard's finish inbox in the sharded one)
   and, with coalescing on, drain up to ``finish_coalesce_limit`` further
   already-arrived notifications into one batch
-  (:func:`notify_drain_block` / :func:`inbox_intake_block`).  An
-  optional ``finish_coalesce_window`` lets the intake wait a bounded time
-  for stragglers before draining.
+  (:func:`notify_drain` / :func:`inbox_intake`).
 * **Dependence-table update** — apply the batch's updates to the
   Dependence Table (:func:`table_update_block`).  Updates hitting the
   same table row are merged into a single row access: the hash probe is
@@ -46,14 +44,14 @@ pre-resolve-pipeline machines (pinned by the recorded goldens in
 ``tests/integration/test_goldens.py``).
 
 The *check* side of the machine reuses the same staging discipline:
-:func:`inbox_intake_block` / :func:`check_update_block` (knobs in
+:func:`inbox_intake` / :func:`check_update_block` (knobs in
 :class:`CheckPipeline`) are the check-flavored intake and table-update
 stages — a batch of already-arrived check probes per check-engine
 activation, same-row probes merged into one hash-probe access
 (``row_latched`` in
 :meth:`~repro.hw.dependence_table.DependenceTable.check_param`), the
 probe/insert stages pipelined across the batch.  Gated by
-``check_coalesce_limit``/``check_coalesce_window``; the knobs-off
+``check_coalesce_limit``; the knobs-off
 check path replays the same goldens.
 :func:`check_update_block` is also the single Maestro's Check Deps body,
 run on slice 0 with one task's probes.
@@ -68,28 +66,26 @@ from ..sim import Fifo
 __all__ = [
     "ResolvePipeline",
     "CheckPipeline",
-    "notify_drain_block",
-    "inbox_intake_block",
+    "notify_drain",
+    "inbox_intake",
     "table_update_block",
     "check_update_block",
     "waiter_kick_block",
 ]
 
 
-def notify_drain_block(fab, line: Fifo, first):
+def notify_drain(fab, line: Fifo, first):
     """Stage 1 (single-Maestro flavor): coalesce task-finished line pops.
 
     ``first`` is the core id already popped off ``line`` (the activation
     trigger; its 1-cycle acknowledge is charged by the caller).  With
-    coalescing on, waits out the configured window and then drains
-    further already-queued notifications, up to the batch limit.
-    Returns the list of notifying core ids, arrival order.
+    coalescing on, drains further already-queued notifications, up to the
+    batch limit; it takes no time.  Returns the list of notifying core
+    ids, arrival order.
     """
     resolve = fab.resolve
     cores = [first]
     if resolve.coalesce_limit > 1:
-        if resolve.coalesce_window:
-            yield fab.sim.timeout(resolve.coalesce_window)
         while len(cores) < resolve.coalesce_limit:
             nxt = line.try_get()
             if nxt is None:
@@ -98,7 +94,7 @@ def notify_drain_block(fab, line: Fifo, first):
     return cores
 
 
-def inbox_intake_block(fab, inbox: Fifo, pipe, first):
+def inbox_intake(fab, inbox: Fifo, pipe, first):
     """Stage 1 (inbox flavor): coalesce a shard's finish- or check-inbox
     drain, with the batch knobs of ``pipe`` (the :class:`ResolvePipeline`
     or the :class:`CheckPipeline`).
@@ -106,14 +102,12 @@ def inbox_intake_block(fab, inbox: Fifo, pipe, first):
     ``first`` is the stamped message's payload already received (and
     waited out) by the engine.  Drains up to ``coalesce_limit`` - 1
     further messages whose stamped arrival time has passed — a message
-    still in flight on the ring is *not* waited for (beyond the optional
-    coalesce window), so coalescing never delays a batch for traffic that
-    has not physically arrived.  Returns the payload list, arrival order.
+    still in flight on the ring is *not* waited for, so coalescing never
+    delays a batch for traffic that has not physically arrived.  Returns
+    the payload list, arrival order.
     """
     msgs = [first]
     if pipe.coalesce_limit > 1:
-        if pipe.coalesce_window:
-            yield fab.sim.timeout(pipe.coalesce_window)
         now = fab.sim.now
         while len(msgs) < pipe.coalesce_limit:
             head = inbox.peek()
@@ -294,7 +288,6 @@ class ResolvePipeline:
         self.fabric = fabric
         config = fabric.config
         self.coalesce_limit = config.finish_coalesce_limit
-        self.coalesce_window = config.finish_coalesce_window
         self.speculative = config.speculative_kickoff
         #: One kick queue per shard (slice 0's on the single Maestro).
         self.kick_queues: List[Fifo] = []
@@ -373,7 +366,6 @@ class ResolvePipeline:
     def stats(self) -> dict:
         out = {
             "coalesce_limit": self.coalesce_limit,
-            "coalesce_window_ps": self.coalesce_window,
             "speculative_kickoff": self.speculative,
             "batches": self.batches,
             "updates": self.updates,
@@ -405,7 +397,6 @@ class CheckPipeline:
         self.fabric = fabric
         config = fabric.config
         self.coalesce_limit = config.check_coalesce_limit
-        self.coalesce_window = config.check_coalesce_window
         self.decentralized = config.decentralized_check_scatter
         # ---- statistics ------------------------------------------------------
         #: Check-engine activations (one per drained batch).
@@ -434,7 +425,6 @@ class CheckPipeline:
         return {
             "decentralized_scatter": self.decentralized,
             "coalesce_limit": self.coalesce_limit,
-            "coalesce_window_ps": self.coalesce_window,
             "batches": self.batches,
             "probes": self.probes,
             "mean_batch": self.probes / self.batches if self.batches else 0.0,

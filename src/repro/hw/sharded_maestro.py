@@ -131,7 +131,7 @@ from .fabric import Fabric, RetireSlot
 from .maestro import retire_free_block, send_tds_block, write_tp_block
 from .resolve import (
     check_update_block,
-    inbox_intake_block,
+    inbox_intake,
     table_update_block,
     waiter_kick_block,
 )
@@ -355,7 +355,7 @@ class ShardedMaestro:
         while True:
             first = yield from self._recv(inbox)
             busy.begin()
-            msgs = yield from inbox_intake_block(fab, inbox, check, first)
+            msgs = inbox_intake(fab, inbox, check, first)
             rows = yield from check_update_block(
                 fab, s, msgs, pipelined, on_checked=reply
             )
@@ -644,7 +644,7 @@ class ShardedMaestro:
         while True:
             first = yield from self._recv(inbox)
             busy.begin()
-            msgs = yield from inbox_intake_block(fab, inbox, resolve, first)
+            msgs = inbox_intake(fab, inbox, resolve, first)
             yield from table_update_block(
                 fab,
                 s,

@@ -44,7 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..config import SystemConfig
 from .results import RunResult
 
 __all__ = [
@@ -140,15 +139,10 @@ def _saturation_verdict(occupancy: Dict[str, float]) -> Optional[str]:
     return None
 
 
-def analyze_bottleneck(
-    result: RunResult, config: Optional[SystemConfig] = None
-) -> BottleneckReport:
-    """Attribute the limiting stage of a finished run.
-
-    ``config`` supplies machine geometry for the master-core occupancy
-    estimate; without it, master occupancy is derived from recorded
-    submission progress alone.
-    """
+def analyze_bottleneck(result: RunResult) -> BottleneckReport:
+    """Attribute the limiting stage of a finished run on the machine it
+    ran on (``result.config``: master cores, memory banks)."""
+    cfg = result.config
     span = max(1, result.makespan)
     occupancy: Dict[str, float] = {}
 
@@ -161,7 +155,7 @@ def analyze_bottleneck(
     # N core-times, and the recorded stall is summed across all of them,
     # so normalize like the worker pool: busy = N*active - total stall.
     master_active = span if result.master_done is None else min(result.master_done, span)
-    n_masters = result.config_notes.get("master_cores", 1)
+    n_masters = cfg.master_cores
     stall = result.stats.get("master_stall_ps", 0)
     occupancy["master"] = max(0, n_masters * master_active - stall) / (
         n_masters * span
@@ -178,11 +172,8 @@ def analyze_bottleneck(
         occupancy["retire"] = max(retire["full_fraction"])
 
     memory = result.stats.get("memory", {})
-    banks_busy = memory.get("mean_busy_banks", 0.0)
-    if config is not None and config.memory_contention:
-        occupancy["memory"] = banks_busy / config.memory_banks
-    elif banks_busy:
-        occupancy["memory"] = banks_busy / 32.0
+    if cfg.memory_contention:
+        occupancy["memory"] = memory.get("mean_busy_banks", 0.0) / cfg.memory_banks
 
     worker_busy = result.stats.get("worker_busy_fraction")
     if worker_busy:
@@ -256,9 +247,7 @@ def _window_occupancy(
     return occ
 
 
-def bottleneck_timeline(
-    result: RunResult, config: Optional[SystemConfig] = None
-) -> Optional[BottleneckTimeline]:
+def bottleneck_timeline(result: RunResult) -> Optional[BottleneckTimeline]:
     """Per-window bottleneck phases of a telemetry-sampled run.
 
     Returns ``None`` when the run carries no telemetry (``telemetry_window``

@@ -277,27 +277,7 @@ class NexusMachine:
             master_done=master.done_at,
             records=scoreboard.records,
             stats=stats,
-            config_notes={
-                "memory_contention": cfg.memory_contention,
-                "buffering_depth": cfg.buffering_depth,
-                "task_prep_time": cfg.task_prep_time,
-                "task_pool_entries": cfg.task_pool_entries,
-                "dependence_table_entries": cfg.dependence_table_entries,
-                "restricted": cfg.restricted,
-                "maestro_shards": cfg.maestro_shards,
-                "master_cores": cfg.master_cores,
-                "submission_batch": cfg.submission_batch,
-                "retire_pipeline_depth": cfg.retire_pipeline_depth,
-                "task_pool_ports": cfg.tp_ports,
-                "td_cache_entries": cfg.td_cache_entries,
-                "kickoff_fast_path": cfg.kickoff_fast_path,
-                "finish_coalesce_limit": cfg.finish_coalesce_limit,
-                "finish_coalesce_window": cfg.finish_coalesce_window,
-                "speculative_kickoff": cfg.speculative_kickoff,
-                "decentralized_check_scatter": cfg.decentralized_check_scatter,
-                "check_coalesce_limit": cfg.check_coalesce_limit,
-                "check_coalesce_window": cfg.check_coalesce_window,
-            },
+            config=cfg,
         )
 
 
@@ -351,7 +331,7 @@ def _register_telemetry(
     fractions (``write_tp.busy``, ``s0.check.busy``...), queue depths
     (finish inbox, kick queues, TDs buffer, ready lists), retire tickets
     in flight, kick-off waiter occupancy, TD-cache hit rate, and the
-    host profile's events counters.  Every read is a window *delta* of a
+    kernel's event count.  Every read is a window *delta* of a
     cumulative statistic, so sampling is observe-only by construction.
     Conditional signals (kick queues, re-sequencers, TD cache, retire)
     exist exactly when their machinery is wired, the same rule the stats
@@ -421,11 +401,9 @@ def _register_telemetry(
         )
     if cfg.memory_contention and fabric.memory.banks is not None:
         sampler.add_mean_level("memory.banks", [fabric.memory.banks.stat])
-    # Kernel events per window: the modelled-event count delta is
-    # deterministic (it counts simulation events, not wall time) and so
-    # exportable; events/sec is wall-clock derived and flagged host-only.
+    # Kernel events per window: a count of simulation events, not of
+    # wall time, so it is the same on every run.
     sampler.add_counter("sim.events", lambda: sim.events_processed)
-    sampler.add_events_per_sec(sim)
 
 
 def run_trace(trace: TaskTrace, config: Optional[SystemConfig] = None) -> RunResult:

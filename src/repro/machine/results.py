@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
+from ..config import SystemConfig
 from ..scoreboard import STAGES, Scoreboard, TaskRecord, stage_problems
 
 __all__ = ["TaskRecord", "Scoreboard", "RunResult"]
@@ -26,7 +27,8 @@ class RunResult:
     records: Sequence[TaskRecord]
     #: Component statistics (Dependence Table, Task Pool, memory, queues).
     stats: Dict[str, Any] = field(default_factory=dict)
-    config_notes: Dict[str, Any] = field(default_factory=dict)
+    #: The machine the run ran on (Table IV for a hand-built result).
+    config: SystemConfig = SystemConfig()
 
     def __post_init__(self) -> None:
         self.records = Scoreboard.of(self.records).records

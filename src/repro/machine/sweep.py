@@ -116,7 +116,6 @@ COLUMNS: Dict[str, Callable[[RunResult], Any]] = {
     "cross_shard_messages": _stat("shards", "interconnect", "cross_shard_messages"),
     "steals": _stat("shards", "steals"),
     "steals_after_forward": _stat("shards", "steals_after_forward"),
-    "task_pool_ports": lambda r: r.config_notes.get("task_pool_ports"),
     "retire_inflight_mean": _retire_inflight_mean,
     "retire_inflight_max": lambda r: max(_retire(r, "inflight_max", 0)),
     "retire_full_fraction": lambda r: round(
@@ -132,7 +131,6 @@ COLUMNS: Dict[str, Callable[[RunResult], Any]] = {
     "td_cache_hit_rate": _td_cache_hit_rate,
     "fast_dispatches": _stat("dispatch", "fast_dispatch", "fast_dispatches"),
     # Staged resolve pipeline.
-    "resolve_window_ps": _stat("resolve", "coalesce_window_ps"),
     "resolve_mean_batch": _stat("resolve", "mean_batch", default=0.0, digits=4),
     "resolve_coalesce_rate": _stat(
         "resolve", "coalesce_rate", default=0.0, digits=4
@@ -147,7 +145,6 @@ COLUMNS: Dict[str, Callable[[RunResult], Any]] = {
     "check_engine_busy": lambda r: _busiest(
         _util(r), lambda k: k.endswith(".check")
     ),
-    "check_window_ps": _stat("check", "coalesce_window_ps"),
     "check_mean_batch": _stat("check", "mean_batch", default=0.0, digits=4),
     "check_coalesce_rate": _stat("check", "coalesce_rate", default=0.0, digits=4),
     "check_row_merges": _stat("check", "row_merges"),
@@ -161,8 +158,8 @@ COLUMNS: Dict[str, Callable[[RunResult], Any]] = {
 class GridReport:
     """One trace run over a Cartesian grid of :class:`SystemConfig` knobs.
 
-    ``points[i]`` holds the knob values of grid point ``i``, ``configs[i]``
-    the machine it ran on and ``runs[i]`` its result.  The baseline every
+    ``points[i]`` holds the knob values of grid point ``i`` and ``runs[i]``
+    its result, which carries the machine it ran on.  The baseline every
     speedup is measured against is the first point, so list the "off" or
     smallest value first on every axis.
     """
@@ -170,7 +167,6 @@ class GridReport:
     trace_name: str
     axes: Dict[str, List[Any]]
     points: List[Dict[str, Any]]
-    configs: List[SystemConfig]
     runs: List[RunResult]
 
     @property
@@ -184,16 +180,14 @@ class GridReport:
 
     def rows(self) -> List[dict]:
         """One row per grid point: its knob values, makespan, speedup vs
-        the first point and every :data:`COLUMNS` entry (a column named
-        like a swept knob, e.g. ``task_pool_ports``, keeps the knob's
-        value)."""
+        the first point and every :data:`COLUMNS` entry."""
         out = []
         for point, run, speedup in zip(self.points, self.runs, self.speedups):
             row = dict(point)
             row["makespan_ps"] = run.makespan
             row["speedup_vs_baseline"] = round(speedup, 4)
             for name, extract in COLUMNS.items():
-                row.setdefault(name, extract(run))  # a swept knob wins
+                row[name] = extract(run)
             out.append(row)
         return out
 
@@ -205,7 +199,7 @@ class GridReport:
         if profile:
             for row, run in zip(rows, self.runs):
                 row["sim"] = run.stats.get("sim")
-        first, default = self.configs[0], SystemConfig()
+        first, default = self.runs[0].config, SystemConfig()
         fixed = {
             f.name: getattr(first, f.name)
             for f in fields(SystemConfig)
@@ -264,7 +258,7 @@ def grid_sweep(
                     "the total"
                 )
     runs = [run(cfg) if run else NexusMachine(cfg).run(trace) for cfg in configs]
-    return GridReport(trace.name, axes, points, configs, runs)
+    return GridReport(trace.name, axes, points, runs)
 
 
 @dataclass

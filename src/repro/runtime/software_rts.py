@@ -142,9 +142,5 @@ def run_software_rts(
         master_done=done["master"],
         records=scoreboard.records,
         stats={"memory": memory.stats()},
-        config_notes={
-            "rts": "software",
-            "submit_cost": rts_cfg.submit_cost,
-            "finish_cost": rts_cfg.finish_cost,
-        },
+        config=cfg,
     )

@@ -15,15 +15,12 @@ last preceding writer", because the queued writer precedes the reader in
 program order.  The equivalence is exercised by the differential tests.
 
 Besides edges, this module computes scheduling-theoretic quantities used by
-the analysis layer and the test oracles: critical path length, maximum/
-average parallelism profile, and a greedy list-schedule makespan for a
-P-core machine (an upper bound a correct Nexus++ run must beat or match
-up to modelled overheads... and a sanity lower bound via work/P).
+the analysis layer and the test oracles: critical path length and the
+maximum/average parallelism profile.
 """
 
 from __future__ import annotations
 
-import heapq
 from array import array
 from bisect import bisect_left
 from collections import defaultdict
@@ -207,54 +204,6 @@ class TaskGraph:
             start = max((finish[p] for p in ids[offsets[tid]:offsets[tid + 1]]),
                         default=0)
             finish[tid] = start + self.task_cost(tid)
-        return max(finish) if n else 0
-
-    def list_schedule_makespan(self, cores: int) -> int:
-        """Greedy list-schedule makespan on ``cores`` identical cores.
-
-        Graham-style earliest-finish assignment; an achievable (not optimal)
-        makespan that bounds what an ideal zero-overhead runtime could do.
-        """
-        if cores < 1:
-            raise ValueError("cores must be >= 1")
-        n = self.n_tasks
-        indeg = [self.in_degree(t) for t in range(n)]
-        successors = self.successors
-        ready: List[int] = [t for t in range(n) if indeg[t] == 0]
-        heapq.heapify(ready)
-        core_free = [0] * cores  # heap of core-available times
-        heapq.heapify(core_free)
-        earliest = [0] * n
-        finish = [0] * n
-        done = 0
-        # Event-driven: pop the ready task with the smallest id, run it on the
-        # earliest-available core no sooner than its data-ready time.
-        pending: List[Tuple[int, int]] = []  # (ready_time, tid) not yet startable
-        while done < n:
-            if not ready:
-                # Advance time to the next pending task.
-                t_ready, tid = heapq.heappop(pending)
-                heapq.heappush(ready, tid)
-                earliest[tid] = max(earliest[tid], t_ready)
-                continue
-            tid = heapq.heappop(ready)
-            core_at = heapq.heappop(core_free)
-            start = max(core_at, earliest[tid])
-            end = start + self.task_cost(tid)
-            finish[tid] = end
-            heapq.heappush(core_free, end)
-            done += 1
-            for s in successors[tid]:
-                indeg[s] -= 1
-                earliest[s] = max(earliest[s], end)
-                if indeg[s] == 0:
-                    heapq.heappush(pending, (earliest[s], s))
-            # Promote pending tasks whose ready time has passed the earliest
-            # core availability (cheap heuristic; exactness is not needed for
-            # a bound).
-            while pending and pending[0][0] <= start:
-                _, p = heapq.heappop(pending)
-                heapq.heappush(ready, p)
         return max(finish) if n else 0
 
     def parallelism_profile(self) -> List[int]:

@@ -11,9 +11,10 @@ Validates the four contracts of :mod:`repro.analysis.telemetry`:
 * the versioned metrics document round-trips through JSON, validates
   against :func:`telemetry_schema`, renders, and diffs;
 * the Chrome-trace **counter lanes** (``ph: "C"``) are byte-stable across
-  fresh runs and sha256-pinned, with host (wall-clock) signals excluded.
+  fresh runs and sha256-pinned.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -90,9 +91,8 @@ class TestSampling:
             "tds_buffer.depth",
             "dep_table.kickoff_waiters",
             "sim.events",
-            "host.events_per_sec",
         } <= names
-        assert telemetry["host_signals"] == ["host.events_per_sec"]
+        assert not any(name.startswith("host.") for name in names)
 
     def test_fractions_are_fractions(self, telemetry):
         for name, values in telemetry["signals"].items():
@@ -176,6 +176,7 @@ class TestMetricsDocument:
         assert json.loads(json.dumps(doc)) == doc
         assert doc["telemetry"]["signals"]["workers.busy"]
         assert "telemetry" not in doc["aggregates"]
+        assert doc["config"] == dataclasses.asdict(_mini_config())
 
     def test_document_without_telemetry_validates(self):
         result = run_trace(
@@ -223,18 +224,18 @@ class TestMetricsDocument:
     def test_report_reads_documents_with_and_without_kernel_keys(
         self, run, tmp_path, capsys
     ):
-        """Schema-1 documents written before the kernel knobs were removed
-        still carry ``kernel``/``fast_path`` in ``aggregates.sim`` and
-        ``sim_kernel``/``fast_path`` in ``config_notes``; ``repro report``
-        must render either shape and diff one against the other."""
+        """A document whose ``aggregates.sim`` and ``config`` carry keys
+        this reader does not know (the removed kernel knobs'
+        ``kernel``/``fast_path`` and ``sim_kernel``/``fast_path``) still
+        renders, and diffs against one without them."""
         from repro.cli import main
 
         new = build_metrics_document(run)
         old = json.loads(json.dumps(new))
         old["aggregates"]["sim"].update(kernel="wheel", fast_path=True)
-        old["config_notes"].update(sim_kernel="wheel", fast_path=True)
+        old["config"].update(sim_kernel="wheel", fast_path=True)
         assert "kernel" not in new["aggregates"]["sim"]
-        assert "sim_kernel" not in new["config_notes"]
+        assert "sim_kernel" not in new["config"]
         old_path, new_path = tmp_path / "old.json", tmp_path / "new.json"
         old_path.write_text(json.dumps(old))
         new_path.write_text(json.dumps(new))
@@ -263,7 +264,6 @@ class TestCounterLanes:
         counters = [e for e in doc["traceEvents"] if e["ph"] == "C"]
         lanes = {e["name"] for e in counters}
         assert len(lanes) >= 4
-        assert "host.events_per_sec" not in lanes
         times = run.telemetry["times_ps"]
         for ev in counters:
             assert ev["pid"] == 3 and ev["cat"] == "telemetry"
@@ -303,7 +303,6 @@ class TestTimeSeries:
         series = TimeSeries(100)
         series.times_ps = [100, 200]
         series.signals = {"a.b": [1.0, 3.0]}
-        series.host_signals = []
         assert series.mean("a.b") == 2.0
         assert series.max("a.b") == 3.0
         assert TimeSeries.from_dict(series.to_dict()).to_dict() == series.to_dict()

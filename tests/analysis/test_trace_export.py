@@ -137,6 +137,26 @@ class TestFaithfulness:
         }
         assert {"shard 0", "shard 1"} <= threads
 
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_shard_lanes_follow_the_run_config(self, shards):
+        """The export reads the shard count from the machine the run
+        carries: one Maestro lane per shard, and the count in
+        ``otherData``."""
+        cfg = SystemConfig(
+            workers=4, maestro_shards=shards, memory_contention=False
+        )
+        doc = chrome_trace(run_trace(_mini_trace(), cfg))
+        assert doc["otherData"]["maestro_shards"] == shards
+        threads = {
+            e["args"]["name"]
+            for e in doc["traceEvents"]
+            if e["ph"] == "M" and e["name"] == "thread_name"
+        }
+        expected = (
+            {f"shard {s}" for s in range(shards)} if shards > 1 else {"maestro"}
+        )
+        assert {n for n in threads if n.startswith(("shard", "maestro"))} == expected
+
 
 class TestGolden:
     def test_mini_golden_replays_byte_for_byte(self, tmp_path):

@@ -104,6 +104,9 @@ class TestDerivedHelpers:
         # Original untouched (frozen).
         assert SystemConfig().workers == 16
 
+    def test_equal_configs_hash_equal(self):
+        assert len({LADDER["full"], LADDER["full"].with_()}) == 1
+
 
 class TestValidation:
     @pytest.mark.parametrize(
@@ -119,9 +122,6 @@ class TestValidation:
             ("memory_batch_chunks", 0, "memory_batch_chunks"),
             ("finish_coalesce_limit", 0, "finish_coalesce_limit"),
             ("check_coalesce_limit", 0, "check_coalesce_limit"),
-            # A batch window with a one-message batch limit.
-            ("finish_coalesce_window", 1000, "finish_coalesce_window"),
-            ("check_coalesce_window", 1000, "check_coalesce_window"),
             # Mechanisms that live only in the sharded engine.
             ("retire_pipeline_depth", 4, "sharded"),
             ("td_cache_entries", 64, "sharded"),
@@ -142,11 +142,7 @@ class TestValidation:
             dict(retire_pipeline_depth=1),
             dict(td_cache_entries=0, kickoff_fast_path=False),
             dict(finish_coalesce_limit=1, speculative_kickoff=False),
-            dict(
-                decentralized_check_scatter=False,
-                check_coalesce_limit=1,
-                check_coalesce_window=0,
-            ),
+            dict(decentralized_check_scatter=False, check_coalesce_limit=1),
         ],
     )
     def test_explicit_off_knobs_are_the_default_machine(self, knobs):
@@ -160,7 +156,7 @@ class TestValidation:
             ({}, "use_parallel_frontend", False),
             ({}, "tp_ports", 1),
             (dict(maestro_shards=4, retire_pipeline_depth=4), "tp_ports", 4),
-            (dict(maestro_shards=4, task_pool_ports=2), "tp_ports", 2),
+            (dict(maestro_shards=2, retire_pipeline_depth=2), "tp_ports", 2),
             ({}, "use_fast_dispatch", False),
             (dict(maestro_shards=4, td_cache_entries=8), "use_fast_dispatch", True),
             # The steal policy follows the fast-dispatch subsystem unless set.

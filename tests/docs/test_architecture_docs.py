@@ -26,17 +26,14 @@ SCALING_KNOBS = [
     "master_cores",
     "submission_batch",
     "retire_pipeline_depth",
-    "task_pool_ports",
     "td_cache_entries",
     "td_prefetch_depth",
     "kickoff_fast_path",
     "locality_stealing",
     "finish_coalesce_limit",
-    "finish_coalesce_window",
     "speculative_kickoff",
     "decentralized_check_scatter",
     "check_coalesce_limit",
-    "check_coalesce_window",
     "telemetry_window",
 ]
 
@@ -80,8 +77,7 @@ def test_documented_defaults_match_config():
     for knob in ("maestro_shards", "master_cores", "submission_batch",
                  "retire_pipeline_depth", "shard_inbox_entries",
                  "td_cache_entries", "td_prefetch_depth",
-                 "finish_coalesce_limit", "finish_coalesce_window",
-                 "check_coalesce_limit", "check_coalesce_window"):
+                 "finish_coalesce_limit", "check_coalesce_limit"):
         row = re.search(
             rf"^\|\s*`{knob}`\s*\|\s*([^|]+)\|", text, flags=re.MULTILINE
         )
@@ -154,7 +150,7 @@ def test_architecture_documents_the_telemetry_subsystem():
     text = _doc_text().lower()
     for phrase in ("telemetry_window", "--set telemetry_window", "--metrics-out",
                    "schema_version", "bottleneck timeline", "counter lane",
-                   "window-delta read", "host_signals", "workers.busy",
+                   "window-delta read", "workers.busy",
                    "dep_table.kickoff_waiters", "repro report"):
         assert phrase in text, f"telemetry detail {phrase!r} missing"
     # The reproduce recipe (sampled run -> metrics -> report diff) is in

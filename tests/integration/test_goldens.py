@@ -221,18 +221,9 @@ def schedule_digest(result) -> str:
 
 
 def _modelled(result) -> str:
-    """Every statistic except the host-side kernel profile and the
-    wall-clock telemetry signals."""
+    """Every statistic except the host-side kernel profile."""
     stats = dict(result.stats)
     stats.pop("sim")
-    telemetry = stats.get("telemetry")
-    if telemetry:
-        host = set(telemetry.get("host_signals", []))
-        telemetry = dict(telemetry)
-        telemetry["signals"] = {
-            k: v for k, v in telemetry["signals"].items() if k not in host
-        }
-        stats["telemetry"] = telemetry
     return repr(stats)
 
 

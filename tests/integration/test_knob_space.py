@@ -97,12 +97,10 @@ def knob_vectors(draw):
         submission_batch=draw(st.sampled_from([1, 2, 8])),
         bus_model=draw(st.sampled_from([BUS_MODEL_FORMULA, BUS_MODEL_FITTED])),
         finish_coalesce_limit=draw(st.sampled_from([1, 2, 8])),
-        finish_coalesce_window=draw(st.sampled_from([0, 2000])),
         speculative_kickoff=draw(st.booleans()),
         memory_contention=draw(st.booleans()),
         memory_batch_chunks=draw(st.sampled_from([1, 8, 64])),
         max_params_per_td=draw(st.sampled_from([2, 8])),
-        task_pool_ports=draw(st.sampled_from([None, 1, 2])),
         # Bounded structures: at their minimum, twice it, or Table IV size.
         dependence_table_entries_per_shard=draw(st.sampled_from([None, 8])),
         task_pool_entries=draw(st.sampled_from([4, 8, 16, 1024])),
@@ -122,7 +120,6 @@ def knob_vectors(draw):
             locality_stealing=draw(st.sampled_from([None, False, True])),
             decentralized_check_scatter=draw(st.booleans()),
             check_coalesce_limit=draw(st.sampled_from([1, 2, 8])),
-            check_coalesce_window=draw(st.sampled_from([0, 2000])),
         )
     return knobs
 
@@ -147,7 +144,6 @@ HELD_AT_DEFAULT = {
     "dependence_table_entries": "dependence_table_entries_per_shard is drawn",
     "telemetry_window": "sampling injects no events (test_goldens pins it)",
     "restricted": "turns spills into errors (tests/hw pins both)",
-    "notes": "free-form provenance text",
 }
 
 

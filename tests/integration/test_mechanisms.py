@@ -392,11 +392,10 @@ def test_knobs_off_machine_builds_no_resolve_structures():
     "knobs",
     [
         dict(finish_coalesce_limit=4),
-        dict(finish_coalesce_limit=8, finish_coalesce_window=2000),
         dict(speculative_kickoff=True),
         dict(finish_coalesce_limit=8, speculative_kickoff=True),
     ],
-    ids=["coalesce", "coalesce-window", "speculative", "both"],
+    ids=["coalesce", "speculative", "both"],
 )
 def test_resolve_pipeline_coalesces_and_speculates(engine, knobs):
     """Across the knob grid, on both engines: the complete task set
@@ -480,10 +479,9 @@ def test_knobs_off_machine_builds_no_scatter_structures():
     [
         dict(decentralized_check_scatter=True),
         dict(check_coalesce_limit=8),
-        dict(check_coalesce_limit=8, check_coalesce_window=2000),
         dict(decentralized_check_scatter=True, check_coalesce_limit=8),
     ],
-    ids=["decentral", "coalesce", "coalesce-window", "both"],
+    ids=["decentral", "coalesce", "both"],
 )
 def test_check_pipeline_resequences_and_coalesces(engine, knobs):
     """Across the knob grid, on every sharded engine: the complete task

@@ -4,7 +4,12 @@ import pytest
 
 from repro.config import LADDER, SystemConfig
 from repro.machine import analyze_bottleneck, run_trace
-from repro.traces import TimeModel, horizontal_chains_trace, independent_trace
+from repro.traces import (
+    TimeModel,
+    horizontal_chains_trace,
+    independent_trace,
+    workload,
+)
 
 FAST = TimeModel(mean_exec=2_000_000, mean_memory=1_500_000, cv=0.0)
 
@@ -14,7 +19,7 @@ class TestVerdicts:
         trace = independent_trace(n_tasks=300, n_params=2, time_model=FAST)
         cfg = SystemConfig(workers=2, memory_contention=False)
         result = run_trace(trace, cfg)
-        rep = analyze_bottleneck(result, cfg)
+        rep = analyze_bottleneck(result)
         assert rep.verdict == "workers"
         assert rep.occupancy["workers"] > 0.9
 
@@ -22,21 +27,31 @@ class TestVerdicts:
         trace = independent_trace(n_tasks=1500, n_params=2)
         cfg = SystemConfig(workers=64)  # demand ~41 banks > 32
         result = run_trace(trace, cfg)
-        rep = analyze_bottleneck(result, cfg)
+        rep = analyze_bottleneck(result)
         assert rep.verdict == "memory"
+
+    def test_memory_occupancy_reads_the_run_bank_count(self):
+        """Eight banks, not Table IV's 32: the run's own config sizes the
+        memory occupancy, so 32 workers saturate the small memory."""
+        cfg = SystemConfig(workers=32, memory_banks=8)
+        result = run_trace(workload("independent", n_tasks=800), cfg)
+        rep = analyze_bottleneck(result)
+        assert rep.verdict == "memory"
+        banks_busy = result.stats["memory"]["mean_busy_banks"]
+        assert rep.occupancy["memory"] == banks_busy / 8
 
     def test_application_bound_chains(self):
         trace = horizontal_chains_trace(rows=4, cols=50, time_model=FAST)
         cfg = SystemConfig(workers=32, memory_contention=False)
         result = run_trace(trace, cfg)
-        rep = analyze_bottleneck(result, cfg)
+        rep = analyze_bottleneck(result)
         assert rep.verdict == "application"
 
     def test_master_bound_at_scale(self):
         trace = independent_trace()
         cfg = LADDER["contention-free"].with_(workers=256)
         result = run_trace(trace, cfg)
-        rep = analyze_bottleneck(result, cfg)
+        rep = analyze_bottleneck(result)
         assert rep.verdict == "master"
 
 
@@ -45,7 +60,7 @@ class TestReportShape:
         trace = independent_trace(n_tasks=100, n_params=2, time_model=FAST)
         cfg = SystemConfig(workers=2, memory_contention=False)
         result = run_trace(trace, cfg)
-        rep = analyze_bottleneck(result, cfg)
+        rep = analyze_bottleneck(result)
         ranked = rep.ranked()
         assert ranked == sorted(ranked, key=lambda kv: -kv[1])
         assert "bottleneck:" in rep.describe()
@@ -54,7 +69,7 @@ class TestReportShape:
         trace = independent_trace(n_tasks=50, n_params=2, time_model=FAST)
         cfg = SystemConfig(workers=2, memory_contention=False)
         result = run_trace(trace, cfg)
-        rep = analyze_bottleneck(result, cfg)
+        rep = analyze_bottleneck(result)
         for block in ("write_tp", "check_deps", "schedule", "send_tds", "handle_finished"):
             assert f"maestro.{block}" in rep.occupancy
             assert 0.0 <= rep.occupancy[f"maestro.{block}"] <= 1.0
@@ -90,17 +105,17 @@ class TestRetireVerdict:
             memory_contention=False, bus_model=BUS_MODEL_FITTED,
             retire_pipeline_depth=depth,
         )
-        return run_trace(trace, cfg), cfg
+        return run_trace(trace, cfg)
 
     def test_serialized_retire_bound_run_is_attributed(self):
-        result, cfg = self._result(depth=1)
-        rep = analyze_bottleneck(result, cfg)
+        result = self._result(depth=1)
+        rep = analyze_bottleneck(result)
         assert rep.verdict == "retire"
         assert rep.occupancy["retire"] >= 0.5
 
     def test_pipelined_run_is_no_longer_retire_bound(self):
-        result, cfg = self._result(depth=4)
-        rep = analyze_bottleneck(result, cfg)
+        result = self._result(depth=4)
+        rep = analyze_bottleneck(result)
         assert rep.verdict != "retire"
         assert rep.occupancy["retire"] < 0.5
 
@@ -121,11 +136,11 @@ class TestLatencyVerdict:
             retire_pipeline_depth=4, memory_contention=False,
             bus_model=BUS_MODEL_FITTED, **features,
         )
-        return run_trace(trace, cfg), cfg
+        return run_trace(trace, cfg)
 
     def test_latency_bound_run_is_attributed_with_chain_arithmetic(self):
-        result, cfg = self._result()
-        rep = analyze_bottleneck(result, cfg)
+        result = self._result()
+        rep = analyze_bottleneck(result)
         assert rep.verdict == "latency"
         # The verdict carries chain depth x mean hop ns and the dominant
         # hop component — not just a label.
@@ -143,7 +158,7 @@ class TestLatencyVerdict:
         trace = horizontal_chains_trace(rows=4, cols=50, time_model=FAST)
         cfg = SystemConfig(workers=32, memory_contention=False)
         result = run_trace(trace, cfg)
-        rep = analyze_bottleneck(result, cfg)
+        rep = analyze_bottleneck(result)
         assert rep.verdict == "application"
         assert result.stats["dispatch"]["chain_fraction"] < 0.5
 
@@ -151,11 +166,11 @@ class TestLatencyVerdict:
         """On the full-size bench machine the subsystem cuts the hop
         enough that the machine runs back into the master front-end —
         the latency verdict must move on (the bench pins the speedup)."""
-        result, cfg = self._result(
+        result = self._result(
             n_tasks=1200,
             td_cache_entries=64, td_prefetch_depth=2, kickoff_fast_path=True,
         )
-        rep = analyze_bottleneck(result, cfg)
+        rep = analyze_bottleneck(result)
         assert rep.verdict != "latency"
 
 
@@ -190,7 +205,6 @@ class TestVerdictPrecedence:
                     "dominant_chain_component_ns": 30.0,
                 },
             },
-            config_notes={"master_cores": 1},
         )
 
     def test_half_busy_master_plus_latency_bound_is_latency(self):
@@ -237,7 +251,7 @@ class TestVerdictPrecedence:
             bus_model=BUS_MODEL_FITTED,
         )
         result = run_trace(trace, cfg)
-        rep = analyze_bottleneck(result, cfg)
+        rep = analyze_bottleneck(result)
         assert 0.5 <= rep.occupancy["master"] < 0.9, rep.occupancy["master"]
         assert rep.verdict == "latency"
         assert "dominant hop component: resolve" in rep.detail
@@ -274,7 +288,6 @@ class TestCheckVerdict:
                     "dominant_chain_component_ns": 30.0,
                 },
             },
-            config_notes={"master_cores": 1},
         )
 
     def test_saturated_central_scatter_names_the_check_knobs(self):
@@ -333,7 +346,7 @@ class TestCheckVerdict:
             bus_model=BUS_MODEL_FITTED,
         )
         result = run_trace(trace, cfg)
-        rep = analyze_bottleneck(result, cfg)
+        rep = analyze_bottleneck(result)
         assert rep.verdict == "maestro.scatter"
         assert rep.occupancy["maestro.scatter"] >= 0.9
         assert "decentralized_check_scatter" in rep.detail
@@ -365,7 +378,6 @@ class TestTruncatedRunFallback:
                 "memory": {},
                 **({"dispatch": dispatch} if dispatch is not None else {}),
             },
-            config_notes={"master_cores": 1},
         )
 
     def test_missing_dispatch_attribution_is_explained(self):

@@ -47,7 +47,6 @@ def _two_phase_telemetry():
             "s0.check.busy": [0.1] * n,
             "retire.full_fraction": retire_full,
         },
-        "host_signals": [],
     }
 
 
@@ -125,7 +124,7 @@ class TestAgainstRealRuns:
             workers=2, memory_contention=False, telemetry_window=WINDOW
         )
         result = run_trace(wait_chain_trace(3, 4, k_deps=2, spin_ns=500), cfg)
-        timeline = bottleneck_timeline(result, cfg)
+        timeline = bottleneck_timeline(result)
         assert timeline is not None and timeline.phases
         assert timeline.phases[0][0] == 0
         assert timeline.phases[-1][1] == result.telemetry["times_ps"][-1]

@@ -41,7 +41,8 @@ class TestGrid:
             {"kickoff_fast_path": True, "td_cache_entries": 8},
         ]
         assert [
-            (c.kickoff_fast_path, c.td_cache_entries) for c in report.configs
+            (r.config.kickoff_fast_path, r.config.td_cache_entries)
+            for r in report.runs
         ] == [(False, 0), (False, 8), (True, 0), (True, 8)]
         assert report.axes == {
             "kickoff_fast_path": [False, True], "td_cache_entries": [0, 8]

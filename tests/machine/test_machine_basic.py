@@ -4,7 +4,8 @@ import pytest
 
 from repro.config import LADDER, SystemConfig
 from repro.hw.errors import CapacityError
-from repro.machine import NexusMachine, run_trace
+from repro.analysis import build_metrics_document, validate_metrics
+from repro.machine import NexusMachine, RunResult, run_trace
 from repro.runtime.task_graph import build_task_graph
 from repro.traces import (
     AccessMode,
@@ -258,3 +259,27 @@ class TestDeterminism:
                 b.exec_start,
                 b.completed,
             )
+
+
+#: Table IV and every named machine.
+MACHINES = {"table-iv": SystemConfig(), **LADDER}
+
+
+class TestRunCarriesItsConfig:
+    @pytest.mark.parametrize("name", list(MACHINES))
+    def test_run_and_its_metrics_document_carry_the_machine(self, name):
+        """The result holds the very config it ran on, and the metrics
+        document's ``config`` rebuilds an equal one, field for field."""
+        cfg = MACHINES[name]
+        result = run_trace(h264_wavefront_trace(rows=4, cols=4), cfg)
+        assert result.config is cfg
+        doc = build_metrics_document(result)
+        assert validate_metrics(doc) == []
+        assert SystemConfig(**doc["config"]) == cfg
+
+    def test_hand_built_result_is_table_iv(self):
+        result = RunResult(
+            trace_name="synthetic", workers=16, makespan=0,
+            master_done=None, records=[],
+        )
+        assert result.config == SystemConfig()

@@ -286,7 +286,7 @@ class TestSweepHelpers:
         report = grid_sweep(
             trace, cfg, {"dependence_table_entries_per_shard": [32, 64]}
         )
-        assert [c.dt_entries_per_shard for c in report.configs] == [32, 64]
+        assert [r.config.dt_entries_per_shard for r in report.runs] == [32, 64]
         assert all(r.makespan > 0 for r in report.runs)
 
     def test_sweep_task_pool_sizes_its_lists(self):

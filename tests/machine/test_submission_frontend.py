@@ -104,7 +104,7 @@ class TestMasterBackpressure:
         )
         result = run_trace(trace, cfg)
         assert result.stats["master_stall_ps"] > result.master_done
-        report = analyze_bottleneck(result, cfg)
+        report = analyze_bottleneck(result)
         assert 0.0 < report.occupancy["master"] <= 1.0
 
     def test_per_master_stall_reported(self):
@@ -166,7 +166,7 @@ class TestTruncatedRunReporting:
         trace = independent_trace(n_tasks=50, n_params=2, time_model=FAST_TIMES)
         cfg = SystemConfig(workers=2, memory_contention=False)
         result = NexusMachine(cfg).run(trace, max_time=2_000_000)
-        report = analyze_bottleneck(result, cfg)  # must not raise on None
+        report = analyze_bottleneck(result)  # must not raise on None
         assert 0.0 <= report.occupancy["master"] <= 1.0
 
 

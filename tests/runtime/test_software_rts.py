@@ -31,6 +31,14 @@ class TestCorrectness:
         with pytest.raises(ValueError):
             SoftwareRTSConfig(submit_cost=-1)
 
+    def test_run_carries_its_config(self):
+        config = cfg(4)
+        result = run_software_rts(independent_trace(n_tasks=20), config)
+        assert result.config is config
+        assert run_software_rts(independent_trace(n_tasks=20)).config == (
+            SystemConfig()
+        )
+
 
 class TestBottleneckBehaviour:
     def test_master_serializes_submission(self):

@@ -205,37 +205,35 @@ class TestBounds:
         )
         assert g.critical_path() == 5 + 50 + 5
 
-    def test_list_schedule_one_core_equals_total_work(self):
-        g = build_task_graph(trace_of([(A, "out")], [(B, "out")], times=[30, 40]))
-        assert g.list_schedule_makespan(1) == 70
-
-    def test_list_schedule_parallel_tasks(self):
-        g = build_task_graph(
-            trace_of([(A, "out")], [(B, "out")], [(C, "out")], times=[50, 50, 50])
-        )
-        assert g.list_schedule_makespan(3) == 50
-        assert g.list_schedule_makespan(1) == 150
-
-    def test_list_schedule_respects_dependencies(self):
-        g = build_task_graph(
-            trace_of([(A, "out")], [(A, "inout")], times=[100, 100])
-        )
-        assert g.list_schedule_makespan(8) == 200
-
-    def test_makespan_bounds_sandwich(self):
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_software_makespan_respects_span_and_work_bounds(self, workers):
+        """The software runtime runs each task's read, execute and write
+        phases on one core, so no schedule beats the critical path or the
+        total work spread over every core."""
+        from repro.config import SystemConfig
+        from repro.runtime import run_software_rts
         from repro.traces import h264_wavefront_trace
 
-        g = build_task_graph(h264_wavefront_trace(rows=8, cols=8))
-        for p in (1, 2, 4):
-            ms = g.list_schedule_makespan(p)
-            assert ms >= g.critical_path()
-            assert ms >= g.total_work // p
-            assert ms <= g.total_work
+        trace = h264_wavefront_trace(rows=8, cols=8)
+        g = build_task_graph(trace)
+        ms = run_software_rts(trace, SystemConfig(workers=workers)).makespan
+        assert ms >= g.critical_path()
+        assert ms >= g.total_work // workers
 
-    def test_invalid_core_count(self):
-        g = build_task_graph(trace_of([(A, "out")]))
-        with pytest.raises(ValueError):
-            g.list_schedule_makespan(0)
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_machine_makespan_respects_span_and_exec_bounds(self, workers):
+        """The machine overlaps a task's memory phases with other tasks'
+        execution, so its work bound counts execution alone; a chain
+        still pays every phase of every link."""
+        from repro.config import SystemConfig
+        from repro.machine import run_trace
+        from repro.traces import h264_wavefront_trace
+
+        trace = h264_wavefront_trace(rows=8, cols=8)
+        g = build_task_graph(trace)
+        ms = run_trace(trace, SystemConfig(workers=workers)).makespan
+        assert ms >= g.critical_path()
+        assert ms >= trace.total_exec_time // workers
 
 
 class TestScheduleChecker:

@@ -295,7 +295,6 @@ class TestRetirePipelineCli:
         assert data["fixed"]["maestro_shards"] == 2
         assert data["baseline"] == {"retire_pipeline_depth": 1}
         assert [r["retire_pipeline_depth"] for r in data["rows"]] == [1, 4]
-        assert [r["task_pool_ports"] for r in data["rows"]] == [1, 4]
         assert data["rows"][0]["speedup_vs_baseline"] == 1.0
 
     def test_retire_sweep_rejects_single_maestro(self):
@@ -431,27 +430,12 @@ class TestRetirePipelineCli:
         assert "chain_hop_ns" in data["rows"][0]
         assert "resolve_coalesce_rate" in data["rows"][0]
 
-    def test_resolve_sweep_rejects_window_at_limit_one(self):
-        """A coalesce window is not zeroed at limit-1 grid points: the
-        config's own window-needs-limit validation rejects the grid."""
-        with pytest.raises(SystemExit, match="finish_coalesce_limit > 1"):
-            main(["sweep", "random", "--param", "n_tasks=40", "--set", "maestro_shards=2",
-                  "--axis", "finish_coalesce_limit=1,4",
-                  "--set", "finish_coalesce_window=2000"])
-
-    def test_run_coalesce_window_without_limit_is_usage_error(self):
-        with pytest.raises(SystemExit):
-            main(["run", "random", "--param", "n_tasks=40", "--workers", "4",
-                  "--set", "finish_coalesce_window=2000"])
-
     def test_info_shows_resolve_geometry(self, capsys):
         assert main(["info", "--set", "maestro_shards=4",
                      "--set", "finish_coalesce_limit=8",
-                     "--set", "finish_coalesce_window=2000",
                      "--set", "speculative_kickoff=on"]) == 0
         out = capsys.readouterr().out
         assert "Finish coalesce limit" in out
-        assert "Finish coalesce window" in out
         assert "Speculative kick-off" in out
 
     def test_malformed_retire_depth_is_usage_error(self):
@@ -469,7 +453,8 @@ class TestSweepAxisParsing:
         [
             ("kickoff_fast_path=yes", "kickoff_fast_path: cannot read 'yes'"),
             ("maestro_shards=2,x", "maestro_shards: cannot read 'x' as int"),
-            ("task_pool_ports=auto", "task_pool_ports: cannot read 'auto'"),
+            ("dependence_table_entries_per_shard=auto",
+             "dependence_table_entries_per_shard: cannot read 'auto'"),
             ("shards=1,2", "unknown SystemConfig knob 'shards'"),
             ("maestro_shards", "expected maestro_shards=v1,v2"),
         ],
@@ -491,17 +476,19 @@ class TestSweepAxisParsing:
         assert main(["sweep", "random", "--param", "n_tasks=40", "--param", "n_addresses=16",
                      "--workers", "4", "--set", "maestro_shards=2",
                      "--set", "retire_pipeline_depth=2",
-                     "--axis", "task_pool_ports=none,1",
+                     "--axis", "dependence_table_entries_per_shard=none,8",
                      "--axis", "locality_stealing=False,true",
                      "--set", "memory_contention=off", "--json", str(path)]) == 0
         out = capsys.readouterr().out
         assert "none" in out and "off" in out and "on" in out
         data = json.loads(path.read_text())
         assert data["axes"] == {
-            "task_pool_ports": [None, 1], "locality_stealing": [False, True]
+            "dependence_table_entries_per_shard": [None, 8],
+            "locality_stealing": [False, True],
         }
-        # A column named like a swept knob keeps the knob's value.
-        assert [r["task_pool_ports"] for r in data["rows"]] == [None, None, 1, 1]
+        assert [r["dependence_table_entries_per_shard"] for r in data["rows"]] == [
+            None, None, 8, 8
+        ]
 
     @pytest.mark.parametrize("flag", ["--dispatch", "--resolve", "--check"])
     def test_removed_grid_flags_rejected(self, flag):
@@ -520,8 +507,7 @@ def _config(*argv):
 
 #: knob -> (``--set`` text, the value it reads as, the ``--stack`` base).
 #: Each value is off the knob's Table IV default; a knob the single
-#: Maestro rejects goes on the ``sharded`` rung, and a coalesce window on
-#: ``full``, whose limits are above 1.
+#: Maestro rejects goes on the ``sharded`` rung.
 REACHABLE = {
     "workers": ("4", 4, None),
     "buffering_depth": ("3", 3, None),
@@ -541,16 +527,13 @@ REACHABLE = {
     "dependence_table_entries_per_shard": ("1024", 1024, None),
     "shard_inbox_entries": ("8", 8, None),
     "retire_pipeline_depth": ("2", 2, "sharded"),
-    "task_pool_ports": ("2", 2, None),
     "td_cache_entries": ("32", 32, "sharded"),
     "td_prefetch_depth": ("3", 3, None),
     "kickoff_fast_path": ("on", True, "sharded"),
     "finish_coalesce_limit": ("4", 4, None),
-    "finish_coalesce_window": ("4000", 4000, "full"),
     "speculative_kickoff": ("on", True, None),
     "decentralized_check_scatter": ("on", True, "sharded"),
     "check_coalesce_limit": ("4", 4, "sharded"),
-    "check_coalesce_window": ("4000", 4000, "full"),
     "locality_stealing": ("true", True, "sharded"),
     "master_cores": ("2", 2, None),
     "submission_batch": ("4", 4, None),
@@ -583,13 +566,12 @@ REMOVED_FLAGS = [
 
 
 class TestSetAndStack:
-    def test_every_knob_but_notes_has_a_case(self):
+    def test_every_knob_has_a_case(self):
         import dataclasses
 
         from repro.config import SystemConfig
 
-        fields = {f.name for f in dataclasses.fields(SystemConfig)}
-        assert set(REACHABLE) == fields - {"notes"}
+        assert set(REACHABLE) == {f.name for f in dataclasses.fields(SystemConfig)}
 
     @pytest.mark.parametrize("knob", sorted(REACHABLE))
     def test_set_reaches_every_knob(self, knob):
@@ -871,7 +853,7 @@ class TestTelemetryCli:
         assert main(self.ARGS + ["--metrics-out", str(path)]) == 0
         capsys.readouterr()
         doc = json.loads(path.read_text())
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["telemetry"]["signals"]["workers.busy"]
 
         assert main(["report", str(path)]) == 0
@@ -881,6 +863,25 @@ class TestTelemetryCli:
         assert main(["report", str(path), str(path)]) == 0
         out = capsys.readouterr().out
         assert "+0.00%" in out
+
+    def test_metrics_document_is_the_same_on_every_run(self, tmp_path):
+        """Two runs of one command write one document, once the three
+        wall-clock fields of ``aggregates.sim`` are dropped."""
+        import json
+
+        docs = []
+        for i in range(2):
+            path = tmp_path / f"run{i}.json"
+            assert main(["run", "wait-chain", "--param", "rows=8",
+                         "--param", "cols=32",
+                         "--set", "telemetry_window=50000000",
+                         "--metrics-out", str(path)]) == 0
+            doc = json.loads(path.read_text())
+            for key in ("wall_seconds", "events_per_sec", "tasks_per_sec"):
+                del doc["aggregates"]["sim"][key]
+            docs.append(doc)
+        assert docs[0]["telemetry"]["signals"]
+        assert docs[0] == docs[1]
 
     def test_report_rejects_invalid_document(self, capsys, tmp_path):
         import json
