@@ -2,7 +2,7 @@
 
 from .ascii_plot import plot_series, plot_speedup_curves
 from .gantt import gantt_chart, stage_latency_table
-from .metrics import PaperComparison, compare, comparison_row, efficiency
+from .metrics import PaperComparison, compare
 from .tables import format_value, render_table
 from .telemetry import (
     TelemetrySampler,
@@ -23,8 +23,6 @@ __all__ = [
     "plot_speedup_curves",
     "render_table",
     "format_value",
-    "efficiency",
-    "comparison_row",
     "PaperComparison",
     "compare",
     "chrome_trace",

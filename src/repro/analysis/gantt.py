@@ -31,7 +31,8 @@ def gantt_chart(
     span = until or result.makespan
     if span <= 0:
         raise ValueError("empty run")
-    cores = min(result.workers, max_cores)
+    workers = result.config.workers
+    cores = min(workers, max_cores)
     rows = [[" "] * width for _ in range(cores)]
 
     def col(t: int) -> int:
@@ -65,8 +66,8 @@ def gantt_chart(
     ]
     for core in range(cores):
         lines.append(f"c{core:<3}|{''.join(rows[core])}|")
-    if result.workers > cores:
-        lines.append(f"... {result.workers - cores} more cores not shown")
+    if workers > cores:
+        lines.append(f"... {workers - cores} more cores not shown")
     return "\n".join(lines)
 
 

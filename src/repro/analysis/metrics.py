@@ -3,18 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
-from ..machine.results import RunResult
-
-__all__ = ["efficiency", "comparison_row", "PaperComparison", "compare"]
-
-
-def efficiency(speedup: float, cores: int) -> float:
-    """Parallel efficiency: speedup per core."""
-    if cores < 1:
-        raise ValueError("cores must be >= 1")
-    return speedup / cores
+__all__ = ["PaperComparison", "compare"]
 
 
 @dataclass(frozen=True)
@@ -50,17 +41,3 @@ def compare(
     """Shorthand constructor for a paper-vs-measured comparison row."""
     return PaperComparison(experiment, metric, paper, measured)
 
-
-def comparison_row(
-    label: str, result: RunResult, baseline: Optional[RunResult] = None
-) -> List:
-    """A standard per-run report row used across benches."""
-    speedup = result.speedup_over(baseline) if baseline else 1.0
-    return [
-        label,
-        result.workers,
-        round(result.makespan / 1e9, 4),  # ms
-        round(speedup, 2),
-        f"{efficiency(speedup, result.workers):.2f}",
-        f"{result.worker_utilization():.0%}",
-    ]

@@ -16,17 +16,19 @@ like neither.  This module adds the missing time dimension:
 * :class:`TimeSeries` — the sampled values keyed by stable dotted signal
   names (``s0.check.busy``, ``dep_table.kickoff_waiters``, ...), carried
   in ``RunResult.stats["telemetry"]`` as a plain JSON-shaped dict.
-* the **versioned metrics document** (``schema_version`` 2):
+* the **versioned metrics document** (``schema_version`` 3):
   :func:`build_metrics_document` consolidates the machine's config, the
-  aggregate stats blocks and the time series; :func:`validate_metrics`
-  checks a document against :func:`telemetry_schema` (hand-rolled — no
-  external schema dependency); :func:`render_metrics` pretty-prints one document and
+  aggregate stats blocks, the time series and the host's wall time;
+  :func:`validate_metrics` checks a document against
+  :func:`telemetry_schema` (hand-rolled — no external schema
+  dependency); :func:`render_metrics` pretty-prints one document and
   :func:`diff_metrics` diffs two (makespan, per-signal mean/max deltas)
   — the comparison primitive regression gating needs.
 
 Every signal is a modelled quantity, so the time series is the same on
-every run of one trace on one machine.  The host's wall-clock rates are
-run-level facts in ``aggregates.sim`` only.
+every run of one trace on one machine.  Wall-clock time is a fact about
+the host, not the machine: it sits in the document's ``host`` part only,
+so two documents of one command are equal outside ``host``.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ __all__ = [
 
 #: Version stamp of the metrics document layout.  Bump on any breaking
 #: change to the document shape so downstream consumers can gate on it.
-METRICS_SCHEMA_VERSION = 2
+METRICS_SCHEMA_VERSION = 3
 
 #: A signal read: ``fn(t0, t1) -> float`` for the window ``[t0, t1)``.
 SignalRead = Callable[[int, int], float]
@@ -248,8 +250,10 @@ def telemetry_schema() -> Dict[str, Any]:
 
     Top-level keys map to required JSON types; the ``telemetry`` block is
     nullable (telemetry off) and, when present, must carry equal-length
-    ``times_ps``/signal series.  :func:`validate_metrics` enforces this
-    spec; it is returned as data so tests and docs can introspect it.
+    ``times_ps``/signal series.  ``config`` is the machine, ``aggregates``
+    the run's modelled ``stats`` and ``host`` the simulator's own cost.
+    :func:`validate_metrics` enforces this spec; it is returned as data
+    so tests and docs can introspect it.
     """
     return {
         "schema_version": METRICS_SCHEMA_VERSION,
@@ -257,7 +261,6 @@ def telemetry_schema() -> Dict[str, Any]:
             "schema_version": "int",
             "kind": "str",
             "trace": "str",
-            "workers": "int",
             "n_tasks": "int",
             "makespan_ps": "int",
             "master_done_ps": "int|null",
@@ -265,23 +268,24 @@ def telemetry_schema() -> Dict[str, Any]:
             "config": "object",
             "aggregates": "object",
             "telemetry": "object|null",
+            "host": "object",
         },
         "telemetry": {
             "window_ps": "int>0",
             "times_ps": "ascending list[int]",
             "signals": "dict[str, list[number]] (lengths == len(times_ps))",
         },
-        # Host-performance block carried in aggregates["sim"]: wall-clock
-        # facts about the simulation run itself (never the modelled
-        # machine — the schedule is identical whatever these read).
+        # The event kernel's counts: modelled, the same on every run.
         "aggregates.sim": {
-            "wall_seconds": "number",
             "events_processed": "int",
-            "events_per_sec": "int",
-            "tasks_per_sec": "int",
             "peak_pending_events": "int",
             "events_by_block": "dict[str, int] (process names, digits "
             "folded to N; sums to events_processed)",
+        },
+        # Wall-clock facts about the simulation run itself (never the
+        # modelled machine — the schedule is identical whatever these read).
+        "host": {
+            "wall_seconds": "number",
             "hotspots": "optional list[object] (run --profile-hotspots)",
         },
         "kind": "repro-metrics",
@@ -303,11 +307,18 @@ def validate_metrics(doc: Any) -> List[str]:
     """Validate ``doc`` against :func:`telemetry_schema`.
 
     Returns a list of problems; an empty list means the document is a
-    well-formed version-2 metrics document.
+    well-formed version-3 metrics document.  A document of another
+    version is rejected by its version alone: its shape is not this one.
     """
     problems: List[str] = []
     if not isinstance(doc, dict):
         return [f"document must be a JSON object, got {type(doc).__name__}"]
+    version = doc.get("schema_version", METRICS_SCHEMA_VERSION)
+    if version != METRICS_SCHEMA_VERSION:
+        return [
+            f"unsupported schema_version {version!r} "
+            f"(this reader understands {METRICS_SCHEMA_VERSION})"
+        ]
     schema = telemetry_schema()
     for key, kind in schema["required"].items():
         if key not in doc:
@@ -319,11 +330,6 @@ def validate_metrics(doc: Any) -> List[str]:
             )
     if problems:
         return problems
-    if doc["schema_version"] != METRICS_SCHEMA_VERSION:
-        problems.append(
-            f"unsupported schema_version {doc['schema_version']!r} "
-            f"(this reader understands {METRICS_SCHEMA_VERSION})"
-        )
     if doc["kind"] != schema["kind"]:
         problems.append(f"kind must be {schema['kind']!r}, got {doc['kind']!r}")
     tel = doc["telemetry"]
@@ -363,7 +369,7 @@ def _validate_telemetry_block(tel: Dict[str, Any]) -> List[str]:
 
 
 def build_metrics_document(result: "RunResult") -> Dict[str, Any]:
-    """Consolidate one finished run into the version-2 metrics document.
+    """Consolidate one finished run into the version-3 metrics document.
 
     The document is round-tripped through JSON so it is exactly what a
     reader of the written file sees (integer histogram keys become
@@ -375,7 +381,6 @@ def build_metrics_document(result: "RunResult") -> Dict[str, Any]:
         "schema_version": METRICS_SCHEMA_VERSION,
         "kind": "repro-metrics",
         "trace": result.trace_name,
-        "workers": result.workers,
         "n_tasks": result.n_tasks,
         "makespan_ps": result.makespan,
         "master_done_ps": result.master_done,
@@ -383,6 +388,7 @@ def build_metrics_document(result: "RunResult") -> Dict[str, Any]:
         "config": dataclasses.asdict(result.config),
         "aggregates": aggregates,
         "telemetry": result.stats.get("telemetry"),
+        "host": result.host,
     }
     return json.loads(json.dumps(doc))
 
@@ -409,16 +415,18 @@ def write_metrics(result: "RunResult", path: str) -> Dict[str, Any]:
 def render_metrics(doc: Dict[str, Any]) -> str:
     """Human-readable rendering of one metrics document."""
     lines = [
-        f"{doc['trace']}: {doc['n_tasks']} tasks on {doc['workers']} workers",
+        f"{doc['trace']}: {doc['n_tasks']} tasks on "
+        f"{doc['config']['workers']} workers",
         f"makespan {doc['makespan_ps'] / 1e9:.4g} ms, "
         f"worker utilization {doc['worker_utilization']:.1%}",
     ]
-    sim = doc.get("aggregates", {}).get("sim")
-    if sim:
+    wall = doc["host"].get("wall_seconds")
+    sim = doc["aggregates"].get("sim")
+    if sim and wall:
         lines.append(
-            f"host: {sim['events_per_sec']:,} events/s, "
-            f"{sim.get('tasks_per_sec', 0):,} tasks/s "
-            f"({sim['wall_seconds']:.3f}s wall)"
+            f"host: {round(sim['events_processed'] / wall):,} events/s, "
+            f"{round(doc['n_tasks'] / wall):,} tasks/s "
+            f"({wall:.3f}s wall)"
         )
     if doc["master_done_ps"] is None:
         lines.append("run truncated before the masters finished")
@@ -449,7 +457,8 @@ def diff_metrics(doc: Dict[str, Any], baseline: Dict[str, Any]) -> str:
     """
     lines = [
         f"{doc['trace']} vs baseline {baseline['trace']} "
-        f"({doc['workers']} vs {baseline['workers']} workers)"
+        f"({doc['config']['workers']} vs {baseline['config']['workers']} "
+        "workers)"
     ]
     d_mk, b_mk = doc["makespan_ps"], baseline["makespan_ps"]
     rel = (d_mk - b_mk) / b_mk if b_mk else 0.0

@@ -57,7 +57,9 @@ def chrome_trace(result: RunResult) -> Dict[str, Any]:
     a completed task, so the exported flow set *is* the scoreboard's
     release-edge set.
     """
-    shards = result.config.maestro_shards
+    # A run without shard stats (one Maestro, or the software runtime,
+    # which has none) draws one resolve lane.
+    shards = result.config.maestro_shards if "shards" in result.stats else 1
     sb = result.scoreboard
     done = [tid for tid, t in enumerate(sb.completed) if t != _UNSET]
 
@@ -218,7 +220,7 @@ def chrome_trace(result: RunResult) -> Dict[str, Any]:
 
     other: Dict[str, Any] = {
         "trace": result.trace_name,
-        "workers": result.workers,
+        "workers": result.config.workers,
         "maestro_shards": shards,
         "makespan_ps": result.makespan,
         "n_tasks": len(done),

@@ -63,6 +63,7 @@ import typing
 from typing import Any, Dict, List, Mapping, Optional
 
 from .analysis import render_table
+from .analysis.telemetry import METRICS_SCHEMA_VERSION
 from .config import LADDER, SystemConfig
 from .hw.errors import CapacityError
 from .machine import (
@@ -220,6 +221,11 @@ def _run_with_hotspots(trace: TaskTrace, cfg: SystemConfig, top_n: int):
     return result, hotspots
 
 
+def _per_second(count: int, wall_seconds: float) -> int:
+    """A host rate from a count and the wall time it took (0 if untimed)."""
+    return round(count / wall_seconds) if wall_seconds > 0 else 0
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     trace = _trace_from(args)
     cfg = _config_from(args)
@@ -227,17 +233,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
     hotspots_n = getattr(args, "profile_hotspots", None)
     if hotspots_n:
         result, hotspots = _run_with_hotspots(trace, cfg, hotspots_n)
-        result.stats["sim"]["hotspots"] = hotspots
+        result.host["hotspots"] = hotspots
     else:
         result = run_trace(trace, cfg)
     print(result.summary())
     if getattr(args, "profile", False) or hotspots_n:
         prof = result.stats["sim"]
+        wall = result.host["wall_seconds"]
         print(
-            f"kernel profile: {prof['wall_seconds']:.3f}s wall, "
+            f"kernel profile: {wall:.3f}s wall, "
             f"{prof['events_processed']:,} events "
-            f"({prof['events_per_sec']:,}/s), "
-            f"{prof['tasks_per_sec']:,} tasks/s, "
+            f"({_per_second(prof['events_processed'], wall):,}/s), "
+            f"{_per_second(len(trace), wall):,} tasks/s, "
             f"peak pending {prof['peak_pending_events']:,}"
         )
         top = list(prof["events_by_block"].items())[:6]
@@ -251,7 +258,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"{h['tottime_seconds']:.3f}",
                 f"{h['cumtime_seconds']:.3f}",
             ]
-            for h in result.stats["sim"]["hotspots"]
+            for h in result.host["hotspots"]
         ]
         print(
             render_table(
@@ -281,17 +288,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if shard_info:
         icn = shard_info["interconnect"]
         print(
-            f"shards {shard_info['count']}: "
+            f"shards {cfg.maestro_shards}: "
             f"{icn['messages']} interconnect messages "
             f"({icn['cross_shard_messages']} cross-shard, "
             f"mean {icn['mean_hops']:.2f} hops), "
             f"{shard_info['steals']} stolen dispatches"
         )
-        retire = shard_info.get("retire")
-        if retire and retire["pipeline_depth"] > 1:
+        retire = shard_info["retire"]
+        if cfg.retire_pipeline_depth > 1:
             mean = sum(retire["inflight_mean"]) / len(retire["inflight_mean"])
             print(
-                f"retire pipeline: depth {retire['pipeline_depth']}, "
+                f"retire pipeline: depth {cfg.retire_pipeline_depth}, "
                 f"mean in-flight {mean:.2f}, "
                 f"max {max(retire['inflight_max'])}, "
                 f"pipe-full {max(retire['full_fraction']):.0%} (worst shard)"
@@ -307,7 +314,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"({cache['hit_rate']:.0%}), {cache['evictions']} evicted, "
                 f"{cache['invalidations']} invalidated at retire"
             )
-        if sub["fast_path"]:
+        if cfg.kickoff_fast_path:
             bits.append(
                 f"{sub['fast_dispatches']} fast dispatches "
                 f"({sub['fast_dispatches_remote']} skipped the home-shard hop)"
@@ -321,33 +328,33 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"{hop.get('forward', 0.0):.0f} / TD {hop.get('td_transfer', 0.0):.0f} "
             f"/ start {hop.get('start', 0.0):.0f})"
         )
-    resolve = result.stats.get("resolve", {})
-    if resolve.get("coalesce_limit", 1) > 1 or resolve.get("speculative_kickoff"):
+    if cfg.use_resolve_pipeline:
+        resolve = result.stats["resolve"]
         bits = []
-        if resolve["coalesce_limit"] > 1:
+        if cfg.finish_coalesce_limit > 1:
             bits.append(
-                f"coalesce {resolve['coalesce_limit']}: mean batch "
+                f"coalesce {cfg.finish_coalesce_limit}: mean batch "
                 f"{resolve['mean_batch']:.2f}, {resolve['row_merges']} row "
                 f"merges ({resolve['coalesce_rate']:.0%})"
             )
-        if resolve["speculative_kickoff"]:
+        if cfg.speculative_kickoff:
             bits.append(f"{resolve['speculative_kicks']} speculative kicks")
         print(
             f"resolve pipeline: {'; '.join(bits)}; "
             f"{resolve['batches']} batches / {resolve['updates']} table updates"
         )
-    check = result.stats.get("check", {})
-    if check.get("decentralized_scatter") or check.get("coalesce_limit", 1) > 1:
+    if cfg.use_check_pipeline:
+        check = result.stats["check"]
         bits = []
-        if check["decentralized_scatter"]:
+        if cfg.decentralized_check_scatter:
             held = check.get("reseq_max_held") or [0]
             bits.append(
                 f"decentralized scatter: max {max(held)} held per "
                 f"re-sequencer"
             )
-        if check["coalesce_limit"] > 1:
+        if cfg.check_coalesce_limit > 1:
             bits.append(
-                f"coalesce {check['coalesce_limit']}: mean batch "
+                f"coalesce {cfg.check_coalesce_limit}: mean batch "
                 f"{check['mean_batch']:.2f}, {check['row_merges']} row "
                 f"merges ({check['coalesce_rate']:.0%})"
             )
@@ -358,8 +365,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     frontend = result.stats.get("frontend")
     if frontend:
         print(
-            f"front-end: {frontend['master_cores']} masters x batch "
-            f"{frontend['submission_batch']}, {frontend['merged']} descriptors "
+            f"front-end: {cfg.master_cores} masters x batch "
+            f"{cfg.submission_batch}, {frontend['merged']} descriptors "
             f"merged in program order, "
             f"stall {result.stats['master_stall_ps'] / 1e6:.3g} us total"
         )
@@ -420,7 +427,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         rows = [{"cores": c, "speedup": round(s, 4)} for c, s in curve]
         if getattr(args, "profile", False):
             for row, run in zip(rows, rep.runs):
-                row["sim"] = run.stats.get("sim")
+                row["sim"] = run.stats["sim"]
+                row["host"] = run.host
         _write_json(args.json, {"trace": trace.name, "rows": rows})
     return 0
 
@@ -450,14 +458,14 @@ def _write_json(path: str, payload: dict) -> None:
 
 def _print_profile_summary(runs) -> None:
     """Compact host-kernel cost line for a sweep: total wall and events."""
-    profs = [r.stats.get("sim") for r in runs if r.stats.get("sim")]
-    if not profs:
+    runs = [r for r in runs if "sim" in r.stats]
+    if not runs:
         return
-    wall = sum(p["wall_seconds"] for p in profs)
-    events = sum(p["events_processed"] for p in profs)
+    wall = sum(r.host["wall_seconds"] for r in runs)
+    events = sum(r.stats["sim"]["events_processed"] for r in runs)
     rate = f" ({int(events / wall):,}/s)" if wall > 0 else ""
     print(
-        f"kernel profile: {len(profs)} runs, "
+        f"kernel profile: {len(runs)} runs, "
         f"{wall:.3f}s wall, {events:,} events{rate}"
     )
 
@@ -711,9 +719,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile-hotspots", type=int, nargs="?", const=10, default=None,
         metavar="N",
         help="run under cProfile and print the top N host functions by "
-        "total time (default 10); also attached to stats['sim']"
-        "['hotspots'] in --metrics-out documents. Observe-only — the "
-        "modelled schedule is unchanged",
+        "total time (default 10); also attached to host['hotspots'] in "
+        "--metrics-out documents. Observe-only — the modelled schedule "
+        "is unchanged",
     )
     p_run.add_argument(
         "--trace-out", default=None,
@@ -724,7 +732,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--metrics-out", default=None,
         help="write a versioned metrics JSON document (schema_version "
-        "1); inspect or diff with `python -m repro report`",
+        f"{METRICS_SCHEMA_VERSION}); inspect or diff with `python -m repro "
+        "report`",
     )
     p_run.set_defaults(func=_cmd_run)
 
@@ -747,7 +756,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--profile", action="store_true",
         help="print aggregate host-kernel cost and attach each grid "
-        "point's kernel profile (stats['sim']) to the --json report",
+        "point's kernel counts (stats['sim']) and wall time (host) to the "
+        "--json report",
     )
     p_sweep.add_argument("--json", default=None, help="write the sweep report to a JSON file")
     p_sweep.set_defaults(func=_cmd_sweep)

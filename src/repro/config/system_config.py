@@ -171,17 +171,6 @@ class SystemConfig:
     #: in that order within the merged access.  A sharded-engine knob.
     check_coalesce_limit: int = 1
 
-    #: Locality-aware work stealing: an idle shard prefers stealing from
-    #: shards that have no idle worker of their own, leaving a ready task
-    #: whose home pool already holds an idle core for that core (its home
-    #: scheduler is one FIFO pop away from dispatching it) — avoiding the
-    #: steal-after-forward ping-pong where a task is stolen one cycle
-    #: after the finish engine paid the forward hop to send it home.
-    #: ``None`` derives the policy from the fast-dispatch subsystem (on
-    #: when any of its features is on), keeping the subsystem-off machine
-    #: cycle-for-cycle the old one.
-    locality_stealing: Optional[bool] = None
-
     # ---- master core / on-chip bus ----------------------------------------------
     #: Number of master cores generating Task Descriptors.  1 reproduces the
     #: paper's single serial master; N > 1 splits the trace round-robin over
@@ -334,12 +323,6 @@ class SystemConfig:
             raise ValueError(
                 f"telemetry_window must be >= 0, got {self.telemetry_window}"
             )
-        if self.locality_stealing and not self.use_sharded_maestro:
-            raise ValueError(
-                "locality_stealing=True requires the sharded Maestro "
-                "engine (set maestro_shards > 1); the single-Maestro machine "
-                "has no stealing scheduler and would silently ignore it"
-            )
 
     # ---- derived quantities -----------------------------------------------------------
 
@@ -414,11 +397,14 @@ class SystemConfig:
 
     @property
     def steal_locality(self) -> bool:
-        """Effective work-stealing policy: locality-aware when requested
-        explicitly, else it follows the fast-dispatch subsystem (``None``
-        keeps the subsystem-off machine cycle-exact)."""
-        if self.locality_stealing is not None:
-            return self.locality_stealing
+        """Locality-aware work stealing, on exactly when the fast-dispatch
+        subsystem is: an idle shard prefers stealing from shards that have
+        no idle worker of their own, leaving a ready task whose home pool
+        already holds an idle core for that core — avoiding the
+        steal-after-forward ping-pong where a task is stolen one cycle
+        after the finish engine paid the forward hop to send it home.  Off
+        keeps the subsystem-off machine cycle-for-cycle the ticket-order
+        stealer."""
         return self.use_fast_dispatch
 
     @property

@@ -207,7 +207,6 @@ class TDPrefetchCache:
     def stats(self) -> dict:
         looked = self.hits + self.misses
         return {
-            "entries_per_shard": self.entries_per_shard,
             "fills": self.fills,
             "hits": self.hits,
             "misses": self.misses,
@@ -356,8 +355,6 @@ class FastDispatch:
 
     def stats(self) -> dict:
         out = {
-            "fast_path": self.fast_path,
-            "prefetch_depth": self.prefetch_depth,
             "prefetch_requests": self.prefetch_requests,
             "prefetch_dropped": self.prefetch_dropped,
             "prefetch_stale": self.prefetch_stale,

@@ -364,9 +364,7 @@ class ResolvePipeline:
     # ---- reporting ---------------------------------------------------------------
 
     def stats(self) -> dict:
-        out = {
-            "coalesce_limit": self.coalesce_limit,
-            "speculative_kickoff": self.speculative,
+        return {
             "batches": self.batches,
             "updates": self.updates,
             "mean_batch": self.updates / self.batches if self.batches else 0.0,
@@ -377,7 +375,6 @@ class ResolvePipeline:
             ),
             "speculative_kicks": self.speculative_kicks,
         }
-        return out
 
 
 class CheckPipeline:
@@ -397,7 +394,6 @@ class CheckPipeline:
         self.fabric = fabric
         config = fabric.config
         self.coalesce_limit = config.check_coalesce_limit
-        self.decentralized = config.decentralized_check_scatter
         # ---- statistics ------------------------------------------------------
         #: Check-engine activations (one per drained batch).
         self.batches = 0
@@ -423,8 +419,6 @@ class CheckPipeline:
 
     def stats(self) -> dict:
         return {
-            "decentralized_scatter": self.decentralized,
-            "coalesce_limit": self.coalesce_limit,
             "batches": self.batches,
             "probes": self.probes,
             "mean_batch": self.probes / self.batches if self.batches else 0.0,

@@ -155,7 +155,7 @@ class NexusMachine:
             resolve_stats["kick_queue_max"] = [
                 q.stat.max_level for q in fabric.resolve.kick_queues
             ]
-        # Check-path pipeline: scatter mode + coalescing counters; under
+        # Check-path pipeline: coalescing counters; under
         # the decentralized scatter also the per-slice occupancy and the
         # re-sequencer reorder-buffer shape (forwarded counts must match,
         # max_held is the out-of-order high-water mark).
@@ -196,23 +196,13 @@ class NexusMachine:
             # Staged-resolve pipeline: coalescing rate, batch shape and
             # resolve-stage queue depths.
             "resolve": resolve_stats,
-            # Check-path pipeline: scatter mode, check-side coalescing
-            # counters and (decentralized only) the scatter slice /
-            # re-sequencer shape.
+            # Check-path pipeline: check-side coalescing counters and
+            # (decentralized only) the scatter slice / re-sequencer shape.
             "check": check_stats,
-            # Host-side kernel profile (never affects modelled results):
-            # feeds ``python -m repro run --profile`` and the perf ledger.
+            # Kernel event counts: feed ``python -m repro run --profile``
+            # and the perf ledger.
             "sim": {
-                "wall_seconds": round(wall_seconds, 6),
                 "events_processed": sim.events_processed,
-                "events_per_sec": (
-                    round(sim.events_processed / wall_seconds)
-                    if wall_seconds > 0
-                    else 0
-                ),
-                "tasks_per_sec": (
-                    round(len(trace) / wall_seconds) if wall_seconds > 0 else 0
-                ),
                 "peak_pending_events": sim.peak_pending,
                 "events_by_block": sim.events_by_block(),
             },
@@ -222,7 +212,6 @@ class NexusMachine:
         if fabric.sharded:
             depth = cfg.retire_pipeline_depth
             stats["shards"] = {
-                "count": fabric.n_shards,
                 "interconnect": fabric.icn.stats(),
                 "steals": maestro.steals,
                 "steals_after_forward": maestro.steals_after_forward,
@@ -232,7 +221,6 @@ class NexusMachine:
                 # run a shard spent with every retire ticket charged — the
                 # retire-backpressure signal bottleneck attribution reads.
                 "retire": {
-                    "pipeline_depth": depth,
                     "inflight_mean": [
                         round(st.mean(span), 4) for st in fabric.retire_inflight
                     ],
@@ -259,8 +247,6 @@ class NexusMachine:
             stats["telemetry"] = sampler.to_dict()
         if fabric.parallel_frontend:
             stats["frontend"] = {
-                "master_cores": fabric.n_masters,
-                "submission_batch": cfg.submission_batch,
                 "merged": fabric.merge.merged,
                 "per_master_buffer_mean_occupancy": [
                     (b.stat.mean() if b.stat else 0.0)
@@ -269,7 +255,6 @@ class NexusMachine:
             }
         return RunResult(
             trace_name=trace.name,
-            workers=cfg.workers,
             makespan=scoreboard.last_completion,
             # None (not sim.now) when a max_time-truncated run ended before
             # every master finished — a truncated run must stay
@@ -278,6 +263,7 @@ class NexusMachine:
             records=scoreboard.records,
             stats=stats,
             config=cfg,
+            host={"wall_seconds": round(wall_seconds, 6)},
         )
 
 

@@ -16,7 +16,6 @@ class RunResult:
     """Everything a finished simulation reports."""
 
     trace_name: str
-    workers: int
     #: Time of the last task's retirement (ps) — the figure speedups use.
     makespan: int
     #: When the last master core finished submitting its final TD (ps), or
@@ -25,10 +24,15 @@ class RunResult:
     #: Per-task lifecycle records: row views over the run's scoreboard
     #: columns (a hand-built list of records is copied into columns).
     records: Sequence[TaskRecord]
-    #: Component statistics (Dependence Table, Task Pool, memory, queues).
+    #: Modelled measurements (Dependence Table, Task Pool, memory, queues,
+    #: kernel event counts): the same on every run of one trace on one
+    #: machine.  No config value is copied here; read ``config``.
     stats: Dict[str, Any] = field(default_factory=dict)
     #: The machine the run ran on (Table IV for a hand-built result).
     config: SystemConfig = SystemConfig()
+    #: Host cost of the simulation itself: ``wall_seconds`` and, under
+    #: ``run --profile-hotspots``, ``hotspots``.  Never a modelled number.
+    host: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.records = Scoreboard.of(self.records).records
@@ -69,7 +73,7 @@ class RunResult:
             for start, end in zip(sb.exec_start, sb.exec_end)
             if start >= 0 and end >= 0
         )
-        return busy / (self.makespan * self.workers) if self.makespan else 0.0
+        return busy / (self.makespan * self.config.workers) if self.makespan else 0.0
 
     def parallel_efficiency(self) -> float:
         """Useful work over total worker time: ``sum(exec)/(workers*makespan)``.
@@ -130,7 +134,8 @@ class RunResult:
 
     def summary(self) -> str:
         return (
-            f"{self.trace_name}: {self.n_tasks} tasks on {self.workers} workers, "
+            f"{self.trace_name}: {self.n_tasks} tasks on "
+            f"{self.config.workers} workers, "
             f"makespan {self.makespan / 1e9:.4g} ms, "
             f"{self.throughput_tasks_per_s() / 1e6:.3g} Mtasks/s, "
             f"worker utilization {self.worker_utilization():.1%}"

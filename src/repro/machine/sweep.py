@@ -194,11 +194,13 @@ class GridReport:
     def to_json_dict(self, profile: bool = False) -> dict:
         """The report as JSON: the axes, the baseline point, the knobs the
         whole grid holds away from their defaults, and the rows (each
-        with its host-kernel profile ``stats["sim"]`` when ``profile``)."""
+        with its kernel counts ``stats["sim"]`` and wall time ``host``
+        when ``profile``)."""
         rows = self.rows()
         if profile:
             for row, run in zip(rows, self.runs):
-                row["sim"] = run.stats.get("sim")
+                row["sim"] = run.stats["sim"]
+                row["host"] = run.host
         first, default = self.runs[0].config, SystemConfig()
         fixed = {
             f.name: getattr(first, f.name)
@@ -278,7 +280,6 @@ class EfficiencyReport:
     """
 
     trace_name: str
-    workers: int
     chain_rows: int
     chain_cols: int
     k_deps: int
@@ -290,6 +291,11 @@ class EfficiencyReport:
     def runs(self) -> List[RunResult]:
         """Every run of the sweep: the HW runs, then the SW runs."""
         return self.hw_runs + self.sw_runs
+
+    @property
+    def workers(self) -> int:
+        """Worker cores of every run: one machine, swept over grain."""
+        return self.hw_runs[0].config.workers
 
     @property
     def hw_efficiencies(self) -> List[float]:
@@ -317,8 +323,8 @@ class EfficiencyReport:
             sw_eff = sw.parallel_efficiency()
             # Worker-time not spent executing, folded back to a per-task
             # nanosecond cost: the management overhead each runtime adds.
-            hw_over = (hw.makespan * hw.workers * (1 - hw_eff)) / n / 1e3
-            sw_over = (sw.makespan * sw.workers * (1 - sw_eff)) / n / 1e3
+            hw_over = (hw.makespan * self.workers * (1 - hw_eff)) / n / 1e3
+            sw_over = (sw.makespan * self.workers * (1 - sw_eff)) / n / 1e3
             out.append(
                 {
                     "spin_ns": spin,
@@ -342,6 +348,7 @@ class EfficiencyReport:
             for row, hw, sw in zip(rows, self.hw_runs, self.sw_runs):
                 row["hw_sim"] = hw.stats.get("sim")
                 row["sw_sim"] = sw.stats.get("sim")
+                row["hw_host"] = hw.host
         return {
             "trace": self.trace_name,
             "workers": self.workers,
@@ -415,7 +422,6 @@ def efficiency_sweep(
         sw_runs.append(run_software_rts(trace, cfg, rts))
     return EfficiencyReport(
         trace_name=f"wait-chain-{rows}x{cols}-k{min(k_deps, rows)}",
-        workers=cfg.workers,
         chain_rows=rows,
         chain_cols=cols,
         k_deps=min(k_deps, rows),

@@ -137,7 +137,6 @@ def run_software_rts(
 
     return RunResult(
         trace_name=f"{trace.name}+software-rts",
-        workers=cfg.workers,
         makespan=scoreboard.last_completion,
         master_done=done["master"],
         records=scoreboard.records,

@@ -4,8 +4,6 @@ import pytest
 
 from repro.analysis import (
     compare,
-    comparison_row,
-    efficiency,
     format_value,
     plot_series,
     plot_speedup_curves,
@@ -68,11 +66,6 @@ class TestPlots:
 
 
 class TestMetrics:
-    def test_efficiency(self):
-        assert efficiency(32.0, 64) == 0.5
-        with pytest.raises(ValueError):
-            efficiency(1.0, 0)
-
     def test_compare_ratio(self):
         c = compare("headline", "speedup@64", paper=54.0, measured=49.9)
         assert c.ratio == pytest.approx(0.924, abs=1e-3)
@@ -80,15 +73,3 @@ class TestMetrics:
         assert row[0] == "headline"
         assert "0.92x" in row[-1]
 
-    def test_comparison_row_shape(self):
-        from repro.config import SystemConfig
-        from repro.machine import run_trace
-        from repro.traces import independent_trace
-
-        trace = independent_trace(n_tasks=12, n_params=2)
-        base = run_trace(trace, SystemConfig(workers=1, memory_batch_chunks=8))
-        r4 = run_trace(trace, SystemConfig(workers=4, memory_batch_chunks=8))
-        row = comparison_row("indep", r4, base)
-        assert row[0] == "indep"
-        assert row[1] == 4
-        assert float(row[3]) > 1.0

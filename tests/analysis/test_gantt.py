@@ -59,6 +59,6 @@ class TestStageLatency:
         from repro.machine.results import RunResult
         from repro.scoreboard import TaskRecord
 
-        empty = RunResult("x", 1, 100, 100, [TaskRecord(0)])
+        empty = RunResult("x", 100, 100, [TaskRecord(0)])
         with pytest.raises(ValueError):
             stage_latency_table(empty)

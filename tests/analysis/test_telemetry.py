@@ -109,7 +109,7 @@ class TestSampling:
             for v, t0, t1 in zip(telemetry["signals"]["workers.busy"], starts, times)
         )
         exec_ps = sum(r.exec_end - r.exec_start for r in run.records)
-        assert busy_ps == pytest.approx(exec_ps / run.workers, rel=1e-3)
+        assert busy_ps == pytest.approx(exec_ps / run.config.workers, rel=1e-3)
 
     def test_sharded_machine_registers_per_shard_signals(self):
         result = run_trace(
@@ -201,6 +201,16 @@ class TestMetricsDocument:
             assert validate_metrics(broken), mutate
         assert validate_metrics([]) != []
         assert validate_metrics({"kind": "repro-metrics"}) != []
+
+    def test_validator_rejects_another_version_by_name(self, run):
+        """A version-2 document (top-level ``workers``, no ``host``) is
+        refused for its version, not for the keys it lacks."""
+        old = build_metrics_document(run)
+        old.update(schema_version=2, workers=old["config"]["workers"])
+        del old["host"]
+        assert validate_metrics(old) == [
+            "unsupported schema_version 2 (this reader understands 3)"
+        ]
 
     def test_write_metrics_is_validated_and_stable(self, run, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -157,6 +157,26 @@ class TestFaithfulness:
         )
         assert {n for n in threads if n.startswith(("shard", "maestro"))} == expected
 
+    def test_software_runtime_run_draws_one_resolve_lane(self):
+        """The software runtime has no Maestro: its export draws one
+        resolve lane whatever Maestro fields its config carries."""
+        from repro.runtime import run_software_rts
+        from repro.traces import workload
+
+        result = run_software_rts(
+            workload("wait-chain", rows=4, cols=4), LADDER["sharded"]
+        )
+        assert result.config.maestro_shards == 4
+        doc = chrome_trace(result)
+        assert doc["otherData"]["maestro_shards"] == 1
+        lanes = [
+            e["args"]["name"]
+            for e in doc["traceEvents"]
+            if e["ph"] == "M" and e["name"] == "thread_name" and e["pid"] == 2
+        ]
+        assert lanes == ["maestro"]
+        assert {e["tid"] for e in doc["traceEvents"] if e["ph"] == "b"} == {0}
+
 
 class TestGolden:
     def test_mini_golden_replays_byte_for_byte(self, tmp_path):

@@ -126,7 +126,6 @@ class TestValidation:
             ("retire_pipeline_depth", 4, "sharded"),
             ("td_cache_entries", 64, "sharded"),
             ("kickoff_fast_path", True, "sharded"),
-            ("locality_stealing", True, "sharded"),
             ("decentralized_check_scatter", True, "sharded"),
             ("check_coalesce_limit", 4, "sharded"),
         ],
@@ -159,15 +158,9 @@ class TestValidation:
             (dict(maestro_shards=2, retire_pipeline_depth=2), "tp_ports", 2),
             ({}, "use_fast_dispatch", False),
             (dict(maestro_shards=4, td_cache_entries=8), "use_fast_dispatch", True),
-            # The steal policy follows the fast-dispatch subsystem unless set.
+            # The steal policy follows the fast-dispatch subsystem.
             ({}, "steal_locality", False),
             (dict(maestro_shards=4, td_cache_entries=8), "steal_locality", True),
-            (dict(maestro_shards=4, locality_stealing=True), "steal_locality", True),
-            (
-                dict(maestro_shards=4, kickoff_fast_path=True, locality_stealing=False),
-                "steal_locality",
-                False,
-            ),
             ({}, "use_resolve_pipeline", False),
             (dict(finish_coalesce_limit=4), "use_resolve_pipeline", True),
             (dict(speculative_kickoff=True), "use_resolve_pipeline", True),

@@ -29,7 +29,6 @@ SCALING_KNOBS = [
     "td_cache_entries",
     "td_prefetch_depth",
     "kickoff_fast_path",
-    "locality_stealing",
     "finish_coalesce_limit",
     "speculative_kickoff",
     "decentralized_check_scatter",

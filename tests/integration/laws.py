@@ -30,17 +30,12 @@ def assert_retires_legally(result, trace, graph):
 
 
 def _merge_unit_merges_every_task(result, trace, config):
-    frontend = result.stats["frontend"]
-    assert frontend["master_cores"] == config.master_cores
-    assert frontend["merged"] == len(trace)
+    assert result.stats["frontend"]["merged"] == len(trace)
 
 
 def _retire_tickets_bound_inflight_finishes(result, trace, config):
-    shards = result.stats["shards"]
-    assert shards["count"] == config.maestro_shards
-    retire = shards["retire"]
+    retire = result.stats["shards"]["retire"]
     depth = config.retire_pipeline_depth
-    assert retire["pipeline_depth"] == depth
     assert all(m <= depth for m in retire["inflight_max"])
 
 

@@ -3,8 +3,8 @@
 Hypothesis draws a trace (a small hand-built hazard pool or a small
 ``random_trace``) and a knob vector from every axis of ``SystemConfig``:
 both engines, 1-8 shards, 1-8 masters, submission batching, retire depth,
-the TD cache and prefetch depth, the kick-off fast path, the steal policy,
-finish and check coalescing with their windows, speculative kick-off, the
+the TD cache and prefetch depth, the kick-off fast path (and with it
+the steal policy), finish and check coalescing with their windows, speculative kick-off, the
 decentralized check scatter, and the bounded structures down to their
 minimum sizes.  Every knob vector must either be rejected by
 ``SystemConfig`` with a ``ValueError``, fail by name when a task needs
@@ -117,7 +117,6 @@ def knob_vectors(draw):
             td_cache_entries=draw(st.sampled_from([0, 1, 2, 16])),
             td_prefetch_depth=draw(st.integers(1, 3)),
             kickoff_fast_path=draw(st.booleans()),
-            locality_stealing=draw(st.sampled_from([None, False, True])),
             decentralized_check_scatter=draw(st.booleans()),
             check_coalesce_limit=draw(st.sampled_from([1, 2, 8])),
         )

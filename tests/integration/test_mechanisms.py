@@ -53,6 +53,15 @@ def _retire4(**overrides) -> SystemConfig:
     return STACKS["retire4"].with_(**overrides)
 
 
+def _run_stealing(monkeypatch, trace, config, locality: bool):
+    """Run ``config`` under the ticket (False) or locality (True) steal
+    policy, whichever the fast-dispatch subsystem would derive."""
+    monkeypatch.setattr(
+        SystemConfig, "steal_locality", property(lambda self: locality)
+    )
+    return run_trace(trace, config)
+
+
 def _waw_chain() -> TaskTrace:
     """A chain of 64 writers on one address: every probe and every finish
     hits the same Dependence Table row on the same owner shard."""
@@ -329,7 +338,7 @@ def test_fast_path_reports_ownership_notices():
     assert sub["fast_dispatches"] >= sub["fast_dispatches_remote"]
 
 
-def test_locality_stealing_suppresses_post_forward_ping_pong():
+def test_locality_stealing_suppresses_post_forward_ping_pong(monkeypatch):
     """The steal-after-forward regression: with the old ticket policy an
     idle shard steals a task one cycle after the finish engine paid the
     forward hop to send it home; the locality policy (ticket deferral to
@@ -337,9 +346,9 @@ def test_locality_stealing_suppresses_post_forward_ping_pong():
     losing completeness."""
     trace = golden_trace("random")
     graph = build_task_graph(trace)
-    kw = dict(workers=16, maestro_shards=4)
-    ticket = run_trace(trace, _retire4(locality_stealing=False, **kw))
-    locality = run_trace(trace, _retire4(locality_stealing=True, **kw))
+    config = _retire4(workers=16, maestro_shards=4)
+    ticket = _run_stealing(monkeypatch, trace, config, locality=False)
+    locality = _run_stealing(monkeypatch, trace, config, locality=True)
     assert ticket.stats["shards"]["steals_after_forward"] > 0
     assert (
         locality.stats["shards"]["steals_after_forward"]
@@ -351,19 +360,19 @@ def test_locality_stealing_suppresses_post_forward_ping_pong():
     assert locality.makespan <= ticket.makespan * 1.05
 
 
-def test_locality_stealing_never_starves_a_worker_starved_machine():
+def test_locality_stealing_never_starves_a_worker_starved_machine(monkeypatch):
     """The 8-shard/2-worker regression: with fewer worker cores than
     shards, six shards own no cores at all — every task homed there must
     be stolen — and the ticket-deferral politeness between the two
     worker-owning shards only starved their claimed cores, making
     locality stealing *slower* than the plain ticket policy it layers
     on.  The pool-occupancy cutoff disables deferral on such machines,
-    so locality stealing must now be no worse than ``locality_stealing=
-    False`` on the exact configuration that regressed."""
+    so locality stealing must now be no worse than the ticket policy on
+    the exact configuration that regressed."""
     trace = golden_trace("random")
-    kw = dict(workers=2, maestro_shards=8)
-    ticket = run_trace(trace, _retire4(locality_stealing=False, **kw))
-    locality = run_trace(trace, _retire4(locality_stealing=True, **kw))
+    config = _retire4(workers=2, maestro_shards=8)
+    ticket = _run_stealing(monkeypatch, trace, config, locality=False)
+    locality = _run_stealing(monkeypatch, trace, config, locality=True)
     for result in (ticket, locality):
         assert_retires_legally(result, trace, build_task_graph(trace))
     assert locality.makespan <= ticket.makespan
@@ -406,7 +415,7 @@ def test_resolve_pipeline_coalesces_and_speculates(engine, knobs):
     assert_retires_legally(result, trace, build_task_graph(trace))
     resolve = result.stats["resolve"]
     assert resolve["updates"] == resolve["batches"] or (
-        resolve["coalesce_limit"] > 1 or engine == "single"
+        result.config.finish_coalesce_limit > 1 or engine == "single"
     )
     if knobs.get("speculative_kickoff"):
         assert resolve["speculative_kicks"] > 0

@@ -187,7 +187,6 @@ class TestVerdictPrecedence:
         span = 10_000_000  # 10 us
         return RunResult(
             trace_name="synthetic",
-            workers=16,
             makespan=span,
             # One master producing for `master_busy_fraction` of the run.
             master_done=int(span * master_busy_fraction),
@@ -271,7 +270,6 @@ class TestCheckVerdict:
         span = 10_000_000
         return RunResult(
             trace_name="synthetic",
-            workers=16,
             makespan=span,
             master_done=int(span * master_busy_fraction),
             records=[],
@@ -364,10 +362,10 @@ class TestTruncatedRunFallback:
         span = 10_000_000
         return RunResult(
             trace_name="synthetic",
-            workers=4,
             makespan=span,
             master_done=master_done,
             records=[],
+            config=SystemConfig(workers=4),
             stats={
                 "maestro_utilization": {"s0.check": 0.3},
                 "worker_busy_fraction": [0.2] * 4,

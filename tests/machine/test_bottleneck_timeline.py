@@ -23,11 +23,11 @@ def _result(telemetry, master_done=8 * WINDOW, stats=None):
         merged["telemetry"] = telemetry
     return RunResult(
         trace_name="synthetic",
-        workers=4,
         makespan=8 * WINDOW,
         master_done=master_done,
         records=[],
         stats=merged,
+        config=SystemConfig(workers=4),
     )
 
 

@@ -18,6 +18,7 @@ from repro.traces import (
     independent_trace,
     random_trace,
     vertical_chains_trace,
+    workload,
 )
 
 
@@ -260,9 +261,44 @@ class TestDeterminism:
                 b.completed,
             )
 
+    @pytest.mark.parametrize(
+        "trace, cfg",
+        [
+            (
+                workload("hazard-dense", n_tasks=300),
+                LADDER["full"].with_(workers=8),
+            ),
+            (workload("gaussian", n=24), SystemConfig()),
+        ],
+        ids=["hazard-dense-full", "gaussian-table-iv"],
+    )
+    def test_two_runs_give_equal_stats(self, trace, cfg):
+        """``stats`` holds only modelled measurements: two runs of one
+        trace on one machine give equal stats, no key dropped.  The wall
+        clock is the host's, in ``host``."""
+        first, second = run_trace(trace, cfg), run_trace(trace, cfg)
+        assert first.stats == second.stats
+        assert first.host["wall_seconds"] > 0
+        assert set(first.host) == {"wall_seconds"}
+
 
 #: Table IV and every named machine.
 MACHINES = {"table-iv": SystemConfig(), **LADDER}
+
+#: Config values a run reads from ``result.config``, never from ``stats``.
+CONFIG_ECHOES = [
+    ("resolve", "coalesce_limit"),
+    ("resolve", "speculative_kickoff"),
+    ("check", "decentralized_scatter"),
+    ("check", "coalesce_limit"),
+    ("dispatch", "fast_dispatch", "fast_path"),
+    ("dispatch", "fast_dispatch", "prefetch_depth"),
+    ("dispatch", "fast_dispatch", "td_cache", "entries_per_shard"),
+    ("shards", "count"),
+    ("shards", "retire", "pipeline_depth"),
+    ("frontend", "master_cores"),
+    ("frontend", "submission_batch"),
+]
 
 
 class TestRunCarriesItsConfig:
@@ -277,9 +313,24 @@ class TestRunCarriesItsConfig:
         assert validate_metrics(doc) == []
         assert SystemConfig(**doc["config"]) == cfg
 
+    @pytest.mark.parametrize("name", list(MACHINES))
+    def test_stats_hold_no_copy_of_the_config(self, name):
+        """``stats`` holds measurements only: no config value is echoed
+        into it, and ``stats["sim"]`` has only the kernel's counts."""
+        result = run_trace(h264_wavefront_trace(rows=4, cols=4), MACHINES[name])
+        for path in CONFIG_ECHOES:
+            node = result.stats
+            for key in path[:-1]:
+                node = node.get(key, {})
+            assert path[-1] not in node, ".".join(path)
+        assert set(result.stats["sim"]) == {
+            "events_processed", "peak_pending_events", "events_by_block",
+        }
+        assert not hasattr(result, "workers")
+
     def test_hand_built_result_is_table_iv(self):
         result = RunResult(
-            trace_name="synthetic", workers=16, makespan=0,
+            trace_name="synthetic", makespan=0,
             master_done=None, records=[],
         )
         assert result.config == SystemConfig()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import SystemConfig
 from repro.machine.results import RunResult, Scoreboard, TaskRecord
 
 
@@ -55,10 +56,10 @@ class TestRunResult:
     def make(self, records, workers=2, makespan=1000):
         return RunResult(
             trace_name="t",
-            workers=workers,
             makespan=makespan,
             master_done=makespan,
             records=records,
+            config=SystemConfig(workers=workers),
         )
 
     def test_speedup(self):

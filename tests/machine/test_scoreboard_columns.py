@@ -148,7 +148,7 @@ class TestTruncatedRun:
 
 
 def _hand_result(records):
-    return RunResult("t", 1, 100, 100, records)
+    return RunResult("t", 100, 100, records, config=SystemConfig(workers=1))
 
 
 def _stamped(tid, stamps):

@@ -477,14 +477,14 @@ class TestSweepAxisParsing:
                      "--workers", "4", "--set", "maestro_shards=2",
                      "--set", "retire_pipeline_depth=2",
                      "--axis", "dependence_table_entries_per_shard=none,8",
-                     "--axis", "locality_stealing=False,true",
+                     "--axis", "kickoff_fast_path=False,true",
                      "--set", "memory_contention=off", "--json", str(path)]) == 0
         out = capsys.readouterr().out
         assert "none" in out and "off" in out and "on" in out
         data = json.loads(path.read_text())
         assert data["axes"] == {
             "dependence_table_entries_per_shard": [None, 8],
-            "locality_stealing": [False, True],
+            "kickoff_fast_path": [False, True],
         }
         assert [r["dependence_table_entries_per_shard"] for r in data["rows"]] == [
             None, None, 8, 8
@@ -534,7 +534,6 @@ REACHABLE = {
     "speculative_kickoff": ("on", True, None),
     "decentralized_check_scatter": ("on", True, "sharded"),
     "check_coalesce_limit": ("4", 4, "sharded"),
-    "locality_stealing": ("true", True, "sharded"),
     "master_cores": ("2", 2, None),
     "submission_batch": ("4", 4, None),
     "task_prep_time": ("0", 0, None),
@@ -723,6 +722,14 @@ class TestParam:
         assert "--param" in options
         assert len(options) <= 10, sorted(options)
 
+    def test_metrics_out_help_names_the_current_schema(self, capsys):
+        from repro.analysis.telemetry import METRICS_SCHEMA_VERSION
+
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert f"(schema_version {METRICS_SCHEMA_VERSION})" in out
+
     @pytest.mark.parametrize("stack", ["contention-free", "no-prep", "restricted"])
     def test_stack_names_the_papers_machines(self, stack):
         from repro.config import LADDER
@@ -853,7 +860,7 @@ class TestTelemetryCli:
         assert main(self.ARGS + ["--metrics-out", str(path)]) == 0
         capsys.readouterr()
         doc = json.loads(path.read_text())
-        assert doc["schema_version"] == 2
+        assert doc["schema_version"] == 3
         assert doc["telemetry"]["signals"]["workers.busy"]
 
         assert main(["report", str(path)]) == 0
@@ -865,8 +872,8 @@ class TestTelemetryCli:
         assert "+0.00%" in out
 
     def test_metrics_document_is_the_same_on_every_run(self, tmp_path):
-        """Two runs of one command write one document, once the three
-        wall-clock fields of ``aggregates.sim`` are dropped."""
+        """Two runs of one command write one document outside ``host``,
+        the simulator's wall time."""
         import json
 
         docs = []
@@ -877,8 +884,7 @@ class TestTelemetryCli:
                          "--set", "telemetry_window=50000000",
                          "--metrics-out", str(path)]) == 0
             doc = json.loads(path.read_text())
-            for key in ("wall_seconds", "events_per_sec", "tasks_per_sec"):
-                del doc["aggregates"]["sim"][key]
+            assert doc.pop("host")["wall_seconds"] > 0
             docs.append(doc)
         assert docs[0]["telemetry"]["signals"]
         assert docs[0] == docs[1]
@@ -920,7 +926,8 @@ class TestTelemetryCli:
         payload = json.loads(path.read_text())
         for row in payload["rows"]:
             assert row["sim"]["events_processed"] > 0
-            assert "wall_seconds" in row["sim"]
+            assert row["host"]["wall_seconds"] > 0
+            assert "wall_seconds" not in row["sim"]
 
     def test_shard_sweep_profile_attaches_kernel_stats(self, capsys, tmp_path):
         import json
@@ -932,6 +939,7 @@ class TestTelemetryCli:
         capsys.readouterr()
         payload = json.loads(path.read_text())
         assert all(r["sim"]["events_processed"] > 0 for r in payload["rows"])
+        assert all(r["host"]["wall_seconds"] > 0 for r in payload["rows"])
 
     def test_sweep_without_profile_keeps_rows_clean(self, capsys, tmp_path):
         import json
@@ -942,7 +950,7 @@ class TestTelemetryCli:
                      "--cores", "1,2", "--json", str(path)]) == 0
         capsys.readouterr()
         payload = json.loads(path.read_text())
-        assert all("sim" not in r for r in payload["rows"])
+        assert all("sim" not in r and "host" not in r for r in payload["rows"])
 
     def test_telemetry_window_rejects_negative(self):
         with pytest.raises(SystemExit, match="telemetry_window"):
