@@ -1,32 +1,28 @@
-"""Shared benchmark infrastructure.
-
-``bench_curves.py`` holds every pinned experiment, the paper's figures
-and the scaling curves alike, one ``CURVES`` row each; the README's
-"Reproduce the paper & the scaling curves" section indexes them.
-Conventions:
-
-* experiments run once via ``benchmark.pedantic(fn, rounds=1)`` — the
-  timing pytest-benchmark reports is the *simulation wall time*, while the
-  experiment's own output (the paper-shaped table) goes through
-  :func:`report`, which both prints it to the real stdout (so it lands in
-  ``bench_output.txt``) and writes ``benchmarks/results/<name>.txt``;
-* the ``REPRO_FULL=1`` environment variable unlocks the paper's full-size
-  configurations (256 cores, the n=500 Gaussian matrix, every core
-  count); the module docstring of ``bench_curves.py`` lists what the
-  default tier drops;
-* shape assertions encode the paper's qualitative claims, so a regression
-  that breaks the reproduction fails the suite rather than silently
-  printing different numbers.
+"""Shared infrastructure of ``bench_curves.py``, which runs every
+``repro.experiments.CURVES`` row once via ``benchmark.pedantic(fn,
+rounds=1)``: pytest-benchmark reports the simulation wall time, while
+the row's paper-shaped table goes through :func:`report`, which writes
+``benchmarks/results/<name>.txt`` and prints it in the terminal summary
+(pytest's capture swallows a passing test's prints).  ``REPRO_FULL=1``
+selects the paper's full-size tier (the ``repro.experiments`` docstring
+lists its points), and the shape assertions encode the paper's
+qualitative claims, so a regression fails rather than printing
+different numbers.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
-RESULTS_DIR = Path(__file__).parent / "results"
+import pytest
 
-FULL = bool(int(os.environ.get("REPRO_FULL", "0")))
+# The shape checks live in the package: rewrite their asserts so that a
+# failing check reports its operands, as a test's own asserts do.
+pytest.register_assert_rewrite("repro.experiments")
+
+from repro.experiments import FULL  # noqa: E402
+
+RESULTS_DIR = Path(__file__).parent / "results"
 
 
 #: Reports accumulated during the run, re-emitted in the terminal summary
@@ -50,4 +46,8 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line("=" * 78)
         for line in text.splitlines():
             terminalreporter.write_line(line)
-
+    if FULL and _PENDING_REPORTS:
+        terminalreporter.write_line(
+            "REPRO_FULL=1 wrote the full-tier BENCH_*.json documents; "
+            "re-run the default tier before committing"
+        )

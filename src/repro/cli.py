@@ -7,15 +7,15 @@ Commands
 ``sweep``    speedup-vs-cores curve for a workload (Fig. 7/8 style); with
              ``--axis KNOB=v1,v2`` (repeatable) a grid over any
              SystemConfig knobs instead (shard, submission, retire,
-             dispatch, resolve and check curves alike), or with
-             ``--efficiency SPINS_NS`` the efficiency-vs-granularity
-             curve (HW Maestro vs the software-RTS baseline) on the
-             wait-chain workload
+             dispatch, resolve and check curves alike)
+``reproduce``run one pinned experiment, a ``repro.experiments.CURVES``
+             row: write its ``BENCH_<name>.json`` into the current
+             directory, print its table and check its shape
 ``workloads``list the workloads, each with its parameters and defaults
 ``validate`` check a saved trace file for well-formedness and graph stats
 ``report``   pretty-print a ``run --metrics-out`` JSON document, or diff
              two of them (makespan, worker utilization, per-signal
-             mean/max deltas)
+             mean/max deltas; exits 1 if they differ outside ``host``)
 
 Workloads
 ---------
@@ -34,7 +34,7 @@ paper's Table IV without it), then ``--workers N`` and every repeatable
 in ps; on/off for bools, none for optional knobs), and ``info`` lists them
 all.  ``sweep --axis KNOB=v1,v2`` varies a knob the same way.
 
-Examples (README.md gives the command for each pinned curve)::
+Examples (README.md lists every pinned experiment)::
 
     python -m repro info --stack full --workers 8
     python -m repro workloads
@@ -47,8 +47,7 @@ Examples (README.md gives the command for each pinned curve)::
     python -m repro sweep hazard-dense --stack retire \
         --axis kickoff_fast_path=off,on --axis td_cache_entries=0,64 \
         --json dispatch.json
-    python -m repro sweep wait-chain --efficiency 250,1000,4000,16000,64000 \
-        --stack contention-free --json BENCH_efficiency.json
+    python -m repro reproduce efficiency
     python -m repro run wait-chain --param rows=8 --param cols=32 \
         --set telemetry_window=50000000 \
         --metrics-out run.metrics.json --trace-out run.trace.json
@@ -66,20 +65,11 @@ from .analysis import render_table
 from .analysis.telemetry import METRICS_SCHEMA_VERSION
 from .config import LADDER, SystemConfig
 from .hw.errors import CapacityError
-from .machine import (
-    analyze_bottleneck,
-    efficiency_sweep,
-    grid_sweep,
-    run_trace,
-    saturation_point,
-)
+from .machine import analyze_bottleneck, grid_sweep, run_trace, saturation_point
 from .runtime.task_graph import build_task_graph
 from .traces import CATALOGUE, TaskTrace, workload
 
 __all__ = ["main", "build_parser"]
-
-#: ``sweep --efficiency``'s spin times (ns) without a value.
-SPINS_NS = "250,1000,4000,16000,64000"
 
 #: Every knob ``--set`` and ``--axis`` read, by its SystemConfig field type.
 _KNOBS = typing.get_type_hints(SystemConfig)
@@ -403,14 +393,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.efficiency:
-        if args.axis:
-            raise SystemExit(
-                "--efficiency and --axis select different sweep grids; "
-                "pick one (run the sweep twice for both curves)"
-            )
-        # Builds its own trace per swept spin time; no shared trace.
-        return _efficiency_sweep(args)
     trace = _trace_from(args)
     if args.axis:
         return _grid_sweep(trace, args)
@@ -421,11 +403,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = [[c, round(s, 2), f"{s / c:.2f}"] for c, s in curve]
     print(render_table(["cores", "speedup", "efficiency"], rows, trace.name))
     print(f"saturation point: ~{saturation_point(cores, rep.speedups)} cores")
-    if getattr(args, "profile", False):
+    if args.profile:
         _print_profile_summary(rep.runs)
     if args.json:
         rows = [{"cores": c, "speedup": round(s, 4)} for c, s in curve]
-        if getattr(args, "profile", False):
+        if args.profile:
             for row, run in zip(rows, rep.runs):
                 row["sim"] = run.stats["sim"]
                 row["host"] = run.host
@@ -458,9 +440,6 @@ def _write_json(path: str, payload: dict) -> None:
 
 def _print_profile_summary(runs) -> None:
     """Compact host-kernel cost line for a sweep: total wall and events."""
-    runs = [r for r in runs if "sim" in r.stats]
-    if not runs:
-        return
     wall = sum(r.host["wall_seconds"] for r in runs)
     events = sum(r.stats["sim"]["events_processed"] for r in runs)
     rate = f" ({int(events / wall):,}/s)" if wall > 0 else ""
@@ -468,68 +447,6 @@ def _print_profile_summary(runs) -> None:
         f"kernel profile: {len(runs)} runs, "
         f"{wall:.3f}s wall, {events:,} events{rate}"
     )
-
-
-def _sweep_report_out(args: argparse.Namespace, report) -> None:
-    """Shared sweep tail: optional --profile summary, optional --json dump."""
-    profile = getattr(args, "profile", False)
-    if profile:
-        _print_profile_summary(report.runs)
-    if args.json:
-        _write_json(args.json, report.to_json_dict(profile=profile))
-
-
-def _efficiency_sweep(args: argparse.Namespace) -> int:
-    """Efficiency-vs-granularity curve: HW Maestro against the SW RTS."""
-    if args.workload != "wait-chain":
-        raise SystemExit(
-            "--efficiency sweeps task granularity on the wait-chain probe; "
-            "use `sweep wait-chain --efficiency SPINS_NS` (--param rows, "
-            "cols, k_deps, cv and seed set the graph shape)"
-        )
-    spins = _int_values("efficiency", args.efficiency)
-    shape = _workload_params(args)
-    other = sorted(set(shape) - {"rows", "cols", "k_deps", "cv", "seed"})
-    if other:
-        raise SystemExit(
-            f"--param {other[0]}: `sweep --efficiency` sets only rows, cols, "
-            "k_deps, cv and seed; its value lists the spin times"
-        )
-    cfg = _config_from(args)
-    report = efficiency_sweep(spins, cfg, **shape)
-    rows = [
-        [
-            r["spin_ns"],
-            f"{r['hw_makespan_ps'] / 1e9:.4g}",
-            f"{r['sw_makespan_ps'] / 1e9:.4g}",
-            f"{r['hw_efficiency']:.1%}",
-            f"{r['sw_efficiency']:.1%}",
-            round(r["efficiency_ratio"], 2),
-            f"{r['hw_overhead_ns_per_task']:.0f}",
-            f"{r['sw_overhead_ns_per_task']:.0f}",
-        ]
-        for r in report.rows()
-    ]
-    print(
-        render_table(
-            [
-                "spin (ns)",
-                "hw makespan (ms)",
-                "sw makespan (ms)",
-                "hw eff",
-                "sw eff",
-                "hw/sw",
-                "hw ovh ns/task",
-                "sw ovh ns/task",
-            ],
-            rows,
-            f"{report.trace_name} @ {cfg.workers} workers",
-        )
-    )
-    print()
-    print(report.plot())
-    _sweep_report_out(args, report)
-    return 0
 
 
 def _knob_value(flag: str, knob: str, kind: Any, text: str) -> Any:
@@ -625,7 +542,42 @@ def _grid_sweep(trace: TaskTrace, args: argparse.Namespace) -> int:
             f"{trace.name} @ {base.workers} workers, speedup vs {baseline}",
         )
     )
-    _sweep_report_out(args, report)
+    if args.profile:
+        _print_profile_summary(report.runs)
+    if args.json:
+        _write_json(args.json, report.to_json_dict(profile=args.profile))
+    return 0
+
+
+def _cmd_reproduce(args: argparse.Namespace) -> int:
+    """Run one pinned experiment; write its document and check its shape."""
+    import linecache
+    import traceback
+
+    from .experiments import CURVES
+
+    curves = {c.name: c for c in CURVES}
+    if args.name not in curves:
+        raise SystemExit(
+            f"reproduce {args.name!r}: unknown experiment; try: {', '.join(curves)}"
+        )
+    curve = curves[args.name]
+    rep = curve.sweep()
+    curve.write(rep, ".")
+    print(curve.render(rep))
+    try:
+        curve.check_shape(rep)
+    except AssertionError as exc:
+        # The failed assert's source, read over all of its lines.
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        source = " ".join(
+            linecache.getline(where.filename, n).strip()
+            for n in range(where.lineno, (where.end_lineno or where.lineno) + 1)
+        )
+        detail = f" ({exc})" if str(exc) else ""
+        raise SystemExit(
+            f"{curve.name}: shape check failed in {where.name}: {source}{detail}"
+        ) from None
     return 0
 
 
@@ -651,9 +603,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
         docs.append(doc)
     if len(docs) == 1:
         print(render_metrics(docs[0]))
-    else:
-        print(diff_metrics(docs[0], docs[1]))
-    return 0
+        return 0
+    print(diff_metrics(docs[0], docs[1]))
+    # Two runs of one command write equal documents outside ``host``, the
+    # simulator's wall time; any other difference is a modelled one.
+    a, b = docs
+    keys = sorted((a.keys() | b.keys()) - {"host"})
+    differ = [k for k in keys if a.get(k) != b.get(k)]
+    if differ:
+        print(f"modelled difference (outside host) in: {', '.join(differ)}")
+    return 1 if differ else 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -746,14 +705,6 @@ def build_parser() -> argparse.ArgumentParser:
         "Replaces the core curve; speedups are vs the first grid point",
     )
     p_sweep.add_argument(
-        "--efficiency", nargs="?", const=SPINS_NS, default=None,
-        metavar="SPINS_NS",
-        help="sweep task granularity on the wait-chain probe: parallel "
-        "efficiency of the HW Maestro vs the software-RTS baseline at "
-        f"each listed spin time in ns (default {SPINS_NS}; workload must "
-        "be wait-chain)",
-    )
-    p_sweep.add_argument(
         "--profile", action="store_true",
         help="print aggregate host-kernel cost and attach each grid "
         "point's kernel counts (stats['sim']) and wall time (host) to the "
@@ -762,10 +713,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--json", default=None, help="write the sweep report to a JSON file")
     p_sweep.set_defaults(func=_cmd_sweep)
 
+    p_reproduce = sub.add_parser(
+        "reproduce",
+        help="run one pinned experiment: write its BENCH_<name>.json here, "
+        "print its table, check its shape (exits 1 if it fails)",
+    )
+    p_reproduce.add_argument(
+        "name", help="a repro.experiments.CURVES row, e.g. fig7_patterns"
+    )
+    p_reproduce.set_defaults(func=_cmd_reproduce)
+
     p_report = sub.add_parser(
         "report",
         help="pretty-print a --metrics-out JSON document, or diff two "
-        "(schema-validated; exits 1 on an invalid document)",
+        "(schema-validated; exits 1 on an invalid document, or when the "
+        "two differ outside host)",
     )
     p_report.add_argument("metrics", help="metrics JSON from `run --metrics-out`")
     p_report.add_argument(

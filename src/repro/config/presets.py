@@ -13,7 +13,7 @@ __all__ = ["LADDER"]
 #: setups beside Table IV, then the machines beyond the paper in the order
 #: they were built: each rung is the rung before it plus the mechanism
 #: that lifts the bottleneck that machine shows on the hazard-dense
-#: scaling workload (``benchmarks/bench_curves.py`` sweeps each rung's
+#: scaling workload (``repro.experiments.CURVES`` sweeps each rung's
 #: knobs).  Derive a variant with ``LADDER[name].with_(...)``.
 LADDER = {
     # The paper's contention-free memory experiments (the 143x headline).

@@ -288,11 +288,6 @@ class EfficiencyReport:
     sw_runs: List[RunResult] = field(default_factory=list)
 
     @property
-    def runs(self) -> List[RunResult]:
-        """Every run of the sweep: the HW runs, then the SW runs."""
-        return self.hw_runs + self.sw_runs
-
-    @property
     def workers(self) -> int:
         """Worker cores of every run: one machine, swept over grain."""
         return self.hw_runs[0].config.workers
@@ -340,15 +335,7 @@ class EfficiencyReport:
             )
         return out
 
-    def to_json_dict(self, profile: bool = False) -> dict:
-        rows = self.rows()
-        if profile:
-            # Two machines per grid point: the HW Maestro run and the
-            # software-RTS baseline each carry their own kernel profile.
-            for row, hw, sw in zip(rows, self.hw_runs, self.sw_runs):
-                row["hw_sim"] = hw.stats.get("sim")
-                row["sw_sim"] = sw.stats.get("sim")
-                row["hw_host"] = hw.host
+    def to_json_dict(self) -> dict:
         return {
             "trace": self.trace_name,
             "workers": self.workers,
@@ -357,7 +344,7 @@ class EfficiencyReport:
             "k_deps": self.k_deps,
             "finest_spin_ns": self.finest_spin_ns,
             "ratio_at_finest": round(self.ratio_at(self.finest_spin_ns), 4),
-            "rows": rows,
+            "rows": self.rows(),
         }
 
     def plot(self, width: int = 64, height: int = 18) -> str:

@@ -5,7 +5,7 @@ are false dependencies and are normally resolved using renaming
 techniques, Nexus++ supports them as a safe guard."  The paper leaves
 renaming to the runtime; this module implements it, so the cost of *not*
 renaming (serialisation on false dependencies) can be measured — see the
-``renaming_ablation`` row of ``benchmarks/bench_curves.py``.
+``renaming_ablation`` row of ``repro.experiments.CURVES``.
 
 The transformation is the classic SSA-style one: every write to a segment
 creates a fresh *version* at a fresh base address; reads bind to the

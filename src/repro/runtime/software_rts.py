@@ -20,6 +20,7 @@ per task, dominated by graph bookkeeping on the master).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -125,12 +126,20 @@ def run_software_rts(
     for core in range(cfg.workers):
         sim.process(worker(core), name=f"rts-worker-{core}")
 
+    wall_start = time.perf_counter()
     try:
         sim.run()
     except DeadlockError:
         if not scoreboard.all_done:
             raise
     finally:
+        wall_seconds = time.perf_counter() - wall_start
+        # Read before close, which clears the process registry.
+        kernel = {
+            "events_processed": sim.events_processed,
+            "peak_pending_events": sim.peak_pending,
+            "events_by_block": sim.events_by_block(),
+        }
         # Parked workers and the channels' cached waitables would keep
         # the run in reference cycles; release it by reference counting.
         sim.close()
@@ -140,6 +149,7 @@ def run_software_rts(
         makespan=scoreboard.last_completion,
         master_done=done["master"],
         records=scoreboard.records,
-        stats={"memory": memory.stats()},
+        stats={"memory": memory.stats(), "sim": kernel},
         config=cfg,
+        host={"wall_seconds": round(wall_seconds, 6)},
     )

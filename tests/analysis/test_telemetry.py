@@ -254,8 +254,11 @@ class TestMetricsDocument:
             out = capsys.readouterr().out
             assert "host: " in out and "events/s" in out
             assert "kernel" not in out
-        assert main(["report", str(old_path), str(new_path)]) == 0
+        # The unknown keys are a difference outside ``host``: the diff
+        # prints, names the sections that differ and exits 1.
+        assert main(["report", str(old_path), str(new_path)]) == 1
         out = capsys.readouterr().out
+        assert "modelled difference (outside host) in: aggregates, config" in out
         assert "+0.00%" in out
         assert "workers.busy" in out
 

@@ -163,11 +163,11 @@ def test_architecture_documents_the_telemetry_subsystem():
 def test_architecture_documents_the_granularity_workloads():
     text = _doc_text().lower()
     for phrase in ("wait-chain", "spatial decomposition",
-                   "--efficiency", "parallel_efficiency",
+                   "reproduce efficiency", "parallel_efficiency",
                    "efficiency-vs-granularity"):
         assert phrase in text, f"workload-family detail {phrase!r} missing"
     # The pinned curve is reproducible from the README too.
     readme = (REPO / "README.md").read_text()
     assert "BENCH_efficiency.json" in readme
-    assert "bench_curves.py -k efficiency" in readme
+    assert "reproduce efficiency" in readme
     assert "--trace-out" in readme

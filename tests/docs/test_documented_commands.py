@@ -88,5 +88,7 @@ def test_documented_command_parses(argv):
         cli._config_from(args, **{knob: values[0] for knob, values in axes.items()})
     if hasattr(args, "workload"):
         cli._workload_params(args)
-    if getattr(args, "efficiency", None):
-        cli._int_values("efficiency", args.efficiency)
+    if args.command == "reproduce":
+        from repro.experiments import CURVES
+
+        assert args.name in [c.name for c in CURVES], f"no experiment {args.name!r}"

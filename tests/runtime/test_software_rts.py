@@ -40,6 +40,25 @@ class TestCorrectness:
         )
 
 
+class TestMeasurement:
+    """The software runtime is measured like the machine: kernel counts in
+    ``stats["sim"]``, the host's wall time in ``host``."""
+
+    def test_events_by_block_sum_to_events_processed(self):
+        result = run_software_rts(h264_wavefront_trace(rows=5, cols=5), cfg(3))
+        sim = result.stats["sim"]
+        assert sim["events_processed"] > 0
+        assert sim["peak_pending_events"] > 0
+        assert sum(sim["events_by_block"].values()) == sim["events_processed"]
+        assert result.host["wall_seconds"] > 0
+
+    def test_two_runs_of_one_trace_give_equal_stats(self):
+        trace = h264_wavefront_trace(rows=5, cols=5)
+        first, second = (run_software_rts(trace, cfg(3)) for _ in range(2))
+        assert set(first.stats) == {"memory", "sim"}
+        assert first.stats == second.stats
+
+
 class TestBottleneckBehaviour:
     def test_master_serializes_submission(self):
         # 10 tasks x (30ns prep + 2us submit + 2 params x 0.2us) > 24 us

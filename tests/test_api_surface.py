@@ -22,6 +22,7 @@ PACKAGES = [
     "repro.runtime",
     "repro.frontend",
     "repro.analysis",
+    "repro.experiments",
 ]
 
 

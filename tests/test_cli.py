@@ -240,7 +240,7 @@ class TestSubmissionFrontendCli:
             (["sweep", "random", "--param", "n_tasks=40",
               "--set", "master_cores=1,2"],
              "master_cores: cannot read '1,2' as int"),
-            (["sweep", "wait-chain", "--efficiency", "--set", "maestro_shards=x"],
+            (["sweep", "wait-chain", "--set", "maestro_shards=x"],
              "maestro_shards: cannot read 'x' as int"),
             (["sweep", "random", "--param", "n_tasks=40",
               "--set", "maestro_shards=1,2"],
@@ -249,7 +249,7 @@ class TestSubmissionFrontendCli:
               "--set", "submission_batch=1,4"],
              "submission_batch: cannot read '1,4' as int"),
         ],
-        ids=["masters-list", "efficiency-bad-shards", "shard-list", "batch-list"],
+        ids=["masters-list", "wait-chain-bad-shards", "shard-list", "batch-list"],
     )
     def test_set_takes_one_value(self, argv, message):
         """A comma list or a malformed value in ``--set`` is a one-line
@@ -490,7 +490,7 @@ class TestSweepAxisParsing:
             None, None, 8, 8
         ]
 
-    @pytest.mark.parametrize("flag", ["--dispatch", "--resolve", "--check"])
+    @pytest.mark.parametrize("flag", ["--dispatch", "--resolve", "--check", "--efficiency"])
     def test_removed_grid_flags_rejected(self, flag):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "random", "--param", "n_tasks=40", "--set", "maestro_shards=2",
@@ -700,12 +700,12 @@ class TestParam:
             (["run", "random", "--param", "mean_exec=0"], "need mean_exec >= 1"),
             (["run", "wait-chain", "--param", "cv=-1"],
              "cv must be finite and >= 0, got -1"),
-            (["sweep", "wait-chain", "--param", "rows=2", "--param", "rows=3",
-              "--efficiency", "500"], "--param rows is given twice"),
+            (["sweep", "wait-chain", "--param", "rows=2", "--param", "rows=3"],
+             "--param rows is given twice"),
         ],
         ids=["unknown", "not-scalar", "twice", "no-value", "unreadable",
              "generator-check", "generator-times", "wait-chain-cv",
-             "efficiency-twice"],
+             "sweep-twice"],
     )
     def test_bad_params_are_one_line_errors(self, argv, message):
         with pytest.raises(SystemExit, match=message) as exc:
@@ -737,31 +737,19 @@ class TestParam:
         assert _config("--stack", stack) == LADDER[stack]
 
 
-#: README's command for each pinned scaling curve, by the file it pins.
+#: README's ``sweep --axis`` example, by the pinned document it writes: the
+#: CLI's catalogue workloads and ``--stack`` machines are the ones the
+#: ``repro.experiments`` rows run, so the two cannot drift apart.
 README_CURVES = {
     "shard_scaling": "sweep hazard-dense --stack fitted --set task_prep_time=0 "
     "--axis maestro_shards=1,2,4",
-    "submission_scaling": "sweep hazard-dense --stack sharded "
-    "--axis master_cores=1,2,4 --axis submission_batch=1,4,8",
-    "retire_scaling": "sweep hazard-dense --stack frontend "
-    "--axis retire_pipeline_depth=1,2,4,8",
-    "dispatch_latency": "sweep hazard-dense --stack retire "
-    "--axis kickoff_fast_path=off,on --axis td_cache_entries=0,64",
-    "resolve_latency": "sweep hazard-dense --stack dispatch "
-    "--axis speculative_kickoff=off,on --axis finish_coalesce_limit=1,8",
-    "check_scaling": "sweep param-dense --stack resolve "
-    "--axis check_coalesce_limit=1,8 --axis decentralized_check_scatter=off,on",
-    "efficiency": "sweep wait-chain --efficiency 250,1000,4000,16000,64000 "
-    "--stack contention-free",
 }
 
 
 @pytest.mark.parametrize("curve", list(README_CURVES))
 def test_readme_command_writes_the_pinned_curve(curve, capsys, tmp_path):
-    """README's command for each scaling curve writes the pinned
-    ``BENCH_<curve>.json`` document: the CLI's catalogue workloads and
-    ``--stack`` machines are the ones ``benchmarks/bench_curves.py`` runs
-    (at its default tier)."""
+    """README's ``sweep --axis`` example writes the pinned
+    ``BENCH_<curve>.json`` document (at the default tier)."""
     import json
     from pathlib import Path
 
@@ -810,37 +798,6 @@ class TestEfficiencyAndExport:
             main(["run", "wait-chain", "--param", "spin_ns=250,1000",
                   "--workers", "2"])
 
-    def test_efficiency_sweep_writes_json(self, capsys, tmp_path):
-        import json
-
-        path = tmp_path / "eff.json"
-        assert main(["sweep", "wait-chain", "--efficiency", "500,8000",
-                     "--param", "rows=6", "--param", "cols=8",
-                     "--workers", "4", "--json", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "wait-chain-6x8-k1 @ 4 workers" in out
-        assert "hw eff" in out and "sw eff" in out
-        assert "parallel efficiency vs granularity" in out
-        payload = json.loads(path.read_text())
-        assert [r["spin_ns"] for r in payload["rows"]] == [500, 8000]
-        assert all(r["efficiency_ratio"] > 1.0 for r in payload["rows"])
-
-    @pytest.mark.parametrize("param", ["spin_ns=500", "block_bytes=128"])
-    def test_efficiency_sweep_takes_only_the_graph_shape(self, param):
-        with pytest.raises(SystemExit, match="sets only rows, cols"):
-            main(["sweep", "wait-chain", "--efficiency", "500",
-                  "--param", param])
-
-    def test_efficiency_sweep_requires_wait_chain(self):
-        with pytest.raises(SystemExit, match="wait-chain"):
-            main(["sweep", "random", "--param", "n_tasks=40", "--efficiency"])
-
-    def test_efficiency_conflicts_with_axis(self):
-        with pytest.raises(SystemExit, match="different sweep grids"):
-            main(["sweep", "wait-chain", "--efficiency",
-                  "--set", "maestro_shards=2",
-                  "--axis", "speculative_kickoff=off,on"])
-
 
 class TestTelemetryCli:
     ARGS = ["run", "wait-chain", "--param", "rows=4", "--param", "cols=6",
@@ -870,6 +827,29 @@ class TestTelemetryCli:
         assert main(["report", str(path), str(path)]) == 0
         out = capsys.readouterr().out
         assert "+0.00%" in out
+
+    def test_report_exits_1_on_a_modelled_difference(self, capsys, tmp_path):
+        """``report A B`` fails when the documents differ outside
+        ``host``, the simulator's wall time, and passes when only
+        ``host`` differs."""
+        import json
+
+        path = tmp_path / "metrics.json"
+        assert main(self.ARGS + ["--metrics-out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        slower = tmp_path / "slower.json"
+        slower.write_text(json.dumps({**doc, "makespan_ps": doc["makespan_ps"] + 1}))
+        rehosted = tmp_path / "rehosted.json"
+        rehosted.write_text(json.dumps(
+            {**doc, "host": {"wall_seconds": doc["host"]["wall_seconds"] + 1.0}}
+        ))
+        capsys.readouterr()
+        assert main(["report", str(slower), str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "makespan" in out
+        assert "modelled difference (outside host) in: makespan_ps" in out
+        assert main(["report", str(rehosted), str(path)]) == 0
+        assert "modelled difference" not in capsys.readouterr().out
 
     def test_metrics_document_is_the_same_on_every_run(self, tmp_path):
         """Two runs of one command write one document outside ``host``,
