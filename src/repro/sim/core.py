@@ -14,11 +14,9 @@ Design notes
 * The scheduler is a calendar-queue / timing wheel built for
   million-event traces: same-timestamp events (the dominant class: FIFO
   handoffs, merge/re-sequencer forwards, kick-queue pops) go to a flat
-  *ready ring* drained FIFO with no heap traffic at all; near-future
-  events land in per-timestamp calendar buckets (one heap operation per
-  *distinct* timestamp, not per event); far-future events beyond the
-  sliding ``WHEEL_SPAN`` horizon fall back to a sorted overflow heap and
-  are transferred into buckets window by window as time advances.
+  *ready ring* drained FIFO with no heap traffic at all; every future
+  event lands in a per-timestamp calendar bucket (one heap operation per
+  *distinct* timestamp, not per event).
 * Immediate completions (e.g. a ``put`` into a non-full FIFO) complete at
   the *current* time but are still scheduled — one ready-ring append —
   never run inline, mirroring SystemC's evaluate/update phases.
@@ -265,24 +263,15 @@ class Process(Waitable):
 class Simulator:
     """Deterministic discrete-event simulator on a timing wheel.
 
-    Three tiers, cheapest first:
+    Two tiers, cheapest first:
 
     * **ready ring** — flat list of ``callback, value`` pairs for events at
       the current timestamp, drained FIFO.  Zero-delay scheduling is two
       list appends; no tuple, no heap, no comparison.
-    * **calendar buckets** — ``{time: [callback, value, ...]}`` for events
-      before the sliding horizon (``now`` + :data:`WHEEL_SPAN`), plus a
-      small heap of *distinct* bucket times.  Within a bucket, list order
-      is scheduling order, so the ``(time, seq)`` contract holds with no
-      sequence numbers at all.
-    * **overflow heap** — ``(time, seq, callback, value)`` tuples for
-      far-future events beyond the horizon; transferred into fresh buckets
-      window by window as time advances (sorted by ``(time, seq)``, so
-      transfer preserves scheduling order exactly).
-
-    The horizon only ever grows, and buckets are only created for times
-    below it, so a transferred bucket can never collide with — or reorder
-    against — an existing one.
+    * **calendar buckets** — ``{time: [callback, value, ...]}`` for every
+      future event, plus a heap of the *distinct* bucket times.  Within a
+      bucket, list order is scheduling order, so the ``(time, seq)``
+      contract holds with no sequence numbers at all.
 
     Typical use::
 
@@ -299,7 +288,6 @@ class Simulator:
 
     __slots__ = (
         "now",
-        "_seq",
         "_live_processes",
         "_blocked_registry",
         "_dead_registered",
@@ -310,22 +298,13 @@ class Simulator:
         "_ready",
         "_buckets",
         "_times",
-        "_overflow",
-        "_horizon",
         "_pending",
         "_channels",
     )
 
-    #: Calendar window in picoseconds (~0.26 us).  Block latencies in this
-    #: model are a few ns to a few tens of ns, so virtually every event is
-    #: a ready-ring append or a bucket insert; only long task executions
-    #: ever touch the overflow heap.
-    WHEEL_SPAN = 1 << 18
-
     def __init__(self) -> None:
         #: Current simulation time in picoseconds.
         self.now: int = 0
-        self._seq: int = 0
         self._live_processes: int = 0
         # Registry of live processes, for deadlock reports.  Dead processes
         # are pruned lazily (amortized O(1)) so short-lived processes do not
@@ -342,8 +321,6 @@ class Simulator:
         self._ready: list[Any] = []
         self._buckets: dict[int, list[Any]] = {}
         self._times: list[int] = []
-        self._overflow: list[tuple[int, int, Callable[..., None], Any]] = []
-        self._horizon: int = self.WHEEL_SPAN
         self._pending: int = 0
         #: Channels built on this simulator (FIFOs, signals, resources),
         #: each holding a cached waitable that points back at it;
@@ -359,7 +336,7 @@ class Simulator:
             ready = self._ready
             ready.append(callback)
             ready.append(value)
-        elif when < self._horizon:
+        else:
             bucket = self._buckets.get(when)
             if bucket is None:
                 self._buckets[when] = [callback, value]
@@ -367,9 +344,6 @@ class Simulator:
             else:
                 bucket.append(callback)
                 bucket.append(value)
-        else:
-            self._seq += 1
-            heapq.heappush(self._overflow, (when, self._seq, callback, value))
         pending = self._pending = self._pending + 1
         if pending > self.peak_pending:
             self.peak_pending = pending
@@ -429,7 +403,7 @@ class Simulator:
     # -- running ----------------------------------------------------------------
 
     def run(self, until: Optional[int] = None) -> int:
-        """Run until every tier drains or ``until`` (inclusive) is reached.
+        """Run until both tiers drain or ``until`` (inclusive) is reached.
 
         Returns the final simulation time.  Raises :class:`DeadlockError`
         if events drain while processes are still blocked.
@@ -437,11 +411,8 @@ class Simulator:
         ready = self._ready
         buckets = self._buckets
         times = self._times
-        overflow = self._overflow
         fired = 0
-        if until is not None and until < self.now and (
-            ready or times or overflow
-        ):
+        if until is not None and until < self.now and (ready or times):
             # Degenerate backwards pause: nothing at a future time may fire.
             self.now = until
             return until
@@ -464,33 +435,14 @@ class Simulator:
                         del ready[:i]
                         self._pending -= n
                         fired += n
-                # Advance time: bucket times always precede the overflow
-                # horizon, so the next timestamp is the bucket-heap head,
-                # or the overflow head once the calendar is empty.
-                if times:
-                    t = times[0]
-                elif overflow:
-                    t = overflow[0][0]
-                else:
+                # Advance time to the earliest bucket.
+                if not times:
                     break
+                t = times[0]
                 if until is not None and t > until:
                     self.now = until
                     return self.now
                 self.now = t
-                # Slide the horizon and pull the next overflow window into
-                # fresh calendar buckets, in (time, seq) order.
-                horizon = t + self.WHEEL_SPAN
-                if horizon > self._horizon:
-                    self._horizon = horizon
-                    while overflow and overflow[0][0] < horizon:
-                        when, _seq, callback, value = heapq.heappop(overflow)
-                        bucket = buckets.get(when)
-                        if bucket is None:
-                            buckets[when] = [callback, value]
-                            heapq.heappush(times, when)
-                        else:
-                            bucket.append(callback)
-                            bucket.append(value)
                 heapq.heappop(times)
                 # The bucket seeds the ready ring for the new timestamp.
                 ready.extend(buckets.pop(t))
@@ -526,7 +478,6 @@ class Simulator:
         self._ready.clear()
         self._buckets.clear()
         self._times.clear()
-        self._overflow.clear()
         self._pending = 0
 
     def _blocked_report(self) -> list[tuple[str, str]]:

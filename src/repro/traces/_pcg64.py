@@ -48,6 +48,9 @@ _MIX_MULT_R = 0x4973F715
 #: ``choice`` shuffles the tail of ``range(n)`` above this population
 #: when the sample is more than ``n // 50`` of it.
 _TAIL_SHUFFLE_POP = 10_000
+#: Floyd checks collisions on the pick list up to this many picks (the
+#: scan is quadratic) and on a set above it.
+_SCAN_PICKS = 12
 
 
 def _seed_words(seed: int) -> list[int]:
@@ -194,14 +197,20 @@ class PCG64:
             return [moved.get(i, i) for i in range(n - k, n)]
         # Floyd: the j-th pick is a draw from [0, j], or j itself when the
         # draw was already picked; then a Fisher-Yates shuffle of the picks.
+        # A short pick list is scanned faster than a set is hashed.
         picks: list[int] = []
-        seen: set[int] = set()
-        for j in range(n - k, n):
-            val = bounded(j)
-            if val in seen:
-                val = j
-            seen.add(val)
-            picks.append(val)
+        if k <= _SCAN_PICKS:
+            for j in range(n - k, n):
+                val = bounded(j)
+                picks.append(j if val in picks else val)
+        else:
+            seen: set[int] = set()
+            for j in range(n - k, n):
+                val = bounded(j)
+                if val in seen:
+                    val = j
+                seen.add(val)
+                picks.append(val)
         for i in range(k - 1, 0, -1):
             j = bounded(i)
             picks[i], picks[j] = picks[j], picks[i]

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from typing import List, Optional
 
 from ..config import SystemConfig
-from .trace import AccessMode, Param, TaskTrace, TraceWriter, TraceTask
+from .trace import AccessMode, Param, TaskTrace, TraceTask
 
 __all__ = ["wait_chain_trace", "spatial_decomposition_trace"]
 
@@ -67,8 +68,7 @@ def wait_chain_trace(
         raise ValueError("spin_ns must be >= 1")
     if not (math.isfinite(cv) and cv >= 0):
         raise ValueError(f"cv must be finite and >= 0, got {cv}")
-    k = min(k_deps, rows)
-    n = rows * cols
+    k, n = min(k_deps, rows), rows * cols
     spin_ps = spin_ns * _NS
     if cv > 0:
         import numpy as np
@@ -76,34 +76,37 @@ def wait_chain_trace(
         sigma = float(np.sqrt(np.log1p(cv * cv)))
         mu = float(np.log(spin_ps)) - sigma * sigma / 2
         rng = np.random.default_rng(seed)
-        exec_times = np.maximum(1, rng.lognormal(mu, sigma, n).astype(np.int64)).tolist()
+        exec_time = np.maximum(1, rng.lognormal(mu, sigma, n).astype(np.int64))
     else:
-        exec_times = [spin_ps] * n
+        exec_time = array("q", [spin_ps]) * n
 
-    def addr(r: int, c: int) -> int:
-        return _WAIT_CHAIN_BASE + (c * rows + r) * block_bytes
-
-    writer = TraceWriter()
-    for c in range(cols):
-        for r in range(rows):
-            params = [
-                (addr((r + d) % rows, c - 1), block_bytes, AccessMode.IN)
-                for d in range(k)
-                if c > 0
-            ]
-            params.append((addr(r, c), block_bytes, AccessMode.OUT))
-            writer.add(_WAIT, exec_times[c * rows + r], 0, 0, params)
-    return writer.build(
+    # Column 0 writes its own cells.  Task (r, c > 0) reads the cells
+    # (r + d) % rows, d < k, of column c - 1 and writes its own, so the d-th
+    # parameters of a column's tasks are the previous column rotated by d.
+    stride, later = k + 1, (cols - 1) * rows
+    cells = array("Q", range(_WAIT_CHAIN_BASE, _WAIT_CHAIN_BASE + n * block_bytes,
+                             block_bytes))
+    addrs, block = cells[:rows], array("Q", [0]) * (stride * rows)
+    for start in range(rows, n, rows):
+        prev = cells[start - rows:start]
+        for d in range(k):
+            block[d::stride] = prev[d:] + prev[:d]
+        block[k::stride] = cells[start:start + rows]
+        addrs += block
+    return TaskTrace.from_columns(
         name or f"wait-chain-{rows}x{cols}-k{k}-{spin_ns}ns",
-        meta={
-            "pattern": "wait-chain",
-            "rows": rows,
-            "cols": cols,
-            "k_deps": k,
-            "spin_ns": spin_ns,
-            "cv": cv,
-            "seed": seed,
-        },
+        {"pattern": "wait-chain", "rows": rows, "cols": cols, "k_deps": k,
+         "spin_ns": spin_ns, "cv": cv, "seed": seed},
+        func=array("q", [_WAIT]) * n,
+        exec_time=exec_time,
+        read_time=array("q", [0]) * n,
+        write_time=array("q", [0]) * n,
+        param_offsets=array("q", range(rows + 1))
+        + array("q", range(rows + stride, rows + stride * later + 1, stride)),
+        param_addr=addrs,
+        param_size=array("q", [block_bytes]) * len(addrs),
+        param_mode=array("b", [AccessMode.OUT]) * rows
+        + array("b", [AccessMode.IN] * k + [AccessMode.OUT]) * later,
     )
 
 

@@ -32,10 +32,11 @@ number back (4-byte floats, whole 128-byte chunks).
 
 from __future__ import annotations
 
+from array import array
 from typing import Optional
 
 from ..config import SystemConfig
-from .trace import AccessMode, TaskTrace, TraceWriter
+from .trace import AccessMode, TaskTrace
 
 __all__ = [
     "gaussian_task_count",
@@ -88,49 +89,40 @@ def gaussian_trace(
     convert weights into durations (defaults to the Table IV machine).
     """
     cfg = config or SystemConfig()
-    if n < 2:
-        raise ValueError(f"matrix dimension must be >= 2, got {n}")
+    count = gaussian_task_count(n)
     row_bytes = n * _FLOAT_BYTES
-
-    def times(weight: int) -> tuple[int, int, int]:
-        exec_time = cfg.exec_time_for_flops(weight)
-        io_bytes = weight * _FLOAT_BYTES
-        return (
-            exec_time,
-            cfg.memory_time_for_bytes(io_bytes),
-            cfg.memory_time_for_bytes(io_bytes),
-        )
-
-    writer = TraceWriter()
-    tid = 0
     inout, in_ = AccessMode.INOUT, AccessMode.IN
+    # A task of weight w takes exec_of[w] ps and mem_of[w] ps per phase.
+    exec_of = [cfg.exec_time_for_flops(w) for w in range(n + 1)]
+    mem_of = [cfg.memory_time_for_bytes(w * _FLOAT_BYTES) for w in range(n + 1)]
+    func, exec_time, memory_time = array("q"), array("q"), array("q")
+    offsets, addrs, modes = array("q", [0]), array("Q"), array("b")
+    end = _row_addr(n + 1, n)
     for i in range(1, n):
-        pivot_row = _row_addr(i, n)
-        # Pivot task T(i,i): find/swap/scale pivot of column i.
-        writer.add(
-            _PIVOT_FUNC,
-            *times(n + 1 - i),
-            [(pivot_row, row_bytes, inout)]
-            + [(_row_addr(j, n), row_bytes, in_) for j in range(i + 1, n + 1)],
-        )
-        tid += 1
-        # Update tasks T(j,i), j = i+1..n.
-        exec_time, read_time, write_time = times(n - i)
-        for j in range(i + 1, n + 1):
-            writer.add(
-                _UPDATE_FUNC, exec_time, read_time, write_time,
-                ((pivot_row, row_bytes, in_), (_row_addr(j, n), row_bytes, inout)),
-            )
-            tid += 1
-
-    assert tid == gaussian_task_count(n)
-    return writer.build(
+        # Step i: the pivot task T(i,i) of weight m + 1 (inout row i, input
+        # rows i+1..n), then the m = n - i update tasks T(j,i) of weight m
+        # (input row i, inout row j).
+        m = n - i
+        func += array("q", [_PIVOT_FUNC]) + array("q", [_UPDATE_FUNC]) * m
+        exec_time += array("q", [exec_of[m + 1]]) + array("q", [exec_of[m]]) * m
+        memory_time += array("q", [mem_of[m + 1]]) + array("q", [mem_of[m]]) * m
+        rows = array("Q", range(_row_addr(i, n), end, row_bytes))
+        updates = rows[:1] * (2 * m)
+        updates[1::2] = rows[1:]
+        addrs += rows + updates
+        modes += array("b", [inout] + [in_] * m) + array("b", [in_, inout]) * m
+        pivot_end = offsets[-1] + m + 1
+        offsets.extend(range(pivot_end, pivot_end + 2 * m + 1, 2))
+    return TaskTrace.from_columns(
         name or f"gaussian-{n}",
-        meta={
-            "pattern": "gaussian",
-            "n": n,
-            "task_count": tid,
-            "mean_weight_flops": gaussian_mean_weight(n),
-            "core_gflops": cfg.core_gflops,
-        },
+        {"pattern": "gaussian", "n": n, "task_count": count,
+         "mean_weight_flops": gaussian_mean_weight(n), "core_gflops": cfg.core_gflops},
+        func=func,
+        exec_time=exec_time,
+        read_time=memory_time,
+        write_time=array("q", memory_time),
+        param_offsets=offsets,
+        param_addr=addrs,
+        param_size=array("q", [row_bytes]) * len(addrs),
+        param_mode=modes,
     )

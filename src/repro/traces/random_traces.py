@@ -15,9 +15,10 @@ NumPy and a longer trace starts with the rows of a shorter one.
 from __future__ import annotations
 
 import operator
+from array import array
 
 from ._pcg64 import PCG64, span
-from .trace import TaskTrace, TraceWriter
+from .trace import TaskTrace
 
 __all__ = ["random_trace"]
 
@@ -49,48 +50,51 @@ def random_trace(
         raise ValueError("need at least one parameter")
     if mean_exec < 1 or mean_memory < 0:
         raise ValueError("need mean_exec >= 1 and mean_memory >= 0")
-    writer = TraceWriter()
-    _per_task(writer, PCG64(seed), n_tasks, n_addresses, max_params,
-              mean_exec, mean_memory)
-    return writer.build(
+    return TaskTrace.from_columns(
         name,
-        meta={"pattern": "random", "seed": seed, "n_addresses": n_addresses},
+        {"pattern": "random", "seed": seed, "n_addresses": n_addresses},
+        **_columns(PCG64(seed), n_tasks, n_addresses, max_params, mean_exec,
+                   mean_memory),
     )
 
 
-def _per_task(writer, rng, n_tasks, n_addresses, max_params, mean_exec,
-              mean_memory) -> None:
-    """Append ``n_tasks`` rows drawn from ``rng`` in the per-task
-    generator's order: the parameter count, the addresses, one mode per
-    address, then the execute, read and write times."""
+def _columns(rng, n_tasks, n_addresses, max_params, mean_exec, mean_memory):
+    """The trace columns of ``n_tasks`` rows drawn from ``rng`` in the
+    per-task generator's order: the parameter count, the addresses, one
+    mode per address, then the execute, read and write times."""
     # Each ``integers(low, high)`` range as NumPy reads it (int() of each
     # bound, so float bounds truncate), checked once: a draw is then
-    # ``low + bounded(span)``.
+    # ``low + bounded(span)``, and a zero-width range draws nothing.
     n_addresses = operator.index(n_addresses)
     k_span = span(1, int(max_params + 1))
     mode_span = span(0, 3)
     exec_span = span(1, int(2 * mean_exec + 1))
     memory_span = span(0, int(2 * mean_memory + 1))
-    bounded = rng.bounded
-    choice = rng.choice
-    cols = writer.columns
-    add_func = cols["func"].append
-    add_exec = cols["exec_time"].append
-    add_read = cols["read_time"].append
-    add_write = cols["write_time"].append
-    add_offset = cols["param_offsets"].append
-    param_addr = cols["param_addr"]
-    add_addr = param_addr.append
-    add_size = cols["param_size"].append
-    add_mode = cols["param_mode"].append
+    bounded, choice = rng.bounded, rng.choice
+    addresses = range(_ADDR_BASE, _ADDR_BASE + n_addresses * _SEG_BYTES, _SEG_BYTES)
+    exec_time, read_time, write_time = array("q"), array("q"), array("q")
+    offsets, addrs, modes = array("q", [0]), array("Q"), array("b")
     for _ in range(n_tasks):
-        k = 1 + bounded(k_span)
-        for a in choice(n_addresses, k if k < n_addresses else n_addresses):
-            add_addr(_ADDR_BASE + a * _SEG_BYTES)
-            add_size(_SEG_BYTES)
-            add_mode(bounded(mode_span))
-        add_func(0xF00D)
-        add_exec(1 + bounded(exec_span))
-        add_read(bounded(memory_span))
-        add_write(bounded(memory_span))
-        add_offset(len(param_addr))
+        k = 1 + bounded(k_span) if k_span else 1
+        if k == 1 or n_addresses == 1:
+            # choice(n, 1) is Floyd's single draw, with nothing to shuffle.
+            addrs.append(addresses[bounded(n_addresses - 1)])
+            modes.append(bounded(mode_span))
+        else:
+            for a in choice(n_addresses, k if k < n_addresses else n_addresses):
+                addrs.append(addresses[a])
+                modes.append(bounded(mode_span))
+        exec_time.append(1 + bounded(exec_span))
+        if memory_span:
+            read_time.append(bounded(memory_span))
+            write_time.append(bounded(memory_span))
+        offsets.append(len(addrs))
+    if not memory_span:
+        read_time = array("q", [0]) * n_tasks
+        write_time = array("q", [0]) * n_tasks
+    return dict(
+        func=array("q", [0xF00D]) * n_tasks, exec_time=exec_time,
+        read_time=read_time, write_time=write_time, param_offsets=offsets,
+        param_addr=addrs, param_size=array("q", [_SEG_BYTES]) * len(addrs),
+        param_mode=modes,
+    )

@@ -181,8 +181,9 @@ def _first(values: Iterable[int], bad: Callable[[int], bool]) -> int:
 
 
 class TraceWriter:
-    """Trace columns grown in program order, a task at a time; the
-    generators write rows here instead of building task objects."""
+    """Trace columns grown in program order, a task at a time, from
+    ``(addr, size, mode)`` parameter triples: how ``TaskTrace(name,
+    tasks)`` copies rows into columns."""
 
     def __init__(self) -> None:
         self.columns = {key: array(code) for key, code in _COLUMNS.items()}
@@ -202,9 +203,6 @@ class TraceWriter:
             size.append(sz)
             mode.append(m)
         cols["param_offsets"].append(len(addr))
-
-    def build(self, name: str, meta: Optional[dict] = None) -> "TaskTrace":
-        return TaskTrace.from_columns(name, meta, **self.columns)
 
 
 class TaskTrace:

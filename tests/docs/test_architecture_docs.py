@@ -125,7 +125,7 @@ def test_architecture_names_the_seven_invariants():
 def test_architecture_documents_the_simulation_kernel():
     text = _doc_text().lower()
     assert "event ordering contract" in text
-    for phrase in ("ready ring", "calendar buckets", "overflow heap"):
+    for phrase in ("ready ring", "calendar buckets"):
         assert phrase in text, f"kernel structure {phrase!r} missing"
 
 

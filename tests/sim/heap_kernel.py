@@ -20,11 +20,12 @@ __all__ = ["HeapSimulator", "KERNELS"]
 class HeapSimulator(Simulator):
     """One global ``heapq`` keyed by ``(time, seq)``."""
 
-    __slots__ = ("_heap",)
+    __slots__ = ("_heap", "_seq")
 
     def __init__(self) -> None:
         super().__init__()
         self._heap: list[tuple[int, int, Callable[..., None], Any]] = []
+        self._seq = 0
 
     def _schedule(self, when: int, callback: Callable[[Any], None], value: Any) -> None:
         self._seq += 1

@@ -91,10 +91,10 @@ def test_run_until_between_events_sets_now_without_firing(kernel):
 
 
 def test_run_until_on_wheel_span_boundary():
-    """Events at horizon-1 / horizon / horizon+1 straddle the calendar and
-    the overflow heap; until= on the exact boundary must behave as if the
-    tiers did not exist."""
-    span = Simulator.WHEEL_SPAN
+    """Events at span-1 / span / span+1 of a 2^18 ps span fire in time
+    order on both kernels, and until= on each of them stops exactly
+    there."""
+    span = 1 << 18
     for until, expect in [
         (span - 1, [span - 1]),
         (span, [span - 1, span]),
@@ -116,9 +116,9 @@ def test_run_until_on_wheel_span_boundary():
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_far_future_overflow_events_fire_in_schedule_order(kernel):
-    """Events far beyond the wheel horizon (several spans out) fire in
-    (time, scheduling-order) order even across overflow->bucket transfers."""
-    span = Simulator.WHEEL_SPAN
+    """Events several 2^18 ps spans out, scheduled out of time order and
+    with ties, fire in (time, scheduling-order) order."""
+    span = 1 << 18
     sim = KERNELS[kernel]()
     fired = []
     times = [7 * span + 3, 2, 3 * span, 3 * span, 7 * span + 3, span + 1, 2]

@@ -142,8 +142,8 @@ def test_fifo_against_reference_deque(ops, capacity):
 )
 def test_wheel_event_order_identical_to_heap(schedules, capacity):
     """The determinism contract, differentially: for arbitrary mixtures of
-    zero-delay events, near-future timeouts, far-future overflow timeouts
-    (delays beyond WHEEL_SPAN), call_at callbacks and FIFO wakeup fan-out,
+    zero-delay events, near-future and far-future timeouts (delays beyond
+    2^18 ps), call_at callbacks and FIFO wakeup fan-out,
     the wheel kernel fires the exact event sequence the heap oracle does.
     """
     def run(kernel):

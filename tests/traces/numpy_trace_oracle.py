@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.traces.random_traces import _ADDR_BASE, _SEG_BYTES
-from repro.traces.trace import TraceWriter
+from repro.traces.trace import TaskTrace, TraceWriter
 
 __all__ = ["legacy_tasks", "oracle_trace"]
 
@@ -42,4 +42,4 @@ def oracle_trace(n_tasks, n_addresses=16, max_params=6, seed=0,
     writer = TraceWriter()
     legacy_tasks(writer, rng, n_tasks, n_addresses, max_params, mean_exec,
                  mean_memory)
-    return writer.build("random"), rng
+    return TaskTrace.from_columns("random", **writer.columns), rng

@@ -19,8 +19,8 @@ from numpy_trace_oracle import oracle_trace  # noqa: E402
 
 from repro.traces import CATALOGUE, random_trace, workload  # noqa: E402
 from repro.traces._pcg64 import PCG64  # noqa: E402
-from repro.traces.random_traces import _per_task  # noqa: E402
-from repro.traces.trace import TraceWriter  # noqa: E402
+from repro.traces.random_traces import _columns  # noqa: E402
+from repro.traces.trace import TaskTrace  # noqa: E402
 
 #: Single-word seeds, a two-word seed and multi-word ``SeedSequence``
 #: entropy (three and five 32-bit words).
@@ -108,10 +108,9 @@ def test_traces_equal_the_oracle(shape, seed):
     expected, theirs = oracle_trace(n_tasks, n_addresses, max_params, seed,
                                     mean_exec, mean_memory)
     ours = PCG64(seed)
-    writer = TraceWriter()
-    _per_task(writer, ours, n_tasks, n_addresses, max_params, mean_exec,
-              mean_memory)
-    assert writer.build("random").tasks == expected.tasks
+    columns = _columns(ours, n_tasks, n_addresses, max_params, mean_exec,
+                       mean_memory)
+    assert TaskTrace.from_columns("random", **columns).tasks == expected.tasks
     _same_position(ours, theirs)
     trace = random_trace(n_tasks, n_addresses, max_params, seed, mean_exec,
                          mean_memory)
