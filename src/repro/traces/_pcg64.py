@@ -48,9 +48,6 @@ _MIX_MULT_R = 0x4973F715
 #: ``choice`` shuffles the tail of ``range(n)`` above this population
 #: when the sample is more than ``n // 50`` of it.
 _TAIL_SHUFFLE_POP = 10_000
-#: Floyd checks collisions on the pick list up to this many picks (the
-#: scan is quadratic) and on a set above it.
-_SCAN_PICKS = 12
 
 
 def _seed_words(seed: int) -> list[int]:
@@ -184,6 +181,10 @@ class PCG64:
     def choice(self, n: int, k: int) -> list[int]:
         """``Generator.choice(n, size=k, replace=False)``, as a list, for
         ``1 <= k <= n``."""
+        if k == 1:
+            # Floyd's one pick (NumPy's path for every n): one draw from
+            # [0, n - 1], with nothing to shuffle.
+            return [self.bounded(n - 1)]
         bounded = self.bounded
         if n > _TAIL_SHUFFLE_POP and k > n // 50:
             # Shuffle positions n-1 .. n-k of range(n) into place; only the
@@ -197,20 +198,14 @@ class PCG64:
             return [moved.get(i, i) for i in range(n - k, n)]
         # Floyd: the j-th pick is a draw from [0, j], or j itself when the
         # draw was already picked; then a Fisher-Yates shuffle of the picks.
-        # A short pick list is scanned faster than a set is hashed.
         picks: list[int] = []
-        if k <= _SCAN_PICKS:
-            for j in range(n - k, n):
-                val = bounded(j)
-                picks.append(j if val in picks else val)
-        else:
-            seen: set[int] = set()
-            for j in range(n - k, n):
-                val = bounded(j)
-                if val in seen:
-                    val = j
-                seen.add(val)
-                picks.append(val)
+        seen: set[int] = set()
+        for j in range(n - k, n):
+            val = bounded(j)
+            if val in seen:
+                val = j
+            seen.add(val)
+            picks.append(val)
         for i in range(k - 1, 0, -1):
             j = bounded(i)
             picks[i], picks[j] = picks[j], picks[i]

@@ -76,14 +76,9 @@ def _columns(rng, n_tasks, n_addresses, max_params, mean_exec, mean_memory):
     offsets, addrs, modes = array("q", [0]), array("Q"), array("b")
     for _ in range(n_tasks):
         k = 1 + bounded(k_span) if k_span else 1
-        if k == 1 or n_addresses == 1:
-            # choice(n, 1) is Floyd's single draw, with nothing to shuffle.
-            addrs.append(addresses[bounded(n_addresses - 1)])
+        for a in choice(n_addresses, k if k < n_addresses else n_addresses):
+            addrs.append(addresses[a])
             modes.append(bounded(mode_span))
-        else:
-            for a in choice(n_addresses, k if k < n_addresses else n_addresses):
-                addrs.append(addresses[a])
-                modes.append(bounded(mode_span))
         exec_time.append(1 + bounded(exec_span))
         if memory_span:
             read_time.append(bounded(memory_span))

@@ -5,15 +5,20 @@ docstring and the CI workflow go through the CLI's own argument parser
 (and, for the machine commands, the ``SystemConfig`` and the workload
 parameters they describe) without running a simulation, so a flag, knob
 or parameter the CLI no longer has fails here rather than in a reader's
-shell.
+shell.  Every README ``run`` command is also run, twice, under the
+``slow`` marker: its two metrics documents must be equal outside ``host``.
 """
 
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro import cli
 from test_cli import REMOVED_FLAGS
 
@@ -92,3 +97,32 @@ def test_documented_command_parses(argv):
         from repro.experiments import CURVES
 
         assert args.name in [c.name for c in CURVES], f"no experiment {args.name!r}"
+
+
+README_RUNS = [
+    pytest.param(tokens, id=" ".join(tokens))
+    for tokens in _commands((REPO / "README.md").read_text())
+    if tokens[0] == "run"
+]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("argv", README_RUNS)
+def test_readme_run_writes_the_same_metrics_twice(argv, tmp_path):
+    """Run from a scratch directory (the commands write their outputs
+    there), the command's two ``--metrics-out`` documents differ only in
+    ``host``, so ``repro report A B`` exits 0."""
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+    repro_cli = [sys.executable, "-m", "repro"]
+    docs = [str(tmp_path / f"metrics-{run}.json") for run in "ab"]
+    for doc in docs:
+        proc = subprocess.run(
+            [*repro_cli, *argv, "--metrics-out", doc], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run(
+        [*repro_cli, "report", *docs], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
