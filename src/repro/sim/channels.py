@@ -43,7 +43,22 @@ class Put(Waitable):
     def _arm(self, sim: Simulator, proc: Process) -> None:
         item = self.item
         self.item = None  # do not pin the payload beyond the handoff
-        self.fifo._arm_put(sim, proc, item)
+        fifo = self.fifo
+        ready = sim._ready
+        if fifo._getters:
+            # Hand the item straight to the first waiting consumer; both
+            # wake this cycle, getter before producer.
+            ready.append(fifo._getters.popleft())
+            ready.append(item)
+        elif fifo.capacity is None or len(fifo._items) < fifo.capacity:
+            fifo._items.append(item)
+            if fifo.stat is not None:
+                fifo._note()
+        else:
+            fifo._putters.append((proc, item))
+            return
+        ready.append(proc)
+        ready.append(None)
 
 
 class Get(Waitable):
@@ -61,7 +76,34 @@ class Get(Waitable):
         return f"get({self.fifo.name})"
 
     def _arm(self, sim: Simulator, proc: Process) -> None:
-        self.fifo._arm_get(sim, proc)
+        fifo = self.fifo
+        items = fifo._items
+        if items:
+            item = items.popleft()
+            ready = sim._ready
+            if fifo._putters:
+                # A blocked producer can now complete; its item takes the
+                # freed slot, preserving FIFO order.  Putter wakes before
+                # the consumer.
+                putter, pending = fifo._putters.popleft()
+                items.append(pending)
+                ready.append(putter)
+                ready.append(None)
+            if fifo.stat is not None:
+                fifo._note()
+            ready.append(proc)
+            ready.append(item)
+        elif fifo._putters:
+            # Empty FIFO but a blocked producer exists (capacity reached by
+            # racing getters at the same timestamp): take its item directly.
+            putter, pending = fifo._putters.popleft()
+            ready = sim._ready
+            ready.append(putter)
+            ready.append(None)
+            ready.append(proc)
+            ready.append(pending)
+        else:
+            fifo._getters.append(proc)
 
 
 class Fifo:
@@ -121,7 +163,7 @@ class Fifo:
         """
         if self._getters:
             getter = self._getters.popleft()
-            self._sim._schedule(self._sim.now, getter._resume_cb, item)
+            self._sim._schedule(self._sim.now, getter, item)
             return True
         if self.capacity is not None and len(self._items) >= self.capacity:
             return False
@@ -141,12 +183,12 @@ class Fifo:
             if self._putters:
                 putter, pending = self._putters.popleft()
                 self._items.append(pending)
-                self._sim._schedule(self._sim.now, putter._resume_cb, None)
+                self._sim._schedule(self._sim.now, putter, None)
             self._note()
             return item
         if self._putters:
             putter, pending = self._putters.popleft()
-            self._sim._schedule(self._sim.now, putter._resume_cb, None)
+            self._sim._schedule(self._sim.now, putter, None)
             return pending
         return None
 
@@ -196,46 +238,6 @@ class Fifo:
     def _note(self) -> None:
         if self.stat is not None:
             self.stat.record(len(self._items))
-
-    def _arm_put(self, sim: Simulator, proc: Process, item: Any) -> None:
-        if self._getters:
-            # Hand the item straight to the first waiting consumer; both
-            # wake this cycle, getter before producer.
-            getter = self._getters.popleft()
-            sim._dispatch(getter._resume_cb, item)
-            sim._dispatch(proc._resume_cb, None)
-            return
-        if self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
-            self._note()
-            sim._dispatch(proc._resume_cb, None)
-            return
-        self._putters.append((proc, item))
-
-    def _arm_get(self, sim: Simulator, proc: Process) -> None:
-        if self._items:
-            item = self._items.popleft()
-            if self._putters:
-                # A blocked producer can now complete; its item takes the
-                # freed slot, preserving FIFO order.  Putter wakes before
-                # the consumer, as the two schedules always did.
-                putter, pending = self._putters.popleft()
-                self._items.append(pending)
-                self._note()
-                sim._dispatch(putter._resume_cb, None)
-                sim._dispatch(proc._resume_cb, item)
-                return
-            self._note()
-            sim._dispatch(proc._resume_cb, item)
-            return
-        if self._putters:
-            # Empty FIFO but a blocked producer exists (capacity reached by
-            # racing getters at the same timestamp): take its item directly.
-            putter, pending = self._putters.popleft()
-            sim._dispatch(putter._resume_cb, None)
-            sim._dispatch(proc._resume_cb, pending)
-            return
-        self._getters.append(proc)
 
     def __repr__(self) -> str:
         cap = "inf" if self.capacity is None else self.capacity

@@ -20,12 +20,15 @@ Design notes
 * Immediate completions (e.g. a ``put`` into a non-full FIFO) complete at
   the *current* time but are still scheduled — one ready-ring append —
   never run inline, mirroring SystemC's evaluate/update phases.
-* The hot loop is allocation-light on purpose: resume callbacks are cached
-  bound methods, ``Simulator.timeout`` interns one :class:`Timeout` per
-  distinct delay, ``call_at`` is closure-free, the ready ring stores flat
-  ``callback, value`` pairs (no per-event tuple), and a process's
-  "waiting on" note is the waitable itself — its description is only
-  rendered if a deadlock report ever needs it.
+* The hot loop is call-light and allocation-light on purpose: the ready
+  ring holds the :class:`Process` itself and :meth:`Simulator.run`
+  resumes it inline; each waitable's ``_arm`` appends its wake-ups
+  straight onto the ring; ``Simulator.timeout`` interns one
+  :class:`Timeout` per distinct delay; the ring stores flat
+  ``process, value`` pairs (no per-event tuple); pending events are
+  counted once per drain, not per schedule; and a process's "waiting on"
+  note is the waitable itself — its description is only rendered if a
+  deadlock report ever needs it.
 """
 
 from __future__ import annotations
@@ -58,24 +61,14 @@ def block_name(process_name: str) -> str:
     return _DIGITS.sub("N", process_name)
 
 
-def _dead(value: Any) -> None:
-    """Resume callback of a process that has ended: a wake-up that still
-    reaches it (e.g. from a queue it was parked on when an exception was
-    thrown into it) is dropped, as ``Process._resume`` drops it."""
-
-
-def _invoke0(callback: Callable[[], None]) -> None:
-    """Run-loop adapter for :meth:`Simulator.call_at`: the scheduled entry
-    is ``(_invoke0, callback)``, so no per-call closure is allocated."""
-    callback()
-
-
 class Waitable:
     """Base class for everything a process may ``yield``.
 
     Subclasses implement :meth:`_arm`, called once when the owning process
-    yields the waitable; it must arrange for ``proc._resume(value)`` (or
-    ``proc._throw(exc)``) to eventually be called.
+    yields the waitable; it must arrange for the process to be woken with
+    a value — by appending ``proc, value`` to ``sim._ready`` when it
+    completes at the current time — or for ``proc._throw(exc)`` to be
+    called.
     """
 
     __slots__ = ()
@@ -107,10 +100,7 @@ class Timeout(Waitable):
         return f"timeout({self.delay}ps)"
 
     def _arm(self, sim: "Simulator", proc: "Process") -> None:
-        if self.delay:
-            sim._schedule(sim.now + self.delay, proc._resume_cb, None)
-        else:
-            sim._dispatch(proc._resume_cb, None)
+        sim._schedule(sim.now + self.delay, proc, None)
 
 
 class Process(Waitable):
@@ -120,66 +110,31 @@ class Process(Waitable):
     it to join on its completion and receive its return value.
     """
 
-    __slots__ = ("sim", "name", "_gen", "_send", "_resume_cb", "alive",
-                 "result", "_joiners", "_waiting_on", "resumes")
+    __slots__ = ("sim", "name", "_gen", "_send", "alive", "result",
+                 "_joiners", "_waiting_on", "resumes")
 
     def __init__(self, sim: "Simulator", gen: ProcessBody, name: str):
         self.sim = sim
         self.name = name
         self._gen = gen
-        # Cached per-process callables: the generator's send and this
-        # process's bound resume method.  Scheduling ``proc._resume``
-        # directly would allocate a fresh bound-method object per event.
+        #: The generator's cached ``send``; :meth:`Simulator.run` resumes
+        #: the process through it.
         self._send = gen.send
-        self._resume_cb = self._resume
         self.alive = True
         self.result: Any = None
         self._joiners: list[Process] = []
-        #: The waitable currently blocking this process (``None`` while
-        #: running).  Kept as the object, not a rendered string: deadlock
-        #: reports call ``describe()`` lazily, the hot loop never does.
+        #: The waitable currently blocking this process.  Kept as the
+        #: object, not a rendered string: deadlock reports call
+        #: ``describe()`` lazily, the hot loop never does.
         self._waiting_on: Optional[Waitable] = None
         #: Events that resumed this process while it was alive.
         self.resumes = 0
         sim._live_processes += 1
         # First step happens as a zero-delay event so that creating a process
         # inside another process does not run its body re-entrantly.
-        sim._schedule(sim.now, self._resume_cb, None)
+        sim._schedule(sim.now, self, None)
 
     # -- driving the generator -------------------------------------------------
-
-    def _resume(self, value: Any) -> None:
-        if not self.alive:
-            return
-        self.resumes += 1
-        self._waiting_on = None
-        try:
-            target = self._send(value)
-        except StopIteration as stop:
-            self._finish(stop.value)
-            return
-        except Exception as exc:  # surface with process context
-            self._kill()
-            raise ProcessError(self.name, self.sim.now, exc) from exc
-        # Inline wait-for: the per-event path avoids an extra frame and
-        # special-cases the dominant waitable (Timeout) entirely.
-        self._waiting_on = target
-        if type(target) is Timeout:
-            sim = self.sim
-            delay = target.delay
-            if delay:
-                sim._schedule(sim.now + delay, self._resume_cb, None)
-            else:
-                sim._dispatch(self._resume_cb, None)
-        elif isinstance(target, Waitable):
-            target._arm(self.sim, self)
-        else:
-            self._waiting_on = None
-            raise ProcessError(
-                self.name,
-                self.sim.now,
-                TypeError(f"process yielded non-waitable {target!r}"),
-            )
 
     def _throw(self, exc: BaseException) -> None:
         """Inject an exception into the process at its current yield point."""
@@ -209,19 +164,21 @@ class Process(Waitable):
 
     def _release(self) -> None:
         """Drop the references that tie an ended process into cycles: its
-        cached bound ``_resume`` (the process itself) and its generator,
-        whose frame holds the block that owns the process's queues.
+        generator and the generator's cached ``send``, whose frame holds
+        the block that owns the process's queues.  A wake-up that still
+        reaches the process (e.g. from a queue it was parked on when an
+        exception was thrown into it) is dropped by the ``alive`` check.
         Its resume count moves to the simulator's per-block tally."""
         ended = self.sim._ended_resumes
         block = block_name(self.name)
         ended[block] = ended.get(block, 0) + self.resumes
-        self._resume_cb = _dead
-        self._send = _dead
+        self._send = None
         self._gen = None
         self._waiting_on = None
 
     def _wait_for(self, target: Any) -> None:
         if not isinstance(target, Waitable):
+            self._waiting_on = None
             raise ProcessError(
                 self.name,
                 self.sim.now,
@@ -240,7 +197,7 @@ class Process(Waitable):
         # one ready-ring append per joiner, never a heap operation.
         sim = self.sim
         for joiner in self._joiners:
-            sim._schedule(sim.now, joiner._resume_cb, result)
+            sim._schedule(sim.now, joiner, result)
         self._joiners.clear()
         sim._forget(self)
 
@@ -253,7 +210,9 @@ class Process(Waitable):
         if self.alive:
             self._joiners.append(proc)
         else:
-            sim._dispatch(proc._resume_cb, self.result)
+            ready = sim._ready
+            ready.append(proc)
+            ready.append(self.result)
 
     def __repr__(self) -> str:
         state = "alive" if self.alive else "done"
@@ -265,13 +224,18 @@ class Simulator:
 
     Two tiers, cheapest first:
 
-    * **ready ring** — flat list of ``callback, value`` pairs for events at
-      the current timestamp, drained FIFO.  Zero-delay scheduling is two
-      list appends; no tuple, no heap, no comparison.
-    * **calendar buckets** — ``{time: [callback, value, ...]}`` for every
+    * **ready ring** — flat list of ``process, value`` pairs for events at
+      the current timestamp, drained FIFO by :meth:`run`, which resumes
+      each process inline.  Zero-delay scheduling is two list appends,
+      made directly by the waitables' ``_arm``; no tuple, no heap, no
+      comparison, no call.
+    * **calendar buckets** — ``{time: [process, value, ...]}`` for every
       future event, plus a heap of the *distinct* bucket times.  Within a
       bucket, list order is scheduling order, so the ``(time, seq)``
       contract holds with no sequence numbers at all.
+
+    An entry that is not a :class:`Process` is a :meth:`call_at` callback,
+    called with no arguments.
 
     Typical use::
 
@@ -294,7 +258,7 @@ class Simulator:
         "_timeouts",
         "events_processed",
         "_ended_resumes",
-        "peak_pending",
+        "_peak",
         "_ready",
         "_buckets",
         "_times",
@@ -316,11 +280,12 @@ class Simulator:
         self.events_processed: int = 0
         #: Resumes of ended processes per :func:`block_name`.
         self._ended_resumes: dict[str, int] = {}
-        #: High-water mark of scheduled-but-unfired events.
-        self.peak_pending: int = 0
+        # Pending-event high-water mark as of the last drain's end.
+        self._peak: int = 0
         self._ready: list[Any] = []
         self._buckets: dict[int, list[Any]] = {}
         self._times: list[int] = []
+        # Events waiting in calendar buckets (the ring's are len // 2).
         self._pending: int = 0
         #: Channels built on this simulator (FIFOs, signals, resources),
         #: each holding a cached waitable that points back at it;
@@ -329,37 +294,22 @@ class Simulator:
 
     # -- scheduling -------------------------------------------------------------
 
-    def _schedule(self, when: int, callback: Callable[[Any], None], value: Any) -> None:
+    def _schedule(self, when: int, target: Any, value: Any) -> None:
         if when <= self.now:
             # Same-timestamp event: the dominant class.  Flat append onto
             # the ready ring; fires this timestep, in scheduling order.
             ready = self._ready
-            ready.append(callback)
+            ready.append(target)
             ready.append(value)
+            return
+        bucket = self._buckets.get(when)
+        if bucket is None:
+            self._buckets[when] = [target, value]
+            heapq.heappush(self._times, when)
         else:
-            bucket = self._buckets.get(when)
-            if bucket is None:
-                self._buckets[when] = [callback, value]
-                heapq.heappush(self._times, when)
-            else:
-                bucket.append(callback)
-                bucket.append(value)
-        pending = self._pending = self._pending + 1
-        if pending > self.peak_pending:
-            self.peak_pending = pending
-
-    def _dispatch(self, callback: Callable[[Any], None], value: Any) -> None:
-        """Complete a wake-up at the current timestamp.
-
-        Exactly ``_schedule(self.now, ...)``, minus the tier test: one
-        ready-ring append.
-        """
-        ready = self._ready
-        ready.append(callback)
-        ready.append(value)
-        pending = self._pending = self._pending + 1
-        if pending > self.peak_pending:
-            self.peak_pending = pending
+            bucket.append(target)
+            bucket.append(value)
+        self._pending += 1
 
     def timeout(self, delay: int) -> Timeout:
         """Waitable that completes ``delay`` picoseconds from now.
@@ -392,13 +342,12 @@ class Simulator:
     def call_at(self, when: int, callback: Callable[[], None]) -> None:
         """Schedule a plain callback (no process) at an absolute time.
 
-        Closure-free: the callback rides as the event's value and a shared
-        module-level adapter invokes it, so ``call_at`` allocates nothing
-        per call.
+        The callback itself is the event's entry (its value is unused), so
+        ``call_at`` allocates nothing per call.
         """
         if when < self.now:
             raise ValueError(f"cannot schedule in the past: {when} < {self.now}")
-        self._schedule(when, _invoke0, callback)
+        self._schedule(when, callback, None)
 
     # -- running ----------------------------------------------------------------
 
@@ -411,46 +360,88 @@ class Simulator:
         ready = self._ready
         buckets = self._buckets
         times = self._times
+        now = self.now
         fired = 0
-        if until is not None and until < self.now and (ready or times):
+        if until is not None and until < now and (ready or times):
             # Degenerate backwards pause: nothing at a future time may fire.
             self.now = until
             return until
         try:
             while True:
                 if ready:
-                    # Drain the ring FIFO.  Callbacks may append more
-                    # same-timestamp events; the index chases the growing
-                    # tail.  On an escaping exception the consumed prefix
-                    # is removed so a resumed run never re-fires it.
+                    # Drain the ring FIFO, resuming each process inline.
+                    # Resumes may append more same-timestamp events; the
+                    # index chases the growing tail.  On an escaping
+                    # exception the consumed prefix is removed so a resumed
+                    # run never re-fires it.
                     i = 0
                     try:
                         while i < len(ready):
-                            callback = ready[i]
+                            proc = ready[i]
                             value = ready[i + 1]
                             i += 2
-                            callback(value)
+                            if type(proc) is not Process:
+                                proc()  # a call_at callback
+                                continue
+                            if not proc.alive:
+                                continue
+                            proc.resumes += 1
+                            try:
+                                target = proc._send(value)
+                            except StopIteration as stop:
+                                proc._finish(stop.value)
+                                continue
+                            except Exception as exc:  # surface with process context
+                                proc._kill()
+                                raise ProcessError(proc.name, now, exc) from exc
+                            proc._waiting_on = target
+                            # The dominant waitable, Timeout, is armed inline.
+                            if type(target) is Timeout:
+                                delay = target.delay
+                                if delay:
+                                    when = now + delay
+                                    bucket = buckets.get(when)
+                                    if bucket is None:
+                                        buckets[when] = [proc, None]
+                                        heapq.heappush(times, when)
+                                    else:
+                                        bucket.append(proc)
+                                        bucket.append(None)
+                                    self._pending += 1
+                                else:
+                                    ready.append(proc)
+                                    ready.append(None)
+                            elif isinstance(target, Waitable):
+                                target._arm(self, proc)
+                            else:
+                                proc._wait_for(target)  # raises ProcessError
                     finally:
-                        n = i >> 1
+                        # Pending events only grow within a drain, so its
+                        # end is the high-water mark: the whole ring (the
+                        # fired prefix included) plus the bucketed events.
+                        pending = (len(ready) >> 1) + self._pending
+                        if pending > self._peak:
+                            self._peak = pending
                         del ready[:i]
-                        self._pending -= n
-                        fired += n
+                        fired += i >> 1
                 # Advance time to the earliest bucket.
                 if not times:
                     break
                 t = times[0]
                 if until is not None and t > until:
                     self.now = until
-                    return self.now
-                self.now = t
+                    return until
+                self.now = now = t
                 heapq.heappop(times)
                 # The bucket seeds the ready ring for the new timestamp.
-                ready.extend(buckets.pop(t))
+                bucket = buckets.pop(t)
+                self._pending -= len(bucket) >> 1
+                ready.extend(bucket)
         finally:
             self.events_processed += fired
         if self._live_processes > 0:
             raise DeadlockError(self._blocked_report())
-        return self.now
+        return now
 
     def close(self) -> None:
         """Release a finished simulation by reference counting alone.
@@ -475,6 +466,7 @@ class Simulator:
         for channel in self._channels:
             channel._unlink()
         self._channels = []
+        self._peak = self.peak_pending
         self._ready.clear()
         self._buckets.clear()
         self._times.clear()
@@ -508,4 +500,14 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of events currently scheduled (for tests/diagnostics)."""
-        return self._pending
+        return self._pending + (len(self._ready) >> 1)
+
+    @property
+    def peak_pending(self) -> int:
+        """High-water mark of scheduled-but-unfired events.
+
+        Events fired by a drain leave the count only when the drain ends,
+        so between two drain ends it can only grow: the maxima of those
+        ends and of the current count are the maximum over all time.
+        """
+        return max(self._peak, self.pending_events)

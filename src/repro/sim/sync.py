@@ -29,7 +29,9 @@ class _SignalWait(Waitable):
 
     def _arm(self, sim: Simulator, proc: Process) -> None:
         if self.signal._level:
-            sim._dispatch(proc._resume_cb, None)
+            ready = sim._ready
+            ready.append(proc)
+            ready.append(None)
         else:
             self.signal._waiters.append(proc)
 
@@ -67,7 +69,7 @@ class Signal:
         self._level = True
         while self._waiters:
             proc = self._waiters.popleft()
-            self._sim._schedule(self._sim.now, proc._resume_cb, None)
+            self._sim._schedule(self._sim.now, proc, None)
 
     def clear(self) -> None:
         self._level = False
@@ -96,7 +98,9 @@ class Acquire(Waitable):
         if res._in_use < res.capacity:
             res._in_use += 1
             res._note()
-            sim._dispatch(proc._resume_cb, None)
+            ready = sim._ready
+            ready.append(proc)
+            ready.append(None)
         else:
             res._waiters.append(proc)
 
@@ -147,7 +151,7 @@ class Resource:
         if self._waiters:
             proc = self._waiters.popleft()
             # The unit passes directly to the waiter; _in_use is unchanged.
-            self._sim._schedule(self._sim.now, proc._resume_cb, None)
+            self._sim._schedule(self._sim.now, proc, None)
         else:
             self._in_use -= 1
             self._note()

@@ -257,7 +257,7 @@ def test_peek_then_get_ordering():
 
 def test_peek_sees_a_blocked_producers_pending_item():
     """White-box pin of the defensive empty-queue-with-blocked-producer
-    state that try_get/_arm_get also bypass-guard: peek must report the
+    state that try_get and Get._arm also bypass-guard: peek must report the
     pending item the next get would deliver — ``None`` would stall a
     batch drain one message early — without consuming it or resuming
     its producer."""

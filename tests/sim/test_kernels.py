@@ -2,18 +2,20 @@
 
 Every test here runs against the wheel kernel and the heap ordering
 oracle in ``heap_kernel`` (or runs both and compares): ``run(until=)``
-landing exactly on a wheel-bucket / overflow-horizon boundary, ``call_at``
-at the current time, deadlock reports after the live-process registry
-compacted, far-future overflow ordering, and the steady-state no-garbage
-property of the hot path.
+landing exactly on an event's time, ``call_at`` at the current time,
+deadlock reports after the live-process registry compacted, far-future
+events scheduled out of time order, an exception escaping in the middle
+of a same-timestamp burst, the ledger's kernel mesh, and the
+steady-state no-garbage property of the hot path.
 """
 
 import gc
+import random
 
 import pytest
 
 from heap_kernel import KERNELS
-from repro.sim import DeadlockError, Fifo, Simulator
+from repro.sim import DeadlockError, Fifo, ProcessError, Simulator
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -185,11 +187,87 @@ def test_profile_counters_are_populated():
         sim.process(producer(), name="p")
         sim.process(consumer(), name="c")
         sim.run()
-        # Every put/get resume plus every timeout is an event; exact counts
-        # are kernel-independent because both fire the same schedule.
-        assert sim.events_processed > 2 * n
-        assert sim.peak_pending >= 2
+        # Both kernels fire the same schedule, so the same events; how many
+        # sit pending at once is the kernel's own count (the wheel counts a
+        # drain's fired events until the drain ends).
+        assert sim.events_processed == 3 * n + 2
+        assert sim.peak_pending == {"wheel": 9, "heap": 2}[kernel]
         assert sim.pending_events == 0
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_exception_mid_burst_leaves_the_rest_scheduled(kernel):
+    """A process that raises inside a same-timestamp burst stops the run
+    after its own event: every event still scheduled stays pending, only
+    fired events are counted, and a resumed run fires each of the rest
+    exactly once."""
+    sim = KERNELS[kernel]()
+    fifo = Fifo(sim, capacity=1)
+    fired = []
+
+    def consumer():
+        fired.append(("consumer", (yield fifo.get())))
+
+    def producer():
+        yield sim.timeout(10)
+        fired.append("producer")
+        yield fifo.put("x")  # wakes the consumer and itself behind the burst
+        fired.append("producer-done")
+
+    def worker(i):
+        yield sim.timeout(10)
+        if i == 1:
+            raise RuntimeError("boom")
+        fired.append(("worker", i))
+
+    sim.process(consumer(), name="consumer")
+    sim.process(producer(), name="producer")
+    for i in range(3):
+        sim.process(worker(i), name=f"worker{i}")
+    sim.call_at(20, lambda: fired.append("late"))
+    with pytest.raises(ProcessError) as err:
+        sim.run()
+    assert (err.value.process_name, err.value.now) == ("worker1", 10)
+    # Five first steps, then producer, worker0 and the raising worker1.
+    assert sim.events_processed == 8
+    # worker2, the consumer, the producer and the call_at callback.
+    assert sim.pending_events == 4
+    assert fired == ["producer", ("worker", 0)]
+    assert sim.run() == 20
+    assert fired == [
+        "producer",
+        ("worker", 0),
+        ("worker", 2),
+        ("consumer", "x"),
+        "producer-done",
+        "late",
+    ]
+    assert sim.events_processed == 12
+    assert sim.pending_events == 0
+
+
+def test_ledger_mesh_fires_the_same_events_on_both_kernels(ledger, monkeypatch):
+    """The ledger's ``kernel-mesh`` shape, 16 pairs of 64 messages, runs
+    identically on the wheel and on the heap oracle."""
+    rng = random.Random(7)
+    payloads = [[rng.getrandbits(32) for _ in range(64)] for _ in range(16)]
+    runs = {}
+    for kernel in KERNELS:
+        monkeypatch.setattr(ledger, "Simulator", KERNELS[kernel])
+        mesh = ledger.Mesh(payloads)
+        assert type(mesh.sim) is KERNELS[kernel]
+        mesh.sim.run()
+        runs[kernel] = (
+            mesh.sim.events_processed,
+            mesh.sim.now,
+            mesh.in_order,
+            mesh.sim.events_by_block(),
+        )
+    assert runs["heap"] == runs["wheel"]
+    events, now, in_order, _ = runs["wheel"]
+    assert in_order == [64] * 16
+    assert now == 64 * ledger.Mesh.SLEEP_PS
+    assert events == 16 * 64 * 3 + 32
 
 
 def test_event_counts_identical_across_kernels():
@@ -226,32 +304,35 @@ def test_timeouts_are_interned_per_delay():
 
 
 def test_steady_state_produces_no_per_event_garbage():
-    """The tentpole's allocation-light claim, measured: a steady-state
+    """The kernel's allocation-light claim, measured: a steady-state
     producer/consumer pair must not accumulate collectable garbage per
     event.  gc is disabled so nothing hides the churn; the gen-0 counter
     nets allocations minus deallocations, so a bounded delta over tens of
     thousands of events means the hot path recycles everything it touches.
+    A second pair on a capacity-1 FIFO parks its producer on every item,
+    so the parked-putter handoff runs under the same bound.
     """
     sim = Simulator()
-    fifo = Fifo(sim, capacity=8)
     done = []
 
-    def producer():
+    def producer(fifo):
         i = 0
         while True:
             yield fifo.put(i)
             i += 1
             yield sim.timeout(3)
 
-    def consumer():
+    def consumer(fifo):
         while True:
             yield fifo.get()
             yield sim.timeout(5)
             done.append(None)
             done.pop()
 
-    sim.process(producer(), name="p")
-    sim.process(consumer(), name="c")
+    for capacity in (8, 1):
+        fifo = Fifo(sim, capacity=capacity)
+        sim.process(producer(fifo), name=f"p{capacity}")
+        sim.process(consumer(fifo), name=f"c{capacity}")
     # Warm up: fill caches (interned timeouts, ring/bucket lists).
     sim.run(until=50_000)
     events_before = sim.events_processed
