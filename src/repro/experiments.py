@@ -21,9 +21,10 @@ The six grid curves after them climb ``repro.config.LADDER``, each one
 previous curve left bottlenecked, over the knobs of the rung above it:
 Maestro shards, then parallel masters and submission batching, the
 retire pipeline, fast dispatch, the staged resolve and, on the
-param-dense workload, the decentralized check.  The efficiency curve is
-one ``efficiency_sweep`` call: HW Maestro against the software RTS as
-tasks shrink.  :func:`sweep` runs each distinct (trace, config) pair
+param-dense workload, the decentralized check.  The efficiency curve
+runs one wait-chain per spin time on the HW Maestro and under the
+software RTS as tasks shrink.  :func:`run` is the one switch between the
+two runtimes, and it runs each distinct (trace, runtime, config) triple
 once per process, so Fig. 7's runs also serve the headline, buffering
 and software-RTS rows.
 
@@ -42,20 +43,26 @@ predicates:
   retire depth 16; spin times of 100 and 256,000 ns.
 """
 import json
+import math
 import os
 from dataclasses import dataclass
 from functools import cache, partial
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
-from .analysis import PaperComparison, compare, plot_speedup_curves, render_table
+from .analysis import (
+    PaperComparison,
+    compare,
+    plot_series,
+    plot_speedup_curves,
+    render_table,
+)
 from .config import LADDER, SystemConfig
 from .machine import (
     GridReport,
     NexusMachine,
     RunResult,
     analyze_bottleneck,
-    efficiency_sweep,
     grid_sweep,
 )
 from .runtime import run_software_rts
@@ -64,7 +71,8 @@ from .runtime.task_graph import build_task_graph
 from .traces import TaskTrace, gaussian_task_count, workload
 
 __all__ = [
-    "CURVES", "Curve", "FULL", "Series", "TRACES", "graph", "run", "sweep", "trace",
+    "CURVES", "Curve", "Efficiency", "FULL", "Series", "TRACES", "graph", "run",
+    "spin_key", "sweep", "trace",
 ]
 
 #: The tier: ``REPRO_FULL=1`` adds the paper's full-size points.
@@ -94,6 +102,17 @@ DEPTHS = [1, 2, 4, 8, 16] if FULL else [1, 2, 4, 8]
 SPINS_NS = [250, 1000, 4000, 16000, 64000]
 if FULL:
     SPINS_NS = [100] + SPINS_NS + [256000]
+
+#: The efficiency curve's wait-chains: 32 chains of 40 tasks, one
+#: dependence per task on the previous column; only the spin time changes.
+CHAIN = {"rows": 32, "cols": 40, "k_deps": 1}
+
+
+def spin_key(spin_ns: int) -> str:
+    """The :data:`TRACES` key of the :data:`CHAIN` wait-chain of
+    ``spin_ns`` tasks."""
+    return f"wait-chain {spin_ns}ns"
+
 
 PIPELINE = "pipeline 192x4"
 RENAMED = "pipeline 192x4 renamed"
@@ -125,6 +144,7 @@ TRACES: Dict[str, Tuple[str, Dict[str, Any]]] = {
     "pipeline 128x4": ("pipeline", {"items": 128, "stages": 4}),
     "hazard-dense": ("hazard-dense", SCALE),
     "param-dense": ("param-dense", SCALE),
+    **{spin_key(s): ("wait-chain", {**CHAIN, "spin_ns": s}) for s in SPINS_NS},
 }
 
 
@@ -214,6 +234,83 @@ class Series:
         )
 
 
+class Efficiency:
+    """Parallel efficiency vs task granularity: HW Maestro against the
+    software RTS.
+
+    Each spin time's wait-chain runs on ``cfg`` once per runtime through
+    :func:`run`, and each row pairs the two runs' parallel efficiency
+    ``sum(exec) / (workers * makespan)``.  At coarse grain both near 1.0;
+    as tasks shrink the software runtime's microseconds-per-task master
+    cost starves the workers while the hardware Maestro keeps them fed.
+    """
+
+    def __init__(self, cfg: SystemConfig):
+        self.workers = cfg.workers
+        self.trace_name = "wait-chain-{rows}x{cols}-k{k_deps}".format(**CHAIN)
+        #: ``spin_ns -> (hw run, sw run)``.
+        self.runs = {
+            s: (run(spin_key(s), cfg), run(spin_key(s), cfg, software=True))
+            for s in SPINS_NS
+        }
+
+    def _overhead(self, result: RunResult, eff: float) -> float:
+        """Worker time not spent executing, folded back to a per-task
+        nanosecond cost: the management overhead the runtime adds."""
+        idle = result.makespan * self.workers * (1 - eff)
+        return round(idle / result.n_tasks / 1e3, 2)
+
+    def rows(self) -> List[dict]:
+        out = []
+        for spin, (hw, sw) in self.runs.items():
+            hw_eff, sw_eff = hw.parallel_efficiency(), sw.parallel_efficiency()
+            out.append(
+                {
+                    "spin_ns": spin,
+                    "n_tasks": hw.n_tasks,
+                    "hw_makespan_ps": hw.makespan,
+                    "sw_makespan_ps": sw.makespan,
+                    "hw_efficiency": round(hw_eff, 4),
+                    "sw_efficiency": round(sw_eff, 4),
+                    "efficiency_ratio": round(hw_eff / sw_eff, 4),
+                    "hw_overhead_ns_per_task": self._overhead(hw, hw_eff),
+                    "sw_overhead_ns_per_task": self._overhead(sw, sw_eff),
+                }
+            )
+        return out
+
+    def to_json_dict(self) -> dict:
+        rows = self.rows()
+        finest = min(rows, key=lambda r: r["spin_ns"])
+        return {
+            "trace": self.trace_name,
+            "workers": self.workers,
+            "chain_rows": CHAIN["rows"],
+            "chain_cols": CHAIN["cols"],
+            "k_deps": CHAIN["k_deps"],
+            "finest_spin_ns": finest["spin_ns"],
+            "ratio_at_finest": finest["efficiency_ratio"],
+            "rows": rows,
+        }
+
+    def plot(self) -> str:
+        """Efficiency vs granularity, one line per runtime (x is log10 of
+        the spin time)."""
+        spins = sorted(self.runs)
+        return plot_series(
+            {
+                label: [
+                    (math.log10(s), self.runs[s][i].parallel_efficiency())
+                    for s in spins
+                ]
+                for i, label in enumerate(("hw maestro", "software rts"))
+            },
+            title=f"parallel efficiency vs granularity ({self.workers} workers)",
+            xlabel="log10(spin ns)",
+            ylabel="efficiency",
+        )
+
+
 At = Callable[..., dict]
 
 
@@ -227,7 +324,7 @@ class Curve:
     #: :data:`WORKERS`.
     title: str
     #: Runs the sweep; returns a ``GridReport``, ``Series`` or
-    #: ``EfficiencyReport``.
+    #: :class:`Efficiency`.
     sweep: Callable[[], Any]
     #: ``(header, cell(row))`` per table column.
     columns: Sequence[Tuple[str, Callable[[dict], Any]]]
@@ -993,15 +1090,7 @@ CURVES = [
         "efficiency",
         "Efficiency vs granularity ({trace}, {workers} workers, "
         "HW Maestro vs software RTS)",
-        # A 32 x 40 wait-chain graph, one dependence per task on the
-        # previous column; only the spin time changes.
-        lambda: efficiency_sweep(
-            SPINS_NS,
-            LADDER["contention-free"],
-            rows=32,
-            cols=40,
-            k_deps=1,
-        ),
+        lambda: Efficiency(LADDER["contention-free"]),
         [
             ("spin (ns)", lambda r: r["spin_ns"]),
             ("hw makespan (ms)", lambda r: round(r["hw_makespan_ps"] / 1e9, 4)),

@@ -10,9 +10,7 @@ from .machine import NexusMachine, run_trace
 from .results import RunResult, Scoreboard, TaskRecord
 from .sweep import (
     COLUMNS,
-    EfficiencyReport,
     GridReport,
-    efficiency_sweep,
     grid_sweep,
     saturation_point,
 )
@@ -27,8 +25,6 @@ __all__ = [
     "GridReport",
     "grid_sweep",
     "saturation_point",
-    "EfficiencyReport",
-    "efficiency_sweep",
     "BottleneckReport",
     "analyze_bottleneck",
     "BottleneckTimeline",

@@ -8,14 +8,12 @@ its ``workers`` axis with 1 first, so every speedup is over the 1-worker
 run, as in the paper: "the speedup is measured against the single core
 experiment of Nexus++ (double buffering enabled)".
 :func:`saturation_point` reads where such a curve flattens.
-:func:`efficiency_sweep` sweeps the trace itself (task granularity) on
-the hardware machine and the software-RTS baseline.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..config import SystemConfig
@@ -28,8 +26,6 @@ __all__ = [
     "COLUMNS",
     "GridReport",
     "grid_sweep",
-    "EfficiencyReport",
-    "efficiency_sweep",
 ]
 
 
@@ -261,158 +257,3 @@ def grid_sweep(
                 )
     runs = [run(cfg) if run else NexusMachine(cfg).run(trace) for cfg in configs]
     return GridReport(trace.name, axes, points, runs)
-
-
-@dataclass
-class EfficiencyReport:
-    """Efficiency vs task granularity: HW Maestro against the SW RTS.
-
-    The paper's headline claim restated as a curve.  Each swept point
-    runs the *same* wait-chain graph shape with a different per-task
-    spin time on (a) the Nexus++ machine and (b) the software-RTS
-    baseline, and records the parallel efficiency
-    ``sum(exec) / (workers * makespan)`` of both.  At coarse grain the
-    two converge near 1.0; as tasks shrink the software runtime's
-    microseconds-per-task master cost starves the workers while the
-    hardware Maestro keeps them fed — the per-point ``efficiency_ratio``
-    quantifies exactly how much longer fine-grained tasking stays
-    profitable with hardware dependency resolution.
-    """
-
-    trace_name: str
-    chain_rows: int
-    chain_cols: int
-    k_deps: int
-    spins_ns: List[int]
-    hw_runs: List[RunResult] = field(default_factory=list)
-    sw_runs: List[RunResult] = field(default_factory=list)
-
-    @property
-    def workers(self) -> int:
-        """Worker cores of every run: one machine, swept over grain."""
-        return self.hw_runs[0].config.workers
-
-    @property
-    def hw_efficiencies(self) -> List[float]:
-        return [r.parallel_efficiency() for r in self.hw_runs]
-
-    @property
-    def sw_efficiencies(self) -> List[float]:
-        return [r.parallel_efficiency() for r in self.sw_runs]
-
-    @property
-    def finest_spin_ns(self) -> int:
-        return min(self.spins_ns)
-
-    def ratio_at(self, spin_ns: int) -> float:
-        """HW efficiency over SW efficiency at one swept granularity."""
-        i = self.spins_ns.index(spin_ns)
-        return self.hw_efficiencies[i] / self.sw_efficiencies[i]
-
-    def rows(self) -> List[dict]:
-        """One report row per swept spin time (used by the CLI and bench)."""
-        out = []
-        n = self.chain_rows * self.chain_cols
-        for spin, hw, sw in zip(self.spins_ns, self.hw_runs, self.sw_runs):
-            hw_eff = hw.parallel_efficiency()
-            sw_eff = sw.parallel_efficiency()
-            # Worker-time not spent executing, folded back to a per-task
-            # nanosecond cost: the management overhead each runtime adds.
-            hw_over = (hw.makespan * self.workers * (1 - hw_eff)) / n / 1e3
-            sw_over = (sw.makespan * self.workers * (1 - sw_eff)) / n / 1e3
-            out.append(
-                {
-                    "spin_ns": spin,
-                    "n_tasks": n,
-                    "hw_makespan_ps": hw.makespan,
-                    "sw_makespan_ps": sw.makespan,
-                    "hw_efficiency": round(hw_eff, 4),
-                    "sw_efficiency": round(sw_eff, 4),
-                    "efficiency_ratio": round(hw_eff / sw_eff, 4),
-                    "hw_overhead_ns_per_task": round(hw_over, 2),
-                    "sw_overhead_ns_per_task": round(sw_over, 2),
-                }
-            )
-        return out
-
-    def to_json_dict(self) -> dict:
-        return {
-            "trace": self.trace_name,
-            "workers": self.workers,
-            "chain_rows": self.chain_rows,
-            "chain_cols": self.chain_cols,
-            "k_deps": self.k_deps,
-            "finest_spin_ns": self.finest_spin_ns,
-            "ratio_at_finest": round(self.ratio_at(self.finest_spin_ns), 4),
-            "rows": self.rows(),
-        }
-
-    def plot(self, width: int = 64, height: int = 18) -> str:
-        """ASCII efficiency-vs-granularity curve (x is log10 of spin ns)."""
-        import math
-
-        from ..analysis.ascii_plot import plot_series
-
-        order = sorted(range(len(self.spins_ns)), key=lambda i: self.spins_ns[i])
-        hw = self.hw_efficiencies
-        sw = self.sw_efficiencies
-        return plot_series(
-            {
-                "hw maestro": [
-                    (math.log10(self.spins_ns[i]), hw[i]) for i in order
-                ],
-                "software rts": [
-                    (math.log10(self.spins_ns[i]), sw[i]) for i in order
-                ],
-            },
-            width=width,
-            height=height,
-            title=f"parallel efficiency vs granularity ({self.workers} workers)",
-            xlabel="log10(spin ns)",
-            ylabel="efficiency",
-        )
-
-
-def efficiency_sweep(
-    spins_ns: Sequence[int],
-    config: Optional[SystemConfig] = None,
-    rts: Optional[Any] = None,
-    rows: int = 32,
-    cols: int = 40,
-    k_deps: int = 1,
-    cv: float = 0.0,
-    seed: int = 11,
-) -> EfficiencyReport:
-    """Sweep wait-chain spin time; run HW machine and SW RTS per point.
-
-    ``rows``/``cols``/``k_deps`` fix the graph shape (and hence the task
-    management work per task); ``spins_ns`` sweeps only the task body
-    length.  ``rts`` optionally overrides the
-    :class:`~repro.runtime.software_rts.SoftwareRTSConfig` costs.
-    """
-    from ..runtime.software_rts import run_software_rts
-    from ..traces.efficiency import wait_chain_trace
-
-    spins = list(spins_ns)
-    if not spins:
-        raise ValueError("need at least one spin time")
-    if any(s < 1 for s in spins):
-        raise ValueError("spin times are nanoseconds >= 1")
-    cfg = config or SystemConfig()
-    hw_runs: List[RunResult] = []
-    sw_runs: List[RunResult] = []
-    for spin in spins:
-        trace = wait_chain_trace(
-            rows, cols, k_deps=k_deps, spin_ns=spin, cv=cv, seed=seed
-        )
-        hw_runs.append(NexusMachine(cfg).run(trace))
-        sw_runs.append(run_software_rts(trace, cfg, rts))
-    return EfficiencyReport(
-        trace_name=f"wait-chain-{rows}x{cols}-k{min(k_deps, rows)}",
-        chain_rows=rows,
-        chain_cols=cols,
-        k_deps=min(k_deps, rows),
-        spins_ns=spins,
-        hw_runs=hw_runs,
-        sw_runs=sw_runs,
-    )

@@ -178,7 +178,9 @@ class Process(Waitable):
 
     def _wait_for(self, target: Any) -> None:
         if not isinstance(target, Waitable):
-            self._waiting_on = None
+            # A process that yields what it cannot wait on is dead, as one
+            # whose body raised is.
+            self._kill()
             raise ProcessError(
                 self.name,
                 self.sim.now,

@@ -39,13 +39,16 @@ class AccessMode(IntEnum):
     OUT = 1
     INOUT = 2
 
+    # Identity tests against module globals (bound below the class): the
+    # hardware blocks read both flags once per probe and once per update,
+    # and tuple membership or a member lookup on the enum class costs more.
     @property
     def reads(self) -> bool:
-        return self in (AccessMode.IN, AccessMode.INOUT)
+        return self is not _OUT
 
     @property
     def writes(self) -> bool:
-        return self in (AccessMode.OUT, AccessMode.INOUT)
+        return self is not _IN
 
     @classmethod
     def parse(cls, text: str) -> "AccessMode":
@@ -57,6 +60,7 @@ class AccessMode(IntEnum):
 
 #: Access modes by their stored byte.
 _MODES = tuple(AccessMode)
+_IN, _OUT = _MODES[:2]
 
 
 class _ParamFields(NamedTuple):

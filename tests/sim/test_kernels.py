@@ -246,6 +246,32 @@ def test_exception_mid_burst_leaves_the_rest_scheduled(kernel):
     assert sim.pending_events == 0
 
 
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_a_process_that_yields_a_non_waitable_dies(kernel):
+    """Yielding something that is not a waitable kills the process as a
+    raising body does: it leaves the live count, so a resumed run ends
+    cleanly instead of reporting it as blocked."""
+    sim = KERNELS[kernel]()
+    fired = []
+
+    def bad():
+        yield 42
+
+    def good():
+        yield sim.timeout(5)
+        fired.append(sim.now)
+
+    proc = sim.process(bad(), name="bad")
+    sim.process(good(), name="good")
+    with pytest.raises(ProcessError) as err:
+        sim.run()
+    assert err.value.process_name == "bad"
+    assert "non-waitable 42" in str(err.value)
+    assert not proc.alive
+    assert sim.run() == 5
+    assert fired == [5]
+
+
 def test_ledger_mesh_fires_the_same_events_on_both_kernels(ledger, monkeypatch):
     """The ledger's ``kernel-mesh`` shape, 16 pairs of 64 messages, runs
     identically on the wheel and on the heap oracle."""

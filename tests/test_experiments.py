@@ -96,3 +96,19 @@ def test_reproduce_exits_1_with_the_failed_assertion(capsys, tmp_path, monkeypat
     # The document and the table come first, as for a passing row.
     assert (tmp_path / "BENCH_versatility.json").exists()
     assert "Extension workloads" in capsys.readouterr().out
+
+
+def test_the_efficiency_row_shares_the_one_runtime_switch():
+    """The efficiency row pairs, per spin time, the memoized runs of that
+    spin's ``TRACES`` key: ``run`` hands back the very results it used."""
+    (curve,) = [c for c in experiments.CURVES if c.name == "efficiency"]
+    rep = curve.sweep()
+    cfg = repro.LADDER["contention-free"]
+    spin = min(experiments.SPINS_NS)
+    hw, sw = rep.runs[spin]
+    key = experiments.spin_key(spin)
+    assert experiments.run(key, cfg, software=True) is sw
+    assert experiments.run(key, cfg) is hw
+    assert experiments.TRACES[key] == (
+        "wait-chain", {**experiments.CHAIN, "spin_ns": spin}
+    )

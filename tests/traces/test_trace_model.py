@@ -21,9 +21,14 @@ def make_task(tid=0, n_params=2, exec_time=100):
 
 class TestAccessMode:
     def test_reads_writes(self):
-        assert AccessMode.IN.reads and not AccessMode.IN.writes
-        assert AccessMode.OUT.writes and not AccessMode.OUT.reads
-        assert AccessMode.INOUT.reads and AccessMode.INOUT.writes
+        expected = {
+            AccessMode.IN: (True, False),
+            AccessMode.OUT: (False, True),
+            AccessMode.INOUT: (True, True),
+        }
+        assert list(expected) == list(AccessMode)
+        for mode, flags in expected.items():
+            assert (mode.reads, mode.writes) == flags, mode
 
     def test_parse(self):
         assert AccessMode.parse("in") == AccessMode.IN
