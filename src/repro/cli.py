@@ -31,8 +31,8 @@ Machines
 the ``--stack NAME`` base (a :data:`repro.config.LADDER` machine; the
 paper's Table IV without it), then ``--workers N`` and every repeatable
 ``--set KNOB=VALUE``.  ``--set`` reaches every knob in its own units (times
-in ps; on/off for bools, none for optional knobs), and ``info`` lists them
-all.  ``sweep --axis KNOB=v1,v2`` varies a knob the same way.
+in ps; on/off for bools), and ``info`` lists them all.  ``sweep --axis
+KNOB=v1,v2`` varies a knob the same way.
 
 Examples (README.md lists every pinned experiment)::
 
@@ -140,8 +140,8 @@ def _add_machine_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--set", action="append", default=[], metavar="KNOB=VALUE",
         help="set a SystemConfig knob on the base machine, in the knob's "
-        "own units (times in ps; on/off for bools, none for optional "
-        "knobs); repeatable. `info` lists every knob",
+        "own units (times in ps; on/off for bools); repeatable. `info` "
+        "lists every knob",
     )
 
 
@@ -700,8 +700,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--axis", action="append", default=[], metavar="KNOB=V1,V2",
         help="sweep a SystemConfig knob over the listed values, in the "
-        "knob's own units (times in ps; on/off for bools, none for "
-        "optional knobs); repeat for a grid, first axis outermost. "
+        "knob's own units (times in ps; on/off for bools); repeat for a "
+        "grid, first axis outermost. "
         "Replaces the core curve; speedups are vs the first grid point",
     )
     p_sweep.add_argument(

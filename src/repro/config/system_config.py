@@ -3,19 +3,29 @@
 The paper's "Task Machine" is fully configurable (number of cores, clock
 frequencies, on-/off-chip access times, table geometries, FIFO sizes...);
 :class:`SystemConfig` is the equivalent single source of truth here.  All
-times are integer picoseconds, all sizes are entry counts (the byte sizes
-quoted in Table IV are derived properties so the README can echo the same
-table the paper prints).
+times are integer picoseconds, all sizes are entry counts.  Table IV's
+figures that shape no run (the core clock, the TD, Dependence Table entry
+and memory chunk sizes) are module constants, so the README can echo the
+same table the paper prints without a knob that changes nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Optional
+from typing import Any
 
 from ..sim.time_units import NS
 
 __all__ = ["SystemConfig", "BUS_MODEL_FORMULA", "BUS_MODEL_FITTED"]
+
+#: Table IV's worker/master core clock (2 GHz); traces carry task times.
+CORE_CLOCK_HZ = 2_000_000_000
+#: Table IV's Task Descriptor size in bytes (78 KB for 1K TDs).
+TD_BYTES = 78
+#: Table IV's Dependence Table entry size in bytes (112 KB for 4K entries).
+DT_ENTRY_BYTES = 28
+#: Table IV's memory chunk: ``off_chip_access_time`` moves 128 bytes.
+MEMORY_CHUNK_BYTES = 128
 
 #: Submission cost model exactly as §IV prose: 5-cycle handshake plus
 #: 2 cycles per 8-byte word, one word for (ID, function pointer) plus one
@@ -46,8 +56,6 @@ class SystemConfig:
     buffering_depth: int = 2
 
     # ---- clocks ----------------------------------------------------------------
-    #: Worker/master core clock (2 GHz in Table IV).
-    core_clock_hz: int = 2_000_000_000
     #: Nexus++ clock (500 MHz in Table IV; cycle time 2 ns).
     nexus_clock_hz: int = 500_000_000
 
@@ -58,12 +66,9 @@ class SystemConfig:
     task_pool_entries: int = 1024
     #: Parameters (inputs/outputs) a single Task Descriptor can hold.
     max_params_per_td: int = 8
-    #: Task Descriptor size in bytes (for the derived 78 KB figure only).
-    td_bytes: int = 78
-    #: Dependence Table entries (4K in Table IV).
+    #: Dependence Table entries (4K in Table IV).  A sharded machine splits
+    #: them evenly (ceiling) across its shards' table slices.
     dependence_table_entries: int = 4096
-    #: Dependence Table entry size in bytes (28 B; derived 112 KB total).
-    dt_entry_bytes: int = 28
     #: Kick-Off List slots per Dependence Table entry.
     kickoff_list_size: int = 8
 
@@ -85,11 +90,6 @@ class SystemConfig:
     maestro_shards: int = 1
     #: Inter-Maestro interconnect latency per ring hop (picoseconds).
     shard_hop_time: int = 4 * NS
-    #: Dependence Table entries owned by each shard's table slice; it also
-    #: sizes the single Maestro's one slice.  ``None`` splits
-    #: ``dependence_table_entries`` evenly (ceiling) across the shards so the
-    #: total capacity stays comparable to the single-Maestro machine.
-    dependence_table_entries_per_shard: Optional[int] = None
     #: Depth of each shard's check/finish message queues (scatter requests
     #: queue here; a full inbox backpressures the sender).
     shard_inbox_entries: int = 16
@@ -191,10 +191,8 @@ class SystemConfig:
     bus_model: str = BUS_MODEL_FORMULA
 
     # ---- off-chip memory ----------------------------------------------------------
-    #: Off-chip access time per chunk (12 ns per 128 B, CACTI).
+    #: Off-chip access time per ``MEMORY_CHUNK_BYTES`` chunk (12 ns, CACTI).
     off_chip_access_time: int = 12 * NS
-    #: Chunk size the off-chip access time refers to.
-    memory_chunk_bytes: int = 128
     #: Number of single-ported memory banks; at most this many concurrent
     #: accessors ("no more than 32 tasks can access the memory at a given time").
     memory_banks: int = 32
@@ -222,9 +220,6 @@ class SystemConfig:
     #: ``max_params_per_td`` parameters and more than ``kickoff_list_size``
     #: waiters per address instead of spilling to dummy tasks/entries.
     restricted: bool = False
-    #: Worker peak FLOP rate, used by workloads specified in FLOPs (Gaussian
-    #: elimination: 2 GFLOPS per core, §V).
-    core_gflops: float = 2.0
 
     # ---- validation ------------------------------------------------------------------
 
@@ -232,7 +227,6 @@ class SystemConfig:
         positive = [
             ("workers", self.workers),
             ("buffering_depth", self.buffering_depth),
-            ("core_clock_hz", self.core_clock_hz),
             ("nexus_clock_hz", self.nexus_clock_hz),
             ("on_chip_access_time", self.on_chip_access_time),
             ("task_pool_entries", self.task_pool_entries),
@@ -242,7 +236,6 @@ class SystemConfig:
             ("tds_sizes_list_entries", self.tds_sizes_list_entries),
             ("new_tasks_list_entries", self.new_tasks_list_entries),
             ("off_chip_access_time", self.off_chip_access_time),
-            ("memory_chunk_bytes", self.memory_chunk_bytes),
             ("memory_banks", self.memory_banks),
             ("memory_batch_chunks", self.memory_batch_chunks),
             ("maestro_shards", self.maestro_shards),
@@ -256,12 +249,6 @@ class SystemConfig:
         for name, value in positive:
             if value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
-        if self.master_cores < 1:
-            raise ValueError(f"master_cores must be >= 1, got {self.master_cores}")
-        if self.submission_batch < 1:
-            raise ValueError(
-                f"submission_batch must be >= 1, got {self.submission_batch}"
-            )
         if self.task_prep_time < 0:
             raise ValueError("task_prep_time must be >= 0")
         if self.bus_handshake_cycles < 0 or self.bus_word_cycles < 0:
@@ -273,13 +260,8 @@ class SystemConfig:
             raise ValueError("max_params_per_td must be >= 2")
         if self.kickoff_list_size < 2:
             raise ValueError("kickoff_list_size must be >= 2")
-        if self.core_gflops <= 0:
-            raise ValueError("core_gflops must be positive")
         if self.shard_hop_time < 0:
             raise ValueError("shard_hop_time must be >= 0")
-        if self.dependence_table_entries_per_shard is not None:
-            if self.dependence_table_entries_per_shard < 1:
-                raise ValueError("dependence_table_entries_per_shard must be >= 1")
         if self.retire_pipeline_depth > 1 and not self.use_sharded_maestro:
             raise ValueError(
                 "retire_pipeline_depth > 1 requires the sharded Maestro "
@@ -332,19 +314,14 @@ class SystemConfig:
         return round(1e12 / self.nexus_clock_hz)
 
     @property
-    def core_cycle(self) -> int:
-        """Worker core clock cycle time in picoseconds."""
-        return round(1e12 / self.core_clock_hz)
-
-    @property
     def task_pool_bytes(self) -> int:
         """Task Pool storage (Table IV: 78 KB for 1K TDs)."""
-        return self.task_pool_entries * self.td_bytes
+        return self.task_pool_entries * TD_BYTES
 
     @property
     def dependence_table_bytes(self) -> int:
         """Dependence Table storage (Table IV: 112 KB for 4K entries)."""
-        return self.dependence_table_entries * self.dt_entry_bytes
+        return self.dependence_table_entries * DT_ENTRY_BYTES
 
     @property
     def use_sharded_maestro(self) -> bool:
@@ -410,14 +387,12 @@ class SystemConfig:
     @property
     def dt_entries_per_shard(self) -> int:
         """Dependence Table capacity owned by each Maestro shard."""
-        if self.dependence_table_entries_per_shard is not None:
-            return self.dependence_table_entries_per_shard
         return -(-self.dependence_table_entries // self.maestro_shards)
 
     @property
     def memory_bandwidth_bytes_per_s(self) -> float:
         """Per-accessor off-chip bandwidth (128 B / 12 ns = 10.67 GB/s)."""
-        return self.memory_chunk_bytes / (self.off_chip_access_time * 1e-12)
+        return MEMORY_CHUNK_BYTES / (self.off_chip_access_time * 1e-12)
 
     def submission_time(self, n_params: int) -> int:
         """Master-to-Maestro submission delay for a task with ``n_params``.
@@ -451,17 +426,6 @@ class SystemConfig:
         """Maestro-to-Task-Controller TD transfer delay (same bus geometry)."""
         cycles = self.bus_handshake_cycles + self.bus_word_cycles * (1 + n_params)
         return cycles * self.nexus_cycle
-
-    def exec_time_for_flops(self, flops: float) -> int:
-        """Execution time of a task of ``flops`` on one worker core (ps)."""
-        return max(1, round(flops / self.core_gflops * 1_000))  # flops/GFLOPS -> ns -> ps
-
-    def memory_time_for_bytes(self, n_bytes: int) -> int:
-        """Uncontended off-chip transfer time for ``n_bytes`` (whole chunks)."""
-        if n_bytes <= 0:
-            return 0
-        chunks = -(-n_bytes // self.memory_chunk_bytes)
-        return chunks * self.off_chip_access_time
 
     # ---- convenience ------------------------------------------------------------------
 
@@ -532,19 +496,19 @@ class SystemConfig:
                 ),
             ]
         return [
-            ("Cores clock freq.", f"{self.core_clock_hz / 1e9:g} GHz"),
+            ("Cores clock freq.", f"{CORE_CLOCK_HZ / 1e9:g} GHz"),
             ("Nexus++ clock freq.", f"{self.nexus_clock_hz / 1e6:g} MHz"),
             ("On Chip Access Time", f"{self.on_chip_access_time / NS:g}ns"),
             ("Off Chip Access Time", f"{self.off_chip_access_time / NS:g}ns"),
             ("On chip bus bandwidth", "2 GB/s"),
             ("Memory bandwidth", f"{self.memory_bandwidth_bytes_per_s / 2**30:.2f} GB/s"),
-            ("Task Descriptor (TD) size", f"{self.td_bytes} Byte"),
+            ("Task Descriptor (TD) size", f"{TD_BYTES} Byte"),
             (
                 "Task Pool size",
                 f"{self.task_pool_bytes // 1024} KB ({self.task_pool_entries} TDs)",
             ),
             ("No. Parameters per TD", str(self.max_params_per_td)),
-            ("Dependence Table entry size", f"{self.dt_entry_bytes} Byte"),
+            ("Dependence Table entry size", f"{DT_ENTRY_BYTES} Byte"),
             (
                 "Dependence Table size",
                 f"{self.dependence_table_bytes // 1024} KB "

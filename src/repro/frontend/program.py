@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..config import SystemConfig
+from ..traces.timing import memory_time_for_bytes
 from ..traces.trace import AccessMode, Param, TaskTrace, TraceTask
 
 __all__ = ["StarSsProgram", "RecordedTask", "TaskSpec"]
@@ -220,14 +220,14 @@ class StarSsProgram:
     def to_trace(
         self,
         exec_time: Callable[[RecordedTask], int] | int = 1000,
-        config: Optional[SystemConfig] = None,
         name: Optional[str] = None,
     ) -> TaskTrace:
         """Lower the recorded program to a :class:`TaskTrace`.
 
         ``exec_time`` is either a constant (ps) or a callable evaluated per
         task.  Read/write phase durations are derived from the annotated
-        objects' byte sizes via the machine's off-chip timing, mirroring how
+        objects' byte sizes via Table IV's off-chip timing
+        (:func:`repro.traces.timing.memory_time_for_bytes`), mirroring how
         the paper's traces record per-task memory times.
 
         Barriers stall the *master core*, which the trace format (pure data
@@ -241,7 +241,6 @@ class StarSsProgram:
         order the specs were first recorded, so two identical builds of a
         program lower to identical traces.
         """
-        cfg = config or SystemConfig()
         if not self.tasks:
             raise ValueError("no tasks recorded")
         trace_tasks: List[TraceTask] = []
@@ -266,8 +265,8 @@ class StarSsProgram:
                     func=func_ids.setdefault(task.spec, len(func_ids)),
                     params=tuple(params),
                     exec_time=et,
-                    read_time=cfg.memory_time_for_bytes(read_bytes),
-                    write_time=cfg.memory_time_for_bytes(write_bytes),
+                    read_time=memory_time_for_bytes(read_bytes),
+                    write_time=memory_time_for_bytes(write_bytes),
                 )
             )
         return TaskTrace(

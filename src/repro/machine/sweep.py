@@ -240,20 +240,5 @@ def grid_sweep(
             raise ValueError(f"sweep axis {name!r} has no values")
     points = [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
     configs = [base.with_(**point) for point in points]
-    if "dependence_table_entries" in axes:
-        for cfg in configs:
-            per_shard = cfg.dependence_table_entries_per_shard
-            if per_shard is not None:
-                # Every machine sizes its table slices from the per-shard
-                # override when one is set; sweeping the total would
-                # silently change nothing.
-                raise ValueError(
-                    "sweeping dependence_table_entries has no effect: the "
-                    "config sets dependence_table_entries_per_shard="
-                    f"{per_shard}; sweep "
-                    "'dependence_table_entries_per_shard' instead, or clear "
-                    "the per-shard override so shard capacity derives from "
-                    "the total"
-                )
     runs = [run(cfg) if run else NexusMachine(cfg).run(trace) for cfg in configs]
     return GridReport(trace.name, axes, points, runs)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..config import SystemConfig
+from .timing import exec_time_for_flops, memory_time_for_bytes
 from .trace import AccessMode, Param, TaskTrace, TraceTask
 
 __all__ = ["cholesky_trace", "blocked_lu_trace", "cholesky_task_count"]
@@ -54,18 +54,17 @@ class _TileSpace:
         return self.base + (i * self.tiles + j) * self.tile_bytes
 
 
-def _times(cfg: SystemConfig, flops: float, read_tiles: int, write_tiles: int, tile_bytes: int):
+def _times(flops: float, read_tiles: int, write_tiles: int, tile_bytes: int):
     return (
-        cfg.exec_time_for_flops(flops),
-        cfg.memory_time_for_bytes(read_tiles * tile_bytes),
-        cfg.memory_time_for_bytes(write_tiles * tile_bytes),
+        exec_time_for_flops(flops),
+        memory_time_for_bytes(read_tiles * tile_bytes),
+        memory_time_for_bytes(write_tiles * tile_bytes),
     )
 
 
 def cholesky_trace(
     tiles: int,
     tile_size: int = 64,
-    config: Optional[SystemConfig] = None,
     name: Optional[str] = None,
 ) -> TaskTrace:
     """Blocked right-looking Cholesky factorisation task graph."""
@@ -73,7 +72,6 @@ def cholesky_trace(
         raise ValueError("need at least one tile")
     if tile_size < 1:
         raise ValueError("tile_size must be positive")
-    cfg = config or SystemConfig()
     b3 = float(tile_size) ** 3
     tile_bytes = tile_size * tile_size * _FLOAT
     space = _TileSpace(tiles, tile_bytes)
@@ -84,7 +82,7 @@ def cholesky_trace(
         params += [
             Param(space.addr(i, j), tile_bytes, AccessMode.INOUT) for i, j in writes
         ]
-        e, r, w = _times(cfg, flops, len(reads) + len(writes), len(writes), tile_bytes)
+        e, r, w = _times(flops, len(reads) + len(writes), len(writes), tile_bytes)
         tasks.append(TraceTask(len(tasks), func, tuple(params), e, r, w))
 
     for k in range(tiles):
@@ -112,7 +110,6 @@ def cholesky_trace(
 def blocked_lu_trace(
     tiles: int,
     tile_size: int = 64,
-    config: Optional[SystemConfig] = None,
     name: Optional[str] = None,
 ) -> TaskTrace:
     """Blocked LU factorisation (no pivoting) task graph."""
@@ -120,7 +117,6 @@ def blocked_lu_trace(
         raise ValueError("need at least one tile")
     if tile_size < 1:
         raise ValueError("tile_size must be positive")
-    cfg = config or SystemConfig()
     b3 = float(tile_size) ** 3
     tile_bytes = tile_size * tile_size * _FLOAT
     space = _TileSpace(tiles, tile_bytes, base=0x60_000_000)
@@ -131,7 +127,7 @@ def blocked_lu_trace(
         params += [
             Param(space.addr(i, j), tile_bytes, AccessMode.INOUT) for i, j in writes
         ]
-        e, r, w = _times(cfg, flops, len(reads) + len(writes), len(writes), tile_bytes)
+        e, r, w = _times(flops, len(reads) + len(writes), len(writes), tile_bytes)
         tasks.append(TraceTask(len(tasks), func, tuple(params), e, r, w))
 
     for k in range(tiles):

@@ -24,7 +24,7 @@ import math
 from array import array
 from typing import List, Optional
 
-from ..config import SystemConfig
+from .timing import memory_time_for_bytes
 from .trace import AccessMode, Param, TaskTrace, TraceTask
 
 __all__ = ["wait_chain_trace", "spatial_decomposition_trace"]
@@ -116,7 +116,6 @@ def spatial_decomposition_trace(
     dims: int = 2,
     block_bytes: int = 2048,
     exec_time: int = 2_000_000,
-    config: Optional[SystemConfig] = None,
     name: Optional[str] = None,
 ) -> TaskTrace:
     """Halo-exchange over a ``grid**dims`` cell array, double buffered.
@@ -133,7 +132,6 @@ def spatial_decomposition_trace(
         raise ValueError("dims must be 2 or 3")
     if grid < 1 or steps < 1:
         raise ValueError("grid and steps must be >= 1")
-    cfg = config or SystemConfig()
     cells = grid**dims
     offsets = [
         off
@@ -150,7 +148,7 @@ def spatial_decomposition_trace(
     def addr(buf: int, idx: int) -> int:
         return _SPATIAL_BASE + (buf * cells + idx) * block_bytes
 
-    write_time = cfg.memory_time_for_bytes(block_bytes)
+    write_time = memory_time_for_bytes(block_bytes)
     tasks: List[TraceTask] = []
     for t in range(steps):
         src, dst = t % 2, (t + 1) % 2
@@ -162,7 +160,7 @@ def spatial_decomposition_trace(
                     params.append(
                         Param(addr(src, flat(ncoord)), block_bytes, AccessMode.IN)
                     )
-            read_time = cfg.memory_time_for_bytes(len(params) * block_bytes)
+            read_time = memory_time_for_bytes(len(params) * block_bytes)
             params.append(Param(addr(dst, flat(coord)), block_bytes, AccessMode.OUT))
             tasks.append(
                 TraceTask(

@@ -35,7 +35,7 @@ from __future__ import annotations
 from array import array
 from typing import Optional
 
-from ..config import SystemConfig
+from .timing import CORE_GFLOPS, exec_time_for_flops, memory_time_for_bytes
 from .trace import AccessMode, TaskTrace
 
 __all__ = [
@@ -78,23 +78,14 @@ def _row_addr(j: int, n: int) -> int:
     return 0x1000000 + (j - 1) * row_bytes
 
 
-def gaussian_trace(
-    n: int,
-    config: Optional[SystemConfig] = None,
-    name: Optional[str] = None,
-) -> TaskTrace:
-    """Build the Gaussian-elimination trace for an ``n x n`` matrix.
-
-    ``config`` supplies the core FLOP rate and memory chunk timing used to
-    convert weights into durations (defaults to the Table IV machine).
-    """
-    cfg = config or SystemConfig()
+def gaussian_trace(n: int, name: Optional[str] = None) -> TaskTrace:
+    """Build the Gaussian-elimination trace for an ``n x n`` matrix."""
     count = gaussian_task_count(n)
     row_bytes = n * _FLOAT_BYTES
     inout, in_ = AccessMode.INOUT, AccessMode.IN
     # A task of weight w takes exec_of[w] ps and mem_of[w] ps per phase.
-    exec_of = [cfg.exec_time_for_flops(w) for w in range(n + 1)]
-    mem_of = [cfg.memory_time_for_bytes(w * _FLOAT_BYTES) for w in range(n + 1)]
+    exec_of = [exec_time_for_flops(w) for w in range(n + 1)]
+    mem_of = [memory_time_for_bytes(w * _FLOAT_BYTES) for w in range(n + 1)]
     func, exec_time, memory_time = array("q"), array("q"), array("q")
     offsets, addrs, modes = array("q", [0]), array("Q"), array("b")
     end = _row_addr(n + 1, n)
@@ -116,7 +107,7 @@ def gaussian_trace(
     return TaskTrace.from_columns(
         name or f"gaussian-{n}",
         {"pattern": "gaussian", "n": n, "task_count": count,
-         "mean_weight_flops": gaussian_mean_weight(n), "core_gflops": cfg.core_gflops},
+         "mean_weight_flops": gaussian_mean_weight(n), "core_gflops": CORE_GFLOPS},
         func=func,
         exec_time=exec_time,
         read_time=memory_time,

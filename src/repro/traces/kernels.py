@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..config import SystemConfig
-from .timing import TimeModel
+from .timing import TimeModel, memory_time_for_bytes
 from .trace import AccessMode, Param, TaskTrace, TraceTask
 
 __all__ = ["jacobi_stencil_trace", "reduction_tree_trace", "pipeline_trace"]
@@ -32,7 +31,6 @@ def jacobi_stencil_trace(
     iterations: int,
     block_bytes: int = 4096,
     exec_time: int = 2_000_000,
-    config: Optional[SystemConfig] = None,
     name: Optional[str] = None,
 ) -> TaskTrace:
     """5-point Jacobi over a ``grid x grid`` block array, double buffered.
@@ -43,13 +41,12 @@ def jacobi_stencil_trace(
     """
     if grid < 1 or iterations < 1:
         raise ValueError("grid and iterations must be >= 1")
-    cfg = config or SystemConfig()
 
     def addr(buf: int, i: int, j: int) -> int:
         return 0x70_000_000 + ((buf * grid + i) * grid + j) * block_bytes
 
-    read_time = cfg.memory_time_for_bytes(5 * block_bytes)
-    write_time = cfg.memory_time_for_bytes(block_bytes)
+    read_time = memory_time_for_bytes(5 * block_bytes)
+    write_time = memory_time_for_bytes(block_bytes)
     tasks: List[TraceTask] = []
     for t in range(iterations):
         src, dst = t % 2, (t + 1) % 2
@@ -79,19 +76,17 @@ def reduction_tree_trace(
     leaves: int,
     chunk_bytes: int = 8192,
     exec_time: int = 3_000_000,
-    config: Optional[SystemConfig] = None,
     name: Optional[str] = None,
 ) -> TaskTrace:
     """Binary combining tree over ``leaves`` input chunks (power of two)."""
     if leaves < 2 or leaves & (leaves - 1):
         raise ValueError("leaves must be a power of two >= 2")
-    cfg = config or SystemConfig()
 
     def addr(level: int, index: int) -> int:
         return 0x78_000_000 + (level * leaves + index) * chunk_bytes
 
-    read_time = cfg.memory_time_for_bytes(2 * chunk_bytes)
-    write_time = cfg.memory_time_for_bytes(chunk_bytes)
+    read_time = memory_time_for_bytes(2 * chunk_bytes)
+    write_time = memory_time_for_bytes(chunk_bytes)
     tasks: List[TraceTask] = []
     level, width = 0, leaves
     while width > 1:
@@ -119,7 +114,6 @@ def pipeline_trace(
     item_bytes: int = 16384,
     time_model: Optional[TimeModel] = None,
     seed: int = 7,
-    config: Optional[SystemConfig] = None,
     name: Optional[str] = None,
 ) -> TaskTrace:
     """S-stage streaming pipeline: stage s of item n reads stage s-1's
@@ -128,7 +122,6 @@ def pipeline_trace(
     workload for :func:`repro.runtime.renaming.rename_trace`)."""
     if items < 1 or stages < 1:
         raise ValueError("items and stages must be >= 1")
-    cfg = config or SystemConfig()
     model = time_model or TimeModel(mean_exec=4_000_000, mean_memory=1_000_000, cv=0.2)
     exec_t, read_t, write_t = model.sample(items * stages, seed)
 

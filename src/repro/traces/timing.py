@@ -1,4 +1,8 @@
-"""Per-task time sampling for synthetic traces.
+"""Per-task times: the FLOP/byte conversions and sampling for synthetic traces.
+
+Workloads specified in FLOPs and bytes own their timing: a worker core
+sustains 2 GFLOPS (§V) and off-chip memory moves a 128-byte chunk per
+12 ns (Table IV), whatever machine later replays the trace.
 
 The paper drives its simulations with a trace from a real parallel H.264
 decode on a Cell processor: "On average a task spends 7.5us for accessing
@@ -16,12 +20,36 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..sim.time_units import US
+from ..sim.time_units import NS, US
 
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["TimeModel", "H264_TIME_MODEL"]
+__all__ = [
+    "TimeModel",
+    "H264_TIME_MODEL",
+    "CORE_GFLOPS",
+    "exec_time_for_flops",
+    "memory_time_for_bytes",
+]
+
+#: Worker peak FLOP rate (2 GFLOPS per core, §V).
+CORE_GFLOPS = 2.0
+#: Off-chip transfer unit and its uncontended time (Table IV).
+_CHUNK_BYTES = 128
+_CHUNK_TIME = 12 * NS
+
+
+def exec_time_for_flops(flops: float) -> int:
+    """Execution time of a task of ``flops`` on one worker core (ps)."""
+    return max(1, round(flops / CORE_GFLOPS * 1_000))  # flops/GFLOPS -> ns -> ps
+
+
+def memory_time_for_bytes(n_bytes: int) -> int:
+    """Uncontended off-chip transfer time for ``n_bytes`` (whole chunks)."""
+    if n_bytes <= 0:
+        return 0
+    return -(-n_bytes // _CHUNK_BYTES) * _CHUNK_TIME
 
 
 @dataclass(frozen=True)

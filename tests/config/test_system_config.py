@@ -7,15 +7,15 @@ from repro.hw.fabric import Fabric
 from repro.machine import NexusMachine
 from repro.sim import NS, Simulator
 from repro.traces import independent_trace
+from repro.traces.timing import exec_time_for_flops, memory_time_for_bytes
 
 
 class TestTableIVDefaults:
     def test_clock_frequencies(self):
         cfg = SystemConfig()
-        assert cfg.core_clock_hz == 2_000_000_000
+        assert dict(cfg.table_iv())["Cores clock freq."] == "2 GHz"
         assert cfg.nexus_clock_hz == 500_000_000
         assert cfg.nexus_cycle == 2 * NS
-        assert cfg.core_cycle == 500  # 0.5 ns in ps
 
     def test_access_times(self):
         cfg = SystemConfig()
@@ -80,22 +80,20 @@ class TestSubmissionTiming:
 
 class TestDerivedHelpers:
     def test_exec_time_for_flops(self):
-        cfg = SystemConfig()  # 2 GFLOPS
         # 3523 FLOPs at 2 GFLOPS = 1.7615 us (paper: "1.77us" for n=5000).
-        assert cfg.exec_time_for_flops(3523) == pytest.approx(1.76 * 1e6, rel=0.01)
+        assert exec_time_for_flops(3523) == pytest.approx(1.76 * 1e6, rel=0.01)
         # 167 FLOPs = 83.5 ns (paper quotes 83.5ns for n=250).
-        assert cfg.exec_time_for_flops(167) == 83_500
+        assert exec_time_for_flops(167) == 83_500
 
     def test_exec_time_minimum_one_ps(self):
-        assert SystemConfig().exec_time_for_flops(0.0001) == 1
+        assert exec_time_for_flops(0.0001) == 1
 
     def test_memory_time_rounds_to_chunks(self):
-        cfg = SystemConfig()
-        assert cfg.memory_time_for_bytes(0) == 0
-        assert cfg.memory_time_for_bytes(1) == 12 * NS
-        assert cfg.memory_time_for_bytes(128) == 12 * NS
-        assert cfg.memory_time_for_bytes(129) == 24 * NS
-        assert cfg.memory_time_for_bytes(1280) == 120 * NS
+        assert memory_time_for_bytes(0) == 0
+        assert memory_time_for_bytes(1) == 12 * NS
+        assert memory_time_for_bytes(128) == 12 * NS
+        assert memory_time_for_bytes(129) == 24 * NS
+        assert memory_time_for_bytes(1280) == 120 * NS
 
     def test_with_replaces_fields(self):
         cfg = SystemConfig().with_(workers=64, memory_contention=False)
@@ -118,7 +116,8 @@ class TestValidation:
             ("memory_banks", 0, "memory_banks"),
             ("kickoff_list_size", 1, "kickoff_list_size"),
             ("max_params_per_td", 1, "max_params_per_td"),
-            ("core_gflops", 0, "core_gflops"),
+            ("master_cores", 0, "master_cores"),
+            ("submission_batch", 0, "submission_batch"),
             ("memory_batch_chunks", 0, "memory_batch_chunks"),
             ("finish_coalesce_limit", 0, "finish_coalesce_limit"),
             ("check_coalesce_limit", 0, "check_coalesce_limit"),
@@ -260,8 +259,8 @@ class TestShardedMaestroConfig:
         assert cfg.dt_entries_per_shard == -(-4096 // 3)
         assert cfg.dt_entries_per_shard * 3 >= cfg.dependence_table_entries
 
-    def test_per_shard_table_override(self):
-        cfg = SystemConfig(maestro_shards=2, dependence_table_entries_per_shard=64)
+    def test_per_shard_table_follows_the_total(self):
+        cfg = SystemConfig(maestro_shards=2, dependence_table_entries=128)
         assert cfg.dt_entries_per_shard == 64
 
     def test_validation(self):
@@ -270,7 +269,7 @@ class TestShardedMaestroConfig:
         with pytest.raises(ValueError):
             SystemConfig(shard_hop_time=-1)
         with pytest.raises(ValueError):
-            SystemConfig(dependence_table_entries_per_shard=0)
+            SystemConfig(dependence_table_entries=0)
         with pytest.raises(ValueError):
             SystemConfig(shard_inbox_entries=0)
 

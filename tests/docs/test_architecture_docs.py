@@ -21,7 +21,6 @@ ARCHITECTURE = REPO / "ARCHITECTURE.md"
 SCALING_KNOBS = [
     "maestro_shards",
     "shard_hop_time",
-    "dependence_table_entries_per_shard",
     "shard_inbox_entries",
     "master_cores",
     "submission_batch",

@@ -101,8 +101,9 @@ def knob_vectors(draw):
         memory_contention=draw(st.booleans()),
         memory_batch_chunks=draw(st.sampled_from([1, 8, 64])),
         max_params_per_td=draw(st.sampled_from([2, 8])),
-        # Bounded structures: at their minimum, twice it, or Table IV size.
-        dependence_table_entries_per_shard=draw(st.sampled_from([None, 8])),
+        # Bounded structures: at their minimum, twice it, or Table IV size;
+        # the Dependence Table as its Table IV total or an 8-entry slice.
+        dependence_table_entries=draw(st.sampled_from([4096, 8 * shards])),
         task_pool_entries=draw(st.sampled_from([4, 8, 16, 1024])),
         kickoff_list_size=draw(st.sampled_from([2, 4, 8])),
         tds_sizes_list_entries=draw(st.sampled_from([1, 2, 1024])),
@@ -127,7 +128,6 @@ def knob_vectors(draw):
 #: value, each with the reason.  Every other field is drawn away from its
 #: default, so a new field either joins the property or says here why not.
 HELD_AT_DEFAULT = {
-    "core_clock_hz": "a clock rate; the drawn traces vary task timing",
     "nexus_clock_hz": "a clock rate; the drawn traces vary task timing",
     "on_chip_access_time": "a latency; the drawn traces vary task timing",
     "off_chip_access_time": "a latency; memory_contention is drawn",
@@ -135,12 +135,7 @@ HELD_AT_DEFAULT = {
     "task_prep_time": "a latency; the drawn traces vary task timing",
     "bus_handshake_cycles": "a latency; bus_model is drawn",
     "bus_word_cycles": "a latency; bus_model is drawn",
-    "core_gflops": "converts flops to time; traces carry times",
-    "memory_chunk_bytes": "memory model size; memory_batch_chunks is drawn",
     "memory_banks": "memory model size; memory_contention is drawn",
-    "td_bytes": "sizes the Table IV report, not a structure",
-    "dt_entry_bytes": "sizes the Table IV report, not a structure",
-    "dependence_table_entries": "dependence_table_entries_per_shard is drawn",
     "telemetry_window": "sampling injects no events (test_goldens pins it)",
     "restricted": "turns spills into errors (tests/hw pins both)",
 }
@@ -157,6 +152,10 @@ def _drawn_knob_vectors():
 
     record()
     return drawn
+
+
+def test_held_at_default_names_only_fields():
+    assert set(HELD_AT_DEFAULT) <= {f.name for f in dataclasses.fields(SystemConfig)}
 
 
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SystemConfig)])

@@ -111,21 +111,3 @@ class TestValidation:
             grid_sweep(trace, BASE, {})
         with pytest.raises(ValueError, match="'workers'"):
             grid_sweep(trace, BASE, {"workers": []})
-
-    def test_dependence_table_total_ignored_under_per_shard_override(
-        self, trace, no_runs
-    ):
-        cfg = BASE.with_(maestro_shards=2, dependence_table_entries_per_shard=64)
-        with pytest.raises(ValueError, match="dependence_table_entries_per_shard"):
-            grid_sweep(trace, cfg, {"dependence_table_entries": [1024, 2048]})
-
-    def test_dependence_table_guard_checks_each_point(self, trace, no_runs):
-        # Both engines size their slices from the per-shard override, so
-        # every point ignores the total; the guard refuses the grid.
-        cfg = BASE.with_(dependence_table_entries_per_shard=64)
-        with pytest.raises(ValueError, match="has no effect"):
-            grid_sweep(
-                trace,
-                cfg,
-                {"maestro_shards": [1, 2], "dependence_table_entries": [1024]},
-            )

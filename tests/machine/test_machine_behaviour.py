@@ -210,8 +210,8 @@ class TestDependenceTableFit:
         with pytest.raises(error, match=message):
             Fabric(Simulator(), cfg, self._listing(*widths))
 
-    def test_per_shard_entries_size_the_single_engine_table(self):
-        cfg = SystemConfig(dependence_table_entries_per_shard=64)
+    def test_total_entries_size_the_single_engine_table(self):
+        cfg = SystemConfig(dependence_table_entries=64)
         trace = independent_trace(n_tasks=4, n_params=2)
         assert Fabric(Simulator(), cfg, trace).dep_shards[0].capacity == 64
 
@@ -253,39 +253,10 @@ class TestSweepHelpers:
     def test_saturation_point_monotone_curve_unchanged(self):
         assert saturation_point([1, 2, 4, 8], [1.0, 1.9, 3.85, 4.0]) == 4
 
-    def test_sweep_dt_entries_rejected_with_per_shard_override(self):
-        """Regression: sweeping the total Dependence Table size on a
-        sharded config with an explicit per-shard size would silently do
-        nothing; it must raise instead."""
-        trace = independent_trace(n_tasks=10, n_params=2, time_model=FAST_TIMES)
-        cfg = SystemConfig(
-            workers=2,
-            maestro_shards=2,
-            dependence_table_entries_per_shard=64,
-            memory_contention=False,
-        )
-        with pytest.raises(ValueError, match="dependence_table_entries_per_shard"):
-            grid_sweep(trace, cfg, {"dependence_table_entries": [1024, 2048]})
-
-    def test_sweep_dt_entries_allowed_when_derived_per_shard(self):
-        """Without the per-shard override the swept total drives the
-        per-shard capacity, so the sweep is meaningful and allowed."""
+    def test_sweep_per_shard_dt_entries_through_the_total(self):
         trace = independent_trace(n_tasks=30, n_params=2, time_model=FAST_TIMES)
         cfg = SystemConfig(workers=2, maestro_shards=2, memory_contention=False)
-        report = grid_sweep(trace, cfg, {"dependence_table_entries": [64]})
-        assert report.at(dependence_table_entries=64).makespan > 0
-
-    def test_sweep_per_shard_dt_entries_directly(self):
-        trace = independent_trace(n_tasks=30, n_params=2, time_model=FAST_TIMES)
-        cfg = SystemConfig(
-            workers=2,
-            maestro_shards=2,
-            dependence_table_entries_per_shard=64,
-            memory_contention=False,
-        )
-        report = grid_sweep(
-            trace, cfg, {"dependence_table_entries_per_shard": [32, 64]}
-        )
+        report = grid_sweep(trace, cfg, {"dependence_table_entries": [64, 128]})
         assert [r.config.dt_entries_per_shard for r in report.runs] == [32, 64]
         assert all(r.makespan > 0 for r in report.runs)
 

@@ -453,12 +453,11 @@ class TestSweepAxisParsing:
         [
             ("kickoff_fast_path=yes", "kickoff_fast_path: cannot read 'yes'"),
             ("maestro_shards=2,x", "maestro_shards: cannot read 'x' as int"),
-            ("dependence_table_entries_per_shard=auto",
-             "dependence_table_entries_per_shard: cannot read 'auto'"),
+            ("maestro_shards=none", "maestro_shards: cannot read 'none' as int"),
             ("shards=1,2", "unknown SystemConfig knob 'shards'"),
             ("maestro_shards", "expected maestro_shards=v1,v2"),
         ],
-        ids=["bad-bool", "non-int", "bad-optional", "unknown-knob", "no-values"],
+        ids=["bad-bool", "non-int", "none-on-int", "unknown-knob", "no-values"],
     )
     def test_bad_axis_is_usage_error(self, axis, message):
         with pytest.raises(SystemExit, match=message):
@@ -473,21 +472,22 @@ class TestSweepAxisParsing:
         import json
 
         path = tmp_path / "grid.json"
-        assert main(["sweep", "random", "--param", "n_tasks=40", "--param", "n_addresses=16",
+        assert main(["sweep", "gaussian", "--param", "n=8", "--param", "name=none",
                      "--workers", "4", "--set", "maestro_shards=2",
                      "--set", "retire_pipeline_depth=2",
-                     "--axis", "dependence_table_entries_per_shard=none,8",
+                     "--axis", "dependence_table_entries=4096,16",
                      "--axis", "kickoff_fast_path=False,true",
                      "--set", "memory_contention=off", "--json", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "none" in out and "off" in out and "on" in out
+        assert "off" in out and "on" in out
         data = json.loads(path.read_text())
+        assert data["trace"] == "gaussian-8"
         assert data["axes"] == {
-            "dependence_table_entries_per_shard": [None, 8],
+            "dependence_table_entries": [4096, 16],
             "kickoff_fast_path": [False, True],
         }
-        assert [r["dependence_table_entries_per_shard"] for r in data["rows"]] == [
-            None, None, 8, 8
+        assert [r["dependence_table_entries"] for r in data["rows"]] == [
+            4096, 4096, 16, 16
         ]
 
     @pytest.mark.parametrize("flag", ["--dispatch", "--resolve", "--check", "--efficiency"])
@@ -511,20 +511,16 @@ def _config(*argv):
 REACHABLE = {
     "workers": ("4", 4, None),
     "buffering_depth": ("3", 3, None),
-    "core_clock_hz": ("1000000000", 1_000_000_000, None),
     "nexus_clock_hz": ("250000000", 250_000_000, None),
     "on_chip_access_time": ("3000", 3000, None),
     "task_pool_entries": ("512", 512, None),
     "max_params_per_td": ("4", 4, None),
-    "td_bytes": ("64", 64, None),
     "dependence_table_entries": ("2048", 2048, None),
-    "dt_entry_bytes": ("32", 32, None),
     "kickoff_list_size": ("4", 4, None),
     "tds_sizes_list_entries": ("512", 512, None),
     "new_tasks_list_entries": ("512", 512, None),
     "maestro_shards": ("2", 2, None),
     "shard_hop_time": ("8000", 8000, None),
-    "dependence_table_entries_per_shard": ("1024", 1024, None),
     "shard_inbox_entries": ("8", 8, None),
     "retire_pipeline_depth": ("2", 2, "sharded"),
     "td_cache_entries": ("32", 32, "sharded"),
@@ -541,13 +537,11 @@ REACHABLE = {
     "bus_word_cycles": ("1", 1, None),
     "bus_model": ("fitted", "fitted", None),
     "off_chip_access_time": ("24000", 24000, None),
-    "memory_chunk_bytes": ("64", 64, None),
     "memory_banks": ("16", 16, None),
     "memory_contention": ("off", False, None),
     "memory_batch_chunks": ("8", 8, None),
     "telemetry_window": ("5000000", 5_000_000, None),
     "restricted": ("on", True, None),
-    "core_gflops": ("4.5", 4.5, None),
 }
 
 #: The per-knob flags ``--set`` replaced, then the per-workload flags
@@ -617,10 +611,12 @@ class TestSetAndStack:
              "memory_contention: cannot read 'maybe' as bool"),
             (["info", "--set", "maestro_shards"], "expected maestro_shards=VALUE"),
             (["info", "--set", "notes=x"], "unknown SystemConfig knob 'notes'"),
+            (["info", "--set", "core_gflops=4"],
+             "unknown SystemConfig knob 'core_gflops'"),
             (["info", "--stack", "turbo"], "--stack 'turbo': unknown machine"),
         ],
         ids=["unknown-knob", "twice", "workers-twice", "set-and-axis",
-             "unreadable", "no-value", "notes", "unknown-stack"],
+             "unreadable", "no-value", "notes", "core-gflops", "unknown-stack"],
     )
     def test_bad_machine_flags_are_one_line_errors(self, argv, message):
         with pytest.raises(SystemExit, match=message) as exc:
@@ -689,8 +685,8 @@ class TestParam:
         [
             (["run", "independent", "--param", "tasks=10"],
              "unknown independent parameter 'tasks'"),
-            (["run", "gaussian", "--param", "config=none"],
-             "unknown gaussian parameter 'config'"),
+            (["run", "pipeline", "--param", "time_model=none"],
+             "unknown pipeline parameter 'time_model'"),
             (["run", "random", "--param", "n_tasks=10", "--param", "n_tasks=20"],
              "--param n_tasks is given twice"),
             (["run", "random", "--param", "n_tasks"], "expected n_tasks=VALUE"),

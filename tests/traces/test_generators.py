@@ -4,7 +4,6 @@ import hashlib
 
 import pytest
 
-from repro.config import SystemConfig
 from repro.runtime.task_graph import build_task_graph
 from repro.sim import US
 from repro.traces import (
@@ -205,8 +204,7 @@ class TestGaussian:
             assert graph.is_edge(0, tid)
 
     def test_durations_follow_2gflops(self):
-        cfg = SystemConfig(core_gflops=2.0)
-        trace = gaussian_trace(10, config=cfg)
+        trace = gaussian_trace(10)
         # Pivot T(1,1) weight = n+1-1 = 10 FLOPs -> 5 ns.
         assert trace[0].exec_time == 5000
         # Update weight = n-1 = 9 FLOPs -> 4.5 ns.
