@@ -557,6 +557,13 @@ REMOVED_FLAGS = [
     "--steps", "--dims", "--addresses", "--seed",
 ]
 
+#: ``SystemConfig`` fields deleted because no run read them, and the
+#: per-shard table size that restated ``dependence_table_entries``.
+DELETED_KNOBS = [
+    "core_clock_hz", "td_bytes", "dt_entry_bytes", "core_gflops",
+    "memory_chunk_bytes", "dependence_table_entries_per_shard",
+]
+
 
 class TestSetAndStack:
     def test_every_knob_has_a_case(self):
@@ -621,6 +628,15 @@ class TestSetAndStack:
     def test_bad_machine_flags_are_one_line_errors(self, argv, message):
         with pytest.raises(SystemExit, match=message) as exc:
             main(argv)
+        assert "\n" not in str(exc.value.code)
+
+    @pytest.mark.parametrize("knob", DELETED_KNOBS)
+    @pytest.mark.parametrize("flag", ["--set", "--axis"])
+    def test_deleted_knobs_are_unknown(self, flag, knob):
+        """The fields that shaped no run are gone: naming one on ``--set``
+        or ``--axis`` is a one-line usage error, not a silent no-op."""
+        with pytest.raises(SystemExit, match=f"unknown SystemConfig knob '{knob}'") as exc:
+            main(["sweep", "random", "--param", "n_tasks=20", flag, f"{knob}=1,2"])
         assert "\n" not in str(exc.value.code)
 
     @pytest.mark.parametrize("flag", REMOVED_FLAGS)

@@ -5,7 +5,16 @@ import inspect
 
 import pytest
 
+import repro.traces
+from repro.frontend import StarSsProgram
 from repro.traces import CATALOGUE, gaussian_task_count, random_trace, workload
+
+#: Every trace builder: the package's ``*_trace`` generators and
+#: ``StarSsProgram.to_trace``.
+TRACE_BUILDERS = {
+    **{n: getattr(repro.traces, n) for n in repro.traces.__all__ if n.endswith("_trace")},
+    "StarSsProgram.to_trace": StarSsProgram.to_trace,
+}
 
 
 @pytest.mark.parametrize("name", list(CATALOGUE))
@@ -18,6 +27,13 @@ def test_entry_names_only_parameters_its_generator_takes(name):
     assert set(entry.params) <= set(signature)
     required = {p for p, v in signature.items() if v.default is inspect.Parameter.empty}
     assert required <= set(entry.params)
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_BUILDERS))
+def test_trace_builders_take_no_machine_config(name):
+    """A trace's timing is the workload's own: no builder takes a
+    ``SystemConfig``, so no machine knob can reshape a trace."""
+    assert "config" not in inspect.signature(TRACE_BUILDERS[name]).parameters
 
 
 def test_parameters_override_the_entry():
